@@ -21,7 +21,10 @@ dnum = 3``:
 
 The acceptance gate is >= 2x on HE-Mult; hoisted rotation batches are gated
 at >= 1.3x (the forward transform and BConv are amortised, the two inverse
-NTTs and ModDown are not).
+NTTs and ModDown are not).  Every row also reports ``limb_rows``, the
+length-``N`` rows one fused call moves through the NTT (forward + inverse,
+from the engine's counters): exact and timing-free, and ``run_ci_gates.py``
+fails a later PR that raises a gated row's count.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.keyswitch import switch_key, switch_key_unfused
 from repro.ckks.params import CkksParameters
+from repro.poly.ntt_engine import reset_transform_counts, transform_counts
 from repro.poly.rns_poly import RnsPolynomial
 
 DEGREE = 2**12
@@ -68,6 +72,14 @@ def paired_best_of(fn_a, fn_b, repeats: int) -> tuple[float, float]:
         fn_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def limb_rows(fn) -> int:
+    """Limb rows one (warm) call of ``fn`` moves through the NTT."""
+    reset_transform_counts()
+    fn()
+    counts = transform_counts()
+    return counts["forward_limbs"] + counts["inverse_limbs"]
 
 
 def build_instance() -> dict:
@@ -121,7 +133,11 @@ def bench_switch_key(instance: dict, repeats: int) -> dict:
         lambda: switch_key(d, relin, params, level),
         repeats,
     )
-    return {"loop_ms": t_loop * 1e3, "fused_ms": t_fused * 1e3}
+    return {
+        "loop_ms": t_loop * 1e3,
+        "fused_ms": t_fused * 1e3,
+        "limb_rows": limb_rows(lambda: switch_key(d, relin, params, level)),
+    }
 
 
 def pr1_he_mult(evaluator: CkksEvaluator, lhs: Ciphertext, rhs: Ciphertext) -> Ciphertext:
@@ -156,7 +172,11 @@ def bench_he_mult(instance: dict, repeats: int) -> dict:
         lambda: evaluator.multiply(ct, ct),
         repeats,
     )
-    return {"loop_ms": t_loop * 1e3, "fused_ms": t_fused * 1e3}
+    return {
+        "loop_ms": t_loop * 1e3,
+        "fused_ms": t_fused * 1e3,
+        "limb_rows": limb_rows(lambda: evaluator.multiply(ct, ct)),
+    }
 
 
 def bench_rotations(instance: dict, repeats: int) -> dict:
@@ -178,7 +198,11 @@ def bench_rotations(instance: dict, repeats: int) -> dict:
         assert np.abs(seq_slots - hoist_slots).max() < 1e-2, "hoisted rotation drifted"
 
     t_seq, t_hoist = paired_best_of(sequential, hoisted, repeats)
-    return {"loop_ms": t_seq * 1e3, "fused_ms": t_hoist * 1e3}
+    return {
+        "loop_ms": t_seq * 1e3,
+        "fused_ms": t_hoist * 1e3,
+        "limb_rows": limb_rows(hoisted),
+    }
 
 
 def main() -> int:
@@ -208,7 +232,10 @@ def main() -> int:
         ),
     ]
 
-    header = f"{'kernel':<32} {'baseline ms':>12} {'fused ms':>10} {'speedup':>8}"
+    header = (
+        f"{'kernel':<32} {'rows':>5} {'baseline ms':>12} {'fused ms':>10} "
+        f"{'speedup':>8}"
+    )
     print(header)
     print("-" * len(header))
     ok = True
@@ -225,12 +252,14 @@ def main() -> int:
                     "name": name,
                     "threshold": gate,
                     "speedup": speedup,
+                    "limb_rows": row["limb_rows"],
                     "passed": passed,
                 }
             )
             verdict = f"  (gate {gate:.1f}x -> {'PASS' if passed else 'FAIL'})"
         print(
-            f"{name:<32} {row['loop_ms']:>12.2f} {row['fused_ms']:>10.2f} "
+            f"{name:<32} {row['limb_rows']:>5} {row['loop_ms']:>12.2f} "
+            f"{row['fused_ms']:>10.2f} "
             f"{speedup:>7.2f}x{verdict}"
         )
     if args.json:

@@ -22,7 +22,10 @@ Each is evaluated two ways:
   decomposition per giant step.
 
 Both paths decode against the NumPy matrix-vector product before timing.
-The CI gate requires the engine >= 2x on both workloads.
+The CI gate requires the engine >= 2x on both workloads.  Each workload also
+reports ``limb_rows``: the length-``N`` rows one engine call moves through the
+NTT (forward + inverse, from the engine's counters).  It is exact and
+timing-free, and ``run_ci_gates.py`` fails a later PR that raises it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear_transform import DiagonalLinearTransform
 from repro.ckks.params import CkksParameters
+from repro.poly.ntt_engine import reset_transform_counts, transform_counts
 
 DEGREE = 2**10
 LIMBS = 6
@@ -143,7 +147,11 @@ def bench_case(instance: dict, name: str, repeats: int) -> dict:
     t_engine = best_of(
         lambda: evaluator.matvec(ct, transform, rescale=True), repeats
     )
+    reset_transform_counts()
+    evaluator.matvec(ct, transform, rescale=True)
+    counts = transform_counts()
     return {
+        "limb_rows": counts["forward_limbs"] + counts["inverse_limbs"],
         "naive_ms": t_naive * 1e3,
         "engine_ms": t_engine * 1e3,
         "diagonals": len(diagonals),
@@ -176,7 +184,7 @@ def main() -> int:
     ]
 
     header = (
-        f"{'workload':<28} {'diag':>5} {'rot':>4} {'naive ms':>10} "
+        f"{'workload':<28} {'diag':>5} {'rot':>4} {'rows':>5} {'naive ms':>10} "
         f"{'engine ms':>10} {'speedup':>8}"
     )
     print(header)
@@ -189,11 +197,17 @@ def main() -> int:
         ok = ok and passed
         json_rows.append({"workload": name, "speedup": speedup, **row})
         json_gates.append(
-            {"name": name, "threshold": GATE, "speedup": speedup, "passed": passed}
+            {
+                "name": name,
+                "threshold": GATE,
+                "speedup": speedup,
+                "limb_rows": row["limb_rows"],
+                "passed": passed,
+            }
         )
         print(
             f"{name:<28} {row['diagonals']:>5} {row['rotations']:>4} "
-            f"{row['naive_ms']:>10.2f} {row['engine_ms']:>10.2f} "
+            f"{row['limb_rows']:>5} {row['naive_ms']:>10.2f} {row['engine_ms']:>10.2f} "
             f"{speedup:>7.2f}x  (gate {GATE:.1f}x -> {'PASS' if passed else 'FAIL'})"
         )
     if args.json:

@@ -28,7 +28,9 @@ The driver runs *all* gates even after a failure (one regression must not
 mask another) and exits non-zero if any gate failed.  A gate flagged only
 by the trajectory diff gets one automatic re-run (a real regression
 reproduces; a slow scheduler draw on a shared runner does not) before the
-verdict is final.
+verdict is final.  The ``limb_rows`` series some gates report (NTT limb rows
+per call, read from the engine's counters) are deterministic: any rise over
+the previous snapshot fails the run, with no tolerance and no retry.
 """
 
 from __future__ import annotations
@@ -159,14 +161,16 @@ def write_trajectory_snapshot(
     return path
 
 
-def _series_speedups(gate_results: list) -> dict:
-    """Extract ``(gate, series) -> speedup`` for every numeric speedup gate.
+def _series(gate_results: list, key: str = "speedup") -> dict:
+    """Extract ``(gate, series) -> value`` for every gate reporting ``key``.
 
-    Only ``speedup``-keyed series are trajectory-diffed: they are the
-    higher-is-better perf ratios.  Value/threshold correctness counters
-    (silent faults, hang counts) are pass/fail in their own gate and carry
-    no regression semantics.  Gates whose summary is ``null`` (crashed or
-    failed before writing JSON) contribute nothing.
+    Two keys are trajectory-diffed: ``speedup``, the higher-is-better perf
+    ratios (within :data:`REGRESSION_TOLERANCE`), and ``limb_rows``, the
+    exact lower-is-better count of rows a workload moves through the NTT
+    (no tolerance: it is a counter, not a timing).  Value/threshold
+    correctness counters (silent faults, hang counts) are pass/fail in their
+    own gate and carry no regression semantics.  Gates whose summary is
+    ``null`` (crashed or failed before writing JSON) contribute nothing.
     """
     series = {}
     for result in gate_results:
@@ -174,7 +178,7 @@ def _series_speedups(gate_results: list) -> dict:
         if not summary:
             continue
         for gate in summary.get("gates", []):
-            value = gate.get("speedup")
+            value = gate.get(key)
             if isinstance(value, (int, float)):
                 series[(result["gate"], gate["name"])] = float(value)
     return series
@@ -205,21 +209,24 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
     Fails when any gated speedup regressed more than
     :data:`REGRESSION_TOLERANCE` versus the previous ``BENCH_<n>.json``
     -- the point of keeping the trajectory in-repo is that a perf PR cannot
-    silently trade away an earlier PR's win.  Series present only on one
-    side (new gates, removed gates, a previous null summary) are skipped:
-    absence is visible in the snapshots themselves.
+    silently trade away an earlier PR's win -- or when any ``limb_rows``
+    series rose at all: those are deterministic counters, so a rise is a
+    dataflow regression, never runner noise, and is not retried.  Series
+    present only on one side (new gates, removed gates, a previous null
+    summary) are skipped: absence is visible in the snapshots themselves.
     """
     started = time.perf_counter()
     previous = _previous_snapshot(directory, new_index)
-    current = _series_speedups(results)
+    current = _series(results)
     regressions = []
+    raised_rows = []
     compared = 0
     if previous is None:
         baseline_index = None
         baseline = {}
     else:
         baseline_index, snapshot = previous
-        baseline = _series_speedups(snapshot.get("gates", []))
+        baseline = _series(snapshot.get("gates", []))
         for key, prev_value in sorted(baseline.items()):
             new_value = current.get(key)
             if new_value is None:
@@ -236,13 +243,26 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
                         "floor": floor,
                     }
                 )
-    passed = not regressions
+        rows_now = _series(results, "limb_rows")
+        rows_before = _series(snapshot.get("gates", []), "limb_rows")
+        for key in sorted(set(rows_before) & set(rows_now)):
+            if rows_now[key] > rows_before[key]:
+                raised_rows.append(
+                    {
+                        "gate": key[0],
+                        "series": key[1],
+                        "previous": rows_before[key],
+                        "current": rows_now[key],
+                    }
+                )
+    passed = not regressions and not raised_rows
     summary = {
         "name": "trajectory_check",
         "baseline_index": baseline_index,
         "tolerance": REGRESSION_TOLERANCE,
         "series_compared": compared,
         "regressions": regressions,
+        "limb_rows_raised": raised_rows,
         "passed": passed,
     }
     if baseline_index is None:
@@ -258,6 +278,11 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
                 f"  REGRESSION {regression['gate']}/{regression['series']}: "
                 f"{regression['previous']:.2f} -> {regression['current']:.2f} "
                 f"(floor {regression['floor']:.2f})"
+            )
+        for raised in raised_rows:
+            print(
+                f"  LIMB ROWS RAISED {raised['gate']}/{raised['series']}: "
+                f"{raised['previous']:.0f} -> {raised['current']:.0f}"
             )
     return {
         "gate": "trajectory_check",
@@ -303,14 +328,14 @@ def _markdown_summary(
     lines.append("")
 
     previous = _previous_snapshot(directory, new_index)
-    current = _series_speedups(results)
+    current = _series(results)
     lines.append("## Speedup trajectory")
     lines.append("")
     if previous is None:
         lines.append("_No previous `BENCH_<n>.json` snapshot to diff against._")
     else:
         baseline_index, snapshot = previous
-        baseline = _series_speedups(snapshot.get("gates", []))
+        baseline = _series(snapshot.get("gates", []))
         lines.append(
             f"Delta vs `BENCH_{baseline_index}.json` "
             f"(tolerance -{REGRESSION_TOLERANCE:.0%}):"
@@ -400,7 +425,7 @@ def _retry_regressed_gates(
         flagged.setdefault(regression["gate"], []).append(regression["series"])
 
     def worst_flagged(result: dict, name: str, series_names: list) -> float:
-        values = _series_speedups([result])
+        values = _series([result])
         return min(
             values.get((name, series), float("-inf")) for series in series_names
         )
@@ -507,7 +532,7 @@ def main() -> int:
         print("=== gate: trajectory_check (driver) ===", flush=True)
         check = trajectory_check(results, trajectory_dir, snapshot_index)
         print(flush=True)
-        if not check["passed"] and not args.only:
+        if check["summary"]["regressions"] and not args.only:
             results, check = _retry_regressed_gates(
                 results,
                 check,

@@ -26,7 +26,7 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoding import constant_coefficients
 from repro.ckks.keys import GaloisKey, GaloisKeySet, RelinearizationKey
 from repro.ckks.keyswitch import (
-    decompose_and_extend,
+    decompose_to_eval,
     switch_extended_eval,
     switch_key,
 )
@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.numtheory.crt import subtract_and_divide
 from repro.poly import gemm_mod
 from repro.poly.ring import automorphism_eval_indices
-from repro.poly.rns_poly import RnsPolynomial, stacked_ntt_forward
+from repro.poly.rns_poly import RnsPolynomial
 
 
 @lru_cache(maxsize=4096)
@@ -62,9 +62,9 @@ class HoistedCiphertext:
     ``c1``'s extended digits -- and keeps the evaluation-domain digit tensor.
     Each subsequent :meth:`CkksEvaluator.rotate_hoisted` then only permutes
     the tensor (the automorphism commutes to after BConv and is a pure gather
-    in the NTT domain), takes the key inner products and pays the two inverse
-    NTTs of ModDown, amortising the decomposition across a whole rotation
-    batch (baby-step/giant-step matrix-vector products, convolution taps).
+    in the NTT domain), takes the key inner products and pays ModDown's one
+    stacked inverse pass, amortising the decomposition across a whole
+    rotation batch (baby-step/giant-step matrix-vector products, taps).
     """
 
     ciphertext: Ciphertext
@@ -120,9 +120,9 @@ class CkksEvaluator:
     def count_operation(self, operator: str, weight: int = 1) -> None:
         """Record an operator executed outside the evaluator's own methods.
 
-        The BSGS engine key-switches its giant steps through
-        :func:`repro.ckks.keyswitch.switch_galois_eval` directly; it reports
-        them here so measured rotation counts cover the whole transform.
+        The BSGS engine key-switches its baby and giant steps through the
+        :mod:`repro.ckks.keyswitch` primitives directly; it reports them
+        here so measured rotation counts cover the whole transform.
         ``weight`` carries the batch multiplicity for stacked ciphertexts.
         """
         self._count(operator, weight)
@@ -303,7 +303,11 @@ class CkksEvaluator:
         b0, b1 = rhs.c0.to_eval(), rhs.c1.to_eval()
         d0 = a0.multiply(b0).to_coeff()
         d1 = a0.multiply(b1).add(a1.multiply(b0)).to_coeff()
-        d2 = a1.multiply(b1).to_coeff()
+        # relinearize() reuses d2's evaluation-domain residues (own-limb
+        # skip); d2 leaves the domain here only if the caller keeps it.
+        d2 = a1.multiply(b1)
+        if not relinearize:
+            d2 = d2.to_coeff()
         noise = None
         if lhs.noise_bits is not None and rhs.noise_bits is not None:
             noise = self.noise.multiply_bits(
@@ -368,7 +372,7 @@ class CkksEvaluator:
         d0 = c0_eval.multiply(c0_eval).to_coeff()
         cross = c0_eval.multiply(c1_eval)
         d1 = cross.add(cross).to_coeff()
-        d2 = c1_eval.multiply(c1_eval).to_coeff()
+        d2 = c1_eval.multiply(c1_eval)  # stays eval-domain for relinearize()
         noise = None
         if ciphertext.noise_bits is not None:
             noise = self.noise.multiply_bits(
@@ -390,7 +394,13 @@ class CkksEvaluator:
         return self.relinearize(product)
 
     def relinearize(self, ciphertext: Ciphertext) -> Ciphertext:
-        """Fold the quadratic component ``c2`` back into a linear ciphertext."""
+        """Fold the quadratic component ``c2`` back into a linear ciphertext.
+
+        ``c2`` may be in either domain (``multiply``/``square`` hand theirs
+        over still in the evaluation domain); the result is the same bit for
+        bit, an evaluation-domain ``c2`` just costs ``level`` fewer forward
+        limb rows (see :func:`repro.ckks.keyswitch.decompose_to_eval`).
+        """
         if ciphertext.c2 is None:
             return ciphertext.copy()
         if self.relin_key is None:
@@ -658,13 +668,17 @@ class CkksEvaluator:
         exponent = _rotation_exponent(steps, self.params.degree)
         return self.apply_galois(ciphertext, exponent)
 
-    def hoist(self, ciphertext: Ciphertext) -> HoistedCiphertext:
+    def hoist(
+        self, ciphertext: Ciphertext, *, c1_eval: np.ndarray | None = None
+    ) -> HoistedCiphertext:
         """Precompute the rotation-independent key-switch half of ``c1``.
 
         Pays the digit decomposition, stacked BConv and one batched forward
         NTT once; the returned handle feeds any number of
         :meth:`rotate_hoisted` / :meth:`conjugate_hoisted` calls on the same
-        ciphertext.
+        ciphertext.  A caller that already holds ``c1``'s evaluation-domain
+        residues passes them as ``c1_eval`` and the forward NTT skips every
+        digit's own limbs.
         """
         if self.galois_keys is None:
             raise MissingKeyError(
@@ -673,21 +687,22 @@ class CkksEvaluator:
             )
         self.validate(ciphertext, name="ciphertext")
         level = ciphertext.level
-        extended_digits = decompose_and_extend(ciphertext.c1, self.params, level)
-        digits_eval = stacked_ntt_forward(
-            self.params.extended_basis(level), extended_digits
-        )
+        digits_eval = decompose_to_eval(ciphertext.c1, self.params, level, c1_eval)
         return HoistedCiphertext(
             ciphertext=ciphertext, digits_eval=digits_eval, level=level
         )
 
     def rotate_hoisted(self, hoisted: HoistedCiphertext, steps: int) -> Ciphertext:
-        """Rotate via a hoisted decomposition (one gather + inner product).
+        """Rotate via a hoisted decomposition, into the coefficient domain.
 
-        Decrypts to the same slots as ``rotate(ciphertext, steps)``; the
-        hoisted BConv happens before (rather than after) the automorphism, so
-        the tiny fast-BConv rounding term differs, exactly as in standard
-        hoisting.
+        One gather of the digit tensor, the key inner products, one stacked
+        ``(2, L', N)`` inverse pass and the coefficient-domain ModDown -- no
+        forward transform.  (The BSGS engine multiplies by evaluation-domain
+        plaintexts next, so it finishes the same digits with
+        :func:`repro.ckks.keyswitch.rotate_hoisted_eval` instead.)  Decrypts
+        to the same slots as ``rotate(ciphertext, steps)``; the hoisted BConv
+        happens before (rather than after) the automorphism, so the tiny
+        fast-BConv rounding term differs, exactly as in standard hoisting.
         """
         exponent = _rotation_exponent(steps, self.params.degree)
         return self._apply_galois_hoisted(hoisted, exponent)

@@ -6,22 +6,34 @@ after a rotation), key switching produces a ciphertext pair ``(ks0, ks1)``
 under the canonical secret ``s`` such that ``ks0 + ks1 * s ~= d * s_source``.
 
 The pipeline is *fused* the way the paper's compiler fuses the Decomposing
-layer: a single stacked BConv extends all ``dnum`` digits to the level +
-special basis in one block matmul, one batched forward NTT transforms the
-whole ``(dnum, L', N)`` digit tensor, and the digit/key inner products
-accumulate in the evaluation domain.  ModDown is *lazy* (PR 5): both
-accumulators stay in the evaluation domain until they ride a **single**
-stacked ``(2, L', N)`` inverse pass together, and the ModDown correction --
-basis-converted from the special limbs of the stacked tensor in one batched
-BConv -- folds its subtract-and-divide into one vectorized kernel over the
-same stacked tensor.  A switch therefore costs exactly one batched forward
-and one batched inverse transform pass regardless of ``dnum`` (counters
-assert both the pass counts and the per-limb row counts), trimming one full
-inverse-NTT stack invocation per switch versus the per-accumulator pipeline
--- which matters doubly for the four-step GEMM backend, where a ``(2, L',
-N)`` pass batches into larger matmuls than two ``(L', N)`` passes.  The
-per-digit loop survives as :func:`switch_key_unfused`, the bit-exact oracle
-the fused path is tested against.
+layer, and *evaluation-domain resident*: a value leaves the NTT domain only
+where the algebra needs coefficients.  With ``L' = level + alpha``:
+
+* **decompose** -- one stacked BConv extends all ``dnum`` digits in the
+  coefficient domain, and one batched forward pass transforms the
+  ``(dnum, L', N)`` tensor.  When the operand's evaluation-domain residues
+  are known, each digit's *own* limbs (which BConv reproduces exactly) are
+  copied from them and only the foreign limbs are transformed, as limb
+  subsets of the extended basis' plan stack: ``level`` fewer forward rows
+  (:func:`decompose_to_eval`).
+* **inner products** -- the digit axis is contracted against the cached
+  evaluation-domain key digits in chunked uint64 einsums, reduced once per
+  chunk (:func:`switch_extended_eval_lazy`).
+* **ModDown** -- lazy: both accumulators share one stacked ``(2, L', N)``
+  inverse pass, then one batched BConv of the special limbs and one
+  subtract-and-divide kernel (:func:`mod_down_stacked`).  A caller that wants
+  the result in the evaluation domain inverse-transforms only the ``alpha``
+  special limbs and forward-transforms the ``level``-limb correction
+  (``domain="eval"``): ``alpha + level`` rows per operand instead of
+  ``L' + level`` for leaving the domain and coming back.
+
+:func:`switch_key` on a coefficient-domain operand therefore costs exactly
+one batched forward and one batched inverse pass regardless of ``dnum``
+(counters assert the pass and limb-row counts).  :func:`rotate_hoisted_eval`,
+the BSGS engine's baby step, never visits the coefficient domain at all.
+Every variant is bit-identical to the others (the NTT is ``Z_q``-linear per
+limb and every reduction exact); the per-digit loop survives as
+:func:`switch_key_unfused`, the oracle the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -92,6 +104,39 @@ def decompose_and_extend(
     )
 
 
+def decompose_to_eval(
+    poly: RnsPolynomial,
+    params: CkksParameters,
+    level: int,
+    eval_residues: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evaluation-domain extended digits of ``poly``: decompose, extend, NTT.
+
+    Without the operand's evaluation-domain residues this is one batched
+    forward pass over the whole ``(..., dnum, level + alpha, N)`` tensor.
+    When the caller holds them (``eval_residues``, or ``poly`` itself is in
+    the evaluation domain) each digit's *own* limbs -- which BConv reproduces
+    exactly, so their transform is the operand's -- are copied from there and
+    only its foreign limbs are transformed, as limb subsets of the extended
+    basis' plan stack: ``level`` fewer limb rows, bit-identical digits.
+    """
+    extended = params.extended_basis(level)
+    if eval_residues is None and poly.domain == EVAL_DOMAIN:
+        eval_residues = poly.residues
+    digits = decompose_and_extend(poly, params, level)
+    if eval_residues is None:
+        return stacked_ntt_forward(extended, digits)
+    for index, (start, stop) in enumerate(digit_partition(level, params.dnum)):
+        digit = digits[..., index, :, :]
+        digit[..., start:stop, :] = eval_residues[..., start:stop, :]
+        for foreign in (slice(0, start), slice(stop, extended.size)):
+            if foreign.start < foreign.stop:
+                digit[..., foreign, :] = stacked_ntt_forward(
+                    extended, digit[..., foreign, :], foreign
+                )
+    return digits
+
+
 def switch_extended_eval(
     digits_eval: np.ndarray,
     key: KeySwitchKey,
@@ -137,12 +182,12 @@ def switch_extended_eval_lazy(
     if digits_eval.shape[-3:] != b_stack.shape:
         raise ParameterError("key material does not match the digit partition")
     return (
-        _modular_inner_product(digits_eval, b_stack, extended),
-        _modular_inner_product(digits_eval, a_stack, extended),
+        modular_inner_product(digits_eval, b_stack, extended),
+        modular_inner_product(digits_eval, a_stack, extended),
     )
 
 
-def _modular_inner_product(
+def modular_inner_product(
     digits_eval: np.ndarray, key_stack: np.ndarray, basis: RnsBasis
 ) -> np.ndarray:
     """``sum_d digits[d] * key[d] mod q`` without materialising the products.
@@ -152,7 +197,8 @@ def _modular_inner_product(
     product is below ``q**2``); only the ``(..., L', N)`` accumulator ever
     pays a modular reduction.  ``digits_eval`` may carry leading batch axes
     (a ciphertext stack sharing one key); the contraction broadcasts the key
-    across them in the same einsum.
+    across them in the same einsum.  The BSGS engine's inner sums (baby
+    rotations against plaintext diagonals) are the same contraction.
     """
     moduli = basis.moduli_array[:, None]
     product_bits = 2 * max((int(q) - 1).bit_length() for q in basis.moduli)
@@ -187,11 +233,44 @@ def switch_key(
     Returns ``(ks0, ks1)`` over the ``level``-limb ciphertext basis, in the
     coefficient domain.  Bit-identical to :func:`switch_key_unfused`; for a
     coefficient-domain input the whole switch runs exactly one batched
-    forward and one batched inverse transform pass (lazy ModDown).
+    forward and one batched inverse transform pass (lazy ModDown).  An
+    evaluation-domain input pays ``level`` inverse rows for its coefficients
+    and gets them back as the own-limb skip (:func:`decompose_to_eval`).
     """
-    extended_digits = decompose_and_extend(poly, params, level)
-    digits_eval = stacked_ntt_forward(params.extended_basis(level), extended_digits)
+    digits_eval = decompose_to_eval(poly, params, level)
     return switch_extended_eval(digits_eval, key, params, level)
+
+
+def rotate_hoisted_eval(
+    digits_eval: np.ndarray,
+    c0_eval: np.ndarray,
+    key: KeySwitchKey,
+    exponent: int,
+    params: CkksParameters,
+    level: int,
+) -> np.ndarray:
+    """One hoisted rotation that never leaves the evaluation domain.
+
+    The baby-step primitive of the BSGS engine, which multiplies every
+    rotated ciphertext by evaluation-domain plaintexts next: the hoisted
+    digits and ``c0`` are rotated by the evaluation-point gather, the key
+    inner products go through the evaluation-domain ModDown
+    (:func:`mod_down_stacked`) and the rotated ``c0`` is added in place.
+    Returns the ``(..., 2, level, N)`` evaluation-domain pair -- bit-identical
+    to transforming :meth:`CkksEvaluator.rotate_hoisted`'s result.
+    """
+    indices = automorphism_eval_indices(params.degree, exponent)
+    accumulators = switch_extended_eval_lazy(
+        np.take(digits_eval, indices, axis=-1), key, params, level
+    )
+    pair = mod_down_stacked(
+        np.stack(accumulators, axis=-3), params, level, EVAL_DOMAIN
+    )
+    moduli = params.basis_at_level(level).moduli_array[:, None]
+    rotated0 = pair[..., 0, :, :]
+    rotated0 += np.take(c0_eval, indices, axis=-1)
+    np.minimum(rotated0, rotated0 - moduli, out=rotated0)
+    return pair
 
 
 def switch_galois_eval(
@@ -202,16 +281,13 @@ def switch_galois_eval(
     params: CkksParameters,
     level: int,
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Rotate an evaluation-domain accumulator pair by a Galois automorphism.
+    """Rotate an evaluation-domain ``(c0, c1)`` pair by a Galois automorphism.
 
-    This is the giant-step primitive of the BSGS linear-transform engine: the
-    inner products over a giant step's baby rotations accumulate as raw
-    evaluation-domain ``(L, N)`` residue tensors (paying no intermediate
-    inverse NTTs), and this function is the single point where the
-    accumulator leaves that domain.  The automorphism is applied as the pure
-    evaluation-point gather (it commutes with the NTT), both components pay
-    exactly one inverse pass each, and the rotated ``c1`` goes through the
-    fused key switch -- one key-switch decomposition per giant step.
+    The automorphism is applied as the pure evaluation-point gather (it
+    commutes with the NTT), both components share one stacked inverse pass,
+    and the rotated ``c1`` goes through the fused key switch.  (The BSGS
+    engine's giant steps no longer come through here: they keep ``c0`` in
+    the evaluation domain and key-switch the gathered ``c1`` directly.)
 
     Returns the coefficient-domain ``(c0, c1)`` of the rotated ciphertext.
     Bit-identical to converting the pair to the coefficient domain first and
@@ -219,20 +295,11 @@ def switch_galois_eval(
     """
     basis = params.basis_at_level(level)
     indices = automorphism_eval_indices(params.degree, exponent)
-    # Both rotated components share one stacked (2, L, N) inverse pass --
-    # the same lazy-domain-exit batching the key switch's ModDown uses.
-    rotated_pair = stacked_ntt_inverse(
-        basis,
-        np.stack(
-            [
-                np.take(c0_eval, indices, axis=-1),
-                np.take(c1_eval, indices, axis=-1),
-            ],
-            axis=-3,
-        ),
+    rotated = stacked_ntt_inverse(
+        basis, np.take(np.stack([c0_eval, c1_eval], axis=-3), indices, axis=-1)
     )
-    rotated0 = RnsPolynomial(basis, rotated_pair[..., 0, :, :], COEFF_DOMAIN)
-    rotated1 = RnsPolynomial(basis, rotated_pair[..., 1, :, :], COEFF_DOMAIN)
+    rotated0 = RnsPolynomial(basis, rotated[..., 0, :, :], COEFF_DOMAIN)
+    rotated1 = RnsPolynomial(basis, rotated[..., 1, :, :], COEFF_DOMAIN)
     ks0, ks1 = switch_key(rotated1, key, params, level)
     return rotated0.add(ks0), ks1
 
@@ -286,7 +353,10 @@ def switch_key_unfused(
 
 
 def mod_down_stacked(
-    stacked: np.ndarray, params: CkksParameters, level: int
+    stacked: np.ndarray,
+    params: CkksParameters,
+    level: int,
+    domain: str = COEFF_DOMAIN,
 ) -> np.ndarray:
     """Vectorized RNS ModDown of a stacked ``(..., level + alpha, N)`` tensor.
 
@@ -298,14 +368,28 @@ def mod_down_stacked(
     broadcast of the fused ``moddown_sub_div`` kernel
     (`repro.poly.fused_kernels`), the executable form of the coalesced
     vector segment in `repro.core.schedule.moddown_execution_schedule`.
-    Returns the ``(..., level, N)`` coefficient-domain result tensor.
+    Returns the ``(..., level, N)`` result tensor in the input's ``domain``.
+
+    An evaluation-domain input stays there: only its ``alpha`` special limbs
+    are inverse-transformed (BConv needs coefficients), the ``level``-limb
+    correction is forward-transformed, and the same subtract-and-divide runs
+    on evaluation-domain residues.  The NTT is ``Z_q``-linear per limb, so
+    this equals transforming the coefficient-domain ModDown bit for bit while
+    moving ``alpha + level`` limb rows per operand where leaving the domain
+    and coming back would move ``2 * level + alpha``.
     """
     level_basis = params.basis_at_level(level)
     special = params.special_basis
     if stacked.shape[-2] != level + special.size:
         raise ParameterError("ModDown input must live in the extended basis")
-    conversion = conversion_for(special, level_basis)
-    correction = conversion.convert_residues(stacked[..., level:, :])
+    special_rows = stacked[..., level:, :]
+    if domain == EVAL_DOMAIN:
+        special_rows = stacked_ntt_inverse(
+            params.extended_basis(level), special_rows, slice(level, None)
+        )
+    correction = conversion_for(special, level_basis).convert_residues(special_rows)
+    if domain == EVAL_DOMAIN:
+        correction = stacked_ntt_forward(level_basis, correction)
     return fused_kernels.moddown_sub_div(
         stacked[..., :level, :],
         correction,

@@ -8,21 +8,32 @@ CoeffToSlot/SlotToCoeff ladders with.  Writing ``k = g*n1 + b``::
     M @ x = sum_g rot_{g*n1}( sum_b rot_{-g*n1}(d_{g*n1+b}) * rot_b(x) )
 
 so only ``~n1 + n2`` rotations are key-switched instead of one per diagonal.
-The execution reuses every amortisation layer below it:
+``apply`` keeps everything between its input and its output in the evaluation
+domain unless the algebra needs coefficients (limb rows through the NTT per
+step; ``L`` = level, ``alpha`` special limbs, ``L' = L + alpha``):
 
-* the ``n1`` baby rotations share **one** hoisted key-switch decomposition
-  (:meth:`CkksEvaluator.hoist` -- digit split, stacked BConv, one batched
-  forward NTT);
-* the inner products accumulate in the **evaluation domain**: baby-rotated
-  ciphertexts are transformed once, the pre-rotated diagonal plaintexts are
-  cached as eval-domain residue tensors per level, and the ``n1 * n2``
-  multiply-adds are raw modular tensor ops paying no intermediate inverse
-  NTTs (extending the fused key switch's eval-domain accumulation); and
-* each giant step leaves the evaluation domain exactly once, through
-  :func:`repro.ckks.keyswitch.switch_galois_eval` -- an eval-domain
-  automorphism gather, two inverse NTTs and **one** key-switch decomposition
-  per giant step.
+* **input** -- ``c0`` and ``c1`` enter the evaluation domain once (``2L``
+  forward), and the one hoisted key-switch decomposition that serves every
+  baby rotation skips each digit's own limbs because ``c1``'s transform is
+  already held (``dnum * L' - L`` forward);
+* **baby step** -- gather, key inner products and the evaluation-domain
+  ModDown (:func:`repro.ckks.keyswitch.rotate_hoisted_eval`: ``2 * alpha``
+  inverse + ``2L`` forward, where leaving the domain and re-entering it cost
+  ``2L'`` inverse + ``2L`` forward);
+* **inner sums** -- per giant group one lazily reduced modular inner product
+  against the cached evaluation-domain plaintext stack: raw uint64 sums in
+  chunks that cannot overflow, one ``%`` per chunk instead of one per
+  diagonal, no transforms;
+* **giant step** -- the group's ``c0`` is only ever rotated and added, so it
+  is gathered into a running evaluation-domain sum; its ``c1`` is gathered
+  and key-switched straight from there (``L`` inverse for the BConv,
+  ``dnum * L' - L`` forward with the own-limb skip, ``2L'`` inverse);
+* **output** -- the summed ``c0`` and the ``g = 0`` group's ``c1`` leave
+  through one stacked inverse (``2L``) and meet the giant steps' outputs.
 
+Each step is bit-identical to the coefficient-domain detour it replaces, so
+``apply`` still equals the loop of public ``rotate_hoisted`` /
+``multiply_plain`` / ``add`` / ``rotate`` calls residue for residue.
 Plaintext diagonals are encoded lazily per level (and memoised both here and
 in the encoder), so one transform instance serves ciphertexts at any level.
 """
@@ -43,10 +54,12 @@ from repro.ckks.encoding import (
     matrix_from_diagonals,
     rotate_slots,
 )
+from repro.cancellation import checkpoint
 from repro.ckks.keyswitch import (
     mod_down_stacked,
+    modular_inner_product,
+    rotate_hoisted_eval,
     switch_extended_eval_lazy,
-    switch_galois_eval,
     switch_key,
 )
 from repro.diagnostics import BoundedLruCache, register_cache_group
@@ -102,9 +115,14 @@ def required_rotation_steps(*transforms) -> list[int]:
 
 
 def _conditional_add(
-    accumulator: np.ndarray, term: np.ndarray, moduli: np.ndarray
+    accumulator: np.ndarray | None, term: np.ndarray, moduli: np.ndarray
 ) -> np.ndarray:
-    """``(accumulator + term) mod q`` for reduced operands (no division)."""
+    """``(accumulator + term) mod q`` for reduced operands (no division).
+
+    ``None`` is the empty sum, so running totals need no first-term case.
+    """
+    if accumulator is None:
+        return term
     total = accumulator + term
     return np.where(total >= moduli, total - moduli, total)
 
@@ -315,57 +333,74 @@ class DiagonalLinearTransform:
             return float(self.scale)
         return float(self.encoder.params.scale)
 
-    def _plaintexts_at(self, level: int) -> dict[tuple[int, int], np.ndarray]:
-        """Eval-domain residue tensors of the pre-rotated diagonals, cached.
+    def _plaintexts_at(
+        self, level: int, *, extended: bool = False
+    ) -> dict[int, np.ndarray]:
+        """Eval-domain residue stacks of the pre-rotated diagonals, cached.
 
         The BSGS identity needs diagonal ``k = g*n1 + b`` pre-rotated by
         ``-g*n1`` so the giant rotation can be hoisted outside the inner sum;
         the encoded plaintexts are static per level, so their forward NTTs
-        are paid once and the read-only tensors shared across applies.
+        are paid once and the read-only tensors shared across applies.  Each
+        giant group ``g`` maps to one ``(babies, limbs, N)`` stack in the
+        order of ``_groups[g]`` -- the right-hand operand of its inner sum.
+        ``extended=True`` encodes over ``level + alpha`` limbs instead, for
+        double hoisting's accumulators that have not left the key-switch
+        basis yet.
         """
-        cached = self._plain_cache.get(level)
+        cache = self._extended_plain_cache if extended else self._plain_cache
+        cached = cache.get(level)
         if cached is None:
             scale = self.plaintext_scale(level)
+            basis = self.encoder.params.extended_basis(level) if extended else None
             cached = {}
             for g, babies in self._groups.items():
+                residues = []
                 for b in babies:
-                    pre_rotated = np.roll(self.diagonals[g * self.n1 + b], g * self.n1)
-                    plain = self.encoder.encode(
-                        pre_rotated, scale=scale, level=level, cache=True
-                    )
-                    residues = plain.poly.to_eval().residues
-                    residues.flags.writeable = False
-                    cached[(g, b)] = residues
-            self._plain_cache[level] = cached
+                    vector = np.roll(self.diagonals[g * self.n1 + b], g * self.n1)
+                    if extended:
+                        poly = _encode_at_basis(self.encoder, vector, scale, basis)
+                    else:
+                        poly = self.encoder.encode(
+                            vector, scale=scale, level=level, cache=True
+                        ).poly
+                    residues.append(poly.to_eval().residues)
+                cached[g] = np.stack(residues)
+                cached[g].flags.writeable = False
+            cache[level] = cached
         return cached
 
-    def _extended_plaintexts_at(
-        self, level: int
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Eval-domain *extended-basis* plaintext tensors for double hoisting.
+    def _inner_sum(self, babies, plaintexts, g: int, basis: RnsBasis) -> np.ndarray:
+        """Giant group ``g``'s ``sum_b baby_b * plain_(g,b) mod q``, as a pair.
 
-        Companion cache to :meth:`_plaintexts_at`: same pre-rotated diagonals,
-        encoded over ``level + alpha`` limbs so they can multiply accumulators
-        that have not left the key-switch basis yet.
+        ``babies`` is the ``(..., 2, len(baby_steps), limbs, N)`` tensor of
+        every baby's evaluation-domain ``(c0, c1)``; the sum is one lazily
+        reduced :func:`modular_inner_product` (raw uint64 sums in chunks that
+        cannot overflow, one ``%`` per chunk rather than per diagonal).
         """
-        cached = self._extended_plain_cache.get(level)
-        if cached is None:
-            extended = self.encoder.params.extended_basis(level)
-            scale = self.plaintext_scale(level)
-            cached = {}
-            for g, babies in self._groups.items():
-                for b in babies:
-                    pre_rotated = np.roll(
-                        self.diagonals[g * self.n1 + b], g * self.n1
-                    )
-                    poly = _encode_at_basis(
-                        self.encoder, pre_rotated, scale, extended
-                    )
-                    residues = poly.to_eval().residues
-                    residues.flags.writeable = False
-                    cached[(g, b)] = residues
-            self._extended_plain_cache[level] = cached
-        return cached
+        baby_steps = self.baby_steps
+        if self._groups[g] != baby_steps:
+            positions = [baby_steps.index(b) for b in self._groups[g]]
+            babies = babies[..., positions, :, :]
+        return modular_inner_product(babies, plaintexts[g], basis)
+
+    def _stamp_noise(self, evaluator, ciphertext: Ciphertext, output: Ciphertext):
+        """Propagate the input's noise estimate to ``output`` and guard it."""
+        if ciphertext.noise_bits is not None:
+            model = evaluator.noise
+            bits = ciphertext.noise_bits
+            if self.baby_steps != [0]:
+                bits = model.keyswitch_bits(bits)
+            bits = model.multiply_plain_bits(
+                bits, ciphertext.scale, self.plaintext_scale(output.level)
+            )
+            if self.giant_steps:
+                bits = model.keyswitch_bits(bits)
+            # The output sums `diagonal_count` such terms.
+            bits += math.log2(max(self.diagonal_count(), 1))
+            output.noise_bits = bits
+            model.guard(output.level, bits)
+        return output
 
     def apply(
         self, evaluator, ciphertext: Ciphertext, *, double_hoist: bool = False
@@ -393,83 +428,93 @@ class DiagonalLinearTransform:
                 params,
             )
         evaluator.validate(ciphertext, name="ciphertext")
+        if evaluator.galois_keys is None and self.rotation_steps():
+            raise MissingKeyError(
+                "the transform's rotations require Galois keys; generate "
+                "them with KeyGenerator.galois_keys_for_steps("
+                "required_rotation_steps(transform))"
+            )
         if double_hoist:
             return self._apply_double_hoisted(evaluator, ciphertext)
         level = ciphertext.level
         basis = params.basis_at_level(level)
         moduli = basis.moduli_array[:, None]
         plaintexts = self._plaintexts_at(level)
+        weight = evaluator._batch_weight(ciphertext)
 
-        # Baby rotations: one hoisted decomposition for the whole batch, then
-        # each rotated ciphertext enters the evaluation domain once.
-        baby_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        nonzero = [b for b in self.baby_steps if b != 0]
-        hoisted = evaluator.hoist(ciphertext) if nonzero else None
-        for b in self.baby_steps:
-            rotated = (
-                ciphertext if b == 0 else evaluator.rotate_hoisted(hoisted, b)
-            )
-            baby_parts[b] = (
-                rotated.c0.to_eval().residues,
-                rotated.c1.to_eval().residues,
+        # Baby rotations: the input enters the evaluation domain once; one
+        # hoisted decomposition (reusing c1's transform) serves every baby,
+        # and each baby stays in the domain through its ModDown.  Baby i's
+        # (c0, c1) pair is babies[..., :, i, :, :].
+        baby_steps = self.baby_steps
+        c0_eval = ciphertext.c0.to_eval().residues
+        c1_eval = ciphertext.c1.to_eval().residues
+        hoisted = None
+        if baby_steps != [0]:
+            hoisted = evaluator.hoist(ciphertext, c1_eval=c1_eval)
+        babies = np.empty(
+            c0_eval.shape[:-2] + (2, len(baby_steps)) + c0_eval.shape[-2:],
+            dtype=np.uint64,
+        )
+        for index, b in enumerate(baby_steps):
+            if b == 0:
+                babies[..., 0, index, :, :] = c0_eval
+                babies[..., 1, index, :, :] = c1_eval
+                continue
+            checkpoint()  # BSGS ladders are long and bypass validate()
+            exponent = self.encoder.slot_rotation_exponent(b)
+            key = evaluator.galois_keys.key_for(exponent)
+            evaluator.count_operation("rotate", weight)
+            babies[..., index, :, :] = rotate_hoisted_eval(
+                hoisted.digits_eval, c0_eval, key, exponent, params, level
             )
 
-        output: Ciphertext | None = None
-        result_scale = ciphertext.scale * self.plaintext_scale(level)
-        for g in sorted(self._groups):
-            # Giant step g: the inner product over its baby rotations stays in
-            # the decomposed/eval domain -- raw modular multiply-adds only.
-            acc0: np.ndarray | None = None
-            acc1: np.ndarray | None = None
-            for b in self._groups[g]:
-                plain = plaintexts[(g, b)]
-                part0, part1 = baby_parts[b]
-                term0 = (part0 * plain) % moduli
-                term1 = (part1 * plain) % moduli
-                if acc0 is None:
-                    acc0, acc1 = term0, term1
-                else:
-                    acc0 = _conditional_add(acc0, term0, moduli)
-                    acc1 = _conditional_add(acc1, term1, moduli)
+        # Giant steps.  Group g's inner sum over its babies is one lazily
+        # reduced modular inner product in the evaluation domain.  Its c0
+        # never needs coefficients (it is only rotated and added), so it is
+        # gathered into one evaluation-domain sum; its c1 is gathered and key
+        # switched from there, the results accumulating as coefficients.
+        c0_eval_sum = c1_eval_sum = None  # c1: only g = 0 contributes
+        ks0_sum = ks1_sum = None  # the giant steps' key-switch outputs
+        for count, g in enumerate(sorted(self._groups)):
+            checkpoint()
+            if count:
+                evaluator.count_operation("he_add", weight)
+            inner = self._inner_sum(babies, plaintexts, g, basis)
             if g == 0:
-                term = Ciphertext(
-                    c0=RnsPolynomial(basis, acc0, EVAL_DOMAIN).to_coeff(),
-                    c1=RnsPolynomial(basis, acc1, EVAL_DOMAIN).to_coeff(),
-                    scale=result_scale,
-                    level=level,
-                )
-            else:
-                # One eval-domain gather + one key-switch decomposition for
-                # the whole giant step.
-                if evaluator.galois_keys is None:
-                    raise MissingKeyError(
-                        "giant-step rotation requires Galois keys; generate "
-                        "them with KeyGenerator.galois_keys_for_steps("
-                        "required_rotation_steps(transform))"
-                    )
-                exponent = self.encoder.slot_rotation_exponent(g * self.n1)
-                key = evaluator.galois_keys.key_for(exponent)
-                evaluator.count_operation(
-                    "rotate", evaluator._batch_weight(ciphertext)
-                )
-                c0, c1 = switch_galois_eval(acc0, acc1, key, exponent, params, level)
-                term = Ciphertext(c0=c0, c1=c1, scale=result_scale, level=level)
-            output = term if output is None else evaluator.add(output, term)
-        if ciphertext.noise_bits is not None:
-            model = evaluator.noise
-            bits = ciphertext.noise_bits
-            if nonzero:
-                bits = model.keyswitch_bits(bits)
-            bits = model.multiply_plain_bits(
-                bits, ciphertext.scale, self.plaintext_scale(level)
+                c0_eval_sum = _conditional_add(c0_eval_sum, inner[..., 0, :, :], moduli)
+                c1_eval_sum = inner[..., 1, :, :]
+                continue
+            exponent = self.encoder.slot_rotation_exponent(g * self.n1)
+            key = evaluator.galois_keys.key_for(exponent)
+            evaluator.count_operation("rotate", weight)
+            rotated = np.take(
+                inner, automorphism_eval_indices(params.degree, exponent), axis=-1
             )
-            if self.giant_steps:
-                bits = model.keyswitch_bits(bits)
-            # The output sums `diagonal_count` such terms.
-            bits += math.log2(max(self.diagonal_count(), 1))
-            output.noise_bits = bits
-            model.guard(level, bits)
-        return output
+            c0_eval_sum = _conditional_add(c0_eval_sum, rotated[..., 0, :, :], moduli)
+            ks0, ks1 = switch_key(
+                RnsPolynomial(basis, rotated[..., 1, :, :], EVAL_DOMAIN),
+                key,
+                params,
+                level,
+            )
+            ks0_sum = _conditional_add(ks0_sum, ks0.residues, moduli)
+            ks1_sum = _conditional_add(ks1_sum, ks1.residues, moduli)
+
+        # One domain exit for everything still in the evaluation domain.
+        leaving = [c0_eval_sum] if c1_eval_sum is None else [c0_eval_sum, c1_eval_sum]
+        exited = stacked_ntt_inverse(basis, np.stack(leaving, axis=-3))
+        c0 = _conditional_add(ks0_sum, exited[..., 0, :, :], moduli)
+        c1 = ks1_sum
+        if c1_eval_sum is not None:
+            c1 = _conditional_add(ks1_sum, exited[..., 1, :, :], moduli)
+        output = Ciphertext(
+            c0=RnsPolynomial(basis, c0, COEFF_DOMAIN),
+            c1=RnsPolynomial(basis, c1, COEFF_DOMAIN),
+            scale=ciphertext.scale * self.plaintext_scale(level),
+            level=level,
+        )
+        return self._stamp_noise(evaluator, ciphertext, output)
 
     def _apply_double_hoisted(self, evaluator, ciphertext: Ciphertext) -> Ciphertext:
         """True double-hoisting: one decomposition, one domain exit per giant.
@@ -485,116 +530,75 @@ class DiagonalLinearTransform:
         gather + inverse NTT + ModDown -- ``n2`` domain exits total instead
         of ``n1`` per-baby ones.
         """
-        if evaluator.galois_keys is None and (
-            [b for b in self.baby_steps if b != 0] or self.giant_steps
-        ):
-            raise MissingKeyError(
-                "double-hoisted evaluation requires Galois keys; generate "
-                "them with KeyGenerator.galois_keys_for_steps("
-                "required_rotation_steps(transform))"
-            )
         params = evaluator.params
         level = ciphertext.level
         degree = params.degree
         level_basis = params.basis_at_level(level)
         extended = params.extended_basis(level)
         level_moduli = level_basis.moduli_array[:, None]
-        ext_moduli = extended.moduli_array[:, None]
         special_product = params.special_basis.modulus_product
         p_factors = np.array(
             [special_product % q for q in level_basis.moduli], dtype=np.uint64
         )[:, None]
-        plaintexts = self._extended_plaintexts_at(level)
+        plaintexts = self._plaintexts_at(level, extended=True)
+        weight = evaluator._batch_weight(ciphertext)
 
         c0_eval = ciphertext.c0.to_eval().residues
         c1_eval = ciphertext.c1.to_eval().residues
-        alpha = extended.size - level
-        zeros = np.zeros(
-            ciphertext.c0.batch_shape + (alpha, degree), dtype=np.uint64
+        baby_steps = self.baby_steps
+        hoisted = None
+        if baby_steps != [0]:
+            hoisted = evaluator.hoist(ciphertext, c1_eval=c1_eval)
+        # Baby i's P-scaled extended-basis (c0, c1) is babies[..., :, i, :, :];
+        # the special limbs of a lifted level-basis component stay zero.
+        babies = np.zeros(
+            c0_eval.shape[:-2] + (2, len(baby_steps), extended.size, degree),
+            dtype=np.uint64,
         )
-        nonzero = [b for b in self.baby_steps if b != 0]
-        hoisted = evaluator.hoist(ciphertext) if nonzero else None
-
-        baby_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for b in self.baby_steps:
+        for index, b in enumerate(baby_steps):
             if b == 0:
-                ext0 = np.concatenate(
-                    [(c0_eval * p_factors) % level_moduli, zeros], axis=-2
-                )
-                ext1 = np.concatenate(
-                    [(c1_eval * p_factors) % level_moduli, zeros], axis=-2
-                )
-            else:
-                exponent = self.encoder.slot_rotation_exponent(b)
-                key = evaluator.galois_keys.key_for(exponent)
-                evaluator.count_operation(
-                    "rotate", evaluator._batch_weight(ciphertext)
-                )
-                indices = automorphism_eval_indices(degree, exponent)
-                rotated_digits = np.take(hoisted.digits_eval, indices, axis=-1)
-                ext0, ext1 = switch_extended_eval_lazy(
-                    rotated_digits, key, params, level
-                )
-                lifted = (
-                    np.take(c0_eval, indices, axis=-1) * p_factors
-                ) % level_moduli
-                ext0[..., :level, :] = _conditional_add(
-                    ext0[..., :level, :], lifted, level_moduli
-                )
-            baby_parts[b] = (ext0, ext1)
+                babies[..., 0, index, :level, :] = (c0_eval * p_factors) % level_moduli
+                babies[..., 1, index, :level, :] = (c1_eval * p_factors) % level_moduli
+                continue
+            exponent = self.encoder.slot_rotation_exponent(b)
+            key = evaluator.galois_keys.key_for(exponent)
+            evaluator.count_operation("rotate", weight)
+            indices = automorphism_eval_indices(degree, exponent)
+            ext0, ext1 = switch_extended_eval_lazy(
+                np.take(hoisted.digits_eval, indices, axis=-1), key, params, level
+            )
+            lifted = (np.take(c0_eval, indices, axis=-1) * p_factors) % level_moduli
+            ext0[..., :level, :] = _conditional_add(
+                ext0[..., :level, :], lifted, level_moduli
+            )
+            babies[..., 0, index, :, :] = ext0
+            babies[..., 1, index, :, :] = ext1
 
         output: Ciphertext | None = None
         result_scale = ciphertext.scale * self.plaintext_scale(level)
         for g in sorted(self._groups):
-            acc0: np.ndarray | None = None
-            acc1: np.ndarray | None = None
-            for b in self._groups[g]:
-                plain = plaintexts[(g, b)]
-                part0, part1 = baby_parts[b]
-                term0 = (part0 * plain) % ext_moduli
-                term1 = (part1 * plain) % ext_moduli
-                if acc0 is None:
-                    acc0, acc1 = term0, term1
-                else:
-                    acc0 = _conditional_add(acc0, term0, ext_moduli)
-                    acc1 = _conditional_add(acc1, term1, ext_moduli)
+            inner = self._inner_sum(babies, plaintexts, g, extended)
             if g != 0:
                 exponent = self.encoder.slot_rotation_exponent(g * self.n1)
-                indices = automorphism_eval_indices(degree, exponent)
-                acc0 = np.take(acc0, indices, axis=-1)
-                acc1 = np.take(acc1, indices, axis=-1)
-            pair = stacked_ntt_inverse(
-                extended, np.stack([acc0, acc1], axis=-3)
+                inner = np.take(
+                    inner, automorphism_eval_indices(degree, exponent), axis=-1
+                )
+            down = mod_down_stacked(
+                stacked_ntt_inverse(extended, inner), params, level
             )
-            down = mod_down_stacked(pair, params, level)
             m0 = RnsPolynomial(level_basis, down[..., 0, :, :], COEFF_DOMAIN)
             m1 = RnsPolynomial(level_basis, down[..., 1, :, :], COEFF_DOMAIN)
             if g == 0:
                 term = Ciphertext(c0=m0, c1=m1, scale=result_scale, level=level)
             else:
                 key = evaluator.galois_keys.key_for(exponent)
-                evaluator.count_operation(
-                    "rotate", evaluator._batch_weight(ciphertext)
-                )
+                evaluator.count_operation("rotate", weight)
                 ks0, ks1 = switch_key(m1, key, params, level)
                 term = Ciphertext(
                     c0=m0.add(ks0), c1=ks1, scale=result_scale, level=level
                 )
             output = term if output is None else evaluator.add(output, term)
-        if ciphertext.noise_bits is not None:
-            model = evaluator.noise
-            bits = ciphertext.noise_bits
-            if nonzero:
-                bits = model.keyswitch_bits(bits)
-            bits = model.multiply_plain_bits(
-                bits, ciphertext.scale, self.plaintext_scale(level)
-            )
-            if self.giant_steps:
-                bits = model.keyswitch_bits(bits)
-            bits += math.log2(max(self.diagonal_count(), 1))
-            output.noise_bits = bits
-            model.guard(level, bits)
-        return output
+        return self._stamp_noise(evaluator, ciphertext, output)
 
     def apply_batch(
         self,

@@ -43,6 +43,10 @@ class CkksParameters:
     scale: float
     dnum: int = 3
     error_stddev: float = 3.2
+    #: Per-instance memo of the level / extended bases: building an
+    #: ``RnsBasis`` recomputes its hat inverses with ``pow``, and every HE
+    #: operator asks for the same handful (the bases are immutable).
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -117,10 +121,20 @@ class CkksParameters:
 
     def basis_at_level(self, level: int) -> RnsBasis:
         """The RNS basis after ``limbs - level`` rescalings (level counts limbs)."""
-        if not 1 <= level <= self.limbs:
-            raise ValueError(f"level must be in [1, {self.limbs}]")
-        return RnsBasis(moduli=self.modulus_basis.moduli[:level], degree=self.degree)
+        basis = self._bases.get(level)
+        if basis is None:
+            if not 1 <= level <= self.limbs:
+                raise ValueError(f"level must be in [1, {self.limbs}]")
+            basis = self._bases[level] = RnsBasis(
+                moduli=self.modulus_basis.moduli[:level], degree=self.degree
+            )
+        return basis
 
     def extended_basis(self, level: int) -> RnsBasis:
         """Basis ``{q_0..q_{level-1}} + {p_0..p_{alpha-1}}`` used inside keyswitch."""
-        return self.basis_at_level(level).extend(self.special_basis)
+        extended = self._bases.get(("extended", level))
+        if extended is None:
+            extended = self._bases[("extended", level)] = self.basis_at_level(
+                level
+            ).extend(self.special_basis)
+        return extended

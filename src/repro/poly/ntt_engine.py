@@ -154,23 +154,29 @@ _TRANSFORM_COUNTS = {
     "forward_limbs": 0,
     "inverse_limbs": 0,
 }
+#: Server worker threads transform concurrently and ``+=`` on a dict entry is
+#: a read-modify-write, so every access to the counters holds this lock.
+_TRANSFORM_COUNTS_LOCK = threading.Lock()
 
 
 def transform_counts() -> dict[str, int]:
     """Snapshot of the process-wide pass and limb-pass counters."""
-    return dict(_TRANSFORM_COUNTS)
+    with _TRANSFORM_COUNTS_LOCK:
+        return dict(_TRANSFORM_COUNTS)
 
 
 def reset_transform_counts() -> None:
     """Reset the transform counters (test instrumentation)."""
-    for key in _TRANSFORM_COUNTS:
-        _TRANSFORM_COUNTS[key] = 0
+    with _TRANSFORM_COUNTS_LOCK:
+        for key in _TRANSFORM_COUNTS:
+            _TRANSFORM_COUNTS[key] = 0
 
 
 def _count_pass(direction: str, limb_rows: int) -> None:
     """Book one counted pass that transformed ``limb_rows`` length-N rows."""
-    _TRANSFORM_COUNTS[direction] += 1
-    _TRANSFORM_COUNTS[direction + "_limbs"] += limb_rows
+    with _TRANSFORM_COUNTS_LOCK:
+        _TRANSFORM_COUNTS[direction] += 1
+        _TRANSFORM_COUNTS[direction + "_limbs"] += limb_rows
 
 
 def _shoup_quotients(values: np.ndarray, modulus: int) -> np.ndarray:
@@ -453,7 +459,9 @@ class _FourStepExec:
     #: folding would only grow the working set past cache for no gain.
     _FOLD_DEGREE_CAP = 2048
 
-    def transform(self, matrix: np.ndarray, forward: bool) -> np.ndarray:
+    def transform(
+        self, matrix: np.ndarray, forward: bool, limbs: slice | None = None
+    ) -> np.ndarray:
         """Transform a ``(..., [L,] N)`` operand in ONE batched cascade.
 
         On rings up to :data:`_FOLD_DEGREE_CAP`, extra leading axes are
@@ -462,24 +470,52 @@ class _FourStepExec:
         tensor shares one set of BLAS calls.  Beyond the cap the slices run
         sequentially through the same cascade (identical results either
         way; the kernels are exact per slice).
+
+        ``limbs`` (stacks only) says the operand's limb axis holds just that
+        slice of the stack's limbs; the cascade then runs on views of the
+        stacked constants (:meth:`_constants`).
         """
         matrix = np.asarray(matrix, dtype=np.uint64)
         base_rank = len(self._lead) + 1
         if matrix.ndim == base_rank:
-            return self._cascade(matrix, forward)
+            return self._cascade(matrix, forward, limbs)
         flat = matrix.reshape(-1, *matrix.shape[-base_rank:])
         if self.rows * self.cols <= self._FOLD_DEGREE_CAP:
-            return self._cascade(flat, forward).reshape(matrix.shape)
+            return self._cascade(flat, forward, limbs).reshape(matrix.shape)
         out = np.empty_like(flat)
         for index in range(flat.shape[0]):
-            out[index] = self._cascade(flat[index], forward)
+            out[index] = self._cascade(flat[index], forward, limbs)
         return out.reshape(matrix.shape)
 
-    def _cascade(self, data: np.ndarray, forward: bool) -> np.ndarray:
-        first_cat, scale_first, twist, second_cat, scale_second, a, b = (
-            self._fwd_pack if forward else self._inv_pack
+    def _constants(self, forward: bool, limbs: slice | None) -> tuple:
+        """One direction's pack plus the modulus columns, for ``limbs`` only.
+
+        A basic slice of a limb-stacked constant is a view, so a limb subset
+        runs on the stack's own tables: no table set is built per subset.
+        """
+        constants = (
+            *(self._fwd_pack if forward else self._inv_pack),
+            self._q_f,
+            self._q_u,
+            self._under_inv,
         )
-        q_f, q_u, inv_q = self._q_f, self._q_u, self._under_inv
+        if limbs is None:
+            return constants
+
+        def pick(constant):
+            if isinstance(constant, tuple):
+                return tuple(pick(item) for item in constant)
+            return constant[limbs] if isinstance(constant, np.ndarray) else constant
+
+        return pick(constants)
+
+    def _cascade(
+        self, data: np.ndarray, forward: bool, limbs: slice | None = None
+    ) -> np.ndarray:
+        (
+            first_cat, scale_first, twist, second_cat, scale_second, a, b,
+            q_f, q_u, inv_q,
+        ) = self._constants(forward, limbs)
         pool = self._buffers(data.shape[:-1], a, b)
         tile, gemm = pool["tile"], pool["gemm"]
         scratch = pool["scratch_t"].reshape(tile.shape)
@@ -805,11 +841,13 @@ class _FusedExecMixin:
     split twist forced -- the accelerated kernels are float-only.
     """
 
-    def _cascade(self, data: np.ndarray, forward: bool) -> np.ndarray:
-        first_cat, scale_first, twist, second_cat, scale_second, a, b = (
-            self._fwd_pack if forward else self._inv_pack
-        )
-        q_f, q_u, inv_q = self._q_f, self._q_u, self._under_inv
+    def _cascade(
+        self, data: np.ndarray, forward: bool, limbs: slice | None = None
+    ) -> np.ndarray:
+        (
+            first_cat, scale_first, twist, second_cat, scale_second, a, b,
+            q_f, q_u, inv_q,
+        ) = self._constants(forward, limbs)
         pool = self._buffers(data.shape[:-1], a, b)
         tile, gemm = pool["tile"], pool["gemm"]
 
@@ -1603,9 +1641,9 @@ class NttPlanStack:
             local.scratch_full = np.empty((self.limb_count, self.degree), dtype=np.uint64)
         return local.scratch, local.scratch_full
 
-    def _check_shape(self, matrix: np.ndarray) -> np.ndarray:
+    def _check_shape(self, matrix: np.ndarray, plans: tuple) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.uint64)
-        expected = (self.limb_count, self.degree)
+        expected = (len(plans), self.degree)
         if matrix.ndim < 2 or matrix.shape[-2:] != expected:
             raise ParameterError(
                 f"residue matrix has shape {matrix.shape}, expected (..., {expected[0]}, {expected[1]})"
@@ -1736,7 +1774,9 @@ class NttPlanStack:
             self._calibrate,
         )
 
-    def _transform(self, matrix: np.ndarray, forward: bool) -> np.ndarray:
+    def _transform(
+        self, matrix: np.ndarray, forward: bool, limbs: slice | None
+    ) -> np.ndarray:
         """One counted pass over a ``(..., L, N)`` matrix.
 
         On the butterfly backend, stacked operands (leading batch axes, e.g.
@@ -1748,8 +1788,14 @@ class NttPlanStack:
         amortise better than cache-tiled butterflies).  Either way it is a
         single batched pass from the caller's point of view; the counters
         additionally book one limb pass per length-``N`` row transformed.
+
+        ``limbs`` (a slice of the limb axis) transforms an operand holding
+        only those limbs of the stack, on views of the stack's tables: how the
+        key switch transforms a digit's foreign limbs, or the special limbs
+        alone, without a plan stack (and its table set) per limb subset.
         """
-        matrix = self._check_shape(matrix)
+        plans = self.plans if limbs is None else self.plans[limbs]
+        matrix = self._check_shape(matrix, plans)
         direction = "forward" if forward else "inverse"
         _count_pass(direction, matrix.size // self.degree)
         backend = self.resolve_backend()
@@ -1773,26 +1819,37 @@ class NttPlanStack:
                     BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE
                 )
         if backend == BACKEND_REFERENCE:
-            return self._reference_transform(matrix, forward)
+            return self._reference_transform(matrix, forward, plans)
         if backend in (BACKEND_FOUR_STEP, BACKEND_FUSED):
-            out = stack.transform(matrix, forward)
-        else:
+            out = stack.transform(matrix, forward, limbs)
+        elif limbs is None:
             out = self._butterfly_tiled(matrix, forward)
+        else:
+            # The stacked butterfly tables are not sliced per stage: a limb
+            # subset on this (rarely dispatched) rung runs limb by limb.
+            out = np.empty_like(matrix)
+            for i, plan in enumerate(plans):
+                butterfly = (
+                    plan._forward_butterfly if forward else plan._inverse_butterfly
+                )
+                out[..., i, :] = butterfly(matrix[..., i, :])
         if _spot_check_due():
             _spot_check_row(
                 direction,
                 backend,
-                matrix.reshape(-1, self.limb_count, self.degree)[0, 0],
-                out.reshape(-1, self.limb_count, self.degree)[0, 0],
+                matrix.reshape(-1, self.degree)[0],
+                out.reshape(-1, self.degree)[0],
                 self.degree,
-                self.plans[0].modulus,
-                self.plans[0].psi,
+                plans[0].modulus,
+                plans[0].psi,
             )
         return out
 
-    def _reference_transform(self, matrix: np.ndarray, forward: bool) -> np.ndarray:
+    def _reference_transform(
+        self, matrix: np.ndarray, forward: bool, plans: tuple
+    ) -> np.ndarray:
         out = np.empty_like(matrix)
-        for i, plan in enumerate(self.plans):
+        for i, plan in enumerate(plans):
             transform = ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
             out[..., i, :] = transform(matrix[..., i, :], plan.modulus, plan.psi)
         return out
@@ -1819,17 +1876,18 @@ class NttPlanStack:
         _reduce_once(data, self._q_col, scratch_full)
         return data
 
-    def forward(self, matrix: np.ndarray) -> np.ndarray:
+    def forward(self, matrix: np.ndarray, limbs: slice | None = None) -> np.ndarray:
         """Forward NTT of all limbs of a reduced ``(..., L, N)`` matrix.
 
         Leading axes are stacked operands (e.g. key-switch digits) that ride
-        through the cascade in the same single counted pass.
+        through the cascade in the same single counted pass.  With ``limbs``
+        (a slice) the matrix holds only those limbs of the stack.
         """
-        return self._transform(matrix, forward=True)
+        return self._transform(matrix, True, limbs)
 
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        """Inverse NTT of all limbs of a reduced ``(..., L, N)`` matrix."""
-        return self._transform(matrix, forward=False)
+    def inverse(self, matrix: np.ndarray, limbs: slice | None = None) -> np.ndarray:
+        """Inverse NTT of all (or the ``limbs`` slice of) limbs of a matrix."""
+        return self._transform(matrix, False, limbs)
 
 
 # --------------------------------------------------------------- plan caches

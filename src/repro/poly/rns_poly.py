@@ -37,43 +37,57 @@ def ring_for(degree: int, modulus: int) -> PolyRing:
 
 
 def _stacked_transform(
-    basis: RnsBasis, stacked: np.ndarray, forward: bool
+    basis: RnsBasis,
+    stacked: np.ndarray,
+    forward: bool,
+    limbs: slice | None = None,
 ) -> np.ndarray:
     """Transform a ``(..., L, N)`` stacked-operand tensor over ``basis``.
 
     The hot path is a single :class:`NttPlanStack` pass with the leading axes
     riding along as batch dimensions; oversized moduli fall back to the exact
     per-limb ring transforms (row by row, since the reference path only
-    guarantees 1-D inputs).
+    guarantees 1-D inputs).  With ``limbs`` (a slice of the limb axis) the
+    tensor holds only those limbs of the basis and runs as a limb subset of
+    the basis' own plan stack.
     """
     stacked = np.asarray(stacked, dtype=np.uint64)
-    if stacked.ndim < 2 or stacked.shape[-2:] != (basis.size, basis.degree):
+    moduli = basis.moduli if limbs is None else basis.moduli[limbs]
+    if stacked.ndim < 2 or stacked.shape[-2:] != (len(moduli), basis.degree):
         raise ValueError(
             f"stacked tensor has shape {stacked.shape}, expected "
-            f"(..., {basis.size}, {basis.degree})"
+            f"(..., {len(moduli)}, {basis.degree})"
         )
     if supports(basis.moduli, basis.degree):
         stack = plan_stack_for(basis.moduli, basis.degree)
-        return stack.forward(stacked) if forward else stack.inverse(stacked)
+        transform = stack.forward if forward else stack.inverse
+        return transform(stacked, limbs)
     out = np.empty_like(stacked)
-    flat_in = stacked.reshape(-1, basis.size, basis.degree)
-    flat_out = out.reshape(-1, basis.size, basis.degree)
+    flat_in = stacked.reshape(-1, len(moduli), basis.degree)
+    flat_out = out.reshape(-1, len(moduli), basis.degree)
     for batch in range(flat_in.shape[0]):
-        for i, q in enumerate(basis.moduli):
+        for i, q in enumerate(moduli):
             ring = ring_for(basis.degree, q)
             transform = ring.ntt if forward else ring.intt
             flat_out[batch, i] = transform(flat_in[batch, i])
     return out
 
 
-def stacked_ntt_forward(basis: RnsBasis, stacked: np.ndarray) -> np.ndarray:
-    """Forward NTT of every ``(L, N)`` slice of a stacked-operand tensor."""
-    return _stacked_transform(basis, stacked, forward=True)
+def stacked_ntt_forward(
+    basis: RnsBasis, stacked: np.ndarray, limbs: slice | None = None
+) -> np.ndarray:
+    """Forward NTT of every ``(L, N)`` slice of a stacked-operand tensor.
+
+    ``limbs``: the tensor's limb axis holds only ``basis.moduli[limbs]``.
+    """
+    return _stacked_transform(basis, stacked, True, limbs)
 
 
-def stacked_ntt_inverse(basis: RnsBasis, stacked: np.ndarray) -> np.ndarray:
+def stacked_ntt_inverse(
+    basis: RnsBasis, stacked: np.ndarray, limbs: slice | None = None
+) -> np.ndarray:
     """Inverse NTT of every ``(L, N)`` slice of a stacked-operand tensor."""
-    return _stacked_transform(basis, stacked, forward=False)
+    return _stacked_transform(basis, stacked, False, limbs)
 
 
 @dataclass

@@ -188,8 +188,8 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
     snapshot = _snapshot_guardrails()
     original = ntt_engine._FourStepExec._cascade
 
-    def lying_cascade(self, data, forward):
-        out = original(self, data, forward)
+    def lying_cascade(self, data, forward, limbs=None):
+        out = original(self, data, forward, limbs)
         out = out.copy()
         out[..., 0] ^= np.uint64(delta)
         return out

@@ -11,6 +11,7 @@ LRU caches never corrupt, deadlock, or overflow under contention.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -160,6 +161,62 @@ class TestSharedEvaluator:
             shared_setup["decryptor"].decrypt(result)
         ).real
         assert np.isfinite(decoded).all()
+
+
+class TestTransformCounters:
+    """The limb-row budgets are asserted through these process-wide counters,
+    which server worker threads bump concurrently: no update may be lost."""
+
+    def test_no_lost_updates_under_contention(self):
+        per_thread, rows = 5_000, 3
+        barrier = threading.Barrier(THREADS)
+        stop_resetting = threading.Event()
+
+        def worker():
+            barrier.wait(timeout=10.0)
+            for _ in range(per_thread):
+                ntt_engine._count_pass("forward", rows)
+                ntt_engine._count_pass("inverse", 1)
+
+        def snapshotter():
+            # Readers must never see a pass without its limb rows.
+            while not stop_resetting.is_set():
+                counts = ntt_engine.transform_counts()
+                assert counts["forward_limbs"] == rows * counts["forward"]
+
+        threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+        reader = threading.Thread(target=snapshotter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force switches inside the read-modify-write
+        try:
+            ntt_engine.reset_transform_counts()
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            stop_resetting.set()
+            reader.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + [reader])
+        assert ntt_engine.transform_counts() == {
+            "forward": THREADS * per_thread,
+            "inverse": THREADS * per_thread,
+            "forward_limbs": THREADS * per_thread * rows,
+            "inverse_limbs": THREADS * per_thread,
+        }
+
+    def test_threaded_circuits_book_the_serial_row_count(self, shared_setup):
+        inputs = _make_inputs(shared_setup, THREADS * PER_THREAD)
+        _circuit(shared_setup["evaluator"], *inputs[0])  # warm caches
+        ntt_engine.reset_transform_counts()
+        _circuit(shared_setup["evaluator"], *inputs[0])
+        one = ntt_engine.transform_counts()
+        ntt_engine.reset_transform_counts()
+        _run_threaded(shared_setup, inputs)
+        total = ntt_engine.transform_counts()
+        assert total == {key: value * len(inputs) for key, value in one.items()}
 
 
 class TestBoundedLruCacheThreadSafety:
