@@ -28,9 +28,10 @@ The driver runs *all* gates even after a failure (one regression must not
 mask another) and exits non-zero if any gate failed.  A gate flagged only
 by the trajectory diff gets one automatic re-run (a real regression
 reproduces; a slow scheduler draw on a shared runner does not) before the
-verdict is final.  The ``limb_rows`` series some gates report (NTT limb rows
-per call, read from the engine's counters) are deterministic: any rise over
-the previous snapshot fails the run, with no tolerance and no retry.
+verdict is final.  The :data:`EXACT_SERIES` some gates report (``limb_rows``:
+NTT limb rows per call, read from the engine's counters; ``encoder_bytes``:
+embedding tables a fresh encoder holds) are deterministic: any rise over the
+previous snapshot fails the run, with no tolerance and no retry.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ GATES = [
 #: an unchanged tree), so the floor must sit below that band to flag only
 #: real regressions; each gate's own absolute threshold still backstops it.
 REGRESSION_TOLERANCE = 0.25
+
+#: Lower-is-better series that are counts, not timings: compared exactly.
+EXACT_SERIES = ("limb_rows", "encoder_bytes")
 
 
 def run_gate(name: str, script: str, repo_root: str, quick: bool) -> dict:
@@ -164,13 +168,13 @@ def write_trajectory_snapshot(
 def _series(gate_results: list, key: str = "speedup") -> dict:
     """Extract ``(gate, series) -> value`` for every gate reporting ``key``.
 
-    Two keys are trajectory-diffed: ``speedup``, the higher-is-better perf
-    ratios (within :data:`REGRESSION_TOLERANCE`), and ``limb_rows``, the
-    exact lower-is-better count of rows a workload moves through the NTT
-    (no tolerance: it is a counter, not a timing).  Value/threshold
-    correctness counters (silent faults, hang counts) are pass/fail in their
-    own gate and carry no regression semantics.  Gates whose summary is
-    ``null`` (crashed or failed before writing JSON) contribute nothing.
+    Trajectory-diffed keys: ``speedup``, the higher-is-better perf ratios
+    (within :data:`REGRESSION_TOLERANCE`), and each of :data:`EXACT_SERIES`,
+    exact lower-is-better counts (no tolerance: counters, not timings).
+    Value/threshold correctness counters (silent faults, hang counts) are
+    pass/fail in their own gate and carry no regression semantics.  Gates
+    whose summary is ``null`` (crashed or failed before writing JSON)
+    contribute nothing.
     """
     series = {}
     for result in gate_results:
@@ -209,9 +213,10 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
     Fails when any gated speedup regressed more than
     :data:`REGRESSION_TOLERANCE` versus the previous ``BENCH_<n>.json``
     -- the point of keeping the trajectory in-repo is that a perf PR cannot
-    silently trade away an earlier PR's win -- or when any ``limb_rows``
-    series rose at all: those are deterministic counters, so a rise is a
-    dataflow regression, never runner noise, and is not retried.  Series
+    silently trade away an earlier PR's win -- or when any of the
+    :data:`EXACT_SERIES` rose at all: those are deterministic counters, so a
+    rise is a dataflow or footprint regression, never runner noise, and is
+    not retried.  Series
     present only on one side (new gates, removed gates, a previous null
     summary) are skipped: absence is visible in the snapshots themselves.
     """
@@ -219,7 +224,7 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
     previous = _previous_snapshot(directory, new_index)
     current = _series(results)
     regressions = []
-    raised_rows = []
+    raised = []
     compared = 0
     if previous is None:
         baseline_index = None
@@ -243,26 +248,28 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
                         "floor": floor,
                     }
                 )
-        rows_now = _series(results, "limb_rows")
-        rows_before = _series(snapshot.get("gates", []), "limb_rows")
-        for key in sorted(set(rows_before) & set(rows_now)):
-            if rows_now[key] > rows_before[key]:
-                raised_rows.append(
-                    {
-                        "gate": key[0],
-                        "series": key[1],
-                        "previous": rows_before[key],
-                        "current": rows_now[key],
-                    }
-                )
-    passed = not regressions and not raised_rows
+        for counter in EXACT_SERIES:
+            now = _series(results, counter)
+            before = _series(snapshot.get("gates", []), counter)
+            for key in sorted(set(before) & set(now)):
+                if now[key] > before[key]:
+                    raised.append(
+                        {
+                            "counter": counter,
+                            "gate": key[0],
+                            "series": key[1],
+                            "previous": before[key],
+                            "current": now[key],
+                        }
+                    )
+    passed = not regressions and not raised
     summary = {
         "name": "trajectory_check",
         "baseline_index": baseline_index,
         "tolerance": REGRESSION_TOLERANCE,
         "series_compared": compared,
         "regressions": regressions,
-        "limb_rows_raised": raised_rows,
+        "exact_series_raised": raised,
         "passed": passed,
     }
     if baseline_index is None:
@@ -279,10 +286,11 @@ def trajectory_check(results: list, directory: str, new_index: int) -> dict:
                 f"{regression['previous']:.2f} -> {regression['current']:.2f} "
                 f"(floor {regression['floor']:.2f})"
             )
-        for raised in raised_rows:
+        for entry in raised:
             print(
-                f"  LIMB ROWS RAISED {raised['gate']}/{raised['series']}: "
-                f"{raised['previous']:.0f} -> {raised['current']:.0f}"
+                f"  {entry['counter'].upper()} RAISED "
+                f"{entry['gate']}/{entry['series']}: "
+                f"{entry['previous']:.0f} -> {entry['current']:.0f}"
             )
     return {
         "gate": "trajectory_check",

@@ -6,10 +6,21 @@ embedding: the polynomial evaluated at the primitive ``2N``-th roots of unity
 scaling by Delta and rounding; because the evaluation points come in conjugate
 pairs, the resulting coefficients are real integers.
 
-The implementation builds the (unitary up to ``sqrt(N)``) Vandermonde matrix
-explicitly, which is exact and perfectly adequate for the library's functional
-parameter sizes (the performance path never encodes at runtime -- plaintext
-parameters are compiled offline, as the paper assumes).
+The embedding is never materialised as a matrix above tiny rings.  Writing
+the evaluation exponent ``5^j = 2 t_j + 1`` splits ``zeta^(5^j k)`` into a
+*twist* ``zeta^k`` and a plain DFT kernel ``omega^(t_j k)`` (``omega =
+zeta^2``), so the whole map is one length-``N`` FFT between two length-``N``
+tables: decode is ``N * ifft(m * zeta^k)`` gathered at the positions ``t_j``,
+encode scatters the conjugate-extended slot vector to those positions, runs
+one ``fft`` and multiplies by ``zeta^-k / N``.  That is the same special-FFT
+structure :mod:`repro.ckks.bootstrapping` evaluates homomorphically, here in
+``O(N log N)`` time and ``O(N)`` memory -- encoding *is* on the request path
+(``linear_square`` encodes twice per request, every client encodes and
+decodes), so it has to be.  Rings with ``N <=``
+:data:`DENSE_EMBEDDING_MAX_DEGREE` keep the explicit Vandermonde product
+(:func:`embedding_matrix`, at most 256 KiB) as a base case -- see the constant
+for why; the same matrix is the independent oracle the FFT path is tested
+against.
 
 The module also hosts the slot-space utilities the diagonal linear-transform
 engine builds on: generalized-diagonal extraction, the slot-rotation
@@ -28,12 +39,21 @@ from repro.ckks.params import CkksParameters
 from repro.diagnostics import BoundedLruCache, register_cache_group
 from repro.errors import ParameterError
 from repro.numtheory.bitrev import bit_reverse_indices
+from repro.numtheory.crt import RnsBasis
 from repro.poly.rns_poly import RnsPolynomial
 
 #: Bound on cached plaintext encodings per encoder (each entry is one RNS
 #: polynomial); diagonal-heavy transforms stay far below it in practice.
 _ENCODE_CACHE_LIMIT = 4096
 _ENCODE_CACHE_GROUP = register_cache_group("encoder.encode")
+
+#: Largest ring degree whose encoder multiplies by the dense Vandermonde
+#: matrix instead of running the FFT.  At these sizes the two cost the same
+#: (38 vs 39 us at N=64), and the thread-mode serving latencies on the N=64
+#: ring were measured to depend on the dense product: its ``zgemv`` is the one
+#: call on that request path that enters OpenBLAS's threaded section, which
+#: hands the GIL to the other server threads (ROADMAP, known debts).
+DENSE_EMBEDDING_MAX_DEGREE = 128
 
 
 def rotate_slots(vector: np.ndarray, steps: int) -> np.ndarray:
@@ -108,13 +128,73 @@ def slot_bit_reversal(slots: int) -> np.ndarray:
     return bit_reverse_indices(slots)
 
 
+def slot_exponents(degree: int) -> np.ndarray:
+    """Evaluation exponents of all ``N`` slot points, conjugates last.
+
+    Entry ``j < N/2`` is ``5^j mod 2N`` (the standard rotation group) and
+    entry ``j + N/2`` its conjugate point ``2N - 5^j``; together they are
+    every odd residue modulo ``2N`` exactly once.
+    """
+    slots = degree // 2
+    exponents = np.empty(degree, dtype=np.int64)
+    power = 1
+    for j in range(slots):
+        exponents[j] = power
+        exponents[j + slots] = (2 * degree) - power
+        power = (power * 5) % (2 * degree)
+    return exponents
+
+
+def embedding_matrix(degree: int) -> np.ndarray:
+    """The dense canonical embedding ``V[j, k] = zeta^(e_j * k)`` (``N x N``).
+
+    ``sigma(m)_j = sum_k m_k V[j, k]`` over the points of
+    :func:`slot_exponents`; ``conj(V.T) / N`` is its inverse.  ``16 N^2``
+    bytes, so only small rings (and tests, as the oracle) build it.
+    """
+    points = np.exp(1j * np.pi / degree) ** slot_exponents(degree).astype(np.float64)
+    return np.vander(points, N=degree, increasing=True)
+
+
+def embedding_tables(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two length-``N`` tables of the FFT form of the embedding.
+
+    ``positions[j] = (e_j - 1) / 2`` is the DFT bin of slot point ``j`` (a
+    permutation of ``range(N)``) and ``twist[k] = zeta^k``.
+    """
+    positions = (slot_exponents(degree) - 1) // 2
+    twist = np.exp(1j * np.pi * np.arange(degree) / degree)
+    return positions, twist
+
+
+def fft_embedding(
+    coeffs: np.ndarray, positions: np.ndarray, twist: np.ndarray
+) -> np.ndarray:
+    """``embedding_matrix(N) @ coeffs`` as one twisted inverse FFT.
+
+    ``norm="forward"`` puts the ``1/N`` on ``fft`` alone, which is where the
+    inverse embedding wants it and leaves this direction unscaled.
+    """
+    return np.fft.ifft(coeffs * twist, norm="forward")[positions]
+
+
+def fft_inverse_embedding(
+    values: np.ndarray, positions: np.ndarray, twist: np.ndarray
+) -> np.ndarray:
+    """``conj(embedding_matrix(N).T) @ values / N`` as one twisted FFT."""
+    scattered = np.empty(twist.size, dtype=np.complex128)
+    scattered[positions] = values
+    return np.fft.fft(scattered, norm="forward") * np.conj(twist)
+
+
 @dataclass
 class CkksEncoder:
     """Encoder/decoder between complex slot vectors and plaintext polynomials."""
 
     params: CkksParameters
-    _embedding: np.ndarray = field(init=False, repr=False)
-    _slot_indices: np.ndarray = field(init=False, repr=False)
+    _positions: np.ndarray = field(init=False, repr=False)
+    _twist: np.ndarray = field(init=False, repr=False)
+    _dense: np.ndarray | None = field(init=False, repr=False)
     _encode_cache: BoundedLruCache = field(
         init=False,
         repr=False,
@@ -125,20 +205,33 @@ class CkksEncoder:
 
     def __post_init__(self) -> None:
         degree = self.params.degree
-        slots = degree // 2
-        # Evaluation points: zeta^(5^j mod 2N) for the first N/2 slots and their
-        # conjugates for the remainder, matching the standard rotation group.
-        zeta = np.exp(1j * np.pi / degree)
-        exponents = np.empty(degree, dtype=np.int64)
-        power = 1
-        for j in range(slots):
-            exponents[j] = power
-            exponents[j + slots] = (2 * degree) - power  # conjugate point
-            power = (power * 5) % (2 * degree)
-        points = zeta ** exponents.astype(np.float64)
-        # Vandermonde matrix V[j, k] = point_j ** k; sigma(m)_j = sum_k m_k V[j,k].
-        self._embedding = np.vander(points, N=degree, increasing=True)
-        self._slot_indices = exponents[:slots]
+        self._positions, self._twist = embedding_tables(degree)
+        self._dense = (
+            embedding_matrix(degree)
+            if degree <= DENSE_EMBEDDING_MAX_DEGREE
+            else None
+        )
+
+    # ------------------------------------------------------------- embedding
+    def embedding(self, coeffs: np.ndarray) -> np.ndarray:
+        """Slot values ``sigma(m)_j`` (``N/2``) of real coefficients ``m``."""
+        slots = self.params.slot_count
+        if self._dense is not None:
+            return self._dense[:slots] @ coeffs
+        return fft_embedding(coeffs, self._positions[:slots], self._twist)
+
+    def inverse_embedding(self, vector: np.ndarray) -> np.ndarray:
+        """Real coefficients (unscaled, unrounded) whose slots are ``vector``.
+
+        ``vector`` holds all ``N/2`` slots; it is conjugate-extended so the
+        inverse embedding lands on real coefficients.
+        """
+        full = np.concatenate([vector, np.conj(vector)])
+        if self._dense is not None:
+            coeffs = np.conj(self._dense.T) @ full / self.params.degree
+        else:
+            coeffs = fft_inverse_embedding(full, self._positions, self._twist)
+        return np.real(coeffs)
 
     # -------------------------------------------------------------- encoding
     def encode(
@@ -162,23 +255,17 @@ class CkksEncoder:
         """
         scale = float(scale if scale is not None else self.params.scale)
         level = self.params.limbs if level is None else level
-        slots = self.params.slot_count
-        vector = np.zeros(slots, dtype=np.complex128)
-        values = np.asarray(values, dtype=np.complex128).ravel()
-        if values.size > slots:
-            raise ParameterError(
-                f"cannot pack {values.size} values into {slots} slots"
-            )
-        vector[: values.size] = values
+        vector = self._padded(values)
+        basis = self.params.basis_at_level(level)
 
         if not cache:
             return Plaintext(
-                poly=self._encode_poly(vector, scale, level), scale=scale, level=level
+                poly=self._encode_poly(vector, scale, basis), scale=scale, level=level
             )
         cache_key = (vector.tobytes(), scale, level)
         poly = self._encode_cache.get(cache_key)
         if poly is None:
-            poly = self._encode_poly(vector, scale, level)
+            poly = self._encode_poly(vector, scale, basis)
             poly.residues.flags.writeable = False
             self._encode_cache.put(cache_key, poly)
         return Plaintext(poly=poly, scale=scale, level=level)
@@ -196,9 +283,9 @@ class CkksEncoder:
         A constant ``a + ib`` corresponds to the polynomial with
         ``round(a * scale)`` in coefficient 0 and ``round(b * scale)`` in
         coefficient ``N/2`` (``x^(N/2)`` evaluates to ``+i`` at every slot
-        point ``zeta^(5^j)`` since ``5^j = 1 mod 4``), so the dense ``O(N^2)``
-        inverse embedding is skipped entirely.  Matches
-        ``encode(np.full(slots, value), ...)`` up to the dense path's float
+        point ``zeta^(5^j)`` since ``5^j = 1 mod 4``), so the inverse
+        embedding is skipped entirely.  Matches
+        ``encode(np.full(slots, value), ...)`` up to the embedding's float
         rounding and is memoised under the same cache when ``cache=True`` --
         the path bootstrapping's split/merge constants use.
         """
@@ -218,15 +305,34 @@ class CkksEncoder:
             self._encode_cache.put(cache_key, poly)
         return Plaintext(poly=poly, scale=scale, level=level)
 
+    def encode_at_basis(
+        self, values: np.ndarray | list[complex], scale: float, basis: RnsBasis
+    ) -> RnsPolynomial:
+        """:meth:`encode`'s polynomial over an arbitrary RNS basis.
+
+        Double hoisting multiplies plaintexts against accumulators that still
+        live in the *extended* (level + special) basis, so its diagonals need
+        residues over a modulus set no ``level`` names.
+        """
+        return self._encode_poly(self._padded(values), float(scale), basis)
+
+    def _padded(self, values: np.ndarray | list[complex]) -> np.ndarray:
+        """``values`` as a zero-padded complex vector of all ``N/2`` slots."""
+        slots = self.params.slot_count
+        vector = np.zeros(slots, dtype=np.complex128)
+        values = np.asarray(values, dtype=np.complex128).ravel()
+        if values.size > slots:
+            raise ParameterError(
+                f"cannot pack {values.size} values into {slots} slots"
+            )
+        vector[: values.size] = values
+        return vector
+
     def _encode_poly(
-        self, vector: np.ndarray, scale: float, level: int
+        self, vector: np.ndarray, scale: float, basis: RnsBasis
     ) -> RnsPolynomial:
         """Inverse-embed, scale, round and reduce one padded slot vector."""
-        # Conjugate-extend so the inverse embedding produces real coefficients.
-        full = np.concatenate([vector, np.conj(vector)])
-        coeffs = np.conj(self._embedding.T) @ full / self.params.degree
-        rounded = np.round(np.real(coeffs) * scale)
-        basis = self.params.basis_at_level(level)
+        rounded = np.round(self.inverse_embedding(vector) * scale)
         if np.all(np.abs(rounded) < float(1 << 62)):
             # Every coefficient fits int64: reduce all limbs with one batched
             # np.mod pass instead of the per-coefficient big-int loop (signed
@@ -243,11 +349,16 @@ class CkksEncoder:
         """Decode a plaintext back into its complex slot vector."""
         slots = self.params.slot_count if slots is None else slots
         signed = plaintext.poly.to_coeff().to_signed_coefficients()
-        coeffs = np.array([float(c) for c in signed], dtype=np.float64)
-        evaluations = self._embedding[: self.params.slot_count] @ coeffs
-        return (evaluations / plaintext.scale)[:slots]
+        coeffs = np.array(signed, dtype=np.float64)
+        return (self.embedding(coeffs) / plaintext.scale)[:slots]
 
     # ------------------------------------------------------------- utilities
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of precomputed embedding tables this encoder holds."""
+        tables = (self._positions, self._twist, self._dense)
+        return sum(table.nbytes for table in tables if table is not None)
+
     def encode_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the plaintext-encoding LRU cache."""
         return self._encode_cache.stats()

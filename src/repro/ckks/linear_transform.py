@@ -127,33 +127,6 @@ def _conditional_add(
     return np.where(total >= moduli, total - moduli, total)
 
 
-def _encode_at_basis(
-    encoder: CkksEncoder, vector: np.ndarray, scale: float, basis: RnsBasis
-) -> RnsPolynomial:
-    """Encode a slot vector directly over an arbitrary RNS basis.
-
-    Double hoisting multiplies plaintexts against ``P``-scaled accumulators
-    that still live in the *extended* (level + special) basis, so the
-    diagonal plaintexts need residues over that basis -- same inverse
-    embedding and rounding as :meth:`CkksEncoder.encode`, different modulus
-    set.
-    """
-    slots = encoder.params.slot_count
-    padded = np.zeros(slots, dtype=np.complex128)
-    values = np.asarray(vector, dtype=np.complex128).ravel()
-    if values.size > slots:
-        raise ParameterError(f"cannot pack {values.size} values into {slots} slots")
-    padded[: values.size] = values
-    full = np.concatenate([padded, np.conj(padded)])
-    coeffs = np.conj(encoder._embedding.T) @ full / encoder.params.degree
-    rounded = np.round(np.real(coeffs) * scale)
-    if not np.all(np.abs(rounded) < float(1 << 62)):
-        raise ParameterError(
-            "plaintext coefficients overflow int64 at this scale"
-        )
-    return RnsPolynomial.from_signed_coefficients(rounded.astype(np.int64), basis)
-
-
 def _bsgs_cost(indices: list[int], n1: int) -> int:
     """Key-switched rotations a BSGS split at ``n1`` pays for these diagonals."""
     babies = {k % n1 for k in indices} - {0}
@@ -359,7 +332,7 @@ class DiagonalLinearTransform:
                 for b in babies:
                     vector = np.roll(self.diagonals[g * self.n1 + b], g * self.n1)
                     if extended:
-                        poly = _encode_at_basis(self.encoder, vector, scale, basis)
+                        poly = self.encoder.encode_at_basis(vector, scale, basis)
                     else:
                         poly = self.encoder.encode(
                             vector, scale=scale, level=level, cache=True

@@ -181,24 +181,57 @@ class RnsBasis:
         ):
             # Signed / object inputs keep the exact big-int path (a negative
             # residue must reduce like a Python int, not wrap through uint64).
-            return self._compose_array_small(residues.astype(np.uint64, copy=False))
+            return self._garner_leading(
+                residues.astype(np.uint64, copy=False)
+            ).tolist()
         return [
             self.compose([int(residues[i, j]) for i in range(self.size)])
             for j in range(residues.shape[1])
         ]
 
-    def _compose_array_small(self, residues: np.ndarray) -> list[int]:
-        """Vectorized Garner reconstruction for L <= 2 word-sized limbs."""
+    def _garner_leading(self, residues: np.ndarray) -> np.ndarray:
+        """Vectorized Garner reconstruction over the first one or two limbs.
+
+        Values in ``[0, q0)`` (one-limb basis) or ``[0, q0*q1)``; requires
+        moduli below ``2**32`` so every intermediate fits uint64.
+        """
         q0 = np.uint64(self.moduli[0])
         first = residues[0] % q0
         if self.size == 1:
-            return first.tolist()
+            return first
         q1 = np.uint64(self.moduli[1])
         inverse = np.uint64(mod_inv(self.moduli[0] % self.moduli[1], self.moduli[1]))
         delta = residues[1] % q1 + (q1 - first % q1)
         delta = np.where(delta >= q1, delta - q1, delta)
         correction = (delta * inverse) % q1
-        return (first + correction * q0).tolist()
+        return first + correction * q0
+
+    def compose_signed_small(self, residues: np.ndarray) -> np.ndarray | None:
+        """Centred reconstruction of values that fit the first two limbs.
+
+        For an ``(L >= 3, n)`` uint64 residue matrix over moduli below
+        ``2**31``: Garner-combine limbs 0 and 1, centre on ``q0*q1 / 2`` and
+        check that the int64 candidate reduces to the stored residue on every
+        remaining limb.  The centred representative in ``(-Q/2, Q/2)`` is
+        unique, so a candidate that verifies everywhere *is* the signed lift;
+        if any entry disagrees (its value needs more than two limbs) the
+        result is ``None`` and the caller takes the big-integer CRT.
+        """
+        residues = np.asarray(residues)
+        if (
+            self.size < 3
+            or residues.ndim != 2
+            or residues.dtype != np.uint64
+            or any(q >= (1 << 31) for q in self.moduli)
+        ):
+            return None
+        pair = self.moduli[0] * self.moduli[1]
+        value = self._garner_leading(residues).astype(np.int64)
+        value = np.where(value > pair // 2, value - pair, value)
+        rest = self.moduli_array[2:, None].astype(np.int64)
+        if not np.array_equal(np.mod(value, rest).astype(np.uint64), residues[2:]):
+            return None
+        return value
 
     def drop_last(self, count: int = 1) -> "RnsBasis":
         """Return the basis with the last ``count`` moduli removed (rescaling)."""

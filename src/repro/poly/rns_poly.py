@@ -195,7 +195,17 @@ class RnsPolynomial:
         return self.basis.compose_array(self.residues)
 
     def to_signed_coefficients(self) -> list[int]:
-        """CRT-reconstruct with centered (signed) representatives."""
+        """CRT-reconstruct with centered (signed) representatives.
+
+        Small values under a long modulus chain -- secrets, errors, decrypted
+        plaintexts -- take :meth:`RnsBasis.compose_signed_small` (vectorised,
+        verified on every limb); everything else the per-coefficient
+        big-integer CRT.
+        """
+        if self.domain == COEFF_DOMAIN:
+            small = self.basis.compose_signed_small(self.residues)
+            if small is not None:
+                return small.tolist()
         big_q = self.basis.modulus_product
         half = big_q // 2
         values = self.to_int_coefficients()

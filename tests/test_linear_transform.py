@@ -387,17 +387,18 @@ class TestEncoderFastPaths:
         values = rng.uniform(-3, 3, params.slot_count) + 1j * rng.uniform(
             -3, 3, params.slot_count
         )
-        plain = encoder.encode(values)
-        vector = np.zeros(params.slot_count, dtype=np.complex128)
-        vector[: values.size] = values
-        full = np.concatenate([vector, np.conj(vector)])
-        coeffs = np.conj(encoder._embedding.T) @ full / params.degree
-        scaled = np.round(np.real(coeffs) * params.scale).astype(object)
-        basis = params.basis_at_level(params.limbs)
-        expected = RnsPolynomial.from_int_coefficients(
-            [int(c) % basis.modulus_product for c in scaled], basis
-        )
-        assert np.array_equal(plain.poly.residues, expected.residues)
+        coeffs = encoder.inverse_embedding(values)
+        scaled = np.round(coeffs * params.scale).astype(object)
+        level_basis = params.basis_at_level(params.limbs)
+        for basis in (level_basis, params.extended_basis(params.limbs)):
+            expected = RnsPolynomial.from_int_coefficients(
+                [int(c) % basis.modulus_product for c in scaled], basis
+            )
+            encoded = encoder.encode_at_basis(values, params.scale, basis)
+            assert np.array_equal(encoded.residues, expected.residues)
+            if basis is level_basis:
+                plain = encoder.encode(values)
+                assert np.array_equal(plain.poly.residues, expected.residues)
 
     def test_encode_memoised_on_request(self, env):
         encoder = env["encoder"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numtheory.crt import RnsBasis
 from repro.poly.negacyclic import negacyclic_convolve
@@ -54,6 +56,86 @@ class TestConstruction:
         r1 = ring_for(rns_basis.degree, rns_basis.moduli[0])
         r2 = ring_for(rns_basis.degree, rns_basis.moduli[0])
         assert r1 is r2
+
+
+LIFT_DEGREE = 8
+LIFT_BASIS = RnsBasis.generate(4, 28, LIFT_DEGREE)
+LIFT_Q = LIFT_BASIS.modulus_product
+LIFT_PAIR = LIFT_BASIS.moduli[0] * LIFT_BASIS.moduli[1]
+#: Largest magnitude the two-limb candidate can represent.
+LIFT_PAIR_EDGE = (LIFT_PAIR - 1) // 2
+
+
+def bigint_signed_lift(poly: RnsPolynomial) -> list[int]:
+    """Per-coefficient big-integer CRT, centred: the lift's oracle."""
+    big_q = poly.basis.modulus_product
+    values = [
+        poly.basis.compose([int(r) for r in column]) for column in poly.residues.T
+    ]
+    return [v - big_q if v > big_q // 2 else v for v in values]
+
+
+lift_coefficient = st.one_of(
+    st.integers(-(LIFT_BASIS.moduli[0] // 2), LIFT_BASIS.moduli[0] // 2),
+    st.sampled_from([LIFT_PAIR_EDGE, -LIFT_PAIR_EDGE]),
+    st.sampled_from([LIFT_PAIR_EDGE + 1, -LIFT_PAIR_EDGE - 1]),
+    st.integers(-(LIFT_Q // 2), LIFT_Q // 2),
+)
+
+
+class TestSignedLift:
+    @given(
+        coefficients=st.lists(
+            lift_coefficient, min_size=LIFT_DEGREE, max_size=LIFT_DEGREE
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bigint_crt_in_every_regime(self, coefficients):
+        poly = RnsPolynomial.from_int_coefficients(
+            [c % LIFT_Q for c in coefficients], LIFT_BASIS
+        )
+        lifted = poly.to_signed_coefficients()
+        assert lifted == coefficients == bigint_signed_lift(poly)
+        assert all(type(c) is int for c in lifted)
+        # The vectorised path answers exactly when two limbs hold every value.
+        fits = all(abs(c) <= LIFT_PAIR_EDGE for c in coefficients)
+        small = LIFT_BASIS.compose_signed_small(poly.residues)
+        assert (small is not None) == fits
+
+    def test_one_wide_coefficient_sends_the_whole_element_to_the_fallback(self):
+        coefficients = [1, -1, 0, 2, -2, 3, -3, LIFT_PAIR_EDGE + 1]
+        poly = RnsPolynomial.from_int_coefficients(
+            [c % LIFT_Q for c in coefficients], LIFT_BASIS
+        )
+        assert LIFT_BASIS.compose_signed_small(poly.residues) is None
+        assert poly.to_signed_coefficients() == coefficients
+
+    def test_batched_input_still_rejected(self):
+        stacked = RnsPolynomial(
+            LIFT_BASIS,
+            np.zeros((2, LIFT_BASIS.size, LIFT_DEGREE), dtype=np.uint64),
+        )
+        with pytest.raises(ValueError):
+            stacked.to_signed_coefficients()
+
+    def test_eval_domain_still_rejected(self):
+        with pytest.raises(ValueError):
+            RnsPolynomial.zero(LIFT_BASIS, EVAL_DOMAIN).to_signed_coefficients()
+
+    def test_wide_moduli_take_the_fallback(self):
+        basis = RnsBasis.generate(3, 32, LIFT_DEGREE)
+        assert min(basis.moduli) >= 1 << 31
+        signed = np.array([-3, -1, 0, 2, 5, -7, 11, 1 << 40], dtype=np.int64)
+        poly = RnsPolynomial.from_signed_coefficients(signed, basis)
+        assert basis.compose_signed_small(poly.residues) is None
+        assert poly.to_signed_coefficients() == signed.tolist()
+
+    def test_short_bases_keep_their_existing_path(self):
+        basis = RnsBasis(moduli=LIFT_BASIS.moduli[:2], degree=LIFT_DEGREE)
+        signed = np.array([-3, -1, 0, 2, 5, -7, 11, 1 << 40], dtype=np.int64)
+        poly = RnsPolynomial.from_signed_coefficients(signed, basis)
+        assert basis.compose_signed_small(poly.residues) is None
+        assert poly.to_signed_coefficients() == signed.tolist()
 
 
 class TestArithmetic:
