@@ -1,4 +1,4 @@
-"""Microbenchmark: BSGS + double-hoisted linear transforms vs the naive loop.
+"""Microbenchmark: BSGS, lazily double-hoisted linear transforms vs the naive loop.
 
 Run directly (no pytest needed)::
 
@@ -17,9 +17,10 @@ Each is evaluated two ways:
 * **naive** -- the pre-engine per-diagonal loop: one full ``rotate`` (fused
   key switch included) + one ``multiply_plain`` + one add *per diagonal*;
 * **engine** -- ``DiagonalLinearTransform.apply``: ``n1`` baby rotations on
-  one hoisted decomposition, eval-domain inner products (no intermediate
-  inverse NTTs, plaintext diagonals cached eval-domain), and one key-switch
-  decomposition per giant step.
+  one hoisted decomposition that stay un-ModDown'd in the extended
+  evaluation basis, lazily reduced inner products against cached
+  extended-basis plaintext diagonals, one key-switch decomposition per giant
+  step's ``c1``, and one ModDown for the whole matvec.
 
 Both paths decode against the NumPy matrix-vector product before timing.
 The CI gate requires the engine >= 2x on both workloads.  Each workload also

@@ -51,7 +51,6 @@ from repro.ckks.keyswitch import (
     mod_down,
     mod_down_stacked,
     switch_extended_eval,
-    switch_galois_eval,
     switch_key,
     switch_key_unfused,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "slot_to_coeff",
     "slot_to_coeff_merge",
     "switch_extended_eval",
-    "switch_galois_eval",
     "switch_key",
     "switch_key_unfused",
 ]

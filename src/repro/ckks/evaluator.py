@@ -678,7 +678,8 @@ class CkksEvaluator:
         :meth:`rotate_hoisted` / :meth:`conjugate_hoisted` calls on the same
         ciphertext.  A caller that already holds ``c1``'s evaluation-domain
         residues passes them as ``c1_eval`` and the forward NTT skips every
-        digit's own limbs.
+        digit's own limbs (the BSGS engine does, and reads ``digits_eval``
+        off the handle for its un-ModDown'd baby rotations).
         """
         if self.galois_keys is None:
             raise MissingKeyError(
@@ -697,9 +698,9 @@ class CkksEvaluator:
 
         One gather of the digit tensor, the key inner products, one stacked
         ``(2, L', N)`` inverse pass and the coefficient-domain ModDown -- no
-        forward transform.  (The BSGS engine multiplies by evaluation-domain
-        plaintexts next, so it finishes the same digits with
-        :func:`repro.ckks.keyswitch.rotate_hoisted_eval` instead.)  Decrypts
+        forward transform.  (The BSGS engine shares the same digits but stops
+        before the inverse pass: its babies stay in the extended evaluation
+        basis until the matvec's one ModDown.)  Decrypts
         to the same slots as ``rotate(ciphertext, steps)``; the hoisted BConv
         happens before (rather than after) the automorphism, so the tiny
         fast-BConv rounding term differs, exactly as in standard hoisting.
@@ -778,12 +779,15 @@ class CkksEvaluator:
         return results
 
     def matvec(self, ciphertext: Ciphertext, transform, *, rescale: bool = False) -> Ciphertext:
-        """Apply a diagonal-encoded linear transform (BSGS + double hoisting).
+        """Apply a diagonal-encoded linear transform (BSGS, lazily double hoisted).
 
         ``transform`` is a :class:`repro.ckks.linear_transform.DiagonalLinearTransform`
         (any object with an ``apply(evaluator, ciphertext)`` method works).
         The result carries ``scale * transform scale``; pass ``rescale=True``
-        to drop the consumed level immediately.
+        to drop the consumed level immediately.  The engine ModDowns once per
+        matvec, so the result is decode-equivalent (not bit-identical) to the
+        loop of :meth:`rotate_hoisted` / :meth:`multiply_plain` / :meth:`add` /
+        :meth:`rotate` calls it replaces.
         """
         result = transform.apply(self, ciphertext)
         return self.rescale(result) if rescale else result

@@ -21,19 +21,19 @@ where the algebra needs coefficients.  With ``L' = level + alpha``:
   chunk (:func:`switch_extended_eval_lazy`).
 * **ModDown** -- lazy: both accumulators share one stacked ``(2, L', N)``
   inverse pass, then one batched BConv of the special limbs and one
-  subtract-and-divide kernel (:func:`mod_down_stacked`).  A caller that wants
-  the result in the evaluation domain inverse-transforms only the ``alpha``
-  special limbs and forward-transforms the ``level``-limb correction
-  (``domain="eval"``): ``alpha + level`` rows per operand instead of
-  ``L' + level`` for leaving the domain and coming back.
+  subtract-and-divide kernel (:func:`mod_down_stacked`).
 
 :func:`switch_key` on a coefficient-domain operand therefore costs exactly
 one batched forward and one batched inverse pass regardless of ``dnum``
-(counters assert the pass and limb-row counts).  :func:`rotate_hoisted_eval`,
-the BSGS engine's baby step, never visits the coefficient domain at all.
-Every variant is bit-identical to the others (the NTT is ``Z_q``-linear per
-limb and every reduction exact); the per-digit loop survives as
-:func:`switch_key_unfused`, the oracle the fused path is tested against.
+(counters assert the pass and limb-row counts).  ModDown commutes, up to
+rounding, with everything a BSGS matvec does to a key-switched value
+(plaintext multiply, rotate, add), so the linear-transform engine stops at
+:func:`switch_extended_eval_lazy` -- its babies stay ``P``-scaled in the
+extended evaluation basis -- and pays :func:`mod_down_stacked` once per
+matvec (`repro.ckks.linear_transform`).  The fused pipeline is bit-identical
+to the per-digit loop (the NTT is ``Z_q``-linear per limb and every reduction
+exact), which survives as :func:`switch_key_unfused`, the oracle the fused
+path is tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.poly.basis_conversion import (
     stacked_conversion_for,
     _sub_basis,
 )
-from repro.poly.ring import automorphism_eval_indices
 from repro.poly.rns_poly import (
     COEFF_DOMAIN,
     EVAL_DOMAIN,
@@ -241,69 +240,6 @@ def switch_key(
     return switch_extended_eval(digits_eval, key, params, level)
 
 
-def rotate_hoisted_eval(
-    digits_eval: np.ndarray,
-    c0_eval: np.ndarray,
-    key: KeySwitchKey,
-    exponent: int,
-    params: CkksParameters,
-    level: int,
-) -> np.ndarray:
-    """One hoisted rotation that never leaves the evaluation domain.
-
-    The baby-step primitive of the BSGS engine, which multiplies every
-    rotated ciphertext by evaluation-domain plaintexts next: the hoisted
-    digits and ``c0`` are rotated by the evaluation-point gather, the key
-    inner products go through the evaluation-domain ModDown
-    (:func:`mod_down_stacked`) and the rotated ``c0`` is added in place.
-    Returns the ``(..., 2, level, N)`` evaluation-domain pair -- bit-identical
-    to transforming :meth:`CkksEvaluator.rotate_hoisted`'s result.
-    """
-    indices = automorphism_eval_indices(params.degree, exponent)
-    accumulators = switch_extended_eval_lazy(
-        np.take(digits_eval, indices, axis=-1), key, params, level
-    )
-    pair = mod_down_stacked(
-        np.stack(accumulators, axis=-3), params, level, EVAL_DOMAIN
-    )
-    moduli = params.basis_at_level(level).moduli_array[:, None]
-    rotated0 = pair[..., 0, :, :]
-    rotated0 += np.take(c0_eval, indices, axis=-1)
-    np.minimum(rotated0, rotated0 - moduli, out=rotated0)
-    return pair
-
-
-def switch_galois_eval(
-    c0_eval: np.ndarray,
-    c1_eval: np.ndarray,
-    key: KeySwitchKey,
-    exponent: int,
-    params: CkksParameters,
-    level: int,
-) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Rotate an evaluation-domain ``(c0, c1)`` pair by a Galois automorphism.
-
-    The automorphism is applied as the pure evaluation-point gather (it
-    commutes with the NTT), both components share one stacked inverse pass,
-    and the rotated ``c1`` goes through the fused key switch.  (The BSGS
-    engine's giant steps no longer come through here: they keep ``c0`` in
-    the evaluation domain and key-switch the gathered ``c1`` directly.)
-
-    Returns the coefficient-domain ``(c0, c1)`` of the rotated ciphertext.
-    Bit-identical to converting the pair to the coefficient domain first and
-    rotating through :meth:`CkksEvaluator.apply_galois`.
-    """
-    basis = params.basis_at_level(level)
-    indices = automorphism_eval_indices(params.degree, exponent)
-    rotated = stacked_ntt_inverse(
-        basis, np.take(np.stack([c0_eval, c1_eval], axis=-3), indices, axis=-1)
-    )
-    rotated0 = RnsPolynomial(basis, rotated[..., 0, :, :], COEFF_DOMAIN)
-    rotated1 = RnsPolynomial(basis, rotated[..., 1, :, :], COEFF_DOMAIN)
-    ks0, ks1 = switch_key(rotated1, key, params, level)
-    return rotated0.add(ks0), ks1
-
-
 def switch_key_unfused(
     poly: RnsPolynomial,
     key: KeySwitchKey,
@@ -353,10 +289,7 @@ def switch_key_unfused(
 
 
 def mod_down_stacked(
-    stacked: np.ndarray,
-    params: CkksParameters,
-    level: int,
-    domain: str = COEFF_DOMAIN,
+    stacked: np.ndarray, params: CkksParameters, level: int
 ) -> np.ndarray:
     """Vectorized RNS ModDown of a stacked ``(..., level + alpha, N)`` tensor.
 
@@ -368,28 +301,15 @@ def mod_down_stacked(
     broadcast of the fused ``moddown_sub_div`` kernel
     (`repro.poly.fused_kernels`), the executable form of the coalesced
     vector segment in `repro.core.schedule.moddown_execution_schedule`.
-    Returns the ``(..., level, N)`` result tensor in the input's ``domain``.
-
-    An evaluation-domain input stays there: only its ``alpha`` special limbs
-    are inverse-transformed (BConv needs coefficients), the ``level``-limb
-    correction is forward-transformed, and the same subtract-and-divide runs
-    on evaluation-domain residues.  The NTT is ``Z_q``-linear per limb, so
-    this equals transforming the coefficient-domain ModDown bit for bit while
-    moving ``alpha + level`` limb rows per operand where leaving the domain
-    and coming back would move ``2 * level + alpha``.
+    Takes and returns coefficient-domain residues: ``(..., level, N)``.
     """
     level_basis = params.basis_at_level(level)
     special = params.special_basis
     if stacked.shape[-2] != level + special.size:
         raise ParameterError("ModDown input must live in the extended basis")
-    special_rows = stacked[..., level:, :]
-    if domain == EVAL_DOMAIN:
-        special_rows = stacked_ntt_inverse(
-            params.extended_basis(level), special_rows, slice(level, None)
-        )
-    correction = conversion_for(special, level_basis).convert_residues(special_rows)
-    if domain == EVAL_DOMAIN:
-        correction = stacked_ntt_forward(level_basis, correction)
+    correction = conversion_for(special, level_basis).convert_residues(
+        stacked[..., level:, :]
+    )
     return fused_kernels.moddown_sub_div(
         stacked[..., :level, :],
         correction,

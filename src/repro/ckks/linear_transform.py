@@ -8,34 +8,39 @@ CoeffToSlot/SlotToCoeff ladders with.  Writing ``k = g*n1 + b``::
     M @ x = sum_g rot_{g*n1}( sum_b rot_{-g*n1}(d_{g*n1+b}) * rot_b(x) )
 
 so only ``~n1 + n2`` rotations are key-switched instead of one per diagonal.
-``apply`` keeps everything between its input and its output in the evaluation
-domain unless the algebra needs coefficients (limb rows through the NTT per
-step; ``L`` = level, ``alpha`` special limbs, ``L' = L + alpha``):
+``apply`` is *lazily double hoisted*: ModDown commutes (up to rounding) with
+plaintext multiplication, rotation and addition, so every intermediate stays
+``P``-scaled in the extended ``L' = L + alpha``-limb evaluation basis the
+key-switch inner products are born in, and the whole matvec pays one ModDown
+(limb rows through the NTT per step; ``L`` = level, ``alpha`` special limbs):
 
 * **input** -- ``c0`` and ``c1`` enter the evaluation domain once (``2L``
   forward), and the one hoisted key-switch decomposition that serves every
   baby rotation skips each digit's own limbs because ``c1``'s transform is
   already held (``dnum * L' - L`` forward);
-* **baby step** -- gather, key inner products and the evaluation-domain
-  ModDown (:func:`repro.ckks.keyswitch.rotate_hoisted_eval`: ``2 * alpha``
-  inverse + ``2L`` forward, where leaving the domain and re-entering it cost
-  ``2L'`` inverse + ``2L`` forward);
+* **baby step** -- gather the hoisted digits, take the key inner products
+  (:func:`repro.ckks.keyswitch.switch_extended_eval_lazy`) and add the
+  gathered ``c0`` lifted by ``[P]_{q_i}`` (zero special limbs, so the final
+  division by ``P`` is exact on it); the unrotated ``b = 0`` term is the same
+  lift of ``(c0, c1)``.  No transform, no ModDown;
 * **inner sums** -- per giant group one lazily reduced modular inner product
-  against the cached evaluation-domain plaintext stack: raw uint64 sums in
+  against the cached extended-basis plaintext stack: raw uint64 sums in
   chunks that cannot overflow, one ``%`` per chunk instead of one per
   diagonal, no transforms;
-* **giant step** -- the group's ``c0`` is only ever rotated and added, so it
-  is gathered into a running evaluation-domain sum; its ``c1`` is gathered
-  and key-switched straight from there (``L`` inverse for the BConv,
-  ``dnum * L' - L`` forward with the own-limb skip, ``2L'`` inverse);
-* **output** -- the summed ``c0`` and the ``g = 0`` group's ``c1`` leave
-  through one stacked inverse (``2L``) and meet the giant steps' outputs.
+* **giant step** -- the group's pair is gathered; its ``c0`` is only ever
+  added, so it goes straight into the extended-basis accumulator; its ``c1``
+  must be key-switched, so it alone leaves (``L'`` inverse, coefficient
+  ModDown, ``dnum * L'`` forward for the fresh decomposition) and the
+  *un-ModDown'd* key-switch accumulators join the sum;
+* **output** -- one stacked ``2L'`` inverse and one ModDown for everything.
 
-Each step is bit-identical to the coefficient-domain detour it replaces, so
-``apply`` still equals the loop of public ``rotate_hoisted`` /
-``multiply_plain`` / ``add`` / ``rotate`` calls residue for residue.
-Plaintext diagonals are encoded lazily per level (and memoised both here and
-in the encoder), so one transform instance serves ciphertexts at any level.
+The rounding therefore happens once per output (plus once per giant ``c1``)
+instead of once per rotation, so ``apply`` is decode-equivalent -- not
+bit-identical -- to the loop of public ``rotate_hoisted`` / ``multiply_plain``
+/ ``add`` / ``rotate`` calls; its bit-exact oracle is the naive per-term
+replay of this same dataflow in ``tests/bsgs_reference.py``.  Plaintext
+diagonals are encoded lazily per level, so one transform instance serves
+ciphertexts at any level.
 """
 
 from __future__ import annotations
@@ -56,22 +61,16 @@ from repro.ckks.encoding import (
 )
 from repro.cancellation import checkpoint
 from repro.ckks.keyswitch import (
+    decompose_to_eval,
     mod_down_stacked,
     modular_inner_product,
-    rotate_hoisted_eval,
     switch_extended_eval_lazy,
-    switch_key,
 )
 from repro.diagnostics import BoundedLruCache, register_cache_group
 from repro.errors import IncompatibleOperands, MissingKeyError, ParameterError
 from repro.numtheory.crt import RnsBasis
 from repro.poly.ring import automorphism_eval_indices
-from repro.poly.rns_poly import (
-    COEFF_DOMAIN,
-    EVAL_DOMAIN,
-    RnsPolynomial,
-    stacked_ntt_inverse,
-)
+from repro.poly.rns_poly import COEFF_DOMAIN, RnsPolynomial, stacked_ntt_inverse
 
 
 #: Bound on memoised transforms per encoder (each holds per-level
@@ -115,16 +114,17 @@ def required_rotation_steps(*transforms) -> list[int]:
 
 
 def _conditional_add(
-    accumulator: np.ndarray | None, term: np.ndarray, moduli: np.ndarray
-) -> np.ndarray:
-    """``(accumulator + term) mod q`` for reduced operands (no division).
+    accumulator: np.ndarray, term: np.ndarray, moduli: np.ndarray
+) -> None:
+    """``accumulator = (accumulator + term) mod q`` in place, reduced operands.
 
-    ``None`` is the empty sum, so running totals need no first-term case.
+    No division and no allocation: ``term`` is consumed as the scratch for
+    ``accumulator - q``, which wraps above every residue exactly when the sum
+    was already reduced, so the minimum picks the reduced value.
     """
-    if accumulator is None:
-        return term
-    total = accumulator + term
-    return np.where(total >= moduli, total - moduli, total)
+    accumulator += term
+    np.subtract(accumulator, moduli, out=term)
+    np.minimum(accumulator, term, out=accumulator)
 
 
 def _bsgs_cost(indices: list[int], n1: int) -> int:
@@ -174,10 +174,7 @@ class DiagonalLinearTransform:
     scale: float | None = None
     level_matched: bool = False
     _groups: dict[int, list[int]] = field(init=False, repr=False)
-    _plain_cache: dict[int, dict[tuple[int, int], np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict
-    )
-    _extended_plain_cache: dict[int, dict[tuple[int, int], np.ndarray]] = field(
+    _extended_plain_cache: dict[int, dict[int, np.ndarray]] = field(
         init=False, repr=False, default_factory=dict
     )
 
@@ -306,48 +303,46 @@ class DiagonalLinearTransform:
             return float(self.scale)
         return float(self.encoder.params.scale)
 
-    def _plaintexts_at(
-        self, level: int, *, extended: bool = False
-    ) -> dict[int, np.ndarray]:
+    def _plaintexts_at(self, level: int) -> dict[int, np.ndarray]:
         """Eval-domain residue stacks of the pre-rotated diagonals, cached.
 
         The BSGS identity needs diagonal ``k = g*n1 + b`` pre-rotated by
         ``-g*n1`` so the giant rotation can be hoisted outside the inner sum;
         the encoded plaintexts are static per level, so their forward NTTs
-        are paid once and the read-only tensors shared across applies.  Each
-        giant group ``g`` maps to one ``(babies, limbs, N)`` stack in the
-        order of ``_groups[g]`` -- the right-hand operand of its inner sum.
-        ``extended=True`` encodes over ``level + alpha`` limbs instead, for
-        double hoisting's accumulators that have not left the key-switch
-        basis yet.
+        are paid once and the read-only tensors shared across applies.  They
+        are encoded over the extended (``level + alpha``-limb) basis, because
+        they multiply babies that have not left the key-switch basis.  Each
+        giant group ``g`` maps to one ``(babies, level + alpha, N)`` stack in
+        the order of ``_groups[g]`` -- the right-hand operand of its inner
+        sum.
         """
-        cache = self._extended_plain_cache if extended else self._plain_cache
-        cached = cache.get(level)
+        cached = self._extended_plain_cache.get(level)
         if cached is None:
             scale = self.plaintext_scale(level)
-            basis = self.encoder.params.extended_basis(level) if extended else None
+            basis = self.encoder.params.extended_basis(level)
             cached = {}
             for g, babies in self._groups.items():
-                residues = []
-                for b in babies:
-                    vector = np.roll(self.diagonals[g * self.n1 + b], g * self.n1)
-                    if extended:
-                        poly = self.encoder.encode_at_basis(vector, scale, basis)
-                    else:
-                        poly = self.encoder.encode(
-                            vector, scale=scale, level=level, cache=True
-                        ).poly
-                    residues.append(poly.to_eval().residues)
-                cached[g] = np.stack(residues)
+                cached[g] = np.stack(
+                    [
+                        self.encoder.encode_at_basis(
+                            np.roll(self.diagonals[g * self.n1 + b], g * self.n1),
+                            scale,
+                            basis,
+                        )
+                        .to_eval()
+                        .residues
+                        for b in babies
+                    ]
+                )
                 cached[g].flags.writeable = False
-            cache[level] = cached
+            self._extended_plain_cache[level] = cached
         return cached
 
     def _inner_sum(self, babies, plaintexts, g: int, basis: RnsBasis) -> np.ndarray:
         """Giant group ``g``'s ``sum_b baby_b * plain_(g,b) mod q``, as a pair.
 
         ``babies`` is the ``(..., 2, len(baby_steps), limbs, N)`` tensor of
-        every baby's evaluation-domain ``(c0, c1)``; the sum is one lazily
+        every baby's extended-basis ``(c0, c1)``; the sum is one lazily
         reduced :func:`modular_inner_product` (raw uint64 sums in chunks that
         cannot overflow, one ``%`` per chunk rather than per diagonal).
         """
@@ -375,22 +370,12 @@ class DiagonalLinearTransform:
             model.guard(output.level, bits)
         return output
 
-    def apply(
-        self, evaluator, ciphertext: Ciphertext, *, double_hoist: bool = False
-    ) -> Ciphertext:
-        """Evaluate the transform on a ciphertext (BSGS + double hoisting).
+    def apply(self, evaluator, ciphertext: Ciphertext) -> Ciphertext:
+        """Evaluate the transform on a ciphertext (BSGS, lazily double hoisted).
 
         Returns a ciphertext at the same level whose scale is multiplied by
         the plaintext scale; callers rescale when they are ready to drop the
         level.  Decrypts to ``matrix() @ slots`` up to CKKS noise.
-
-        ``double_hoist=True`` shares the one hoisted decomposition across the
-        giant steps too: baby key-switch results stay ``P``-scaled in the
-        extended evaluation basis (no per-baby inverse NTT or ModDown) and
-        each giant step pays a single slightly wider domain exit for its whole
-        inner sum.  Decrypts to the same slots; the deferred ModDown rounds
-        differently, so this path is decode-equivalent (not bit-identical) to
-        the default and is therefore opt-in.
         """
         params = evaluator.params
         if params.slot_count != self.slots:
@@ -407,198 +392,113 @@ class DiagonalLinearTransform:
                 "them with KeyGenerator.galois_keys_for_steps("
                 "required_rotation_steps(transform))"
             )
-        if double_hoist:
-            return self._apply_double_hoisted(evaluator, ciphertext)
         level = ciphertext.level
+        degree = params.degree
         basis = params.basis_at_level(level)
+        extended = params.extended_basis(level)
         moduli = basis.moduli_array[:, None]
+        extended_moduli = extended.moduli_array[:, None]
+        p_column = params.special_product_column(level)
         plaintexts = self._plaintexts_at(level)
         weight = evaluator._batch_weight(ciphertext)
 
-        # Baby rotations: the input enters the evaluation domain once; one
-        # hoisted decomposition (reusing c1's transform) serves every baby,
-        # and each baby stays in the domain through its ModDown.  Baby i's
-        # (c0, c1) pair is babies[..., :, i, :, :].
+        # Baby rotations: the input enters the evaluation domain once and one
+        # hoisted decomposition (reusing c1's transform) serves every baby.
+        # Baby i's P-scaled extended-basis (c0, c1) is babies[..., :, i, :, :]:
+        # key inner products as born, level-basis components lifted by
+        # [P]_{q_i} with zero special limbs.  No baby pays a transform.
         baby_steps = self.baby_steps
         c0_eval = ciphertext.c0.to_eval().residues
         c1_eval = ciphertext.c1.to_eval().residues
+        c0_lifted = (c0_eval * p_column) % moduli  # the lift commutes with gathers
         hoisted = None
         if baby_steps != [0]:
             hoisted = evaluator.hoist(ciphertext, c1_eval=c1_eval)
         babies = np.empty(
-            c0_eval.shape[:-2] + (2, len(baby_steps)) + c0_eval.shape[-2:],
-            dtype=np.uint64,
-        )
-        for index, b in enumerate(baby_steps):
-            if b == 0:
-                babies[..., 0, index, :, :] = c0_eval
-                babies[..., 1, index, :, :] = c1_eval
-                continue
-            checkpoint()  # BSGS ladders are long and bypass validate()
-            exponent = self.encoder.slot_rotation_exponent(b)
-            key = evaluator.galois_keys.key_for(exponent)
-            evaluator.count_operation("rotate", weight)
-            babies[..., index, :, :] = rotate_hoisted_eval(
-                hoisted.digits_eval, c0_eval, key, exponent, params, level
-            )
-
-        # Giant steps.  Group g's inner sum over its babies is one lazily
-        # reduced modular inner product in the evaluation domain.  Its c0
-        # never needs coefficients (it is only rotated and added), so it is
-        # gathered into one evaluation-domain sum; its c1 is gathered and key
-        # switched from there, the results accumulating as coefficients.
-        c0_eval_sum = c1_eval_sum = None  # c1: only g = 0 contributes
-        ks0_sum = ks1_sum = None  # the giant steps' key-switch outputs
-        for count, g in enumerate(sorted(self._groups)):
-            checkpoint()
-            if count:
-                evaluator.count_operation("he_add", weight)
-            inner = self._inner_sum(babies, plaintexts, g, basis)
-            if g == 0:
-                c0_eval_sum = _conditional_add(c0_eval_sum, inner[..., 0, :, :], moduli)
-                c1_eval_sum = inner[..., 1, :, :]
-                continue
-            exponent = self.encoder.slot_rotation_exponent(g * self.n1)
-            key = evaluator.galois_keys.key_for(exponent)
-            evaluator.count_operation("rotate", weight)
-            rotated = np.take(
-                inner, automorphism_eval_indices(params.degree, exponent), axis=-1
-            )
-            c0_eval_sum = _conditional_add(c0_eval_sum, rotated[..., 0, :, :], moduli)
-            ks0, ks1 = switch_key(
-                RnsPolynomial(basis, rotated[..., 1, :, :], EVAL_DOMAIN),
-                key,
-                params,
-                level,
-            )
-            ks0_sum = _conditional_add(ks0_sum, ks0.residues, moduli)
-            ks1_sum = _conditional_add(ks1_sum, ks1.residues, moduli)
-
-        # One domain exit for everything still in the evaluation domain.
-        leaving = [c0_eval_sum] if c1_eval_sum is None else [c0_eval_sum, c1_eval_sum]
-        exited = stacked_ntt_inverse(basis, np.stack(leaving, axis=-3))
-        c0 = _conditional_add(ks0_sum, exited[..., 0, :, :], moduli)
-        c1 = ks1_sum
-        if c1_eval_sum is not None:
-            c1 = _conditional_add(ks1_sum, exited[..., 1, :, :], moduli)
-        output = Ciphertext(
-            c0=RnsPolynomial(basis, c0, COEFF_DOMAIN),
-            c1=RnsPolynomial(basis, c1, COEFF_DOMAIN),
-            scale=ciphertext.scale * self.plaintext_scale(level),
-            level=level,
-        )
-        return self._stamp_noise(evaluator, ciphertext, output)
-
-    def _apply_double_hoisted(self, evaluator, ciphertext: Ciphertext) -> Ciphertext:
-        """True double-hoisting: one decomposition, one domain exit per giant.
-
-        Every baby term is represented ``P``-scaled over the extended
-        (level + special) evaluation basis: key-switch inner products are
-        born there (:func:`switch_extended_eval_lazy`), and the rotated
-        ``c0`` side is lifted by multiplying its level limbs with
-        ``[P]_{q_i}`` (its special limbs are exactly zero, so the eventual
-        ModDown's division by ``P`` is exact on that component).  The
-        plaintext diagonals multiply in the same basis, each giant step's
-        inner sum accumulates there, and only the finished sum pays the
-        gather + inverse NTT + ModDown -- ``n2`` domain exits total instead
-        of ``n1`` per-baby ones.
-        """
-        params = evaluator.params
-        level = ciphertext.level
-        degree = params.degree
-        level_basis = params.basis_at_level(level)
-        extended = params.extended_basis(level)
-        level_moduli = level_basis.moduli_array[:, None]
-        special_product = params.special_basis.modulus_product
-        p_factors = np.array(
-            [special_product % q for q in level_basis.moduli], dtype=np.uint64
-        )[:, None]
-        plaintexts = self._plaintexts_at(level, extended=True)
-        weight = evaluator._batch_weight(ciphertext)
-
-        c0_eval = ciphertext.c0.to_eval().residues
-        c1_eval = ciphertext.c1.to_eval().residues
-        baby_steps = self.baby_steps
-        hoisted = None
-        if baby_steps != [0]:
-            hoisted = evaluator.hoist(ciphertext, c1_eval=c1_eval)
-        # Baby i's P-scaled extended-basis (c0, c1) is babies[..., :, i, :, :];
-        # the special limbs of a lifted level-basis component stay zero.
-        babies = np.zeros(
             c0_eval.shape[:-2] + (2, len(baby_steps), extended.size, degree),
             dtype=np.uint64,
         )
         for index, b in enumerate(baby_steps):
             if b == 0:
-                babies[..., 0, index, :level, :] = (c0_eval * p_factors) % level_moduli
-                babies[..., 1, index, :level, :] = (c1_eval * p_factors) % level_moduli
+                babies[..., 0, index, :level, :] = c0_lifted
+                babies[..., 1, index, :level, :] = (c1_eval * p_column) % moduli
+                babies[..., index, level:, :] = 0
                 continue
+            checkpoint()  # BSGS ladders are long and bypass validate()
             exponent = self.encoder.slot_rotation_exponent(b)
             key = evaluator.galois_keys.key_for(exponent)
             evaluator.count_operation("rotate", weight)
             indices = automorphism_eval_indices(degree, exponent)
-            ext0, ext1 = switch_extended_eval_lazy(
+            ks0, ks1 = switch_extended_eval_lazy(
                 np.take(hoisted.digits_eval, indices, axis=-1), key, params, level
             )
-            lifted = (np.take(c0_eval, indices, axis=-1) * p_factors) % level_moduli
-            ext0[..., :level, :] = _conditional_add(
-                ext0[..., :level, :], lifted, level_moduli
+            _conditional_add(
+                ks0[..., :level, :], np.take(c0_lifted, indices, axis=-1), moduli
             )
-            babies[..., 0, index, :, :] = ext0
-            babies[..., 1, index, :, :] = ext1
+            babies[..., 0, index, :, :] = ks0
+            babies[..., 1, index, :, :] = ks1
 
-        output: Ciphertext | None = None
-        result_scale = ciphertext.scale * self.plaintext_scale(level)
-        for g in sorted(self._groups):
-            inner = self._inner_sum(babies, plaintexts, g, extended)
+        # Giant steps.  Group g's inner sum over its babies is one lazily
+        # reduced modular inner product in the extended basis.  A giant
+        # rotation gathers the pair; c0 is only added from here on, so it
+        # stays; c1 alone leaves for the ModDown + fresh decomposition its
+        # key switch needs, and comes back as un-ModDown'd accumulators.
+        total: np.ndarray | None = None  # (..., 2, L', N), still P-scaled
+        for count, g in enumerate(sorted(self._groups)):
+            checkpoint()
+            if count:
+                evaluator.count_operation("he_add", weight)
+            term = self._inner_sum(babies, plaintexts, g, extended)
             if g != 0:
                 exponent = self.encoder.slot_rotation_exponent(g * self.n1)
-                inner = np.take(
-                    inner, automorphism_eval_indices(degree, exponent), axis=-1
-                )
-            down = mod_down_stacked(
-                stacked_ntt_inverse(extended, inner), params, level
-            )
-            m0 = RnsPolynomial(level_basis, down[..., 0, :, :], COEFF_DOMAIN)
-            m1 = RnsPolynomial(level_basis, down[..., 1, :, :], COEFF_DOMAIN)
-            if g == 0:
-                term = Ciphertext(c0=m0, c1=m1, scale=result_scale, level=level)
-            else:
                 key = evaluator.galois_keys.key_for(exponent)
                 evaluator.count_operation("rotate", weight)
-                ks0, ks1 = switch_key(m1, key, params, level)
-                term = Ciphertext(
-                    c0=m0.add(ks0), c1=ks1, scale=result_scale, level=level
+                term = np.take(
+                    term, automorphism_eval_indices(degree, exponent), axis=-1
                 )
-            output = term if output is None else evaluator.add(output, term)
+                rotated1 = mod_down_stacked(
+                    stacked_ntt_inverse(extended, term[..., 1, :, :]), params, level
+                )
+                ks0, ks1 = switch_extended_eval_lazy(
+                    decompose_to_eval(
+                        RnsPolynomial(basis, rotated1, COEFF_DOMAIN), params, level
+                    ),
+                    key,
+                    params,
+                    level,
+                )
+                _conditional_add(term[..., 0, :, :], ks0, extended_moduli)
+                term[..., 1, :, :] = ks1
+            if total is None:
+                total = term
+            else:
+                _conditional_add(total, term, extended_moduli)
+
+        # One domain exit and one ModDown for the whole matvec.
+        down = mod_down_stacked(stacked_ntt_inverse(extended, total), params, level)
+        output = Ciphertext(
+            c0=RnsPolynomial(basis, down[..., 0, :, :], COEFF_DOMAIN),
+            c1=RnsPolynomial(basis, down[..., 1, :, :], COEFF_DOMAIN),
+            scale=ciphertext.scale * self.plaintext_scale(level),
+            level=level,
+        )
         return self._stamp_noise(evaluator, ciphertext, output)
 
-    def apply_batch(
-        self,
-        evaluator,
-        ciphertexts: list[Ciphertext],
-        *,
-        double_hoist: bool = False,
-    ) -> list[Ciphertext]:
+    def apply_batch(self, evaluator, ciphertexts: list[Ciphertext]) -> list[Ciphertext]:
         """Evaluate the transform on ``B`` compatible ciphertexts at once.
 
         The batch is stacked along a leading axis and runs through one
         :meth:`apply`: the cached plaintext tensors, the shared hoisted baby
         rotations and the per-giant key switches are all paid once for the
         whole batch (the batch rides the stacked BConv/NTT/einsum kernels).
-        Bit-identical to applying the transform to each member sequentially
-        with the same ``double_hoist`` setting.
+        Bit-identical to applying the transform to each member sequentially.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             raise ParameterError("apply_batch needs at least one ciphertext")
         if len(ciphertexts) == 1:
-            return [
-                self.apply(evaluator, ciphertexts[0], double_hoist=double_hoist)
-            ]
-        stacked = stack_ciphertexts(ciphertexts)
-        result = self.apply(evaluator, stacked, double_hoist=double_hoist)
-        return unstack_ciphertext(result)
+            return [self.apply(evaluator, ciphertexts[0])]
+        return unstack_ciphertext(self.apply(evaluator, stack_ciphertexts(ciphertexts)))
 
 
 def bsgs_rotation_counts(diagonal_indices, slots: int, n1: int | None = None):

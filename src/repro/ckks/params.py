@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.config import SecurityParams
 from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
@@ -43,9 +45,10 @@ class CkksParameters:
     scale: float
     dnum: int = 3
     error_stddev: float = 3.2
-    #: Per-instance memo of the level / extended bases: building an
-    #: ``RnsBasis`` recomputes its hat inverses with ``pow``, and every HE
-    #: operator asks for the same handful (the bases are immutable).
+    #: Per-instance memo of the level / extended bases (and the per-level
+    #: ``[P]_{q_i}`` column): building an ``RnsBasis`` recomputes its hat
+    #: inverses with ``pow``, and every HE operator asks for the same handful
+    #: (the bases are immutable).
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ----------------------------------------------------------- constructors
@@ -138,3 +141,21 @@ class CkksParameters:
                 level
             ).extend(self.special_basis)
         return extended
+
+    def special_product_column(self, level: int) -> np.ndarray:
+        """``[P]_{q_i}`` as a read-only ``(level, 1)`` uint64 column.
+
+        Multiplying a level-basis residue matrix by it (with zero special
+        limbs) is the exact lift to the ``P``-scaled extended basis, the
+        representation key-switch accumulators are born in.
+        """
+        column = self._bases.get(("special_product", level))
+        if column is None:
+            product = self.special_product
+            column = np.array(
+                [product % q for q in self.basis_at_level(level).moduli],
+                dtype=np.uint64,
+            )[:, None]
+            column.flags.writeable = False
+            self._bases[("special_product", level)] = column
+        return column

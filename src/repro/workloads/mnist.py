@@ -167,14 +167,14 @@ def conv_taps_transform(
     diagonal ``s`` equal to ``w_s``.  The split is forced baby-only
     (``n1 = slots``): a tap batch rotates one ciphertext by a handful of
     small offsets, so every rotation rides the single hoisted decomposition
-    and no giant step (with its extra key switch and noise term) is paid --
-    which keeps the engine bit-identical to the hand-rolled
-    rotate-multiply-add loop it replaces for batches with distinct offsets
-    (the common case).  Taps sharing a slot offset (mod the slot count) sum
-    their weights *before* encoding -- numerically equivalent to the loop's
-    separate products up to one unit of encoding rounding.  Transforms are
-    memoised per encoder and tap batch so repeated applications reuse the
-    cached eval-domain plaintext tensors.
+    and no giant step (with its extra key switch and noise term) is paid.
+    The engine ModDowns the weighted sum once where the hand-rolled
+    rotate-multiply-add loop it replaces ModDowns every rotation, so the two
+    decode to the same slots without being bit-identical.  Taps sharing a
+    slot offset (mod the slot count) sum their weights *before* encoding --
+    numerically equivalent to the loop's separate products up to one unit of
+    encoding rounding.  Transforms are memoised per encoder and tap batch so
+    repeated applications reuse the cached eval-domain plaintext tensors.
     """
     if not taps:
         raise ValueError("a convolution needs at least one tap")
@@ -220,11 +220,11 @@ def run_encrypted_conv_taps(
     tap before the weighted accumulation -- a (baby-only) instance of the
     shared :class:`DiagonalLinearTransform` engine: one hoisted key-switch
     decomposition feeds every tap rotation and the weighted accumulation
-    stays in the evaluation domain until a single inverse transform.
-    ``taps`` maps rotation offsets to per-slot weight vectors; offset 0 uses
-    the input directly.  Bit-identical to the pre-engine per-tap
-    rotate/multiply/add loop for distinct offsets (see
-    :func:`conv_taps_transform` for the duplicate-offset caveat).
+    stays in the extended evaluation basis until a single inverse transform
+    and ModDown.  ``taps`` maps rotation offsets to per-slot weight vectors;
+    offset 0 uses the input directly.  Decode-equivalent to the pre-engine
+    per-tap rotate/multiply/add loop (see :func:`conv_taps_transform`, also
+    for the duplicate-offset caveat).
     """
     transform = conv_taps_transform(encoder, taps)
     return evaluator.matvec(ciphertext, transform, rescale=True)

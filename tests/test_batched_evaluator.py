@@ -294,18 +294,11 @@ class TestBatchedTransforms:
         )
         return transform
 
-    @pytest.mark.parametrize("double_hoist", [False, True])
-    def test_apply_batched_matches_sequential(self, env, transform, double_hoist):
+    def test_apply_batched_matches_sequential(self, env, transform):
         ev = env["evaluator"]
         cts = fresh_batch(env)
-        sequential = [
-            transform.apply(ev, ct, double_hoist=double_hoist) for ct in cts
-        ]
-        batched = unstack_ciphertext(
-            transform.apply(
-                ev, stack_ciphertexts(cts), double_hoist=double_hoist
-            )
-        )
+        sequential = [transform.apply(ev, ct) for ct in cts]
+        batched = unstack_ciphertext(transform.apply(ev, stack_ciphertexts(cts)))
         assert_bit_identical(sequential, batched)
 
     def test_apply_batch_helper(self, env, transform):

@@ -1,13 +1,13 @@
-"""Evaluation-domain-resident key switching (PR 12).
+"""Evaluation-domain-resident key switching (PR 12) and the lazily double
+hoisted BSGS built on it (PR 15).
 
-Every step of the new dataflow is bit-identical to the path through the
-coefficient domain it replaces, and is tested against that path built from
-the unchanged public stage functions:
-
-* the evaluation-domain ModDown equals ``NTT(mod_down_stacked(INTT(x)))``;
+* limb-subset transforms equal the rows of the full transform;
 * own-limb-skip digits equal ``NTT(decompose_and_extend(.))``;
-* ``DiagonalLinearTransform.apply`` equals a reference assembled from the
-  public ``rotate_many`` / ``multiply_plain`` / ``add`` / ``rotate``;
+* ``DiagonalLinearTransform.apply`` / ``apply_batch`` are bit-identical to
+  the naive replay of their dataflow in ``bsgs_reference.py`` on every shape
+  and NTT rung, and decode to the same slots as the loop of public
+  ``rotate_many`` / ``multiply_plain`` / ``add`` / ``rotate`` (which rounds
+  once per rotation instead of once per matvec);
 * the lazily reduced inner sum honours its uint64 chunk bound;
 * the circuit's limb-row budget is exact (counter based, no timing).
 """
@@ -20,26 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.encoding import CkksEncoder
-from repro.ckks.encryptor import Encryptor
+from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import KeyGenerator, digit_partition
 from repro.ckks.keyswitch import (
     decompose_and_extend,
     decompose_to_eval,
-    mod_down_stacked,
     modular_inner_product,
     switch_key,
 )
 from repro.ckks.linear_transform import DiagonalLinearTransform
 from repro.ckks.params import CkksParameters
 from repro.numtheory.crt import RnsBasis
-from repro.poly.ntt_engine import reset_transform_counts, transform_counts
+from repro.poly.ntt_engine import BACKENDS, reset_transform_counts, transform_counts
 from repro.poly.rns_poly import (
-    EVAL_DOMAIN,
     RnsPolynomial,
     stacked_ntt_forward,
     stacked_ntt_inverse,
 )
+
+from bsgs_reference import reference_apply
 
 
 def random_residues(basis: RnsBasis, rng, lead=()) -> np.ndarray:
@@ -62,41 +62,6 @@ GRID = {
 @pytest.fixture(scope="module", params=sorted(GRID))
 def grid_params(request):
     return CkksParameters.create(**GRID[request.param])
-
-
-class TestEvalDomainModDown:
-    @pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
-    def test_equals_transformed_coefficient_mod_down(self, grid_params, rng, lead):
-        params = grid_params
-        for level in range(1, params.limbs + 1):
-            extended = params.extended_basis(level)
-            x_eval = random_residues(extended, rng, lead)
-            expected = stacked_ntt_forward(
-                params.basis_at_level(level),
-                mod_down_stacked(stacked_ntt_inverse(extended, x_eval), params, level),
-            )
-            got = mod_down_stacked(x_eval, params, level, EVAL_DOMAIN)
-            assert np.array_equal(got, expected)
-
-    def test_moves_only_special_and_correction_rows(self, grid_params, rng):
-        params = grid_params
-        level = params.limbs
-        x_eval = random_residues(params.extended_basis(level), rng, (2,))
-        reset_transform_counts()
-        mod_down_stacked(x_eval, params, level, EVAL_DOMAIN)
-        counts = transform_counts()
-        assert counts["inverse_limbs"] == 2 * params.special_limbs
-        assert counts["forward_limbs"] == 2 * level
-
-    def test_rejects_wrong_basis(self, grid_params):
-        params = grid_params
-        with pytest.raises(ValueError):
-            mod_down_stacked(
-                np.zeros((params.limbs, params.degree), dtype=np.uint64),
-                params,
-                params.limbs,
-                EVAL_DOMAIN,
-            )
 
 
 class TestLimbSubsetTransforms:
@@ -185,15 +150,22 @@ def ledger_env():
     )
     encryptor = Encryptor(params, keygen.public_key(), keygen)
     rng = np.random.default_rng(7)
-    cts = [
-        encryptor.encrypt(encoder.encode(rng.uniform(-1, 1, params.slot_count)))
-        for _ in range(3)
-    ]
-    return {"params": params, "encoder": encoder, "evaluator": evaluator, "cts": cts, "rng": rng}
+    values = [rng.uniform(-1, 1, params.slot_count) for _ in range(3)]
+    cts = [encryptor.encrypt(encoder.encode(v)) for v in values]
+    return {
+        "params": params,
+        "encoder": encoder,
+        "evaluator": evaluator,
+        "decryptor": Decryptor(params, keygen.secret_key),
+        "values": values,
+        "cts": cts,
+        "cases": {},
+    }
 
 
 def public_reference(env, transform, ciphertext):
-    """BSGS from public operators only; every term leaves the eval domain."""
+    """BSGS from public operators only: every rotation pays its own ModDown,
+    so this is ``apply``'s *decode* oracle (same slots, different rounding)."""
     evaluator, encoder = env["evaluator"], env["encoder"]
     level, n1 = ciphertext.level, transform.n1
     rotated = dict(
@@ -229,9 +201,11 @@ SHAPES = {
 
 
 def build_transform(env, shape):
+    """The shape's transform with seeded diagonals (the same on every ring)."""
     indices, n1 = SHAPES[shape]
     slots = env["params"].slot_count
-    diagonals = {k: env["rng"].uniform(-1, 1, slots) for k in indices}
+    rng = np.random.default_rng(sorted(SHAPES).index(shape))
+    diagonals = {k: rng.uniform(-1, 1, slots) for k in indices}
     return DiagonalLinearTransform.from_diagonals(env["encoder"], diagonals, n1=n1)
 
 
@@ -241,17 +215,69 @@ def assert_same_ciphertext(got, expected):
     assert np.array_equal(got.c1.to_coeff().residues, expected.c1.to_coeff().residues)
 
 
+def shape_case(env, shape):
+    """One transform per shape and its naive-replay outputs for every
+    ciphertext, computed once (under whichever NTT rung asks first: the rungs
+    are bit-identical, so the cached oracle also cross-checks them)."""
+    if shape not in env["cases"]:
+        transform = build_transform(env, shape)
+        references = [
+            reference_apply(env["evaluator"], transform, ct) for ct in env["cts"]
+        ]
+        env["cases"][shape] = (transform, references)
+    return env["cases"][shape]
+
+
+#: Decode agreement demanded between ``apply``, the public-operator loop and
+#: the plaintext model (slot values are O(1) sums of at most 16 products).
+DECODE_TOLERANCE = 1e-3
+
+
 class TestApplyBitIdentical:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_apply_equals_public_reference(self, ledger_env, shape):
-        transform = build_transform(ledger_env, shape)
-        ciphertext = ledger_env["cts"][0]
+    def test_apply_equals_naive_replay(self, ledger_env, monkeypatch, shape, backend):
+        transform, references = shape_case(ledger_env, shape)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
+        got = transform.apply(ledger_env["evaluator"], ledger_env["cts"][0])
+        assert_same_ciphertext(got, references[0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_apply_batch_equals_naive_replay(
+        self, ledger_env, monkeypatch, shape, batch, backend
+    ):
+        transform, references = shape_case(ledger_env, shape)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
+        results = transform.apply_batch(
+            ledger_env["evaluator"], ledger_env["cts"][:batch]
+        )
+        assert len(results) == batch
+        for got, expected in zip(results, references):
+            assert_same_ciphertext(got, expected)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_decodes_like_the_public_loop(self, ledger_env, shape):
+        """One ModDown per matvec instead of one per rotation: other residues,
+        the same slots."""
+        transform, _ = shape_case(ledger_env, shape)
+        ciphertext, values = ledger_env["cts"][0], ledger_env["values"][0]
+
+        def decode(result):
+            plain = ledger_env["decryptor"].decrypt(result)
+            return ledger_env["encoder"].decode(plain)
+
         got = transform.apply(ledger_env["evaluator"], ciphertext)
-        assert_same_ciphertext(got, public_reference(ledger_env, transform, ciphertext))
+        public = public_reference(ledger_env, transform, ciphertext)
+        assert got.level == public.level and got.scale == public.scale
+        model = transform.apply_plain(values)
+        assert np.abs(decode(got) - model).max() <= DECODE_TOLERANCE
+        assert np.abs(decode(got) - decode(public)).max() <= DECODE_TOLERANCE
 
     @pytest.mark.parametrize("shape", ["dense_16", "no_group_0"])
     def test_eval_domain_input(self, ledger_env, shape):
-        transform = build_transform(ledger_env, shape)
+        transform, _ = shape_case(ledger_env, shape)
         ciphertext = ledger_env["cts"][0]
         in_eval = type(ciphertext)(
             c0=ciphertext.c0.to_eval(),
@@ -264,16 +290,6 @@ class TestApplyBitIdentical:
             transform.apply(ledger_env["evaluator"], ciphertext),
         )
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("shape", ["dense_16", "no_diagonal_0", "giant_only"])
-    def test_apply_batch_equals_public_reference(self, ledger_env, shape, batch):
-        transform = build_transform(ledger_env, shape)
-        cts = ledger_env["cts"][:batch]
-        results = transform.apply_batch(ledger_env["evaluator"], cts)
-        assert len(results) == batch
-        for got, ciphertext in zip(results, cts):
-            assert_same_ciphertext(got, public_reference(ledger_env, transform, ciphertext))
-
     def test_operation_counts_unchanged(self, ledger_env):
         """6 key-switched rotations and groups - 1 additions, as before."""
         evaluator = ledger_env["evaluator"]
@@ -283,12 +299,86 @@ class TestApplyBitIdentical:
         assert evaluator.operation_counts == {"rotate": 6, "he_add": 3}
 
 
+# ---------------------------------------------------------------------- noise
+@pytest.fixture(scope="module")
+def n512_env():
+    """A second ring for the noise checks (N = 512, alpha = 2, dnum = 2)."""
+    params = CkksParameters.create(degree=512, limbs=4, log_q=28, dnum=2, scale_bits=22)
+    keygen = KeyGenerator(params, rng=np.random.default_rng(11))
+    encoder = CkksEncoder(params)
+    values = np.random.default_rng(12).uniform(-1, 1, params.slot_count)
+    encryptor = Encryptor(params, keygen.public_key(), keygen)
+    return {
+        "params": params,
+        "encoder": encoder,
+        "evaluator": CkksEvaluator(
+            params, galois_keys=keygen.galois_keys_for_steps(range(1, 16))
+        ),
+        "decryptor": Decryptor(params, keygen.secret_key),
+        "values": [values],
+        "cts": [encryptor.encrypt(encoder.encode(values))],
+    }
+
+
+class TestLazyNoise:
+    """The tracker's bound (unchanged formula) stays sound for the lazily
+    ModDown'd matvec, and deferring the ModDown does not add noise."""
+
+    @pytest.mark.parametrize("ring", ["n64", "n512"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bound_is_sound_and_lazy_is_not_noisier(
+        self, ledger_env, n512_env, shape, ring
+    ):
+        env = ledger_env if ring == "n64" else n512_env
+        evaluator, ciphertext = env["evaluator"], env["cts"][0]
+        transform = build_transform(env, shape)
+        model = transform.apply_plain(env["values"][0])
+
+        def error(result):
+            decoded = env["encoder"].decode(env["decryptor"].decrypt(result))
+            return float(np.abs(decoded - model).max())
+
+        got = transform.apply(evaluator, ciphertext)
+        lazy, public = error(got), error(public_reference(env, transform, ciphertext))
+        bound = evaluator.noise.decode_error_bound(got.scale, got.noise_bits)
+        slack = np.log2(bound / lazy)
+        print(
+            f"\n{ring} {shape}: error {lazy:.3g} (public loop {public:.3g}), "
+            f"bound {bound:.3g}, slack {slack:.1f} bits"
+        )
+        assert lazy <= bound
+        assert lazy <= 1.25 * public + 1.0 / env["params"].scale
+
+
+def matvec_limb_rows(params, level, babies, giants):
+    """``(forward, inverse)`` limb rows of one lazily double-hoisted matvec
+    with ``babies`` / ``giants`` key-switched baby / giant rotations."""
+    extended = level + params.special_limbs
+    digits = len(digit_partition(level, params.dnum))
+    forward = 2 * level  # c0, c1 enter the evaluation domain
+    if babies:
+        forward += digits * extended - level  # hoisted digits, own-limb skip
+    forward += giants * digits * extended  # a fresh decomposition per giant c1
+    inverse = giants * extended  # each giant's c1 leaves for its ModDown
+    inverse += 2 * extended  # the one stacked exit
+    return forward, inverse
+
+
+def square_limb_rows(params, level):
+    """``(forward, inverse)`` limb rows of one HE-Mult of a ciphertext by itself."""
+    extended = level + params.special_limbs
+    digits = len(digit_partition(level, params.dnum))
+    # 2 operand transforms + the digits of d2, minus its own limbs; d0, d1, d2
+    # leave, then the key-switch pair.
+    return 2 * level + digits * extended - level, 3 * level + 2 * extended
+
+
 class TestLimbRowBudget:
     """Exact, counter-based budgets at the ledger's shape: 16 diagonals,
     ``n1 = 4``, L = 8, dnum = 3, alpha = 3 (limb rows do not depend on N)."""
 
     def test_matvec_square_circuit(self, ledger_env):
-        evaluator = ledger_env["evaluator"]
+        evaluator, params = ledger_env["evaluator"], ledger_env["params"]
         transform = build_transform(ledger_env, "dense_16")
         ciphertext = ledger_env["cts"][0]
 
@@ -300,23 +390,39 @@ class TestLimbRowBudget:
         reset_transform_counts()
         circuit()
         counts = transform_counts()
-        # Parent commit: 240 forward + 237 inverse = 477.
-        assert counts["forward_limbs"] == 201
-        assert counts["inverse_limbs"] == 165
-        assert counts["forward_limbs"] + counts["inverse_limbs"] <= 366
+        level = ciphertext.level
+        babies = len(transform.baby_steps) - 1  # b = 0 is not key-switched
+        matvec = matvec_limb_rows(params, level, babies, len(transform.giant_steps))
+        square = square_limb_rows(params, level - 1)
+        assert matvec == (140, 55) and square == (37, 41)
+        # PR 11: 240 + 237 = 477; PR 12: 201 + 165 = 366.
+        assert counts["forward_limbs"] == matvec[0] + square[0] == 177
+        assert counts["inverse_limbs"] == matvec[1] + square[1] == 96
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matvec_budget_on_every_shape(self, ledger_env, shape):
+        evaluator, params = ledger_env["evaluator"], ledger_env["params"]
+        transform, _ = shape_case(ledger_env, shape)
+        ciphertext = ledger_env["cts"][0]
+        transform.apply(evaluator, ciphertext)
+        reset_transform_counts()
+        transform.apply(evaluator, ciphertext)
+        counts = transform_counts()
+        babies = len([b for b in transform.baby_steps if b != 0])
+        expected = matvec_limb_rows(
+            params, ciphertext.level, babies, len(transform.giant_steps)
+        )
+        assert (counts["forward_limbs"], counts["inverse_limbs"]) == expected
 
     def test_square_saves_its_level(self, ledger_env):
         evaluator = ledger_env["evaluator"]
         ciphertext = evaluator.rescale(ledger_env["cts"][0])
-        level, alpha = ciphertext.level, ledger_env["params"].special_limbs
         evaluator.square(ciphertext)
         reset_transform_counts()
         evaluator.square(ciphertext)
         counts = transform_counts()
-        # 2 operand transforms + 3 digits of (level + alpha), minus own limbs.
-        previous_forward = 2 * level + 3 * (level + alpha)
-        assert counts["forward_limbs"] == previous_forward - level
-        assert counts["inverse_limbs"] == 3 * level + 2 * (level + alpha)
+        expected = square_limb_rows(ledger_env["params"], ciphertext.level)
+        assert (counts["forward_limbs"], counts["inverse_limbs"]) == expected
 
     def test_staged_key_switch_still_matches_square(self, ledger_env):
         """The traced replay's composition of the public stage functions."""
@@ -380,7 +486,7 @@ class TestLazyAccumulationOverflow:
 
     def test_more_than_a_chunk_of_diagonals_in_one_group(self):
         """130 diagonals in one giant group (> the 128-term chunk at 28 bits)
-        against the per-diagonal ``%`` of multiply_plain + add."""
+        against the naive replay's one ``%`` per diagonal."""
         params = CkksParameters.create(degree=512, limbs=2, log_q=28, dnum=2, scale_bits=22)
         keygen = KeyGenerator(params, rng=np.random.default_rng(3))
         encoder = CkksEncoder(params)
@@ -389,14 +495,42 @@ class TestLazyAccumulationOverflow:
             params, galois_keys=keygen.galois_keys_for_steps(range(1, 130))
         )
         rng = np.random.default_rng(9)
+        values = rng.uniform(-1, 1, slots)
         ciphertext = Encryptor(params, keygen.public_key(), keygen).encrypt(
-            encoder.encode(rng.uniform(-1, 1, slots))
+            encoder.encode(values)
         )
         diagonals = {k: rng.uniform(-1, 1, slots) for k in range(130)}
         transform = DiagonalLinearTransform.from_diagonals(encoder, diagonals, n1=slots)
         assert list(transform._groups) == [0] and len(transform._groups[0]) == 130
+        got = transform.apply(evaluator, ciphertext)
+        assert_same_ciphertext(got, reference_apply(evaluator, transform, ciphertext))
+        # The public loop reduces per diagonal too, and decodes to the same
+        # slots (alpha = 1 here: 129 key switches leave ~1e-2 of noise in both).
         env = {"evaluator": evaluator, "encoder": encoder}
+        decryptor = Decryptor(params, keygen.secret_key)
+        public = public_reference(env, transform, ciphertext)
+        got_slots = encoder.decode(decryptor.decrypt(got))
+        assert np.abs(got_slots - encoder.decode(decryptor.decrypt(public))).max() < 2e-3
+        assert np.abs(got_slots - transform.apply_plain(values)).max() < 2e-2
+
+    def test_widest_moduli_single_term_chunks(self):
+        """q just under 2**32 makes every inner-sum chunk a single term; the
+        engine's extended-basis sums (plaintext and key digits) still match
+        the naive replay."""
+        params = CkksParameters.create(degree=64, limbs=2, log_q=32, dnum=2, scale_bits=24)
+        assert all(q >> 31 == 1 for q in params.extended_basis(2).moduli)
+        keygen = KeyGenerator(params, rng=np.random.default_rng(4))
+        encoder = CkksEncoder(params)
+        evaluator = CkksEvaluator(
+            params, galois_keys=keygen.galois_keys_for_steps(range(1, 16))
+        )
+        rng = np.random.default_rng(10)
+        ciphertext = Encryptor(params, keygen.public_key(), keygen).encrypt(
+            encoder.encode(rng.uniform(-1, 1, params.slot_count))
+        )
+        diagonals = {k: rng.uniform(-1, 1, params.slot_count) for k in range(10)}
+        transform = DiagonalLinearTransform.from_diagonals(encoder, diagonals, n1=4)
         assert_same_ciphertext(
             transform.apply(evaluator, ciphertext),
-            public_reference(env, transform, ciphertext),
+            reference_apply(evaluator, transform, ciphertext),
         )

@@ -22,7 +22,6 @@ from repro.ckks.keys import KeyGenerator, digit_partition
 from repro.ckks.keyswitch import (
     mod_down,
     mod_down_stacked,
-    switch_galois_eval,
     switch_key,
     switch_key_unfused,
 )
@@ -219,31 +218,6 @@ class TestLazyModDown:
             mod_down_stacked(
                 np.zeros((2, level, params.degree), dtype=np.uint64), params, level
             )
-
-    def test_galois_eval_passes(self, ckks_setup, rng):
-        """switch_galois_eval: one stacked inverse for the rotated pair plus
-        the fused switch's 1 fwd + 1 inv -- never a per-component pass."""
-        params = ckks_setup["params"]
-        evaluator = ckks_setup["evaluator"]
-        keygen = ckks_setup["keygen"]
-        level = params.limbs
-        exponent = pow(5, 1, 2 * params.degree)
-        galois_key = keygen.galois_key(exponent)
-        basis = params.basis_at_level(level)
-        c0 = random_poly(params, level, rng).to_eval()
-        c1 = random_poly(params, level, rng).to_eval()
-        switch_galois_eval(
-            c0.residues, c1.residues, galois_key, exponent, params, level
-        )  # warm key eval stacks
-        reset_transform_counts()
-        switch_galois_eval(
-            c0.residues, c1.residues, galois_key, exponent, params, level
-        )
-        counts = transform_counts()
-        assert counts["forward"] == 1
-        assert counts["inverse"] == 2
-        extended_size = params.extended_basis(level).size
-        assert counts["inverse_limbs"] == 2 * basis.size + 2 * extended_size
 
 
 class TestEvalDomainAutomorphism:

@@ -4,11 +4,10 @@ Covers the tentpole claims:
 
 * ``DiagonalLinearTransform.apply`` matches the NumPy matrix-vector product
   on random dense/sparse matrices, BSGS splits and levels;
-* the baby-only split is bit-exact against the hand-rolled hoisted
-  rotate/multiply/add loop it replaced (eval-domain accumulation is a pure
-  dataflow change);
-* ``switch_galois_eval`` (the giant-step primitive) is bit-exact against the
-  coefficient-domain rotate path;
+* the engine is bit-exact against the naive replay of its lazily
+  ModDown'd dataflow (``bsgs_reference.py``) and decodes to the same slots
+  as the hand-rolled hoisted rotate/multiply/add loop it replaced (which
+  rounds once per rotation);
 * the rotation-step bookkeeping generates exactly the Galois keys needed;
 * the encoder's vectorized coefficient reduction and plaintext memoisation
   are transparent.
@@ -30,14 +29,15 @@ from repro.ckks.encoding import (
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.keyswitch import switch_galois_eval
 from repro.ckks.linear_transform import (
     DiagonalLinearTransform,
     bsgs_rotation_counts,
     required_rotation_steps,
 )
 from repro.ckks.params import CkksParameters
-from repro.poly.rns_poly import EVAL_DOMAIN, RnsPolynomial
+from repro.poly.rns_poly import RnsPolynomial
+
+from bsgs_reference import reference_apply
 
 
 @pytest.fixture(scope="module")
@@ -248,9 +248,9 @@ class TestApply:
             env["encoder"], random_matrix(env["rng"], slots, density=0.2)
         )
         first = transform.apply(env["evaluator"], env["ct"])
-        cache = transform._plain_cache[env["ct"].level]
+        cache = transform._extended_plain_cache[env["ct"].level]
         second = transform.apply(env["evaluator"], env["ct"])
-        assert transform._plain_cache[env["ct"].level] is cache
+        assert transform._extended_plain_cache[env["ct"].level] is cache
         assert np.array_equal(first.c0.residues, second.c0.residues)
 
     def test_slot_count_mismatch_rejected(self, env):
@@ -281,8 +281,9 @@ class TestBitExactness:
             )
         return accumulator
 
-    def test_baby_only_split_matches_legacy_loop(self, env):
-        """Eval-domain accumulation is bit-exact vs per-term inverse NTTs."""
+    def test_baby_only_split_matches_naive_replay(self, env):
+        """Bit-exact vs the per-term replay; same slots as the legacy loop,
+        which ModDowns every rotation where the engine ModDowns the sum."""
         slots = env["params"].slot_count
         rng = env["rng"]
         diagonals = {s: rng.uniform(-1, 1, slots) for s in (0, 1, 5, 9)}
@@ -291,26 +292,28 @@ class TestBitExactness:
         )
         assert transform.giant_steps == []
         engine = transform.apply(env["evaluator"], env["ct"])
+        replay = reference_apply(env["evaluator"], transform, env["ct"])
+        assert np.array_equal(engine.c0.residues, replay.c0.residues)
+        assert np.array_equal(engine.c1.residues, replay.c1.residues)
         legacy = self.legacy_loop(env, env["ct"], diagonals)
-        assert np.array_equal(engine.c0.residues, legacy.c0.residues)
-        assert np.array_equal(engine.c1.residues, legacy.c1.residues)
-        assert engine.scale == legacy.scale
+        assert engine.scale == replay.scale == legacy.scale
+        assert np.abs(decode(env, engine) - decode(env, legacy)).max() < 1e-3
 
-    def test_switch_galois_eval_matches_coeff_rotate(self, env):
-        """The giant-step primitive == gather-after-inverse rotate path."""
-        params, evaluator = env["params"], env["evaluator"]
-        ct = env["ct"]
-        steps = 4
-        exponent = env["encoder"].slot_rotation_exponent(steps)
-        key = evaluator.galois_keys.key_for(exponent)
-        c0_eval = ct.c0.to_eval().residues
-        c1_eval = ct.c1.to_eval().residues
-        c0, c1 = switch_galois_eval(
-            c0_eval, c1_eval, key, exponent, params, ct.level
+    def test_single_unrotated_diagonal_is_multiply_plain(self, env):
+        """With nothing key-switched the P-lift divides out exactly."""
+        weights = env["rng"].uniform(-1, 1, env["params"].slot_count)
+        transform = DiagonalLinearTransform.from_diagonals(
+            env["encoder"], {0: weights}
         )
-        expected = evaluator.apply_galois(ct, exponent)
-        assert np.array_equal(c0.residues, expected.c0.residues)
-        assert np.array_equal(c1.residues, expected.c1.residues)
+        engine = transform.apply(env["evaluator"], env["ct"])
+        plain = env["encoder"].encode(weights, level=env["ct"].level)
+        expected = env["evaluator"].multiply_plain(env["ct"], plain)
+        assert np.array_equal(
+            engine.c0.to_coeff().residues, expected.c0.to_coeff().residues
+        )
+        assert np.array_equal(
+            engine.c1.to_coeff().residues, expected.c1.to_coeff().residues
+        )
 
 
 class TestRotationKeyHelper:
@@ -434,8 +437,8 @@ class TestEncoderFastPaths:
 
 
 class TestWorkloadsOnEngine:
-    def test_conv_taps_bit_exact_vs_legacy(self, env):
-        from repro.workloads import run_encrypted_conv_taps
+    def test_conv_taps_bit_exact_vs_naive_replay(self, env):
+        from repro.workloads import conv_taps_transform, run_encrypted_conv_taps
 
         slots = env["params"].slot_count
         rng = env["rng"]
@@ -443,11 +446,17 @@ class TestWorkloadsOnEngine:
         engine = run_encrypted_conv_taps(
             env["evaluator"], env["encoder"], env["ct"], taps
         )
+        replay = env["evaluator"].rescale(
+            reference_apply(
+                env["evaluator"], conv_taps_transform(env["encoder"], taps), env["ct"]
+            )
+        )
+        assert np.array_equal(engine.c0.residues, replay.c0.residues)
+        assert np.array_equal(engine.c1.residues, replay.c1.residues)
         legacy = env["evaluator"].rescale(
             TestBitExactness().legacy_loop(env, env["ct"], dict(taps))
         )
-        assert np.array_equal(engine.c0.residues, legacy.c0.residues)
-        assert np.array_equal(engine.c1.residues, legacy.c1.residues)
+        assert np.abs(decode(env, engine) - decode(env, legacy)).max() < 1e-3
         expected = sum(w * rotate_slots(env["z"], s) for s, w in taps)
         assert np.abs(decode(env, engine) - expected).max() < 5e-2
 
@@ -519,3 +528,10 @@ class TestWorkloadsOnEngine:
             env["evaluator"], env["encoder"], env["ct"], matrix
         )
         assert np.abs(decode(env, result) - matrix @ env["z"]).max() < 5e-2
+        transform = DiagonalLinearTransform.from_matrix(env["encoder"], matrix)
+        assert transform.giant_steps and transform.baby_steps != [0]
+        replay = env["evaluator"].rescale(
+            reference_apply(env["evaluator"], transform, env["ct"])
+        )
+        assert np.array_equal(result.c0.residues, replay.c0.residues)
+        assert np.array_equal(result.c1.residues, replay.c1.residues)
