@@ -16,6 +16,7 @@ Package map
 ``repro.tpu``        simulated tensor-core devices (MXU/VPU/XLU + roofline)
 ``repro.ckks``       the CKKS scheme (encoder, evaluator, key switching)
 ``repro.cancellation`` cooperative deadlines/cancellation for deep circuits
+``repro.parallel``   ``fan_out``: one request's independent work on its core budget
 ``repro.serving``    multi-tenant serving runtime (queue, retries, breaker)
 ``repro.perf``       power-matched energy-efficiency methodology + paper data
 ``repro.baselines``  the GPU-flow baselines the paper compares against
@@ -34,6 +35,7 @@ __all__ = [
     "diagnostics",
     "errors",
     "numtheory",
+    "parallel",
     "perf",
     "poly",
     "serving",

@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.numtheory.crt import subtract_and_divide
 from repro.poly import gemm_mod
 from repro.poly.ring import automorphism_eval_indices
-from repro.poly.rns_poly import RnsPolynomial
+from repro.poly.rns_poly import EVAL_DOMAIN, RnsPolynomial
 
 
 @lru_cache(maxsize=4096)
@@ -293,7 +293,10 @@ class CkksEvaluator:
 
         Each operand component is transformed to the evaluation domain once
         and reused across the three tensor terms (the naive formulation pays
-        eight forward passes where four suffice).
+        eight forward passes where four suffice).  The tensor product stays
+        in the evaluation domain for :meth:`relinearize` (own-limb skip for
+        ``d2``, lazy relinearisation for ``d0``/``d1``); it leaves here only
+        if the caller keeps it.
         """
         self.validate(lhs, name="lhs")
         self.validate(rhs, name="rhs")
@@ -301,13 +304,11 @@ class CkksEvaluator:
         self._count("he_mult", self._batch_weight(lhs))
         a0, a1 = lhs.c0.to_eval(), lhs.c1.to_eval()
         b0, b1 = rhs.c0.to_eval(), rhs.c1.to_eval()
-        d0 = a0.multiply(b0).to_coeff()
-        d1 = a0.multiply(b1).add(a1.multiply(b0)).to_coeff()
-        # relinearize() reuses d2's evaluation-domain residues (own-limb
-        # skip); d2 leaves the domain here only if the caller keeps it.
+        d0 = a0.multiply(b0)
+        d1 = a0.multiply(b1).add(a1.multiply(b0))
         d2 = a1.multiply(b1)
         if not relinearize:
-            d2 = d2.to_coeff()
+            d0, d1, d2 = d0.to_coeff(), d1.to_coeff(), d2.to_coeff()
         noise = None
         if lhs.noise_bits is not None and rhs.noise_bits is not None:
             noise = self.noise.multiply_bits(
@@ -369,10 +370,11 @@ class CkksEvaluator:
         self._count("he_mult", self._batch_weight(ciphertext))
         c0_eval = ciphertext.c0.to_eval()
         c1_eval = ciphertext.c1.to_eval()
-        d0 = c0_eval.multiply(c0_eval).to_coeff()
+        # All three stay in the evaluation domain for relinearize().
+        d0 = c0_eval.multiply(c0_eval)
         cross = c0_eval.multiply(c1_eval)
-        d1 = cross.add(cross).to_coeff()
-        d2 = c1_eval.multiply(c1_eval)  # stays eval-domain for relinearize()
+        d1 = cross.add(cross)
+        d2 = c1_eval.multiply(c1_eval)
         noise = None
         if ciphertext.noise_bits is not None:
             noise = self.noise.multiply_bits(
@@ -396,10 +398,14 @@ class CkksEvaluator:
     def relinearize(self, ciphertext: Ciphertext) -> Ciphertext:
         """Fold the quadratic component ``c2`` back into a linear ciphertext.
 
-        ``c2`` may be in either domain (``multiply``/``square`` hand theirs
-        over still in the evaluation domain); the result is the same bit for
-        bit, an evaluation-domain ``c2`` just costs ``level`` fewer forward
-        limb rows (see :func:`repro.ckks.keyswitch.decompose_to_eval`).
+        Every component may be in either domain (``multiply``/``square``
+        hand theirs over still in the evaluation domain); the result is the
+        same bit for bit.  An evaluation-domain ``c2`` costs ``level`` fewer
+        forward limb rows (see :func:`repro.ckks.keyswitch.decompose_to_eval`);
+        evaluation-domain ``c0``/``c1`` are relinearised lazily -- added into
+        the key switch's accumulators before their one stacked exit
+        (``addend`` of :func:`repro.ckks.keyswitch.switch_extended_eval`)
+        instead of each paying ``level`` inverse rows of its own.
         """
         if ciphertext.c2 is None:
             return ciphertext.copy()
@@ -408,19 +414,25 @@ class CkksEvaluator:
                 "relinearisation requires a relinearisation key; construct the "
                 "evaluator with relin_key=KeyGenerator.relinearization_key()"
             )
-        ks0, ks1 = switch_key(
-            ciphertext.c2, self.relin_key, self.params, ciphertext.level
-        )
+        level = ciphertext.level
+        c0, c1 = ciphertext.c0, ciphertext.c1
+        digits = decompose_to_eval(ciphertext.c2, self.params, level)
+        if c0.domain == c1.domain == EVAL_DOMAIN:
+            c0, c1 = switch_extended_eval(
+                digits,
+                self.relin_key,
+                self.params,
+                level,
+                addend=(c0.residues, c1.residues),
+            )
+        else:
+            ks0, ks1 = switch_extended_eval(digits, self.relin_key, self.params, level)
+            c0, c1 = c0.add(ks0), c1.add(ks1)
         noise = None
         if ciphertext.noise_bits is not None:
             noise = self.noise.keyswitch_bits(ciphertext.noise_bits)
         return self._stamp(
-            Ciphertext(
-                c0=ciphertext.c0.add(ks0),
-                c1=ciphertext.c1.add(ks1),
-                scale=ciphertext.scale,
-                level=ciphertext.level,
-            ),
+            Ciphertext(c0=c0, c1=c1, scale=ciphertext.scale, level=level),
             noise,
         )
 

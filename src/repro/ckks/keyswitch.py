@@ -136,11 +136,27 @@ def decompose_to_eval(
     return digits
 
 
+def _conditional_add(
+    accumulator: np.ndarray, term: np.ndarray, moduli: np.ndarray
+) -> None:
+    """``accumulator = (accumulator + term) mod q`` in place, reduced operands.
+
+    No division and no allocation: ``term`` is consumed as the scratch for
+    ``accumulator - q``, which wraps above every residue exactly when the sum
+    was already reduced, so the minimum picks the reduced value.
+    """
+    accumulator += term
+    np.subtract(accumulator, moduli, out=term)
+    np.minimum(accumulator, term, out=accumulator)
+
+
 def switch_extended_eval(
     digits_eval: np.ndarray,
     key: KeySwitchKey,
     params: CkksParameters,
     level: int,
+    *,
+    addend: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
     """Finish a key switch from eval-domain extended digits (lazy ModDown).
 
@@ -150,10 +166,23 @@ def switch_extended_eval(
     stacked ``(2, L', N)`` inverse pass; the ModDown correction and divide
     then run once over the stacked coefficient tensor
     (:func:`mod_down_stacked`).
+
+    ``addend`` -- a pair of evaluation-domain ``(..., level, N)`` residue
+    tensors ``(x0, x1)`` -- returns ``(x0 + ks0, x1 + ks1)`` instead, bit for
+    bit, without a transform of its own: ``P * x`` has zero special limbs, so
+    ``ModDown(P * x + acc) = x + ModDown(acc)`` exactly, and the lift joins
+    the accumulators' level limbs before their one stacked exit.
     """
     level_basis = params.basis_at_level(level)
     extended = params.extended_basis(level)
     acc0, acc1 = switch_extended_eval_lazy(digits_eval, key, params, level)
+    if addend is not None:
+        moduli = level_basis.moduli_array[:, None]
+        p_column = params.special_product_column(level)
+        for accumulator, residues in zip((acc0, acc1), addend):
+            _conditional_add(
+                accumulator[..., :level, :], (residues * p_column) % moduli, moduli
+            )
     stacked = stacked_ntt_inverse(extended, np.stack([acc0, acc1], axis=-3))
     down = mod_down_stacked(stacked, params, level)
     return (

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 from importlib import import_module
 
 import numpy as np
@@ -143,17 +144,22 @@ KERNEL_NAMES = (
 
 _COUNTS = {name: 0 for name in KERNEL_NAMES}
 _TRACES: list[list[str]] = []
+#: Kernels run on several threads at once (server workers, fan-out helpers);
+#: ``+=`` on a dict entry is a read-modify-write, so counting holds this lock.
+_COUNTS_LOCK = threading.Lock()
 
 
 def kernel_counts() -> dict[str, int]:
     """Snapshot of the per-kernel invocation counters."""
-    return dict(_COUNTS)
+    with _COUNTS_LOCK:
+        return dict(_COUNTS)
 
 
 def reset_kernel_counts() -> None:
     """Zero the invocation counters (test instrumentation)."""
-    for name in _COUNTS:
-        _COUNTS[name] = 0
+    with _COUNTS_LOCK:
+        for name in _COUNTS:
+            _COUNTS[name] = 0
 
 
 @contextlib.contextmanager
@@ -165,17 +171,20 @@ def trace():
     as exactly the kernels the schedule names.
     """
     buffer: list[str] = []
-    _TRACES.append(buffer)
+    with _COUNTS_LOCK:
+        _TRACES.append(buffer)
     try:
         yield buffer
     finally:
-        _TRACES.remove(buffer)
+        with _COUNTS_LOCK:
+            _TRACES.remove(buffer)
 
 
 def _record(name: str) -> None:
-    _COUNTS[name] += 1
-    for buffer in _TRACES:
-        buffer.append(name)
+    with _COUNTS_LOCK:
+        _COUNTS[name] += 1
+        for buffer in _TRACES:
+            buffer.append(name)
 
 
 # ---------------------------------------------------------------- numpy impls

@@ -69,6 +69,7 @@ inverse pass" without a stacked call hiding per-limb work.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -407,12 +408,42 @@ def _lazy_reduce_into(values: np.ndarray, q_f, inv_q, scratch: np.ndarray) -> No
     np.subtract(values, scratch, out=values)
 
 
+#: Per-thread four-step scratch: ONE flat float64 buffer, grown to the
+#: largest cascade this thread has run, plus the views carved out of it per
+#: ``(lead, a, b)`` shape (dropped whenever the buffer grows).
+_SCRATCH = threading.local()
+
+
+def _scratch_pool(lead: tuple[int, ...], a: int, b: int) -> dict:
+    """This thread's cascade buffers for a ``(*lead, a, b)`` tile, as views."""
+    size = math.prod(lead) * a * b
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < 5 * size:
+        _SCRATCH.buffer = buffer = np.empty(5 * size)
+        _SCRATCH.views = {}
+    pool = _SCRATCH.views.get((lead, a, b))
+    if pool is None:
+        tile = buffer[:size].reshape(*lead, a, b)
+        gemm = buffer[size : 3 * size].reshape(*lead, 2 * a, b)
+        pool = {
+            "tile": tile,
+            "tile_t": tile.reshape(*lead, b, a),
+            "gemm": gemm,
+            "gemm_t": gemm.reshape(*lead, 2 * b, a),
+            "scratch_t": buffer[3 * size : 4 * size].reshape(*lead, b, a),
+            "twist": buffer[4 * size : 5 * size].reshape(*lead, b, a),
+        }
+        _SCRATCH.views[(lead, a, b)] = pool
+    return pool
+
+
 class _FourStepExec:
     """Shared executor for the four-step GEMM cascade (plan and stack layouts).
 
     Subclasses provide per-direction constant packs via ``_pack`` plus the
-    modulus columns; this base runs the cascade through a per-thread buffer
-    pool so the hot loop performs **zero** element-wise allocations.
+    modulus columns; this base runs the cascade through the calling thread's
+    scratch buffer (:func:`_scratch_pool`) so the hot loop performs **zero**
+    element-wise allocations.
     Operands with extra leading axes (a ciphertext batch's ``(B, L, N)``
     stack, the fused key switch's ``(dnum, L', N)`` digit tensor) fold those
     axes into the GEMM batch dimension and ride through ONE cascade: the
@@ -430,27 +461,6 @@ class _FourStepExec:
     rows: int
     cols: int
     _lead: tuple[int, ...]
-
-    def _buffers(self, lead: tuple[int, ...], a: int, b: int) -> dict:
-        local = self._local
-        if not hasattr(local, "pools"):
-            local.pools = {}
-        key = (lead, a, b)
-        pool = local.pools.get(key)
-        if pool is None:
-            tile = np.empty((*lead, a, b))
-            gemm = np.empty((*lead, 2 * a, b))
-            scratch = np.empty((*lead, a, b))
-            pool = {
-                "tile": tile,
-                "tile_t": tile.reshape(*lead, b, a),
-                "gemm": gemm,
-                "gemm_t": gemm.reshape(*lead, 2 * b, a),
-                "scratch_t": scratch.reshape(*lead, b, a),
-                "twist": np.empty((*lead, b, a)),
-            }
-            local.pools[key] = pool
-        return pool
 
     #: Rings at or below this degree fold extra leading axes into ONE
     #: cascade: small tiles are dominated by per-call fixed costs, and the
@@ -516,7 +526,7 @@ class _FourStepExec:
             first_cat, scale_first, twist, second_cat, scale_second, a, b,
             q_f, q_u, inv_q,
         ) = self._constants(forward, limbs)
-        pool = self._buffers(data.shape[:-1], a, b)
+        pool = _scratch_pool(data.shape[:-1], a, b)
         tile, gemm = pool["tile"], pool["gemm"]
         scratch = pool["scratch_t"].reshape(tile.shape)
 
@@ -632,7 +642,6 @@ class FourStepTables(_FourStepExec):
         if not self.exact:
             return
         self._lead = ()
-        self._local = threading.local()
         self._q_u = np.uint64(q)
         self._q_f = np.float64(q)
         self._under_inv = _under_inverse(self._q_f)
@@ -775,7 +784,6 @@ class _FourStepStack(_FourStepExec):
         first = tables[0]
         self.rows, self.cols = first.rows, first.cols
         self._lead = (len(tables),)
-        self._local = threading.local()
         moduli = tuple(t.modulus for t in tables)
         self._q_u = np.array(moduli, dtype=np.uint64)[:, None, None]
         self._q_f = self._q_u.astype(np.float64)
@@ -848,7 +856,7 @@ class _FusedExecMixin:
             first_cat, scale_first, twist, second_cat, scale_second, a, b,
             q_f, q_u, inv_q,
         ) = self._constants(forward, limbs)
-        pool = self._buffers(data.shape[:-1], a, b)
+        pool = _scratch_pool(data.shape[:-1], a, b)
         tile, gemm = pool["tile"], pool["gemm"]
 
         # Segment 1: gemm(lazy) -- split GEMM + fused hi/lo merge-reduce.
@@ -1199,6 +1207,8 @@ def _sentinel_passes(forward, inverse, probe, modulus: int, psi: int) -> bool:
 
 
 _SPOT_COUNTER = 0
+#: Threads count passes concurrently; the sampling stays exact under a lock.
+_SPOT_COUNTER_LOCK = threading.Lock()
 
 
 def _spot_check_due() -> bool:
@@ -1206,8 +1216,10 @@ def _spot_check_due() -> bool:
     global _SPOT_COUNTER
     if not _gemm_is_strict():
         return False
-    _SPOT_COUNTER += 1
-    return _SPOT_COUNTER % _spot_stride() == 0
+    stride = _spot_stride()
+    with _SPOT_COUNTER_LOCK:
+        _SPOT_COUNTER += 1
+        return _SPOT_COUNTER % stride == 0
 
 
 def _spot_check_row(

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro import diagnostics
+from repro import diagnostics, parallel
 from repro.cancellation import CancelScope
 from repro.ckks.batch import stack_ciphertexts, unstack_ciphertext
 from repro.ckks.ciphertext import Ciphertext
@@ -207,6 +207,9 @@ class InferenceServer:
         self.batches_served = 0
         self.batched_requests = 0
         self._worker_count = workers
+        #: Cores each worker thread's request may fan out over: the workers
+        #: serve concurrently, so each gets its share of the machine.
+        self.core_budget = parallel.cores_per(workers)
         self._threads: list[threading.Thread] = []
         self._rng = random.Random(rng_seed)
         self._lock = threading.Lock()
@@ -404,6 +407,8 @@ class InferenceServer:
             "ready": self.ready(),
             "workers": self._worker_count,
             "workers_mode": self.workers_mode,
+            # Process mode reports each shard's own budget under "shards".
+            "core_budget": self.core_budget if self.workers_mode == "thread" else None,
             "in_flight": in_flight,
             "queue": queue_stats,
             "served": self.served,
@@ -423,27 +428,28 @@ class InferenceServer:
 
     # ---------------------------------------------------------------- workers
     def _worker_loop(self) -> None:
-        while True:
-            ticket = self.queue.get(timeout=0.05)
-            if ticket is None:
+        with parallel.core_budget_scope(self.core_budget):
+            while True:
+                ticket = self.queue.get(timeout=0.05)
+                if ticket is None:
+                    with self._lock:
+                        if not self._running:
+                            return
+                    self._maybe_probe()
+                    continue
+                batch = self._collect_batch(ticket)
                 with self._lock:
-                    if not self._running:
-                        return
-                self._maybe_probe()
-                continue
-            batch = self._collect_batch(ticket)
-            with self._lock:
-                self._in_flight += len(batch)
-            try:
-                if len(batch) == 1:
-                    self._serve(batch[0])
-                else:
-                    self._serve_batch(batch)
-            finally:
-                with self._idle:
-                    self._in_flight -= len(batch)
-                    self._idle.notify_all()
-                self._maybe_probe()
+                    self._in_flight += len(batch)
+                try:
+                    if len(batch) == 1:
+                        self._serve(batch[0])
+                    else:
+                        self._serve_batch(batch)
+                finally:
+                    with self._idle:
+                        self._in_flight -= len(batch)
+                        self._idle.notify_all()
+                    self._maybe_probe()
 
     def _collect_batch(self, leader: RequestTicket) -> list[RequestTicket]:
         """Coalesce queued requests compatible with ``leader`` (FIFO order).

@@ -37,7 +37,7 @@ from typing import Any
 
 import numpy as np
 
-from repro import diagnostics
+from repro import diagnostics, parallel
 from repro.cancellation import CancelScope
 from repro.ckks.keys import GaloisKeySet, KeyGenerator, RelinearizationKey
 from repro.ckks.params import CkksParameters
@@ -225,6 +225,7 @@ def _shard_entry(
     request_conn,
     event_conn,
     heartbeat_interval_s: float,
+    core_budget: int,
 ) -> None:
     """Worker main: rebuild sessions, warm plans, then serve one-at-a-time.
 
@@ -234,7 +235,21 @@ def _shard_entry(
     crash (or the poison payload detonating inside ``recv_frame``'s unpickle)
     breaks that invariant -- which is precisely what the supervisor's
     exitcode/heartbeat watchers are for.
+
+    Everything runs under ``core_budget`` cores (the supervisor's share of
+    the machine for this shard), reported back in the ``ready`` frame.
     """
+    with parallel.core_budget_scope(core_budget):
+        _serve_shard(name, specs, request_conn, event_conn, heartbeat_interval_s)
+
+
+def _serve_shard(
+    name: str,
+    specs: list[TenantSpec],
+    request_conn,
+    event_conn,
+    heartbeat_interval_s: float,
+) -> None:
     global _WORKER_SHARD
     _WORKER_SHARD = name
     from repro.serving.session import TenantRegistry  # after spawn bootstrap
@@ -261,7 +276,11 @@ def _shard_entry(
         send_frame(
             event_conn,
             "ready",
-            {"pid": os.getpid(), "tenants": registry.tenants()},
+            {
+                "pid": os.getpid(),
+                "tenants": registry.tenants(),
+                "core_budget": parallel.core_budget(),
+            },
         )
     try:
         while True:

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-from repro import diagnostics
+from repro import diagnostics, parallel
 from repro.cancellation import CancelScope
 from repro.errors import (
     PoisonRequest,
@@ -100,6 +100,8 @@ class ShardHandle:
         self.restart_at = 0.0
         self.served = 0
         self.rss_mb = 0.0
+        #: Cores the shard's requests may fan out over, as it reported.
+        self.core_budget: int | None = None
         self.current: _PendingCall | None = None
 
     def stats(self) -> dict[str, Any]:
@@ -115,6 +117,7 @@ class ShardHandle:
             "last_heartbeat_age_s": age,
             "served": self.served,
             "rss_mb": self.rss_mb,
+            "core_budget": self.core_budget,
             "in_flight": (
                 None if self.current is None else self.current.request_id
             ),
@@ -524,6 +527,8 @@ class ShardSupervisor:
                 child_req,
                 child_evt,
                 self.heartbeat_interval_s,
+                # Shards serve concurrently, so each gets its share of cores.
+                parallel.cores_per(len(self._shards)),
             ),
             name=f"repro-{shard.name}",
             daemon=True,
@@ -638,6 +643,7 @@ class ShardSupervisor:
                         shard.state = READY
                         shard.consecutive_failures = 0
                     shard.pid = payload.get("pid", shard.pid)
+                    shard.core_budget = payload.get("core_budget")
                     shard.last_heartbeat = now
                     self._cond.notify_all()
                 diagnostics.record_event(

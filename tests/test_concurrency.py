@@ -7,26 +7,38 @@ sharing sound: N threads evaluating *disjoint* ciphertexts through one
 evaluator produce results **bit-exact** against the serial run -- including
 while a quarantine flips the dispatch ladder mid-flight -- and the bounded
 LRU caches never corrupt, deadlock, or overflow under contention.
+
+One request also runs on several threads at once (:mod:`repro.parallel`):
+at a budget of two cores every operator that fans out must produce the same
+bits and the same counters as at one core, on every NTT rung; errors raised
+on a helper reach the caller unchanged; nesting cannot deadlock.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import parallel
+from repro.cancellation import CancelScope, current_scope
 from repro.ckks import (
     CkksEncoder,
     CkksEvaluator,
     CkksParameters,
     Decryptor,
+    DiagonalLinearTransform,
     Encryptor,
     KeyGenerator,
 )
+from repro.ckks import linear_transform
 from repro.diagnostics import BoundedLruCache, WeakCacheGroup
-from repro.poly import ntt_engine
+from repro.errors import BackendExactnessError, DeadlineExceeded
+from repro.poly import gemm_mod, ntt_engine
+from repro.testing.faults import corrupted_four_step_tables
 
 THREADS = 8
 PER_THREAD = 3
@@ -207,6 +219,39 @@ class TestTransformCounters:
             "inverse_limbs": THREADS * per_thread,
         }
 
+    def test_spot_check_sampling_stays_exact(self, monkeypatch):
+        """Strict-mode sampling fires exactly every stride-th pass, however
+        many threads count passes at once."""
+        per_thread, stride = 3_000, 7
+        monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", str(stride))
+        fired = [0] * THREADS
+        barrier = threading.Barrier(THREADS)
+
+        def worker(index):
+            barrier.wait(timeout=10.0)
+            fired[index] = sum(
+                ntt_engine._spot_check_due() for _ in range(per_thread)
+            )
+
+        threads = [
+            threading.Thread(target=worker, args=(index,)) for index in range(THREADS)
+        ]
+        previous = gemm_mod.set_strict(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monkeypatch.setattr(ntt_engine, "_SPOT_COUNTER", 0)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            gemm_mod.set_strict(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert ntt_engine._SPOT_COUNTER == THREADS * per_thread
+        assert sum(fired) == THREADS * per_thread // stride
+
     def test_threaded_circuits_book_the_serial_row_count(self, shared_setup):
         inputs = _make_inputs(shared_setup, THREADS * PER_THREAD)
         _circuit(shared_setup["evaluator"], *inputs[0])  # warm caches
@@ -321,3 +366,329 @@ class TestBoundedLruCacheThreadSafety:
         totals = group.stats()
         assert totals["instances"] == THREADS * 50
         assert totals["size"] == THREADS * 50  # one live entry per member
+
+
+# ---------------------------------------------------------------------------
+# Intra-request parallelism (repro.parallel.fan_out)
+# ---------------------------------------------------------------------------
+
+
+def _pool_is_idle() -> bool:
+    """A helper is free again: a two-item fan-out meets on two threads.
+
+    Both items wait on one barrier, so the fan-out only finishes if a helper
+    picks up the second item while the caller holds the first.
+    """
+    barrier = threading.Barrier(2)
+
+    def item(_):
+        barrier.wait(timeout=10.0)
+        return threading.get_ident()
+
+    with parallel.core_budget_scope(2):
+        return len(set(parallel.fan_out(item, range(2)))) == 2
+
+
+def _helper_threads() -> int:
+    return sum(t.name.startswith("repro-fan-out") for t in threading.enumerate())
+
+
+class SentinelError(Exception):
+    """Raised on a helper thread only."""
+
+
+class TestFanOut:
+    def test_budget_one_runs_in_order_on_the_caller(self):
+        seen = []
+        with parallel.core_budget_scope(1):
+            results = parallel.fan_out(
+                lambda item: seen.append((item, threading.get_ident())) or item * 2,
+                range(5),
+            )
+        assert results == [0, 2, 4, 6, 8]
+        assert seen == [(item, threading.get_ident()) for item in range(5)]
+
+    def test_helper_runs_in_the_callers_context(self):
+        """Both threads are inside an item at once (the barrier), each sees
+        the caller's cancel scope and budget, and results keep item order."""
+        barrier = threading.Barrier(2)
+
+        def item(index):
+            barrier.wait(timeout=10.0)
+            return index, current_scope(), parallel.core_budget(), threading.get_ident()
+
+        with parallel.core_budget_scope(2), CancelScope(label="outer") as scope:
+            results = parallel.fan_out(item, range(2))
+        assert [r[0] for r in results] == [0, 1]
+        assert all(r[1] is scope and r[2] == 2 for r in results)
+        assert len({r[3] for r in results}) == 2
+        assert _pool_is_idle()
+
+    def test_helper_error_keeps_its_type_and_frees_the_slot(self):
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2)
+
+        def item(index):
+            barrier.wait(timeout=10.0)  # one item per thread
+            if threading.get_ident() != caller:
+                raise SentinelError(f"item {index} on a helper")
+            return index
+
+        with parallel.core_budget_scope(2):
+            with pytest.raises(SentinelError, match="on a helper"):
+                parallel.fan_out(item, range(2))
+            assert _pool_is_idle()
+            # The freed helper serves the next fan-out.
+            barrier.reset()
+
+            def ident(index):
+                barrier.wait(timeout=10.0)
+                return threading.get_ident()
+
+            idents = parallel.fan_out(ident, range(2))
+        assert len(set(idents)) == 2
+
+    def test_nested_fan_out_runs_inline_and_finishes(self):
+        outcome = {}
+
+        def inner(value):
+            return value, threading.get_ident()
+
+        def outer(index):
+            rows = parallel.fan_out(inner, range(index * 4, index * 4 + 4))
+            assert {ident for _, ident in rows} == {threading.get_ident()}
+            return sum(value for value, _ in rows)
+
+        def run():
+            with parallel.core_budget_scope(4):
+                outcome["sums"] = parallel.fan_out(outer, range(6))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "nested fan_out deadlocked"
+        assert outcome["sums"] == [sum(range(i * 4, i * 4 + 4)) for i in range(6)]
+        assert _pool_is_idle()
+
+    def test_concurrent_callers_share_the_pool(self):
+        """More callers than cores racing for helpers: claims never block,
+        no result is lost, and every helper is parked again afterwards."""
+        callers, rounds = 8, 150
+        errors: list = []
+        barrier = threading.Barrier(callers)
+
+        def caller(seed):
+            try:
+                barrier.wait(timeout=10.0)
+                with parallel.core_budget_scope(3):
+                    for step in range(rounds):
+                        items = range(seed, seed + 2 + step % 4)
+                        got = parallel.fan_out(lambda x: x * x, items)
+                        assert got == [x * x for x in items]
+            except BaseException as exc:  # noqa: BLE001 - surfaced to the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(s,)) for s in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert _pool_is_idle()
+
+    def test_budget_rule(self, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        assert [parallel.cores_per(n) for n in (1, 2, 3)] == [2, 1, 1]
+        assert parallel.core_budget() == 2
+        with pytest.raises(ValueError):
+            with parallel.core_budget_scope(0):
+                pass
+
+
+@pytest.fixture(scope="module")
+def n4096_setup():
+    """A ring that fans its giant groups out (and runs four-step slice by
+    slice), small L."""
+    params = CkksParameters.create(
+        degree=4096, limbs=3, log_q=28, dnum=3, scale_bits=26
+    )
+    assert params.degree >= linear_transform.FAN_OUT_MIN_DEGREE
+    keygen = KeyGenerator(params, rng=np.random.default_rng(21))
+    encoder = CkksEncoder(params)
+    slots = params.slot_count
+    rng = np.random.default_rng(22)
+
+    def transform(indices):
+        return DiagonalLinearTransform.from_diagonals(
+            encoder, {k: rng.uniform(-1, 1, slots) for k in indices}, n1=4
+        )
+
+    bsgs = transform((0, 1, 4, 5, 8))  # one baby, two giant groups
+    giants_only = transform((0, 4, 8))  # no hoisted babies
+    steps = sorted(set(bsgs.rotation_steps()) | {3})
+    encryptor = Encryptor(params, keygen.public_key(), keygen)
+    return {
+        "params": params,
+        "evaluator": CkksEvaluator(
+            params,
+            relin_key=keygen.relinearization_key(),
+            galois_keys=keygen.galois_keys_for_steps(steps),
+        ),
+        "bsgs": bsgs,
+        "giants_only": giants_only,
+        "cts": [
+            encryptor.encrypt(encoder.encode(rng.uniform(-1, 1, slots)))
+            for _ in range(2)
+        ],
+    }
+
+
+def _fanned_out_ops(env) -> dict:
+    evaluator, transform, (a, b) = env["evaluator"], env["bsgs"], env["cts"]
+    return {
+        "apply": [transform.apply(evaluator, a)],
+        "apply_batch": transform.apply_batch(evaluator, [a, b]),
+        "square": [evaluator.square(a)],
+        "multiply": [evaluator.multiply(a, b)],
+        "rotate_many": evaluator.rotate_many(a, [1, 3, 4]),
+    }
+
+
+def _run_at_budget(env, cores: int):
+    """Every fanned-out operator at ``cores`` cores, with its counters."""
+    evaluator = env["evaluator"]
+    with parallel.core_budget_scope(cores):
+        _fanned_out_ops(env)  # warm tables, sentinels and key caches
+        evaluator.reset_operation_counts()
+        ntt_engine.reset_transform_counts()
+        results = _fanned_out_ops(env)
+    counts = (ntt_engine.transform_counts(), dict(evaluator.operation_counts))
+    return results, counts
+
+
+class TestIntraRequestParallelism:
+    @pytest.fixture(autouse=True)
+    def _restore_dispatch(self):
+        yield
+        ntt_engine.set_default_backend(ntt_engine.BACKEND_AUTO)
+        ntt_engine.clear_quarantine()
+
+    @pytest.mark.parametrize("backend", ntt_engine.BACKENDS)
+    def test_two_cores_bit_identical_to_one(self, n4096_setup, backend):
+        ntt_engine.set_default_backend(backend)
+        serial, serial_counts = _run_at_budget(n4096_setup, 1)
+        parallel_run, parallel_counts = _run_at_budget(n4096_setup, 2)
+        assert _helper_threads() >= 1  # the helpers really ran
+        assert parallel_counts == serial_counts
+        for name, expected in serial.items():
+            got = parallel_run[name]
+            assert len(got) == len(expected), name
+            for want, have in zip(expected, got):
+                assert np.array_equal(want.c0.residues, have.c0.residues), name
+                assert np.array_equal(want.c1.residues, have.c1.residues), name
+                assert want.scale == have.scale and want.level == have.level
+        assert _pool_is_idle()
+
+    @pytest.mark.parametrize("degree, fans_out", [(512, False), (1024, True)])
+    def test_giant_groups_fan_out_from_the_minimum_degree(
+        self, monkeypatch, degree, fans_out
+    ):
+        """Below N = 1024 (the measured crossover) a giant group costs less
+        than the hand-off, so apply runs the groups on the caller at any
+        budget."""
+        params = CkksParameters.create(
+            degree=degree, limbs=3, log_q=28, dnum=3, scale_bits=26
+        )
+        keygen = KeyGenerator(params, rng=np.random.default_rng(23))
+        encoder = CkksEncoder(params)
+        rng = np.random.default_rng(24)
+        transform = DiagonalLinearTransform.from_diagonals(
+            encoder,
+            {k: rng.uniform(-1, 1, params.slot_count) for k in (0, 4, 8)},
+            n1=4,
+        )
+        evaluator = CkksEvaluator(
+            params, galois_keys=keygen.galois_keys_for_steps(transform.rotation_steps())
+        )
+        ciphertext = Encryptor(params, keygen.public_key(), keygen).encrypt(
+            encoder.encode(rng.uniform(-1, 1, params.slot_count))
+        )
+        fanned = []
+
+        def recording_fan_out(fn, items):
+            fanned.append(len(items))
+            return parallel.fan_out(fn, items)
+
+        monkeypatch.setattr(linear_transform, "fan_out", recording_fan_out)
+        with parallel.core_budget_scope(2):
+            transform.apply(evaluator, ciphertext)
+        assert fanned == ([3] if fans_out else [])
+
+    def test_drill_error_reaches_the_caller_typed(self, n4096_setup, monkeypatch):
+        """A corrupted four-step table caught by a strict-mode spot check
+        inside a giant group (the groups run on two threads) surfaces as
+        BackendExactnessError, and the pool is whole again afterwards."""
+        env = n4096_setup
+        evaluator, transform, ciphertext = (
+            env["evaluator"], env["giants_only"], env["cts"][0]
+        )
+        ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
+        with parallel.core_budget_scope(2):
+            expected = transform.apply(evaluator, ciphertext)
+            extended = env["params"].extended_basis(ciphertext.level)
+            stack = ntt_engine.plan_stack_for(extended.moduli, extended.degree)
+            monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
+            previous = gemm_mod.set_strict(True)
+            try:
+                with corrupted_four_step_tables(stack):
+                    with pytest.raises(BackendExactnessError):
+                        transform.apply(evaluator, ciphertext)
+            finally:
+                gemm_mod.set_strict(previous)
+            assert _pool_is_idle()
+            healed = transform.apply(evaluator, ciphertext)
+        assert np.array_equal(healed.c0.residues, expected.c0.residues)
+        assert np.array_equal(healed.c1.residues, expected.c1.residues)
+
+    def test_deadline_inside_the_giant_groups(self, n4096_setup):
+        """A deadline that passes only once the giant groups are running
+        raises DeadlineExceeded from a fan-out item, helper or caller."""
+        env = n4096_setup
+        ticks = itertools.count()
+
+        def clock():
+            next(ticks)
+            return 10.0 if parallel._NESTED.get() else 0.0
+
+        with parallel.core_budget_scope(2):
+            with CancelScope(deadline=5.0, clock=clock):
+                with pytest.raises(DeadlineExceeded):
+                    env["bsgs"].apply(env["evaluator"], env["cts"][0])
+        assert _pool_is_idle()
+
+    def test_scratch_is_one_largest_pool_per_thread(self, n4096_setup):
+        """After every operator has run on a fresh thread, its four-step
+        scratch is one buffer of the largest cascade: five float64 tiles of
+        the widest limb stack it transformed."""
+        env = n4096_setup
+        ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
+        held = {}
+
+        def run():
+            with parallel.core_budget_scope(1):
+                _fanned_out_ops(env)
+            held["bytes"] = ntt_engine._SCRATCH.buffer.nbytes  # this thread's
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
+        params = env["params"]
+        widest = params.extended_basis(params.limbs).size
+        assert 0 < held["bytes"] <= 5 * 8 * widest * params.degree

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import diagnostics
+from repro import diagnostics, parallel
 from repro.errors import (
     BackendExactnessError,
     DeadlineExceeded,
@@ -461,6 +461,19 @@ class TestInferenceServer:
         assert diag["noise_headroom_bits"] is None or diag["noise_headroom_bits"] > 0
         kinds = [e["kind"] for e in diagnostics.events()]
         assert "request_served" in kinds
+
+    @pytest.mark.parametrize("workers, budget", [(1, 2), (2, 1)])
+    def test_workers_run_under_their_share_of_cores(
+        self, registry_and_clients, monkeypatch, workers, budget
+    ):
+        registry, _ = registry_and_clients
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        with InferenceServer(registry, workers=workers) as server:
+            assert server.health()["core_budget"] == budget
+            ticket = server.submit(
+                InferenceRequest("alice", lambda session, payload: parallel.core_budget())
+            )
+            assert ticket.result(timeout=30.0) == budget
 
     def test_unknown_tenant_rejected_at_admission(self, registry_and_clients):
         registry, _ = registry_and_clients

@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.errors import (
     ParameterError,
     PoisonRequest,
@@ -216,7 +217,9 @@ class TestProcessServer:
         with pytest.raises(ParameterError, match="alice"):
             server.start()
 
-    def test_serves_bit_exact_and_reports_shards(self):
+    def test_serves_bit_exact_and_reports_shards(self, monkeypatch):
+        # Two shards on two cores: each shard's requests get one core.
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
         registry = TenantRegistry()
         clients = build_tenants(registry, ("alice", "bob"))
         rng = np.random.default_rng(3)
@@ -237,11 +240,13 @@ class TestProcessServer:
             assert server.ready()
             health = server.health()
             assert health["workers_mode"] == "process"
+            assert health["core_budget"] is None  # reported per shard
             shard_stats = health["shards"]["shards"]
             assert len(shard_stats) == 2
             for stats in shard_stats.values():
                 assert stats["state"] in {"ready", "busy"}
                 assert stats["pid"] is not None
+                assert stats["core_budget"] == 1
 
             tickets = [
                 (
