@@ -6,15 +6,13 @@ Run directly (no pytest needed)::
 
 Drives the `repro.testing` fault-injection harness through one drill per
 fault class -- ciphertext payload bit flips, corrupted butterfly twist
-tables, corrupted four-step GEMM constants, corrupted fused-backend
-constants, a miscomputing GEMM cascade, and a lying dispatch calibration --
-and classifies each outcome:
+tables, corrupted four-step GEMM constants, a miscomputing GEMM cascade,
+and a lying dispatch calibration -- and classifies each outcome:
 
 * **detected** -- the fault surfaced as a typed :class:`repro.errors.ReproError`
   at the operator or kernel boundary;
 * **healed** -- the faulty backend was quarantined, dispatch fell down the
-  degradation ladder (``fused -> four_step -> butterfly -> reference``), the
-  observed
+  degradation ladder (``four_step -> butterfly -> reference``), the observed
   results stayed bit-exact, and the reroute was recorded in
   `repro.diagnostics`;
 * **silent** -- anything else: the fault neither raised nor healed, or a
@@ -46,7 +44,6 @@ from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
-    BACKEND_FUSED,
     NttPlan,
     clear_quarantine,
     plan_for,
@@ -58,7 +55,6 @@ from repro.testing import (
     calibration_lie,
     corrupted_butterfly_tables,
     corrupted_four_step_tables,
-    corrupted_fused_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
 )
@@ -132,32 +128,6 @@ def drill_four_step_spot_check() -> str:
         set_strict(previous)
 
 
-def drill_fused_tables() -> str:
-    """The fused sentinel must quarantine and heal one rung down, bit-exact."""
-    _, plan, probe, truth = _ring()
-    previous = os.environ.get("REPRO_NTT_BACKEND")
-    os.environ["REPRO_NTT_BACKEND"] = BACKEND_FUSED
-    try:
-        reset_sentinels()
-        with corrupted_fused_tables(plan):
-            if plan.resolve_backend() != BACKEND_FUSED:
-                return "silent"  # drill did not reach the faulty backend
-            out = plan.forward(probe.copy())
-            healed_down = (
-                BACKEND_FUSED in quarantined_backends()
-                and BACKEND_FOUR_STEP not in quarantined_backends()
-                and plan.resolve_backend() == BACKEND_FOUR_STEP
-            )
-            if np.array_equal(out, truth) and healed_down:
-                return "healed"
-        return "silent"
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NTT_BACKEND", None)
-        else:
-            os.environ["REPRO_NTT_BACKEND"] = previous
-
-
 def drill_butterfly_tables() -> str:
     """verify_plan must quarantine corrupted twist tables, dispatch must heal."""
     q, base, probe, truth = _ring()
@@ -205,7 +175,6 @@ DRILLS = [
     ("ciphertext_bit_flip", drill_ciphertext_bit_flip),
     ("four_step_table_corruption", drill_four_step_tables),
     ("four_step_strict_spot_check", drill_four_step_spot_check),
-    ("fused_table_corruption", drill_fused_tables),
     ("butterfly_table_corruption", drill_butterfly_tables),
     ("gemm_output_perturbation", drill_gemm_outputs),
     ("calibration_lie", drill_calibration_lie),

@@ -50,7 +50,6 @@ import time
 GATES = [
     ("ntt_engine", "benchmarks/bench_ntt_engine.py"),
     ("ntt_fourstep", "benchmarks/bench_ntt_fourstep.py"),
-    ("kernel_fusion", "benchmarks/bench_kernel_fusion.py"),
     ("keyswitch_fused", "benchmarks/bench_keyswitch_fused.py"),
     ("linear_transform", "benchmarks/bench_linear_transform.py"),
     ("poly_eval", "benchmarks/bench_poly_eval.py"),

@@ -328,8 +328,8 @@ def mod_down_stacked(
     operands is one batched matmul (the generalized
     :meth:`BasisConversion.convert_residues`) and the subtract+divide is one
     broadcast of the fused ``moddown_sub_div`` kernel
-    (`repro.poly.fused_kernels`), the executable form of the coalesced
-    vector segment in `repro.core.schedule.moddown_execution_schedule`.
+    (`repro.poly.fused_kernels`): the subtract and the ``P^{-1}`` scale
+    executed as one pass.
     Takes and returns coefficient-domain residues: ``(..., level, N)``.
     """
     level_basis = params.basis_at_level(level)

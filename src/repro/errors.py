@@ -161,7 +161,7 @@ class BackendExactnessError(ReproError, ArithmeticError):
     Raised when a known-answer probe or strict-mode spot check catches a
     backend producing wrong residues (hardware fault, corrupted tables,
     miscalibration).  The dispatch layer quarantines the backend and degrades
-    fused -> four_step -> butterfly -> reference instead of corrupting
+    four_step -> butterfly -> reference instead of corrupting
     ciphertexts.
     """
 

@@ -1,20 +1,18 @@
-"""Fused element-wise kernels: the executable lowering target for `core/schedule`.
+"""Fused element-wise kernels: the evaluation-domain products and ModDown.
 
-The four-step GEMM backend's residual ceiling is the ~30 eager NumPy
-element-wise passes between its two BLAS calls: every reduce / scale / merge
-step streams the whole tile through memory again.  This module packages each
-*segment* of the compiled execution schedule (see
-`repro.core.schedule.ExecutionSchedule`) as ONE fused kernel with three
-interchangeable, bit-exact implementations:
+Each kernel is one element-wise stage of the key-switch / pointwise hot path
+executed as ONE pass, with three interchangeable, bit-exact implementations:
 
-* ``numexpr`` -- each segment is a single ``ne.evaluate`` expression, so the
-  whole merge/reduce chain runs in one chunked pass over the operand;
-* ``numba`` -- ``@njit`` kernels (``fastmath=False``: the exact-float64
-  algebra of `repro.poly.gemm_mod` must not be re-associated) compiled lazily
-  on first use;
+* ``numexpr`` -- each kernel is a single ``ne.evaluate`` expression, one
+  chunked pass over the operand;
+* ``numba`` -- ``@njit`` kernels compiled lazily on first use;
 * ``numpy`` -- the eager pass sequence, op for op, used when neither
-  accelerator is installed.  This keeps the ``fused`` NTT backend available
-  (and bit-exact) on a minimal install, it is merely not faster there.
+  accelerator is installed (bit-exact, merely not faster).
+
+The kernels are ``vec_mod_mul`` / ``vec_mod_add`` / ``vec_mod_sub``
+(`repro.poly.ntt_engine.NttPlan.pointwise`) and ``moddown_sub_div``
+(`repro.ckks.keyswitch.mod_down_stacked`).  The NTT itself runs as dense
+GEMMs in `repro.poly.ntt_engine`; none of its stages route through here.
 
 Implementation selection is process-wide via :func:`active_mode`
 (``REPRO_FUSED_KERNELS`` = ``auto`` | ``numexpr`` | ``numba`` | ``numpy``).
@@ -22,17 +20,13 @@ Requesting an accelerator that is not importable falls back to ``numpy`` and
 records a ``fused_kernels_unavailable`` diagnostics event -- never an import
 error at call time.
 
-Exactness contract: every implementation performs the *same* IEEE-754 float64
-operations in the same order as the eager path (multiply / add / ``floor`` are
-correctly rounded and therefore deterministic), so outputs are bit-identical
-across modes.  The hypothesis sweeps in ``tests/test_fused_backend.py``
-enforce this kernel by kernel; the dispatch-layer sentinels and strict-mode
-spot checks (`repro.poly.ntt_engine`) enforce it end to end at runtime.
+Exactness contract: every implementation computes the same integer residues
+as the eager path, so outputs are bit-identical across modes.  The hypothesis
+sweeps in ``tests/test_fused_kernels.py`` enforce this kernel by kernel.
 
 Instrumentation: every kernel call is counted (:func:`kernel_counts`) and,
 inside a :func:`trace` context, appended to the trace buffer -- which is how
-the compiler-lowering parity tests pin "this schedule segment executed as
-that kernel".
+tests pin "this stage executed as that kernel".
 """
 
 from __future__ import annotations
@@ -86,7 +80,7 @@ _resolved: tuple[str, str] | None = None
 def active_mode() -> str:
     """The implementation actually executing: ``numexpr``/``numba``/``numpy``.
 
-    ``auto`` prefers numexpr (single-expression segments, no compile latency),
+    ``auto`` prefers numexpr (single-expression kernels, no compile latency),
     then numba, then the numpy fallback.  An explicit request for an absent
     accelerator degrades to ``numpy`` with a ``fused_kernels_unavailable``
     diagnostics event rather than failing.
@@ -133,9 +127,6 @@ def available_modes() -> tuple[str, ...]:
 
 # -------------------------------------------------------------- bookkeeping
 KERNEL_NAMES = (
-    "merge_lazy",
-    "twist_split",
-    "merge_canonical",
     "vec_mod_mul",
     "vec_mod_add",
     "vec_mod_sub",
@@ -166,9 +157,7 @@ def reset_kernel_counts() -> None:
 def trace():
     """Record the kernel names executed inside the block, in call order.
 
-    Yields the (live) list; nested traces each capture independently.  The
-    parity tests use this to assert a compiled schedule's segments execute
-    as exactly the kernels the schedule names.
+    Yields the (live) list; nested traces each capture independently.
     """
     buffer: list[str] = []
     with _COUNTS_LOCK:
@@ -188,34 +177,8 @@ def _record(name: str) -> None:
 
 
 # ---------------------------------------------------------------- numpy impls
-# Each numpy implementation replays the eager pass sequence of
-# `ntt_engine._FourStepExec._cascade` / `numtheory.crt.subtract_and_divide`
-# op for op -- same operations, same order, hence bit-identical results.
-def _np_merge_lazy(hi, lo, scale, q_f, inv_q):
-    hi -= np.floor(hi * inv_q) * q_f
-    hi *= scale
-    hi += lo
-    hi -= np.floor(hi * inv_q) * q_f
-    return hi
-
-
-def _np_twist_split(x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out=None):
-    t = np.multiply(x, tw_hi, out=out)
-    t -= np.floor(t * inv_q) * q_f
-    t *= scale_tw
-    t += x * tw_lo
-    t -= np.floor(t * inv_q) * q_f
-    return t
-
-
-def _np_merge_canonical(hi, lo, scale, q_f, q_u, inv_q):
-    _np_merge_lazy(hi, lo, scale, q_f, inv_q)
-    out = np.empty(hi.shape, dtype=np.uint64)
-    np.copyto(out, hi, casting="unsafe")
-    np.minimum(out, out - q_u, out=out)
-    return out
-
-
+# Each numpy implementation replays the eager expression it replaced (for
+# ModDown, `numtheory.crt.subtract_and_divide`) op for op.
 def _np_vec_mod_mul(a, b, q_u):
     return (a * b) % q_u
 
@@ -235,46 +198,9 @@ def _np_moddown_sub_div(residues, subtrahend, moduli, inverses):
 
 
 # -------------------------------------------------------------- numexpr impls
-# One ne.evaluate per kernel: the full merge/reduce chain is a single chunked
-# pass.  Sub-expressions repeat textually (numexpr has no CSE) -- the kernels
-# are memory-bound, so recomputing register-resident arithmetic is free.
-def _ne(expr: str, local_dict: dict, out=None):
-    ne = _optional_module(MODE_NUMEXPR)
-    return ne.evaluate(expr, local_dict=local_dict, out=out)
-
-
-def _ne_merge_lazy(hi, lo, scale, q_f, inv_q):
-    inner = "((hi - floor(hi * i) * q) * s + lo)"
-    _ne(
-        f"{inner} - floor({inner} * i) * q",
-        {"hi": hi, "lo": lo, "s": scale, "q": q_f, "i": inv_q},
-        out=hi,
-    )
-    return hi
-
-
-def _ne_twist_split(x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out=None):
-    a = "(x * th - floor(x * th * i) * q)"
-    inner = f"({a} * s + x * tl)"
-    result = _ne(
-        f"{inner} - floor({inner} * i) * q",
-        {"x": x, "th": tw_hi, "tl": tw_lo, "s": scale_tw, "q": q_f, "i": inv_q},
-        out=out,
-    )
-    return result if out is None else out
-
-
-def _ne_merge_canonical(hi, lo, scale, q_f, q_u, inv_q):
-    inner = "((hi - floor(hi * i) * q) * s + lo)"
-    lazy = f"({inner} - floor({inner} * i) * q)"
-    _ne(
-        f"where({lazy} < q, {lazy}, {lazy} - q)",
-        {"hi": hi, "lo": lo, "s": scale, "q": q_f, "i": inv_q},
-        out=hi,
-    )
-    out = np.empty(hi.shape, dtype=np.uint64)
-    np.copyto(out, hi, casting="unsafe")
-    return out
+# One ne.evaluate per kernel: the whole expression is a single chunked pass.
+def _ne(expr: str, local_dict: dict):
+    return _optional_module(MODE_NUMEXPR).evaluate(expr, local_dict=local_dict)
 
 
 def _ne_int_ok(q) -> bool:
@@ -341,33 +267,11 @@ def _numba_kernel(name: str):
 def _build_numba_kernels() -> None:
     """Compile the njit kernel set on first use.
 
-    ``fastmath=False`` is load-bearing: the split-float64 exactness proof of
-    `repro.poly.gemm_mod` assumes IEEE-ordered multiply/add/floor.  Array
-    expressions inside njit follow NumPy broadcasting, so the same kernels
-    serve the scalar-modulus plan layout and the ``(L, 1, 1)`` stacked one.
+    Array expressions inside njit follow NumPy broadcasting, so the same
+    kernels serve the scalar-modulus plan layout and the per-limb column one.
     """
     numba = _optional_module(MODE_NUMBA)
     njit = numba.njit
-
-    @njit(cache=False, fastmath=False)
-    def nb_merge_lazy(hi, lo, scale, q_f, inv_q):
-        t = hi - np.floor(hi * inv_q) * q_f
-        t = t * scale + lo
-        hi[:] = t - np.floor(t * inv_q) * q_f
-
-    @njit(cache=False, fastmath=False)
-    def nb_twist_split(x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out):
-        t = x * tw_hi
-        t = t - np.floor(t * inv_q) * q_f
-        t = t * scale_tw + x * tw_lo
-        out[:] = t - np.floor(t * inv_q) * q_f
-
-    @njit(cache=False, fastmath=False)
-    def nb_canonical(hi, lo, scale, q_f, inv_q):
-        t = hi - np.floor(hi * inv_q) * q_f
-        t = t * scale + lo
-        t = t - np.floor(t * inv_q) * q_f
-        hi[:] = np.where(t < q_f, t, t - q_f)
 
     @njit(cache=False, fastmath=False)
     def nb_vec_mod_mul(a, b, q_u):
@@ -388,41 +292,11 @@ def _build_numba_kernels() -> None:
         return (diff * inverses) % moduli
 
     _NUMBA_KERNELS.update(
-        merge_lazy=nb_merge_lazy,
-        twist_split=nb_twist_split,
-        canonical=nb_canonical,
         vec_mod_mul=nb_vec_mod_mul,
         vec_mod_add=nb_vec_mod_add,
         vec_mod_sub=nb_vec_mod_sub,
         moddown=nb_moddown,
     )
-
-
-def _nb_merge_lazy(hi, lo, scale, q_f, inv_q):
-    _numba_kernel("merge_lazy")(hi, lo, scale, np.asarray(q_f), np.asarray(inv_q))
-    return hi
-
-
-def _nb_twist_split(x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out=None):
-    if out is None:
-        out = np.empty(x.shape, dtype=np.float64)
-    _numba_kernel("twist_split")(
-        np.ascontiguousarray(x),
-        tw_hi,
-        tw_lo,
-        scale_tw,
-        np.asarray(q_f),
-        np.asarray(inv_q),
-        out,
-    )
-    return out
-
-
-def _nb_merge_canonical(hi, lo, scale, q_f, q_u, inv_q):
-    _numba_kernel("canonical")(hi, lo, scale, np.asarray(q_f), np.asarray(inv_q))
-    out = np.empty(hi.shape, dtype=np.uint64)
-    np.copyto(out, hi, casting="unsafe")
-    return out
 
 
 def _nb_vec_mod_mul(a, b, q_u):
@@ -451,27 +325,18 @@ def _nb_moddown_sub_div(residues, subtrahend, moduli, inverses):
 
 _IMPLS = {
     MODE_NUMPY: {
-        "merge_lazy": _np_merge_lazy,
-        "twist_split": _np_twist_split,
-        "merge_canonical": _np_merge_canonical,
         "vec_mod_mul": _np_vec_mod_mul,
         "vec_mod_add": _np_vec_mod_add,
         "vec_mod_sub": _np_vec_mod_sub,
         "moddown_sub_div": _np_moddown_sub_div,
     },
     MODE_NUMEXPR: {
-        "merge_lazy": _ne_merge_lazy,
-        "twist_split": _ne_twist_split,
-        "merge_canonical": _ne_merge_canonical,
         "vec_mod_mul": _ne_vec_mod_mul,
         "vec_mod_add": _ne_vec_mod_add,
         "vec_mod_sub": _ne_vec_mod_sub,
         "moddown_sub_div": _ne_moddown_sub_div,
     },
     MODE_NUMBA: {
-        "merge_lazy": _nb_merge_lazy,
-        "twist_split": _nb_twist_split,
-        "merge_canonical": _nb_merge_canonical,
         "vec_mod_mul": _nb_vec_mod_mul,
         "vec_mod_add": _nb_vec_mod_add,
         "vec_mod_sub": _nb_vec_mod_sub,
@@ -490,42 +355,6 @@ def implementations(name: str) -> dict[str, object]:
 
 
 # ------------------------------------------------------------ public kernels
-def merge_lazy(hi, lo, scale, q_f, inv_q):
-    """Fused GEMM-half merge: ``hi = lazy(lazy(hi) * scale + lo)``, in place.
-
-    ``hi``/``lo`` are the split GEMM's doubled-height output halves (float64,
-    exact integers); the result is the lazily reduced recombination in
-    ``[0, 2q)``.  Executes the ``*-reduce`` VectorOps of a lowered NTT/BConv
-    graph as one pass.
-    """
-    _record("merge_lazy")
-    return _IMPLS[active_mode()]["merge_lazy"](hi, lo, scale, q_f, inv_q)
-
-
-def twist_split(x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out=None):
-    """Fused transpose+twist: split-table multiply of ``x`` into ``out``.
-
-    ``x`` is typically a transposed (strided) view; the kernel walks it once
-    and writes a C-contiguous, lazily reduced operand for the second GEMM --
-    the ``step2-twiddle-mul`` VectorOp (+ fused ``transpose`` Permutation) of
-    the lowered graph.
-    """
-    _record("twist_split")
-    return _IMPLS[active_mode()]["twist_split"](
-        x, tw_hi, tw_lo, scale_tw, q_f, inv_q, out
-    )
-
-
-def merge_canonical(hi, lo, scale, q_f, q_u, inv_q):
-    """Fused final merge: like :func:`merge_lazy` but canonicalised to uint64.
-
-    The single conditional subtract relies on the lazy value being in
-    ``[0, 2q)`` (guaranteed by the underestimating reciprocal ``inv_q``).
-    """
-    _record("merge_canonical")
-    return _IMPLS[active_mode()]["merge_canonical"](hi, lo, scale, q_f, q_u, inv_q)
-
-
 def vec_mod_mul(a, b, q_u):
     """Element-wise modular product of reduced uint64 operands."""
     _record("vec_mod_mul")

@@ -43,12 +43,7 @@ matmul, so it should run on the matrix engine):
   a precomputed ``(n1, n1)`` twiddle-matrix matmul, a cached mod-``q`` twist,
   and row NTTs as an ``(n2, n2)`` matmul, both matmuls executed by the exact
   hi/lo split-float64 BLAS GEMM kernel shared with BConv
-  (`repro.poly.gemm_mod`);
-* ``fused`` -- the same GEMM cascade with every element-wise stage compiled
-  to ONE fused kernel (`repro.poly.fused_kernels`: numexpr or numba when
-  installed, an eager-identical NumPy fallback otherwise), executing the
-  schedule `repro.core.schedule` derives from the compiler's lowered
-  ``KernelGraph``; and
+  (`repro.poly.gemm_mod`); and
 * ``reference`` -- the per-call table-building oracle
   (`repro.poly.ntt_reference`).
 
@@ -102,14 +97,13 @@ _SHIFT32 = np.uint64(32)
 #: Backend identifiers (``NttPlan.backend`` / ``REPRO_NTT_BACKEND`` values).
 BACKEND_BUTTERFLY = "butterfly"
 BACKEND_FOUR_STEP = "four_step"
-BACKEND_FUSED = "fused"
 BACKEND_REFERENCE = "reference"
 BACKEND_AUTO = "auto"
-BACKENDS = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_FUSED, BACKEND_REFERENCE)
+BACKENDS = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_REFERENCE)
 #: Backends the quarantine ladder may remove from dispatch (the reference
 #: oracle is the floor of the ladder and can never be quarantined).  The
-#: degradation order is ``fused -> four_step -> butterfly -> reference``.
-BACKENDS_QUARANTINABLE = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_FUSED)
+#: degradation order is ``four_step -> butterfly -> reference``.
+BACKENDS_QUARANTINABLE = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP)
 
 _BACKEND_ENV = "REPRO_NTT_BACKEND"
 _CALIBRATE_ENV = "REPRO_NTT_CALIBRATE"
@@ -712,21 +706,15 @@ class FourStepTables(_FourStepExec):
         return self.transform(evaluations, forward=False)
 
 
-def _twist_pack(
-    twist: np.ndarray, moduli, shift_tw: int, scale_col, *, force_split: bool = False
-) -> tuple:
+def _twist_pack(twist: np.ndarray, moduli, shift_tw: int, scale_col) -> tuple:
     """Compile an element-wise twist table into its fastest exact form.
 
     Lazy-reduced inputs are in ``[0, 2q)``; when every modulus is below the
     32-bit Shoup precision bound the twist runs as an integer lazy Shoup
     multiply (5 passes, no reduction needed after).  Wider moduli use the
     float hi/lo split (f32 tables -- entries < 2**17 are f32-exact).
-
-    ``force_split`` always compiles the float split form (stored float64):
-    the ``fused`` backend's accelerated kernels are float-only, and f64
-    tables keep every implementation's promotion behaviour identical.
     """
-    if not force_split and all(int(q) < MAX_PLAN_MODULUS for q in moduli):
+    if all(int(q) < MAX_PLAN_MODULUS for q in moduli):
         # twist < 2**30, so the << 32 stays inside uint64 (build-time only).
         # Tables are stored uint32 (both fit) to halve their cache footprint;
         # uint64-operand multiplies promote back to uint64 losslessly.
@@ -737,18 +725,15 @@ def _twist_pack(
             np.ascontiguousarray(shoup.astype(np.uint32)),
         )
     hi, lo = split_halves(twist, shift_tw)
-    dtype = np.float64 if force_split else np.float32
     return (
         _TWIST_SPLIT,
-        np.ascontiguousarray(hi.astype(dtype)),
-        np.ascontiguousarray(lo.astype(dtype)),
+        np.ascontiguousarray(hi.astype(np.float32)),
+        np.ascontiguousarray(lo.astype(np.float32)),
         np.float64(1 << shift_tw),
     )
 
 
-def _build_pack(
-    first, twist, second, tables, a: int, b: int, *, force_split: bool = False
-) -> tuple:
+def _build_pack(first, twist, second, tables, a: int, b: int) -> tuple:
     """One direction's executable constants for :class:`_FourStepExec`."""
     shift_first = tables._shift1 if a == tables.rows else tables._shift4
     shift_second = tables._shift4 if a == tables.rows else tables._shift1
@@ -756,9 +741,7 @@ def _build_pack(
     return (
         _cat_split(first, shift_first),
         np.float64(1 << shift_first),
-        _twist_pack(
-            twist, moduli, tables._shift_tw, tables._q_u, force_split=force_split
-        ),
+        _twist_pack(twist, moduli, tables._shift_tw, tables._q_u),
         _cat_split(second, shift_second),
         np.float64(1 << shift_second),
         a,
@@ -775,12 +758,10 @@ class _FourStepStack(_FourStepExec):
     (see :class:`_FourStepExec`).
     """
 
-    def __init__(
-        self,
-        tables: tuple[FourStepTables, ...],
-        *,
-        force_split_twist: bool = False,
-    ):
+    #: Construction refuses a stack whose split is inexact.
+    exact = True
+
+    def __init__(self, tables: tuple[FourStepTables, ...]):
         first = tables[0]
         self.rows, self.cols = first.rows, first.cols
         self._lead = (len(tables),)
@@ -810,11 +791,7 @@ class _FourStepStack(_FourStepExec):
                 stack(lambda t: _cat_split(getattr(t, first_name), sh_first)),
                 np.float64(1 << sh_first),
                 _twist_pack(
-                    stack(lambda t: getattr(t, tw_name)),
-                    moduli,
-                    shift_tw,
-                    self._q_u,
-                    force_split=force_split_twist,
+                    stack(lambda t: getattr(t, tw_name)), moduli, shift_tw, self._q_u
                 ),
                 stack(lambda t: _cat_split(getattr(t, second_name), sh_second)),
                 np.float64(1 << sh_second),
@@ -830,99 +807,6 @@ class _FourStepStack(_FourStepExec):
         )
 
 
-# --------------------------------------------------------------------- fused
-class _FusedExecMixin:
-    """Cascade override executing the compiled schedule's fused segments.
-
-    The GEMMs are the same batched BLAS calls as :class:`_FourStepExec`, but
-    every element-wise stage between them runs as ONE
-    `repro.poly.fused_kernels` kernel instead of an eager pass sequence --
-    the executable form of the ``gemm(lazy) -> twist(lazy) ->
-    gemm(canonical)`` schedule `repro.core.schedule.ntt_execution_schedule`
-    derives from the compiler's lowered graph.  In every kernel mode
-    (numexpr / numba / numpy) the arithmetic is op-for-op identical to the
-    eager cascade, so results stay bit-exact vs `repro.poly.ntt_reference`.
-
-    Constant packs are rebuilt independently of the ``four_step`` backend's
-    (fault isolation: corrupting fused constants never degrades four_step,
-    so quarantining ``fused`` heals to bit-exact service) with the float
-    split twist forced -- the accelerated kernels are float-only.
-    """
-
-    def _cascade(
-        self, data: np.ndarray, forward: bool, limbs: slice | None = None
-    ) -> np.ndarray:
-        (
-            first_cat, scale_first, twist, second_cat, scale_second, a, b,
-            q_f, q_u, inv_q,
-        ) = self._constants(forward, limbs)
-        pool = _scratch_pool(data.shape[:-1], a, b)
-        tile, gemm = pool["tile"], pool["gemm"]
-
-        # Segment 1: gemm(lazy) -- split GEMM + fused hi/lo merge-reduce.
-        np.copyto(tile, data.reshape(tile.shape), casting="unsafe")
-        np.matmul(first_cat, tile, out=gemm)
-        hi, lo = gemm[..., :a, :], gemm[..., a:, :]
-        fused_kernels.merge_lazy(hi, lo, scale_first, q_f, inv_q)
-
-        # Segment 2: twist(lazy) -- fused runtime transpose + split twiddle.
-        _, tw_hi, tw_lo, scale_tw = twist
-        twisted = fused_kernels.twist_split(
-            hi.swapaxes(-1, -2), tw_hi, tw_lo, scale_tw, q_f, inv_q,
-            out=pool["twist"],
-        )
-
-        # Segment 3: gemm(canonical) -- split GEMM + fused canonical merge.
-        gemm_t = pool["gemm_t"]
-        np.matmul(second_cat, twisted, out=gemm_t)
-        hi2, lo2 = gemm_t[..., :b, :], gemm_t[..., b:, :]
-        out = fused_kernels.merge_canonical(
-            hi2, lo2, scale_second, q_f, q_u, inv_q
-        )
-        return out.reshape(data.shape)
-
-
-class FusedTables(_FusedExecMixin, FourStepTables):
-    """Per-ring constants for the ``fused`` compiled backend.
-
-    Same offline parameter compilation as :class:`FourStepTables` (rebuilt
-    fresh, never shared with the four_step backend's instances), with both
-    direction packs re-fit to the forced float-split twist the fused kernels
-    consume.  :meth:`execution_schedule` exposes the compiled schedule the
-    cascade implements.
-    """
-
-    def __init__(self, degree: int, modulus: int, psi: int):
-        super().__init__(degree, modulus, psi)
-        if not self.exact:
-            return
-        self._fwd_pack = _build_pack(
-            self.m1, self.tw_fwd, self.m4, self, self.rows, self.cols,
-            force_split=True,
-        )
-        self._inv_pack = _build_pack(
-            self.m4_inv, self.tw_inv, self.m1_inv, self, self.cols, self.rows,
-            force_split=True,
-        )
-
-    def execution_schedule(
-        self, *, inverse: bool = False, limbs: int = 1, batch: int = 1
-    ):
-        """The compiled :class:`repro.core.schedule.ExecutionSchedule`."""
-        from repro.core.schedule import ntt_execution_schedule
-
-        return ntt_execution_schedule(
-            self.degree, limbs=limbs, batch=batch, inverse=inverse
-        )
-
-
-class _FusedStack(_FusedExecMixin, _FourStepStack):
-    """Limb-stacked fused tables: one compiled cascade for all ``L`` limbs."""
-
-    def __init__(self, tables: tuple[FusedTables, ...]):
-        super().__init__(tables, force_split_twist=True)
-
-
 # ------------------------------------------------------------------ dispatch
 _DEFAULT_BACKEND = BACKEND_AUTO
 _CALIBRATION = register_cache(
@@ -936,7 +820,7 @@ _DISPATCH_EPOCH = 0
 #: Backends quarantined by a failed exactness sentinel or spot check.  A
 #: quarantined backend is never selected again (process-wide) until
 #: :func:`clear_quarantine`; :func:`resolve_backend` walks the degradation
-#: ladder ``fused -> four_step -> butterfly -> reference`` past it, recording the
+#: ladder ``four_step -> butterfly -> reference`` past it, recording the
 #: fallback in `repro.diagnostics`.  The reference oracle is the ground truth
 #: and cannot be quarantined.
 _QUARANTINE: set[str] = set()
@@ -1039,17 +923,6 @@ def four_step_supported(degree: int, moduli: tuple[int, ...]) -> bool:
     )
 
 
-def fused_supported(degree: int, moduli: tuple[int, ...]) -> bool:
-    """True when the fused compiled backend is exact for every modulus.
-
-    The fused backend runs the same split-float64 GEMMs as ``four_step``
-    (only the element-wise stages between them are compiled differently), so
-    it shares the four-step exactness bound; its float split twist is exact
-    wherever the GEMM split is.
-    """
-    return four_step_supported(degree, moduli)
-
-
 def resolve_backend(
     degree: int,
     moduli: tuple[int, ...],
@@ -1061,7 +934,7 @@ def resolve_backend(
 
     ``requested`` defaults to :func:`requested_backend`.  An explicit request
     is honoured only when exact for the ring, else it walks the degradation
-    ladder ``fused -> four_step -> butterfly -> reference``.
+    ladder ``four_step -> butterfly -> reference``.
     ``auto`` consults the memoised one-shot calibration: the closed-form
     ``N >= FOUR_STEP_MIN_DEGREE`` heuristic, or -- when
     ``REPRO_NTT_CALIBRATE=measure`` and the caller supplies a ``calibrate``
@@ -1076,22 +949,14 @@ def resolve_backend(
     choice = requested if requested is not None else requested_backend()
     butterfly_exact = all(1 < int(q) < MAX_PLAN_MODULUS for q in moduli)
     four_step_exact = four_step_supported(degree, moduli)
-    fused_exact = four_step_exact
     butterfly_ok = butterfly_exact and BACKEND_BUTTERFLY not in _QUARANTINE
     four_step_ok = four_step_exact and BACKEND_FOUR_STEP not in _QUARANTINE
-    fused_ok = fused_exact and BACKEND_FUSED not in _QUARANTINE
-    # Auto promotes the GEMM choice to ``fused`` only when an accelerated
-    # kernel implementation is importable: the numpy fallback is bit-exact
-    # but not faster, so auto keeps selecting ``four_step`` there.
-    fused_auto = fused_ok and fused_kernels.accelerated()
     if choice == BACKEND_AUTO:
         if not (butterfly_ok and four_step_ok):
             choice = BACKEND_FOUR_STEP if four_step_ok else BACKEND_BUTTERFLY
-            if choice == BACKEND_FOUR_STEP and fused_auto:
-                choice = BACKEND_FUSED
         else:
             bits = max((int(q) - 1).bit_length() for q in moduli)
-            key = (degree, len(moduli), bits, fused_kernels.active_mode())
+            key = (degree, len(moduli), bits)
             cached = _CALIBRATION.get(key)
             if cached is None:
                 if os.environ.get(_CALIBRATE_ENV, "") == "measure" and calibrate:
@@ -1102,20 +967,8 @@ def resolve_backend(
                         if degree >= FOUR_STEP_MIN_DEGREE
                         else BACKEND_BUTTERFLY
                     )
-                    if cached == BACKEND_FOUR_STEP and fused_auto:
-                        cached = BACKEND_FUSED
                 _CALIBRATION.put(key, cached)
             choice = cached
-    if choice == BACKEND_FUSED and not fused_ok:
-        if fused_exact:
-            diagnostics.record_event(
-                "backend_fallback",
-                backend=BACKEND_FUSED,
-                fallback=BACKEND_FOUR_STEP,
-                reason="quarantined",
-                degree=degree,
-            )
-        choice = BACKEND_FOUR_STEP
     if choice == BACKEND_FOUR_STEP and not four_step_ok:
         if four_step_exact:
             diagnostics.record_event(
@@ -1161,12 +1014,7 @@ def _resolve_memoised(owner, degree, moduli, requested, calibrate) -> str:
     (env override included) and the calibration mode -- plus the global
     epoch, which calibration resets bump.
     """
-    key = (
-        requested,
-        os.environ.get(_CALIBRATE_ENV, ""),
-        fused_kernels.active_mode(),
-        _DISPATCH_EPOCH,
-    )
+    key = (requested, os.environ.get(_CALIBRATE_ENV, ""), _DISPATCH_EPOCH)
     cache = owner._dispatch_cache
     choice = cache.get(key)
     if choice is None:
@@ -1204,6 +1052,68 @@ def _sentinel_passes(forward, inverse, probe, modulus: int, psi: int) -> bool:
         return bool(np.array_equal(inverse(got), probe))
     except (ArithmeticError, ValueError, FloatingPointError):
         return False
+
+
+def _four_step_passes(owner, tables) -> bool:
+    """Known-answer probe of ``owner``'s four-step tables (inexact ones fail)."""
+    return tables.exact and _sentinel_passes(
+        lambda m: tables.transform(m, True),
+        lambda m: tables.transform(m, False),
+        *owner._sentinel_probe(),
+    )
+
+
+def _vetted_four_step(owner, build, **where):
+    """``owner``'s four-step tables once vetted by the sentinel, else ``None``.
+
+    ``owner`` is an :class:`NttPlan` or :class:`NttPlanStack` and ``build``
+    returns its (memoised) tables.  The sentinel runs once per owner, the
+    first time dispatch selects the backend: tables that fail to build or
+    are inexact are refused (recording a ``backend_fallback`` event), and a
+    deterministic probe is transformed, checking row 0 against the reference
+    oracle plus an exact roundtrip.  A mismatch quarantines the four-step
+    backend process-wide and the caller heals down the degradation ladder
+    instead of computing garbage.
+
+    The verdict is published under the owner's lock: a thread arriving while
+    another one probes waits for the verdict instead of reading a
+    provisional one and running the stack on another rung unrecorded.
+    """
+    state = owner._sentinel_state
+    if state is None:
+        with owner._sentinel_lock:
+            state = owner._sentinel_state
+            if state is None:
+                state = owner._sentinel_state = _four_step_verdict(
+                    owner, build, where
+                )
+    return build() if state == "ok" else None
+
+
+def _four_step_verdict(owner, build, where: dict) -> str:
+    try:
+        tables = build()
+    except (ParameterError, ArithmeticError) as exc:
+        reason = f"table build failed: {exc}"
+    else:
+        if tables.exact:
+            if not sentinel_enabled() or _four_step_passes(owner, tables):
+                return "ok"
+            quarantine_backend(
+                BACKEND_FOUR_STEP,
+                reason="known-answer sentinel mismatch at table build",
+                **where,
+            )
+            return "failed"
+        reason = "four-step split is not exact for this ring"
+    diagnostics.record_event(
+        "backend_fallback",
+        backend=BACKEND_FOUR_STEP,
+        fallback=BACKEND_BUTTERFLY if owner.butterfly_ok else BACKEND_REFERENCE,
+        reason=reason,
+        **where,
+    )
+    return "failed"
 
 
 _SPOT_COUNTER = 0
@@ -1300,8 +1210,7 @@ class NttPlan:
             raise ParameterError(f"unknown NTT backend {self.backend!r}")
         n, q = self.degree, self.modulus
         self.butterfly_ok = 1 < q < MAX_PLAN_MODULUS
-        self.four_step_ok = four_step_supported(n, (q,))
-        if not (self.butterfly_ok or self.four_step_ok):
+        if not (self.butterfly_ok or four_step_supported(n, (q,))):
             raise ParameterError(
                 "NttPlan requires q < 2**30 (lazy-reduction bound) or an "
                 "exact four-step GEMM split for (degree, q)"
@@ -1309,11 +1218,9 @@ class NttPlan:
         self._q = np.uint64(q)
         self._two_q = np.uint64(2 * q)
         self.bitrev = bit_reverse_indices(n)
-        self.fused_ok = self.four_step_ok
         self._four_step: FourStepTables | None = None
-        self._fused: FusedTables | None = None
         self._sentinel_state: str | None = None
-        self._fused_sentinel_state: str | None = None
+        self._sentinel_lock = threading.Lock()
         self._dispatch_cache: dict = {}
         if not self.butterfly_ok:
             return
@@ -1337,120 +1244,14 @@ class NttPlan:
             self._four_step = FourStepTables(self.degree, self.modulus, self.psi)
         return self._four_step
 
+    def _sentinel_probe(self) -> tuple[np.ndarray, int, int]:
+        return _sentinel_vector(self.degree, self.modulus), self.modulus, self.psi
+
     def _checked_four_step(self) -> FourStepTables | None:
-        """Four-step tables vetted by the known-answer sentinel, else ``None``.
-
-        The sentinel runs once, the first time dispatch selects the backend
-        for this ring: build the tables, refuse inexact ones (recording a
-        ``backend_fallback`` event), and transform a deterministic probe,
-        checking row 0 against the reference oracle plus an exact roundtrip.
-        A mismatch quarantines the four-step backend process-wide and the
-        caller heals down the degradation ladder instead of computing garbage.
-        """
-        if self._sentinel_state is None:
-            self._sentinel_state = "failed"
-            try:
-                tables = self.four_step_tables()
-            except (ParameterError, ArithmeticError) as exc:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FOUR_STEP,
-                    fallback=BACKEND_BUTTERFLY
-                    if self.butterfly_ok
-                    else BACKEND_REFERENCE,
-                    reason=f"table build failed: {exc}",
-                    degree=self.degree,
-                    modulus=self.modulus,
-                )
-                tables = None
-            if tables is not None and not tables.exact:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FOUR_STEP,
-                    fallback=BACKEND_BUTTERFLY
-                    if self.butterfly_ok
-                    else BACKEND_REFERENCE,
-                    reason="four-step split is not exact for this ring",
-                    degree=self.degree,
-                    modulus=self.modulus,
-                )
-            elif tables is not None:
-                if not sentinel_enabled() or _sentinel_passes(
-                    tables.forward,
-                    tables.inverse,
-                    _sentinel_vector(self.degree, self.modulus),
-                    self.modulus,
-                    self.psi,
-                ):
-                    self._sentinel_state = "ok"
-                else:
-                    quarantine_backend(
-                        BACKEND_FOUR_STEP,
-                        reason="known-answer sentinel mismatch at plan build",
-                        degree=self.degree,
-                        modulus=self.modulus,
-                    )
-        return self._four_step if self._sentinel_state == "ok" else None
-
-    def fused_tables(self) -> FusedTables:
-        """The lazily built fused compiled tables for this ring."""
-        if self._fused is None:
-            self._fused = FusedTables(self.degree, self.modulus, self.psi)
-        return self._fused
-
-    def _checked_fused(self) -> FusedTables | None:
-        """Fused tables vetted by the known-answer sentinel, else ``None``.
-
-        Mirrors :meth:`_checked_four_step` for the compiled backend: the
-        sentinel runs once, the first time dispatch selects ``fused`` for
-        this ring, and a mismatch quarantines the backend process-wide --
-        the caller heals down the ladder to ``four_step`` (whose constants
-        are built independently and stay healthy).
-        """
-        if self._fused_sentinel_state is None:
-            self._fused_sentinel_state = "failed"
-            try:
-                tables = self.fused_tables()
-            except (ParameterError, ArithmeticError) as exc:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FUSED,
-                    fallback=BACKEND_FOUR_STEP
-                    if self.four_step_ok
-                    else BACKEND_BUTTERFLY,
-                    reason=f"table build failed: {exc}",
-                    degree=self.degree,
-                    modulus=self.modulus,
-                )
-                tables = None
-            if tables is not None and not tables.exact:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FUSED,
-                    fallback=BACKEND_FOUR_STEP
-                    if self.four_step_ok
-                    else BACKEND_BUTTERFLY,
-                    reason="fused split is not exact for this ring",
-                    degree=self.degree,
-                    modulus=self.modulus,
-                )
-            elif tables is not None:
-                if not sentinel_enabled() or _sentinel_passes(
-                    tables.forward,
-                    tables.inverse,
-                    _sentinel_vector(self.degree, self.modulus),
-                    self.modulus,
-                    self.psi,
-                ):
-                    self._fused_sentinel_state = "ok"
-                else:
-                    quarantine_backend(
-                        BACKEND_FUSED,
-                        reason="known-answer sentinel mismatch at plan build",
-                        degree=self.degree,
-                        modulus=self.modulus,
-                    )
-        return self._fused if self._fused_sentinel_state == "ok" else None
+        """Four-step tables vetted by the known-answer sentinel, else ``None``."""
+        return _vetted_four_step(
+            self, self.four_step_tables, degree=self.degree, modulus=self.modulus
+        )
 
     def _calibrate(self) -> str:
         probe = np.zeros((1, self.degree), dtype=np.uint64)
@@ -1458,8 +1259,6 @@ class NttPlan:
             BACKEND_BUTTERFLY: self._forward_butterfly,
             BACKEND_FOUR_STEP: self.four_step_tables().forward,
         }
-        if self.fused_ok and fused_kernels.accelerated():
-            candidates[BACKEND_FUSED] = self.fused_tables().forward
         return _timed_best(candidates, probe)
 
     def resolve_backend(self) -> str:
@@ -1499,18 +1298,6 @@ class NttPlan:
         forward = direction == "forward"
         backend = self.resolve_backend()
         tables: FourStepTables | None = None
-        if backend == BACKEND_FUSED:
-            tables = self._checked_fused()
-            if tables is None:
-                backend = (
-                    BACKEND_FOUR_STEP
-                    if self.four_step_ok
-                    else (
-                        BACKEND_BUTTERFLY
-                        if self.butterfly_ok
-                        else BACKEND_REFERENCE
-                    )
-                )
         if backend == BACKEND_FOUR_STEP:
             tables = self._checked_four_step()
             if tables is None:
@@ -1522,7 +1309,7 @@ class NttPlan:
                 ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
             )
             return oracle(data, self.modulus, self.psi)
-        if backend in (BACKEND_FOUR_STEP, BACKEND_FUSED):
+        if backend == BACKEND_FOUR_STEP:
             out = tables.forward(data) if forward else tables.inverse(data)
         else:
             out = (
@@ -1599,12 +1386,9 @@ class NttPlanStack:
         # cached process-wide, so buffers are per-thread to stay reentrant
         # (NumPy releases the GIL inside ufunc loops).
         self._thread_local = threading.local()
-        self.four_step_ok = four_step_supported(self.degree, self.moduli)
-        self.fused_ok = self.four_step_ok
         self._four_step_stack: _FourStepStack | None = None
-        self._fused_stack: _FusedStack | None = None
         self._sentinel_state: str | None = None
-        self._fused_sentinel_state: str | None = None
+        self._sentinel_lock = threading.Lock()
         self._dispatch_cache: dict = {}
         if not self.butterfly_ok:
             return
@@ -1670,99 +1454,19 @@ class NttPlanStack:
             )
         return self._four_step_stack
 
-    def _sentinel_matrix(self) -> np.ndarray:
-        return np.stack(
-            [_sentinel_vector(self.degree, q) for q in self.moduli]
-        )
+    def _sentinel_probe(self) -> tuple[np.ndarray, int, int]:
+        matrix = np.stack([_sentinel_vector(self.degree, q) for q in self.moduli])
+        return matrix, self.moduli[0], self.plans[0].psi
 
     def _checked_four_step_stack(self) -> _FourStepStack | None:
         """Sentinel-vetted stacked four-step tables, else ``None`` (heal).
 
-        Mirrors :meth:`NttPlan._checked_four_step` for the limb-stacked
-        cascade: the probe is a full ``(L, N)`` matrix, limb 0 is checked
-        against the reference oracle and the exact roundtrip covers the rest.
+        The probe is a full ``(L, N)`` matrix: limb 0 is checked against the
+        reference oracle and the exact roundtrip covers the rest.
         """
-        if self._sentinel_state is None:
-            self._sentinel_state = "failed"
-            try:
-                stack = self.four_step_stack()
-            except (ParameterError, ArithmeticError) as exc:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FOUR_STEP,
-                    fallback=BACKEND_BUTTERFLY
-                    if self.butterfly_ok
-                    else BACKEND_REFERENCE,
-                    reason=f"stack build failed: {exc}",
-                    degree=self.degree,
-                    limbs=self.limb_count,
-                )
-                stack = None
-            if stack is not None:
-                if not sentinel_enabled() or _sentinel_passes(
-                    lambda m: stack.transform(m, True),
-                    lambda m: stack.transform(m, False),
-                    self._sentinel_matrix(),
-                    self.moduli[0],
-                    self.plans[0].psi,
-                ):
-                    self._sentinel_state = "ok"
-                else:
-                    quarantine_backend(
-                        BACKEND_FOUR_STEP,
-                        reason="known-answer sentinel mismatch at stack build",
-                        degree=self.degree,
-                        limbs=self.limb_count,
-                    )
-        return self._four_step_stack if self._sentinel_state == "ok" else None
-
-    def fused_stack(self) -> _FusedStack:
-        """The lazily built limb-stacked fused compiled tables."""
-        if self._fused_stack is None:
-            self._fused_stack = _FusedStack(
-                tuple(plan.fused_tables() for plan in self.plans)
-            )
-        return self._fused_stack
-
-    def _checked_fused_stack(self) -> _FusedStack | None:
-        """Sentinel-vetted stacked fused tables, else ``None`` (heal).
-
-        Mirrors :meth:`_checked_four_step_stack` for the compiled backend;
-        the heal target is the independently built four_step stack.
-        """
-        if self._fused_sentinel_state is None:
-            self._fused_sentinel_state = "failed"
-            try:
-                stack = self.fused_stack()
-            except (ParameterError, ArithmeticError) as exc:
-                diagnostics.record_event(
-                    "backend_fallback",
-                    backend=BACKEND_FUSED,
-                    fallback=BACKEND_FOUR_STEP
-                    if self.four_step_ok
-                    else BACKEND_BUTTERFLY,
-                    reason=f"stack build failed: {exc}",
-                    degree=self.degree,
-                    limbs=self.limb_count,
-                )
-                stack = None
-            if stack is not None:
-                if not sentinel_enabled() or _sentinel_passes(
-                    lambda m: stack.transform(m, True),
-                    lambda m: stack.transform(m, False),
-                    self._sentinel_matrix(),
-                    self.moduli[0],
-                    self.plans[0].psi,
-                ):
-                    self._fused_sentinel_state = "ok"
-                else:
-                    quarantine_backend(
-                        BACKEND_FUSED,
-                        reason="known-answer sentinel mismatch at stack build",
-                        degree=self.degree,
-                        limbs=self.limb_count,
-                    )
-        return self._fused_stack if self._fused_sentinel_state == "ok" else None
+        return _vetted_four_step(
+            self, self.four_step_stack, degree=self.degree, limbs=self.limb_count
+        )
 
     def _calibrate(self) -> str:
         probe = np.zeros((self.limb_count, self.degree), dtype=np.uint64)
@@ -1771,9 +1475,6 @@ class NttPlanStack:
             BACKEND_BUTTERFLY: lambda m: self._butterfly_tiled(m, True),
             BACKEND_FOUR_STEP: lambda m: stack.transform(m, True),
         }
-        if self.fused_ok and fused_kernels.accelerated():
-            fused = self.fused_stack()
-            candidates[BACKEND_FUSED] = lambda m: fused.transform(m, True)
         return _timed_best(candidates, probe)
 
     def resolve_backend(self) -> str:
@@ -1812,18 +1513,6 @@ class NttPlanStack:
         _count_pass(direction, matrix.size // self.degree)
         backend = self.resolve_backend()
         stack: _FourStepStack | None = None
-        if backend == BACKEND_FUSED:
-            stack = self._checked_fused_stack()
-            if stack is None:
-                backend = (
-                    BACKEND_FOUR_STEP
-                    if self.four_step_ok
-                    else (
-                        BACKEND_BUTTERFLY
-                        if self.butterfly_ok
-                        else BACKEND_REFERENCE
-                    )
-                )
         if backend == BACKEND_FOUR_STEP:
             stack = self._checked_four_step_stack()
             if stack is None:
@@ -1832,7 +1521,7 @@ class NttPlanStack:
                 )
         if backend == BACKEND_REFERENCE:
             return self._reference_transform(matrix, forward, plans)
-        if backend in (BACKEND_FOUR_STEP, BACKEND_FUSED):
+        if backend == BACKEND_FOUR_STEP:
             out = stack.transform(matrix, forward, limbs)
         elif limbs is None:
             out = self._butterfly_tiled(matrix, forward)
@@ -1950,10 +1639,8 @@ def reset_sentinels() -> None:
     """
     for _, plan in _PLAN_CACHE.items():
         plan._sentinel_state = None
-        plan._fused_sentinel_state = None
     for _, stack in _STACK_CACHE.items():
         stack._sentinel_state = None
-        stack._fused_sentinel_state = None
 
 
 def verify_plan(plan: "NttPlan | NttPlanStack") -> bool:
@@ -1970,39 +1657,22 @@ def verify_plan(plan: "NttPlan | NttPlanStack") -> bool:
     if backend == BACKEND_REFERENCE:
         return True
     is_stack = isinstance(plan, NttPlanStack)
-    if is_stack:
-        probe = plan._sentinel_matrix()
-        modulus, psi = plan.moduli[0], plan.plans[0].psi
-        if backend in (BACKEND_FOUR_STEP, BACKEND_FUSED):
-            stack = (
-                plan.fused_stack()
-                if backend == BACKEND_FUSED
-                else plan.four_step_stack()
-            )
-            forward = lambda m: stack.transform(m, True)  # noqa: E731
-            inverse = lambda m: stack.transform(m, False)  # noqa: E731
-        else:
-            forward = lambda m: plan._butterfly_tiled(m, True)  # noqa: E731
-            inverse = lambda m: plan._butterfly_tiled(m, False)  # noqa: E731
+    if backend == BACKEND_FOUR_STEP:
+        tables = plan.four_step_stack() if is_stack else plan.four_step_tables()
+        ok = _four_step_passes(plan, tables)
+    elif is_stack:
+        ok = _sentinel_passes(
+            lambda m: plan._butterfly_tiled(m, True),
+            lambda m: plan._butterfly_tiled(m, False),
+            *plan._sentinel_probe(),
+        )
     else:
-        probe = _sentinel_vector(plan.degree, plan.modulus)
-        modulus, psi = plan.modulus, plan.psi
-        if backend in (BACKEND_FOUR_STEP, BACKEND_FUSED):
-            tables = (
-                plan.fused_tables()
-                if backend == BACKEND_FUSED
-                else plan.four_step_tables()
-            )
-            forward, inverse = tables.forward, tables.inverse
-        else:
-            forward = plan._forward_butterfly
-            inverse = plan._inverse_butterfly
-    ok = _sentinel_passes(forward, inverse, probe, modulus, psi)
+        ok = _sentinel_passes(
+            plan._forward_butterfly, plan._inverse_butterfly, *plan._sentinel_probe()
+        )
     if not ok:
         if backend == BACKEND_FOUR_STEP:
             plan._sentinel_state = "failed"
-        elif backend == BACKEND_FUSED:
-            plan._fused_sentinel_state = "failed"
         quarantine_backend(
             backend,
             reason="known-answer verification failed",

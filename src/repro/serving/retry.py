@@ -6,8 +6,7 @@ classification a type check instead of message matching:
 * **retryable** -- :class:`~repro.errors.BackendExactnessError`: a kernel
   backend failed an exactness sentinel.  The guardrails quarantine the
   backend (directly or via the circuit breaker), so the retry re-dispatches
-  down the degradation ladder ``fused -> four_step -> butterfly ->
-  reference`` and
+  down the degradation ladder ``four_step -> butterfly -> reference`` and
   succeeds on a healthy rung.  This is the *transient* class: the fault is
   in the compute substrate, not the request.
 

@@ -5,7 +5,6 @@ from repro.testing.faults import (
     calibration_lie,
     corrupted_butterfly_tables,
     corrupted_four_step_tables,
-    corrupted_fused_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "chaos",
     "corrupted_butterfly_tables",
     "corrupted_four_step_tables",
-    "corrupted_fused_tables",
     "flipped_ciphertext_bit",
     "perturbed_gemm_outputs",
 ]

@@ -7,8 +7,7 @@ mutated table, attribute, and guardrail memo on exit.  The drills exist to
 prove the guardrail contract end to end: an injected fault must either be
 **detected** (a typed :class:`~repro.errors.ReproError` at the operator or
 kernel boundary) or **healed** (the backend is quarantined, dispatch falls
-down the degradation ladder ``fused -> four_step -> butterfly ->
-reference``, results
+down the degradation ladder ``four_step -> butterfly -> reference``, results
 stay bit-exact, and the event is recorded in `repro.diagnostics`) -- never
 silently wrong.
 
@@ -39,13 +38,9 @@ class FaultHandle:
 
 def _snapshot_guardrails() -> tuple[frozenset, dict[Any, Any], dict[Any, Any]]:
     """Capture quarantine membership plus every cached sentinel verdict."""
-    plans = {
-        key: (plan._sentinel_state, plan._fused_sentinel_state)
-        for key, plan in ntt_engine._PLAN_CACHE.items()
-    }
+    plans = {key: plan._sentinel_state for key, plan in ntt_engine._PLAN_CACHE.items()}
     stacks = {
-        key: (stack._sentinel_state, stack._fused_sentinel_state)
-        for key, stack in ntt_engine._STACK_CACHE.items()
+        key: stack._sentinel_state for key, stack in ntt_engine._STACK_CACHE.items()
     }
     return frozenset(ntt_engine._QUARANTINE), plans, stacks
 
@@ -64,13 +59,9 @@ def _restore_guardrails(
         ntt_engine._QUARANTINE.update(quarantined)
         ntt_engine._DISPATCH_EPOCH += 1
     for key, plan in ntt_engine._PLAN_CACHE.items():
-        plan._sentinel_state, plan._fused_sentinel_state = plans.get(
-            key, (None, None)
-        )
+        plan._sentinel_state = plans.get(key)
     for key, stack in ntt_engine._STACK_CACHE.items():
-        stack._sentinel_state, stack._fused_sentinel_state = stacks.get(
-            key, (None, None)
-        )
+        stack._sentinel_state = stacks.get(key)
 
 
 @contextmanager
@@ -147,31 +138,6 @@ def corrupted_four_step_tables(plan, *, delta: float = 1.0) -> Iterator[FaultHan
     matrix += delta
     try:
         yield FaultHandle("four_step_table_corruption", {"delta": delta})
-    finally:
-        matrix[...] = original
-        _restore_guardrails(snapshot)
-
-
-@contextmanager
-def corrupted_fused_tables(plan, *, delta: float = 1.0) -> Iterator[FaultHandle]:
-    """Corrupt the fused backend's split constant matrix, reversibly.
-
-    The fused backend builds its *own* constant packs (forced float64 split
-    twist), so this fault hits only the ``fused`` rung: the build-time
-    sentinel, :func:`~repro.poly.ntt_engine.verify_plan`, or a strict-mode
-    spot check quarantines ``fused`` and dispatch heals one rung down to the
-    untouched ``four_step`` tables, results staying bit-exact.
-    """
-    if isinstance(plan, ntt_engine.NttPlanStack):
-        tables = plan.fused_stack()
-    else:
-        tables = plan.fused_tables()
-    snapshot = _snapshot_guardrails()
-    matrix = tables._fwd_pack[0]
-    original = matrix.copy()
-    matrix += delta
-    try:
-        yield FaultHandle("fused_table_corruption", {"delta": delta})
     finally:
         matrix[...] = original
         _restore_guardrails(snapshot)

@@ -23,7 +23,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import parallel
+from repro import diagnostics, parallel
 from repro.cancellation import CancelScope, current_scope
 from repro.ckks import (
     CkksEncoder,
@@ -37,7 +37,8 @@ from repro.ckks import (
 from repro.ckks import linear_transform
 from repro.diagnostics import BoundedLruCache, WeakCacheGroup
 from repro.errors import BackendExactnessError, DeadlineExceeded
-from repro.poly import gemm_mod, ntt_engine
+from repro.numtheory.crt import RnsBasis
+from repro.poly import gemm_mod, ntt_engine, ntt_reference
 from repro.testing.faults import corrupted_four_step_tables
 
 THREADS = 8
@@ -262,6 +263,141 @@ class TestTransformCounters:
         _run_threaded(shared_setup, inputs)
         total = ntt_engine.transform_counts()
         assert total == {key: value * len(inputs) for key, value in one.items()}
+
+
+def _fresh_owner(kind):
+    """A fresh four_step-pinned plan or stack, its input and the exact answer."""
+    basis = RnsBasis.generate(3, 28, 64)
+    plans = tuple(ntt_engine.plan_for(64, q) for q in basis.moduli)
+    data = np.stack(
+        [np.arange(64, dtype=np.uint64) * np.uint64(7) % np.uint64(q) for q in basis.moduli]
+    )
+    if kind == "stack":
+        owner = ntt_engine.NttPlanStack(plans, backend=ntt_engine.BACKEND_FOUR_STEP)
+        tables = ntt_engine._FourStepStack
+        expected = ntt_engine.NttPlanStack(
+            plans, backend=ntt_engine.BACKEND_REFERENCE
+        ).forward(data)
+    else:
+        base = plans[0]
+        owner = ntt_engine.NttPlan(
+            degree=64,
+            modulus=base.modulus,
+            psi=base.psi,
+            backend=ntt_engine.BACKEND_FOUR_STEP,
+        )
+        tables = ntt_engine.FourStepTables
+        data = data[0]
+        expected = ntt_reference.ntt_forward_negacyclic(data, base.modulus, base.psi)
+    return owner, tables, data, expected
+
+
+class TestSentinelFirstCall:
+    @pytest.fixture(autouse=True)
+    def clean_dispatch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NTT_SENTINEL", raising=False)
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        ntt_engine.clear_quarantine()
+        yield
+        ntt_engine.clear_quarantine()
+        ntt_engine.reset_sentinels()
+
+    def _race(self, monkeypatch, kind, verdict):
+        """Thread A holds the first sentinel probe of a fresh ``kind`` owner
+        until thread B has had time to transform; the probe then answers
+        ``verdict`` (``None``: the real check).  Returns the owner, the
+        outputs and which threads ran the four-step tables."""
+        owner, tables, data, expected = _fresh_owner(kind)
+        probing, release = threading.Event(), threading.Event()
+        sentinel_passes = ntt_engine._sentinel_passes
+        transform = tables.transform
+        four_step_threads = set()
+
+        def held_probe(*args):
+            probing.set()
+            release.wait(timeout=10.0)
+            return sentinel_passes(*args) if verdict is None else verdict
+
+        def spy(self, *args, **kwargs):
+            four_step_threads.add(threading.get_ident())
+            return transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(ntt_engine, "_sentinel_passes", held_probe)
+        monkeypatch.setattr(tables, "transform", spy)
+        outputs = {}
+
+        def run(name):
+            outputs[name] = (threading.get_ident(), owner.forward(data))
+
+        first = threading.Thread(target=run, args=("a",))
+        second = threading.Thread(target=run, args=("b",))
+        try:
+            first.start()
+            assert probing.wait(timeout=10.0)
+            second.start()
+            second.join(timeout=0.5)
+        finally:
+            release.set()
+            first.join(timeout=30.0)
+            second.join(timeout=30.0)
+        assert not first.is_alive() and not second.is_alive()
+        for _, got in outputs.values():
+            assert np.array_equal(got, expected)
+        return outputs, four_step_threads
+
+    @pytest.mark.parametrize("kind", ["plan", "stack"])
+    def test_second_caller_waits_for_the_verdict(self, monkeypatch, kind):
+        """Thread B reaches a fresh plan or stack while thread A is inside its
+        four-step sentinel probe: B waits for A's verdict and runs four_step,
+        instead of reading a provisional verdict and running butterfly with
+        no fallback recorded."""
+        outputs, four_step_threads = self._race(monkeypatch, kind, None)
+        assert outputs["b"][0] in four_step_threads
+        assert not ntt_engine.quarantined_backends()
+
+    @pytest.mark.parametrize("kind", ["plan", "stack"])
+    def test_failed_verdict_heals_both_callers(self, monkeypatch, kind):
+        """A mismatching probe quarantines four_step once, and the caller that
+        waited for it heals exactly instead of running the rejected tables."""
+        diagnostics.clear_events()
+        outputs, four_step_threads = self._race(monkeypatch, kind, False)
+        assert not four_step_threads & {tid for tid, _ in outputs.values()}
+        assert ntt_engine.BACKEND_FOUR_STEP in ntt_engine.quarantined_backends()
+        assert len(diagnostics.events("backend_quarantined")) == 1
+
+    @pytest.mark.parametrize("kind", ["plan", "stack"])
+    def test_concurrent_first_calls_probe_once(self, monkeypatch, kind):
+        owner, _, data, expected = _fresh_owner(kind)
+        sentinel_passes = ntt_engine._sentinel_passes
+        probes = []
+        probes_lock = threading.Lock()
+
+        def counted_probe(*args):
+            with probes_lock:
+                probes.append(threading.get_ident())
+            return sentinel_passes(*args)
+
+        monkeypatch.setattr(ntt_engine, "_sentinel_passes", counted_probe)
+        barrier = threading.Barrier(THREADS)
+        outputs, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10.0)
+                outputs.append(owner.forward(data))
+            except BaseException as exc:  # noqa: BLE001 - surfaced to the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(probes) == 1
+        assert len(outputs) == THREADS
+        assert all(np.array_equal(got, expected) for got in outputs)
 
 
 class TestBoundedLruCacheThreadSafety:
@@ -638,6 +774,7 @@ class TestIntraRequestParallelism:
         evaluator, transform, ciphertext = (
             env["evaluator"], env["giants_only"], env["cts"][0]
         )
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)  # outranks the default
         ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
         with parallel.core_budget_scope(2):
             expected = transform.apply(evaluator, ciphertext)
@@ -672,11 +809,12 @@ class TestIntraRequestParallelism:
                     env["bsgs"].apply(env["evaluator"], env["cts"][0])
         assert _pool_is_idle()
 
-    def test_scratch_is_one_largest_pool_per_thread(self, n4096_setup):
+    def test_scratch_is_one_largest_pool_per_thread(self, n4096_setup, monkeypatch):
         """After every operator has run on a fresh thread, its four-step
         scratch is one buffer of the largest cascade: five float64 tiles of
         the widest limb stack it transformed."""
         env = n4096_setup
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)  # outranks the default
         ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
         held = {}
 

@@ -19,13 +19,13 @@ from repro.errors import (
     IncompatibleOperands,
     ReproError,
 )
+from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
-    BACKEND_FUSED,
     NttPlan,
     clear_quarantine,
     plan_for,
@@ -39,7 +39,6 @@ from repro.testing import (
     calibration_lie,
     corrupted_butterfly_tables,
     corrupted_four_step_tables,
-    corrupted_fused_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
 )
@@ -71,6 +70,18 @@ def ring():
     plan = plan_for(DEGREE, q)
     probe = (np.arange(DEGREE, dtype=np.uint64) * np.uint64(7919)) % np.uint64(q)
     return {"q": q, "plan": plan, "probe": probe, "truth": plan.forward(probe.copy())}
+
+
+def _stack():
+    basis = RnsBasis.generate(3, 28, DEGREE)
+    stack = plan_stack_for(basis.moduli, DEGREE)
+    matrix = np.stack(
+        [
+            (np.arange(DEGREE, dtype=np.uint64) * np.uint64(31 + i)) % np.uint64(q)
+            for i, q in enumerate(basis.moduli)
+        ]
+    )
+    return stack, matrix
 
 
 class TestCiphertextBitFlip:
@@ -145,17 +156,7 @@ class TestFourStepTableCorruption:
             set_strict(previous)
 
     def test_stack_sentinel_heals(self):
-        from repro.numtheory.crt import RnsBasis
-
-        basis = RnsBasis.generate(3, 28, DEGREE)
-        stack = plan_stack_for(basis.moduli, DEGREE)
-        matrix = np.stack(
-            [
-                (np.arange(DEGREE, dtype=np.uint64) * np.uint64(31 + i))
-                % np.uint64(q)
-                for i, q in enumerate(basis.moduli)
-            ]
-        )
+        stack, matrix = _stack()
         truth = stack.forward(matrix.copy())
         reset_sentinels()
         with corrupted_four_step_tables(stack):
@@ -165,64 +166,55 @@ class TestFourStepTableCorruption:
         assert np.array_equal(stack.forward(matrix.copy()), truth)
 
 
-class TestFusedTableCorruption:
-    def test_sentinel_quarantines_fused_and_heals_to_four_step(
-        self, ring, monkeypatch
-    ):
-        """The fused rung falls one step down the ladder, bit-exactly."""
-        monkeypatch.setenv("REPRO_NTT_BACKEND", "fused")
-        reset_sentinels()
-        plan = ring["plan"]
-        with corrupted_fused_tables(plan):
-            assert plan.resolve_backend() == BACKEND_FUSED
-            out = plan.forward(ring["probe"].copy())
-            assert np.array_equal(out, ring["truth"]), "healed result must be exact"
-            assert BACKEND_FUSED in quarantined_backends()
-            # The fused backend owns its constant packs: four_step survives.
-            assert BACKEND_FOUR_STEP not in quarantined_backends()
-            assert plan.resolve_backend() == BACKEND_FOUR_STEP
-            assert diagnostics.events("backend_quarantined")
-        assert not quarantined_backends()
-        assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
+    def test_verify_plan_quarantines_vetted_stack(self):
+        """A stack vetted before the fault needs the re-probe to catch it."""
+        stack, matrix = _stack()
+        truth = stack.forward(matrix.copy())  # vet the tables pre-fault
+        with corrupted_four_step_tables(stack):
+            assert not verify_plan(stack)
+            assert BACKEND_FOUR_STEP in quarantined_backends()
+            assert np.array_equal(stack.forward(matrix.copy()), truth)
+        assert verify_plan(stack)
 
-    def test_verify_plan_quarantines_vetted_fused_plan(self, ring, monkeypatch):
-        monkeypatch.setenv("REPRO_NTT_BACKEND", "fused")
-        plan = ring["plan"]
-        reset_sentinels()
-        plan.forward(ring["probe"].copy())  # vet the fused tables pre-fault
-        with corrupted_fused_tables(plan):
-            assert not verify_plan(plan)
-            assert BACKEND_FUSED in quarantined_backends()
-            out = plan.forward(ring["probe"].copy())
-            assert np.array_equal(out, ring["truth"])
-        assert verify_plan(plan)
+    def test_strict_spot_check_detects_stack(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
+        stack, matrix = _stack()
+        truth = stack.forward(matrix.copy())  # vet pre-fault: sentinel passes
+        previous = set_strict(True)
+        try:
+            with corrupted_four_step_tables(stack):
+                assert stack.resolve_backend() == BACKEND_FOUR_STEP
+                with pytest.raises(BackendExactnessError):
+                    stack.forward(matrix.copy())
+                assert np.array_equal(stack.forward(matrix.copy()), truth)
+        finally:
+            set_strict(previous)
 
-    def test_four_step_tables_unaffected_by_fused_fault(self, ring):
-        plan = ring["plan"]
-        with corrupted_fused_tables(plan):
-            out = plan.four_step_tables().forward(ring["probe"].copy())
-            assert np.array_equal(out, ring["truth"])
-
-    def test_stack_sentinel_heals(self, monkeypatch):
-        from repro.numtheory.crt import RnsBasis
-
-        monkeypatch.setenv("REPRO_NTT_BACKEND", "fused")
-        basis = RnsBasis.generate(3, 28, DEGREE)
-        stack = plan_stack_for(basis.moduli, DEGREE)
-        matrix = np.stack(
-            [
-                (np.arange(DEGREE, dtype=np.uint64) * np.uint64(31 + i))
-                % np.uint64(q)
-                for i, q in enumerate(basis.moduli)
-            ]
+    def test_butterfly_tables_unaffected_by_four_step_fault(self, ring):
+        """The fault stays in the four-step tables: a butterfly-pinned plan
+        of the same ring keeps computing exactly and quarantines nothing."""
+        butterfly = NttPlan(
+            degree=DEGREE,
+            modulus=ring["q"],
+            psi=ring["plan"].psi,
+            backend=BACKEND_BUTTERFLY,
         )
-        truth = stack.forward(matrix.copy())
-        reset_sentinels()
-        with corrupted_fused_tables(stack):
-            out = stack.forward(matrix.copy())
-            assert np.array_equal(out, truth)
-            assert BACKEND_FUSED in quarantined_backends()
-        assert np.array_equal(stack.forward(matrix.copy()), truth)
+        with corrupted_four_step_tables(ring["plan"]):
+            assert np.array_equal(
+                butterfly.forward(ring["probe"].copy()), ring["truth"]
+            )
+            assert verify_plan(butterfly)
+            assert not quarantined_backends()
+
+    def test_pinned_four_step_heals_to_butterfly(self, ring, monkeypatch):
+        """An explicit ``REPRO_NTT_BACKEND=four_step`` pin still follows the
+        ladder once the rung is quarantined."""
+        monkeypatch.setenv("REPRO_NTT_BACKEND", BACKEND_FOUR_STEP)
+        plan = ring["plan"]
+        assert plan.resolve_backend() == BACKEND_FOUR_STEP
+        quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
+        assert plan.resolve_backend() == BACKEND_BUTTERFLY
+        assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
 
 
 class TestButterflyTableCorruption:
@@ -267,6 +259,16 @@ class TestGemmPerturbation:
             assert np.array_equal(out, ring["truth"])
             assert BACKEND_FOUR_STEP in quarantined_backends()
         assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
+
+
+    def test_sentinel_heals_perturbed_stack_cascade(self):
+        stack, matrix = _stack()
+        truth = stack.forward(matrix.copy())
+        reset_sentinels()
+        with perturbed_gemm_outputs():
+            assert np.array_equal(stack.forward(matrix.copy()), truth)
+            assert BACKEND_FOUR_STEP in quarantined_backends()
+        assert np.array_equal(stack.forward(matrix.copy()), truth)
 
 
 class TestCalibrationLie:

@@ -1,0 +1,176 @@
+"""Exactness and mode tests for the fused element-wise kernels.
+
+* **Kernel exactness** -- every importable implementation of every fused
+  element-wise kernel (numpy always; numexpr/numba when installed) is
+  bit-identical to the eager formula, swept by hypothesis.  Accelerator-only
+  cases carry the ``fused`` marker and skip visibly on minimal installs.
+* **Execution** -- `mod_down_stacked` runs the ``moddown_sub_div`` kernel,
+  `NttPlan.pointwise` runs ``vec_mod_mul``, and no NTT rung runs any.
+* **Mode dispatch** -- ``REPRO_FUSED_KERNELS`` selection and fallback.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import diagnostics
+from repro.errors import ParameterError
+from repro.numtheory.crt import RnsBasis, inverse_column, subtract_and_divide
+from repro.poly import fused_kernels, ntt_engine
+from repro.poly.fused_kernels import MODE_ENV
+
+
+@pytest.mark.parametrize("level_offset", [0, 1])
+def test_moddown_executes_the_fused_kernel(level_offset):
+    """`mod_down_stacked` runs its subtract and divide as ``moddown_sub_div``."""
+    from repro.ckks.keyswitch import mod_down_stacked
+    from repro.ckks.params import CkksParameters
+
+    params = CkksParameters.create(
+        degree=64, limbs=3, log_q=28, dnum=2, scale_bits=21
+    )
+    level = params.limbs - level_offset
+    extended = params.extended_basis(level)
+    rng = np.random.default_rng(3)
+    stacked = np.stack(
+        [rng.integers(0, q, 64, dtype=np.uint64) for q in extended.moduli]
+    )
+    with fused_kernels.trace() as calls:
+        mod_down_stacked(stacked, params, level)
+    assert calls == ["moddown_sub_div"]
+
+
+def test_pointwise_executes_vec_mod_mul(rng):
+    """`NttPlan.pointwise` is the ``vec_mod_mul`` kernel, bit-exact."""
+    q = RnsBasis.generate(1, 28, 64).moduli[0]
+    plan = ntt_engine.plan_for(64, q)
+    a = rng.integers(0, q, 64, dtype=np.uint64)
+    b = rng.integers(0, q, 64, dtype=np.uint64)
+    with fused_kernels.trace() as calls:
+        got = plan.pointwise(a, b)
+    assert calls == ["vec_mod_mul"]
+    expected = [(int(x) * int(y)) % q for x, y in zip(a, b)]
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("backend", ntt_engine.BACKENDS)
+def test_ntt_runs_no_elementwise_kernel(backend, rng):
+    """No NTT rung routes through the element-wise kernels any more."""
+    basis = RnsBasis.generate(3, 28, 64)
+    plans = tuple(ntt_engine.plan_for(64, q) for q in basis.moduli)
+    stack = ntt_engine.NttPlanStack(plans, backend=backend)
+    plan = ntt_engine.NttPlan(
+        degree=64, modulus=plans[0].modulus, psi=plans[0].psi, backend=backend
+    )
+    matrix = np.stack(
+        [rng.integers(0, q, 64, dtype=np.uint64) for q in basis.moduli]
+    )
+    stack.forward(matrix)  # vet outside the trace
+    plan.forward(matrix[0])
+    with fused_kernels.trace() as calls:
+        stack.inverse(stack.forward(matrix))
+        plan.inverse(plan.forward(matrix[0]))
+    assert calls == []
+
+
+# ------------------------------------------------------------ kernel exactness
+MODES_PARAMS = [
+    pytest.param("numpy", id="numpy"),
+    pytest.param("numexpr", id="numexpr", marks=pytest.mark.fused),
+    pytest.param("numba", id="numba", marks=pytest.mark.fused),
+]
+
+
+def _impl_or_skip(kernel: str, mode: str):
+    impls = fused_kernels.implementations(kernel)
+    if mode not in impls:
+        pytest.skip(f"{mode} not importable: {kernel} has no {mode} impl")
+    return impls[mode]
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("mode", MODES_PARAMS)
+    @pytest.mark.parametrize("kernel", ["vec_mod_mul", "vec_mod_add", "vec_mod_sub"])
+    @given(seed=st.integers(0, 2**32 - 1), q=st.integers(3, (1 << 28) - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_vec_mod_ops_bitwise(self, mode, kernel, seed, q):
+        impl = _impl_or_skip(kernel, mode)
+        rng = np.random.default_rng(seed)
+        q_u = np.uint64(q)
+        a = rng.integers(0, q, (3, 8), dtype=np.uint64)
+        b = rng.integers(0, q, (3, 8), dtype=np.uint64)
+        eager = {
+            "vec_mod_mul": lambda: (a * b) % q_u,
+            "vec_mod_add": lambda: (a + b) % q_u,
+            "vec_mod_sub": lambda: (a + (q_u - b)) % q_u,
+        }[kernel]()
+        got = impl(a, b, q_u)
+        assert np.array_equal(got, eager)
+
+    @pytest.mark.parametrize("mode", MODES_PARAMS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_moddown_sub_div_matches_subtract_and_divide(self, mode, seed):
+        impl = _impl_or_skip("moddown_sub_div", mode)
+        rng = np.random.default_rng(seed)
+        basis = RnsBasis.generate(3, 24, 32)
+        moduli = basis.moduli_array[:, None]
+        residues = np.stack(
+            [rng.integers(0, q, 32, dtype=np.uint64) for q in basis.moduli]
+        )
+        subtrahend = np.stack(
+            [rng.integers(0, q, 32, dtype=np.uint64) for q in basis.moduli]
+        )
+        divisor = 12289
+        expected = subtract_and_divide(residues, subtrahend, divisor, basis)
+        got = impl(
+            residues, subtrahend, moduli, inverse_column(divisor, basis.moduli)
+        )
+        assert np.array_equal(got, expected)
+
+    def test_kernel_counters_track_calls(self):
+        fused_kernels.reset_kernel_counts()
+        q_u = np.uint64(97)
+        a = np.arange(8, dtype=np.uint64) % q_u
+        fused_kernels.vec_mod_mul(a, a, q_u)
+        fused_kernels.vec_mod_add(a, a, q_u)
+        counts = fused_kernels.kernel_counts()
+        assert counts["vec_mod_mul"] == 1
+        assert counts["vec_mod_add"] == 1
+
+
+# --------------------------------------------------------------- mode dispatch
+class TestModeDispatch:
+    def test_invalid_mode_rejected(self, monkeypatch):
+        monkeypatch.setenv(MODE_ENV, "warp-drive")
+        with pytest.raises(ParameterError):
+            fused_kernels.requested_mode()
+
+    def test_numpy_mode_always_available(self, monkeypatch):
+        monkeypatch.setenv(MODE_ENV, "numpy")
+        assert fused_kernels.active_mode() == "numpy"
+        assert not fused_kernels.accelerated()
+        assert "numpy" in fused_kernels.available_modes()
+
+    def test_unavailable_accelerator_falls_back_with_event(self, monkeypatch):
+        missing = [
+            mode
+            for mode in ("numexpr", "numba")
+            if fused_kernels._optional_module(mode) is None
+        ]
+        if not missing:
+            pytest.skip("every accelerator is importable in this environment")
+        diagnostics.clear_events()
+        monkeypatch.setenv(MODE_ENV, missing[0])
+        assert fused_kernels.active_mode() == "numpy"
+        assert diagnostics.events("fused_kernels_unavailable")
+
+    @pytest.mark.fused
+    def test_accelerated_mode_active_when_installed(self):
+        if fused_kernels.available_modes() == ("numpy",):
+            pytest.skip("no accelerator installed")
+        assert fused_kernels.active_mode() in ("numexpr", "numba")
+        assert fused_kernels.accelerated()

@@ -31,6 +31,7 @@ from repro.poly.basis_conversion import (
     conversion_for,
     stacked_conversion_for,
 )
+from repro.poly import ntt_engine
 from repro.poly.ntt_engine import reset_transform_counts, transform_counts
 from repro.poly.ring import automorphism_eval_indices
 from repro.poly.rns_poly import RnsBasis, RnsPolynomial
@@ -139,17 +140,20 @@ class TestFusedSwitchKey:
         for fused_poly, loop_poly in zip(fused, loop):
             assert np.array_equal(fused_poly.residues, loop_poly.residues)
 
+    @pytest.mark.parametrize("backend", ntt_engine.BACKENDS)
     @pytest.mark.parametrize("setup_name", ["two_digits", "three_digits"])
     def test_exactly_one_forward_one_inverse_pass(
-        self, ckks_setup, dnum3_setup, rng, setup_name
+        self, ckks_setup, dnum3_setup, rng, setup_name, backend, monkeypatch
     ):
-        """Lazy ModDown: 1 batched forward + 1 batched inverse for any dnum.
+        """Lazy ModDown: 1 batched forward + 1 batched inverse for any dnum,
+        on every NTT rung.
 
         The limb-pass counters pin down that the single stacked calls are not
         hiding extra work: the forward transforms the ``(dnum, L', N)`` digit
         tensor (``dnum * L'`` rows) and the inverse the stacked ``(2, L', N)``
         accumulator pair (``2 * L'`` rows).
         """
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
         if setup_name == "two_digits":
             params, relin = ckks_setup["params"], ckks_setup["evaluator"].relin_key
         else:

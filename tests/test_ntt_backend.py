@@ -1,7 +1,7 @@
 """Backend-dispatch and four-step GEMM tests for the NTT engine.
 
-The engine now fronts four bit-exact backends (butterfly, four_step, fused,
-reference) behind one dispatch layer.  This suite pins down
+The engine fronts three bit-exact backends (butterfly, four_step, reference)
+behind one dispatch layer.  This suite pins down
 
 * cross-backend bit-exactness against the `ntt_reference` oracle over random
   rings across the full supported degree sweep (including hypothesis
@@ -21,25 +21,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParameterError
 from repro.numtheory.crt import RnsBasis
 from repro.numtheory.modular import primitive_nth_root_of_unity
 from repro.numtheory.primes import generate_ntt_prime
+from repro.poly.fused_kernels import MODE_ENV
 from repro.poly.ntt_engine import (
     BACKEND_AUTO,
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
-    BACKEND_FUSED,
     BACKEND_REFERENCE,
     BACKENDS,
     MAX_PLAN_MODULUS,
     FourStepTables,
-    fused_supported,
     NttPlan,
     NttPlanStack,
+    calibration_cache,
     four_step_split,
     four_step_supported,
     plan_for,
     plan_stack_for,
+    quarantine_backend,
     requested_backend,
     reset_calibration,
     reset_transform_counts,
@@ -74,19 +76,17 @@ class TestFourStepSplit:
 
 
 class TestCrossBackendBitExactness:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("degree", SWEEP_DEGREES)
-    def test_word_sized_ring_all_backends_agree(self, degree, rng):
+    def test_word_sized_ring_all_backends_agree(self, degree, backend, rng):
         basis = RnsBasis.generate(1, 28, degree)
         q = basis.moduli[0]
         x = rng.integers(0, q, degree, dtype=np.uint64)
-        reference = _plan_with_backend(degree, q, BACKEND_REFERENCE)
-        expected_fwd = ntt_forward_negacyclic(x, q, reference.psi)
-        expected_inv = ntt_inverse_negacyclic(x, q, reference.psi)
-        for backend in BACKENDS:
-            plan = _plan_with_backend(degree, q, backend)
-            assert plan.resolve_backend() == backend
-            assert np.array_equal(plan.forward(x), expected_fwd), backend
-            assert np.array_equal(plan.inverse(x), expected_inv), backend
+        plan = _plan_with_backend(degree, q, backend)
+        assert plan.resolve_backend() == backend
+        assert np.array_equal(plan.forward(x), ntt_forward_negacyclic(x, q, plan.psi))
+        assert np.array_equal(plan.inverse(x), ntt_inverse_negacyclic(x, q, plan.psi))
+        assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
     @pytest.mark.parametrize("degree", [2**4, 2**6, 2**8, 2**12])
     def test_stacked_ring_cross_backend(self, degree, rng):
@@ -102,7 +102,6 @@ class TestCrossBackendBitExactness:
             outputs[backend] = stack.forward(matrix)
             assert np.array_equal(stack.inverse(outputs[backend]), matrix)
         assert np.array_equal(outputs[BACKEND_BUTTERFLY], outputs[BACKEND_FOUR_STEP])
-        assert np.array_equal(outputs[BACKEND_BUTTERFLY], outputs[BACKEND_FUSED])
         assert np.array_equal(outputs[BACKEND_BUTTERFLY], outputs[BACKEND_REFERENCE])
 
     @given(
@@ -158,10 +157,40 @@ class TestCrossBackendBitExactness:
         with pytest.raises(ValueError):
             stack.four_step_stack()
 
-    def test_stacked_operands_ride_four_step(self, rng):
+    @given(
+        log_degree=st.integers(4, 12),
+        bits=st.integers(14, 29),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_hypothesis_stacked_four_step_oracle(self, log_degree, bits, seed):
+        """Stacked four-step tables agree with the oracle on every limb."""
+        degree = 1 << log_degree
+        bits = max(bits, log_degree + 2)
+        try:
+            basis = RnsBasis.generate(2, bits, degree)
+        except ValueError:
+            return
+        if not four_step_supported(degree, basis.moduli):
+            return
+        plans = tuple(plan_for(degree, q) for q in basis.moduli)
+        tables = NttPlanStack(plans).four_step_stack()
+        rng = np.random.default_rng(seed)
+        matrix = np.stack(
+            [rng.integers(0, q, degree, dtype=np.uint64) for q in basis.moduli]
+        )
+        fwd = tables.transform(matrix, True)
+        for i, plan in enumerate(plans):
+            assert np.array_equal(
+                fwd[i], ntt_forward_negacyclic(matrix[i], plan.modulus, plan.psi)
+            )
+        assert np.array_equal(tables.transform(fwd, False), matrix)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stacked_operands_bit_exact(self, rng, backend):
         basis = RnsBasis.generate(4, 28, 256)
         stack = NttPlanStack(
-            tuple(plan_for(256, q) for q in basis.moduli), backend=BACKEND_FOUR_STEP
+            tuple(plan_for(256, q) for q in basis.moduli), backend=backend
         )
         tensor = np.stack(
             [
@@ -172,7 +201,9 @@ class TestCrossBackendBitExactness:
             ]
         )
         expected = NttPlanStack(stack.plans, backend=BACKEND_REFERENCE).forward(tensor)
+        assert stack.resolve_backend() == backend
         assert np.array_equal(stack.forward(tensor), expected)
+        assert np.array_equal(stack.inverse(expected), tensor)
 
 
 class TestWideModulusDispatch:
@@ -216,8 +247,6 @@ class TestWideModulusDispatch:
                 assert modulus < MAX_PLAN_MODULUS
             elif choice == BACKEND_FOUR_STEP:
                 assert four_step_supported(degree, (modulus,))
-            elif choice == BACKEND_FUSED:
-                assert fused_supported(degree, (modulus,))
             else:
                 assert choice == BACKEND_REFERENCE
 
@@ -234,9 +263,10 @@ class TestDispatchOverrides:
         assert requested_backend() == BACKEND_BUTTERFLY
         assert resolve_backend(64, (7681,)) == BACKEND_BUTTERFLY
 
-    def test_env_override_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NTT_BACKEND", "warp-drive")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("value", ["warp-drive", "fused"])
+    def test_env_override_invalid_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_NTT_BACKEND", value)
+        with pytest.raises(ParameterError):
             requested_backend()
 
     def test_set_default_backend_roundtrip(self, monkeypatch):
@@ -248,17 +278,43 @@ class TestDispatchOverrides:
         finally:
             set_default_backend(previous)
 
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ValueError):
-            set_default_backend("nonsense")
+    @pytest.mark.parametrize("name", ["nonsense", "fused"])
+    def test_set_default_backend_validates(self, name):
+        with pytest.raises(ParameterError):
+            set_default_backend(name)
 
-    def test_plan_backend_attribute_pins(self, rng):
+    @pytest.mark.parametrize("name", ["nonsense", "fused"])
+    def test_quarantine_rejects_unknown_backend(self, name):
+        with pytest.raises(ParameterError):
+            quarantine_backend(name, reason="drill")
+
+    @pytest.mark.parametrize("bogus", ["bogus", "fused"])
+    def test_plan_backend_attribute_pins(self, rng, bogus):
         basis = RnsBasis.generate(1, 24, 64)
         q = basis.moduli[0]
         plan = _plan_with_backend(64, q, BACKEND_BUTTERFLY)
         assert plan.resolve_backend() == BACKEND_BUTTERFLY
-        with pytest.raises(ValueError):
-            NttPlan(degree=64, modulus=q, psi=plan.psi, backend="bogus")
+        with pytest.raises(ParameterError):
+            NttPlan(degree=64, modulus=q, psi=plan.psi, backend=bogus)
+
+    @pytest.mark.parametrize("mode", ["numpy", "numexpr", "numba"])
+    def test_kernel_mode_does_not_steer_dispatch(self, monkeypatch, mode):
+        """The element-wise kernel mode is not a dispatch input: the resolved
+        backend and the calibration key are the same under every mode."""
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        monkeypatch.setenv("REPRO_NTT_CALIBRATE", "measure")
+        basis = RnsBasis.generate(2, 24, 64)
+        stack = NttPlanStack(tuple(plan_for(64, q) for q in basis.moduli))
+        reset_calibration()
+        try:
+            monkeypatch.setenv(MODE_ENV, "numpy")
+            baseline = stack.resolve_backend()
+            keys = set(calibration_cache())
+            monkeypatch.setenv(MODE_ENV, mode)
+            assert stack.resolve_backend() == baseline
+            assert set(calibration_cache()) == keys
+        finally:
+            reset_calibration()
 
     def test_measured_calibration_caches_decision(self, monkeypatch):
         # Calibration only runs for auto dispatch; clear any matrix-leg pin.
@@ -269,11 +325,8 @@ class TestDispatchOverrides:
             basis = RnsBasis.generate(2, 24, 64)
             stack = plan_stack_for(basis.moduli, 64)
             choice = stack.resolve_backend()
-            assert choice in (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_FUSED)
-            from repro.poly.fused_kernels import active_mode
-            from repro.poly.ntt_engine import calibration_cache
-
-            assert (64, 2, 24, active_mode()) in calibration_cache()
+            assert choice in (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP)
+            assert (64, 2, 24) in calibration_cache()
             # Second resolution must reuse the memoised decision.
             assert stack.resolve_backend() == choice
         finally:
@@ -321,6 +374,31 @@ class TestNormalizedAccounting:
         counts = transform_counts()
         assert counts["forward"] == 2
         assert counts["forward_limbs"] == 4 + 1
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_rung_books_one_pass_and_limb_rows(self, rng, backend, direction):
+        """A stacked ``(B, L, N)`` pass books 1 pass + B*L rows on any rung."""
+        basis = RnsBasis.generate(3, 24, 32)
+        stack = NttPlanStack(
+            tuple(plan_for(32, q) for q in basis.moduli), backend=backend
+        )
+        tensor = np.stack(
+            [
+                np.stack(
+                    [rng.integers(0, q, 32, dtype=np.uint64) for q in basis.moduli]
+                )
+                for _ in range(4)
+            ]
+        )
+        getattr(stack, direction)(tensor)  # vet the rung outside the count
+        reset_transform_counts()
+        getattr(stack, direction)(tensor)
+        counts = transform_counts()
+        assert counts[direction] == 1
+        assert counts[f"{direction}_limbs"] == 4 * 3
+        other = "inverse" if direction == "forward" else "forward"
+        assert counts[other] == counts[f"{other}_limbs"] == 0
 
     def test_reset_clears_all_keys(self):
         reset_transform_counts()
