@@ -7,7 +7,7 @@ Run directly (no pytest needed)::
 Drives the `repro.testing` fault-injection harness through one drill per
 fault class -- ciphertext payload bit flips, corrupted butterfly twist
 tables, corrupted four-step GEMM constants, a miscomputing GEMM cascade,
-and a lying dispatch calibration -- and classifies each outcome:
+and dispatch fed false exactness facts -- and classifies each outcome:
 
 * **detected** -- the fault surfaced as a typed :class:`repro.errors.ReproError`
   at the operator or kernel boundary;
@@ -44,9 +44,9 @@ from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
-    NttPlan,
+    NttPlanStack,
     clear_quarantine,
-    plan_for,
+    plan_stack_for,
     quarantined_backends,
     reset_sentinels,
     verify_plan,
@@ -64,9 +64,11 @@ MODULUS_BITS = 28
 
 
 def _ring():
+    """A single-modulus ring's cached one-limb plan stack, a probe and its NTT."""
     q = generate_ntt_prime(MODULUS_BITS, DEGREE)
-    plan = plan_for(DEGREE, q)
+    plan = plan_stack_for((q,), DEGREE)
     probe = (np.arange(DEGREE, dtype=np.uint64) * np.uint64(7919)) % np.uint64(q)
+    probe = probe[None, :]
     truth = plan.forward(probe.copy())
     return q, plan, probe, truth
 
@@ -130,8 +132,8 @@ def drill_four_step_spot_check() -> str:
 
 def drill_butterfly_tables() -> str:
     """verify_plan must quarantine corrupted twist tables, dispatch must heal."""
-    q, base, probe, truth = _ring()
-    plan = NttPlan(degree=DEGREE, modulus=q, psi=base.psi, backend=BACKEND_BUTTERFLY)
+    q, _, probe, truth = _ring()
+    plan = NttPlanStack((q,), DEGREE, backend=BACKEND_BUTTERFLY)
     with corrupted_butterfly_tables(plan):
         if verify_plan(plan):
             return "silent"
@@ -157,10 +159,11 @@ def drill_gemm_outputs() -> str:
 def drill_calibration_lie() -> str:
     """Lied exactness facts must be refused by the vetted-table check."""
     q = generate_ntt_prime(30, 8192)
-    plan = plan_for(8192, q)
+    plan = plan_stack_for((q,), 8192)
     if ntt_engine.four_step_supported(8192, (q,)):
         return "silent"  # ring unexpectedly exact; the lie has no bite
     probe = (np.arange(8192, dtype=np.uint64) * np.uint64(97)) % np.uint64(q)
+    probe = probe[None, :]
     truth = plan.forward(probe.copy())
     with calibration_lie():
         if plan.resolve_backend() != BACKEND_FOUR_STEP:

@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from repro.numtheory.crt import RnsBasis
-from repro.poly.ntt_engine import plan_for, plan_stack_for
+from repro.poly.ntt_engine import plan_stack_for
 from repro.poly.ntt_reference import ntt_forward_negacyclic
 
 ACCEPTANCE_CONFIG = (8, 2**12)  # (limbs, degree) the >= 10x criterion targets
@@ -110,7 +110,7 @@ def run_config(limbs: int, degree: int, repeats: int, seed_repeats: int) -> dict
         [rng.integers(0, q, degree, dtype=np.uint64) for q in basis.moduli]
     )
     stack = plan_stack_for(basis.moduli, degree)
-    psis = [plan_for(degree, q).psi for q in basis.moduli]
+    psis = stack.psis
 
     t_seed = best_of(
         lambda: [

@@ -35,7 +35,6 @@ from repro.poly.ntt_engine import (
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
     NttPlanStack,
-    plan_for,
 )
 
 ACCEPTANCE_CONFIG = (8, 2**12)  # (limbs, degree) the gate targets
@@ -58,9 +57,8 @@ def run_config(limbs: int, degree: int, repeats: int, ref_repeats: int) -> dict:
     matrix = np.stack(
         [rng.integers(0, q, degree, dtype=np.uint64) for q in basis.moduli]
     )
-    plans = tuple(plan_for(degree, q) for q in basis.moduli)
     stacks = {
-        backend: NttPlanStack(plans, backend=backend)
+        backend: NttPlanStack(basis.moduli, degree, backend=backend)
         for backend in (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_REFERENCE)
     }
 

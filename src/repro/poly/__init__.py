@@ -6,10 +6,10 @@ The CKKS scheme computes in ``R_Q = Z_Q[x]/(x^N + 1)``.  This package provides
 * ``ntt_reference`` -- the radix-2 (Cooley-Tukey) negacyclic NTT/INTT with
   natural-order semantics, used as the functional reference for every other
   NTT formulation in the library,
-* ``ntt_engine`` -- the production path: cached per-ring ``NttPlan`` objects
-  (precomputed bit-reversal, per-stage twiddles, twist vectors and Shoup
-  companion constants) and limb-stacked ``NttPlanStack`` execution of whole
-  ``(L, N)`` residue matrices,
+* ``ntt_engine`` -- the production path: cached ``NttPlanStack`` objects
+  transforming whole ``(L, N)`` residue matrices (a single-modulus ring is
+  the ``L = 1`` stack) on the four-step GEMM, butterfly or reference
+  backend, each backend's stacked tables built on its first use,
 * ``ntt_fourstep`` -- the GPU-style 4-step NTT with its explicit transpose and
   output reordering (the decomposing-layer baseline of paper section III-D),
 * ``ring`` -- a ``PolyRing`` bundling modulus, roots of unity and NTT plans,
@@ -26,12 +26,9 @@ from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
-    FourStepTables,
-    NttPlan,
     NttPlanStack,
     clear_quarantine,
     lift_quarantine,
-    plan_for,
     plan_stack_for,
     quarantine_backend,
     quarantined_backends,
@@ -62,8 +59,6 @@ __all__ = [
     "BACKEND_REFERENCE",
     "BasisConversion",
     "FourStepNttPlan",
-    "FourStepTables",
-    "NttPlan",
     "NttPlanStack",
     "PolyRing",
     "RnsPolynomial",
@@ -72,7 +67,6 @@ __all__ = [
     "lift_quarantine",
     "conversion_for",
     "modular_matmul",
-    "plan_for",
     "plan_stack_for",
     "quarantine_backend",
     "quarantined_backends",

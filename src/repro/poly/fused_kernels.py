@@ -1,7 +1,7 @@
-"""Fused element-wise kernels: the evaluation-domain products and ModDown.
+"""Fused element-wise kernels: the ModDown subtract-and-divide.
 
-Each kernel is one element-wise stage of the key-switch / pointwise hot path
-executed as ONE pass, with three interchangeable, bit-exact implementations:
+Each kernel is one element-wise stage of the key-switch hot path executed as
+ONE pass, with three interchangeable, bit-exact implementations:
 
 * ``numexpr`` -- each kernel is a single ``ne.evaluate`` expression, one
   chunked pass over the operand;
@@ -9,8 +9,7 @@ executed as ONE pass, with three interchangeable, bit-exact implementations:
 * ``numpy`` -- the eager pass sequence, op for op, used when neither
   accelerator is installed (bit-exact, merely not faster).
 
-The kernels are ``vec_mod_mul`` / ``vec_mod_add`` / ``vec_mod_sub``
-(`repro.poly.ntt_engine.NttPlan.pointwise`) and ``moddown_sub_div``
+The one kernel is ``moddown_sub_div``
 (`repro.ckks.keyswitch.mod_down_stacked`).  The NTT itself runs as dense
 GEMMs in `repro.poly.ntt_engine`; none of its stages route through here.
 
@@ -126,12 +125,7 @@ def available_modes() -> tuple[str, ...]:
 
 
 # -------------------------------------------------------------- bookkeeping
-KERNEL_NAMES = (
-    "vec_mod_mul",
-    "vec_mod_add",
-    "vec_mod_sub",
-    "moddown_sub_div",
-)
+KERNEL_NAMES = ("moddown_sub_div",)
 
 _COUNTS = {name: 0 for name in KERNEL_NAMES}
 _TRACES: list[list[str]] = []
@@ -179,18 +173,6 @@ def _record(name: str) -> None:
 # ---------------------------------------------------------------- numpy impls
 # Each numpy implementation replays the eager expression it replaced (for
 # ModDown, `numtheory.crt.subtract_and_divide`) op for op.
-def _np_vec_mod_mul(a, b, q_u):
-    return (a * b) % q_u
-
-
-def _np_vec_mod_add(a, b, q_u):
-    return (a + b) % q_u
-
-
-def _np_vec_mod_sub(a, b, q_u):
-    return (a + (q_u - b)) % q_u
-
-
 def _np_moddown_sub_div(residues, subtrahend, moduli, inverses):
     diff = residues + (moduli - subtrahend)
     diff = np.where(diff >= moduli, diff - moduli, diff)
@@ -209,33 +191,6 @@ def _ne_int_ok(q) -> bool:
 
 def _ne_int(a):
     return np.asarray(a, dtype=np.uint64).astype(np.int64)
-
-
-def _ne_vec_mod_mul(a, b, q_u):
-    if not _ne_int_ok(q_u):
-        return _np_vec_mod_mul(a, b, q_u)
-    out = _ne(
-        "(a * b) % q", {"a": _ne_int(a), "b": _ne_int(b), "q": _ne_int(q_u)}
-    )
-    return out.astype(np.uint64)
-
-
-def _ne_vec_mod_add(a, b, q_u):
-    if not _ne_int_ok(q_u):
-        return _np_vec_mod_add(a, b, q_u)
-    out = _ne(
-        "(a + b) % q", {"a": _ne_int(a), "b": _ne_int(b), "q": _ne_int(q_u)}
-    )
-    return out.astype(np.uint64)
-
-
-def _ne_vec_mod_sub(a, b, q_u):
-    if not _ne_int_ok(q_u):
-        return _np_vec_mod_sub(a, b, q_u)
-    out = _ne(
-        "(a + (q - b)) % q", {"a": _ne_int(a), "b": _ne_int(b), "q": _ne_int(q_u)}
-    )
-    return out.astype(np.uint64)
 
 
 def _ne_moddown_sub_div(residues, subtrahend, moduli, inverses):
@@ -267,23 +222,11 @@ def _numba_kernel(name: str):
 def _build_numba_kernels() -> None:
     """Compile the njit kernel set on first use.
 
-    Array expressions inside njit follow NumPy broadcasting, so the same
-    kernels serve the scalar-modulus plan layout and the per-limb column one.
+    Array expressions inside njit follow NumPy broadcasting, so the kernel
+    takes the per-limb modulus and inverse columns as they are.
     """
     numba = _optional_module(MODE_NUMBA)
     njit = numba.njit
-
-    @njit(cache=False, fastmath=False)
-    def nb_vec_mod_mul(a, b, q_u):
-        return (a * b) % q_u
-
-    @njit(cache=False, fastmath=False)
-    def nb_vec_mod_add(a, b, q_u):
-        return (a + b) % q_u
-
-    @njit(cache=False, fastmath=False)
-    def nb_vec_mod_sub(a, b, q_u):
-        return (a + (q_u - b)) % q_u
 
     @njit(cache=False, fastmath=False)
     def nb_moddown(residues, subtrahend, moduli, inverses):
@@ -291,30 +234,7 @@ def _build_numba_kernels() -> None:
         diff = np.where(diff >= moduli, diff - moduli, diff)
         return (diff * inverses) % moduli
 
-    _NUMBA_KERNELS.update(
-        vec_mod_mul=nb_vec_mod_mul,
-        vec_mod_add=nb_vec_mod_add,
-        vec_mod_sub=nb_vec_mod_sub,
-        moddown=nb_moddown,
-    )
-
-
-def _nb_vec_mod_mul(a, b, q_u):
-    return _numba_kernel("vec_mod_mul")(
-        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64), q_u
-    )
-
-
-def _nb_vec_mod_add(a, b, q_u):
-    return _numba_kernel("vec_mod_add")(
-        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64), q_u
-    )
-
-
-def _nb_vec_mod_sub(a, b, q_u):
-    return _numba_kernel("vec_mod_sub")(
-        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64), q_u
-    )
+    _NUMBA_KERNELS.update(moddown=nb_moddown)
 
 
 def _nb_moddown_sub_div(residues, subtrahend, moduli, inverses):
@@ -324,24 +244,9 @@ def _nb_moddown_sub_div(residues, subtrahend, moduli, inverses):
 
 
 _IMPLS = {
-    MODE_NUMPY: {
-        "vec_mod_mul": _np_vec_mod_mul,
-        "vec_mod_add": _np_vec_mod_add,
-        "vec_mod_sub": _np_vec_mod_sub,
-        "moddown_sub_div": _np_moddown_sub_div,
-    },
-    MODE_NUMEXPR: {
-        "vec_mod_mul": _ne_vec_mod_mul,
-        "vec_mod_add": _ne_vec_mod_add,
-        "vec_mod_sub": _ne_vec_mod_sub,
-        "moddown_sub_div": _ne_moddown_sub_div,
-    },
-    MODE_NUMBA: {
-        "vec_mod_mul": _nb_vec_mod_mul,
-        "vec_mod_add": _nb_vec_mod_add,
-        "vec_mod_sub": _nb_vec_mod_sub,
-        "moddown_sub_div": _nb_moddown_sub_div,
-    },
+    MODE_NUMPY: {"moddown_sub_div": _np_moddown_sub_div},
+    MODE_NUMEXPR: {"moddown_sub_div": _ne_moddown_sub_div},
+    MODE_NUMBA: {"moddown_sub_div": _nb_moddown_sub_div},
 }
 
 
@@ -355,24 +260,6 @@ def implementations(name: str) -> dict[str, object]:
 
 
 # ------------------------------------------------------------ public kernels
-def vec_mod_mul(a, b, q_u):
-    """Element-wise modular product of reduced uint64 operands."""
-    _record("vec_mod_mul")
-    return _IMPLS[active_mode()]["vec_mod_mul"](a, b, q_u)
-
-
-def vec_mod_add(a, b, q_u):
-    """Element-wise modular sum of reduced uint64 operands."""
-    _record("vec_mod_add")
-    return _IMPLS[active_mode()]["vec_mod_add"](a, b, q_u)
-
-
-def vec_mod_sub(a, b, q_u):
-    """Element-wise modular difference of reduced uint64 operands."""
-    _record("vec_mod_sub")
-    return _IMPLS[active_mode()]["vec_mod_sub"](a, b, q_u)
-
-
 def moddown_sub_div(residues, subtrahend, moduli, inverses):
     """Fused ModDown correction: ``(residues - subtrahend) * inverses mod q``.
 

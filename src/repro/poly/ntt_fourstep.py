@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.numtheory.modular import mod_inv
 from repro.poly.gemm_mod import modular_matmul
-from repro.poly.ntt_engine import _outer_power_matrix, _power_table, _scaled_matrix
+from repro.poly.ntt_engine import four_step_matrices
 
 
 @dataclass
@@ -70,54 +70,28 @@ class FourStepNttPlan:
     def __post_init__(self) -> None:
         if self.rows * self.cols != self.degree:
             raise ValueError("rows * cols must equal the transform length")
-        q, n = self.modulus, self.degree
-        omega = pow(self.psi, 2, q)
-        omega_inv = mod_inv(omega, q)
-        psi_inv = mod_inv(self.psi, q)
-
-        # Step 1: column-wise R-point NTT.  The negacyclic twist contribution
-        # psi^(C*j1) depends only on the column index j1 of the R x R matrix,
-        # so it is folded into that matrix offline.
-        self.step1_matrix = _scaled_matrix(
-            _outer_power_matrix(pow(omega, self.cols, q), self.rows, self.rows, q, n),
-            _power_table(pow(self.psi, self.cols, q), self.rows, q),
-            q,
-            axis=1,
-        )
-        # Step 3 twiddles (applied after the transpose, so indexed [j2, k1]):
-        # omega^(k1*j2) * psi^(j2).
-        self.step3_twiddle = _scaled_matrix(
-            _outer_power_matrix(omega, self.cols, self.rows, q, n),
-            _power_table(self.psi, self.cols, q),
-            q,
-            axis=0,
-        )
-        # Step 4: column-wise C-point NTT of the transposed matrix.
-        self.step4_matrix = _outer_power_matrix(
-            pow(omega, self.rows, q), self.cols, self.cols, q, n
-        )
-
-        # Inverse-plan matrices, built analytically from omega^{-1}/psi^{-1}
-        # (same closed forms the engine's four_step backend compiles; N^{-1}
+        # Step 1 is the column-wise R-point NTT with the negacyclic twist
+        # contribution psi^(C*j1) folded in offline; step 3's twiddles are
+        # applied after the transpose, so they are indexed [j2, k1]; step 4 is
+        # the column-wise C-point NTT of the transposed matrix.  The inverse
+        # matrices are the analytic omega^{-1}/psi^{-1} closed forms (N^{-1}
         # rides the final column matrix, so the chain inverts exactly even
         # though the individual matrices differ from the Gauss-Jordan
         # inverses by the cancelling scalar C).
-        self.inv_step1_matrix = _scaled_matrix(
-            _outer_power_matrix(pow(omega_inv, self.cols, q), self.rows, self.rows, q, n),
-            _power_table(pow(psi_inv, self.cols, q), self.rows, q, first=mod_inv(n, q)),
-            q,
-            axis=0,
+        (
+            self.step1_matrix,
+            self.step3_twiddle,
+            self.step4_matrix,
+            self.inv_step4_matrix,
+            self.inv_step3_twiddle,
+            self.inv_step1_matrix,
+        ) = (
+            matrix[0]
+            for matrix in four_step_matrices(
+                (self.modulus,), (self.psi,), self.degree, self.rows, self.cols
+            )
         )
-        self.inv_step4_matrix = _outer_power_matrix(
-            pow(omega_inv, self.rows, q), self.cols, self.cols, q, n
-        )
-        self.inv_step3_twiddle = _scaled_matrix(
-            _outer_power_matrix(omega_inv, self.cols, self.rows, q, n),
-            _power_table(psi_inv, self.cols, q),
-            q,
-            axis=0,
-        )
-        self.n_inverse = mod_inv(self.degree, q)
+        self.n_inverse = mod_inv(self.degree, self.modulus)
 
     # ------------------------------------------------------------------ steps
     def forward(self, coeffs: np.ndarray) -> np.ndarray:

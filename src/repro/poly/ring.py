@@ -19,7 +19,7 @@ from repro.numtheory.modular import mod_inv, primitive_nth_root_of_unity
 from repro.numtheory.montgomery import MontgomeryContext
 from repro.numtheory.primes import is_prime
 from repro.poly.negacyclic import poly_add, poly_negate, poly_sub
-from repro.poly.ntt_engine import MAX_PLAN_MODULUS, NttPlan, plan_for
+from repro.poly.ntt_engine import NttPlanStack, plan_stack_for
 from repro.poly.ntt_engine import supports as engine_supports
 from repro.poly.ntt_reference import (
     ntt_forward_negacyclic,
@@ -98,7 +98,7 @@ class PolyRing:
         # plus wider moduli whose four-step GEMM split stays exact at this
         # degree; anything beyond keeps the big-int-safe reference path.
         self._plan = (
-            plan_for(self.degree, self.modulus, psi=self.psi)
+            plan_stack_for((self.modulus,), self.degree)
             if engine_supports((self.modulus,), self.degree)
             else None
         )
@@ -164,25 +164,30 @@ class PolyRing:
 
     # --------------------------------------------------------------------- NTT
     @property
-    def plan(self) -> NttPlan | None:
-        """The cached vectorized NTT plan (None for oversized moduli)."""
+    def plan(self) -> NttPlanStack | None:
+        """The cached one-limb NTT plan stack (None for oversized moduli)."""
         return self._plan
 
     def ntt(self, coeffs: np.ndarray) -> np.ndarray:
-        """Forward negacyclic NTT (natural coefficient -> evaluation order).
+        """Forward negacyclic NTT over the last axis (natural order in/out).
 
-        Delegates to the cached :class:`NttPlan` (bit-exact with the reference
-        transform); the per-call table-building reference path survives only
-        as the oracle and the oversized-modulus fallback.
+        Runs ``(..., N)`` as ``(..., 1, N)`` through the cached one-limb
+        :class:`NttPlanStack` (bit-exact with the reference transform); the
+        per-call table-building reference path survives only as the oracle
+        and the oversized-modulus fallback.
         """
         if self._plan is not None:
-            return self._plan.forward(coeffs)
+            coeffs = np.asarray(coeffs, dtype=np.uint64)
+            return self._plan.forward(coeffs[..., None, :]).reshape(coeffs.shape)
         return ntt_forward_negacyclic(coeffs, self.modulus, self.psi)
 
     def intt(self, evaluations: np.ndarray) -> np.ndarray:
-        """Inverse negacyclic NTT."""
+        """Inverse negacyclic NTT over the last axis."""
         if self._plan is not None:
-            return self._plan.inverse(evaluations)
+            evaluations = np.asarray(evaluations, dtype=np.uint64)
+            return self._plan.inverse(evaluations[..., None, :]).reshape(
+                evaluations.shape
+            )
         return ntt_inverse_negacyclic(evaluations, self.modulus, self.psi)
 
     # ------------------------------------------------------------- utilities

@@ -162,9 +162,10 @@ class CircuitBreaker:
     def maybe_probe(self, plans: Iterable) -> dict[str, bool]:
         """Half-open every cooled-down circuit and re-probe it.
 
-        ``plans`` are representative :class:`~repro.poly.ntt_engine.NttPlan`
-        / ``NttPlanStack`` objects (typically one per tenant ring); each is
-        re-verified with :func:`verify_plan` after the quarantine is lifted.
+        ``plans`` are representative
+        :class:`~repro.poly.ntt_engine.NttPlanStack` objects (typically one
+        per tenant ring); each is re-verified with :func:`verify_plan` after
+        the quarantine is lifted.
         Returns ``{backend: recovered}`` for every probe attempted.
         """
         self.observe_quarantine()

@@ -2,7 +2,7 @@
 
 Each context manager injects one concrete, reversible fault into the live
 stack -- a payload bit flip, a corrupted transform table, a lying GEMM
-kernel, a dispatch layer fed false calibration facts -- and restores every
+kernel, a dispatch layer fed false exactness facts -- and restores every
 mutated table, attribute, and guardrail memo on exit.  The drills exist to
 prove the guardrail contract end to end: an injected fault must either be
 **detected** (a typed :class:`~repro.errors.ReproError` at the operator or
@@ -11,7 +11,7 @@ down the degradation ladder ``four_step -> butterfly -> reference``, results
 stay bit-exact, and the event is recorded in `repro.diagnostics`) -- never
 silently wrong.
 
-The managers snapshot the quarantine set and the per-plan sentinel verdicts
+The managers snapshot the quarantine set and the per-stack sentinel verdicts
 they may trip, so a drill leaves no residue in the process-wide dispatch
 state: guardrail reactions *inside* the ``with`` block are observable, and
 the exit restores the pre-fault world.
@@ -36,30 +36,25 @@ class FaultHandle:
     details: dict[str, Any] = field(default_factory=dict)
 
 
-def _snapshot_guardrails() -> tuple[frozenset, dict[Any, Any], dict[Any, Any]]:
+def _snapshot_guardrails() -> tuple[frozenset, dict[Any, Any]]:
     """Capture quarantine membership plus every cached sentinel verdict."""
-    plans = {key: plan._sentinel_state for key, plan in ntt_engine._PLAN_CACHE.items()}
     stacks = {
         key: stack._sentinel_state for key, stack in ntt_engine._STACK_CACHE.items()
     }
-    return frozenset(ntt_engine._QUARANTINE), plans, stacks
+    return frozenset(ntt_engine._QUARANTINE), stacks
 
 
-def _restore_guardrails(
-    snapshot: tuple[frozenset, dict[Any, Any], dict[Any, Any]]
-) -> None:
+def _restore_guardrails(snapshot: tuple[frozenset, dict[Any, Any]]) -> None:
     """Put quarantine and sentinel memos back exactly as snapshotted.
 
-    Plans first seen during the drill fall back to a forgotten (``None``)
+    Stacks first seen during the drill fall back to a forgotten (``None``)
     verdict so their next dispatch re-probes the healthy tables.
     """
-    quarantined, plans, stacks = snapshot
+    quarantined, stacks = snapshot
     if set(ntt_engine._QUARANTINE) != set(quarantined):
         ntt_engine._QUARANTINE.clear()
         ntt_engine._QUARANTINE.update(quarantined)
         ntt_engine._DISPATCH_EPOCH += 1
-    for key, plan in ntt_engine._PLAN_CACHE.items():
-        plan._sentinel_state = plans.get(key)
     for key, stack in ntt_engine._STACK_CACHE.items():
         stack._sentinel_state = stacks.get(key)
 
@@ -94,19 +89,18 @@ def flipped_ciphertext_bit(
 
 
 @contextmanager
-def corrupted_butterfly_tables(plan, *, delta: int = 1) -> Iterator[FaultHandle]:
+def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle]:
     """Corrupt the butterfly backend's negacyclic twist tables, reversibly.
 
-    ``plan`` is an :class:`~repro.poly.ntt_engine.NttPlan` or
-    :class:`~repro.poly.ntt_engine.NttPlanStack`; the forward twist table the
-    hot path multiplies by is offset by ``delta``, so every forward transform
-    on the butterfly backend is wrong while the fault is live.  Detection:
-    :func:`~repro.poly.ntt_engine.verify_plan` (quarantine + ladder fallback)
-    or a strict-mode spot check (typed :class:`BackendExactnessError`).
+    ``stack`` is an :class:`~repro.poly.ntt_engine.NttPlanStack` (its
+    butterfly tables are built first if it has not used that rung yet); the
+    forward twist table the hot path multiplies by is offset by ``delta``, so
+    every forward transform on the butterfly backend is wrong while the fault
+    is live.  Detection: :func:`~repro.poly.ntt_engine.verify_plan`
+    (quarantine + ladder fallback) or a strict-mode spot check (typed
+    :class:`BackendExactnessError`).
     """
-    table = (
-        plan._twist_br if isinstance(plan, ntt_engine.NttPlanStack) else plan.twist_br
-    )
+    table = stack.butterfly_tables().twist_br
     snapshot = _snapshot_guardrails()
     original = table.copy()
     table += np.uint64(delta)
@@ -118,22 +112,19 @@ def corrupted_butterfly_tables(plan, *, delta: int = 1) -> Iterator[FaultHandle]
 
 
 @contextmanager
-def corrupted_four_step_tables(plan, *, delta: float = 1.0) -> Iterator[FaultHandle]:
+def corrupted_four_step_tables(stack, *, delta: float = 1.0) -> Iterator[FaultHandle]:
     """Corrupt the four-step GEMM backend's split constant matrix, reversibly.
 
-    Offsets the forward cascade's ``[hi; lo]`` column matrix by ``delta`` so
-    every four-step forward transform is wrong while the fault is live.  The
-    build-time sentinel (fresh plans), :func:`verify_plan` (already-vetted
-    plans), or a strict-mode spot check catches it; healing means dispatch
+    Offsets ``stack``'s forward cascade ``[hi; lo]`` column matrix by
+    ``delta`` (building the four-step tables first if need be) so every
+    four-step forward transform is wrong while the fault is live.  The
+    build-time sentinel (fresh stacks), :func:`verify_plan` (already-vetted
+    stacks), or a strict-mode spot check catches it; healing means dispatch
     quarantines ``four_step`` and the butterfly backend serves bit-exact
     results.
     """
-    if isinstance(plan, ntt_engine.NttPlanStack):
-        tables = plan.four_step_stack()
-    else:
-        tables = plan.four_step_tables()
+    matrix = stack.four_step_stack()._fwd_pack[0]
     snapshot = _snapshot_guardrails()
-    matrix = tables._fwd_pack[0]
     original = matrix.copy()
     matrix += delta
     try:
@@ -152,7 +143,7 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
     through the same sentinel / spot-check machinery as table corruption.
     """
     snapshot = _snapshot_guardrails()
-    original = ntt_engine._FourStepExec._cascade
+    original = ntt_engine._FourStepStack._cascade
 
     def lying_cascade(self, data, forward, limbs=None):
         out = original(self, data, forward, limbs)
@@ -160,33 +151,34 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
         out[..., 0] ^= np.uint64(delta)
         return out
 
-    ntt_engine._FourStepExec._cascade = lying_cascade
+    ntt_engine._FourStepStack._cascade = lying_cascade
     try:
         yield FaultHandle("gemm_output_perturbation", {"delta": delta})
     finally:
-        ntt_engine._FourStepExec._cascade = original
+        ntt_engine._FourStepStack._cascade = original
         _restore_guardrails(snapshot)
 
 
 @contextmanager
 def calibration_lie() -> Iterator[FaultHandle]:
-    """Feed dispatch the lie that the four-step split is exact everywhere.
+    """Dispatch fed false exactness facts: the four-step split is "exact" everywhere.
 
     Patches :func:`~repro.poly.ntt_engine.four_step_supported` to return
-    ``True`` unconditionally and drops the memoised calibration, so ``auto``
-    dispatch happily selects the GEMM backend on rings whose float64 split is
-    *not* exact.  The guardrail answer is healing: the vetted-table check
-    refuses inexact tables (recording a ``backend_fallback`` event) and the
-    butterfly/reference rungs serve bit-exact results; a direct call into the
-    inexact tables raises :class:`~repro.errors.BackendExactnessError`.
+    ``True`` unconditionally and bumps the dispatch epoch so every stack
+    re-resolves, so ``auto`` dispatch happily selects the GEMM backend on
+    rings whose float64 split is *not* exact.  The guardrail answer is
+    healing: building the inexact tables refuses with a typed
+    :class:`~repro.errors.ParameterError`, the vetted-table check records a
+    ``backend_fallback`` event, and the butterfly/reference rungs serve
+    bit-exact results.
     """
     snapshot = _snapshot_guardrails()
     original = ntt_engine.four_step_supported
     ntt_engine.four_step_supported = lambda degree, moduli: True
-    ntt_engine.reset_calibration()
+    ntt_engine._DISPATCH_EPOCH += 1
     try:
         yield FaultHandle("calibration_lie", {})
     finally:
         ntt_engine.four_step_supported = original
-        ntt_engine.reset_calibration()
+        ntt_engine._DISPATCH_EPOCH += 1
         _restore_guardrails(snapshot)

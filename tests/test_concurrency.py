@@ -38,7 +38,7 @@ from repro.ckks import linear_transform
 from repro.diagnostics import BoundedLruCache, WeakCacheGroup
 from repro.errors import BackendExactnessError, DeadlineExceeded
 from repro.numtheory.crt import RnsBasis
-from repro.poly import gemm_mod, ntt_engine, ntt_reference
+from repro.poly import gemm_mod, ntt_engine
 from repro.testing.faults import corrupted_four_step_tables
 
 THREADS = 8
@@ -266,36 +266,23 @@ class TestTransformCounters:
 
 
 def _fresh_owner(kind):
-    """A fresh four_step-pinned plan or stack, its input and the exact answer."""
+    """A fresh four_step-pinned stack (one limb for ``plan``), its input and
+    the exact answer."""
     basis = RnsBasis.generate(3, 28, 64)
-    plans = tuple(ntt_engine.plan_for(64, q) for q in basis.moduli)
+    moduli = basis.moduli[:1] if kind == "plan" else basis.moduli
     data = np.stack(
-        [np.arange(64, dtype=np.uint64) * np.uint64(7) % np.uint64(q) for q in basis.moduli]
+        [np.arange(64, dtype=np.uint64) * np.uint64(7) % np.uint64(q) for q in moduli]
     )
-    if kind == "stack":
-        owner = ntt_engine.NttPlanStack(plans, backend=ntt_engine.BACKEND_FOUR_STEP)
-        tables = ntt_engine._FourStepStack
-        expected = ntt_engine.NttPlanStack(
-            plans, backend=ntt_engine.BACKEND_REFERENCE
-        ).forward(data)
-    else:
-        base = plans[0]
-        owner = ntt_engine.NttPlan(
-            degree=64,
-            modulus=base.modulus,
-            psi=base.psi,
-            backend=ntt_engine.BACKEND_FOUR_STEP,
-        )
-        tables = ntt_engine.FourStepTables
-        data = data[0]
-        expected = ntt_reference.ntt_forward_negacyclic(data, base.modulus, base.psi)
-    return owner, tables, data, expected
+    owner = ntt_engine.NttPlanStack(moduli, 64, backend=ntt_engine.BACKEND_FOUR_STEP)
+    expected = ntt_engine.NttPlanStack(
+        moduli, 64, backend=ntt_engine.BACKEND_REFERENCE
+    ).forward(data)
+    return owner, data, expected
 
 
 class TestSentinelFirstCall:
     @pytest.fixture(autouse=True)
     def clean_dispatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NTT_SENTINEL", raising=False)
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
         ntt_engine.clear_quarantine()
         yield
@@ -307,10 +294,10 @@ class TestSentinelFirstCall:
         until thread B has had time to transform; the probe then answers
         ``verdict`` (``None``: the real check).  Returns the owner, the
         outputs and which threads ran the four-step tables."""
-        owner, tables, data, expected = _fresh_owner(kind)
+        owner, data, expected = _fresh_owner(kind)
         probing, release = threading.Event(), threading.Event()
         sentinel_passes = ntt_engine._sentinel_passes
-        transform = tables.transform
+        transform = ntt_engine._FourStepStack.transform
         four_step_threads = set()
 
         def held_probe(*args):
@@ -323,7 +310,7 @@ class TestSentinelFirstCall:
             return transform(self, *args, **kwargs)
 
         monkeypatch.setattr(ntt_engine, "_sentinel_passes", held_probe)
-        monkeypatch.setattr(tables, "transform", spy)
+        monkeypatch.setattr(ntt_engine._FourStepStack, "transform", spy)
         outputs = {}
 
         def run(name):
@@ -367,7 +354,7 @@ class TestSentinelFirstCall:
 
     @pytest.mark.parametrize("kind", ["plan", "stack"])
     def test_concurrent_first_calls_probe_once(self, monkeypatch, kind):
-        owner, _, data, expected = _fresh_owner(kind)
+        owner, data, expected = _fresh_owner(kind)
         sentinel_passes = ntt_engine._sentinel_passes
         probes = []
         probes_lock = threading.Lock()

@@ -1,7 +1,7 @@
 """Fault-injection drills: every injected fault is detected or healed.
 
 The guardrail contract under test: a corrupted payload, table, kernel, or
-calibration fact must end in a typed :class:`repro.errors.ReproError` (the
+exactness fact must end in a typed :class:`repro.errors.ReproError` (the
 fault is *detected*) or in a quarantine + degradation-ladder fallback whose
 results stay bit-exact and whose event is recorded in `repro.diagnostics`
 (the fault is *healed*).  No drill may produce a silently wrong transform or
@@ -17,6 +17,7 @@ from repro import diagnostics
 from repro.errors import (
     BackendExactnessError,
     IncompatibleOperands,
+    ParameterError,
     ReproError,
 )
 from repro.numtheory.crt import RnsBasis
@@ -26,9 +27,8 @@ from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
-    NttPlan,
+    NttPlanStack,
     clear_quarantine,
-    plan_for,
     plan_stack_for,
     quarantine_backend,
     quarantined_backends,
@@ -66,10 +66,16 @@ def clean_guardrails(monkeypatch):
 
 @pytest.fixture(scope="module")
 def ring():
+    """A single-modulus ring: the cached one-limb plan stack and a probe."""
     q = generate_ntt_prime(28, DEGREE)
-    plan = plan_for(DEGREE, q)
+    plan = plan_stack_for((q,), DEGREE)
     probe = (np.arange(DEGREE, dtype=np.uint64) * np.uint64(7919)) % np.uint64(q)
+    probe = probe[None, :]
     return {"q": q, "plan": plan, "probe": probe, "truth": plan.forward(probe.copy())}
+
+
+def _butterfly_plan(ring) -> NttPlanStack:
+    return NttPlanStack((ring["q"],), DEGREE, backend=BACKEND_BUTTERFLY)
 
 
 def _stack():
@@ -193,12 +199,7 @@ class TestFourStepTableCorruption:
     def test_butterfly_tables_unaffected_by_four_step_fault(self, ring):
         """The fault stays in the four-step tables: a butterfly-pinned plan
         of the same ring keeps computing exactly and quarantines nothing."""
-        butterfly = NttPlan(
-            degree=DEGREE,
-            modulus=ring["q"],
-            psi=ring["plan"].psi,
-            backend=BACKEND_BUTTERFLY,
-        )
+        butterfly = _butterfly_plan(ring)
         with corrupted_four_step_tables(ring["plan"]):
             assert np.array_equal(
                 butterfly.forward(ring["probe"].copy()), ring["truth"]
@@ -219,12 +220,7 @@ class TestFourStepTableCorruption:
 
 class TestButterflyTableCorruption:
     def test_verify_plan_quarantines_butterfly(self, ring):
-        plan = NttPlan(
-            degree=DEGREE,
-            modulus=ring["q"],
-            psi=ring["plan"].psi,
-            backend=BACKEND_BUTTERFLY,
-        )
+        plan = _butterfly_plan(ring)
         with corrupted_butterfly_tables(plan):
             assert not verify_plan(plan)
             assert BACKEND_BUTTERFLY in quarantined_backends()
@@ -235,12 +231,7 @@ class TestButterflyTableCorruption:
 
     def test_strict_spot_check_detects_butterfly(self, ring, monkeypatch):
         monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
-        plan = NttPlan(
-            degree=DEGREE,
-            modulus=ring["q"],
-            psi=ring["plan"].psi,
-            backend=BACKEND_BUTTERFLY,
-        )
+        plan = _butterfly_plan(ring)
         previous = set_strict(True)
         try:
             with corrupted_butterfly_tables(plan):
@@ -274,11 +265,12 @@ class TestGemmPerturbation:
 class TestCalibrationLie:
     def test_lie_heals_with_recorded_fallback(self):
         wide_q = generate_ntt_prime(30, 8192)
-        plan = plan_for(8192, wide_q)
+        plan = plan_stack_for((wide_q,), 8192)
         assert not ntt_engine.four_step_supported(8192, (wide_q,))
         probe = (np.arange(8192, dtype=np.uint64) * np.uint64(97)) % np.uint64(
             wide_q
         )
+        probe = probe[None, :]
         truth = plan.forward(probe.copy())
         with calibration_lie():
             assert plan.resolve_backend() == BACKEND_FOUR_STEP
@@ -289,10 +281,9 @@ class TestCalibrationLie:
 
     def test_direct_use_of_inexact_tables_is_typed(self):
         wide_q = generate_ntt_prime(30, 8192)
-        tables = plan_for(8192, wide_q).four_step_tables()
-        assert not tables.exact
-        with pytest.raises(BackendExactnessError):
-            tables.forward(np.zeros(8192, dtype=np.uint64))
+        with calibration_lie():
+            with pytest.raises(ParameterError):
+                plan_stack_for((wide_q,), 8192).four_step_stack()
 
 
 class TestQuarantineApi:

@@ -1,11 +1,11 @@
 """Exactness and mode tests for the fused element-wise kernels.
 
-* **Kernel exactness** -- every importable implementation of every fused
-  element-wise kernel (numpy always; numexpr/numba when installed) is
+* **Kernel exactness** -- every importable implementation of the fused
+  ``moddown_sub_div`` kernel (numpy always; numexpr/numba when installed) is
   bit-identical to the eager formula, swept by hypothesis.  Accelerator-only
   cases carry the ``fused`` marker and skip visibly on minimal installs.
 * **Execution** -- `mod_down_stacked` runs the ``moddown_sub_div`` kernel,
-  `NttPlan.pointwise` runs ``vec_mod_mul``, and no NTT rung runs any.
+  and no NTT rung runs any.
 * **Mode dispatch** -- ``REPRO_FUSED_KERNELS`` selection and fallback.
 """
 
@@ -43,36 +43,21 @@ def test_moddown_executes_the_fused_kernel(level_offset):
     assert calls == ["moddown_sub_div"]
 
 
-def test_pointwise_executes_vec_mod_mul(rng):
-    """`NttPlan.pointwise` is the ``vec_mod_mul`` kernel, bit-exact."""
-    q = RnsBasis.generate(1, 28, 64).moduli[0]
-    plan = ntt_engine.plan_for(64, q)
-    a = rng.integers(0, q, 64, dtype=np.uint64)
-    b = rng.integers(0, q, 64, dtype=np.uint64)
-    with fused_kernels.trace() as calls:
-        got = plan.pointwise(a, b)
-    assert calls == ["vec_mod_mul"]
-    expected = [(int(x) * int(y)) % q for x, y in zip(a, b)]
-    assert got.tolist() == expected
-
-
 @pytest.mark.parametrize("backend", ntt_engine.BACKENDS)
 def test_ntt_runs_no_elementwise_kernel(backend, rng):
     """No NTT rung routes through the element-wise kernels any more."""
     basis = RnsBasis.generate(3, 28, 64)
-    plans = tuple(ntt_engine.plan_for(64, q) for q in basis.moduli)
-    stack = ntt_engine.NttPlanStack(plans, backend=backend)
-    plan = ntt_engine.NttPlan(
-        degree=64, modulus=plans[0].modulus, psi=plans[0].psi, backend=backend
-    )
+    stack = ntt_engine.NttPlanStack(basis.moduli, 64, backend=backend)
+    plan = ntt_engine.NttPlanStack(basis.moduli[:1], 64, backend=backend)
     matrix = np.stack(
         [rng.integers(0, q, 64, dtype=np.uint64) for q in basis.moduli]
     )
     stack.forward(matrix)  # vet outside the trace
-    plan.forward(matrix[0])
+    plan.forward(matrix[:1])
     with fused_kernels.trace() as calls:
         stack.inverse(stack.forward(matrix))
-        plan.inverse(plan.forward(matrix[0]))
+        plan.inverse(plan.forward(matrix[:1]))
+        stack.inverse(stack.forward(matrix[1:], slice(1, 3)), slice(1, 3))
     assert calls == []
 
 
@@ -92,24 +77,6 @@ def _impl_or_skip(kernel: str, mode: str):
 
 
 class TestKernelExactness:
-    @pytest.mark.parametrize("mode", MODES_PARAMS)
-    @pytest.mark.parametrize("kernel", ["vec_mod_mul", "vec_mod_add", "vec_mod_sub"])
-    @given(seed=st.integers(0, 2**32 - 1), q=st.integers(3, (1 << 28) - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_vec_mod_ops_bitwise(self, mode, kernel, seed, q):
-        impl = _impl_or_skip(kernel, mode)
-        rng = np.random.default_rng(seed)
-        q_u = np.uint64(q)
-        a = rng.integers(0, q, (3, 8), dtype=np.uint64)
-        b = rng.integers(0, q, (3, 8), dtype=np.uint64)
-        eager = {
-            "vec_mod_mul": lambda: (a * b) % q_u,
-            "vec_mod_add": lambda: (a + b) % q_u,
-            "vec_mod_sub": lambda: (a + (q_u - b)) % q_u,
-        }[kernel]()
-        got = impl(a, b, q_u)
-        assert np.array_equal(got, eager)
-
     @pytest.mark.parametrize("mode", MODES_PARAMS)
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -133,13 +100,12 @@ class TestKernelExactness:
 
     def test_kernel_counters_track_calls(self):
         fused_kernels.reset_kernel_counts()
-        q_u = np.uint64(97)
-        a = np.arange(8, dtype=np.uint64) % q_u
-        fused_kernels.vec_mod_mul(a, a, q_u)
-        fused_kernels.vec_mod_add(a, a, q_u)
-        counts = fused_kernels.kernel_counts()
-        assert counts["vec_mod_mul"] == 1
-        assert counts["vec_mod_add"] == 1
+        moduli = np.array([[97], [101]], dtype=np.uint64)
+        a = np.arange(16, dtype=np.uint64).reshape(2, 8)
+        inverses = np.array([[3], [5]], dtype=np.uint64)
+        fused_kernels.moddown_sub_div(a, a, moduli, inverses)
+        fused_kernels.moddown_sub_div(a, a, moduli, inverses)
+        assert fused_kernels.kernel_counts() == {"moddown_sub_div": 2}
 
 
 # --------------------------------------------------------------- mode dispatch

@@ -412,15 +412,15 @@ class TestEncoderCacheSatellite:
 
 class TestDiagnosticsRegistry:
     def test_cache_stats_names_engine_caches(self):
-        from repro.poly.ntt_engine import plan_for
+        from repro.poly.ntt_engine import plan_stack_for
         from repro.numtheory.primes import generate_ntt_prime
 
-        plan_for(64, generate_ntt_prime(28, 64))  # ensure at least one entry
+        plan_stack_for((generate_ntt_prime(28, 64),), 64)  # ensure an entry
         stats = diagnostics.cache_stats()
-        assert "ntt.plans" in stats
-        assert "ntt.plan_stacks" in stats
-        assert "ntt.calibration" in stats
-        assert stats["ntt.plans"]["size"] >= 1
+        assert [name for name in stats if name.startswith("ntt.")] == [
+            "ntt.plan_stacks"
+        ]
+        assert stats["ntt.plan_stacks"]["size"] >= 1
 
     def test_report_shape(self):
         report = diagnostics.report()

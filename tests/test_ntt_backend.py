@@ -9,12 +9,16 @@ behind one dispatch layer.  This suite pins down
 * the wide-modulus story: ``q >= 2**30`` rides four_step where its split is
   exact and falls back to reference where it is not -- dispatch never
   selects an inexact backend,
-* the env/default override surface, and
+* the env/default override surface,
+* lazily built rung tables: a stack holds only the tables of the rungs it
+  has dispatched to, each built once, and
 * the normalized transform accounting (passes *and* limb passes), which is
   what makes the fused key switch's "1 fwd + 1 inv" claim assertable.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +27,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.numtheory.crt import RnsBasis
-from repro.numtheory.modular import primitive_nth_root_of_unity
 from repro.numtheory.primes import generate_ntt_prime
+from repro.poly import ntt_engine
 from repro.poly.fused_kernels import MODE_ENV
 from repro.poly.ntt_engine import (
     BACKEND_AUTO,
@@ -33,17 +37,12 @@ from repro.poly.ntt_engine import (
     BACKEND_REFERENCE,
     BACKENDS,
     MAX_PLAN_MODULUS,
-    FourStepTables,
-    NttPlan,
     NttPlanStack,
-    calibration_cache,
     four_step_split,
     four_step_supported,
-    plan_for,
     plan_stack_for,
     quarantine_backend,
     requested_backend,
-    reset_calibration,
     reset_transform_counts,
     resolve_backend,
     set_default_backend,
@@ -54,13 +53,16 @@ from repro.poly.ntt_reference import (
     ntt_forward_negacyclic,
     ntt_inverse_negacyclic,
 )
+from repro.poly.ring import PolyRing
 
 SWEEP_DEGREES = [2**4, 2**5, 2**6, 2**7, 2**8, 2**10, 2**12, 2**13]
 
 
-def _plan_with_backend(degree: int, modulus: int, backend: str) -> NttPlan:
-    psi = primitive_nth_root_of_unity(2 * degree, modulus)
-    return NttPlan(degree=degree, modulus=modulus, psi=psi, backend=backend)
+def _random_matrix(rng, moduli, degree, lead=()):
+    return np.stack(
+        [rng.integers(0, q, lead + (degree,), dtype=np.uint64) for q in moduli],
+        axis=-2,
+    )
 
 
 class TestFourStepSplit:
@@ -81,23 +83,21 @@ class TestCrossBackendBitExactness:
     def test_word_sized_ring_all_backends_agree(self, degree, backend, rng):
         basis = RnsBasis.generate(1, 28, degree)
         q = basis.moduli[0]
-        x = rng.integers(0, q, degree, dtype=np.uint64)
-        plan = _plan_with_backend(degree, q, backend)
+        x = _random_matrix(rng, (q,), degree)
+        plan = NttPlanStack((q,), degree, backend=backend)
+        psi = plan.psis[0]
         assert plan.resolve_backend() == backend
-        assert np.array_equal(plan.forward(x), ntt_forward_negacyclic(x, q, plan.psi))
-        assert np.array_equal(plan.inverse(x), ntt_inverse_negacyclic(x, q, plan.psi))
+        assert np.array_equal(plan.forward(x)[0], ntt_forward_negacyclic(x[0], q, psi))
+        assert np.array_equal(plan.inverse(x)[0], ntt_inverse_negacyclic(x[0], q, psi))
         assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
     @pytest.mark.parametrize("degree", [2**4, 2**6, 2**8, 2**12])
     def test_stacked_ring_cross_backend(self, degree, rng):
         basis = RnsBasis.generate(3, 28, degree)
-        matrix = np.stack(
-            [rng.integers(0, q, degree, dtype=np.uint64) for q in basis.moduli]
-        )
-        plans = tuple(plan_for(degree, q) for q in basis.moduli)
+        matrix = _random_matrix(rng, basis.moduli, degree)
         outputs = {}
         for backend in BACKENDS:
-            stack = NttPlanStack(plans, backend=backend)
+            stack = NttPlanStack(basis.moduli, degree, backend=backend)
             assert stack.resolve_backend() == backend
             outputs[backend] = stack.forward(matrix)
             assert np.array_equal(stack.inverse(outputs[backend]), matrix)
@@ -118,15 +118,16 @@ class TestCrossBackendBitExactness:
             q = generate_ntt_prime(bits, degree)
         except ValueError:
             return  # no NTT-friendly prime at this (bits, degree) cell
-        psi = primitive_nth_root_of_unity(2 * degree, q)
-        tables = FourStepTables(degree, q, psi)
-        if not tables.exact:
-            assert not four_step_supported(degree, (q,))
+        stack = NttPlanStack((q,), degree)
+        if not four_step_supported(degree, (q,)):
+            with pytest.raises(ParameterError):
+                stack.four_step_stack()
             return
-        x = rng.integers(0, q, degree, dtype=np.uint64)
-        fwd = tables.forward(x)
-        assert np.array_equal(fwd, ntt_forward_negacyclic(x, q, psi))
-        assert np.array_equal(tables.inverse(fwd), x)
+        tables = stack.four_step_stack()
+        x = _random_matrix(rng, (q,), degree)
+        fwd = tables.transform(x, True)
+        assert np.array_equal(fwd[0], ntt_forward_negacyclic(x[0], q, stack.psis[0]))
+        assert np.array_equal(tables.transform(fwd, False), x)
 
     def test_mixed_width_stack_bit_exact(self, rng):
         """Regression: a stack mixing modulus widths must re-split every
@@ -135,26 +136,22 @@ class TestCrossBackendBitExactness:
         degree = 2**12
         narrow = generate_ntt_prime(17, degree)
         wide = generate_ntt_prime(30, degree)
-        plans = tuple(plan_for(degree, q) for q in (narrow, wide))
-        stack = NttPlanStack(plans, backend=BACKEND_FOUR_STEP)
+        stack = NttPlanStack((narrow, wide), degree, backend=BACKEND_FOUR_STEP)
         assert four_step_supported(degree, (narrow, wide))
-        matrix = np.stack(
-            [rng.integers(0, q, degree, dtype=np.uint64) for q in (narrow, wide)]
-        )
+        matrix = _random_matrix(rng, (narrow, wide), degree)
         got = stack.forward(matrix)
         for i, q in enumerate((narrow, wide)):
             assert np.array_equal(
-                got[i], ntt_forward_negacyclic(matrix[i], q, plans[i].psi)
+                got[i], ntt_forward_negacyclic(matrix[i], q, stack.psis[i])
             ), q
         assert np.array_equal(stack.inverse(got), matrix)
 
     def test_unsupported_stack_refuses_four_step_tables(self):
         degree = 2**13
         prime = generate_ntt_prime(30, degree)
-        plan = plan_for(degree, prime)
         assert not four_step_supported(degree, (prime,))
-        stack = NttPlanStack((plan,))
-        with pytest.raises(ValueError):
+        stack = NttPlanStack((prime,), degree)
+        with pytest.raises(ParameterError):
             stack.four_step_stack()
 
     @given(
@@ -173,37 +170,102 @@ class TestCrossBackendBitExactness:
             return
         if not four_step_supported(degree, basis.moduli):
             return
-        plans = tuple(plan_for(degree, q) for q in basis.moduli)
-        tables = NttPlanStack(plans).four_step_stack()
-        rng = np.random.default_rng(seed)
-        matrix = np.stack(
-            [rng.integers(0, q, degree, dtype=np.uint64) for q in basis.moduli]
-        )
+        stack = NttPlanStack(basis.moduli, degree)
+        tables = stack.four_step_stack()
+        matrix = _random_matrix(np.random.default_rng(seed), basis.moduli, degree)
         fwd = tables.transform(matrix, True)
-        for i, plan in enumerate(plans):
+        for i, q in enumerate(basis.moduli):
             assert np.array_equal(
-                fwd[i], ntt_forward_negacyclic(matrix[i], plan.modulus, plan.psi)
+                fwd[i], ntt_forward_negacyclic(matrix[i], q, stack.psis[i])
             )
         assert np.array_equal(tables.transform(fwd, False), matrix)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stacked_operands_bit_exact(self, rng, backend):
         basis = RnsBasis.generate(4, 28, 256)
-        stack = NttPlanStack(
-            tuple(plan_for(256, q) for q in basis.moduli), backend=backend
-        )
-        tensor = np.stack(
-            [
-                np.stack(
-                    [rng.integers(0, q, 256, dtype=np.uint64) for q in basis.moduli]
-                )
-                for _ in range(3)
-            ]
-        )
-        expected = NttPlanStack(stack.plans, backend=BACKEND_REFERENCE).forward(tensor)
+        stack = NttPlanStack(basis.moduli, 256, backend=backend)
+        tensor = _random_matrix(rng, basis.moduli, 256, (3,))
+        expected = NttPlanStack(
+            basis.moduli, 256, backend=BACKEND_REFERENCE
+        ).forward(tensor)
         assert stack.resolve_backend() == backend
         assert np.array_equal(stack.forward(tensor), expected)
         assert np.array_equal(stack.inverse(expected), tensor)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("degree", [64, 4096])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_limb_subset_matches_oracle(self, rng, backend, degree, lead):
+        """A limb subset runs on slices of the stack's own tables, bit-exact
+        with the oracle on every row, forward and inverse, on every rung."""
+        basis = RnsBasis.generate(4, 28, degree)
+        stack = NttPlanStack(basis.moduli, degree, backend=backend)
+        for limbs in [slice(0, 1), slice(1, 3), slice(2, None)]:
+            moduli, psis = basis.moduli[limbs], stack.psis[limbs]
+            x = _random_matrix(rng, moduli, degree, lead)
+            fwd = stack.forward(x, limbs)
+            inv = stack.inverse(x, limbs)
+            for i, (q, psi) in enumerate(zip(moduli, psis)):
+                rows = x[..., i, :].reshape(-1, degree)
+                assert np.array_equal(
+                    fwd[..., i, :].reshape(-1, degree),
+                    [ntt_forward_negacyclic(row, q, psi) for row in rows],
+                ), (limbs, q)
+                assert np.array_equal(
+                    inv[..., i, :].reshape(-1, degree),
+                    [ntt_inverse_negacyclic(row, q, psi) for row in rows],
+                ), (limbs, q)
+
+
+class TestLazyRungTables:
+    def test_four_step_stack_builds_no_butterfly_tables(self, rng, monkeypatch):
+        """A stack resolved to four_step never builds the butterfly tables;
+        pinned to butterfly, eight concurrent first calls build them once
+        and every output is bit-exact."""
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        basis = RnsBasis.generate(3, 28, 256)
+        matrix = _random_matrix(rng, basis.moduli, 256, (2,))
+        expected = NttPlanStack(
+            basis.moduli, 256, backend=BACKEND_REFERENCE
+        ).forward(matrix)
+
+        auto = NttPlanStack(basis.moduli, 256)
+        assert auto.resolve_backend() == BACKEND_FOUR_STEP
+        assert np.array_equal(auto.forward(matrix), expected)
+        assert np.array_equal(auto.inverse(expected), matrix)
+        assert auto._four_step is not None
+        assert auto._butterfly is None
+
+        pinned = NttPlanStack(basis.moduli, 256, backend=BACKEND_BUTTERFLY)
+        original = ntt_engine._butterfly_tables
+        built = []
+
+        def counted_build(*args):
+            built.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ntt_engine, "_butterfly_tables", counted_build)
+        barrier = threading.Barrier(8)
+        outputs, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10.0)
+                outputs.append(pinned.forward(matrix))
+            except BaseException as exc:  # noqa: BLE001 - surfaced to the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(built) == 1
+        assert len(outputs) == 8
+        assert all(np.array_equal(got, expected) for got in outputs)
+        assert pinned._four_step is None
 
 
 class TestWideModulusDispatch:
@@ -212,11 +274,11 @@ class TestWideModulusDispatch:
         assert prime >= MAX_PLAN_MODULUS
         assert four_step_supported(64, (prime,))
         assert resolve_backend(64, (prime,), requested=BACKEND_AUTO) == BACKEND_FOUR_STEP
-        plan = plan_for(64, prime)
+        plan = plan_stack_for((prime,), 64)
         assert not plan.butterfly_ok
-        x = rng.integers(0, prime, 64, dtype=np.uint64)
+        x = _random_matrix(rng, (prime,), 64)
         assert np.array_equal(
-            plan.forward(x), ntt_forward_negacyclic(x, prime, plan.psi)
+            plan.forward(x)[0], ntt_forward_negacyclic(x[0], prime, plan.psis[0])
         )
         assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
@@ -251,10 +313,10 @@ class TestWideModulusDispatch:
                 assert choice == BACKEND_REFERENCE
 
     def test_inexact_tables_refuse(self):
+        """No backend is exact for a 31-bit prime at N=2^13: typed refusal."""
         prime = generate_ntt_prime(31, 1 << 13)
-        psi = primitive_nth_root_of_unity(1 << 14, prime)
-        tables = FourStepTables(1 << 13, prime, psi)
-        assert not tables.exact
+        with pytest.raises(ParameterError):
+            NttPlanStack((prime,), 1 << 13)
 
 
 class TestDispatchOverrides:
@@ -291,46 +353,21 @@ class TestDispatchOverrides:
     @pytest.mark.parametrize("bogus", ["bogus", "fused"])
     def test_plan_backend_attribute_pins(self, rng, bogus):
         basis = RnsBasis.generate(1, 24, 64)
-        q = basis.moduli[0]
-        plan = _plan_with_backend(64, q, BACKEND_BUTTERFLY)
+        plan = NttPlanStack(basis.moduli, 64, backend=BACKEND_BUTTERFLY)
         assert plan.resolve_backend() == BACKEND_BUTTERFLY
         with pytest.raises(ParameterError):
-            NttPlan(degree=64, modulus=q, psi=plan.psi, backend=bogus)
+            NttPlanStack(basis.moduli, 64, backend=bogus)
 
     @pytest.mark.parametrize("mode", ["numpy", "numexpr", "numba"])
     def test_kernel_mode_does_not_steer_dispatch(self, monkeypatch, mode):
         """The element-wise kernel mode is not a dispatch input: the resolved
-        backend and the calibration key are the same under every mode."""
+        backend is the same under every mode."""
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_NTT_CALIBRATE", "measure")
         basis = RnsBasis.generate(2, 24, 64)
-        stack = NttPlanStack(tuple(plan_for(64, q) for q in basis.moduli))
-        reset_calibration()
-        try:
-            monkeypatch.setenv(MODE_ENV, "numpy")
-            baseline = stack.resolve_backend()
-            keys = set(calibration_cache())
-            monkeypatch.setenv(MODE_ENV, mode)
-            assert stack.resolve_backend() == baseline
-            assert set(calibration_cache()) == keys
-        finally:
-            reset_calibration()
-
-    def test_measured_calibration_caches_decision(self, monkeypatch):
-        # Calibration only runs for auto dispatch; clear any matrix-leg pin.
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_NTT_CALIBRATE", "measure")
-        reset_calibration()
-        try:
-            basis = RnsBasis.generate(2, 24, 64)
-            stack = plan_stack_for(basis.moduli, 64)
-            choice = stack.resolve_backend()
-            assert choice in (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP)
-            assert (64, 2, 24) in calibration_cache()
-            # Second resolution must reuse the memoised decision.
-            assert stack.resolve_backend() == choice
-        finally:
-            reset_calibration()
+        monkeypatch.setenv(MODE_ENV, "numpy")
+        baseline = NttPlanStack(basis.moduli, 64).resolve_backend()
+        monkeypatch.setenv(MODE_ENV, mode)
+        assert NttPlanStack(basis.moduli, 64).resolve_backend() == baseline
 
 
 class TestNormalizedAccounting:
@@ -366,11 +403,11 @@ class TestNormalizedAccounting:
 
     def test_plan_counts_rows(self, rng):
         basis = RnsBasis.generate(1, 24, 32)
-        plan = plan_for(32, basis.moduli[0])
+        ring = PolyRing(degree=32, modulus=basis.moduli[0])
         batch = rng.integers(0, basis.moduli[0], (4, 32), dtype=np.uint64)
         reset_transform_counts()
-        plan.forward(batch)
-        plan.forward(batch[0])
+        ring.ntt(batch)
+        ring.ntt(batch[0])
         counts = transform_counts()
         assert counts["forward"] == 2
         assert counts["forward_limbs"] == 4 + 1
@@ -380,9 +417,7 @@ class TestNormalizedAccounting:
     def test_every_rung_books_one_pass_and_limb_rows(self, rng, backend, direction):
         """A stacked ``(B, L, N)`` pass books 1 pass + B*L rows on any rung."""
         basis = RnsBasis.generate(3, 24, 32)
-        stack = NttPlanStack(
-            tuple(plan_for(32, q) for q in basis.moduli), backend=backend
-        )
+        stack = NttPlanStack(basis.moduli, 32, backend=backend)
         tensor = np.stack(
             [
                 np.stack(

@@ -9,10 +9,10 @@ from repro.core.config import PARAMETER_SETS
 from repro.numtheory.bitrev import bit_reverse_indices
 from repro.numtheory.crt import RnsBasis, crt_compose
 from repro.poly.basis_conversion import conversion_for
+from repro.errors import ParameterError
 from repro.poly.ntt_engine import (
     MAX_PLAN_MODULUS,
-    NttPlan,
-    plan_for,
+    NttPlanStack,
     plan_stack_for,
     supports,
 )
@@ -32,67 +32,67 @@ def _random_matrix(rng, moduli, degree):
     )
 
 
+def _ring(degree):
+    return PolyRing(degree=degree, modulus=RnsBasis.generate(1, 24, degree).moduli[0])
+
+
 class TestPlanBitExactness:
+    """A single-modulus ring transforms through its one-limb plan stack."""
+
     @pytest.mark.parametrize("degree", DEGREES)
     def test_forward_matches_reference(self, degree, rng):
-        basis = RnsBasis.generate(1, 24, degree)
-        q = basis.moduli[0]
-        plan = plan_for(degree, q)
-        x = rng.integers(0, q, degree, dtype=np.uint64)
-        assert np.array_equal(plan.forward(x), ntt_forward_negacyclic(x, q, plan.psi))
+        ring = _ring(degree)
+        x = ring.random_uniform(rng)
+        expected = ntt_forward_negacyclic(x, ring.modulus, ring.psi)
+        assert np.array_equal(ring.ntt(x), expected)
 
     @pytest.mark.parametrize("degree", DEGREES)
     def test_inverse_matches_reference(self, degree, rng):
-        basis = RnsBasis.generate(1, 24, degree)
-        q = basis.moduli[0]
-        plan = plan_for(degree, q)
-        x = rng.integers(0, q, degree, dtype=np.uint64)
-        assert np.array_equal(plan.inverse(x), ntt_inverse_negacyclic(x, q, plan.psi))
+        ring = _ring(degree)
+        x = ring.random_uniform(rng)
+        expected = ntt_inverse_negacyclic(x, ring.modulus, ring.psi)
+        assert np.array_equal(ring.intt(x), expected)
 
     @pytest.mark.parametrize("degree", DEGREES)
     def test_roundtrip(self, degree, rng):
-        basis = RnsBasis.generate(1, 24, degree)
-        q = basis.moduli[0]
-        plan = plan_for(degree, q)
-        x = rng.integers(0, q, degree, dtype=np.uint64)
-        assert np.array_equal(plan.inverse(plan.forward(x)), x)
+        ring = _ring(degree)
+        x = ring.random_uniform(rng)
+        assert np.array_equal(ring.intt(ring.ntt(x)), x)
 
-    def test_matches_polyring_psi(self, ring, rng):
-        """The plan's default psi is the same deterministic root PolyRing finds."""
-        assert plan_for(ring.degree, ring.modulus).psi == ring.psi
+    def test_matches_polyring_psi(self, ring):
+        """The stack derives the same deterministic root PolyRing finds."""
+        assert plan_stack_for((ring.modulus,), ring.degree).psis == (ring.psi,)
 
     def test_batched_leading_dims(self, ring, rng):
-        plan = plan_for(ring.degree, ring.modulus)
         batch = rng.integers(0, ring.modulus, (3, 2, ring.degree), dtype=np.uint64)
-        fwd = plan.forward(batch)
+        fwd = ring.ntt(batch)
+        assert fwd.shape == batch.shape
         for i in range(3):
             for j in range(2):
                 assert np.array_equal(
                     fwd[i, j],
-                    ntt_forward_negacyclic(batch[i, j], ring.modulus, plan.psi),
+                    ntt_forward_negacyclic(batch[i, j], ring.modulus, ring.psi),
                 )
-        assert np.array_equal(plan.inverse(fwd), batch)
+        assert np.array_equal(ring.intt(fwd), batch)
 
     def test_multiply_matches_reference_path(self, ring, rng):
-        plan = plan_for(ring.degree, ring.modulus)
         a = ring.random_uniform(rng)
         b = ring.random_uniform(rng)
+        q, psi = ring.modulus, ring.psi
         expected = ntt_inverse_negacyclic(
-            (ntt_forward_negacyclic(a, ring.modulus, plan.psi).astype(np.uint64)
-             * ntt_forward_negacyclic(b, ring.modulus, plan.psi)) % np.uint64(ring.modulus),
-            ring.modulus,
-            plan.psi,
+            (ntt_forward_negacyclic(a, q, psi) * ntt_forward_negacyclic(b, q, psi))
+            % np.uint64(q),
+            q,
+            psi,
         )
-        assert np.array_equal(plan.multiply(a, b), expected)
+        assert np.array_equal(ring.multiply(a, b), expected)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_property_roundtrip_degree_64(self, seed):
-        basis = RnsBasis.generate(1, 24, 64)
-        q = basis.moduli[0]
-        plan = plan_for(64, q)
-        x = np.random.default_rng(seed).integers(0, q, 64, dtype=np.uint64)
-        assert np.array_equal(plan.inverse(plan.forward(x)), x)
+        ring = _ring(64)
+        x = np.random.default_rng(seed).integers(0, ring.modulus, 64, dtype=np.uint64)
+        assert np.array_equal(ring.intt(ring.ntt(x)), x)
 
 
 class TestParameterSetModuli:
@@ -106,7 +106,7 @@ class TestParameterSetModuli:
         matrix = _random_matrix(rng, basis.moduli, params.degree)
         fwd = stack.forward(matrix)
         for i, q in enumerate(basis.moduli):
-            psi = plan_for(params.degree, q).psi
+            psi = stack.psis[i]
             assert np.array_equal(fwd[i], ntt_forward_negacyclic(matrix[i], q, psi))
         assert np.array_equal(stack.inverse(fwd), matrix)
 
@@ -117,9 +117,9 @@ class TestPlanStack:
         matrix = _random_matrix(rng, rns_basis.moduli, rns_basis.degree)
         fwd = stack.forward(matrix)
         for i, q in enumerate(rns_basis.moduli):
-            plan = plan_for(rns_basis.degree, q)
-            assert np.array_equal(fwd[i], plan.forward(matrix[i]))
-            assert np.array_equal(stack.inverse(fwd)[i], plan.inverse(fwd[i]))
+            ring = PolyRing(degree=rns_basis.degree, modulus=q)
+            assert np.array_equal(fwd[i], ring.ntt(matrix[i]))
+            assert np.array_equal(stack.inverse(fwd)[i], ring.intt(fwd[i]))
 
     def test_shape_validation(self, rns_basis):
         stack = plan_stack_for(rns_basis.moduli, rns_basis.degree)
@@ -134,10 +134,6 @@ class TestPlanStack:
 
 
 class TestCaching:
-    def test_plan_cache_returns_same_object(self):
-        basis = RnsBasis.generate(1, 24, 128)
-        assert plan_for(128, basis.moduli[0]) is plan_for(128, basis.moduli[0])
-
     def test_stack_cache_returns_same_object(self, rns_basis):
         first = plan_stack_for(rns_basis.moduli, rns_basis.degree)
         second = plan_stack_for(rns_basis.moduli, rns_basis.degree)
@@ -153,14 +149,8 @@ class TestCaching:
         assert conversion_for(source, target) is conversion_for(source, target)
 
     def test_polyring_delegates_to_cached_plan(self, ring):
-        assert ring.plan is plan_for(ring.degree, ring.modulus)
-
-    def test_plan_cache_rejects_mismatched_psi(self, ring):
-        plan = plan_for(ring.degree, ring.modulus)
-        other_psi = pow(plan.psi, 3, ring.modulus)  # another primitive 2N-th root
-        assert other_psi != plan.psi
-        with pytest.raises(ValueError):
-            plan_for(ring.degree, ring.modulus, psi=other_psi)
+        assert ring.plan is plan_stack_for((ring.modulus,), ring.degree)
+        assert ring.plan.limb_count == 1
 
 
 class TestFallbacks:
@@ -169,8 +159,8 @@ class TestFallbacks:
         # four-step split budget at that degree's factorisation.
         wide = MAX_PLAN_MODULUS + 3
         assert not supports((wide,), 1 << 13)
-        with pytest.raises(ValueError):
-            NttPlan(degree=1 << 13, modulus=wide, psi=1)
+        with pytest.raises(ParameterError):
+            NttPlanStack((wide,), 1 << 13)
 
     def test_supports_bound(self, rns_basis):
         assert supports(rns_basis.moduli)
