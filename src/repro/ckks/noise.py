@@ -41,7 +41,7 @@ _WARN_ENV = "REPRO_NOISE_WARN_BITS"
 _RAISE_ENV = "REPRO_NOISE_RAISE_BITS"
 
 
-def _env_float(name: str, default: float) -> float:
+def _env_bits(name: str, default: float) -> float:
     raw = os.environ.get(name, "")
     try:
         return float(raw) if raw else default
@@ -65,8 +65,8 @@ class NoisePolicy:
         """Policy with env-var overrides applied."""
         return cls(
             track=bool(int(os.environ.get(_TRACK_ENV, "1") or "1")),
-            warn_margin_bits=_env_float(_WARN_ENV, 8.0),
-            raise_margin_bits=_env_float(_RAISE_ENV, 0.0),
+            warn_margin_bits=_env_bits(_WARN_ENV, 8.0),
+            raise_margin_bits=_env_bits(_RAISE_ENV, 0.0),
         )
 
 

@@ -21,6 +21,11 @@ request either completes with a correct result or fails with a typed
   finish; :meth:`InferenceServer.health` / :meth:`InferenceServer.ready`
   expose liveness and readiness for orchestration.
 
+Every request takes one path, :meth:`InferenceServer._serve`: a solo
+request is a batch of one, and a failed batch is re-served as batches of
+one.  Where the circuit runs -- on the worker thread, or in a supervised
+shard process -- is decided once, in :meth:`InferenceServer.start`.
+
 Every served request leaves a structured ``request_served`` /
 ``request_failed`` diagnostics event carrying queue wait, attempt count,
 backend used, and remaining noise headroom.
@@ -29,7 +34,6 @@ backend used, and remaining noise headroom.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import threading
 import time
@@ -43,7 +47,6 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.errors import (
     DeadlineExceeded,
     ParameterError,
-    RequestCancelled,
     ReproError,
     ServiceUnavailable,
 )
@@ -167,7 +170,7 @@ class InferenceServer:
         rng_seed: int | None = None,
         max_batch_size: int = 1,
         max_batch_wait_s: float = 0.0,
-        workers_mode: str | None = None,
+        workers_mode: str = "thread",
         supervisor_options: dict[str, Any] | None = None,
     ):
         if workers < 1:
@@ -176,12 +179,10 @@ class InferenceServer:
             raise ValueError("max_batch_size must be >= 1")
         if max_batch_wait_s < 0:
             raise ValueError("max_batch_wait_s must be >= 0")
-        if workers_mode is None:
-            workers_mode = os.environ.get("REPRO_SERVING_MODE", "thread")
         if workers_mode not in ("thread", "process"):
             raise ParameterError(
                 f"workers_mode must be 'thread' or 'process', got "
-                f"{workers_mode!r} (set explicitly or via REPRO_SERVING_MODE)"
+                f"{workers_mode!r}"
             )
         #: ``thread``: circuits run on the worker threads themselves (one
         #: shared fault domain).  ``process``: each worker thread fronts one
@@ -233,7 +234,11 @@ class InferenceServer:
                 return self
             self._running = True
             self._draining = False
-        if self.workers_mode == "process" and self.supervisor is None:
+        #: The leaf executor, ``(request_id, tenant_id, circuit, payload,
+        #: scope) -> (result, meta)``: inline on the worker thread, or the
+        #: supervisor's dispatch to a shard.  Chosen here, once.
+        self._execute = self._execute_inline
+        if self.workers_mode == "process":
             specs = self.registry.specs()
             missing = sorted(
                 set(self.registry.tenants()) - {s.tenant_id for s in specs}
@@ -247,6 +252,7 @@ class InferenceServer:
             options = dict(self._supervisor_options)
             options.setdefault("shards", self._worker_count)
             self.supervisor = ShardSupervisor(specs, **options).start()
+            self._execute = self.supervisor.execute
         for index in range(self._worker_count):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -441,10 +447,7 @@ class InferenceServer:
                 with self._lock:
                     self._in_flight += len(batch)
                 try:
-                    if len(batch) == 1:
-                        self._serve(batch[0])
-                    else:
-                        self._serve_batch(batch)
+                    self._serve(batch)
                 finally:
                     with self._idle:
                         self._in_flight -= len(batch)
@@ -492,119 +495,6 @@ class InferenceServer:
                 )
         return batch
 
-    def _serve_batch(self, batch: list[RequestTicket]) -> None:
-        """Serve coalesced tickets as ONE stacked evaluator call.
-
-        The members' single-ciphertext payloads are stacked into a
-        ``(B, 2, L, N)`` ciphertext, the leader's circuit runs once under a
-        scope holding the *tightest* member deadline, and the result is
-        unstacked back per member.  Every member's own scope is re-checked
-        before completion, so per-request cancellation and deadlines hold
-        exactly as in solo serving.  Any batched-path failure falls back to
-        serving the unfinished members sequentially through :meth:`_serve` --
-        batching is a throughput optimisation, never a correctness or
-        availability risk.
-        """
-        started = time.monotonic()
-        live: list[RequestTicket] = []
-        for ticket in batch:
-            ticket.status = RUNNING
-            ticket.diagnostics["queue_wait_s"] = round(
-                started - ticket.submitted_at, 6
-            )
-            try:
-                ticket.scope.check()
-            except BaseException as exc:  # noqa: BLE001 - typed, finalised
-                self._finalise(ticket, None, exc, 0, "unknown", started)
-            else:
-                live.append(ticket)
-        if not live:
-            return
-        if len(live) == 1:
-            self._serve(live[0])
-            return
-        leader = live[0]
-        request = leader.request
-        try:
-            session = self.registry.session(request.tenant_id)
-            payloads = [ticket.request.payload for ticket in live]
-            if not all(isinstance(p, Ciphertext) for p in payloads):
-                raise ParameterError(
-                    "dynamic batching requires single-ciphertext payloads"
-                )
-            stacked = stack_ciphertexts(payloads)
-        except BaseException as exc:  # noqa: BLE001 - fall back to solo serve
-            diagnostics.record_event(
-                "batch_fallback",
-                tenant=request.tenant_id,
-                batch_key=request.batch_key,
-                batch_size=len(live),
-                reason=type(exc).__name__,
-            )
-            for ticket in live:
-                self._serve(ticket)
-            return
-        deadlines = [
-            ticket.scope.deadline
-            for ticket in live
-            if ticket.scope.deadline is not None
-        ]
-        batch_scope = CancelScope(
-            deadline=min(deadlines) if deadlines else None,
-            label=f"batch-{request.request_id}",
-        )
-        backend = self._resolved_backend(session)
-        try:
-            with batch_scope:
-                result = self._execute(
-                    leader, batch_scope, session, request.circuit, stacked
-                )
-            members = unstack_ciphertext(result)
-            if len(members) != len(live):
-                raise ParameterError(
-                    f"batched circuit returned {len(members)} members for a "
-                    f"batch of {len(live)}"
-                )
-        except BaseException as exc:  # noqa: BLE001 - fall back to solo serve
-            if backend_attributable(exc):
-                self.breaker.record_failure(
-                    backend, request_id=request.request_id
-                )
-            diagnostics.record_event(
-                "batch_fallback",
-                tenant=request.tenant_id,
-                batch_key=request.batch_key,
-                batch_size=len(live),
-                backend=backend,
-                reason=type(exc).__name__,
-            )
-            for ticket in live:
-                if not ticket.done():
-                    self._serve(ticket)
-            return
-        self.breaker.record_success(backend)
-        self.batches_served += 1
-        self.batched_requests += len(live)
-        for ticket, member in zip(live, members):
-            try:
-                ticket.scope.check()
-            except BaseException as exc:  # noqa: BLE001 - typed, finalised
-                self._finalise(ticket, None, exc, 1, backend, started)
-                continue
-            headroom = None
-            try:
-                headroom = session.noise_headroom_bits(member)
-            except Exception:  # diagnostics must never fail a request
-                headroom = None
-            ticket.diagnostics.update(
-                batched=True,
-                batch_size=len(live),
-                noise_headroom_bits=(
-                    None if headroom is None else round(headroom, 2)
-                ),
-            )
-            self._finalise(ticket, member, None, 1, backend, started)
-
     def _maybe_probe(self) -> None:
         """Periodic circuit-breaker recovery probe (one worker at a time)."""
         now = time.monotonic()
@@ -640,107 +530,154 @@ class InferenceServer:
         )
         return stack.resolve_backend()
 
-    def _execute(
+    def _execute_inline(
         self,
-        ticket: RequestTicket,
-        scope: CancelScope,
-        session: TenantSession,
+        *,
+        request_id: str,
+        tenant_id: str,
         circuit: Callable,
         payload: Any,
-    ) -> Any:
-        """Leaf circuit execution: in-thread, or forwarded to a shard.
+        scope: CancelScope,
+    ) -> tuple[Any, dict[str, Any]]:
+        """Thread mode's executor: the circuit runs on this worker thread."""
+        return circuit(self.registry.session(tenant_id), payload), {}
 
-        Thread mode runs the circuit directly under the ambient scope.
-        Process mode ships it to a supervised shard; the shard's name/pid and
-        noise metadata come back in ``meta`` and land in the ticket's
-        diagnostics, so operators can see *which* fault domain served (or
-        killed) each request.
+    def _serve(self, tickets: list[RequestTicket]) -> None:
+        """Serve 1..``max_batch_size`` tickets as one circuit run.
+
+        1. Shed: each ticket goes ``running``; one whose scope expired or
+           was cancelled in the queue fails typed with 0 attempts.
+        2. Build the unit: a batch of one runs its payload as is under its
+           own scope; a larger batch runs the stacked ciphertext under the
+           tightest member deadline as ``batch-<leader id>``, so a shard it
+           kills is charged to the batch, not to its leader.
+        3. Execute: only a batch of one retries; any failure of a larger
+           batch records ``batch_fallback`` and re-serves each member as a
+           batch of one, so batching never costs correctness.
+        4. Finish: split the result, re-check each member's own scope, and
+           record the executor's ``meta`` and the noise headroom per member.
         """
-        if self.supervisor is None:
-            return circuit(session, payload)
-        result, meta = self.supervisor.execute(
-            request_id=ticket.request.request_id,
-            tenant_id=ticket.request.tenant_id,
-            circuit=circuit,
-            payload=payload,
-            scope=scope,
-        )
-        ticket.diagnostics.update(
-            shard=meta.get("shard"), shard_pid=meta.get("pid")
-        )
-        if meta.get("noise_headroom_bits") is not None:
-            ticket.diagnostics["noise_headroom_bits"] = meta[
-                "noise_headroom_bits"
-            ]
-        return result
-
-    def _serve(self, ticket: RequestTicket) -> None:
-        request = ticket.request
         started = time.monotonic()
-        queue_wait = started - ticket.submitted_at
-        ticket.status = RUNNING
-        ticket.diagnostics["queue_wait_s"] = round(queue_wait, 6)
-        attempts = 0
-        backend = "unknown"
-        error: BaseException | None = None
-        result: Any = None
-        # Past-deadline or cancelled tickets are shed without touching a
-        # session: the queue wait already consumed their budget.
-        try:
-            ticket.scope.check()
-            session = self.registry.session(request.tenant_id)
-        except BaseException as exc:  # noqa: BLE001 - finalised below, typed
-            self._finalise(ticket, None, exc, attempts, backend, started)
-            return
-        while True:
-            attempts += 1
-            backend = self._resolved_backend(session)
-            try:
-                with ticket.scope:
-                    result = self._execute(
-                        ticket,
-                        ticket.scope,
-                        session,
-                        request.circuit,
-                        request.payload,
-                    )
-                self.breaker.record_success(backend)
-                error = None
-                break
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                error = exc
-                if backend_attributable(exc):
-                    # Worker kills are retryable but NOT fed to the breaker:
-                    # a crashed shard says nothing about the NTT backend.
-                    self.breaker.record_failure(
-                        backend, request_id=request.request_id
-                    )
-                if not self.retry_policy.should_retry(exc, attempts):
-                    break
-                delay = self.retry_policy.delay(attempts, self._rng)
-                remaining = ticket.scope.remaining()
-                if remaining is not None and delay >= remaining:
-                    break  # no deadline headroom for another attempt
-                diagnostics.record_event(
-                    "request_retry",
-                    request_id=request.request_id,
-                    tenant=request.tenant_id,
-                    attempt=attempts,
-                    backend=backend,
-                    error=type(exc).__name__,
-                    backoff_s=round(delay, 4),
-                )
-                time.sleep(delay)
-        if error is None:
-            noise_headroom = None
-            try:
-                noise_headroom = session.noise_headroom_bits(result)
-            except Exception:  # diagnostics must never fail a served request
-                noise_headroom = None
-            ticket.diagnostics["noise_headroom_bits"] = (
-                None if noise_headroom is None else round(noise_headroom, 2)
+        live: list[RequestTicket] = []
+        for ticket in tickets:
+            ticket.status = RUNNING
+            ticket.diagnostics["queue_wait_s"] = round(
+                started - ticket.submitted_at, 6
             )
-        self._finalise(ticket, result, error, attempts, backend, started)
+            try:
+                ticket.scope.check()
+            except BaseException as exc:  # noqa: BLE001 - typed, finalised
+                self._finalise(ticket, None, exc, 0, "unknown", started)
+            else:
+                live.append(ticket)
+        if not live:
+            return
+        size = len(live)
+        request = live[0].request
+        attempts, backend = 0, "unknown"
+        try:
+            session = self.registry.session(request.tenant_id)
+            if size == 1:
+                unit_id, scope, payload = (
+                    request.request_id, live[0].scope, request.payload
+                )
+            else:
+                payloads = [ticket.request.payload for ticket in live]
+                if not all(isinstance(p, Ciphertext) for p in payloads):
+                    raise ParameterError(
+                        "dynamic batching requires single-ciphertext payloads"
+                    )
+                payload = stack_ciphertexts(payloads)
+                deadlines = [
+                    ticket.scope.deadline
+                    for ticket in live
+                    if ticket.scope.deadline is not None
+                ]
+                unit_id = f"batch-{request.request_id}"
+                scope = CancelScope(
+                    deadline=min(deadlines, default=None), label=unit_id
+                )
+            while True:
+                attempts += 1
+                backend = self._resolved_backend(session)
+                try:
+                    with scope:
+                        result, meta = self._execute(
+                            request_id=unit_id,
+                            tenant_id=request.tenant_id,
+                            circuit=request.circuit,
+                            payload=payload,
+                            scope=scope,
+                        )
+                    break
+                except BaseException as exc:  # noqa: BLE001 - classified here
+                    if backend_attributable(exc):
+                        # Not worker kills: a crashed shard says nothing
+                        # about the NTT backend.
+                        self.breaker.record_failure(backend, request_id=unit_id)
+                    if size > 1 or not self.retry_policy.should_retry(
+                        exc, attempts
+                    ):
+                        raise
+                    delay = self.retry_policy.delay(attempts, self._rng)
+                    remaining = scope.remaining()
+                    if remaining is not None and delay >= remaining:
+                        raise  # no deadline headroom for another attempt
+                    diagnostics.record_event(
+                        "request_retry",
+                        request_id=unit_id,
+                        tenant=request.tenant_id,
+                        attempt=attempts,
+                        backend=backend,
+                        error=type(exc).__name__,
+                        backoff_s=round(delay, 4),
+                    )
+                    time.sleep(delay)
+            self.breaker.record_success(backend)
+            members = [result]
+            if size > 1:
+                members = unstack_ciphertext(result)
+                if len(members) != size:
+                    raise ParameterError(
+                        f"batched circuit returned {len(members)} members "
+                        f"for a batch of {size}"
+                    )
+        except BaseException as exc:  # noqa: BLE001 - finalised or re-served
+            if size == 1:
+                self._finalise(live[0], None, exc, attempts, backend, started)
+                return
+            diagnostics.record_event(
+                "batch_fallback",
+                tenant=request.tenant_id,
+                batch_key=request.batch_key,
+                batch_size=size,
+                backend=backend,
+                reason=type(exc).__name__,
+            )
+            for ticket in live:
+                self._serve([ticket])
+            return
+        if size > 1:
+            with self._idle:
+                self.batches_served += 1
+                self.batched_requests += size
+        for ticket, member in zip(live, members):
+            try:
+                ticket.scope.check()
+            except BaseException as exc:  # noqa: BLE001 - typed, finalised
+                self._finalise(ticket, None, exc, attempts, backend, started)
+                continue
+            ticket.diagnostics.update(meta)
+            try:
+                headroom = session.noise_headroom_bits(member)
+            except Exception:  # diagnostics must never fail a served request
+                headroom = None
+            ticket.diagnostics["noise_headroom_bits"] = (
+                None if headroom is None else round(headroom, 2)
+            )
+            if size > 1:
+                ticket.diagnostics.update(batched=True, batch_size=size)
+            self._finalise(ticket, member, None, attempts, backend, started)
 
     def _finalise(
         self,
@@ -751,25 +688,25 @@ class InferenceServer:
         backend: str,
         started: float,
     ) -> None:
-        request = ticket.request
         ticket.diagnostics.update(
             attempts=attempts,
             backend=backend,
             service_s=round(time.monotonic() - started, 6),
         )
-        if error is None:
-            self.served += 1
-            ticket._complete(result)
-            diagnostics.record_event(
-                "request_served", **ticket.diagnostics
-            )
-        else:
-            self.failed += 1
+        if error is not None:
             ticket.diagnostics["error"] = type(error).__name__
-            ticket._fail(error)
-            diagnostics.record_event(
-                "request_failed", **ticket.diagnostics
-            )
+        diagnostics.record_event(
+            "request_served" if error is None else "request_failed",
+            **ticket.diagnostics,
+        )
+        # One lock for counters, completion and the drain condition: whoever
+        # sees the ticket done (or the server drained) sees it counted.
         with self._idle:
+            if error is None:
+                self.served += 1
+                ticket._complete(result)
+            else:
+                self.failed += 1
+                ticket._fail(error)
             self._outstanding.discard(ticket)
             self._idle.notify_all()

@@ -231,7 +231,10 @@ def _shard_entry(
 
     Every request frame gets exactly one ``result`` frame back (ok or error)
     carrying the diagnostics events the circuit recorded, so the parent's
-    bounded event log sees what happened inside the fault domain.  Only a
+    bounded event log sees what happened inside the fault domain, and a
+    ``meta`` dict (``shard``, ``shard_pid``) the parent merges into the
+    ticket's diagnostics; everything else about the result, such as its
+    noise headroom, the parent works out itself.  Only a
     crash (or the poison payload detonating inside ``recv_frame``'s unpickle)
     breaks that invariant -- which is precisely what the supervisor's
     exitcode/heartbeat watchers are for.
@@ -255,6 +258,9 @@ def _serve_shard(
     from repro.serving.session import TenantRegistry  # after spawn bootstrap
 
     counters = {"served": 0}
+    #: Every reply's ``meta``: which fault domain served the request, keyed
+    #: as the parent's ticket diagnostics record it.
+    meta = {"shard": name, "shard_pid": os.getpid()}
     stop = threading.Event()
     registry = TenantRegistry()
     for spec in specs:
@@ -307,7 +313,6 @@ def _serve_shard(
                     },
                 )
                 continue
-            reply: dict[str, Any] = {"ok": False, "meta": {}}
             try:
                 session = registry.session(payload["tenant_id"])
                 scope = CancelScope(
@@ -316,29 +321,11 @@ def _serve_shard(
                 )
                 with scope:
                     result = payload["circuit"](session, payload["payload"])
-                headroom = None
-                try:
-                    headroom = session.noise_headroom_bits(result)
-                except Exception:
-                    headroom = None
-                reply.update(
-                    ok=True,
-                    result=result,
-                    meta={
-                        "shard": name,
-                        "pid": os.getpid(),
-                        "noise_headroom_bits": (
-                            None if headroom is None else round(headroom, 2)
-                        ),
-                    },
-                )
+                reply: dict[str, Any] = {"ok": True, "result": result}
                 counters["served"] += 1
             except BaseException as exc:  # noqa: BLE001 - shipped typed
-                reply.update(
-                    ok=False,
-                    error=_picklable_error(exc),
-                    meta={"shard": name, "pid": os.getpid()},
-                )
+                reply = {"ok": False, "error": _picklable_error(exc)}
+            reply["meta"] = meta
             fresh = [
                 event
                 for event in diagnostics.events()

@@ -22,6 +22,11 @@ contract mirrors a classic one-for-one supervision tree:
 * **poison quarantine** -- a request that kills workers
   ``poison_kill_threshold`` (default 2) times is quarantined and fails typed
   as :class:`~repro.errors.PoisonRequest` instead of crash-looping the pool.
+  Kills are counted per dispatched ``request_id``; the server dispatches a
+  stacked batch under its own ``batch-<leader id>``.
+
+Every setting is a constructor argument (the server passes its
+``supervisor_options`` through); none is read from the environment.
 
 Backend quarantine state is per-process: a shard that trips a kernel
 sentinel degrades its *own* dispatch ladder, which is exactly the fault
@@ -32,7 +37,6 @@ sees backend-attributable errors (see :func:`repro.serving.retry.backend_attribu
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from typing import Any, Callable, Sequence
@@ -55,16 +59,6 @@ READY = "ready"
 BUSY = "busy"
 DEAD = "dead"
 STOPPED = "stopped"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 class _PendingCall:
@@ -132,7 +126,7 @@ class ShardSupervisor:
         specs: Sequence[TenantSpec],
         *,
         shards: int = 2,
-        heartbeat_interval_s: float | None = None,
+        heartbeat_interval_s: float = 0.25,
         heartbeat_miss_limit: int = 4,
         memory_ceiling_mb: float | None = None,
         restart_backoff_s: float = 0.25,
@@ -145,20 +139,10 @@ class ShardSupervisor:
         if poison_kill_threshold < 1:
             raise ValueError("poison_kill_threshold must be >= 1")
         self.specs = list(specs)
-        self.heartbeat_interval_s = (
-            heartbeat_interval_s
-            if heartbeat_interval_s is not None
-            else _env_float("REPRO_SHARD_HEARTBEAT_S", 0.25)
-        )
+        self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_miss_limit = int(heartbeat_miss_limit)
-        self.memory_ceiling_mb = (
-            memory_ceiling_mb
-            if memory_ceiling_mb is not None
-            else (_env_float("REPRO_SHARD_MEM_CEILING_MB", 0.0) or None)
-        )
-        self.restart_backoff_s = float(
-            _env_float("REPRO_SHARD_RESTART_BACKOFF_S", restart_backoff_s)
-        )
+        self.memory_ceiling_mb = memory_ceiling_mb
+        self.restart_backoff_s = float(restart_backoff_s)
         self.restart_backoff_cap_s = float(restart_backoff_cap_s)
         self.poison_kill_threshold = int(poison_kill_threshold)
         self.boot_timeout_s = float(boot_timeout_s)
@@ -302,8 +286,8 @@ class ShardSupervisor:
     ) -> tuple[Any, dict[str, Any]]:
         """Run one request on a healthy shard; crash-contain and re-dispatch.
 
-        Returns ``(result, meta)`` where ``meta`` carries the serving shard's
-        name/pid and noise headroom.  Raises the worker's own typed error for
+        Returns ``(result, meta)`` where ``meta`` names the serving shard
+        (``shard``, ``shard_pid``).  Raises the worker's own typed error for
         a request that fails *inside* a healthy shard, and
         :class:`WorkerCrashed` / :class:`WorkerUnresponsive` /
         :class:`PoisonRequest` for supervision verdicts.

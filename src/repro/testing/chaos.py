@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import diagnostics
+from repro.ckks.batch import batch_size
 from repro.ckks.encoding import CkksEncoder
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.params import CkksParameters
@@ -60,6 +61,7 @@ from repro.testing.faults import (
 from repro.workloads import run_encrypted_linear_layer
 
 __all__ = [
+    "BatchCrashCircuit",
     "ChaosOutcome",
     "ChaosReport",
     "ClientTenant",
@@ -123,6 +125,21 @@ class HangCircuit:
             shard_module.suppress_heartbeats(True)
             time.sleep(self.hold_s)
         return payload
+
+
+class BatchCrashCircuit(LinearSquareCircuit):
+    """Chaos circuit: :class:`LinearSquareCircuit` that kills any shard
+    handed a stacked batch.
+
+    A batch of one computes normally, so a batch poisoned by it must end
+    with every member served bit-exact once re-served alone -- and with the
+    quarantine charged to the batch, never to a member.
+    """
+
+    def __call__(self, session, payload):
+        if shard_module.in_worker() and batch_size(payload) > 1:
+            os._exit(13)
+        return super().__call__(session, payload)
 
 
 def _detonate_poison():

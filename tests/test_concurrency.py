@@ -39,6 +39,8 @@ from repro.diagnostics import BoundedLruCache, WeakCacheGroup
 from repro.errors import BackendExactnessError, DeadlineExceeded
 from repro.numtheory.crt import RnsBasis
 from repro.poly import gemm_mod, ntt_engine
+from repro.serving import InferenceRequest, InferenceServer, TenantRegistry
+from repro.testing.chaos import build_tenants
 from repro.testing.faults import corrupted_four_step_tables
 
 THREADS = 8
@@ -263,6 +265,40 @@ class TestTransformCounters:
         _run_threaded(shared_setup, inputs)
         total = ntt_engine.transform_counts()
         assert total == {key: value * len(inputs) for key, value in one.items()}
+
+
+class TestServerCounters:
+    """Every worker thread finalises requests; no count may be lost, and a
+    finished ticket is already counted."""
+
+    def test_served_and_failed_lose_no_update(self):
+        registry = TenantRegistry()
+        build_tenants(registry, ("alice",))
+        requests = 1000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force switches inside the read-modify-write
+        try:
+            with InferenceServer(
+                registry, workers=THREADS, queue_capacity=requests
+            ) as server:
+                tickets = [
+                    server.submit(InferenceRequest("alice", _echo, payload=index))
+                    for index in range(requests)
+                ]
+                for ticket in tickets:
+                    ticket.wait(timeout=60.0)
+                health = server.health()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ticket.done() for ticket in tickets)
+        assert server.served + server.failed == requests
+        assert health["served"] == sum(
+            ticket.status == "completed" for ticket in tickets
+        )
+
+
+def _echo(session, payload):
+    return payload
 
 
 def _fresh_owner(kind):

@@ -13,11 +13,23 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro import diagnostics, parallel
+from repro.ckks.batch import batch_size
 from repro.errors import (
     BackendExactnessError,
     DeadlineExceeded,
@@ -932,3 +944,149 @@ class TestChaos:
         modulus = corrupted.c0.basis.moduli[0]
         assert int(corrupted.c0.residues[0, 0]) >= modulus
         assert int(healthy.c0.residues[0, 0]) < modulus
+
+
+# ---------------------------------------------------------------------------
+# The ticket lifecycle as a state machine
+# ---------------------------------------------------------------------------
+
+_STATUS_RANK = {"queued": 0, "running": 1, "completed": 2, "failed": 2}
+
+
+def _echo(session, payload):
+    return payload
+
+
+def _refuse_stacks(session, payload):
+    """Echo a single ciphertext; refuse a stacked batch, so it splits."""
+    if batch_size(payload) > 1:
+        raise ParameterError("this circuit refuses stacked input")
+    return payload
+
+
+class TicketLifecycle(RuleBasedStateMachine):
+    """Submit / deadline / cancel / drain interleavings on a live server.
+
+    Every ticket moves ``queued -> running -> completed|failed`` and is
+    finalised exactly once -- one ``request_served`` / ``request_failed``
+    event, even when its batch splits -- and a drain leaves nothing behind.
+    """
+
+    def __init__(self, registry, payloads):
+        super().__init__()
+        self.registry = registry
+        self.payloads = payloads
+        self.server = None
+        self.tickets = []
+        self.seen = {}
+        self.drained = False
+
+    @initialize(max_batch_size=st.sampled_from((1, 4)))
+    def start(self, max_batch_size):
+        diagnostics.clear_events()
+        self.server = InferenceServer(
+            self.registry,
+            workers=2,
+            queue_capacity=64,
+            max_batch_size=max_batch_size,
+            max_batch_wait_s=0.02,
+        ).start()
+
+    def _submit(self, keyed, circuit, timeout_s=None):
+        payload = self.payloads[len(self.tickets) % len(self.payloads)]
+        self.tickets.append(
+            self.server.submit(
+                InferenceRequest(
+                    "alice",
+                    circuit,
+                    payload=payload,
+                    timeout_s=timeout_s,
+                    batch_key=circuit.__name__ if keyed else None,
+                )
+            )
+        )
+
+    @precondition(lambda self: not self.drained)
+    @rule(
+        keyed=st.booleans(),
+        circuit=st.sampled_from((_echo, _refuse_stacks)),
+        copies=st.integers(1, 4),
+    )
+    def submit(self, keyed, circuit, copies):
+        for _ in range(copies):
+            self._submit(keyed, circuit)
+
+    @precondition(lambda self: not self.drained)
+    @rule(keyed=st.booleans(), timeout_s=st.sampled_from((0.0005, 0.002, 0.01)))
+    def submit_short_timeout(self, keyed, timeout_s):
+        self._submit(keyed, _echo, timeout_s)
+
+    @precondition(lambda self: self.tickets)
+    @rule(data=st.data())
+    def cancel(self, data):
+        data.draw(st.sampled_from(self.tickets)).cancel("state machine")
+
+    @rule()
+    def pause(self):
+        time.sleep(0.002)
+
+    @precondition(lambda self: not self.drained)
+    @rule()
+    def drain(self):
+        assert self.server.drain(timeout=10.0)
+        self.drained = True
+        self._check_drained()
+
+    @invariant()
+    def status_only_moves_forward(self):
+        for ticket in self.tickets:
+            done = ticket.done()
+            status = ticket.status
+            assert not done or _STATUS_RANK[status] == 2
+            previous = self.seen.get(ticket.request.request_id, "queued")
+            assert _STATUS_RANK[status] >= _STATUS_RANK[previous]
+            assert _STATUS_RANK[previous] < 2 or status == previous
+            self.seen[ticket.request.request_id] = status
+
+    def _check_drained(self):
+        assert all(ticket.done() for ticket in self.tickets)
+        assert not self.server._outstanding
+        assert self.server.served + self.server.failed == len(self.tickets)
+        finalised = Counter(
+            event["request_id"]
+            for event in diagnostics.events()
+            if event["kind"] in ("request_served", "request_failed")
+        )
+        assert finalised == Counter(t.request.request_id for t in self.tickets)
+        for ticket in self.tickets:
+            if ticket.status == "completed":
+                result, payload = ticket.result(), ticket.request.payload
+                assert np.array_equal(result.c0.residues, payload.c0.residues)
+                assert np.array_equal(result.c1.residues, payload.c1.residues)
+
+    def teardown(self):
+        if self.server is None:
+            return
+        if not self.drained:
+            assert self.server.drain(timeout=10.0)
+            self._check_drained()
+        self.server.shutdown()
+
+
+def test_ticket_lifecycle_state_machine(registry_and_clients):
+    registry, clients = registry_and_clients
+    client = clients[0]
+    rng = np.random.default_rng(31)
+    payloads = [
+        client.encrypt_features(rng.uniform(-1, 1, client.params.slot_count))
+        for _ in range(3)
+    ]
+    run_state_machine_as_test(
+        lambda: TicketLifecycle(registry, payloads),
+        settings=settings(
+            max_examples=50,
+            stateful_step_count=20,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )

@@ -35,6 +35,7 @@ from repro.serving import (
 )
 from repro.serving.shard import FRAME_MAGIC, _FRAME_HEADER, recv_frame, send_frame
 from repro.testing.chaos import (
+    BatchCrashCircuit,
     LinearSquareCircuit,
     build_tenants,
     prepare_work,
@@ -275,6 +276,69 @@ class TestProcessServer:
                 assert ticket.diagnostics["shard_pid"] is not None
         # Shutdown tore the supervisor down.
         assert server.supervisor is None or not server.supervisor.ready()
+
+
+class TestProcessBatching:
+    """A stacked batch through one shard: every member is a full citizen."""
+
+    def _run_batch(self, circuit_type, **supervisor_options):
+        """Serve three coalesced requests on one shard; return the tickets,
+        their solo oracles and the supervisor counters."""
+        registry = TenantRegistry()
+        client = build_tenants(registry, ("alice",))[0]
+        work = prepare_work([client], requests=3, rng=np.random.default_rng(4))
+        session = registry.session(client.tenant_id)
+        oracles = [client.circuit(session, ct) for _, _, _, ct in work]
+        circuit = circuit_type(client.weights, client.bias)
+        with InferenceServer(
+            registry,
+            workers=1,
+            workers_mode="process",
+            default_timeout_s=60.0,
+            max_batch_size=len(work),
+            max_batch_wait_s=5.0,
+            supervisor_options={"heartbeat_interval_s": 0.1, **supervisor_options},
+        ) as server:
+            tickets = [
+                server.submit(
+                    InferenceRequest(
+                        client.tenant_id, circuit, payload=ct, batch_key="stream"
+                    )
+                )
+                for _, _, _, ct in work
+            ]
+            results = [ticket.result(timeout=60.0) for ticket in tickets]
+            counters = server.health()["shards"]["counters"]
+        for result, oracle in zip(results, oracles):
+            np.testing.assert_array_equal(
+                result.c0.to_coeff().residues, oracle.c0.to_coeff().residues
+            )
+            np.testing.assert_array_equal(
+                result.c1.to_coeff().residues, oracle.c1.to_coeff().residues
+            )
+        return tickets, counters
+
+    def test_every_member_reports_its_shard(self):
+        tickets, counters = self._run_batch(LinearSquareCircuit)
+        for ticket in tickets:
+            assert ticket.diagnostics["batched"] is True
+            assert ticket.diagnostics["batch_size"] == len(tickets)
+            assert ticket.diagnostics["shard"] == "shard-0"
+            assert ticket.diagnostics["shard_pid"] is not None
+        assert counters["crashes"] == 0
+
+    def test_poisoned_batch_spares_its_innocent_members(self):
+        # The stacked call kills the shard twice and is quarantined; every
+        # member, the leader included, then completes served alone.
+        tickets, counters = self._run_batch(
+            BatchCrashCircuit, restart_backoff_s=0.01
+        )
+        leader = tickets[0].request.request_id
+        assert counters["crashes"] == 2
+        assert counters["poisoned_requests"] == [f"batch-{leader}"]
+        for ticket in tickets:
+            assert "batched" not in ticket.diagnostics
+            assert ticket.diagnostics["shard_pid"] is not None
 
 
 # ---------------------------------------------------------------------------
