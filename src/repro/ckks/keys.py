@@ -1,12 +1,14 @@
 """Key material and key generation for the CKKS scheme.
 
 Key switching uses the hybrid (digit-decomposed) construction the paper's
-performance model assumes: the ciphertext modulus chain at each level is
-partitioned into ``dnum`` digits of ``alpha`` primes, and the switching key
-for digit ``j`` encrypts ``P * Q_tilde_j * s_source`` under the extended
-modulus ``Q_level * P`` (``P`` is the product of the special primes).  Keys
-are generated for every level so that evaluation at lower levels never needs
-the secret key again.
+performance model assumes (Han-Ki, CT-RSA 2020): the top-level ciphertext
+chain ``Q_L`` is partitioned once into ``dnum`` digits of ``ceil(L / dnum)``
+primes, and the switching key for digit ``j`` encrypts ``P * g_j * s_source``
+under the extended modulus ``Q_L * P`` (``P`` is the product of the special
+primes, ``g_j`` the digit's gadget factor).  One key serves every level: the
+gadget factors are CRT idempotents, so a limb-slice of the key is the key of
+the sliced chain, and evaluation at lower levels never needs the secret key
+again.
 """
 
 from __future__ import annotations
@@ -15,17 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ckks.params import CkksParameters
-from repro.diagnostics import BoundedLruCache, register_cache_group
+from repro.ckks.params import CkksParameters, digit_partition  # noqa: F401 (re-export)
 from repro.errors import MissingKeyError, ParameterError
 from repro.numtheory.crt import RnsBasis
-from repro.numtheory.modular import mod_inv
-from repro.poly.rns_poly import RnsPolynomial
-
-#: Cap on memoised eval-domain digit stacks per key (one entry per level; 64
-#: exceeds any practical modulus-chain length, so it bounds pathology only).
-_EVAL_CACHE_LIMIT = 64
-_EVAL_CACHE_GROUP = register_cache_group("keyswitch.eval_digits")
+from repro.poly.ring import automorphism_eval_indices
+from repro.poly.rns_poly import RnsPolynomial, stacked_ntt_forward, stacked_ntt_inverse
 
 
 @dataclass
@@ -57,49 +53,43 @@ class PublicKey:
 class KeySwitchKey:
     """A hybrid key-switching key from ``s_source`` to the canonical secret ``s``.
 
-    ``digits[level][j]`` is the pair ``(b_j, a_j)`` over the extended basis of
-    that level.
+    ``stacks`` is the whole key, evaluation-domain resident and read-only: a
+    ``(2, D, L + alpha, N)`` uint64 tensor over the top extended basis
+    ``q_0..q_{L-1}, p_0..p_{alpha-1}`` whose ``[0, j]`` / ``[1, j]`` slices
+    are ``b_j`` / ``a_j``, the pair of digit ``j`` of
+    ``params.digit_partition(L)`` -- exactly what the key switch's inner
+    products consume.  Level ``l`` is served from views of it
+    (:meth:`at_level`); nothing is copied, transformed or cached per level.
     """
 
     params: CkksParameters
-    digits: dict[int, list[tuple[RnsPolynomial, RnsPolynomial]]] = field(
-        default_factory=dict
-    )
-    _eval_cache: BoundedLruCache = field(
-        default_factory=lambda: _EVAL_CACHE_GROUP.add(
-            BoundedLruCache(name="keyswitch.eval_digits", capacity=_EVAL_CACHE_LIMIT)
-        ),
-        repr=False,
-        compare=False,
-    )
+    stacks: np.ndarray
 
-    def digits_at_level(self, level: int) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
-        """The digit keys usable for a ciphertext with ``level`` limbs."""
-        try:
-            return self.digits[level]
-        except KeyError as exc:
+    def __post_init__(self) -> None:
+        self.stacks.flags.writeable = False
+
+    def at_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The key over ``params.extended_basis(level)`` as two views of
+        ``stacks``: its ``(2, D_l, level, N)`` ciphertext limbs and its
+        ``(2, D_l, alpha, N)`` special limbs (``D_l`` digits of
+        ``params.digit_partition(level)``)."""
+        limbs = self.params.limbs
+        if not 1 <= level <= limbs:
             raise MissingKeyError(
-                f"no key material generated for level {level}"
-            ) from exc
+                f"no key material for level {level} (the chain has {limbs} limbs)"
+            )
+        digits = len(self.params.digit_partition(level))
+        return self.stacks[:, :digits, :level], self.stacks[:, :digits, limbs:]
 
-    def stacked_eval_digits(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The level's key digits as eval-domain ``(D, L', N)`` stacks, cached.
-
-        The fused key switch keeps its digit/key inner products in the
-        evaluation domain; key material is static per level, so the forward
-        transforms of every ``(b_j, a_j)`` pair are paid once and the
-        read-only stacks shared across all subsequent switch/rotate calls.
-        """
-        cached = self._eval_cache.get(level)
-        if cached is None:
-            pairs = self.digits_at_level(level)
-            b_stack = np.stack([b_j.to_eval().residues for b_j, _ in pairs], axis=0)
-            a_stack = np.stack([a_j.to_eval().residues for _, a_j in pairs], axis=0)
-            b_stack.flags.writeable = False
-            a_stack.flags.writeable = False
-            cached = (b_stack, a_stack)
-            self._eval_cache.put(level, cached)
-        return cached
+    def to_coeff(self, level: int) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+        """The level's digit pairs ``(b_j, a_j)`` as coefficient-domain
+        polynomials over ``params.extended_basis(level)`` (the oracle's view)."""
+        extended = self.params.extended_basis(level)
+        b, a = stacked_ntt_inverse(extended, np.concatenate(self.at_level(level), axis=-2))
+        return [
+            (RnsPolynomial(extended, b_j), RnsPolynomial(extended, a_j))
+            for b_j, a_j in zip(b, a)
+        ]
 
 
 @dataclass
@@ -135,18 +125,6 @@ class GaloisKeySet:
                 "repro.ckks.linear_transform.required_rotation_steps -- and "
                 "register the result with the tenant's evaluator/session"
             ) from exc
-
-
-def digit_partition(level: int, dnum: int) -> list[tuple[int, int]]:
-    """Partition limb indices ``0..level-1`` into at most ``dnum`` digit ranges."""
-    alpha = -(-level // dnum)
-    ranges = []
-    start = 0
-    while start < level:
-        stop = min(start + alpha, level)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
 
 
 @dataclass
@@ -210,58 +188,58 @@ class KeyGenerator:
         b = a.multiply(secret).to_coeff().negate().add(e)
         return PublicKey(b=b, a=a)
 
-    def _switching_key(
-        self, source_signed_coeffs: np.ndarray
-    ) -> dict[int, list[tuple[RnsPolynomial, RnsPolynomial]]]:
-        """Hybrid switching-key material from a source secret to ``s``, per level."""
-        per_level: dict[int, list[tuple[RnsPolynomial, RnsPolynomial]]] = {}
-        special_product = self.params.special_product
-        for level in range(1, self.params.limbs + 1):
-            level_basis = self.params.basis_at_level(level)
-            extended = self.params.extended_basis(level)
-            q_level = level_basis.modulus_product
-            secret = self.secret_key.polynomial(extended)
-            source = RnsPolynomial.from_signed_coefficients(source_signed_coeffs, extended)
-            digit_keys = []
-            for start, stop in digit_partition(level, self.params.dnum):
-                digit_product = 1
-                for index in range(start, stop):
-                    digit_product *= level_basis.moduli[index]
-                complement = q_level // digit_product
-                q_tilde = (
-                    complement * mod_inv(complement % digit_product, digit_product)
-                ) % q_level
-                factor = (special_product * q_tilde) % extended.modulus_product
-                a_j = self._sample_uniform(extended)
-                e_j = self._sample_error(extended)
-                payload = source.scalar_mul(factor)
-                b_j = a_j.multiply(secret).to_coeff().negate().add(e_j).add(payload)
-                digit_keys.append((b_j, a_j))
-            per_level[level] = digit_keys
-        return per_level
+    def _secret_eval(self) -> np.ndarray:
+        """``s`` over the top extended basis, evaluation domain."""
+        extended = self.params.extended_basis(self.params.limbs)
+        return self.secret_key.polynomial(extended).to_eval().residues
+
+    def _switching_key(self, secret: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """The ``(2, D, L + alpha, N)`` stacks switching ``source`` to ``secret``.
+
+        Both are evaluation-domain residues over the top extended basis.
+        ``b_j = -a_j * s + e_j + P * g_j * s_source``, where the gadget factor
+        ``g_j = (Q/Q_j) * [(Q/Q_j)^-1]_{Q_j}`` is 1 modulo the digit's limbs
+        and 0 modulo every other: ``P * g_j`` is the column ``[P]_{q_i}`` on
+        them.  ``a_j`` is uniform and the NTT a bijection, so it is sampled
+        in the evaluation domain; only the errors are transformed.
+        """
+        params = self.params
+        extended = params.extended_basis(params.limbs)
+        partition = params.digit_partition(params.limbs)
+        moduli = extended.moduli_array[:, None]
+        gadget = np.zeros((len(partition), extended.size, 1), dtype=np.uint64)
+        p_column = params.special_product_column(params.limbs)
+        uniform, errors = [], []
+        for j, (start, stop) in enumerate(partition):
+            gadget[j, start:stop] = p_column[start:stop]
+            uniform.append(self._sample_uniform(extended).residues)
+            errors.append(self._sample_error(extended).residues)
+        a = np.stack(uniform)
+        b = stacked_ntt_forward(extended, np.stack(errors))
+        b += (gadget * source) % moduli
+        b += moduli - (a * secret) % moduli
+        b %= moduli
+        return np.stack([b, a])
 
     def relinearization_key(self) -> RelinearizationKey:
         """Key switching from ``s**2`` to ``s``."""
-        full_basis = self.params.extended_basis(self.params.limbs)
-        secret = self.secret_key.polynomial(full_basis)
-        secret_squared = secret.multiply(secret).to_coeff()
-        # Recover the signed coefficients of s^2 (they are small: ~N * 1).
-        signed = np.array(secret_squared.to_signed_coefficients(), dtype=np.int64)
-        key = RelinearizationKey(params=self.params)
-        key.digits = self._switching_key(signed)
-        return key
+        secret = self._secret_eval()
+        moduli = self.params.extended_basis(self.params.limbs).moduli_array[:, None]
+        squared = (secret * secret) % moduli
+        return RelinearizationKey(self.params, self._switching_key(secret, squared))
 
     def galois_key(self, exponent: int) -> GaloisKey:
-        """Key switching from ``automorphism(s, exponent)`` to ``s``."""
-        basis = self.params.modulus_basis
-        rotated = (
-            self.secret_key.polynomial(basis).automorphism(exponent)
+        """Key switching from ``automorphism(s, exponent)`` to ``s``.
+
+        In the evaluation domain the automorphism is a gather of ``s``.
+        """
+        secret = self._secret_eval()
+        rotated = np.take(
+            secret, automorphism_eval_indices(self.params.degree, exponent), axis=-1
         )
-        signed = np.array(rotated.to_signed_coefficients(), dtype=np.int64)
-        # Automorphism of a ternary secret is still ternary; re-centre exactly.
-        key = GaloisKey(params=self.params, exponent=exponent)
-        key.digits = self._switching_key(signed)
-        return key
+        return GaloisKey(
+            self.params, self._switching_key(secret, rotated), exponent=exponent
+        )
 
     def galois_keys(self, exponents: list[int]) -> GaloisKeySet:
         """Generate a set of Galois keys for the given automorphism exponents."""

@@ -16,9 +16,9 @@ where the algebra needs coefficients.  With ``L' = level + alpha``:
   copied from them and only the foreign limbs are transformed, as limb
   subsets of the extended basis' plan stack: ``level`` fewer forward rows
   (:func:`decompose_to_eval`).
-* **inner products** -- the digit axis is contracted against the cached
-  evaluation-domain key digits in chunked uint64 einsums, reduced once per
-  chunk (:func:`switch_extended_eval_lazy`).
+* **inner products** -- the digit axis is contracted against views of the
+  key's one evaluation-domain tensor in chunked uint64 einsums, reduced once
+  per chunk (:func:`switch_extended_eval_lazy`).
 * **ModDown** -- lazy: both accumulators share one stacked ``(2, L', N)``
   inverse pass, then one batched BConv of the special limbs and one
   subtract-and-divide kernel (:func:`mod_down_stacked`).
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ckks.keys import KeySwitchKey, digit_partition
+from repro.ckks.keys import KeySwitchKey
 from repro.ckks.params import CkksParameters
 from repro.errors import IncompatibleOperands, ParameterError
 from repro.numtheory.crt import RnsBasis, inverse_column
@@ -80,9 +80,7 @@ def decompose_and_extend(
             poly,
         )
     conversion = stacked_conversion_for(
-        level_basis,
-        params.extended_basis(level),
-        tuple(digit_partition(level, params.dnum)),
+        level_basis, params.extended_basis(level), params.digit_partition(level)
     )
     residues = poly.residues
     if residues.ndim == 2:
@@ -125,7 +123,7 @@ def decompose_to_eval(
     digits = decompose_and_extend(poly, params, level)
     if eval_residues is None:
         return stacked_ntt_forward(extended, digits)
-    for index, (start, stop) in enumerate(digit_partition(level, params.dnum)):
+    for index, (start, stop) in enumerate(params.digit_partition(level)):
         digit = digits[..., index, :, :]
         digit[..., start:stop, :] = eval_residues[..., start:stop, :]
         for foreign in (slice(0, start), slice(stop, extended.size)):
@@ -162,9 +160,9 @@ def switch_extended_eval(
 
     ``digits_eval`` is the ``(dnum, level + alpha, N)`` evaluation-domain
     digit tensor.  The inner products with the key digits accumulate in the
-    evaluation domain, where both accumulators *stay* until they share one
-    stacked ``(2, L', N)`` inverse pass; the ModDown correction and divide
-    then run once over the stacked coefficient tensor
+    evaluation domain, into one stacked ``(2, L', N)`` accumulator tensor
+    that stays there until its one inverse pass; the ModDown correction and
+    divide then run once over the stacked coefficient tensor
     (:func:`mod_down_stacked`).
 
     ``addend`` -- a pair of evaluation-domain ``(..., level, N)`` residue
@@ -175,16 +173,15 @@ def switch_extended_eval(
     """
     level_basis = params.basis_at_level(level)
     extended = params.extended_basis(level)
-    acc0, acc1 = switch_extended_eval_lazy(digits_eval, key, params, level)
+    stacked = _key_products(digits_eval, key, params, level)
     if addend is not None:
         moduli = level_basis.moduli_array[:, None]
         p_column = params.special_product_column(level)
-        for accumulator, residues in zip((acc0, acc1), addend):
+        for index, residues in enumerate(addend):
             _conditional_add(
-                accumulator[..., :level, :], (residues * p_column) % moduli, moduli
+                stacked[..., index, :level, :], (residues * p_column) % moduli, moduli
             )
-    stacked = stacked_ntt_inverse(extended, np.stack([acc0, acc1], axis=-3))
-    down = mod_down_stacked(stacked, params, level)
+    down = mod_down_stacked(stacked_ntt_inverse(extended, stacked), params, level)
     return (
         RnsPolynomial(level_basis, down[..., 0, :, :], COEFF_DOMAIN),
         RnsPolynomial(level_basis, down[..., 1, :, :], COEFF_DOMAIN),
@@ -204,19 +201,42 @@ def switch_extended_eval_lazy(
     letting the caller defer the inverse NTT and ModDown past further
     accumulation (the BSGS engine sums many baby terms per giant step and
     pays one domain exit for the whole sum).
+
+    The key is two views of its one top-level tensor
+    (:meth:`KeySwitchKey.at_level`), so the ``(b, a)`` pair is contracted in
+    one einsum per limb range -- the ``level`` ciphertext limbs, the
+    ``alpha`` special limbs -- into stacked ``(..., 2, L', N)`` accumulators.
     """
-    extended = params.extended_basis(level)
-    b_stack, a_stack = key.stacked_eval_digits(level)
-    if digits_eval.shape[-3:] != b_stack.shape:
+    stacked = _key_products(digits_eval, key, params, level)
+    return stacked[..., 0, :, :], stacked[..., 1, :, :]
+
+
+def _key_products(
+    digits_eval: np.ndarray, key: KeySwitchKey, params: CkksParameters, level: int
+) -> np.ndarray:
+    """:func:`switch_extended_eval_lazy`'s pair as one stacked tensor."""
+    level_part, special_part = key.at_level(level)
+    expected = (level_part.shape[1], level + params.special_limbs, params.degree)
+    if digits_eval.shape[-3:] != expected:
         raise ParameterError("key material does not match the digit partition")
-    return (
-        modular_inner_product(digits_eval, b_stack, extended),
-        modular_inner_product(digits_eval, a_stack, extended),
+    stacked = np.empty(
+        digits_eval.shape[:-3] + (2,) + digits_eval.shape[-2:], dtype=np.uint64
     )
+    for limbs, part, basis in (
+        (slice(None, level), level_part, params.basis_at_level(level)),
+        (slice(level, None), special_part, params.special_basis),
+    ):
+        modular_inner_product(
+            digits_eval[..., limbs, :], part, basis, out=stacked[..., limbs, :]
+        )
+    return stacked
 
 
 def modular_inner_product(
-    digits_eval: np.ndarray, key_stack: np.ndarray, basis: RnsBasis
+    digits_eval: np.ndarray,
+    key_stack: np.ndarray,
+    basis: RnsBasis,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``sum_d digits[d] * key[d] mod q`` without materialising the products.
 
@@ -226,19 +246,24 @@ def modular_inner_product(
     pays a modular reduction.  ``digits_eval`` may carry leading batch axes
     (a ciphertext stack sharing one key); the contraction broadcasts the key
     across them in the same einsum.  The BSGS engine's inner sums (baby
-    rotations against plaintext diagonals) are the same contraction.
+    rotations against plaintext diagonals) are the same contraction.  A
+    ``(K, D, L', N)`` ``key_stack`` (a switching key's ``(b, a)`` pair)
+    contracts every ``k`` in the same einsum, into ``(..., K, L', N)``.
+    ``out``, when given, receives the accumulator (it may be a view).
     """
     moduli = basis.moduli_array[:, None]
     product_bits = 2 * max((int(q) - 1).bit_length() for q in basis.moduli)
     chunk = max(1, 1 << max(0, 63 - product_bits))
     digit_count = digits_eval.shape[-3]
+    subscripts = "...dln,dln->...ln" if key_stack.ndim == 3 else "...dln,kdln->...kln"
     accumulator: np.ndarray | None = None
     for start in range(0, digit_count, chunk):
         stop = min(start + chunk, digit_count)
         partial = np.einsum(
-            "...dln,dln->...ln",
+            subscripts,
             digits_eval[..., start:stop, :, :],
-            key_stack[start:stop],
+            key_stack[..., start:stop, :, :],
+            out=out if accumulator is None else None,
         )
         partial %= moduli
         if accumulator is None:
@@ -291,14 +316,10 @@ def switch_key_unfused(
             poly,
         )
 
-    digit_keys = key.digits_at_level(level)
-    partitions = digit_partition(level, params.dnum)
-    if len(digit_keys) != len(partitions):
-        raise ParameterError("key material does not match the digit partition")
-
     acc0: RnsPolynomial | None = None
     acc1: RnsPolynomial | None = None
-    for (start, stop), (b_j, a_j) in zip(partitions, digit_keys):
+    digit_keys = key.to_coeff(level)
+    for (start, stop), (b_j, a_j) in zip(params.digit_partition(level), digit_keys):
         digit_basis = _sub_basis(level_basis, start, stop)
         digit_poly = RnsPolynomial(
             digit_basis, poly.residues[..., start:stop, :], "coeff"

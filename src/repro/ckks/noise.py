@@ -94,6 +94,9 @@ class NoiseModel:
         self._round = math.sqrt(n / 3.0) * (3.0 + 8.0 * math.sqrt(n))
         # Hybrid key-switch noise after ModDown: one rounding term per digit
         # plus the P-scaled key-error term (dominated by the rounding here).
+        # One key serves every level through the cut top-level partition, so
+        # a level has at most dnum digits of at most ceil(L / dnum) limbs --
+        # the top level's worst case -- and the term holds at every level.
         self._keyswitch = (1.0 + float(self.params.dnum)) * self._round
         # Cumulative log2(Q_l) for budget checks, one entry per level.
         bits = 0.0

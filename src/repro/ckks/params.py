@@ -46,9 +46,9 @@ class CkksParameters:
     dnum: int = 3
     error_stddev: float = 3.2
     #: Per-instance memo of the level / extended bases (and the per-level
-    #: ``[P]_{q_i}`` column): building an ``RnsBasis`` recomputes its hat
-    #: inverses with ``pow``, and every HE operator asks for the same handful
-    #: (the bases are immutable).
+    #: ``[P]_{q_i}`` column and digit partition): building an ``RnsBasis``
+    #: recomputes its hat inverses with ``pow``, and every HE operator asks
+    #: for the same handful (the bases are immutable).
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ----------------------------------------------------------- constructors
@@ -133,6 +133,26 @@ class CkksParameters:
             )
         return basis
 
+    def digit_partition(self, level: int) -> tuple[tuple[int, int], ...]:
+        """The key-switching digits of a ``level``-limb ciphertext.
+
+        One partition serves every level: the top chain is split once into
+        ``dnum`` digits of ``ceil(L / dnum)`` limbs (:func:`digit_partition`),
+        and level ``l`` keeps the ``ceil(l / width)`` digits that start below
+        ``l``, the last one cut at ``l``.  The gadget factor of a digit is a
+        CRT idempotent (1 on its own limbs, 0 on every other), so the cut
+        digits are exactly the prefix views of the one top-level switching key.
+        """
+        partition = self._bases.get(("digits", level))
+        if partition is None:
+            self.basis_at_level(level)  # validates the level
+            partition = self._bases[("digits", level)] = tuple(
+                (start, min(stop, level))
+                for start, stop in digit_partition(self.limbs, self.dnum)
+                if start < level
+            )
+        return partition
+
     def extended_basis(self, level: int) -> RnsBasis:
         """Basis ``{q_0..q_{level-1}} + {p_0..p_{alpha-1}}`` used inside keyswitch."""
         extended = self._bases.get(("extended", level))
@@ -159,3 +179,15 @@ class CkksParameters:
             column.flags.writeable = False
             self._bases[("special_product", level)] = column
         return column
+
+
+def digit_partition(limbs: int, dnum: int) -> list[tuple[int, int]]:
+    """Partition limb indices ``0..limbs-1`` into at most ``dnum`` digit ranges."""
+    alpha = -(-limbs // dnum)
+    ranges = []
+    start = 0
+    while start < limbs:
+        stop = min(start + alpha, limbs)
+        ranges.append((start, stop))
+        start = stop
+    return ranges

@@ -9,8 +9,9 @@ registry the ROADMAP's serving item calls for.
 
 Sessions are built once at registration and shared by every worker thread:
 the evaluator is stateless apart from counters, the encoder's plaintext
-cache and the key digits' eval-domain cache are bounded thread-safe LRUs,
-and :meth:`TenantSession.warm` pre-builds the NTT plan stacks for every
+cache is a bounded thread-safe LRU, every switching key is one read-only
+evaluation-domain tensor that all levels view, and
+:meth:`TenantSession.warm` pre-builds the NTT plan stacks for every
 level of the tenant's modulus chain so the first request does not pay the
 table-construction latency.
 """

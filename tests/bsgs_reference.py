@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
-from repro.ckks.keys import digit_partition
 from repro.ckks.keyswitch import mod_down
 from repro.numtheory.crt import RnsBasis
 from repro.poly.basis_conversion import conversion_for
@@ -33,7 +32,7 @@ def extended_digits(poly, params, level) -> list[RnsPolynomial]:
     extended = params.extended_basis(level)
     coeff = poly.to_coeff()
     digits = []
-    for start, stop in digit_partition(level, params.dnum):
+    for start, stop in params.digit_partition(level):
         digit_basis = RnsBasis(
             moduli=level_basis.moduli[start:stop], degree=params.degree
         )
@@ -45,7 +44,7 @@ def extended_digits(poly, params, level) -> list[RnsPolynomial]:
 def key_products(digits, key, level):
     """``sum_j digit_j * (b_j, a_j)``: the key switch *before* its ModDown."""
     total0 = total1 = None
-    for digit, (b_j, a_j) in zip(digits, key.digits_at_level(level), strict=True):
+    for digit, (b_j, a_j) in zip(digits, key.to_coeff(level), strict=True):
         term0, term1 = digit.multiply(b_j), digit.multiply(a_j)
         total0 = term0 if total0 is None else total0.add(term0)
         total1 = term1 if total1 is None else total1.add(term1)

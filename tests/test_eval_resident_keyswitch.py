@@ -117,7 +117,7 @@ class TestOwnLimbSkip:
         basis = params.basis_at_level(level)
         coeff = RnsPolynomial(basis, random_residues(basis, rng))
         held = coeff.to_eval().residues
-        digit_count = len(digit_partition(level, params.dnum))
+        digit_count = len(params.digit_partition(level))
         reset_transform_counts()
         decompose_to_eval(coeff, params, level, held)
         counts = transform_counts()
@@ -354,7 +354,7 @@ def matvec_limb_rows(params, level, babies, giants):
     """``(forward, inverse)`` limb rows of one lazily double-hoisted matvec
     with ``babies`` / ``giants`` key-switched baby / giant rotations."""
     extended = level + params.special_limbs
-    digits = len(digit_partition(level, params.dnum))
+    digits = len(params.digit_partition(level))
     forward = 2 * level  # c0, c1 enter the evaluation domain
     if babies:
         forward += digits * extended - level  # hoisted digits, own-limb skip
@@ -367,7 +367,7 @@ def matvec_limb_rows(params, level, babies, giants):
 def square_limb_rows(params, level):
     """``(forward, inverse)`` limb rows of one HE-Mult of a ciphertext by itself."""
     extended = level + params.special_limbs
-    digits = len(digit_partition(level, params.dnum))
+    digits = len(params.digit_partition(level))
     # 2 operand transforms + the digits of d2, minus its own limbs; d2 leaves
     # for its decomposition, then the key-switch pair, which carries d0 and d1
     # out with it (lazy relinearisation).
@@ -426,6 +426,26 @@ class TestLimbRowBudget:
         expected = square_limb_rows(ledger_env["params"], ciphertext.level)
         assert (counts["forward_limbs"], counts["inverse_limbs"]) == expected
 
+    @pytest.mark.parametrize("level", range(2, 9))  # level 1 has no room for a product
+    def test_square_budget_at_every_level(self, ledger_env, level):
+        """One key serves every level through the cut top-level partition
+        (``ceil(l / 3)`` digits), so the levels where re-balancing used to
+        pay more digits now pay fewer digit rows: level 5 24 -> 16, level 3
+        18 -> 6."""
+        evaluator, params = ledger_env["evaluator"], ledger_env["params"]
+        ciphertext = evaluator.level_down(ledger_env["cts"][0], params.limbs - level)
+        evaluator.square(ciphertext)
+        reset_transform_counts()
+        evaluator.square(ciphertext)
+        counts = transform_counts()
+        expected = square_limb_rows(params, level)
+        assert (counts["forward_limbs"], counts["inverse_limbs"]) == expected
+        extended = level + params.special_limbs
+        digit_rows = {8: 33, 7: 30, 6: 18, 5: 16, 4: 14, 3: 6, 2: 5}
+        rebalanced = {8: 33, 7: 30, 6: 27, 5: 24, 4: 14, 3: 18, 2: 10}
+        assert len(params.digit_partition(level)) * extended == digit_rows[level]
+        assert len(digit_partition(level, params.dnum)) * extended == rebalanced[level]
+
     def test_staged_key_switch_still_matches_square(self, ledger_env):
         """The traced replay's composition of the public stage functions."""
         evaluator, params = ledger_env["evaluator"], ledger_env["params"]
@@ -436,6 +456,27 @@ class TestLimbRowBudget:
         ks0, _ = switch_key(tensor.c2, evaluator.relin_key, params, tensor.level)
         squared = evaluator.square(ciphertext)
         assert np.array_equal(tensor.c0.add(ks0).residues, squared.c0.residues)
+
+
+class TestKeySwitchNoiseAtEveryLevel:
+    """The tracker's key-switch term (``(1 + dnum)`` rounding terms) stays
+    sound on the cut digits: every level has at most ``dnum`` digits, each at
+    most ``ceil(L / dnum)`` limbs wide -- the top level's worst case."""
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_rotate_and_square_decode_within_the_bound(self, ledger_env, level):
+        evaluator, encoder = ledger_env["evaluator"], ledger_env["encoder"]
+        params, values = ledger_env["params"], ledger_env["values"][0]
+        ciphertext = evaluator.level_down(ledger_env["cts"][0], params.limbs - level)
+        cases = [(evaluator.rotate(ciphertext, 1), np.roll(values, -1))]
+        if level > 1:  # the product's scale needs a second limb
+            cases.append((evaluator.square(ciphertext), values**2))
+        for result, model in cases:
+            decoded = encoder.decode(ledger_env["decryptor"].decrypt(result))
+            error = float(np.abs(decoded - model).max())
+            assert error <= evaluator.noise.decode_error_bound(
+                result.scale, result.noise_bits
+            )
 
 
 # ------------------------------------------------- lazy accumulation overflow

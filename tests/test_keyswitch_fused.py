@@ -18,7 +18,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import CkksEncoder
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import CkksEvaluator, _rotation_exponent
-from repro.ckks.keys import KeyGenerator, digit_partition
+from repro.ckks.keys import KeyGenerator
 from repro.ckks.keyswitch import (
     mod_down,
     mod_down_stacked,
@@ -74,7 +74,7 @@ class TestStackedBConv:
         params = ckks_setup["params"]
         level_basis = params.basis_at_level(level)
         extended = params.extended_basis(level)
-        partitions = tuple(digit_partition(level, params.dnum))
+        partitions = params.digit_partition(level)
         conversion = stacked_conversion_for(level_basis, extended, partitions)
 
         poly = random_poly(params, level, rng)
@@ -96,7 +96,7 @@ class TestStackedBConv:
         level = params.limbs
         level_basis = params.basis_at_level(level)
         extended = params.extended_basis(level)
-        partitions = tuple(digit_partition(level, params.dnum))
+        partitions = params.digit_partition(level)
         conversion = stacked_conversion_for(level_basis, extended, partitions)
         poly = random_poly(params, level, rng)
         digits = conversion.convert(poly)
@@ -118,8 +118,9 @@ class TestStackedBConv:
 
 
 class TestFusedSwitchKey:
-    @pytest.mark.parametrize("level_offset", [0, 1])
+    @pytest.mark.parametrize("level_offset", [0, 1, 2])
     def test_bit_exact_vs_unfused(self, ckks_setup, rng, level_offset):
+        """Every level, including the cut digits of levels below the top."""
         params = ckks_setup["params"]
         relin = ckks_setup["evaluator"].relin_key
         level = params.limbs - level_offset
@@ -133,7 +134,7 @@ class TestFusedSwitchKey:
         params = dnum3_setup["params"]
         relin = dnum3_setup["relin_key"]
         level = params.limbs
-        assert len(digit_partition(level, params.dnum)) == 3
+        assert len(params.digit_partition(level)) == 3
         d = random_poly(params, level, rng)
         fused = switch_key(d, relin, params, level)
         loop = switch_key_unfused(d, relin, params, level)
@@ -160,7 +161,7 @@ class TestFusedSwitchKey:
             params, relin = dnum3_setup["params"], dnum3_setup["relin_key"]
         level = params.limbs
         extended_size = params.extended_basis(level).size
-        dnum = len(digit_partition(level, params.dnum))
+        dnum = len(params.digit_partition(level))
         d = random_poly(params, level, rng)
         switch_key(d, relin, params, level)  # warm caches (key eval stacks)
         reset_transform_counts()

@@ -83,12 +83,10 @@ class TestTenantSpec:
         params = spec.build_params()
         relin_a, galois_a = spec.build_keys(params)
         relin_b, galois_b = spec.build_keys(params)
-        assert relin_a.digits.keys() == relin_b.digits.keys()
-        for level, pairs_a in relin_a.digits.items():
-            for (b_a, a_a), (b_b, a_b) in zip(pairs_a, relin_b.digits[level]):
-                np.testing.assert_array_equal(b_a.residues, b_b.residues)
-                np.testing.assert_array_equal(a_a.residues, a_b.residues)
-        assert (galois_a is None) == (galois_b is None)
+        np.testing.assert_array_equal(relin_a.stacks, relin_b.stacks)
+        for exponent, key in galois_a.keys.items():
+            np.testing.assert_array_equal(key.stacks, galois_b.keys[exponent].stacks)
+        assert galois_a.keys.keys() == galois_b.keys.keys()
 
     def test_registry_register_spec_builds_session(self):
         registry = TenantRegistry()
