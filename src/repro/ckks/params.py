@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.config import SecurityParams
 from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
+from repro.poly.ntt_engine import NttPlanStack, register_chain, supports
 
 
 @dataclass
@@ -50,6 +51,26 @@ class CkksParameters:
     #: recomputes its hat inverses with ``pow``, and every HE operator asks
     #: for the same handful (the bases are immutable).
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    #: The NTT plan of the whole chain (:meth:`plan_stack`).
+    _plan: NttPlanStack | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Registered before any basis drawn from the chain meets the plan
+        # cache, and held, so every level and extended basis views its tables.
+        chain = self.modulus_basis.moduli + self.special_basis.moduli
+        if supports(chain, self.degree):
+            self._plan = register_chain(chain, self.degree)
+
+    def __getstate__(self) -> dict:
+        # The plan holds locks; an unpickled copy registers its chain afresh.
+        return {**self.__dict__, "_plan": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -161,6 +182,14 @@ class CkksParameters:
                 level
             ).extend(self.special_basis)
         return extended
+
+    def plan_stack(self) -> NttPlanStack | None:
+        """The NTT plan of the whole chain ``Q_L·P`` (``None`` if unplannable).
+
+        Every level basis and extended basis transforms on views of its
+        tables, so warming, probing or corrupting it reaches them all.
+        """
+        return self._plan
 
     def special_product_column(self, level: int) -> np.ndarray:
         """``[P]_{q_i}`` as a read-only ``(level, 1)`` uint64 column.

@@ -16,6 +16,12 @@ memoised process-wide via :func:`plan_stack_for`; moduli no backend covers
 exactly are not planned, and callers fall back to the big-int-safe
 reference path.
 
+Tables are per limb, so there is one table set per modulus *chain*: CKKS
+parameters register their ``Q_L·P`` chain (:func:`register_chain`), and the
+stack of every basis drawn from it -- each level ``Q_l``, each extended
+basis ``Q_l·P`` -- is a view of the chain's tables, one or two row ranges of
+them.
+
 Backends
 --------
 Every stack fronts three interchangeable, bit-exact backends (the paper's
@@ -37,8 +43,9 @@ engine):
 * ``reference`` -- the per-call table-building oracle
   (`repro.poly.ntt_reference`).
 
-Each rung's tables are built once, stacked, on the first dispatch to that
-rung, so a stack that never leaves ``four_step`` holds no butterfly tables.
+Each rung's tables are built once per chain, stacked, on the first dispatch
+to that rung (or by :meth:`NttPlanStack.warm`), so a chain that never
+leaves ``four_step`` holds no butterfly tables.
 Every table entry is a power of the limb's primitive ``2N``-th root ``psi``
 (the root `PolyRing` uses), gathered from one per-limb power table.
 
@@ -61,6 +68,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -599,9 +607,16 @@ class _FourStepStack:
         self._inv_pack = pack(
             m4_inv, tw_inv.swapaxes(-1, -2), m1_inv, shift4, shift1, cols, rows
         )
+        #: ``(forward, limb range)`` -> the packs' views over that range:
+        #: every basis of a chain reads the same few ranges on every call.
+        self._views: dict = {}
 
     def transform(
-        self, matrix: np.ndarray, forward: bool, limbs: slice | None = None
+        self,
+        matrix: np.ndarray,
+        forward: bool,
+        limbs: slice | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Transform a ``(..., L, N)`` operand in ONE batched cascade.
 
@@ -614,34 +629,45 @@ class _FourStepStack:
 
         ``limbs`` says the operand's limb axis holds just that slice of the
         stack's limbs; the cascade then runs on views of the stacked
-        constants.
+        constants.  ``out`` (the operand's shape, possibly a limb-slice view
+        of a larger tensor) receives the result.
         """
         matrix = np.asarray(matrix, dtype=np.uint64)
-        if matrix.ndim == 2:
-            return self._cascade(matrix, forward, limbs)
-        flat = matrix.reshape(-1, *matrix.shape[-2:])
-        if self.rows * self.cols <= self._FOLD_DEGREE_CAP:
-            return self._cascade(flat, forward, limbs).reshape(matrix.shape)
-        out = np.empty_like(flat)
+        if out is None:
+            out = np.empty(matrix.shape, dtype=np.uint64)
+        if matrix.ndim == 2 or self.rows * self.cols <= self._FOLD_DEGREE_CAP:
+            self._cascade(matrix, forward, limbs, out)
+            return out
+        flat, flat_out = matrix.reshape(-1, *matrix.shape[-2:]), out.reshape(
+            -1, *matrix.shape[-2:]
+        )
         for index in range(flat.shape[0]):
-            out[index] = self._cascade(flat[index], forward, limbs)
-        return out.reshape(matrix.shape)
+            self._cascade(flat[index], forward, limbs, flat_out[index])
+        return out
 
     def _cascade(
-        self, data: np.ndarray, forward: bool, limbs: slice | None = None
+        self,
+        data: np.ndarray,
+        forward: bool,
+        limbs: slice | None,
+        out: np.ndarray,
     ) -> np.ndarray:
+        key = (forward, None if limbs is None else (limbs.start, limbs.stop))
+        views = self._views.get(key)
+        if views is None:
+            views = self._views[key] = _limb_view(
+                (
+                    *(self._fwd_pack if forward else self._inv_pack),
+                    self._q_f,
+                    self._q_u,
+                    self._under_inv,
+                ),
+                limbs,
+            )
         (
             first_cat, scale_first, twist, second_cat, scale_second, a, b,
             q_f, q_u, inv_q,
-        ) = _limb_view(
-            (
-                *(self._fwd_pack if forward else self._inv_pack),
-                self._q_f,
-                self._q_u,
-                self._under_inv,
-            ),
-            limbs,
-        )
+        ) = views
         pool = _scratch_pool(data.shape[:-1], a, b)
         tile, gemm = pool["tile"], pool["gemm"]
         scratch = pool["scratch_t"].reshape(tile.shape)
@@ -688,7 +714,8 @@ class _FourStepStack:
             _lazy_reduce_into(operand, q_f, inv_q, scratch_t)
             twisted = operand
 
-        # Second GEMM + canonicalisation into a fresh caller-owned array.
+        # Second GEMM + canonicalisation into the caller's ``out``: its
+        # coefficient axis splits into the ``(b, a)`` tile as a view.
         gemm_t = pool["gemm_t"]
         np.matmul(second_cat, twisted, out=gemm_t)
         hi2, lo2 = gemm_t[..., :b, :], gemm_t[..., b:, :]
@@ -696,12 +723,12 @@ class _FourStepStack:
         np.multiply(hi2, scale_second, out=hi2)
         np.add(hi2, lo2, out=hi2)
         _lazy_reduce_into(hi2, q_f, inv_q, scratch_t)
-        out = np.empty(hi2.shape, dtype=np.uint64)
-        np.copyto(out, hi2, casting="unsafe")
+        result = out.reshape(hi2.shape)
+        np.copyto(result, hi2, casting="unsafe")
         s_u = scratch_t.view(np.uint64)
-        np.subtract(out, q_u, out=s_u)
-        np.minimum(out, s_u, out=out)
-        return out.reshape(data.shape)
+        np.subtract(result, q_u, out=s_u)
+        np.minimum(result, s_u, out=result)
+        return out
 
 
 # ------------------------------------------------------------------ dispatch
@@ -710,6 +737,8 @@ _DEFAULT_BACKEND = BACKEND_AUTO
 #: (quarantine changes, injected dispatch faults); stacks memoise their
 #: resolved backend against it.
 _DISPATCH_EPOCH = 0
+#: Bumped by :func:`reset_sentinels`: older four-step verdicts are re-probed.
+_SENTINEL_GENERATION = 0
 
 #: Backends quarantined by a failed exactness sentinel or spot check.  A
 #: quarantined backend is never selected again (process-wide) until
@@ -717,37 +746,57 @@ _DISPATCH_EPOCH = 0
 #: ladder ``four_step -> butterfly -> reference`` past it, recording the
 #: fallback in `repro.diagnostics`.  The reference oracle is the ground truth
 #: and cannot be quarantined.
-_QUARANTINE: set[str] = set()
+_QUARANTINE: frozenset[str] = frozenset()
+#: Serialises every change of the quarantine set, the dispatch epoch and the
+#: sentinel generation (sentinels and spot checks quarantine from worker and
+#: fan-out threads).  Readers take no lock: the set is immutable and
+#: replaced whole, before the epoch bump that announces it.
+_GUARD_LOCK = threading.Lock()
+
+
+def _update_quarantine(update) -> bool:
+    """Replace the quarantine set by ``update(set)`` atomically.
+
+    Returns whether that changed it; a change bumps the dispatch epoch so
+    every memoised stack re-resolves on its next call.
+    """
+    global _DISPATCH_EPOCH, _QUARANTINE
+    with _GUARD_LOCK:
+        new = frozenset(update(_QUARANTINE))
+        if new == _QUARANTINE:
+            return False
+        _QUARANTINE = new
+        _DISPATCH_EPOCH += 1
+        return True
 
 
 def quarantine_backend(name: str, **details) -> None:
     """Quarantine a backend after an exactness failure (idempotent).
 
-    Records a ``backend_quarantined`` diagnostics event and bumps the dispatch
-    epoch so every memoised stack re-resolves on its next call.
+    The first of any number of concurrent calls records the
+    ``backend_quarantined`` diagnostics event.
     """
-    global _DISPATCH_EPOCH
     if name not in BACKENDS_QUARANTINABLE:
         raise ParameterError(
             f"backend {name!r} cannot be quarantined (reference is the oracle)"
         )
-    if name not in _QUARANTINE:
-        _QUARANTINE.add(name)
-        _DISPATCH_EPOCH += 1
+    if _update_quarantine(lambda current: current | {name}):
         diagnostics.record_event("backend_quarantined", backend=name, **details)
 
 
 def quarantined_backends() -> frozenset:
     """The currently quarantined backend names."""
-    return frozenset(_QUARANTINE)
+    return _QUARANTINE
+
+
+def set_quarantine(names) -> None:
+    """Make ``names`` the quarantine set, recording no event (drill restore)."""
+    _update_quarantine(lambda current: names)
 
 
 def clear_quarantine() -> None:
     """Lift all quarantines (tests / operator intervention after a fix)."""
-    global _DISPATCH_EPOCH
-    if _QUARANTINE:
-        _QUARANTINE.clear()
-        _DISPATCH_EPOCH += 1
+    set_quarantine(())
 
 
 def lift_quarantine(name: str) -> bool:
@@ -759,13 +808,28 @@ def lift_quarantine(name: str) -> bool:
     ``backend_quarantine_lifted`` event and returns whether the backend was
     actually quarantined.
     """
+    lifted = _update_quarantine(lambda current: current - {name})
+    if lifted:
+        diagnostics.record_event("backend_quarantine_lifted", backend=name)
+    return lifted
+
+
+def bump_dispatch_epoch() -> None:
+    """Make every stack re-resolve its backend (dispatch facts changed)."""
     global _DISPATCH_EPOCH
-    if name not in _QUARANTINE:
-        return False
-    _QUARANTINE.discard(name)
-    _DISPATCH_EPOCH += 1
-    diagnostics.record_event("backend_quarantine_lifted", backend=name)
-    return True
+    with _GUARD_LOCK:
+        _DISPATCH_EPOCH += 1
+
+
+def reset_sentinels() -> None:
+    """Forget every chain's sentinel verdict so its next dispatch re-probes.
+
+    Used after reverting an injected table corruption: the cached "failed"
+    verdicts would otherwise outlive the fault they diagnosed.
+    """
+    global _SENTINEL_GENERATION
+    with _GUARD_LOCK:
+        _SENTINEL_GENERATION += 1
 
 
 def set_default_backend(name: str) -> str:
@@ -869,12 +933,11 @@ def _sentinel_passes(forward, inverse, probe, modulus: int, psi: int) -> bool:
         return False
 
 
-def _four_step_passes(stack: "NttPlanStack") -> bool:
-    """Known-answer probe of ``stack``'s four-step tables."""
-    tables = stack.four_step_stack()
+def _backend_passes(stack: "NttPlanStack", backend: str) -> bool:
+    """Known-answer probe of ``backend`` over ``stack``'s rows of its chain."""
     return _sentinel_passes(
-        lambda m: tables.transform(m, True),
-        lambda m: tables.transform(m, False),
+        lambda m: stack._run(m, True, None, backend),
+        lambda m: stack._run(m, False, None, backend),
         *stack._sentinel_probe(),
     )
 
@@ -930,6 +993,25 @@ def _spot_check_row(
 
 
 # ------------------------------------------------------------------ the plan
+#: A split basis' four-step pass runs as one cascade over the chain rows
+#: spanning it while its gap holds at most this many coefficients.  On a
+#: 2-vCPU x86 host a cascade's fixed cost (~40 us at N = 64) outweighs eight
+#: wasted rows at N = 64, while at N = 1024 one wasted row costs more.
+_SPAN_GAP_COEFFS = 512
+
+
+def _ranges(rows: list[int]) -> list[tuple[slice, slice]]:
+    """``(limbs, chain rows)`` slice pairs, one per run of consecutive rows."""
+    ranges: list[tuple[slice, slice]] = []
+    for limb, row in enumerate(rows):
+        if ranges and ranges[-1][1].stop == row:
+            part, run = ranges[-1]
+            ranges[-1] = (slice(part.start, limb + 1), slice(run.start, row + 1))
+        else:
+            ranges.append((slice(limb, limb + 1), slice(row, row + 1)))
+    return ranges
+
+
 class NttPlanStack:
     """Negacyclic NTT of every limb of an RNS basis, as one ``(L, N)`` pass.
 
@@ -939,6 +1021,13 @@ class NttPlanStack:
     `repro.poly.ntt_reference` functions for the limb's root ``psis[l]``,
     whichever backend executes the call.  A single-modulus ring is the
     ``L = 1`` stack.
+
+    Tables belong to the ``chain`` stack.  A basis drawn from a registered
+    chain (:func:`register_chain`) owns none: its limbs are row ``ranges``
+    of the chain (``Q_l`` is rows ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows
+    ``[:l]`` and ``[L:L+alpha]``), and every rung runs on views of the
+    chain's tables.  Any other stack is its own one-chain set.  Table
+    builds, the four-step sentinel and the butterfly scratch are per chain.
 
     ``backend`` pins the execution backend (a member of :data:`BACKENDS`);
     the default ``None`` defers to :func:`resolve_backend` on every call, so
@@ -950,7 +1039,12 @@ class NttPlanStack:
     """
 
     def __init__(
-        self, moduli: tuple[int, ...], degree: int, backend: str | None = None
+        self,
+        moduli: tuple[int, ...],
+        degree: int,
+        backend: str | None = None,
+        *,
+        chain: "NttPlanStack | None" = None,
     ):
         moduli = tuple(int(q) for q in moduli)
         if not moduli:
@@ -968,6 +1062,16 @@ class NttPlanStack:
         self.moduli = moduli
         self.degree = degree
         self.backend = backend
+        self._dispatch_cache: dict = {}
+        self.chain = chain or self
+        rows = [self.chain.moduli.index(q) for q in moduli]
+        self.ranges = _ranges(rows)
+        self._rows = rows
+        #: ``limbs`` slice bounds -> that operand's layout (:meth:`_layout`).
+        self._layouts: dict = {}
+        if chain is not None:
+            self.psis = tuple(chain.psis[row] for row in rows)
+            return
         self.psis = tuple(primitive_nth_root_of_unity(2 * degree, q) for q in moduli)
         self.bitrev = bit_reverse_indices(degree)
         # Reusable butterfly scratch keeps that hot loop allocation-free;
@@ -977,11 +1081,11 @@ class NttPlanStack:
         # Each rung's tables, built on its first dispatch (`_built`).
         self._four_step: _FourStepStack | None = None
         self._butterfly: _Butterfly | None = None
-        self._sentinel_state: str | None = None
+        #: ``(sentinel generation, passed)`` of the four-step tables.
+        self._sentinel_verdict: tuple[int, bool] | None = None
         # Guards the table builds and the sentinel verdict; re-entrant
         # because the verdict builds the four-step tables it probes.
         self._lock = threading.RLock()
-        self._dispatch_cache: dict = {}
 
     @property
     def limb_count(self) -> int:
@@ -990,31 +1094,32 @@ class NttPlanStack:
 
     # ---------------------------------------------------------------- tables
     def _built(self, name: str, build):
-        """The rung tables in attribute ``name``, built once and published whole.
+        """The chain's rung tables in attribute ``name``, built once.
 
-        Double-checked under the stack's lock: concurrent first callers wait
+        Double-checked under the chain's lock: concurrent first callers wait
         for the one build instead of each building (and holding) a copy.
         """
-        tables = getattr(self, name)
+        chain = self.chain
+        tables = getattr(chain, name)
         if tables is None:
-            with self._lock:
-                tables = getattr(self, name)
+            with chain._lock:
+                tables = getattr(chain, name)
                 if tables is None:
-                    tables = build()
-                    setattr(self, name, tables)
+                    tables = build(chain.moduli, chain.psis, chain.degree)
+                    setattr(chain, name, tables)
         return tables
 
     def four_step_stack(self) -> _FourStepStack:
-        """The four-step GEMM tables (``ParameterError`` when inexact)."""
-        return self._built(
-            "_four_step", lambda: _FourStepStack(self.moduli, self.psis, self.degree)
-        )
+        """The chain's four-step GEMM tables (``ParameterError`` when inexact).
+
+        Like :meth:`butterfly_tables` these cover every row of the chain;
+        ``ranges`` maps this stack's limbs onto them.
+        """
+        return self._built("_four_step", _FourStepStack)
 
     def butterfly_tables(self) -> _Butterfly:
-        """The stacked butterfly stage, twist and untwist tables."""
-        return self._built(
-            "_butterfly", lambda: _butterfly_tables(self.moduli, self.psis, self.degree)
-        )
+        """The chain's stacked butterfly stage, twist and untwist tables."""
+        return self._built("_butterfly", _butterfly_tables)
 
     def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """This thread's (butterfly scratch pair, full-size scratch)."""
@@ -1052,30 +1157,30 @@ class NttPlanStack:
         matrix = np.stack([_sentinel_vector(self.degree, q) for q in self.moduli])
         return matrix, self.moduli[0], self.psis[0]
 
-    def _checked_four_step_stack(self) -> _FourStepStack | None:
-        """The four-step tables once vetted by the sentinel, else ``None``.
+    def _four_step_vetted(self) -> bool:
+        """Whether the chain's four-step tables passed their sentinel.
 
-        The sentinel runs once per stack, the first time dispatch selects the
-        backend: tables that fail to build are refused (recording a
-        ``backend_fallback`` event), and a deterministic full ``(L, N)``
-        probe is transformed, checking limb 0 against the reference oracle
-        plus an exact roundtrip of every limb.  A mismatch quarantines the
-        four-step backend process-wide and the caller heals down the
-        degradation ladder instead of computing garbage.
-
-        The verdict is published under the stack's lock: a thread arriving
-        while another one probes waits for the verdict instead of reading a
-        provisional one and running the stack on another rung unrecorded.
+        The sentinel runs once per chain (again after :func:`reset_sentinels`)
+        when dispatch first selects the backend: tables that fail to build
+        are refused (recording a ``backend_fallback`` event), and a
+        deterministic full ``(L, N)`` probe checks limb 0 against the
+        reference oracle plus an exact roundtrip of every limb.  A mismatch
+        quarantines the four-step backend process-wide and the caller heals
+        down the degradation ladder.  The verdict is published under the
+        chain's lock, so a thread arriving mid-probe waits for it.
         """
-        state = self._sentinel_state
-        if state is None:
-            with self._lock:
-                state = self._sentinel_state
-                if state is None:
-                    state = self._sentinel_state = self._four_step_verdict()
-        return self.four_step_stack() if state == "ok" else None
+        chain = self.chain
+        verdict = chain._sentinel_verdict
+        if verdict is None or verdict[0] != _SENTINEL_GENERATION:
+            with chain._lock:
+                generation = _SENTINEL_GENERATION
+                verdict = chain._sentinel_verdict
+                if verdict is None or verdict[0] != generation:
+                    verdict = (generation, chain._four_step_verdict())
+                    chain._sentinel_verdict = verdict
+        return verdict[1]
 
-    def _four_step_verdict(self) -> str:
+    def _four_step_verdict(self) -> bool:
         where = {"degree": self.degree, "limbs": self.limb_count}
         try:
             self.four_step_stack()
@@ -1087,15 +1192,33 @@ class NttPlanStack:
                 reason=f"table build failed: {exc}",
                 **where,
             )
-            return "failed"
-        if _four_step_passes(self):
-            return "ok"
+            return False
+        if _backend_passes(self, BACKEND_FOUR_STEP):
+            return True
         quarantine_backend(
             BACKEND_FOUR_STEP,
             reason="known-answer sentinel mismatch at table build",
             **where,
         )
-        return "failed"
+        return False
+
+    def _executing_backend(self) -> str:
+        """The resolved backend, demoted when the four-step sentinel refuses."""
+        backend = self.resolve_backend()
+        if backend == BACKEND_FOUR_STEP and not self._four_step_vetted():
+            backend = BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE
+        return backend
+
+    def warm(self) -> str:
+        """Build the chain's tables for the rung a call would run on now.
+
+        The four-step sentinel runs here too, so after ``warm()`` the first
+        transform builds nothing.  Returns that rung.
+        """
+        backend = self._executing_backend()
+        if backend == BACKEND_BUTTERFLY:
+            self.butterfly_tables()
+        return backend
 
     # ------------------------------------------------------------- execution
     def _transform(
@@ -1114,9 +1237,9 @@ class NttPlanStack:
         additionally book one limb pass per length-``N`` row transformed.
 
         ``limbs`` (a slice of the limb axis) transforms an operand holding
-        only those limbs of the stack, on views of the stack's tables: how the
-        key switch transforms a digit's foreign limbs, or the special limbs
-        alone, without a plan stack (and its table set) per limb subset.
+        only those limbs of the stack, on views of the chain's tables: how
+        the key switch transforms a digit's foreign limbs, or the special
+        limbs alone, without a plan stack (and its table set) per subset.
         """
         moduli = self.moduli if limbs is None else self.moduli[limbs]
         psis = self.psis if limbs is None else self.psis[limbs]
@@ -1128,25 +1251,9 @@ class NttPlanStack:
             )
         direction = "forward" if forward else "inverse"
         _count_pass(direction, matrix.size // self.degree)
-        backend = self.resolve_backend()
-        stack: _FourStepStack | None = None
-        if backend == BACKEND_FOUR_STEP:
-            stack = self._checked_four_step_stack()
-            if stack is None:
-                backend = (
-                    BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE
-                )
-        if backend == BACKEND_REFERENCE:
-            oracle = ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
-            out = np.empty_like(matrix)
-            for i, (q, psi) in enumerate(zip(moduli, psis)):
-                out[..., i, :] = oracle(matrix[..., i, :], q, psi)
-            return out
-        if backend == BACKEND_FOUR_STEP:
-            out = stack.transform(matrix, forward, limbs)
-        else:
-            out = self._butterfly_tiled(matrix, forward, limbs)
-        if _spot_check_due():
+        backend = self._executing_backend()
+        out = self._run(matrix, forward, limbs, backend)
+        if backend != BACKEND_REFERENCE and _spot_check_due():
             _spot_check_row(
                 direction,
                 backend,
@@ -1158,27 +1265,94 @@ class NttPlanStack:
             )
         return out
 
-    def _butterfly_tiled(
-        self, matrix: np.ndarray, forward: bool, limbs: slice | None = None
+    def _layout(self, limbs: slice | None) -> tuple[list, slice, list[int], int]:
+        """Where an operand holding the ``limbs`` slice sits in the chain.
+
+        Memoised per slice: the ``(operand limbs, chain rows)`` pairs, one
+        per run of consecutive rows, plus the chain rows spanning them, each
+        limb's index into that span and the number of gap rows.
+        """
+        key = None if limbs is None else (limbs.start, limbs.stop, limbs.step)
+        layout = self._layouts.get(key)
+        if layout is None:
+            rows = self._rows if limbs is None else self._rows[limbs]
+            low = min(rows, default=0)
+            index = [row - low for row in rows]
+            span = slice(low, low + max(index, default=-1) + 1)
+            layout = (_ranges(rows), span, index, span.stop - low - len(rows))
+            self._layouts[key] = layout
+        return layout
+
+    def _run(
+        self, matrix: np.ndarray, forward: bool, limbs: slice | None, backend: str
     ) -> np.ndarray:
-        tables = _limb_view(self.butterfly_tables(), limbs)
-        if matrix.ndim == 2:
-            return self._butterfly_2d(matrix, forward, tables)
+        """Run ``backend`` on the operand over its rows of the chain.
+
+        A split basis runs one cascade per row range, each writing straight
+        into its rows of one output.  On the four-step rung a narrow gap is
+        cheaper to transform than a second cascade's fixed cost (see
+        :data:`_SPAN_GAP_COEFFS`): one cascade then runs over the whole
+        span, the gap zero-filled.
+        """
+        pieces, span, index, gap = self._layout(limbs)
+        if len(pieces) == 1:
+            return self.chain._run_rows(matrix, forward, span, backend)
+        narrow = gap * self.degree <= _SPAN_GAP_COEFFS
+        if pieces and backend == BACKEND_FOUR_STEP and narrow:
+            spanned = np.zeros(
+                (*matrix.shape[:-2], span.stop - span.start, self.degree), np.uint64
+            )
+            spanned[..., index, :] = matrix
+            spanned = self.chain._run_rows(spanned, forward, span, backend)
+            # ``take`` returns C-contiguous rows, which the next split GEMM
+            # needs; ``spanned[..., index, :]`` would not.
+            return np.take(spanned, index, axis=-2)
         flat = matrix.reshape(-1, *matrix.shape[-2:])
-        out = np.empty_like(flat)
-        for index in range(flat.shape[0]):
-            out[index] = self._butterfly_2d(flat[index], forward, tables)
+        out = np.empty(flat.shape, dtype=np.uint64)
+        for part, rows in pieces:
+            self.chain._run_rows(flat[:, part], forward, rows, backend, out[:, part])
         return out.reshape(matrix.shape)
 
-    def _butterfly_2d(
-        self, matrix: np.ndarray, forward: bool, tables: _Butterfly
+    def _run_rows(
+        self,
+        matrix: np.ndarray,
+        forward: bool,
+        rows: slice,
+        backend: str,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
+        """``backend`` over this chain's ``rows``, into ``out`` (or a new array)."""
+        if out is None:
+            out = np.empty(matrix.shape, dtype=np.uint64)
+        if backend == BACKEND_FOUR_STEP:
+            tables = self._four_step or self.four_step_stack()
+            return tables.transform(matrix, forward, rows, out)
+        if backend == BACKEND_BUTTERFLY:
+            tables = _limb_view(self.butterfly_tables(), rows)
+            if matrix.ndim == 2:
+                self._butterfly_2d(matrix, forward, tables, out)
+                return out
+            flat, flat_out = matrix.reshape(-1, *matrix.shape[-2:]), out.reshape(
+                -1, *matrix.shape[-2:]
+            )
+            for index in range(flat.shape[0]):
+                self._butterfly_2d(flat[index], forward, tables, flat_out[index])
+            return out
+        oracle = ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
+        for i, (q, psi) in enumerate(zip(self.moduli[rows], self.psis[rows])):
+            out[..., i, :] = oracle(matrix[..., i, :], q, psi)
+        return out
+
+    def _butterfly_2d(
+        self, matrix: np.ndarray, forward: bool, tables: _Butterfly, out: np.ndarray
+    ) -> None:
+        """The cascade over one ``(rows, N)`` slice, in place in ``out``."""
         rows = matrix.shape[0]
         (scratch_a, scratch_b), scratch_full = self._buffers()
         scratch, scratch_full = (scratch_a[:rows], scratch_b[:rows]), scratch_full[:rows]
         q_col, two_q_col = tables.q_col, tables.two_q_col
         q_cube, two_q_cube = q_col[:, :, None], two_q_col[:, :, None]
-        data = np.take(matrix, self.bitrev, axis=-1)
+        data = np.take(matrix, self.bitrev, axis=-1, out=out, mode="clip")
         if forward:
             _twist_in_place(data, tables.twist_br, tables.twist_br_shoup, q_col, scratch_full)
             _lazy_butterflies(data, tables.fwd_stages, q_cube, two_q_cube, scratch)
@@ -1187,7 +1361,6 @@ class NttPlanStack:
             _lazy_butterflies(data, tables.inv_stages, q_cube, two_q_cube, scratch)
             _twist_in_place(data, tables.untwist, tables.untwist_shoup, q_col, scratch_full)
         _reduce_once(data, q_col, scratch_full)
-        return data
 
     def forward(self, matrix: np.ndarray, limbs: slice | None = None) -> np.ndarray:
         """Forward NTT of all limbs of a reduced ``(..., L, N)`` matrix.
@@ -1207,26 +1380,51 @@ class NttPlanStack:
 _STACK_CACHE = register_cache(
     BoundedLruCache(name="ntt.plan_stacks", capacity=128)
 )
+#: Registered chains by ``(moduli, degree)``, alive while their parameters
+#: or a view of them hold them.
+_CHAINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_CHAINS_LOCK = threading.Lock()
 
 
 def plan_stack_for(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
     """Return the cached :class:`NttPlanStack` for an RNS basis' moduli.
 
-    A single-modulus ring is ``plan_stack_for((q,), N)``.
+    A basis whose every modulus is a limb of a registered chain is a view of
+    that chain's tables; any other basis is its own one-chain set.  A
+    single-modulus ring is ``plan_stack_for((q,), N)``.
     """
     key = (tuple(int(q) for q in moduli), degree)
-    return _STACK_CACHE.get_or_create(key, lambda: NttPlanStack(*key))
+    return _STACK_CACHE.get_or_create(
+        key, lambda: NttPlanStack(*key, chain=_chain_for(*key))
+    )
 
 
-def reset_sentinels() -> None:
-    """Forget memoised sentinel verdicts so the next dispatch re-probes.
+def _chain_for(moduli: tuple[int, ...], degree: int) -> NttPlanStack | None:
+    """The first live registered chain holding every one of ``moduli``."""
+    wanted = set(moduli)
+    with _CHAINS_LOCK:
+        chains = list(_CHAINS.values())
+    for chain in chains:
+        if chain.degree == degree and wanted <= set(chain.moduli):
+            return chain
+    return None
 
-    Used by the fault-injection harness after reverting an injected table
-    corruption: the cached "failed" verdicts would otherwise outlive the
-    fault they diagnosed.
+
+def register_chain(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
+    """Serve every basis drawn from the chain ``moduli`` from its table set.
+
+    CKKS parameters register their ``Q_L·P`` chain when built and hold the
+    returned stack, which keeps the chain registered however the plan cache
+    evicts.  A chain is shared only when the four-step split (at the widest
+    limb's shift) is exact for all of its limbs or for none, so every view
+    runs on the rung its own moduli resolve to.
     """
-    for _, stack in _STACK_CACHE.items():
-        stack._sentinel_state = None
+    stack = plan_stack_for(moduli, degree)
+    if stack.chain is stack:
+        if len({four_step_supported(degree, (q,)) for q in stack.moduli}) == 1:
+            with _CHAINS_LOCK:
+                _CHAINS[stack.moduli, degree] = stack
+    return stack
 
 
 def verify_plan(stack: NttPlanStack) -> bool:
@@ -1235,24 +1433,17 @@ def verify_plan(stack: NttPlanStack) -> bool:
     The build-time sentinel runs once, so table corruption *after* the build
     (bit flips, a bad accelerator) would go unnoticed outside strict mode.
     This is the operator/fault-drill entry point: it probes the currently
-    resolved backend, quarantines it on a mismatch (recording the event), and
-    returns whether the backend verified.  The reference oracle trivially
-    verifies.
+    resolved backend over ``stack``'s rows of its chain, quarantines it on a
+    mismatch (recording the event), and returns whether the backend
+    verified.  The reference oracle trivially verifies.
     """
     backend = stack.resolve_backend()
     if backend == BACKEND_REFERENCE:
         return True
-    if backend == BACKEND_FOUR_STEP:
-        ok = _four_step_passes(stack)
-    else:
-        ok = _sentinel_passes(
-            lambda m: stack._butterfly_tiled(m, True),
-            lambda m: stack._butterfly_tiled(m, False),
-            *stack._sentinel_probe(),
-        )
+    ok = _backend_passes(stack, backend)
     if not ok:
         if backend == BACKEND_FOUR_STEP:
-            stack._sentinel_state = "failed"
+            stack.chain._sentinel_verdict = (_SENTINEL_GENERATION, False)
         quarantine_backend(
             backend,
             reason="known-answer verification failed",

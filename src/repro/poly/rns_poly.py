@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numtheory.crt import RnsBasis
-from repro.poly.ntt_engine import NttPlanStack, plan_stack_for, supports
+from repro.poly.ntt_engine import plan_stack_for, supports
 from repro.poly.ring import PolyRing, automorphism_tables
 
 _RING_CACHE: dict[tuple[int, int], PolyRing] = {}
@@ -48,8 +48,8 @@ def _stacked_transform(
     riding along as batch dimensions; oversized moduli fall back to the exact
     per-limb ring transforms (row by row, since the reference path only
     guarantees 1-D inputs).  With ``limbs`` (a slice of the limb axis) the
-    tensor holds only those limbs of the basis and runs as a limb subset of
-    the basis' own plan stack.
+    tensor holds only those limbs of the basis.  Either way the pass runs on
+    the tables of the basis' chain (see `repro.poly.ntt_engine`).
     """
     stacked = np.asarray(stacked, dtype=np.uint64)
     moduli = basis.moduli if limbs is None else basis.moduli[limbs]
@@ -216,12 +216,6 @@ class RnsPolynomial:
         return [c - big_q if c > half else c for c in values]
 
     # ------------------------------------------------------------ domain flip
-    def _plan_stack(self) -> NttPlanStack | None:
-        """The cached limb-stacked NTT plan for this basis (None if oversized)."""
-        if supports(self.basis.moduli, self.degree):
-            return plan_stack_for(self.basis.moduli, self.degree)
-        return None
-
     def to_eval(self) -> "RnsPolynomial":
         """Return the NTT-domain version (no-op if already there).
 

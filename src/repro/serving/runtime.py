@@ -509,26 +509,16 @@ class InferenceServer:
             self._probe_lock.release()
 
     def _probe_plans(self) -> list:
-        """One representative plan stack per registered tenant ring."""
-        plans = []
-        seen = set()
+        """The NTT chain of every registered tenant, each once."""
+        plans = {}
         for session in self.registry.sessions():
-            key = (
-                session.params.degree,
-                tuple(session.params.modulus_basis.moduli),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            plans.append(ntt_engine.plan_stack_for(key[1], key[0]))
-        return plans
+            stack = session.params.plan_stack()
+            plans[id(stack.chain)] = stack
+        return list(plans.values())
 
     def _resolved_backend(self, session: TenantSession) -> str:
-        """The backend the tenant's full-chain plan stack dispatches to now."""
-        stack = ntt_engine.plan_stack_for(
-            tuple(session.params.modulus_basis.moduli), session.params.degree
-        )
-        return stack.resolve_backend()
+        """The backend the tenant's NTT chain dispatches to now."""
+        return session.params.plan_stack().resolve_backend()
 
     def _execute_inline(
         self,

@@ -10,10 +10,11 @@ registry the ROADMAP's serving item calls for.
 Sessions are built once at registration and shared by every worker thread:
 the evaluator is stateless apart from counters, the encoder's plaintext
 cache is a bounded thread-safe LRU, every switching key is one read-only
-evaluation-domain tensor that all levels view, and
-:meth:`TenantSession.warm` pre-builds the NTT plan stacks for every
-level of the tenant's modulus chain so the first request does not pay the
-table-construction latency.
+evaluation-domain tensor that all levels view, and every level and
+extended basis transforms on views of one NTT table set for the tenant's
+chain ``Q_L·P``.  :meth:`TenantSession.warm` builds that set for the rung
+dispatch selects and runs its sentinel, so the first request builds no
+tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import GaloisKeySet, RelinearizationKey
 from repro.ckks.params import CkksParameters
 from repro.errors import ParameterError, TenantNotFound
-from repro.poly.ntt_engine import plan_stack_for
 
 __all__ = ["TenantSession", "TenantRegistry"]
 
@@ -46,26 +46,19 @@ class TenantSession:
     warmed: bool = False
 
     def warm(self) -> None:
-        """Pre-build the NTT plan stacks for every level of the chain.
+        """Build the tenant's NTT tables for the resolved rung, sentinel included.
 
-        Covers the base basis at each level plus the key-switch extended
-        basis at the top level, so neither a fresh request nor its first
-        rotation pays plan construction.  Idempotent: the stacks land in the
-        process-wide bounded plan cache and repeated warms are hits.
+        Every basis of the chain runs on views of its one table set, so no
+        request pays table construction or a sentinel probe.  Idempotent.
         """
-        moduli = self.params.modulus_basis.moduli
-        degree = self.params.degree
-        for level in range(1, self.params.limbs + 1):
-            plan_stack_for(tuple(moduli[:level]), degree)
-        plan_stack_for(
-            tuple(self.params.extended_basis(self.params.limbs).moduli), degree
-        )
+        backend = self.params.plan_stack().warm()
         self.warmed = True
         diagnostics.record_event(
             "session_warmed",
             tenant=self.tenant_id,
-            degree=degree,
+            degree=self.params.degree,
             limbs=self.params.limbs,
+            backend=backend,
         )
 
     def noise_headroom_bits(self, ciphertext) -> float | None:

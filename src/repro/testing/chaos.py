@@ -323,13 +323,6 @@ class ChaosReport:
         }
 
 
-def _full_stack(client: ClientTenant):
-    """The plan stack the tenant's top-level transforms dispatch through."""
-    return ntt_engine.plan_stack_for(
-        tuple(client.params.modulus_basis.moduli), client.params.degree
-    )
-
-
 def prepare_work(
     clients: list[ClientTenant],
     *,
@@ -479,7 +472,7 @@ def run_chaos(
     #: Fault-site / drill-order randomness, deterministic from ``seed`` so a
     #: chaos failure reproduces from the seed printed in the bench JSON.
     rand = random.Random(seed)
-    stack = _full_stack(clients[0])
+    stack = clients[0].params.plan_stack()  # every transform's tables
 
     def drill_none():
         return nullcontext(), None

@@ -11,10 +11,11 @@ down the degradation ladder ``four_step -> butterfly -> reference``, results
 stay bit-exact, and the event is recorded in `repro.diagnostics`) -- never
 silently wrong.
 
-The managers snapshot the quarantine set and the per-stack sentinel verdicts
-they may trip, so a drill leaves no residue in the process-wide dispatch
-state: guardrail reactions *inside* the ``with`` block are observable, and
-the exit restores the pre-fault world.
+The managers snapshot the quarantine set and, on exit, restore it and make
+every chain's four-step sentinel re-probe its (now healthy) tables, so a
+drill leaves no residue in the process-wide dispatch state: guardrail
+reactions *inside* the ``with`` block are observable, and the exit restores
+the pre-fault world.
 """
 
 from __future__ import annotations
@@ -36,27 +37,10 @@ class FaultHandle:
     details: dict[str, Any] = field(default_factory=dict)
 
 
-def _snapshot_guardrails() -> tuple[frozenset, dict[Any, Any]]:
-    """Capture quarantine membership plus every cached sentinel verdict."""
-    stacks = {
-        key: stack._sentinel_state for key, stack in ntt_engine._STACK_CACHE.items()
-    }
-    return frozenset(ntt_engine._QUARANTINE), stacks
-
-
-def _restore_guardrails(snapshot: tuple[frozenset, dict[Any, Any]]) -> None:
-    """Put quarantine and sentinel memos back exactly as snapshotted.
-
-    Stacks first seen during the drill fall back to a forgotten (``None``)
-    verdict so their next dispatch re-probes the healthy tables.
-    """
-    quarantined, stacks = snapshot
-    if set(ntt_engine._QUARANTINE) != set(quarantined):
-        ntt_engine._QUARANTINE.clear()
-        ntt_engine._QUARANTINE.update(quarantined)
-        ntt_engine._DISPATCH_EPOCH += 1
-    for key, stack in ntt_engine._STACK_CACHE.items():
-        stack._sentinel_state = stacks.get(key)
+def _restore_guardrails(quarantined: frozenset) -> None:
+    """Put the quarantine set back and forget the verdicts the drill tripped."""
+    ntt_engine.set_quarantine(quarantined)
+    ntt_engine.reset_sentinels()
 
 
 @contextmanager
@@ -92,8 +76,9 @@ def flipped_ciphertext_bit(
 def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle]:
     """Corrupt the butterfly backend's negacyclic twist tables, reversibly.
 
-    ``stack`` is an :class:`~repro.poly.ntt_engine.NttPlanStack` (its
-    butterfly tables are built first if it has not used that rung yet); the
+    ``stack`` is an :class:`~repro.poly.ntt_engine.NttPlanStack`; the tables
+    are its chain's, so every basis viewing that chain sees the fault (they
+    are built first if the chain has not used that rung yet).  The
     forward twist table the hot path multiplies by is offset by ``delta``, so
     every forward transform on the butterfly backend is wrong while the fault
     is live.  Detection: :func:`~repro.poly.ntt_engine.verify_plan`
@@ -101,7 +86,7 @@ def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle
     :class:`BackendExactnessError`).
     """
     table = stack.butterfly_tables().twist_br
-    snapshot = _snapshot_guardrails()
+    snapshot = ntt_engine.quarantined_backends()
     original = table.copy()
     table += np.uint64(delta)
     try:
@@ -115,8 +100,8 @@ def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle
 def corrupted_four_step_tables(stack, *, delta: float = 1.0) -> Iterator[FaultHandle]:
     """Corrupt the four-step GEMM backend's split constant matrix, reversibly.
 
-    Offsets ``stack``'s forward cascade ``[hi; lo]`` column matrix by
-    ``delta`` (building the four-step tables first if need be) so every
+    Offsets the forward cascade ``[hi; lo]`` column matrix of ``stack``'s
+    chain by ``delta`` (building the four-step tables first if need be) so every
     four-step forward transform is wrong while the fault is live.  The
     build-time sentinel (fresh stacks), :func:`verify_plan` (already-vetted
     stacks), or a strict-mode spot check catches it; healing means dispatch
@@ -124,7 +109,7 @@ def corrupted_four_step_tables(stack, *, delta: float = 1.0) -> Iterator[FaultHa
     results.
     """
     matrix = stack.four_step_stack()._fwd_pack[0]
-    snapshot = _snapshot_guardrails()
+    snapshot = ntt_engine.quarantined_backends()
     original = matrix.copy()
     matrix += delta
     try:
@@ -142,12 +127,11 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
     output has ``delta`` XORed into element 0 of every row.  Detection runs
     through the same sentinel / spot-check machinery as table corruption.
     """
-    snapshot = _snapshot_guardrails()
+    snapshot = ntt_engine.quarantined_backends()
     original = ntt_engine._FourStepStack._cascade
 
-    def lying_cascade(self, data, forward, limbs=None):
-        out = original(self, data, forward, limbs)
-        out = out.copy()
+    def lying_cascade(self, data, forward, limbs, out):
+        out = original(self, data, forward, limbs, out)
         out[..., 0] ^= np.uint64(delta)
         return out
 
@@ -172,13 +156,13 @@ def calibration_lie() -> Iterator[FaultHandle]:
     ``backend_fallback`` event, and the butterfly/reference rungs serve
     bit-exact results.
     """
-    snapshot = _snapshot_guardrails()
+    snapshot = ntt_engine.quarantined_backends()
     original = ntt_engine.four_step_supported
     ntt_engine.four_step_supported = lambda degree, moduli: True
-    ntt_engine._DISPATCH_EPOCH += 1
+    ntt_engine.bump_dispatch_epoch()
     try:
         yield FaultHandle("calibration_lie", {})
     finally:
         ntt_engine.four_step_supported = original
-        ntt_engine._DISPATCH_EPOCH += 1
+        ntt_engine.bump_dispatch_epoch()
         _restore_guardrails(snapshot)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -421,6 +422,42 @@ class TestSentinelFirstCall:
         assert len(probes) == 1
         assert len(outputs) == THREADS
         assert all(np.array_equal(got, expected) for got in outputs)
+
+
+class TestQuarantineUnderContention:
+    def test_concurrent_quarantines_record_one_event(self, monkeypatch):
+        """N threads quarantining one backend at once (sentinels and spot
+        checks on worker and fan-out threads) record exactly one event and
+        bump the dispatch epoch once.  Membership answers are held back until
+        they are stale, so a check-then-add outside one lock lets every
+        thread through."""
+
+        class SlowSet(set):
+            def __contains__(self, item):
+                found = super().__contains__(item)
+                time.sleep(0.01)  # answer goes stale before the caller acts
+                return found
+
+        monkeypatch.setattr(ntt_engine, "_QUARANTINE", SlowSet())
+        epoch = ntt_engine._DISPATCH_EPOCH
+        diagnostics.clear_events()
+        barrier = threading.Barrier(THREADS)
+
+        def worker():
+            barrier.wait(timeout=10.0)
+            ntt_engine.quarantine_backend(ntt_engine.BACKEND_FOUR_STEP, reason="race")
+
+        threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(diagnostics.events("backend_quarantined")) == 1
+            assert ntt_engine._DISPATCH_EPOCH == epoch + 1
+        finally:
+            ntt_engine.clear_quarantine()
 
 
 class TestBoundedLruCacheThreadSafety:

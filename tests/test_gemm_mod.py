@@ -264,21 +264,39 @@ class TestBlasStaging:
         assert as_blas_operand(ints, dtype=None) is ints
 
     def test_hot_paths_are_layout_clean(self, rng):
-        """BConv and the four-step backend never trigger a layout copy."""
+        """BConv and the four-step backend never trigger a layout copy, on
+        a whole basis or on a split ``Q_l·P`` viewing two row ranges of its
+        chain's tables (one spanning cascade at N = 64, one per range at
+        N = 4096)."""
+        from repro.ckks.params import CkksParameters
         from repro.numtheory.crt import RnsBasis
         from repro.poly.basis_conversion import conversion_for
-        from repro.poly.ntt_engine import plan_stack_for
+        from repro.poly.ntt_engine import plan_stack_for, set_default_backend
 
-        previous = set_strict(True)
+        def residues(moduli, degree, lead=()):
+            return np.stack(
+                [rng.integers(0, q, (*lead, degree), dtype=np.uint64) for q in moduli],
+                axis=-2,
+            )
+
+        splits = [
+            CkksParameters.create(degree=degree, limbs=3, dnum=3).extended_basis(1)
+            for degree in (64, 4096)
+        ]
+        previous, backend = set_strict(True), set_default_backend("four_step")
         try:
             basis = RnsBasis.generate(3, 28, 64)
             target = RnsBasis.generate(2, 28, 64)
             conv = conversion_for(basis, target)
-            residues = np.stack(
-                [rng.integers(0, q, 64, dtype=np.uint64) for q in basis.moduli]
-            )
-            conv.convert_residues(residues)
-            stack = plan_stack_for(basis.moduli, 64)
-            stack.four_step_stack().transform(residues, True)
+            conv.convert_residues(residues(basis.moduli, 64))
+            plan_stack_for(basis.moduli, 64).forward(residues(basis.moduli, 64))
+            for split in splits:
+                stack = plan_stack_for(split.moduli, split.degree)
+                assert len(stack.ranges) == 2
+                out = stack.forward(residues(split.moduli, split.degree, (2,)))
+                # The output feeds split GEMMs (BConv, key products) as is.
+                assert out.flags.c_contiguous
+                assert stack.inverse(out).flags.c_contiguous
         finally:
             set_strict(previous)
+            set_default_backend(backend)

@@ -29,7 +29,9 @@ from hypothesis.stateful import (
 )
 
 from repro import diagnostics, parallel
+from repro.ckks import CkksEncoder, Encryptor
 from repro.ckks.batch import batch_size
+from repro.diagnostics import BoundedLruCache
 from repro.errors import (
     BackendExactnessError,
     DeadlineExceeded,
@@ -60,6 +62,8 @@ from repro.serving import (
     current_scope,
     is_retryable,
 )
+from repro.serving.shard import TenantSpec
+from repro.testing import corrupted_four_step_tables
 from repro.testing.chaos import build_tenants, prepare_work, run_chaos
 
 
@@ -407,6 +411,28 @@ class TestCircuitBreaker:
         # the re-opened circuit must have restored the quarantine
         assert backend in ntt_engine.quarantined_backends()
 
+    def test_probe_covers_the_special_limbs(self, registry_and_clients, monkeypatch):
+        """The half-open probe verifies the tenant's whole chain, so corrupt
+        four-step tables of the key switch's extended basis keep the
+        circuit open."""
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        registry, clients = registry_and_clients
+        params = clients[0].params
+        clock = {"now": 0.0}
+        breaker = CircuitBreaker(cooldown_s=1.0, clock=lambda: clock["now"])
+        backend = ntt_engine.BACKEND_FOUR_STEP
+        plans = InferenceServer(registry)._probe_plans()
+        # The top level's extended basis, and the split one at level 1.
+        for level in (params.limbs, 1):
+            extended = params.extended_basis(level)
+            breaker.record_failure(backend)
+            with corrupted_four_step_tables(
+                ntt_engine.plan_stack_for(extended.moduli, params.degree)
+            ):
+                clock["now"] += 2.0
+                assert breaker.maybe_probe(plans) == {backend: False}
+            assert breaker.state(backend) == "open"
+
     def test_adopts_external_quarantine(self):
         ntt_engine.quarantine_backend(
             ntt_engine.BACKEND_BUTTERFLY, reason="sentinel"
@@ -435,6 +461,41 @@ class TestTenantRegistry:
         session = registry.session(clients[0].tenant_id)
         assert session is registry.session(clients[0].tenant_id)
         assert session.warmed
+
+    @pytest.mark.parametrize("backend", ["four_step", "butterfly"])
+    def test_first_request_after_warm_builds_no_tables(self, backend, monkeypatch):
+        """Registration warms the tenant's chain: its first request, which
+        runs at two levels, builds no NTT table and runs no sentinel."""
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        monkeypatch.setattr(ntt_engine, "_DEFAULT_BACKEND", backend)
+        spec = TenantSpec("warm", degree=64, limbs=3, dnum=2, key_seed=1, galois_steps=(1,))
+        params = spec.build_params()
+        relin, galois = spec.build_keys(params)
+        keygen = spec.keygen(params)
+        encoder = CkksEncoder(params)
+        values = np.random.default_rng(2).uniform(-1, 1, params.slot_count)
+        ciphertext = Encryptor(params, keygen.public_key(), keygen).encrypt(
+            encoder.encode(values)
+        )
+        # An empty plan cache: a worker process that has built nothing yet.
+        monkeypatch.setattr(
+            ntt_engine, "_STACK_CACHE", BoundedLruCache(name="fresh", capacity=128)
+        )
+        session = TenantRegistry().register(
+            "warm", params, relin_key=relin, galois_keys=galois
+        )
+        assert session.warmed
+        builds, probes = [], []
+        psi_powers, sentinel = ntt_engine._psi_powers, ntt_engine._sentinel_passes
+        monkeypatch.setattr(
+            ntt_engine, "_psi_powers", lambda *a: builds.append(1) or psi_powers(*a)
+        )
+        monkeypatch.setattr(
+            ntt_engine, "_sentinel_passes", lambda *a: probes.append(1) or sentinel(*a)
+        )
+        evaluator = session.evaluator
+        evaluator.rotate(evaluator.rescale(evaluator.multiply(ciphertext, ciphertext)), 1)
+        assert builds == [] and probes == []
 
     def test_empty_tenant_id_rejected(self, registry_and_clients):
         registry, clients = registry_and_clients
