@@ -12,8 +12,9 @@ This gate prices both sides of that trade at equal worker count:
   server and a process-sharded server.  Pipe framing + pickling must not
   eat the isolation win: ``P1/T1 >= 0.8``.
 * **P2 (crash storm)** -- the process server serves while a killer thread
-  SIGKILLs a live shard every storm tick.  The supervisor restarts victims
-  and re-dispatches their in-flight requests.
+  SIGKILLs a live shard every storm tick.  The supervisor restarts victims;
+  the server's retry loop backs off and re-dispatches their in-flight
+  requests, quarantining one that has killed two shards.
 * **T2 (thread-mode equivalent crash)** -- the honest baseline: when the
   fault domain is the whole process, ``kill -9`` takes every worker thread
   *and* the server with them, so each crash costs what a supervisor-less
@@ -180,7 +181,7 @@ def run_process_storm(requests: int, rand: random.Random) -> dict:
         done.set()
         killer.join(timeout=5.0)
         phase["recovered"] = server.supervisor.wait_all_ready(30.0)
-        phase["supervisor_counters"] = server.supervisor.stats()["counters"]
+        phase["supervisor_counters"] = server.health()["shards"]["counters"]
     phase["mode"] = "process"
     phase["kills"] = len(kills)
     return phase

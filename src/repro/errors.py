@@ -221,9 +221,15 @@ class WorkerCrashed(ServingError, RuntimeError):
     Raised parent-side when the supervisor observes a dead process (nonzero
     exitcode, a kill signal, pipe EOF) with a request in flight.  Unlike the
     rest of the ``ServingError`` branch this is *retryable*: the fault is in
-    the crashed fault domain, not the request, so the supervisor re-dispatches
-    to a healthy shard while the victim restarts.
+    the crashed fault domain, not the request, so the server re-dispatches
+    to a healthy shard while the victim restarts.  ``delivered`` is
+    ``False`` when the pipe died before the worker received the request: it
+    never ran, so the crash says nothing about it.
     """
+
+    def __init__(self, message: str = "", *, delivered: bool = True):
+        super().__init__(message)
+        self.delivered = delivered
 
 
 class WorkerUnresponsive(ServingError, TimeoutError):
@@ -240,7 +246,7 @@ class PoisonRequest(ServingError, RuntimeError):
     """The same request has killed (or hung) two workers; it is quarantined.
 
     Re-dispatching a worker-killing request a third time would crash-loop the
-    pool, so after the second kill the supervisor fails it typed and refuses
-    to execute that request id again.  Terminal: the fault travels with the
+    pool, so after the second kill the server fails it typed and refuses to
+    execute that request id again.  Terminal: the fault travels with the
     request, and only the client can fix the payload.
     """

@@ -12,11 +12,15 @@ classification a type check instead of message matching:
 
 * **retryable** -- :class:`~repro.errors.WorkerCrashed` /
   :class:`~repro.errors.WorkerUnresponsive`: a shard process died or hung
-  under the request.  The fault lives in the dead fault domain, not the
-  request, so a re-dispatch to a healthy shard is expected to succeed --
-  until the same request kills twice and the supervisor converts it to the
-  terminal :class:`~repro.errors.PoisonRequest`.  These are the only
-  retryable errors that are *not* backend-attributable (see
+  under the request (one attempt of
+  :meth:`~repro.serving.supervisor.ShardSupervisor.execute`).  The fault
+  lives in the dead fault domain, not the request, so the server's retry
+  loop re-dispatches it to a healthy shard -- until the same request kills
+  a second worker and the loop converts it to the terminal
+  :class:`~repro.errors.PoisonRequest` before consulting this policy.  A
+  frame the worker never received (``WorkerCrashed.delivered`` false)
+  costs an attempt but is never a kill.  These are the only retryable
+  errors that are *not* backend-attributable (see
   :func:`backend_attributable`): feeding a worker kill to the circuit
   breaker would quarantine an innocent NTT backend.
 

@@ -47,8 +47,11 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.errors import (
     DeadlineExceeded,
     ParameterError,
+    PoisonRequest,
     ReproError,
     ServiceUnavailable,
+    WorkerCrashed,
+    WorkerUnresponsive,
 )
 from repro.poly import ntt_engine
 from repro.serving.breaker import CircuitBreaker
@@ -65,6 +68,11 @@ COMPLETED = "completed"
 FAILED = "failed"
 
 _request_ids = itertools.count(1)
+#: Worker kills that make a request poison: one kill may be the shard's
+#: fault, the second is the request's.
+POISON_KILLS = 2
+#: Poisoned request ids remembered (oldest forgotten first).
+POISON_MEMORY = 1024
 
 
 @dataclass
@@ -225,6 +233,11 @@ class InferenceServer:
         self._probe_lock = threading.Lock()
         self.served = 0
         self.failed = 0
+        #: Poison quarantine (request id -> reason) and the re-dispatch
+        #: counters, reported beside the supervisor's under ``health()``.
+        self._poison_ids: dict[str, str] = {}
+        self.redispatches = 0
+        self.poisoned = 0
 
     # --------------------------------------------------------------- lifecycle
     def start(self) -> "InferenceServer":
@@ -396,9 +409,15 @@ class InferenceServer:
             status = "degraded"
         else:
             status = "ok"
-        supervisor_stats = (
-            None if self.supervisor is None else self.supervisor.stats()
-        )
+        supervisor_stats = None
+        if self.supervisor is not None:
+            supervisor_stats = self.supervisor.stats()
+            with self._idle:
+                supervisor_stats["counters"].update(
+                    redispatches=self.redispatches,
+                    poisoned=self.poisoned,
+                    poisoned_requests=list(self._poison_ids),
+                )
         if (
             status == "ok"
             and supervisor_stats is not None
@@ -541,9 +560,12 @@ class InferenceServer:
            own scope; a larger batch runs the stacked ciphertext under the
            tightest member deadline as ``batch-<leader id>``, so a shard it
            kills is charged to the batch, not to its leader.
-        3. Execute: only a batch of one retries; any failure of a larger
-           batch records ``batch_fallback`` and re-serves each member as a
-           batch of one, so batching never costs correctness.
+        3. Execute: only a batch of one retries.  A worker kill re-dispatches
+           it like any retryable fault, and its second kill quarantines its
+           id as :class:`~repro.errors.PoisonRequest`; an undelivered frame
+           costs an attempt but never counts as a kill.  Any failure of a
+           larger batch records ``batch_fallback`` and re-serves each member
+           as a batch of one, so batching never costs correctness.
         4. Finish: split the result, re-check each member's own scope, and
            record the executor's ``meta`` and the noise headroom per member.
         """
@@ -587,6 +609,12 @@ class InferenceServer:
                 scope = CancelScope(
                     deadline=min(deadlines, default=None), label=unit_id
                 )
+            reason = self._poison_ids.get(unit_id)
+            if reason is not None:
+                raise PoisonRequest(
+                    f"request {unit_id} is quarantined: {reason}"
+                )
+            kills = 0
             while True:
                 attempts += 1
                 backend = self._resolved_backend(session)
@@ -605,6 +633,12 @@ class InferenceServer:
                         # Not worker kills: a crashed shard says nothing
                         # about the NTT backend.
                         self.breaker.record_failure(backend, request_id=unit_id)
+                    killed = isinstance(exc, WorkerUnresponsive) or (
+                        isinstance(exc, WorkerCrashed) and exc.delivered
+                    )
+                    kills += killed
+                    if kills >= POISON_KILLS:
+                        raise self._quarantine(unit_id, kills, exc) from exc
                     if size > 1 or not self.retry_policy.should_retry(
                         exc, attempts
                     ):
@@ -613,6 +647,9 @@ class InferenceServer:
                     remaining = scope.remaining()
                     if remaining is not None and delay >= remaining:
                         raise  # no deadline headroom for another attempt
+                    if killed:
+                        with self._idle:
+                            self.redispatches += 1
                     diagnostics.record_event(
                         "request_retry",
                         request_id=unit_id,
@@ -623,6 +660,7 @@ class InferenceServer:
                         backoff_s=round(delay, 4),
                     )
                     time.sleep(delay)
+                    scope.check()  # cancelled or expired during the backoff
             self.breaker.record_success(backend)
             members = [result]
             if size > 1:
@@ -668,6 +706,30 @@ class InferenceServer:
             if size > 1:
                 ticket.diagnostics.update(batched=True, batch_size=size)
             self._finalise(ticket, member, None, attempts, backend, started)
+
+    def _quarantine(
+        self, unit_id: str, kills: int, error: BaseException
+    ) -> PoisonRequest:
+        """Quarantine ``unit_id`` after its ``kills``-th worker kill."""
+        reason = (
+            f"killed {kills} worker(s); last: {type(error).__name__}: {error}"
+        )
+        with self._idle:
+            self.poisoned += 1
+            self._poison_ids[unit_id] = reason
+            while len(self._poison_ids) > POISON_MEMORY:
+                self._poison_ids.pop(next(iter(self._poison_ids)))
+        diagnostics.record_event(
+            "request_poisoned",
+            request_id=unit_id,
+            kills=kills,
+            error=type(error).__name__,
+        )
+        return PoisonRequest(
+            f"request {unit_id} killed {kills} shard worker(s) (last: "
+            f"{type(error).__name__}); quarantined instead of crash-looping "
+            "the pool"
+        )
 
     def _finalise(
         self,

@@ -1,4 +1,4 @@
-"""The shard supervisor: spawn, watch, kill, restart, re-dispatch.
+"""The shard supervisor: spawn, watch, kill, restart.
 
 Parent-side half of process-isolated serving.  A :class:`ShardSupervisor`
 owns N shard processes (see :mod:`repro.serving.shard`), each a fault domain
@@ -17,13 +17,11 @@ contract mirrors a classic one-for-one supervision tree:
 * **restart** -- dead shards respawn with exponential backoff
   (``restart_backoff_s * 2**consecutive_failures``, capped), re-deriving
   keys and re-warming plans from the same :class:`TenantSpec`s;
-* **re-dispatch** -- :meth:`ShardSupervisor.execute` transparently re-runs a
-  crash/hang-failed request on a healthy shard while its deadline allows;
-* **poison quarantine** -- a request that kills workers
-  ``poison_kill_threshold`` (default 2) times is quarantined and fails typed
-  as :class:`~repro.errors.PoisonRequest` instead of crash-looping the pool.
-  Kills are counted per dispatched ``request_id``; the server dispatches a
-  stacked batch under its own ``batch-<leader id>``.
+* **one attempt** -- :meth:`ShardSupervisor.execute` runs a request once
+  and reports a kill typed; re-dispatching it to a healthy shard, and
+  quarantining it as :class:`~repro.errors.PoisonRequest` after its second
+  kill, is the server's retry loop's call
+  (:meth:`repro.serving.runtime.InferenceServer._serve`).
 
 Every setting is a constructor argument (the server passes its
 ``supervisor_options`` through); none is read from the environment.
@@ -44,7 +42,6 @@ from typing import Any, Callable, Sequence
 from repro import diagnostics, parallel
 from repro.cancellation import CancelScope
 from repro.errors import (
-    PoisonRequest,
     ReproError,
     ServiceUnavailable,
     WorkerCrashed,
@@ -131,20 +128,16 @@ class ShardSupervisor:
         memory_ceiling_mb: float | None = None,
         restart_backoff_s: float = 0.25,
         restart_backoff_cap_s: float = 4.0,
-        poison_kill_threshold: int = 2,
         boot_timeout_s: float = 120.0,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if poison_kill_threshold < 1:
-            raise ValueError("poison_kill_threshold must be >= 1")
         self.specs = list(specs)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_miss_limit = int(heartbeat_miss_limit)
         self.memory_ceiling_mb = memory_ceiling_mb
         self.restart_backoff_s = float(restart_backoff_s)
         self.restart_backoff_cap_s = float(restart_backoff_cap_s)
-        self.poison_kill_threshold = int(poison_kill_threshold)
         self.boot_timeout_s = float(boot_timeout_s)
         self._ctx = multiprocessing.get_context("spawn")
         self._shards = [ShardHandle(index) for index in range(shards)]
@@ -153,19 +146,12 @@ class ShardSupervisor:
         self._started = False
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
-        #: request_id -> workers this request has killed so far.
-        self._kills: dict[str, int] = {}
-        #: request_ids quarantined after killing ``poison_kill_threshold``
-        #: workers; bounded FIFO so a long-running server cannot leak.
-        self._poisoned: dict[str, str] = {}
         self.counters = {
             "spawns": 0,
             "crashes": 0,
             "hangs": 0,
             "memory_breaches": 0,
             "abandoned_kills": 0,
-            "redispatches": 0,
-            "poisoned": 0,
         }
         self._stats_key: str | None = None
 
@@ -271,7 +257,6 @@ class ShardSupervisor:
         with self._cond:
             shards = {s.name: s.stats() for s in self._shards}
             counters = dict(self.counters)
-            counters["poisoned_requests"] = list(self._poisoned)
         return {"shards": shards, "counters": counters}
 
     # --------------------------------------------------------------- dispatch
@@ -284,82 +269,37 @@ class ShardSupervisor:
         payload: Any,
         scope: CancelScope | None = None,
     ) -> tuple[Any, dict[str, Any]]:
-        """Run one request on a healthy shard; crash-contain and re-dispatch.
+        """Run one attempt of one request on a healthy shard.
 
         Returns ``(result, meta)`` where ``meta`` names the serving shard
         (``shard``, ``shard_pid``).  Raises the worker's own typed error for
         a request that fails *inside* a healthy shard, and
-        :class:`WorkerCrashed` / :class:`WorkerUnresponsive` /
-        :class:`PoisonRequest` for supervision verdicts.
+        :class:`WorkerCrashed` / :class:`WorkerUnresponsive` when the shard
+        died or hung under it -- ``WorkerCrashed.delivered`` is ``False``
+        when the pipe died before the worker received the frame.  Whether to
+        run the request again is the caller's decision.
         """
-        undelivered = 0
-        while True:
-            with self._cond:
-                if request_id in self._poisoned:
-                    raise PoisonRequest(
-                        f"request {request_id} is quarantined: "
-                        f"{self._poisoned[request_id]}"
-                    )
-            shard, call = self._acquire(request_id, scope)
-            outcome = self._dispatch(
-                shard, call, request_id, tenant_id, circuit, payload, scope
+        shard, call = self._acquire(request_id, scope)
+        frame_payload = {
+            "request_id": request_id,
+            "tenant_id": tenant_id,
+            "circuit": circuit,
+            "payload": payload,
+            "timeout_s": None if scope is None else scope.remaining(),
+        }
+        try:
+            send_frame(shard.request_conn, "request", frame_payload)
+        except (OSError, ValueError, BrokenPipeError, AttributeError) as exc:
+            error = WorkerCrashed(
+                f"{shard.name} pipe write failed before delivery: "
+                f"{type(exc).__name__}",
+                delivered=False,
             )
-            kind = outcome[0]
-            if kind == "ok":
-                with self._cond:
-                    self._kills.pop(request_id, None)
-                return outcome[1], outcome[2]
-            if kind == "error":
-                raise outcome[1]
-            if kind == "undelivered":
-                # The pipe died before the request reached the worker: the
-                # shard is toast but the request never ran, so this does not
-                # count toward poisoning.  Bounded so a cascade of dead pipes
-                # cannot spin forever when there is no deadline to stop it.
-                undelivered += 1
-                if undelivered > 2 * len(self._shards):
-                    raise outcome[1]
-                if scope is not None and (scope.expired() or scope.cancelled):
-                    raise outcome[1]
-                continue
-            # kind == "killed": this request was in flight when the worker
-            # died or hung -- the only path that counts toward poisoning.
-            error = outcome[1]
-            with self._cond:
-                kills = self._kills.get(request_id, 0) + 1
-                self._kills[request_id] = kills
-                poisoned = kills >= self.poison_kill_threshold
-                if poisoned:
-                    self._kills.pop(request_id, None)
-                    self.counters["poisoned"] += 1
-                    self._poisoned[request_id] = (
-                        f"killed {kills} worker(s); last: "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    while len(self._poisoned) > 1024:
-                        self._poisoned.pop(next(iter(self._poisoned)))
-            if poisoned:
-                diagnostics.record_event(
-                    "request_poisoned",
-                    request_id=request_id,
-                    kills=kills,
-                    error=type(error).__name__,
-                )
-                raise PoisonRequest(
-                    f"request {request_id} killed {kills} shard worker(s) "
-                    f"(last: {type(error).__name__}); quarantined instead of "
-                    "crash-looping the pool"
-                ) from error
-            if scope is not None and (scope.expired() or scope.cancelled):
-                raise error
-            with self._cond:
-                self.counters["redispatches"] += 1
-            diagnostics.record_event(
-                "request_redispatched",
-                request_id=request_id,
-                kills=kills,
-                error=type(error).__name__,
+            self._fail_shard(
+                shard, error, counter="crashes", event="shard_crashed"
             )
+            raise error from exc
+        return self._await_reply(shard, call, scope)
 
     def _acquire(
         self, request_id: str, scope: CancelScope | None
@@ -381,79 +321,25 @@ class ShardSupervisor:
                     scope.check()  # typed DeadlineExceeded / RequestCancelled
                 self._cond.wait(timeout=0.05)
 
-    def _dispatch(
-        self,
-        shard: ShardHandle,
-        call: _PendingCall,
-        request_id: str,
-        tenant_id: str,
-        circuit: Callable,
-        payload: Any,
-        scope: CancelScope | None,
-    ) -> tuple:
-        """Ship one request to ``shard`` and wait the reply (or verdict) out."""
-        frame_payload = {
-            "request_id": request_id,
-            "tenant_id": tenant_id,
-            "circuit": circuit,
-            "payload": payload,
-            "timeout_s": None if scope is None else scope.remaining(),
-        }
-        try:
-            send_frame(shard.request_conn, "request", frame_payload)
-        except (OSError, ValueError, BrokenPipeError, AttributeError) as exc:
-            self._fail_shard(
-                shard,
-                WorkerCrashed(
-                    f"{shard.name} pipe write failed before delivery: "
-                    f"{type(exc).__name__}"
-                ),
-                counter="crashes",
-                event="shard_crashed",
-            )
-            call.done.wait(timeout=1.0)
-            return (
-                "undelivered",
-                call.error
-                or WorkerCrashed(f"{shard.name} died before delivery"),
-            )
+    def _await_reply(
+        self, shard: ShardHandle, call: _PendingCall, scope: CancelScope | None
+    ) -> tuple[Any, dict[str, Any]]:
+        """Wait out the reply to a delivered request, or the shard's death."""
         grace = max(1.0, self.heartbeat_miss_limit * self.heartbeat_interval_s)
         expired_since: float | None = None
-        while True:
-            if call.done.is_set():
-                return ("killed", call.error)
+        while not call.done.is_set():
             try:
-                has_frame = shard.request_conn.poll(0.02)
-            except (OSError, ValueError, AttributeError) as exc:
-                has_frame = False
-                self._fail_shard(
-                    shard,
+                frame = recv_frame(shard.request_conn, timeout=0.02)
+            except (EOFError, OSError, ValueError, ReproError, AttributeError) as exc:
+                verdict = (
                     WorkerCrashed(
-                        f"{shard.name} connection lost mid-request "
-                        f"({type(exc).__name__})"
+                        f"{shard.name} died mid-request ({type(exc).__name__})"
                     ),
-                    counter="crashes",
-                    event="shard_crashed",
+                    "crashes",
+                    "shard_crashed",
                 )
-                call.done.wait(timeout=1.0)
-                return ("killed", call.error)
-            if has_frame:
-                try:
-                    frame = recv_frame(shard.request_conn)
-                except (EOFError, OSError, ReproError, AttributeError) as exc:
-                    self._fail_shard(
-                        shard,
-                        WorkerCrashed(
-                            f"{shard.name} died mid-reply "
-                            f"({type(exc).__name__})"
-                        ),
-                        counter="crashes",
-                        event="shard_crashed",
-                    )
-                    call.done.wait(timeout=1.0)
-                    return ("killed", call.error)
-                if frame is None or frame[0] != "result":
-                    continue
+                break
+            if frame is not None and frame[0] == "result":
                 reply = frame[1]
                 self._forward_events(shard, reply.get("events", ()))
                 with self._cond:
@@ -462,23 +348,21 @@ class ShardSupervisor:
                         shard.state = READY
                         shard.served += 1
                     self._cond.notify_all()
-                if reply.get("ok"):
-                    return ("ok", reply.get("result"), reply.get("meta", {}))
-                return ("error", reply.get("error"), reply.get("meta", {}))
+                if not reply.get("ok"):
+                    raise reply.get("error")
+                return reply.get("result"), reply.get("meta", {})
             if scope is None:
                 continue
             if scope.cancelled:
                 # A cancelled request cannot be interrupted inside the worker
                 # (nothing cooperative crosses the pipe), so the shard is
                 # sacrificed rather than left running abandoned work.
-                self._fail_shard(
-                    shard,
+                verdict = (
                     WorkerCrashed(f"{shard.name} abandoned: request cancelled"),
-                    counter="abandoned_kills",
-                    event="shard_abandoned",
+                    "abandoned_kills",
+                    "shard_abandoned",
                 )
-                call.done.wait(timeout=1.0)
-                scope.check()  # raises RequestCancelled
+                break
             if scope.expired():
                 # The worker holds the same deadline and normally replies
                 # DeadlineExceeded on its own; only a wedged worker overruns
@@ -486,17 +370,23 @@ class ShardSupervisor:
                 if expired_since is None:
                     expired_since = time.monotonic()
                 elif time.monotonic() - expired_since > grace:
-                    self._fail_shard(
-                        shard,
+                    verdict = (
                         WorkerUnresponsive(
                             f"{shard.name} ignored the request deadline for "
                             f"{grace:.1f}s past expiry; killed"
                         ),
-                        counter="hangs",
-                        event="shard_unresponsive",
+                        "hangs",
+                        "shard_unresponsive",
                     )
-                    call.done.wait(timeout=1.0)
-                    return ("killed", call.error)
+                    break
+        else:
+            raise call.error  # the monitor failed the shard under us
+        error, counter, event = verdict
+        self._fail_shard(shard, error, counter=counter, event=event)
+        call.done.wait(timeout=1.0)
+        if scope is not None and scope.cancelled:
+            scope.check()  # raises RequestCancelled
+        raise call.error or error
 
     # ------------------------------------------------------------ supervision
     def _spawn(self, shard: ShardHandle) -> None:

@@ -112,10 +112,11 @@ class HangCircuit:
 
     Inside a shard it suppresses the heartbeat thread and stalls, faking a
     genuinely wedged process; the supervisor's missed-heartbeat detector
-    must kill it.  Re-dispatched, it wedges the next worker too -- so the
-    poison-quarantine path (two kills -> :class:`PoisonRequest`) is exactly
-    what ends the drill.  In the parent (thread mode) it is a no-op pass-
-    through, so misusing it cannot hang the harness itself.
+    must kill it.  Re-dispatched by the server, it wedges the next worker
+    too -- so the poison-quarantine path (two kills ->
+    :class:`PoisonRequest`) is exactly what ends the drill.  In the parent
+    (thread mode) it is a no-op pass-through, so misusing it cannot hang
+    the harness itself.
     """
 
     hold_s: float = WATCHDOG_S
@@ -131,9 +132,9 @@ class BatchCrashCircuit(LinearSquareCircuit):
     """Chaos circuit: :class:`LinearSquareCircuit` that kills any shard
     handed a stacked batch.
 
-    A batch of one computes normally, so a batch poisoned by it must end
-    with every member served bit-exact once re-served alone -- and with the
-    quarantine charged to the batch, never to a member.
+    A batch of one computes normally, so a batch it kills must end with
+    every member served bit-exact once re-served alone -- after one crash,
+    since a batch never retries, and with no id poisoned.
     """
 
     def __call__(self, session, payload):
@@ -155,7 +156,7 @@ class PoisonPill:
     ``__reduce__`` routes unpickling through :func:`_detonate_poison`, which
     ``os._exit``\\ s only when running inside a shard process -- the parent
     can pickle and re-pickle the pill safely, which is what lets the
-    supervisor re-dispatch it and prove the two-kills-then-quarantine rule.
+    server re-dispatch it and prove the two-kills-then-quarantine rule.
     """
 
     def __reduce__(self):
@@ -718,7 +719,7 @@ def run_process_chaos(
         completed = _submit_and_wait(server, work, outcome, circuits=circuits)
         outcome.details["victim"] = victim
         outcome.details["recovered"] = server.supervisor.wait_all_ready(30.0)
-        counters = server.supervisor.stats()["counters"]
+        counters = server.health()["shards"]["counters"]
         outcome.details["hang_kills"] = counters["hangs"]
         outcome.details["poisoned"] = counters["poisoned"]
         return completed, oracles
@@ -734,7 +735,7 @@ def run_process_chaos(
         completed = _submit_and_wait(server, work, outcome)
         outcome.details["victim"] = victim
         outcome.details["recovered"] = server.supervisor.wait_all_ready(30.0)
-        counters = server.supervisor.stats()["counters"]
+        counters = server.health()["shards"]["counters"]
         # Two kills then quarantine -- never a third crash for this request.
         outcome.details["crash_kills"] = counters["crashes"]
         outcome.details["poisoned"] = counters["poisoned"]

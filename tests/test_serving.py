@@ -10,6 +10,7 @@ zero hangs.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -1147,6 +1148,203 @@ def test_ticket_lifecycle_state_machine(registry_and_clients):
         settings=settings(
             max_examples=50,
             stateful_step_count=20,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Worker-fault interleavings through the one retry loop
+# ---------------------------------------------------------------------------
+
+#: What one scripted dispatch does; an exhausted script means ``ok``.
+_SCRIPTED_FAULTS = {
+    "kill": lambda: WorkerCrashed("scripted kill"),
+    "hang": lambda: WorkerUnresponsive("scripted hang"),
+    "undelivered": lambda: WorkerCrashed("scripted dead pipe", delivered=False),
+    "exactness": lambda: BackendExactnessError("scripted sentinel"),
+    "terminal": lambda: ParameterError("scripted refusal"),
+}
+_OUTCOMES = st.sampled_from(("ok", *_SCRIPTED_FAULTS))
+_KILLS = ("kill", "hang")
+
+
+def _solo_verdict(script, max_attempts):
+    """``(error type or None, attempts)`` of a unit served alone.
+
+    The retry loop's contract, restated: the second kill poisons (before
+    the retry budget is consulted), an undelivered frame is an attempt but
+    never a kill, a terminal error is not retried, and retryable faults
+    run until ``max_attempts``.
+    """
+    kills = 0
+    outcomes = itertools.chain(script, itertools.repeat("ok"))
+    for attempt, outcome in enumerate(outcomes, start=1):
+        if outcome == "ok":
+            return None, attempt
+        kills += outcome in _KILLS
+        if kills == 2:
+            return PoisonRequest, attempt
+        if outcome == "terminal" or attempt == max_attempts:
+            return type(_SCRIPTED_FAULTS[outcome]()), attempt
+
+
+class _RecordingBreaker(CircuitBreaker):
+    def __init__(self):
+        super().__init__(failure_threshold=10**6)
+        self.failures = 0
+
+    def record_failure(self, backend, **details):
+        self.failures += 1
+        return super().record_failure(backend, **details)
+
+
+class FaultInterleavings(RuleBasedStateMachine):
+    """Scripted worker faults against a thread-mode server, no processes.
+
+    The server's executor is a fake that pops each unit's next scripted
+    outcome per dispatch (requests and ``batch-<leader>`` units have
+    separate scripts), so every interleaving of kill, hang, undelivered
+    frame, backend fault and terminal error reaches ``_serve``'s one retry
+    loop exactly as a shard's verdicts would.
+    """
+
+    def __init__(self, registry, payloads):
+        super().__init__()
+        self.registry = registry
+        self.payloads = payloads
+        self.server = None
+        self.tickets = []
+        self.scripts = {}
+        self.solo_scripts = {}
+        self.dispatches = []
+        self.lock = threading.Lock()
+
+    @initialize(
+        max_batch_size=st.sampled_from((1, 4)),
+        max_attempts=st.sampled_from((2, 3)),
+    )
+    def start(self, max_batch_size, max_attempts):
+        diagnostics.clear_events()
+        self.max_attempts = max_attempts
+        self.breaker = _RecordingBreaker()
+        self.server = InferenceServer(
+            self.registry,
+            workers=2,
+            queue_capacity=64,
+            retry_policy=RetryPolicy(
+                max_attempts=max_attempts, base_delay_s=5e-4, max_delay_s=1e-3
+            ),
+            breaker=self.breaker,
+            max_batch_size=max_batch_size,
+            max_batch_wait_s=0.01,
+        ).start()
+        self.server._execute = self._execute
+
+    def _execute(self, *, request_id, tenant_id, circuit, payload, scope):
+        with self.lock:
+            script = self.scripts.setdefault(request_id, [])
+            outcome = script.pop(0) if script else "ok"
+            self.dispatches.append((request_id, outcome))
+        if outcome == "ok":
+            return payload, {}
+        raise _SCRIPTED_FAULTS[outcome]()
+
+    @rule(
+        solo=st.lists(_OUTCOMES, max_size=4),
+        batch=st.lists(_OUTCOMES, max_size=2),
+        keyed=st.booleans(),
+        copies=st.integers(1, 3),
+    )
+    def submit(self, solo, batch, keyed, copies):
+        for _ in range(copies):
+            payload = self.payloads[len(self.tickets) % len(self.payloads)]
+            request = InferenceRequest(
+                "alice", _echo, payload=payload,
+                batch_key="scripted" if keyed else None,
+            )
+            with self.lock:
+                self.scripts[request.request_id] = list(solo)
+                self.scripts[f"batch-{request.request_id}"] = list(batch)
+            self.solo_scripts[request.request_id] = list(solo)
+            self.tickets.append(self.server.submit(request))
+
+    @rule()
+    def pause(self):
+        time.sleep(0.002)
+
+    def teardown(self):
+        if self.server is None:
+            return
+        assert self.server.drain(timeout=10.0)
+        self.server.shutdown()
+        self._check()
+
+    def _check(self):
+        by_unit = {}
+        for unit, outcome in self.dispatches:
+            by_unit.setdefault(unit, []).append(outcome)
+        events = diagnostics.events()
+        # Every ticket is finalised exactly once.
+        finalised = Counter(
+            event["request_id"]
+            for event in events
+            if event["kind"] in ("request_served", "request_failed")
+        )
+        assert finalised == Counter(t.request.request_id for t in self.tickets)
+        for unit, outcomes in by_unit.items():
+            # Attempts are bounded, a batch never retries, and nothing is
+            # dispatched after its second kill.
+            assert len(outcomes) <= self.max_attempts
+            if unit.startswith("batch-"):
+                assert len(outcomes) == 1
+            kills = [i for i, outcome in enumerate(outcomes) if outcome in _KILLS]
+            assert len(kills) <= 2
+            if len(kills) == 2:
+                assert kills[1] == len(outcomes) - 1
+        # Undelivered frames never poison: every poisoned unit saw two kills.
+        for event in events:
+            if event["kind"] == "request_poisoned":
+                outcomes = by_unit[event["request_id"]]
+                assert sum(outcome in _KILLS for outcome in outcomes) == 2
+        # Worker faults never reach the breaker.
+        exactness = sum(outcome == "exactness" for _, outcome in self.dispatches)
+        assert self.breaker.failures == exactness
+        for ticket in self.tickets:
+            request_id = ticket.request.request_id
+            attempts = ticket.diagnostics["attempts"]
+            assert attempts <= self.max_attempts
+            if ticket.diagnostics.get("batched"):
+                assert ticket.status == "completed"
+            else:
+                # A ticket not served by its batch ran alone, exactly as a
+                # solo request with its own script would have.
+                error, expected_attempts = _solo_verdict(
+                    self.solo_scripts[request_id], self.max_attempts
+                )
+                assert len(by_unit[request_id]) == expected_attempts
+                assert attempts == expected_attempts
+                assert type(ticket.error) is (error or type(None))
+            if ticket.status == "completed":
+                result, payload = ticket.result(), ticket.request.payload
+                assert np.array_equal(result.c0.residues, payload.c0.residues)
+                assert np.array_equal(result.c1.residues, payload.c1.residues)
+
+
+def test_fault_interleavings_state_machine(registry_and_clients):
+    registry, clients = registry_and_clients
+    client = clients[0]
+    rng = np.random.default_rng(37)
+    payloads = [
+        client.encrypt_features(rng.uniform(-1, 1, client.params.slot_count))
+        for _ in range(3)
+    ]
+    run_state_machine_as_test(
+        lambda: FaultInterleavings(registry, payloads),
+        settings=settings(
+            max_examples=40,
+            stateful_step_count=12,
             deadline=None,
             suppress_health_check=[HealthCheck.too_slow],
         ),

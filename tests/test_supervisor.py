@@ -10,7 +10,9 @@ crash.
 """
 
 import multiprocessing
+import os
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,10 +35,18 @@ from repro.serving import (
     backend_attributable,
     is_retryable,
 )
-from repro.serving.shard import FRAME_MAGIC, _FRAME_HEADER, recv_frame, send_frame
+from repro.serving import supervisor as supervisor_module
+from repro.serving.shard import (
+    FRAME_MAGIC,
+    _FRAME_HEADER,
+    in_worker,
+    recv_frame,
+    send_frame,
+)
 from repro.testing.chaos import (
     BatchCrashCircuit,
     LinearSquareCircuit,
+    PoisonPill,
     build_tenants,
     prepare_work,
     run_process_chaos,
@@ -326,22 +336,130 @@ class TestProcessBatching:
         assert counters["crashes"] == 0
 
     def test_poisoned_batch_spares_its_innocent_members(self):
-        # The stacked call kills the shard twice and is quarantined; every
-        # member, the leader included, then completes served alone.
+        # A batch never retries: the stacked call kills the shard once and
+        # falls back, and every member, the leader included, then completes
+        # served alone (bit-exact, checked by _run_batch).  No id is
+        # poisoned.
         tickets, counters = self._run_batch(
             BatchCrashCircuit, restart_backoff_s=0.01
         )
-        leader = tickets[0].request.request_id
-        assert counters["crashes"] == 2
-        assert counters["poisoned_requests"] == [f"batch-{leader}"]
+        assert counters["crashes"] == 1
+        assert counters["poisoned"] == 0
+        assert counters["poisoned_requests"] == []
+        assert counters["redispatches"] == 0
         for ticket in tickets:
             assert "batched" not in ticket.diagnostics
+            assert ticket.diagnostics["attempts"] == 1
             assert ticket.diagnostics["shard_pid"] is not None
 
 
+@dataclass
+class CrashThenRefuse:
+    """Kill the shard on the first run (leaving ``marker``); refuse the next."""
+
+    marker: str
+
+    def __call__(self, session, payload):
+        if in_worker() and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(13)
+        raise ParameterError("refused on the re-dispatch")
+
+
+class TestRedispatch:
+    """The server's retry loop owns re-dispatch and poison, per request."""
+
+    @staticmethod
+    def _server(registry):
+        return InferenceServer(
+            registry,
+            workers=2,
+            workers_mode="process",
+            default_timeout_s=60.0,
+            supervisor_options={
+                "heartbeat_interval_s": 0.1,
+                "restart_backoff_s": 0.01,
+            },
+        )
+
+    def test_kill_then_typed_failure_leaves_no_kill_state(self, tmp_path):
+        registry = TenantRegistry()
+        build_tenants(registry, ("alice",))
+        circuit = CrashThenRefuse(str(tmp_path / "crashed"))
+        with self._server(registry) as server:
+            ticket = server.submit(InferenceRequest("alice", circuit))
+            with pytest.raises(ParameterError):
+                ticket.result(timeout=60.0)
+            request_id = ticket.request.request_id
+            for holder in (server, server.supervisor):
+                assert not any(
+                    isinstance(value, dict) and request_id in value
+                    for value in vars(holder).values()
+                ), f"{type(holder).__name__} still holds {request_id}"
+            counters = server.health()["shards"]["counters"]
+        assert ticket.diagnostics["attempts"] == 2
+        assert counters["crashes"] == 1
+        assert counters["redispatches"] == 1
+        assert counters["poisoned"] == 0
+
+    def test_undelivered_frames_retry_and_never_poison(self, monkeypatch):
+        registry = TenantRegistry()
+        client = build_tenants(registry, ("alice",))[0]
+        work = prepare_work([client], requests=1, rng=np.random.default_rng(5))
+        ciphertext = work[0][3]
+        oracle = client.circuit(registry.session("alice"), ciphertext)
+        drops = [BrokenPipeError(), BrokenPipeError()]
+
+        def flaky_send(conn, kind, payload):
+            if kind == "request" and drops:
+                raise drops.pop()
+            send_frame(conn, kind, payload)
+
+        with self._server(registry) as server:
+            monkeypatch.setattr(supervisor_module, "send_frame", flaky_send)
+            ticket = server.submit(
+                InferenceRequest("alice", client.circuit, payload=ciphertext)
+            )
+            result = ticket.result(timeout=60.0)
+            counters = server.health()["shards"]["counters"]
+        np.testing.assert_array_equal(result.c0.residues, oracle.c0.residues)
+        np.testing.assert_array_equal(result.c1.residues, oracle.c1.residues)
+        # Two undelivered frames are two attempts, not two kills.
+        assert ticket.diagnostics["attempts"] == 3
+        assert counters["crashes"] == 2
+        assert counters["redispatches"] == 0
+        assert counters["poisoned"] == 0
+
+    def test_resubmitted_poison_fails_typed_without_dispatch(self):
+        registry = TenantRegistry()
+        build_tenants(registry, ("alice",))
+        with self._server(registry) as server:
+            first = server.submit(
+                InferenceRequest("alice", _echo, PoisonPill(), request_id="pill")
+            )
+            with pytest.raises(PoisonRequest):
+                first.result(timeout=60.0)
+            crashes = server.health()["shards"]["counters"]["crashes"]
+            again = server.submit(
+                InferenceRequest("alice", _echo, PoisonPill(), request_id="pill")
+            )
+            with pytest.raises(PoisonRequest, match="quarantined"):
+                again.result(timeout=60.0)
+            counters = server.health()["shards"]["counters"]
+        assert crashes == 2
+        assert counters["crashes"] == crashes
+        assert counters["poisoned"] == 1
+        assert counters["poisoned_requests"] == ["pill"]
+        assert again.diagnostics["attempts"] == 0
+
+
+def _echo(session, payload):
+    return payload
+
+
 # ---------------------------------------------------------------------------
-# Crash containment drills (SIGKILL + poison; the full storm runs in the
-# bench gate and the supervision CI job via run_process_chaos defaults)
+# Crash containment drills: every run_process_chaos drill but the baseline
+# (SIGKILL, poison payload, hang, restart storm)
 # ---------------------------------------------------------------------------
 
 
@@ -378,3 +496,37 @@ class TestProcessChaos:
         assert poison.correct == poison.requests - 1
         assert poison.details["bit_exact"] == poison.correct
         assert poison.details["recovered"]
+
+    def test_hang_is_killed_twice_then_poisoned(self):
+        # The victim wedges every shard it lands on: the heartbeat detector
+        # kills two of them, then the request is quarantined typed.
+        report = run_process_chaos(
+            requests_per_drill=4,
+            shards=4,
+            seed=11,
+            drills=["proc_worker_hang_poison"],
+        )
+        assert report.silent == 0, report.summary()
+        assert report.hung == 0, report.summary()
+        hang = report.outcomes[0]
+        assert hang.details["hang_kills"] == 2
+        assert hang.details["poisoned"] == 1
+        assert hang.typed_failures == 1
+        assert any("PoisonRequest" in error for error in hang.errors)
+        assert hang.correct == hang.requests - 1
+        assert hang.details["bit_exact"] == hang.correct
+        assert hang.details["recovered"]
+
+    def test_restart_storm_loses_nothing(self):
+        report = run_process_chaos(
+            requests_per_drill=4,
+            shards=4,
+            seed=11,
+            drills=["proc_restart_storm"],
+        )
+        assert report.silent == 0, report.summary()
+        assert report.hung == 0, report.summary()
+        storm = report.outcomes[0]
+        assert storm.details["recovered"]
+        assert storm.correct + storm.typed_failures == storm.requests
+        assert storm.details.get("bit_exact", 0) == storm.correct
