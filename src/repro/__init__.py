@@ -17,7 +17,7 @@ Package map
 ``repro.ckks``       the CKKS scheme (encoder, evaluator, key switching)
 ``repro.cancellation`` cooperative deadlines/cancellation for deep circuits
 ``repro.parallel``   ``fan_out``: one request's independent work on its core budget
-``repro.serving``    multi-tenant serving runtime (queue, retries, breaker)
+``repro.serving``    multi-tenant serving runtime (queue, retries, shards)
 ``repro.perf``       power-matched energy-efficiency methodology + paper data
 ``repro.baselines``  the GPU-flow baselines the paper compares against
 ``repro.workloads``  MNIST CNN and HELR logistic-regression workloads

@@ -19,14 +19,13 @@ is recorded in :mod:`repro.diagnostics`; below the raise margin a
 :class:`~repro.errors.NoiseBudgetExhausted` is raised *before* the garbage
 decode can happen, naming ``bootstrap()`` as the remedy.
 
-Knobs: ``REPRO_NOISE_TRACK`` (default on), ``REPRO_NOISE_WARN_BITS``
-(default 8), ``REPRO_NOISE_RAISE_BITS`` (default 0).
+The margins and the tracking switch are a :class:`NoisePolicy`; a
+:class:`NoiseModel` takes the default policy unless given another.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -35,19 +34,6 @@ from repro.ckks.params import CkksParameters
 from repro.errors import NoiseBudgetExhausted
 
 __all__ = ["NoisePolicy", "NoiseModel", "policy_override"]
-
-_TRACK_ENV = "REPRO_NOISE_TRACK"
-_WARN_ENV = "REPRO_NOISE_WARN_BITS"
-_RAISE_ENV = "REPRO_NOISE_RAISE_BITS"
-
-
-def _env_bits(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
 
 @dataclass
 class NoisePolicy:
@@ -59,15 +45,6 @@ class NoisePolicy:
     #: Assumed upper bound on |slot value|; the worst-case message norm used
     #: in the multiplication rules is ``scale * message_bound``.
     message_bound: float = 1.0
-
-    @classmethod
-    def from_env(cls) -> "NoisePolicy":
-        """Policy with env-var overrides applied."""
-        return cls(
-            track=bool(int(os.environ.get(_TRACK_ENV, "1") or "1")),
-            warn_margin_bits=_env_bits(_WARN_ENV, 8.0),
-            raise_margin_bits=_env_bits(_RAISE_ENV, 0.0),
-        )
 
 
 @dataclass
@@ -81,7 +58,7 @@ class NoiseModel:
     """
 
     params: CkksParameters
-    policy: NoisePolicy = field(default_factory=NoisePolicy.from_env)
+    policy: NoisePolicy = field(default_factory=NoisePolicy)
 
     def __post_init__(self) -> None:
         n = float(self.params.degree)

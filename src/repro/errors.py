@@ -222,14 +222,17 @@ class WorkerCrashed(ServingError, RuntimeError):
     exitcode, a kill signal, pipe EOF) with a request in flight.  Unlike the
     rest of the ``ServingError`` branch this is *retryable*: the fault is in
     the crashed fault domain, not the request, so the server re-dispatches
-    to a healthy shard while the victim restarts.  ``delivered`` is
-    ``False`` when the pipe died before the worker received the request: it
-    never ran, so the crash says nothing about it.
+    to a healthy shard while the victim restarts.  ``request_fault`` says
+    whether the request can own the death and so counts toward
+    :class:`PoisonRequest`: true for a memory-ceiling kill and for a shard
+    that exited on its own (any exit code, or a signal other than SIGKILL);
+    false for an outside SIGKILL (an operator, a kill storm, the kernel's
+    OOM killer) and for a frame the worker never received.
     """
 
-    def __init__(self, message: str = "", *, delivered: bool = True):
+    def __init__(self, message: str = "", *, request_fault: bool = True):
         super().__init__(message)
-        self.delivered = delivered
+        self.request_fault = request_fault
 
 
 class WorkerUnresponsive(ServingError, TimeoutError):

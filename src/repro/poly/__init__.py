@@ -28,7 +28,6 @@ from repro.poly.ntt_engine import (
     BACKEND_REFERENCE,
     NttPlanStack,
     clear_quarantine,
-    lift_quarantine,
     plan_stack_for,
     quarantine_backend,
     quarantined_backends,
@@ -64,7 +63,6 @@ __all__ = [
     "RnsPolynomial",
     "as_blas_operand",
     "clear_quarantine",
-    "lift_quarantine",
     "conversion_for",
     "modular_matmul",
     "plan_stack_for",

@@ -56,6 +56,22 @@ when its split is exact and it is not quarantined, else ``butterfly``, else
 ``reference``.  Dispatch never selects a backend that would be inexact for
 the ring's modulus width.
 
+Quarantine and recovery
+-----------------------
+A chain runs a fast rung only after a known-answer vet of that rung's
+tables over every row of the chain (:meth:`NttPlanStack._vetted`); the
+verdict holds for the rung's current *generation*.  A failed vet, a
+strict-mode spot check or :func:`verify_plan` quarantines the rung
+process-wide, which bumps its generation, and dispatch walks down the
+ladder.  A quarantine lapses by itself after its cooldown
+(:data:`QUARANTINE_COOLDOWN_S`, doubled by each quarantine up to
+:data:`QUARANTINE_COOLDOWN_MAX_S`, reset by a passing vet); the lapse is
+noticed by the next dispatch in whichever process runs the transform, and
+each chain then re-vets the rung before using it again.  So a transient
+fault costs the fast rung for a cooldown, corrupted tables stay out with the
+cooldown doubling, and no table set ever runs unvetted.  While no quarantine
+is in force, dispatch reads no clock and takes no lock.
+
 Every ``forward``/``inverse`` entry point counts one *pass* plus the number
 of length-``N`` limb rows it transformed (:func:`transform_counts` /
 :func:`reset_transform_counts`), which is how the test suite asserts dataflow
@@ -68,6 +84,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 import weakref
 from typing import NamedTuple
 
@@ -737,55 +754,115 @@ _DEFAULT_BACKEND = BACKEND_AUTO
 #: (quarantine changes, injected dispatch faults); stacks memoise their
 #: resolved backend against it.
 _DISPATCH_EPOCH = 0
-#: Bumped by :func:`reset_sentinels`: older four-step verdicts are re-probed.
-_SENTINEL_GENERATION = 0
 
-#: Backends quarantined by a failed exactness sentinel or spot check.  A
-#: quarantined backend is never selected again (process-wide) until
-#: :func:`clear_quarantine`; :func:`resolve_backend` walks the degradation
-#: ladder ``four_step -> butterfly -> reference`` past it, recording the
-#: fallback in `repro.diagnostics`.  The reference oracle is the ground truth
-#: and cannot be quarantined.
+#: A quarantine lasts :data:`QUARANTINE_COOLDOWN_S`; each quarantine doubles
+#: the rung's next one, up to :data:`QUARANTINE_COOLDOWN_MAX_S`, and a
+#: passing known-answer vet of the rung resets it.  So a re-vet that fails
+#: when a quarantine lapses doubles the cooldown, and one that passes ends
+#: the backoff.
+QUARANTINE_COOLDOWN_S = 0.5
+QUARANTINE_COOLDOWN_FACTOR = 2.0
+QUARANTINE_COOLDOWN_MAX_S = 30.0
+#: The quarantine clock: the one seam tests replace, to hold a quarantine in
+#: force or run it out without sleeping.
+_clock = time.monotonic
+
+#: Backends quarantined by a failed known-answer vet, spot check or
+#: :func:`verify_plan`, and still in force.  :func:`resolve_backend` walks
+#: the degradation ladder ``four_step -> butterfly -> reference`` past them,
+#: recording the fallback in `repro.diagnostics`.  The reference oracle is
+#: the ground truth and cannot be quarantined.
 _QUARANTINE: frozenset[str] = frozenset()
-#: Serialises every change of the quarantine set, the dispatch epoch and the
-#: sentinel generation (sentinels and spot checks quarantine from worker and
-#: fan-out threads).  Readers take no lock: the set is immutable and
-#: replaced whole, before the epoch bump that announces it.
+#: When each quarantine in force lapses (engine clock), and the earliest.
+_LAPSE_AT: dict[str, float] = {}
+_NEXT_LAPSE = math.inf
+#: Each fast rung's next quarantine length.
+_COOLDOWN = dict.fromkeys(BACKENDS_QUARANTINABLE, QUARANTINE_COOLDOWN_S)
+#: Each fast rung's verdict generation, bumped when the rung is quarantined
+#: and by :func:`reset_sentinels`: a chain runs a rung only on a verdict of
+#: its current generation, so a lapsed quarantine is re-vetted per chain.
+_GENERATION = dict.fromkeys(BACKENDS_QUARANTINABLE, 0)
+#: Serialises every change of the quarantine state, the dispatch epoch and
+#: the generations (vets and spot checks quarantine from worker and fan-out
+#: threads).  Readers take no lock: the set is immutable and replaced whole,
+#: before the epoch bump that announces it.
 _GUARD_LOCK = threading.Lock()
 
 
-def _update_quarantine(update) -> bool:
+def _update_quarantine(update) -> tuple[dict[str, float], frozenset]:
     """Replace the quarantine set by ``update(set)`` atomically.
 
-    Returns whether that changed it; a change bumps the dispatch epoch so
-    every memoised stack re-resolves on its next call.
+    Returns ``({added rung: its cooldown}, removed rungs)``.  An added rung's
+    verdicts go stale and its quarantine runs for its cooldown, which
+    doubles for the next one; any change bumps the dispatch epoch so every
+    memoised stack re-resolves on its next call.
     """
-    global _DISPATCH_EPOCH, _QUARANTINE
+    global _DISPATCH_EPOCH, _QUARANTINE, _NEXT_LAPSE
     with _GUARD_LOCK:
         new = frozenset(update(_QUARANTINE))
         if new == _QUARANTINE:
-            return False
+            return {}, frozenset()
+        added = {}
+        for name in new - _QUARANTINE:
+            added[name] = cooldown = _COOLDOWN[name]
+            _COOLDOWN[name] = min(
+                cooldown * QUARANTINE_COOLDOWN_FACTOR, QUARANTINE_COOLDOWN_MAX_S
+            )
+            _GENERATION[name] += 1
+            _LAPSE_AT[name] = _clock() + cooldown
+        removed = frozenset(_QUARANTINE - new)
+        for name in removed:
+            _LAPSE_AT.pop(name, None)
+        _NEXT_LAPSE = min(_LAPSE_AT.values(), default=math.inf)
         _QUARANTINE = new
         _DISPATCH_EPOCH += 1
-        return True
+        return added, removed
+
+
+def _lapse_quarantines() -> None:
+    """Lift every quarantine whose cooldown has run out.
+
+    Each lapse records one ``backend_quarantine_lifted`` event; the lifted
+    rung's verdicts are already stale, so each chain re-vets it on its first
+    dispatch before running it.
+    """
+    if _clock() < _NEXT_LAPSE:
+        return
+
+    def unexpired(current):
+        now = _clock()
+        return {name for name in current if _LAPSE_AT.get(name, math.inf) > now}
+
+    for name in sorted(_update_quarantine(unexpired)[1]):
+        diagnostics.record_event("backend_quarantine_lifted", backend=name)
 
 
 def quarantine_backend(name: str, **details) -> None:
     """Quarantine a backend after an exactness failure (idempotent).
 
     The first of any number of concurrent calls records the
-    ``backend_quarantined`` diagnostics event.
+    ``backend_quarantined`` event, carrying the quarantine's ``cooldown_s``;
+    a call while the quarantine is in force changes nothing.
     """
     if name not in BACKENDS_QUARANTINABLE:
         raise ParameterError(
             f"backend {name!r} cannot be quarantined (reference is the oracle)"
         )
-    if _update_quarantine(lambda current: current | {name}):
-        diagnostics.record_event("backend_quarantined", backend=name, **details)
+    added, _ = _update_quarantine(lambda current: current | {name})
+    if added:
+        diagnostics.record_event(
+            "backend_quarantined", backend=name, cooldown_s=added[name], **details
+        )
 
 
 def quarantined_backends() -> frozenset:
-    """The currently quarantined backend names."""
+    """The backend names whose quarantine is still in force.
+
+    With none in force this is one truthiness check: dispatch reads no clock
+    and takes no lock.
+    """
+    if _QUARANTINE:
+        _lapse_quarantines()
     return _QUARANTINE
 
 
@@ -795,23 +872,10 @@ def set_quarantine(names) -> None:
 
 
 def clear_quarantine() -> None:
-    """Lift all quarantines (tests / operator intervention after a fix)."""
+    """Lift all quarantines and reset their cooldowns (tests / operators)."""
     set_quarantine(())
-
-
-def lift_quarantine(name: str) -> bool:
-    """Lift the quarantine of one backend (half-open circuit-breaker probes).
-
-    The serving layer's circuit breaker re-admits a quarantined backend
-    tentatively after a cooldown: it lifts the quarantine, re-probes via
-    :func:`verify_plan` and lets a failed probe re-quarantine.  Records a
-    ``backend_quarantine_lifted`` event and returns whether the backend was
-    actually quarantined.
-    """
-    lifted = _update_quarantine(lambda current: current - {name})
-    if lifted:
-        diagnostics.record_event("backend_quarantine_lifted", backend=name)
-    return lifted
+    with _GUARD_LOCK:
+        _COOLDOWN.update(dict.fromkeys(_COOLDOWN, QUARANTINE_COOLDOWN_S))
 
 
 def bump_dispatch_epoch() -> None:
@@ -822,14 +886,14 @@ def bump_dispatch_epoch() -> None:
 
 
 def reset_sentinels() -> None:
-    """Forget every chain's sentinel verdict so its next dispatch re-probes.
+    """Forget every chain's verdicts so its next dispatch re-vets each rung.
 
     Used after reverting an injected table corruption: the cached "failed"
     verdicts would otherwise outlive the fault they diagnosed.
     """
-    global _SENTINEL_GENERATION
     with _GUARD_LOCK:
-        _SENTINEL_GENERATION += 1
+        for name in _GENERATION:
+            _GENERATION[name] += 1
 
 
 def set_default_backend(name: str) -> str:
@@ -881,10 +945,11 @@ def resolve_backend(
     diagnostics event, so the degradation ladder is observable, never silent.
     """
     choice = requested if requested is not None else requested_backend()
+    quarantined = quarantined_backends()
     butterfly_exact = all(1 < int(q) < MAX_PLAN_MODULUS for q in moduli)
     four_step_exact = four_step_supported(degree, moduli)
-    butterfly_ok = butterfly_exact and BACKEND_BUTTERFLY not in _QUARANTINE
-    four_step_ok = four_step_exact and BACKEND_FOUR_STEP not in _QUARANTINE
+    butterfly_ok = butterfly_exact and BACKEND_BUTTERFLY not in quarantined
+    four_step_ok = four_step_exact and BACKEND_FOUR_STEP not in quarantined
     if choice == BACKEND_AUTO:
         choice = BACKEND_FOUR_STEP if four_step_ok else BACKEND_BUTTERFLY
     if choice == BACKEND_FOUR_STEP and not four_step_ok:
@@ -1027,7 +1092,7 @@ class NttPlanStack:
     of the chain (``Q_l`` is rows ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows
     ``[:l]`` and ``[L:L+alpha]``), and every rung runs on views of the
     chain's tables.  Any other stack is its own one-chain set.  Table
-    builds, the four-step sentinel and the butterfly scratch are per chain.
+    builds, the rung verdicts and the butterfly scratch are per chain.
 
     ``backend`` pins the execution backend (a member of :data:`BACKENDS`);
     the default ``None`` defers to :func:`resolve_backend` on every call, so
@@ -1081,10 +1146,10 @@ class NttPlanStack:
         # Each rung's tables, built on its first dispatch (`_built`).
         self._four_step: _FourStepStack | None = None
         self._butterfly: _Butterfly | None = None
-        #: ``(sentinel generation, passed)`` of the four-step tables.
-        self._sentinel_verdict: tuple[int, bool] | None = None
-        # Guards the table builds and the sentinel verdict; re-entrant
-        # because the verdict builds the four-step tables it probes.
+        #: Per fast rung: ``(generation, passed)`` of its last vet.
+        self._verdicts: dict[str, tuple[int, bool]] = {}
+        # Guards the table builds and the verdicts; re-entrant because a
+        # vet builds the tables it probes.
         self._lock = threading.RLock()
 
     @property
@@ -1141,8 +1206,11 @@ class NttPlanStack:
         per-modulus loop) on every transform of rings that are memoised
         exactly because they are hit millions of times.  The cache key
         carries the requested backend (env override included) plus the
-        dispatch epoch, which quarantine changes bump.
+        dispatch epoch, which quarantine changes (and lapses) bump.  The
+        rung still needs the chain's verdict before a call runs on it.
         """
+        if _QUARANTINE:
+            _lapse_quarantines()
         key = (self.backend or requested_backend(), _DISPATCH_EPOCH)
         cache = self._dispatch_cache
         choice = cache.get(key)
@@ -1157,68 +1225,78 @@ class NttPlanStack:
         matrix = np.stack([_sentinel_vector(self.degree, q) for q in self.moduli])
         return matrix, self.moduli[0], self.psis[0]
 
-    def _four_step_vetted(self) -> bool:
-        """Whether the chain's four-step tables passed their sentinel.
+    def _vetted(self, backend: str) -> bool:
+        """Whether the chain's ``backend`` tables hold a passing verdict.
 
-        The sentinel runs once per chain (again after :func:`reset_sentinels`)
-        when dispatch first selects the backend: tables that fail to build
-        are refused (recording a ``backend_fallback`` event), and a
-        deterministic full ``(L, N)`` probe checks limb 0 against the
-        reference oracle plus an exact roundtrip of every limb.  A mismatch
-        quarantines the four-step backend process-wide and the caller heals
-        down the degradation ladder.  The verdict is published under the
-        chain's lock, so a thread arriving mid-probe waits for it.
+        A verdict counts only for the rung's current generation, which moves
+        when the rung is quarantined (and on :func:`reset_sentinels`), so
+        each chain re-vets a rung on its first dispatch after a lapse.  The
+        vet (:meth:`_vet`) runs under the chain's lock, so a thread arriving
+        mid-probe waits for the verdict.
         """
         chain = self.chain
-        verdict = chain._sentinel_verdict
-        if verdict is None or verdict[0] != _SENTINEL_GENERATION:
+        verdict = chain._verdicts.get(backend)
+        if verdict is None or verdict[0] != _GENERATION[backend]:
             with chain._lock:
-                generation = _SENTINEL_GENERATION
-                verdict = chain._sentinel_verdict
+                if backend in _QUARANTINE:
+                    return False  # a vet this thread waited for refused it
+                generation = _GENERATION[backend]
+                verdict = chain._verdicts.get(backend)
                 if verdict is None or verdict[0] != generation:
-                    verdict = (generation, chain._four_step_verdict())
-                    chain._sentinel_verdict = verdict
+                    verdict = (generation, chain._vet(backend))
+                    chain._verdicts[backend] = verdict
         return verdict[1]
 
-    def _four_step_verdict(self) -> bool:
+    def _vet(self, backend: str) -> bool:
+        """Build this chain's ``backend`` tables and known-answer probe them.
+
+        Tables that fail to build are refused (a ``backend_fallback``
+        event).  The deterministic probe covers every row of the chain,
+        special limbs included: limb 0 against the reference oracle plus an
+        exact roundtrip of every limb.  A mismatch quarantines the rung
+        process-wide and the caller heals down the degradation ladder; a
+        pass resets the rung's cooldown.
+        """
         where = {"degree": self.degree, "limbs": self.limb_count}
         try:
-            self.four_step_stack()
+            if backend == BACKEND_FOUR_STEP:
+                self.four_step_stack()
+            else:
+                self.butterfly_tables()
         except (ParameterError, ArithmeticError) as exc:
             diagnostics.record_event(
                 "backend_fallback",
-                backend=BACKEND_FOUR_STEP,
-                fallback=BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE,
+                backend=backend,
+                fallback=BACKEND_BUTTERFLY
+                if backend == BACKEND_FOUR_STEP and self.butterfly_ok
+                else BACKEND_REFERENCE,
                 reason=f"table build failed: {exc}",
                 **where,
             )
             return False
-        if _backend_passes(self, BACKEND_FOUR_STEP):
+        if _backend_passes(self, backend):
+            with _GUARD_LOCK:
+                _COOLDOWN[backend] = QUARANTINE_COOLDOWN_S
             return True
-        quarantine_backend(
-            BACKEND_FOUR_STEP,
-            reason="known-answer sentinel mismatch at table build",
-            **where,
-        )
+        quarantine_backend(backend, reason="known-answer vet mismatch", **where)
         return False
 
     def _executing_backend(self) -> str:
-        """The resolved backend, demoted when the four-step sentinel refuses."""
+        """The resolved rung, demoted while the chain holds no verdict for it."""
         backend = self.resolve_backend()
-        if backend == BACKEND_FOUR_STEP and not self._four_step_vetted():
+        if backend == BACKEND_FOUR_STEP and not self._vetted(BACKEND_FOUR_STEP):
             backend = BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE
+        if backend == BACKEND_BUTTERFLY and not self._vetted(BACKEND_BUTTERFLY):
+            backend = BACKEND_REFERENCE
         return backend
 
     def warm(self) -> str:
-        """Build the chain's tables for the rung a call would run on now.
+        """Build and vet the chain's tables for the rung a call would run on now.
 
-        The four-step sentinel runs here too, so after ``warm()`` the first
-        transform builds nothing.  Returns that rung.
+        After ``warm()`` the first transform builds and probes nothing.
+        Returns that rung.
         """
-        backend = self._executing_backend()
-        if backend == BACKEND_BUTTERFLY:
-            self.butterfly_tables()
-        return backend
+        return self._executing_backend()
 
     # ------------------------------------------------------------- execution
     def _transform(
@@ -1430,20 +1508,19 @@ def register_chain(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
 def verify_plan(stack: NttPlanStack) -> bool:
     """Re-run the known-answer probe against the backend ``stack`` resolves now.
 
-    The build-time sentinel runs once, so table corruption *after* the build
-    (bit flips, a bad accelerator) would go unnoticed outside strict mode.
-    This is the operator/fault-drill entry point: it probes the currently
-    resolved backend over ``stack``'s rows of its chain, quarantines it on a
-    mismatch (recording the event), and returns whether the backend
-    verified.  The reference oracle trivially verifies.
+    A chain's verdict is taken once per rung generation, so table corruption
+    *after* the vet (bit flips, a bad accelerator) would go unnoticed outside
+    strict mode.  This is the operator/fault-drill entry point: it probes
+    the currently resolved backend over ``stack``'s rows of its chain,
+    quarantines it on a mismatch (recording the event, which also makes
+    every chain re-vet it once the quarantine lapses), and returns whether
+    the backend verified.  The reference oracle trivially verifies.
     """
     backend = stack.resolve_backend()
     if backend == BACKEND_REFERENCE:
         return True
     ok = _backend_passes(stack, backend)
     if not ok:
-        if backend == BACKEND_FOUR_STEP:
-            stack.chain._sentinel_verdict = (_SENTINEL_GENERATION, False)
         quarantine_backend(
             backend,
             reason="known-answer verification failed",

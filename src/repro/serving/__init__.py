@@ -1,13 +1,15 @@
 """Multi-tenant encrypted-inference serving runtime.
 
-The service-grade resilience layer over the library's in-process guardrails
-(PR 6): per-tenant sessions with warmed NTT plans
-(:mod:`repro.serving.session`), a bounded admission-controlled queue
-(:mod:`repro.serving.queue`), per-request deadlines with cooperative
-cancellation (:mod:`repro.cancellation`), a taxonomy-driven retry policy
-(:mod:`repro.serving.retry`), a circuit breaker on the backend quarantine
-ladder (:mod:`repro.serving.breaker`), and the worker-pool server with
-health probes and graceful drain (:mod:`repro.serving.runtime`).
+The service-grade resilience layer over the library's in-process guardrails:
+per-tenant sessions with warmed NTT plans (:mod:`repro.serving.session`), a
+bounded admission-controlled queue (:mod:`repro.serving.queue`),
+per-request deadlines with cooperative cancellation
+(:mod:`repro.cancellation`), a taxonomy-driven retry policy
+(:mod:`repro.serving.retry`), the worker-pool server with health probes and
+graceful drain (:mod:`repro.serving.runtime`), and supervised shard
+processes (:mod:`repro.serving.supervisor`).  Backend quarantines and their
+recovery belong to the NTT engine (:mod:`repro.poly.ntt_engine`), in
+whichever process runs the transforms.
 
 Quick start::
 
@@ -25,9 +27,8 @@ typed :class:`~repro.errors.ReproError` -- never silently wrong, never hung.
 
 from repro.cancellation import CancelScope, cancel_scope, checkpoint, current_scope
 from repro.errors import PoisonRequest, WorkerCrashed, WorkerUnresponsive
-from repro.serving.breaker import BreakerSnapshot, CircuitBreaker
 from repro.serving.queue import BoundedRequestQueue
-from repro.serving.retry import RetryPolicy, backend_attributable, is_retryable
+from repro.serving.retry import RetryPolicy, is_retryable
 from repro.serving.runtime import InferenceRequest, InferenceServer, RequestTicket
 from repro.serving.session import TenantRegistry, TenantSession
 from repro.serving.shard import TenantSpec
@@ -35,9 +36,7 @@ from repro.serving.supervisor import ShardHandle, ShardSupervisor
 
 __all__ = [
     "BoundedRequestQueue",
-    "BreakerSnapshot",
     "CancelScope",
-    "CircuitBreaker",
     "InferenceRequest",
     "InferenceServer",
     "PoisonRequest",
@@ -50,7 +49,6 @@ __all__ = [
     "TenantSpec",
     "WorkerCrashed",
     "WorkerUnresponsive",
-    "backend_attributable",
     "cancel_scope",
     "checkpoint",
     "current_scope",

@@ -4,8 +4,8 @@ PR 6's typed :class:`~repro.errors.ReproError` hierarchy makes retry
 classification a type check instead of message matching:
 
 * **retryable** -- :class:`~repro.errors.BackendExactnessError`: a kernel
-  backend failed an exactness sentinel.  The guardrails quarantine the
-  backend (directly or via the circuit breaker), so the retry re-dispatches
+  backend failed an exactness check.  The check has already quarantined the
+  backend in the process that ran the transform, so the retry re-dispatches
   down the degradation ladder ``four_step -> butterfly -> reference`` and
   succeeds on a healthy rung.  This is the *transient* class: the fault is
   in the compute substrate, not the request.
@@ -15,14 +15,12 @@ classification a type check instead of message matching:
   under the request (one attempt of
   :meth:`~repro.serving.supervisor.ShardSupervisor.execute`).  The fault
   lives in the dead fault domain, not the request, so the server's retry
-  loop re-dispatches it to a healthy shard -- until the same request kills
-  a second worker and the loop converts it to the terminal
-  :class:`~repro.errors.PoisonRequest` before consulting this policy.  A
-  frame the worker never received (``WorkerCrashed.delivered`` false)
-  costs an attempt but is never a kill.  These are the only retryable
-  errors that are *not* backend-attributable (see
-  :func:`backend_attributable`): feeding a worker kill to the circuit
-  breaker would quarantine an innocent NTT backend.
+  loop re-dispatches it to a healthy shard -- until the same request owns
+  a second kill and the loop converts it to the terminal
+  :class:`~repro.errors.PoisonRequest` before consulting this policy.  An
+  outside SIGKILL or a frame the worker never received
+  (``WorkerCrashed.request_fault`` false) costs an attempt but is never
+  counted.  A worker fault never touches a backend quarantine.
 
 * **terminal** -- everything that retrying cannot fix: malformed requests
   (:class:`~repro.errors.ParameterError` and subclasses), an exhausted noise
@@ -53,7 +51,7 @@ from repro.errors import (
     WorkerUnresponsive,
 )
 
-__all__ = ["RetryPolicy", "backend_attributable", "is_retryable"]
+__all__ = ["RetryPolicy", "is_retryable"]
 
 
 def is_retryable(error: BaseException) -> bool:
@@ -71,16 +69,6 @@ def is_retryable(error: BaseException) -> bool:
     if isinstance(error, ReproError):
         return False
     return False
-
-
-def backend_attributable(error: BaseException) -> bool:
-    """Whether ``error`` indicts the compute backend (circuit-breaker food).
-
-    Only exactness-sentinel failures implicate the kernel substrate; a shard
-    crash or hang is a process-level fault and must not push an NTT backend
-    down the quarantine ladder.
-    """
-    return isinstance(error, BackendExactnessError)
 
 
 @dataclass(frozen=True)

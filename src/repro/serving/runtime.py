@@ -1,22 +1,24 @@
 """The multi-tenant encrypted-inference server: workers, lifecycle, resilience.
 
 One :class:`InferenceServer` owns a :class:`~repro.serving.queue.BoundedRequestQueue`,
-a pool of worker threads, a :class:`~repro.serving.retry.RetryPolicy` and a
-:class:`~repro.serving.breaker.CircuitBreaker`.  The resilience contract --
-the property the chaos harness drills -- is that every admitted, well-formed
-request either completes with a correct result or fails with a typed
-:class:`~repro.errors.ReproError`, under faults and overload alike:
+a pool of worker threads and a :class:`~repro.serving.retry.RetryPolicy`.
+The resilience contract -- the property the chaos harness drills -- is that
+every admitted, well-formed request either completes with a correct result
+or fails with a typed :class:`~repro.errors.ReproError`, under faults and
+overload alike:
 
 * admission control sheds excess load as
   :class:`~repro.errors.ServiceOverloaded` before it queues;
 * each request runs inside a :class:`~repro.cancellation.CancelScope` whose
   deadline the evaluator polls at every operation, so slow circuits abort as
   :class:`~repro.errors.DeadlineExceeded` instead of hogging a worker;
-* retryable faults (backend exactness failures) trip the circuit breaker,
-  which quarantines the backend so the bounded retry re-dispatches down the
-  degradation ladder; terminal faults propagate immediately;
-* the breaker half-opens cooled-down backends via ``verify_plan`` re-probes,
-  restoring full capacity once the fault clears;
+* a backend exactness failure has already quarantined its NTT rung in the
+  process that ran the transform, so the bounded retry re-dispatches down
+  the degradation ladder; terminal faults propagate immediately;
+* recovery lives beside the quarantine (:mod:`repro.poly.ntt_engine`): a
+  quarantine lapses after its cooldown and each chain re-vets the rung
+  before using it again, in whichever process -- worker thread or shard --
+  dispatches the transform, so no probe loop runs here;
 * :meth:`InferenceServer.drain` stops admission and lets in-flight work
   finish; :meth:`InferenceServer.health` / :meth:`InferenceServer.ready`
   expose liveness and readiness for orchestration.
@@ -54,9 +56,8 @@ from repro.errors import (
     WorkerUnresponsive,
 )
 from repro.poly import ntt_engine
-from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import BoundedRequestQueue
-from repro.serving.retry import RetryPolicy, backend_attributable
+from repro.serving.retry import RetryPolicy
 from repro.serving.session import TenantRegistry, TenantSession
 from repro.serving.supervisor import ShardSupervisor
 
@@ -69,7 +70,8 @@ FAILED = "failed"
 
 _request_ids = itertools.count(1)
 #: Worker kills that make a request poison: one kill may be the shard's
-#: fault, the second is the request's.
+#: fault, the second is the request's.  Only kills the request can own count
+#: (see :meth:`InferenceServer._serve`).
 POISON_KILLS = 2
 #: Poisoned request ids remembered (oldest forgotten first).
 POISON_MEMORY = 1024
@@ -173,8 +175,6 @@ class InferenceServer:
         queue_capacity: int = 32,
         default_timeout_s: float | None = 30.0,
         retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        probe_interval_s: float = 0.25,
         rng_seed: int | None = None,
         max_batch_size: int = 1,
         max_batch_wait_s: float = 0.0,
@@ -203,9 +203,7 @@ class InferenceServer:
         self.registry = registry
         self.queue = BoundedRequestQueue(queue_capacity)
         self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
         self.default_timeout_s = default_timeout_s
-        self.probe_interval_s = probe_interval_s
         #: Dynamic-batching knobs: a worker that pops a keyed request drains
         #: up to ``max_batch_size - 1`` queued compatible requests, waiting at
         #: most ``max_batch_wait_s`` for stragglers, and serves the whole
@@ -229,8 +227,6 @@ class InferenceServer:
         #: Tickets admitted but not yet finalised (incl. still-queued ones) --
         #: the drain condition and the forced-shutdown cancellation target.
         self._outstanding: set[RequestTicket] = set()
-        self._last_probe = 0.0
-        self._probe_lock = threading.Lock()
         self.served = 0
         self.failed = 0
         #: Poison quarantine (request id -> reason) and the re-dispatch
@@ -394,9 +390,22 @@ class InferenceServer:
 
         ``status`` is ``ok`` (healthy), ``degraded`` (serving, but a backend
         is quarantined or the queue is saturated -- capacity or latency is
-        reduced), ``draining`` or ``stopped``.
+        reduced), ``draining`` or ``stopped``.  Quarantines are those of the
+        processes that run the transforms: this one in thread mode, the
+        shards (as their last heartbeat or reply reported) in process mode.
         """
-        quarantined = sorted(ntt_engine.quarantined_backends())
+        supervisor_stats = None
+        if self.supervisor is None:
+            quarantined = sorted(ntt_engine.quarantined_backends())
+        else:
+            supervisor_stats = self.supervisor.stats()
+            quarantined = sorted(
+                {
+                    name
+                    for shard in supervisor_stats["shards"].values()
+                    for name in shard["quarantined"]
+                }
+            )
         queue_stats = self.queue.stats()
         with self._lock:
             running, draining = self._running, self._draining
@@ -409,9 +418,7 @@ class InferenceServer:
             status = "degraded"
         else:
             status = "ok"
-        supervisor_stats = None
-        if self.supervisor is not None:
-            supervisor_stats = self.supervisor.stats()
+        if supervisor_stats is not None:
             with self._idle:
                 supervisor_stats["counters"].update(
                     redispatches=self.redispatches,
@@ -446,9 +453,6 @@ class InferenceServer:
                 "batches_served": self.batches_served,
                 "batched_requests": self.batched_requests,
             },
-            "breaker": {
-                name: vars(snap) for name, snap in self.breaker.snapshot().items()
-            },
         }
 
     # ---------------------------------------------------------------- workers
@@ -460,7 +464,6 @@ class InferenceServer:
                     with self._lock:
                         if not self._running:
                             return
-                    self._maybe_probe()
                     continue
                 batch = self._collect_batch(ticket)
                 with self._lock:
@@ -471,7 +474,6 @@ class InferenceServer:
                     with self._idle:
                         self._in_flight -= len(batch)
                         self._idle.notify_all()
-                    self._maybe_probe()
 
     def _collect_batch(self, leader: RequestTicket) -> list[RequestTicket]:
         """Coalesce queued requests compatible with ``leader`` (FIFO order).
@@ -514,31 +516,6 @@ class InferenceServer:
                 )
         return batch
 
-    def _maybe_probe(self) -> None:
-        """Periodic circuit-breaker recovery probe (one worker at a time)."""
-        now = time.monotonic()
-        if now - self._last_probe < self.probe_interval_s:
-            return
-        if not self._probe_lock.acquire(blocking=False):
-            return
-        try:
-            self._last_probe = now
-            self.breaker.maybe_probe(self._probe_plans())
-        finally:
-            self._probe_lock.release()
-
-    def _probe_plans(self) -> list:
-        """The NTT chain of every registered tenant, each once."""
-        plans = {}
-        for session in self.registry.sessions():
-            stack = session.params.plan_stack()
-            plans[id(stack.chain)] = stack
-        return list(plans.values())
-
-    def _resolved_backend(self, session: TenantSession) -> str:
-        """The backend the tenant's NTT chain dispatches to now."""
-        return session.params.plan_stack().resolve_backend()
-
     def _execute_inline(
         self,
         *,
@@ -561,13 +538,17 @@ class InferenceServer:
            tightest member deadline as ``batch-<leader id>``, so a shard it
            kills is charged to the batch, not to its leader.
         3. Execute: only a batch of one retries.  A worker kill re-dispatches
-           it like any retryable fault, and its second kill quarantines its
-           id as :class:`~repro.errors.PoisonRequest`; an undelivered frame
-           costs an attempt but never counts as a kill.  Any failure of a
-           larger batch records ``batch_fallback`` and re-serves each member
-           as a batch of one, so batching never costs correctness.
+           it like any retryable fault, and its second kill *it can own* --
+           a hang, a memory-ceiling kill, or a shard exiting on its own
+           (``WorkerCrashed.request_fault``) -- quarantines its id as
+           :class:`~repro.errors.PoisonRequest`; an outside SIGKILL or an
+           undelivered frame costs an attempt but never counts.  Any failure
+           of a larger batch records ``batch_fallback`` and re-serves each
+           member as a batch of one, so batching never costs correctness.
         4. Finish: split the result, re-check each member's own scope, and
            record the executor's ``meta`` and the noise headroom per member.
+           The ticket's ``backend`` is the rung resolved where the circuit
+           ran: a shard's reply names its own.
         """
         started = time.monotonic()
         live: list[RequestTicket] = []
@@ -617,7 +598,7 @@ class InferenceServer:
             kills = 0
             while True:
                 attempts += 1
-                backend = self._resolved_backend(session)
+                backend = session.backend()
                 try:
                     with scope:
                         result, meta = self._execute(
@@ -627,14 +608,11 @@ class InferenceServer:
                             payload=payload,
                             scope=scope,
                         )
+                    backend = meta.get("backend", backend)
                     break
                 except BaseException as exc:  # noqa: BLE001 - classified here
-                    if backend_attributable(exc):
-                        # Not worker kills: a crashed shard says nothing
-                        # about the NTT backend.
-                        self.breaker.record_failure(backend, request_id=unit_id)
                     killed = isinstance(exc, WorkerUnresponsive) or (
-                        isinstance(exc, WorkerCrashed) and exc.delivered
+                        isinstance(exc, WorkerCrashed) and exc.request_fault
                     )
                     kills += killed
                     if kills >= POISON_KILLS:
@@ -661,7 +639,6 @@ class InferenceServer:
                     )
                     time.sleep(delay)
                     scope.check()  # cancelled or expired during the backoff
-            self.breaker.record_success(backend)
             members = [result]
             if size > 1:
                 members = unstack_ciphertext(result)

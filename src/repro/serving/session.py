@@ -61,6 +61,10 @@ class TenantSession:
             backend=backend,
         )
 
+    def backend(self) -> str:
+        """The NTT rung the tenant's chain dispatches to now, in this process."""
+        return self.params.plan_stack().resolve_backend()
+
     def noise_headroom_bits(self, ciphertext) -> float | None:
         """Remaining noise budget of a result ciphertext, for diagnostics."""
         if getattr(ciphertext, "noise_bits", None) is None:

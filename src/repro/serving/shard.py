@@ -42,6 +42,7 @@ from repro.cancellation import CancelScope
 from repro.ckks.keys import GaloisKeySet, KeyGenerator, RelinearizationKey
 from repro.ckks.params import CkksParameters
 from repro.errors import ReproError
+from repro.poly import ntt_engine
 
 __all__ = [
     "TenantSpec",
@@ -202,6 +203,7 @@ def _heartbeat_loop(event_conn, interval_s: float, stop: threading.Event,
                         "pid": os.getpid(),
                         "rss_mb": round(_rss_mb(), 2),
                         "served": counters["served"],
+                        "quarantined": sorted(ntt_engine.quarantined_backends()),
                     },
                 )
         except (OSError, ValueError, BrokenPipeError):
@@ -231,10 +233,12 @@ def _shard_entry(
 
     Every request frame gets exactly one ``result`` frame back (ok or error)
     carrying the diagnostics events the circuit recorded, so the parent's
-    bounded event log sees what happened inside the fault domain, and a
-    ``meta`` dict (``shard``, ``shard_pid``) the parent merges into the
-    ticket's diagnostics; everything else about the result, such as its
-    noise headroom, the parent works out itself.  Only a
+    bounded event log sees what happened inside the fault domain, the
+    shard's quarantined NTT rungs, and a ``meta`` dict (``shard``,
+    ``shard_pid``, and the ``backend`` the tenant's chain resolved here
+    before the circuit ran) the parent merges into the ticket's
+    diagnostics; everything else about the result, such as its noise
+    headroom, the parent works out itself.  Only a
     crash (or the poison payload detonating inside ``recv_frame``'s unpickle)
     breaks that invariant -- which is precisely what the supervisor's
     exitcode/heartbeat watchers are for.
@@ -313,8 +317,10 @@ def _serve_shard(
                     },
                 )
                 continue
+            backend = None
             try:
                 session = registry.session(payload["tenant_id"])
+                backend = session.backend()
                 scope = CancelScope(
                     timeout=payload.get("timeout_s"),
                     label=payload.get("request_id", ""),
@@ -325,7 +331,8 @@ def _serve_shard(
                 counters["served"] += 1
             except BaseException as exc:  # noqa: BLE001 - shipped typed
                 reply = {"ok": False, "error": _picklable_error(exc)}
-            reply["meta"] = meta
+            reply["meta"] = {**meta, "backend": backend}
+            reply["quarantined"] = sorted(ntt_engine.quarantined_backends())
             fresh = [
                 event
                 for event in diagnostics.events()

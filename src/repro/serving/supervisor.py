@@ -7,7 +7,9 @@ contract mirrors a classic one-for-one supervision tree:
 
 * **crash** -- a dead process (``exitcode`` set: SIGKILL, native crash, OOM
   kill) or a broken pipe fails the in-flight request typed as
-  :class:`~repro.errors.WorkerCrashed` and schedules a restart;
+  :class:`~repro.errors.WorkerCrashed` and schedules a restart; the reaped
+  exit status says whether the request can own the death
+  (``WorkerCrashed.request_fault``: an outside SIGKILL never is);
 * **hang** -- a worker that misses ``heartbeat_miss_limit`` consecutive
   heartbeats (the heartbeat thread beats *through* GIL-releasing compute, so
   silence means wedged, not busy) is killed and the request fails typed as
@@ -27,14 +29,17 @@ Every setting is a constructor argument (the server passes its
 ``supervisor_options`` through); none is read from the environment.
 
 Backend quarantine state is per-process: a shard that trips a kernel
-sentinel degrades its *own* dispatch ladder, which is exactly the fault
-isolation this tier exists for.  Parent-side breaker accounting only ever
-sees backend-attributable errors (see :func:`repro.serving.retry.backend_attributable`).
+sentinel degrades its *own* dispatch ladder and heals it alone when the
+quarantine lapses, which is exactly the fault isolation this tier exists
+for.  Heartbeats and replies carry the shard's quarantined rungs
+(:meth:`ShardHandle.stats`), and a reply's ``meta`` names the rung the
+shard's chain resolved for the request.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import time
 from typing import Any, Callable, Sequence
@@ -93,6 +98,8 @@ class ShardHandle:
         self.rss_mb = 0.0
         #: Cores the shard's requests may fan out over, as it reported.
         self.core_budget: int | None = None
+        #: NTT rungs quarantined inside the shard, as it last reported.
+        self.quarantined: list[str] = []
         self.current: _PendingCall | None = None
 
     def stats(self) -> dict[str, Any]:
@@ -109,10 +116,27 @@ class ShardHandle:
             "served": self.served,
             "rss_mb": self.rss_mb,
             "core_budget": self.core_budget,
+            "quarantined": list(self.quarantined),
             "in_flight": (
                 None if self.current is None else self.current.request_id
             ),
         }
+
+
+def _death(shard: ShardHandle, exitcode: int | None, how: str) -> WorkerCrashed:
+    """A shard death the supervisor did not decide, classified by exit status.
+
+    The request can own an exit of the shard's own: any exit code, or a
+    signal other than SIGKILL.  A SIGKILL came from outside -- an operator,
+    a kill storm, the kernel's OOM killer (``memory_ceiling_mb`` is the
+    guard for runaway memory) -- and is never the request's.  A process
+    still alive after its pipe broke (``exitcode`` ``None``) counts as the
+    request's.
+    """
+    return WorkerCrashed(
+        f"{shard.name} (pid {shard.pid}) {how}, exit code {exitcode}",
+        request_fault=exitcode != -signal.SIGKILL,
+    )
 
 
 class ShardSupervisor:
@@ -272,12 +296,13 @@ class ShardSupervisor:
         """Run one attempt of one request on a healthy shard.
 
         Returns ``(result, meta)`` where ``meta`` names the serving shard
-        (``shard``, ``shard_pid``).  Raises the worker's own typed error for
-        a request that fails *inside* a healthy shard, and
-        :class:`WorkerCrashed` / :class:`WorkerUnresponsive` when the shard
-        died or hung under it -- ``WorkerCrashed.delivered`` is ``False``
-        when the pipe died before the worker received the frame.  Whether to
-        run the request again is the caller's decision.
+        (``shard``, ``shard_pid``) and the NTT rung its chain resolved
+        (``backend``).  Raises the worker's own typed error for a request
+        that fails *inside* a healthy shard, and :class:`WorkerCrashed` /
+        :class:`WorkerUnresponsive` when the shard died or hung under it --
+        ``WorkerCrashed.request_fault`` is ``False`` when the pipe died
+        before the worker received the frame.  Whether to run the request
+        again is the caller's decision.
         """
         shard, call = self._acquire(request_id, scope)
         frame_payload = {
@@ -293,7 +318,7 @@ class ShardSupervisor:
             error = WorkerCrashed(
                 f"{shard.name} pipe write failed before delivery: "
                 f"{type(exc).__name__}",
-                delivered=False,
+                request_fault=False,
             )
             self._fail_shard(
                 shard, error, counter="crashes", event="shard_crashed"
@@ -326,14 +351,19 @@ class ShardSupervisor:
     ) -> tuple[Any, dict[str, Any]]:
         """Wait out the reply to a delivered request, or the shard's death."""
         grace = max(1.0, self.heartbeat_miss_limit * self.heartbeat_interval_s)
+        process = shard.process
         expired_since: float | None = None
         while not call.done.is_set():
             try:
                 frame = recv_frame(shard.request_conn, timeout=0.02)
             except (EOFError, OSError, ValueError, ReproError, AttributeError) as exc:
+                if process is not None:
+                    process.join(timeout=grace)  # reap: who killed it?
                 verdict = (
-                    WorkerCrashed(
-                        f"{shard.name} died mid-request ({type(exc).__name__})"
+                    _death(
+                        shard,
+                        None if process is None else process.exitcode,
+                        f"died mid-request ({type(exc).__name__})",
                     ),
                     "crashes",
                     "shard_crashed",
@@ -343,6 +373,7 @@ class ShardSupervisor:
                 reply = frame[1]
                 self._forward_events(shard, reply.get("events", ()))
                 with self._cond:
+                    shard.quarantined = reply.get("quarantined", shard.quarantined)
                     shard.current = None
                     if shard.state == BUSY:
                         shard.state = READY
@@ -419,6 +450,7 @@ class ShardSupervisor:
             shard.pid = process.pid
             shard.started_at = now
             shard.last_heartbeat = now
+            shard.quarantined = []
             self.counters["spawns"] += 1
             self._cond.notify_all()
         diagnostics.record_event(
@@ -530,6 +562,7 @@ class ShardSupervisor:
                 with self._cond:
                     shard.last_heartbeat = now
                     shard.rss_mb = payload.get("rss_mb", shard.rss_mb)
+                    shard.quarantined = payload.get("quarantined", shard.quarantined)
 
     def _monitor_loop(self) -> None:
         tick = max(0.01, self.heartbeat_interval_s / 2.0)
@@ -548,10 +581,7 @@ class ShardSupervisor:
                     if exitcode is not None:
                         self._fail_shard(
                             shard,
-                            WorkerCrashed(
-                                f"{shard.name} (pid {shard.pid}) exited with "
-                                f"code {exitcode}"
-                            ),
+                            _death(shard, exitcode, "exited"),
                             counter="crashes",
                             event="shard_crashed",
                         )

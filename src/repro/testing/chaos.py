@@ -44,7 +44,6 @@ from repro.errors import ReproError
 from repro.poly import ntt_engine
 from repro.poly.gemm_mod import set_strict
 from repro.serving import (
-    CircuitBreaker,
     InferenceRequest,
     InferenceServer,
     RetryPolicy,
@@ -460,9 +459,10 @@ def run_chaos(
     """Replay every fault drill against a live server under concurrent load.
 
     ``workers`` is the in-flight concurrency (the acceptance bar is >= 8).
-    Each drill gets a fresh server (shared warm plan caches) so breaker and
-    quarantine state cannot leak between drills; strict mode + per-pass spot
-    checks are forced for the whole run.  ``max_batch_size > 1`` turns on
+    Each drill gets a fresh server (shared warm plan caches) and starts with
+    no quarantine, so no drill inherits another's; inside a drill
+    quarantines lapse and re-vet on the engine's own cooldown.  Strict mode
+    + per-pass spot checks are forced for the whole run.  ``max_batch_size > 1`` turns on
     dynamic batching and tags every request with a shared batch key, so the
     drills land their faults mid-batch: the serving contract (zero silent,
     zero hung) must hold through the batched path's sequential fallback too.
@@ -533,8 +533,6 @@ def run_chaos(
                 queue_capacity=max(4 * requests_per_drill, 16),
                 default_timeout_s=WATCHDOG_S / 2,
                 retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.005),
-                breaker=CircuitBreaker(cooldown_s=0.2),
-                probe_interval_s=0.1,
                 rng_seed=seed,
                 max_batch_size=max_batch_size,
                 max_batch_wait_s=max_batch_wait_s,
@@ -654,8 +652,6 @@ def run_process_chaos(
             queue_capacity=max(4 * requests_per_drill, 16),
             default_timeout_s=WATCHDOG_S / 2,
             retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.005),
-            breaker=CircuitBreaker(cooldown_s=0.2),
-            probe_interval_s=0.1,
             rng_seed=seed,
             workers_mode="process",
             supervisor_options={

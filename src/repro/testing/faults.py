@@ -12,10 +12,12 @@ stay bit-exact, and the event is recorded in `repro.diagnostics`) -- never
 silently wrong.
 
 The managers snapshot the quarantine set and, on exit, restore it and make
-every chain's four-step sentinel re-probe its (now healthy) tables, so a
-drill leaves no residue in the process-wide dispatch state: guardrail
-reactions *inside* the ``with`` block are observable, and the exit restores
-the pre-fault world.
+every chain re-vet each rung's (now healthy) tables, so a drill leaves no
+residue in the process-wide dispatch state: guardrail reactions *inside*
+the ``with`` block are observable, and the exit restores the pre-fault
+world.  A quarantine a drill trips also lapses on its own after the
+engine's cooldown; each chain then re-vets the rung before running it, so
+tables still corrupted stay out of dispatch with the cooldown doubling.
 """
 
 from __future__ import annotations
@@ -81,8 +83,10 @@ def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle
     are built first if the chain has not used that rung yet).  The
     forward twist table the hot path multiplies by is offset by ``delta``, so
     every forward transform on the butterfly backend is wrong while the fault
-    is live.  Detection: :func:`~repro.poly.ntt_engine.verify_plan`
-    (quarantine + ladder fallback) or a strict-mode spot check (typed
+    is live.  Detection: the known-answer vet (chains not yet vetted on the
+    butterfly rung, or re-vetting after a lapse) or
+    :func:`~repro.poly.ntt_engine.verify_plan` (quarantine + ladder
+    fallback), or a strict-mode spot check (typed
     :class:`BackendExactnessError`).
     """
     table = stack.butterfly_tables().twist_br
@@ -103,8 +107,9 @@ def corrupted_four_step_tables(stack, *, delta: float = 1.0) -> Iterator[FaultHa
     Offsets the forward cascade ``[hi; lo]`` column matrix of ``stack``'s
     chain by ``delta`` (building the four-step tables first if need be) so every
     four-step forward transform is wrong while the fault is live.  The
-    build-time sentinel (fresh stacks), :func:`verify_plan` (already-vetted
-    stacks), or a strict-mode spot check catches it; healing means dispatch
+    known-answer vet (stacks not yet vetted, or re-vetting after a lapse),
+    :func:`verify_plan` (already-vetted stacks), or a strict-mode spot check
+    catches it; healing means dispatch
     quarantines ``four_step`` and the butterfly backend serves bit-exact
     results.
     """

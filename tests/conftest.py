@@ -15,10 +15,37 @@ from repro.ckks import (
 )
 from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
+from repro.poly import ntt_engine
 from repro.poly.ring import PolyRing
 
 TEST_DEGREE = 64
 TEST_LOG_Q = 28
+
+
+class EngineClock:
+    """A frozen stand-in for the NTT engine's quarantine clock."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture(autouse=True)
+def engine_clock(monkeypatch) -> EngineClock:
+    """Freeze this process's quarantine clock for every test.
+
+    A quarantine then holds until the test advances the clock past its
+    cooldown, never lapsing because the suite ran slowly.  Shard processes
+    keep the real clock.
+    """
+    clock = EngineClock()
+    monkeypatch.setattr(ntt_engine, "_clock", clock)
+    return clock
 
 
 @pytest.fixture(scope="session")

@@ -328,9 +328,11 @@ class TestSentinelFirstCall:
 
     def _race(self, monkeypatch, kind, verdict):
         """Thread A holds the first sentinel probe of a fresh ``kind`` owner
-        until thread B has had time to transform; the probe then answers
-        ``verdict`` (``None``: the real check).  Returns the owner, the
-        outputs and which threads ran the four-step tables."""
+        until thread B has had time to transform; that probe then answers
+        ``verdict`` (``None``: the real check).  Later probes -- the
+        butterfly vet a refused four_step leads to -- run the real check.
+        Returns the owner, the outputs and which threads ran the four-step
+        tables."""
         owner, data, expected = _fresh_owner(kind)
         probing, release = threading.Event(), threading.Event()
         sentinel_passes = ntt_engine._sentinel_passes
@@ -338,6 +340,8 @@ class TestSentinelFirstCall:
         four_step_threads = set()
 
         def held_probe(*args):
+            if probing.is_set():
+                return sentinel_passes(*args)
             probing.set()
             release.wait(timeout=10.0)
             return sentinel_passes(*args) if verdict is None else verdict
@@ -458,6 +462,34 @@ class TestQuarantineUnderContention:
             assert ntt_engine._DISPATCH_EPOCH == epoch + 1
         finally:
             ntt_engine.clear_quarantine()
+
+
+    def test_concurrent_lapse_records_one_event(self, engine_clock):
+        """N threads noticing one lapsed quarantine at once lift it once."""
+        ntt_engine.quarantine_backend(ntt_engine.BACKEND_FOUR_STEP, reason="race")
+        engine_clock.advance(ntt_engine.QUARANTINE_COOLDOWN_S)
+        diagnostics.clear_events()
+        barrier = threading.Barrier(THREADS)
+        seen = []
+
+        def worker():
+            barrier.wait(timeout=10.0)
+            seen.append(ntt_engine.quarantined_backends())
+
+        threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            ntt_engine.clear_quarantine()
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [frozenset()] * THREADS
+        assert len(diagnostics.events("backend_quarantine_lifted")) == 1
 
 
 class TestBoundedLruCacheThreadSafety:

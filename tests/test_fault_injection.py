@@ -10,10 +10,13 @@ decode.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro import diagnostics
+from repro.ckks.params import CkksParameters
 from repro.errors import (
     BackendExactnessError,
     IncompatibleOperands,
@@ -27,6 +30,8 @@ from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
+    QUARANTINE_COOLDOWN_MAX_S,
+    QUARANTINE_COOLDOWN_S,
     NttPlanStack,
     clear_quarantine,
     plan_stack_for,
@@ -232,6 +237,7 @@ class TestButterflyTableCorruption:
     def test_strict_spot_check_detects_butterfly(self, ring, monkeypatch):
         monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
         plan = _butterfly_plan(ring)
+        plan.forward(ring["probe"].copy())  # vet pre-fault: sentinel passes
         previous = set_strict(True)
         try:
             with corrupted_butterfly_tables(plan):
@@ -310,3 +316,166 @@ class TestQuarantineApi:
         assert np.array_equal(out, ring["truth"])
         clear_quarantine()
         assert plan.resolve_backend() == BACKEND_FOUR_STEP
+
+
+@contextmanager
+def _offset_rows(table: np.ndarray, rows=slice(None)):
+    """Offset ``rows`` of a limb-stacked table by one, then restore them.
+
+    Unlike the `repro.testing` drills this leaves the quarantine state to
+    the engine, so a quarantine it trips is lifted only by its lapse.
+    """
+    original = table[rows].copy()
+    table[rows] += table.dtype.type(1)
+    try:
+        yield
+    finally:
+        table[rows] = original
+
+
+def _four_step_matrix(stack: NttPlanStack) -> np.ndarray:
+    """The chain's forward column matrix, every row of the chain."""
+    return stack.four_step_stack()._fwd_pack[0]
+
+
+class TestQuarantineRecovery:
+    """Quarantines lapse after their cooldown; each chain re-vets first.
+
+    The engine clock is the test's frozen ``engine_clock``: a quarantine
+    holds or lapses exactly when the test advances it.
+    """
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """Count the known-answer probes run (vets and ``verify_plan``)."""
+        calls = []
+        real = ntt_engine._sentinel_passes
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(ntt_engine, "_sentinel_passes", counted)
+        return calls
+
+    def _quarantine(self, source, plan, probe, monkeypatch):
+        """Trip a four_step quarantine on ``plan`` through ``source``."""
+        if source == "sentinel":
+            reset_sentinels()
+            plan.forward(probe.copy())
+        elif source == "spot_check":
+            monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
+            previous = set_strict(True)
+            try:
+                with pytest.raises(BackendExactnessError):
+                    plan.forward(probe.copy())
+            finally:
+                set_strict(previous)
+        else:
+            assert not verify_plan(plan)
+
+    @pytest.mark.parametrize("source", ["sentinel", "spot_check", "verify_plan"])
+    def test_lapse_revets_and_readmits_healthy_tables(
+        self, ring, engine_clock, probes, monkeypatch, source
+    ):
+        plan, probe, truth = ring["plan"], ring["probe"], ring["truth"]
+        cached, matrix = _stack()
+        other = NttPlanStack(cached.moduli, DEGREE)  # a chain of its own
+        other_truth = other.forward(matrix.copy())
+        plan.forward(probe.copy())  # both chains vetted before the fault
+        with _offset_rows(_four_step_matrix(plan)):
+            self._quarantine(source, plan, probe, monkeypatch)
+        (event,) = diagnostics.events("backend_quarantined")
+        assert event["cooldown_s"] == QUARANTINE_COOLDOWN_S
+        # Healthy again, but the quarantine holds until its cooldown is up.
+        engine_clock.advance(QUARANTINE_COOLDOWN_S / 2)
+        assert quarantined_backends() == frozenset({BACKEND_FOUR_STEP})
+        assert plan.resolve_backend() == BACKEND_BUTTERFLY
+        assert np.array_equal(plan.forward(probe.copy()), truth)
+
+        engine_clock.advance(QUARANTINE_COOLDOWN_S / 2)
+        del probes[:]
+        assert np.array_equal(plan.forward(probe.copy()), truth)
+        assert len(diagnostics.events("backend_quarantine_lifted")) == 1
+        assert not quarantined_backends()
+        assert plan.resolve_backend() == BACKEND_FOUR_STEP
+        # One re-vet per chain, on its first dispatch after the lapse.
+        assert len(probes) == 1
+        assert np.array_equal(plan.forward(probe.copy()), truth)
+        assert len(probes) == 1
+        assert np.array_equal(other.forward(matrix.copy()), other_truth)
+        assert len(probes) == 2
+        # The passing re-vet reset the cooldown.
+        quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
+        assert diagnostics.events("backend_quarantined")[-1]["cooldown_s"] == (
+            QUARANTINE_COOLDOWN_S
+        )
+
+    def test_failed_revet_doubles_the_cooldown_up_to_the_cap(
+        self, ring, engine_clock
+    ):
+        plan, probe, truth = ring["plan"], ring["probe"], ring["truth"]
+        reset_sentinels()
+        cooldowns = []
+        with corrupted_four_step_tables(plan):
+            for _ in range(9):
+                assert np.array_equal(plan.forward(probe.copy()), truth)
+                assert BACKEND_FOUR_STEP in quarantined_backends()
+                cooldowns.append(
+                    diagnostics.events("backend_quarantined")[-1]["cooldown_s"]
+                )
+                engine_clock.advance(cooldowns[-1] - 1e-3)
+                assert BACKEND_FOUR_STEP in quarantined_backends()
+                engine_clock.advance(1e-3)
+        assert cooldowns == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
+        assert QUARANTINE_COOLDOWN_MAX_S == 30.0
+        assert len(diagnostics.events("backend_quarantine_lifted")) == 8
+
+    def test_corrupted_butterfly_tables_refused_after_lapse(
+        self, ring, engine_clock
+    ):
+        plan, probe, truth = _butterfly_plan(ring), ring["probe"], ring["truth"]
+        plan.forward(probe.copy())  # vetted before the fault
+        with corrupted_butterfly_tables(plan):
+            assert not verify_plan(plan)
+            engine_clock.advance(QUARANTINE_COOLDOWN_S)
+            assert np.array_equal(plan.forward(probe.copy()), truth)
+            assert BACKEND_BUTTERFLY in quarantined_backends()
+            assert plan.resolve_backend() == "reference"
+            first, second = diagnostics.events("backend_quarantined")
+        assert (first["cooldown_s"], second["cooldown_s"]) == (0.5, 1.0)
+        assert second["reason"] == "known-answer vet mismatch"
+
+    def test_revet_covers_the_special_limbs(self, engine_clock, monkeypatch):
+        """A chain's re-vet probes every row, the special limbs included:
+        corrupted ``P`` rows of the four-step tables keep four_step out of
+        dispatch for a level basis that never touches them, and double the
+        cooldown -- at the top level and at level 1."""
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        params = CkksParameters.create(
+            degree=DEGREE, limbs=4, log_q=28, dnum=2, scale_bits=26
+        )
+        chain = params.plan_stack()
+        special = [chain.moduli.index(p) for p in params.special_basis.moduli]
+        quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
+        cooldown = QUARANTINE_COOLDOWN_S
+        for level in (params.limbs, 1):
+            # Views of this chain (other suites' chains may hold these moduli).
+            extended, basis = (
+                NttPlanStack(b.moduli, DEGREE, chain=chain)
+                for b in (params.extended_basis(level), params.basis_at_level(level))
+            )
+            matrix = np.stack(
+                [np.arange(DEGREE, dtype=np.uint64) % np.uint64(q) for q in basis.moduli]
+            )
+            truth = NttPlanStack(basis.moduli, DEGREE, backend="reference").forward(
+                matrix
+            )
+            with _offset_rows(_four_step_matrix(extended), special):
+                engine_clock.advance(cooldown)
+                assert np.array_equal(basis.forward(matrix.copy()), truth)
+                assert BACKEND_FOUR_STEP in quarantined_backends()
+            cooldown *= 2
+            assert diagnostics.events("backend_quarantined")[-1]["cooldown_s"] == (
+                cooldown
+            )

@@ -257,17 +257,6 @@ class TestNoiseTracking:
         # Untracked inputs stay untracked -- the estimator never guesses.
         assert result.noise_bits is None
 
-    def test_policy_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NOISE_TRACK", "0")
-        assert not NoisePolicy.from_env().track
-        monkeypatch.setenv("REPRO_NOISE_TRACK", "1")
-        monkeypatch.setenv("REPRO_NOISE_WARN_BITS", "12.5")
-        monkeypatch.setenv("REPRO_NOISE_RAISE_BITS", "2.0")
-        policy = NoisePolicy.from_env()
-        assert policy.track
-        assert policy.warn_margin_bits == 12.5
-        assert policy.raise_margin_bits == 2.0
-
 
 # ---------------------------------------------------------------------------
 # Deep-chain upper-bound guarantees (the acceptance cross-checks)

@@ -1,8 +1,8 @@
-"""Serving-runtime tests: queue, deadlines, retry, breaker, server, chaos.
+"""Serving-runtime tests: queue, deadlines, retry, server, chaos.
 
 Exercises the resilience contract of :mod:`repro.serving` piece by piece
 (bounded admission, cooperative cancellation, taxonomy-driven retry
-classification, circuit-breaker recovery) and then end to end: a live
+classification) and then end to end: a live
 server under concurrent load with every fault drill replayed by the
 :mod:`repro.testing.chaos` harness, gated on zero silent corruption and
 zero hangs.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 import threading
 import time
 from collections import Counter
@@ -52,19 +53,17 @@ from repro.poly import ntt_engine
 from repro.serving import (
     BoundedRequestQueue,
     CancelScope,
-    CircuitBreaker,
     InferenceRequest,
     InferenceServer,
     RetryPolicy,
     TenantRegistry,
-    backend_attributable,
     cancel_scope,
     checkpoint,
     current_scope,
     is_retryable,
 )
 from repro.serving.shard import TenantSpec
-from repro.testing import corrupted_four_step_tables
+from repro.serving.supervisor import ShardHandle, _death
 from repro.testing.chaos import build_tenants, prepare_work, run_chaos
 
 
@@ -320,18 +319,6 @@ class TestRetryPolicy:
         ):
             assert not is_retryable(terminal)
 
-    def test_backend_attribution_excludes_worker_faults(self):
-        # Only exactness faults feed the circuit breaker: a worker crash is
-        # retryable but must not quarantine an innocent NTT backend.
-        assert backend_attributable(BackendExactnessError("backend lied"))
-        for error in (
-            WorkerCrashed("x"),
-            WorkerUnresponsive("x"),
-            PoisonRequest("x"),
-            DeadlineExceeded("x"),
-        ):
-            assert not backend_attributable(error)
-
     def test_backoff_is_bounded_and_jittered(self):
         policy = RetryPolicy(
             max_attempts=5, base_delay_s=0.01, max_delay_s=0.05, jitter=0.5
@@ -348,99 +335,6 @@ class TestRetryPolicy:
         assert policy.should_retry(err, 1)
         assert not policy.should_retry(err, 2)
         assert not policy.should_retry(ParameterError("x"), 1)
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_trip_quarantines_backend(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=99.0)
-        assert not breaker.record_failure(ntt_engine.BACKEND_FOUR_STEP)
-        assert breaker.record_failure(ntt_engine.BACKEND_FOUR_STEP)
-        assert ntt_engine.BACKEND_FOUR_STEP in ntt_engine.quarantined_backends()
-        assert breaker.state(ntt_engine.BACKEND_FOUR_STEP) == "open"
-
-    def test_success_decays_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure(ntt_engine.BACKEND_FOUR_STEP)
-        breaker.record_success(ntt_engine.BACKEND_FOUR_STEP)
-        snap = breaker.snapshot()[ntt_engine.BACKEND_FOUR_STEP]
-        assert snap.failures == 0 and snap.state == "closed"
-
-    def test_probe_recovers_healthy_backend(self, registry_and_clients):
-        registry, clients = registry_and_clients
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(cooldown_s=1.0, clock=lambda: clock["now"])
-        backend = ntt_engine.BACKEND_FOUR_STEP
-        breaker.record_failure(backend)
-        assert backend in ntt_engine.quarantined_backends()
-        params = clients[0].params
-        plans = [
-            ntt_engine.plan_stack_for(
-                tuple(params.modulus_basis.moduli), params.degree
-            )
-        ]
-        assert breaker.maybe_probe(plans) == {}  # still cooling down
-        clock["now"] = 2.0
-        outcomes = breaker.maybe_probe(plans)
-        assert outcomes == {backend: True}
-        assert backend not in ntt_engine.quarantined_backends()
-        assert breaker.state(backend) == "closed"
-
-    def test_failed_probe_reopens_with_doubled_cooldown(self):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(cooldown_s=1.0, clock=lambda: clock["now"])
-        backend = ntt_engine.BACKEND_FOUR_STEP
-        breaker.record_failure(backend)
-
-        class AlwaysBadPlan:
-            pass
-
-        real_verify = ntt_engine.verify_plan
-        ntt_engine.verify_plan = lambda plan: False
-        try:
-            clock["now"] = 2.0
-            outcomes = breaker.maybe_probe([AlwaysBadPlan()])
-        finally:
-            ntt_engine.verify_plan = real_verify
-        assert outcomes == {backend: False}
-        assert breaker.state(backend) == "open"
-        assert breaker.snapshot()[backend].cooldown_s == pytest.approx(2.0)
-        # the re-opened circuit must have restored the quarantine
-        assert backend in ntt_engine.quarantined_backends()
-
-    def test_probe_covers_the_special_limbs(self, registry_and_clients, monkeypatch):
-        """The half-open probe verifies the tenant's whole chain, so corrupt
-        four-step tables of the key switch's extended basis keep the
-        circuit open."""
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        registry, clients = registry_and_clients
-        params = clients[0].params
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(cooldown_s=1.0, clock=lambda: clock["now"])
-        backend = ntt_engine.BACKEND_FOUR_STEP
-        plans = InferenceServer(registry)._probe_plans()
-        # The top level's extended basis, and the split one at level 1.
-        for level in (params.limbs, 1):
-            extended = params.extended_basis(level)
-            breaker.record_failure(backend)
-            with corrupted_four_step_tables(
-                ntt_engine.plan_stack_for(extended.moduli, params.degree)
-            ):
-                clock["now"] += 2.0
-                assert breaker.maybe_probe(plans) == {backend: False}
-            assert breaker.state(backend) == "open"
-
-    def test_adopts_external_quarantine(self):
-        ntt_engine.quarantine_backend(
-            ntt_engine.BACKEND_BUTTERFLY, reason="sentinel"
-        )
-        breaker = CircuitBreaker(cooldown_s=99.0)
-        breaker.observe_quarantine()
-        assert breaker.state(ntt_engine.BACKEND_BUTTERFLY) == "open"
 
 
 # ---------------------------------------------------------------------------
@@ -1158,11 +1052,16 @@ def test_ticket_lifecycle_state_machine(registry_and_clients):
 # Worker-fault interleavings through the one retry loop
 # ---------------------------------------------------------------------------
 
-#: What one scripted dispatch does; an exhausted script means ``ok``.
+#: What one scripted dispatch does; an exhausted script means ``ok``.  The
+#: shard deaths are the supervisor's own verdicts for a reaped exit status:
+#: ``kill`` a shard exiting with code 13, ``outside_kill`` a SIGKILL.
 _SCRIPTED_FAULTS = {
-    "kill": lambda: WorkerCrashed("scripted kill"),
+    "kill": lambda: _death(ShardHandle(0), 13, "exited"),
     "hang": lambda: WorkerUnresponsive("scripted hang"),
-    "undelivered": lambda: WorkerCrashed("scripted dead pipe", delivered=False),
+    "outside_kill": lambda: _death(ShardHandle(0), -signal.SIGKILL, "exited"),
+    "undelivered": lambda: WorkerCrashed(
+        "scripted dead pipe", request_fault=False
+    ),
     "exactness": lambda: BackendExactnessError("scripted sentinel"),
     "terminal": lambda: ParameterError("scripted refusal"),
 }
@@ -1173,10 +1072,10 @@ _KILLS = ("kill", "hang")
 def _solo_verdict(script, max_attempts):
     """``(error type or None, attempts)`` of a unit served alone.
 
-    The retry loop's contract, restated: the second kill poisons (before
-    the retry budget is consulted), an undelivered frame is an attempt but
-    never a kill, a terminal error is not retried, and retryable faults
-    run until ``max_attempts``.
+    The retry loop's contract, restated: the second kill the request can own
+    poisons (before the retry budget is consulted), an outside SIGKILL or an
+    undelivered frame is an attempt but never a kill, a terminal error is
+    not retried, and retryable faults run until ``max_attempts``.
     """
     kills = 0
     outcomes = itertools.chain(script, itertools.repeat("ok"))
@@ -1190,24 +1089,14 @@ def _solo_verdict(script, max_attempts):
             return type(_SCRIPTED_FAULTS[outcome]()), attempt
 
 
-class _RecordingBreaker(CircuitBreaker):
-    def __init__(self):
-        super().__init__(failure_threshold=10**6)
-        self.failures = 0
-
-    def record_failure(self, backend, **details):
-        self.failures += 1
-        return super().record_failure(backend, **details)
-
-
 class FaultInterleavings(RuleBasedStateMachine):
     """Scripted worker faults against a thread-mode server, no processes.
 
     The server's executor is a fake that pops each unit's next scripted
     outcome per dispatch (requests and ``batch-<leader>`` units have
     separate scripts), so every interleaving of kill, hang, undelivered
-    frame, backend fault and terminal error reaches ``_serve``'s one retry
-    loop exactly as a shard's verdicts would.
+    frame, outside SIGKILL, backend fault and terminal error reaches
+    ``_serve``'s one retry loop exactly as a shard's verdicts would.
     """
 
     def __init__(self, registry, payloads):
@@ -1228,7 +1117,7 @@ class FaultInterleavings(RuleBasedStateMachine):
     def start(self, max_batch_size, max_attempts):
         diagnostics.clear_events()
         self.max_attempts = max_attempts
-        self.breaker = _RecordingBreaker()
+        self.quarantined = ntt_engine.quarantined_backends()
         self.server = InferenceServer(
             self.registry,
             workers=2,
@@ -1236,7 +1125,6 @@ class FaultInterleavings(RuleBasedStateMachine):
             retry_policy=RetryPolicy(
                 max_attempts=max_attempts, base_delay_s=5e-4, max_delay_s=1e-3
             ),
-            breaker=self.breaker,
             max_batch_size=max_batch_size,
             max_batch_wait_s=0.01,
         ).start()
@@ -1303,14 +1191,14 @@ class FaultInterleavings(RuleBasedStateMachine):
             assert len(kills) <= 2
             if len(kills) == 2:
                 assert kills[1] == len(outcomes) - 1
-        # Undelivered frames never poison: every poisoned unit saw two kills.
+        # Outside kills and undelivered frames never poison: every poisoned
+        # unit saw two kills it could own.
         for event in events:
             if event["kind"] == "request_poisoned":
                 outcomes = by_unit[event["request_id"]]
                 assert sum(outcome in _KILLS for outcome in outcomes) == 2
-        # Worker faults never reach the breaker.
-        exactness = sum(outcome == "exactness" for _, outcome in self.dispatches)
-        assert self.breaker.failures == exactness
+        # No scripted fault touches a backend quarantine.
+        assert ntt_engine.quarantined_backends() == self.quarantined
         for ticket in self.tickets:
             request_id = ticket.request.request_id
             attempts = ticket.diagnostics["attempts"]
@@ -1349,3 +1237,39 @@ def test_fault_interleavings_state_machine(registry_and_clients):
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+@pytest.mark.parametrize(
+    "script, error, attempts",
+    [(("outside_kill", "outside_kill"), None, 3), (("kill", "kill"), PoisonRequest, 2)],
+)
+def test_only_kills_the_request_owns_poison(
+    registry_and_clients, script, error, attempts
+):
+    """Two outside SIGKILLs under one request cost two retried attempts and
+    poison nothing; two exits of the shard's own (code 13) poison it."""
+    registry, clients = registry_and_clients
+    client = clients[0]
+    payload = client.encrypt_features(np.zeros(client.params.slot_count))
+    verdicts = [_SCRIPTED_FAULTS[outcome]() for outcome in script]
+
+    def execute(*, request_id, tenant_id, circuit, payload, scope):
+        if verdicts:
+            raise verdicts.pop(0)
+        return payload, {}
+
+    with InferenceServer(
+        registry,
+        workers=1,
+        retry_policy=RetryPolicy(
+            max_attempts=3, base_delay_s=5e-4, max_delay_s=1e-3
+        ),
+    ) as server:
+        server._execute = execute
+        ticket = server.submit(
+            InferenceRequest(client.tenant_id, _echo, payload=payload)
+        )
+        assert ticket.wait(10.0)
+    assert ticket.diagnostics["attempts"] == attempts
+    assert type(ticket.error) is (error or type(None))
+    assert server.poisoned == (error is not None)

@@ -12,12 +12,13 @@ crash.
 import multiprocessing
 import os
 import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro import parallel
+from repro import diagnostics, parallel
 from repro.errors import (
     ParameterError,
     PoisonRequest,
@@ -32,7 +33,6 @@ from repro.serving import (
     InferenceServer,
     TenantRegistry,
     TenantSpec,
-    backend_attributable,
     is_retryable,
 )
 from repro.serving import supervisor as supervisor_module
@@ -192,16 +192,6 @@ class TestSupervisionErrors:
         assert is_retryable(WorkerUnresponsive("heartbeats stopped"))
         # Two kills: the request is the fault -- quarantine, never retry.
         assert not is_retryable(PoisonRequest("killed two workers"))
-
-    def test_worker_faults_never_blame_backends(self):
-        # Retryable, yes -- but a worker death must not feed the circuit
-        # breaker, or an innocent NTT backend gets quarantined.
-        for error in (
-            WorkerCrashed("x"),
-            WorkerUnresponsive("x"),
-            PoisonRequest("x"),
-        ):
-            assert not backend_attributable(error)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +447,75 @@ def _echo(session, payload):
     return payload
 
 
+@dataclass
+class QuarantineOnce:
+    """Serve ``inner``; on the first run in a shard (leaving ``marker``),
+    then quarantine four_step inside that shard."""
+
+    marker: str
+    inner: LinearSquareCircuit
+
+    def __call__(self, session, payload):
+        result = self.inner(session, payload)
+        if in_worker() and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            ntt_engine.quarantine_backend(
+                ntt_engine.BACKEND_FOUR_STEP, reason="shard-side drill"
+            )
+        return result
+
+
+class TestShardQuarantine:
+    def test_shard_reports_and_heals_its_own_quarantine(
+        self, tmp_path, monkeypatch
+    ):
+        """A quarantine inside a shard shows in that shard's tickets and in
+        ``health()``, then lapses in the shard after the cooldown."""
+        # Auto dispatch, in the shard too: it inherits the environment.
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        registry = TenantRegistry()
+        client = build_tenants(registry, ("alice",))[0]
+        work = prepare_work([client], requests=3, rng=np.random.default_rng(9))
+        circuit = QuarantineOnce(str(tmp_path / "quarantined"), client.circuit)
+        diagnostics.clear_events()
+        with InferenceServer(
+            registry,
+            workers=1,
+            workers_mode="process",
+            default_timeout_s=60.0,
+            supervisor_options={"heartbeat_interval_s": 0.1},
+        ) as server:
+
+            def serve(index):
+                _, _, features, ciphertext = work[index]
+                ticket = server.submit(
+                    InferenceRequest("alice", circuit, payload=ciphertext)
+                )
+                decoded = client.decode(ticket.result(timeout=60.0))
+                assert np.abs(decoded - client.expected(features)).max() < 1e-3
+                return ticket.diagnostics["backend"], server.health()
+
+            backend, health = serve(0)
+            assert backend == ntt_engine.BACKEND_FOUR_STEP
+            backend, health = serve(1)
+            assert backend == ntt_engine.BACKEND_BUTTERFLY
+            assert health["status"] == "degraded"
+            assert health["quarantined_backends"] == [ntt_engine.BACKEND_FOUR_STEP]
+            assert health["shards"]["shards"]["shard-0"]["quarantined"] == [
+                ntt_engine.BACKEND_FOUR_STEP
+            ]
+            time.sleep(ntt_engine.QUARANTINE_COOLDOWN_S + 0.3)
+            backend, health = serve(2)
+        assert backend == ntt_engine.BACKEND_FOUR_STEP
+        assert health["status"] == "ok"
+        assert health["quarantined_backends"] == []
+        # The parent's own dispatch was never touched.
+        assert not ntt_engine.quarantined_backends()
+        for kind in ("backend_quarantined", "backend_quarantine_lifted"):
+            (event,) = diagnostics.events(kind)
+            assert event["shard"] == "shard-0"
+
+
 # ---------------------------------------------------------------------------
 # Crash containment drills: every run_process_chaos drill but the baseline
 # (SIGKILL, poison payload, hang, restart storm)
@@ -516,6 +575,17 @@ class TestProcessChaos:
         assert hang.correct == hang.requests - 1
         assert hang.details["bit_exact"] == hang.correct
         assert hang.details["recovered"]
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_restart_storm_poisons_nothing(self, seed):
+        """Outside SIGKILLs never make a request poison, however often they
+        land on it."""
+        report = run_process_chaos(seed=seed, drills=["proc_restart_storm"])
+        assert report.silent == 0, report.summary()
+        assert report.hung == 0, report.summary()
+        storm = report.outcomes[0]
+        assert not any("PoisonRequest" in error for error in storm.errors)
+        assert storm.correct + storm.typed_failures == storm.requests
 
     def test_restart_storm_loses_nothing(self):
         report = run_process_chaos(
