@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.keys import KeyGenerator, PublicKey, SecretKey
 from repro.ckks.noise import NoiseModel
 from repro.ckks.params import CkksParameters
-from repro.poly.rns_poly import RnsPolynomial
 
 
 @dataclass
@@ -39,8 +36,8 @@ class Encryptor:
         u = self.keygen.sample_ternary(basis)
         e0 = self.keygen._sample_error(basis)
         e1 = self.keygen._sample_error(basis)
-        b = _restrict(self.public_key.b, plaintext.level)
-        a = _restrict(self.public_key.a, plaintext.level)
+        b = self.public_key.b.keep_limbs(plaintext.level)
+        a = self.public_key.a.keep_limbs(plaintext.level)
         c0 = b.multiply(u).to_coeff().add(e0).add(plaintext.poly.to_coeff())
         c1 = a.multiply(u).to_coeff().add(e1)
         model = self.noise_model
@@ -76,10 +73,3 @@ class Decryptor:
                 ciphertext.c2.multiply(secret_squared).to_coeff()
             )
         return Plaintext(poly=message, scale=ciphertext.scale, level=ciphertext.level)
-
-
-def _restrict(poly: RnsPolynomial, level: int) -> RnsPolynomial:
-    """Keep only the first ``level`` limbs of a top-level polynomial."""
-    if poly.limb_count == level:
-        return poly.copy()
-    return poly.keep_limbs(level)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from repro.errors import (
     ScaleOverflow,
     operand_signature,
 )
-from repro.numtheory.crt import subtract_and_divide
-from repro.poly import gemm_mod
+from repro.numtheory.crt import inverse_column
+from repro.poly import fused_kernels, gemm_mod
 from repro.poly.ring import automorphism_eval_indices
-from repro.poly.rns_poly import EVAL_DOMAIN, RnsPolynomial
+from repro.poly.rns_poly import EVAL_DOMAIN, RnsPolynomial, chain_constant
 
 
 @lru_cache(maxsize=4096)
@@ -904,19 +904,18 @@ def _rescale_poly(
     """RNS rescaling of one polynomial: ``(c - [c]_{q_last}) / q_last``.
 
     The dropped limb is reduced against every remaining modulus by
-    broadcasting, then handed to the same cached subtract-and-divide kernel
-    ModDown uses (`repro.numtheory.crt.subtract_and_divide`).
+    broadcasting, then handed to the subtract-and-divide kernel ModDown uses
+    (`repro.poly.fused_kernels.moddown_sub_div`), with the ``q_last^{-1}``
+    column memoised on the chain.
     """
     poly = poly.to_coeff()
-    last_index = level - 1
-    last_modulus = params.modulus_basis.moduli[last_index]
-    last_limb = poly.residues[..., last_index, :]
-    new_basis = params.basis_at_level(level - 1)
+    top, new_basis = params.basis_at_level(level), params.basis_at_level(level - 1)
     moduli = new_basis.moduli_array[:, None]
-    residues = subtract_and_divide(
-        poly.residues[..., :last_index, :],
-        last_limb[..., None, :] % moduli,
-        last_modulus,
-        new_basis,
+    build = partial(inverse_column, top.moduli[-1], new_basis.moduli)
+    residues = fused_kernels.moddown_sub_div(
+        poly.residues[..., : level - 1, :],
+        poly.residues[..., level - 1 : level, :] % moduli,
+        moduli,
+        chain_constant("rescale", (top,), build),
     )
     return RnsPolynomial(new_basis, residues, "coeff")

@@ -38,6 +38,8 @@ path is tested against.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.ckks.keys import KeySwitchKey
@@ -45,15 +47,12 @@ from repro.ckks.params import CkksParameters
 from repro.errors import IncompatibleOperands, ParameterError
 from repro.numtheory.crt import RnsBasis, inverse_column
 from repro.poly import fused_kernels
-from repro.poly.basis_conversion import (
-    conversion_for,
-    stacked_conversion_for,
-    _sub_basis,
-)
+from repro.poly.basis_conversion import conversion_for, stacked_conversion_for
 from repro.poly.rns_poly import (
     COEFF_DOMAIN,
     EVAL_DOMAIN,
     RnsPolynomial,
+    chain_constant,
     stacked_ntt_forward,
     stacked_ntt_inverse,
 )
@@ -320,7 +319,7 @@ def switch_key_unfused(
     acc1: RnsPolynomial | None = None
     digit_keys = key.to_coeff(level)
     for (start, stop), (b_j, a_j) in zip(params.digit_partition(level), digit_keys):
-        digit_basis = _sub_basis(level_basis, start, stop)
+        digit_basis = level_basis.sub_basis(start, stop)
         digit_poly = RnsPolynomial(
             digit_basis, poly.residues[..., start:stop, :], "coeff"
         )
@@ -360,11 +359,12 @@ def mod_down_stacked(
     correction = conversion_for(special, level_basis).convert_residues(
         stacked[..., level:, :]
     )
+    build = partial(inverse_column, special.modulus_product, level_basis.moduli)
     return fused_kernels.moddown_sub_div(
         stacked[..., :level, :],
         correction,
         level_basis.moduli_array[:, None],
-        inverse_column(special.modulus_product, level_basis.moduli),
+        chain_constant("moddown", (special, level_basis), build),
     )
 
 

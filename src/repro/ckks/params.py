@@ -10,7 +10,7 @@ versions produced by ``SecurityParams.scaled``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,20 +52,23 @@ class CkksParameters:
     #: for the same handful (the bases are immutable).
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    #: The NTT plan of the whole chain (:meth:`plan_stack`).
+    #: The NTT plan of the whole chain (:meth:`plan_stack`), held: it owns
+    #: the tables and constants of every basis below.
     _plan: NttPlanStack | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        # Registered before any basis drawn from the chain meets the plan
-        # cache, and held, so every level and extended basis views its tables.
+        # Every basis handed out derives from these two, so it names the
+        # chain and dispatches on its views (`repro.poly.rns_poly.basis_plan`).
         chain = self.modulus_basis.moduli + self.special_basis.moduli
         if supports(chain, self.degree):
             self._plan = register_chain(chain, self.degree)
+            self.modulus_basis = replace(self.modulus_basis, chain=chain)
+            self.special_basis = replace(self.special_basis, chain=chain)
 
     def __getstate__(self) -> dict:
-        # The plan holds locks; an unpickled copy registers its chain afresh.
+        # The plan holds locks; an unpickled copy re-binds the interned chain.
         return {**self.__dict__, "_plan": None}
 
     def __setstate__(self, state: dict) -> None:
@@ -149,9 +152,7 @@ class CkksParameters:
         if basis is None:
             if not 1 <= level <= self.limbs:
                 raise ValueError(f"level must be in [1, {self.limbs}]")
-            basis = self._bases[level] = RnsBasis(
-                moduli=self.modulus_basis.moduli[:level], degree=self.degree
-            )
+            basis = self._bases[level] = self.modulus_basis.sub_basis(0, level)
         return basis
 
     def digit_partition(self, level: int) -> tuple[tuple[int, int], ...]:

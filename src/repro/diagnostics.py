@@ -133,13 +133,15 @@ class BoundedLruCache:
 
     ``get`` moves the entry to the most-recently-used end (true LRU, not FIFO)
     and ``put`` evicts the least-recently-used entry once ``capacity`` is
-    reached.  All process-wide memoisation caches (NTT plans, calibration,
-    encode cache, BConv tables) are instances registered with
-    :func:`register_cache`.
+    reached.  Every process-wide memo (chain-less NTT plans, single-limb
+    rings) is an instance registered with :func:`register_cache`, and the
+    per-encoder ones sit in a :class:`WeakCacheGroup`.  What a modulus chain
+    derives -- its tables, views, BConv and inverse constants -- lives on the
+    chain (`repro.poly.ntt_engine.register_chain`) and dies with it.
 
     Every operation that touches the backing ``OrderedDict`` holds a
     per-cache re-entrant lock: these caches sit under every concurrently
-    served request (NTT plans, calibration, plaintext encodes), and an
+    served request (NTT plans, rings, plaintext encodes), and an
     unlocked ``move_to_end``/``popitem`` pair racing across threads corrupts
     the dict.  :meth:`get_or_create` runs the factory *outside* the lock --
     a slow plan build must not serialise unrelated lookups, and entries are

@@ -8,8 +8,8 @@ container that the polynomial and CKKS layers build on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -17,34 +17,16 @@ from repro.numtheory.modular import mod_inv
 from repro.numtheory.primes import generate_rns_primes
 
 
-@lru_cache(maxsize=None)
 def inverse_column(value: int, moduli: tuple[int, ...]) -> np.ndarray:
-    """Per-limb ``value^{-1} mod q_i`` as a cached read-only (L, 1) uint64 column.
+    """Per-limb ``value^{-1} mod q_i`` as a read-only (L, 1) uint64 column.
 
-    The hot RNS division steps (rescale, ModDown) multiply a whole residue
-    matrix by the same per-limb inverse constants on every call; this memoises
-    the column once per (value, basis) pair.
+    The RNS divisions (rescale, ModDown) multiply a whole residue matrix by
+    it on every call, so they memoise it on the chain that owns their bases
+    (`repro.poly.rns_poly.chain_constant`).
     """
     inverses = np.array([mod_inv(value % q, q) for q in moduli], dtype=np.uint64)[:, None]
     inverses.flags.writeable = False
     return inverses
-
-
-def subtract_and_divide(
-    residues: np.ndarray, subtrahend: np.ndarray, divisor: int, basis: "RnsBasis"
-) -> np.ndarray:
-    """Batched exact RNS division: ``(residues - subtrahend) * divisor^{-1}``.
-
-    The conditional-subtract-then-multiply-by-inverse kernel shared by
-    rescaling and ModDown: both subtract a (broadcastable, already per-limb
-    reduced) correction from an ``(L, N)`` residue matrix and divide by a
-    constant whose per-limb inverses are memoised via :func:`inverse_column`.
-    """
-    moduli = basis.moduli_array[:, None]
-    inverses = inverse_column(divisor, basis.moduli)
-    diff = residues + (moduli - subtrahend)
-    diff = np.where(diff >= moduli, diff - moduli, diff)
-    return (diff * inverses) % moduli
 
 
 def crt_decompose(value: int, moduli: list[int]) -> list[int]:
@@ -93,11 +75,15 @@ class RnsBasis:
     degree:
         Polynomial degree ``N`` the basis was generated for (each prime is
         congruent to 1 modulo ``2N``).
+    chain:
+        The moduli of the chain ``Q_L·P`` owning the basis' NTT tables and
+        constants (`repro.poly.rns_poly.basis_plan`), kept by derived bases;
+        ``None`` for a bare basis.  Plain ints, outside equality.
     """
 
     moduli: tuple[int, ...]
     degree: int
-    _hat_inverses: tuple[int, ...] = field(default=(), repr=False)
+    chain: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.moduli)) != len(self.moduli):
@@ -233,14 +219,19 @@ class RnsBasis:
             return None
         return value
 
+    def sub_basis(self, start: int, stop: int) -> "RnsBasis":
+        """The limbs ``start:stop`` (a key-switch digit, a lower level), same chain."""
+        return replace(self, moduli=self.moduli[start:stop])
+
     def drop_last(self, count: int = 1) -> "RnsBasis":
         """Return the basis with the last ``count`` moduli removed (rescaling)."""
         if count >= self.size:
             raise ValueError("cannot drop all moduli from an RNS basis")
-        return RnsBasis(moduli=self.moduli[: self.size - count], degree=self.degree)
+        return self.sub_basis(0, self.size - count)
 
     def extend(self, extra: "RnsBasis") -> "RnsBasis":
         """Concatenate another basis (e.g. the auxiliary basis in key switching)."""
         if extra.degree != self.degree:
             raise ValueError("cannot mix bases generated for different degrees")
-        return RnsBasis(moduli=self.moduli + extra.moduli, degree=self.degree)
+        chain = self.chain if self.chain == extra.chain else None
+        return RnsBasis(moduli=self.moduli + extra.moduli, degree=self.degree, chain=chain)

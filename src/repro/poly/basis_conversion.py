@@ -22,14 +22,14 @@ used by tests and by rescaling correctness checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from repro.numtheory.crt import RnsBasis
 from repro.poly.gemm_mod import split_matmul as _split_matmul
 from repro.poly.gemm_mod import split_matrix as _split_matrix
-from repro.poly.rns_poly import COEFF_DOMAIN, RnsPolynomial
+from repro.poly.rns_poly import COEFF_DOMAIN, RnsPolynomial, chain_constant
 
 
 @dataclass
@@ -87,9 +87,7 @@ class BasisConversion:
         ``scaled`` is the (..., L, N) output of step 1; the result is the
         (..., L', N) residue tensor in the target basis (leading batch axes
         ride through ``np.matmul`` broadcasting).  Word-sized moduli take the
-        exact split-GEMM fast path; otherwise accumulation is chunked so the
-        uint64 partial sums never overflow (products are < 2**60 for 28-bit
-        sources and 32-bit targets).
+        exact split-GEMM fast path, wider ones :func:`_chunked_matmul`.
         """
         scaled = np.asarray(scaled, dtype=np.uint64)
         if self._split_shift is not None:
@@ -100,24 +98,7 @@ class BasisConversion:
                 scaled,
                 self.target.moduli_array[:, None],
             )
-        out = np.empty(
-            (*scaled.shape[:-2], self.target.size, scaled.shape[-1]), dtype=np.uint64
-        )
-        for j, p_j in enumerate(self.target.moduli):
-            row = self.conversion_matrix[j] % np.uint64(p_j)
-            product_bits = (int(p_j) - 1).bit_length() + max(
-                (int(q) - 1).bit_length() for q in self.source.moduli
-            )
-            chunk = max(1, 1 << max(0, 63 - product_bits))
-            accumulator = np.zeros(out.shape[:-2] + out.shape[-1:], dtype=np.uint64)
-            for start in range(0, self.source.size, chunk):
-                stop = min(start + chunk, self.source.size)
-                partial = (row[start:stop, None] * scaled[..., start:stop, :]).sum(
-                    axis=-2
-                )
-                accumulator = (accumulator + partial % np.uint64(p_j)) % np.uint64(p_j)
-            out[..., j, :] = accumulator
-        return out
+        return _chunked_matmul(self.conversion_matrix, scaled, self.source, self.target)
 
     # ------------------------------------------------------------------- API
     def convert_residues(self, residues: np.ndarray) -> np.ndarray:
@@ -142,21 +123,36 @@ class BasisConversion:
         return RnsPolynomial(self.target, residues, COEFF_DOMAIN)
 
 
-@lru_cache(maxsize=None)
+def _chunked_matmul(
+    matrix: np.ndarray, scaled: np.ndarray, source: RnsBasis, target: RnsBasis
+) -> np.ndarray:
+    """Exact ``matrix @ scaled`` modulo the target limbs, in uint64 integers.
+
+    The fallback where no exact float split exists: the source limbs are
+    contracted a chunk at a time, sized so no partial sum reaches ``2**63``.
+    """
+    bits = max((int(q) - 1).bit_length() for q in source.moduli)
+    bits += max((int(p) - 1).bit_length() for p in target.moduli)
+    chunk = max(1, 1 << max(0, 63 - bits))
+    target_col = target.moduli_array[:, None]
+    out = 0
+    for start in range(0, source.size, chunk):
+        rows = slice(start, start + chunk)
+        out = out + np.matmul(matrix[..., rows], scaled[..., rows, :]) % target_col
+        out %= target_col
+    return out
+
+
 def conversion_for(source: RnsBasis, target: RnsBasis) -> BasisConversion:
-    """Return a cached :class:`BasisConversion` for a (source, target) pair.
+    """Return the :class:`BasisConversion` for a (source, target) pair.
 
     Key switching performs the same digit -> extended-basis conversions on
-    every call; the constant tables (``hat_inverses`` and the conversion
-    matrix) depend only on the two bases, so they are compiled once per pair
-    and shared process-wide, mirroring the NTT plan cache.
+    every call; the constant tables depend only on the two bases, so they are
+    compiled once, as a memo entry on the chain the bases are drawn from
+    (`repro.poly.rns_poly.chain_constant`).  Bare bases compile afresh.
     """
-    return BasisConversion(source=source, target=target)
-
-
-@lru_cache(maxsize=None)
-def _sub_basis(source: RnsBasis, start: int, stop: int) -> RnsBasis:
-    return RnsBasis(moduli=source.moduli[start:stop], degree=source.degree)
+    build = partial(BasisConversion, source, target)
+    return chain_constant("bconv", (source, target), build)
 
 
 @dataclass
@@ -189,7 +185,6 @@ class StackedBasisConversion:
     partitions: tuple[tuple[int, int], ...]
     hat_inverses: np.ndarray = field(init=False, repr=False)
     block_matrix: np.ndarray = field(init=False, repr=False)
-    _chunk: int = field(init=False, repr=False)
     _split_shift: int | None = field(init=False, repr=False)
     _block_hi: np.ndarray | None = field(init=False, repr=False)
     _block_lo: np.ndarray | None = field(init=False, repr=False)
@@ -211,14 +206,11 @@ class StackedBasisConversion:
             (digit_count, self.target.size, self.source.size), dtype=np.uint64
         )
         for d, (start, stop) in enumerate(self.partitions):
-            digit = conversion_for(_sub_basis(self.source, start, stop), self.target)
+            digit = conversion_for(self.source.sub_basis(start, stop), self.target)
             hat[start:stop] = digit.hat_inverses
             block[d, :, start:stop] = digit.conversion_matrix
         self.hat_inverses = hat
         self.block_matrix = block
-        source_bits = max((int(q) - 1).bit_length() for q in self.source.moduli)
-        target_bits = max((int(p) - 1).bit_length() for p in self.target.moduli)
-        self._chunk = max(1, 1 << max(0, 63 - target_bits - source_bits))
         self._split_shift, self._block_hi, self._block_lo = _split_matrix(
             block, self.source.moduli, self.target.moduli
         )
@@ -232,31 +224,19 @@ class StackedBasisConversion:
         """Convert all digits of an ``(L, N)`` residue matrix to ``(D, L', N)``.
 
         Step 1 scales every limb by its digit's ``qhat_i^{-1}`` in one pass;
-        step 2 runs the block matmul as a chunked modular einsum (chunks keep
-        the uint64 partial sums below ``2**63``).
+        step 2 runs the block matmul as one split GEMM (or
+        :func:`_chunked_matmul` for wide moduli).
         """
         residues = np.asarray(residues, dtype=np.uint64)
         source_moduli = self.source.moduli_array[:, None]
         scaled = (residues * self.hat_inverses[:, None]) % source_moduli
 
+        if self._split_shift is None:
+            return _chunked_matmul(self.block_matrix, scaled, self.source, self.target)
         target_col = self.target.moduli_array[None, :, None]
-        if self._split_shift is not None:
-            return _split_matmul(
-                self._split_shift, self._block_hi, self._block_lo, scaled, target_col
-            )
-        out = np.zeros(
-            (self.digit_count, self.target.size, residues.shape[1]), dtype=np.uint64
+        return _split_matmul(
+            self._split_shift, self._block_hi, self._block_lo, scaled, target_col
         )
-        for start in range(0, self.source.size, self._chunk):
-            stop = min(start + self._chunk, self.source.size)
-            partial = np.einsum(
-                "dji,in->djn", self.block_matrix[:, :, start:stop], scaled[start:stop]
-            )
-            partial %= target_col
-            out += partial
-            np.subtract(out, target_col, out=partial)
-            np.minimum(out, partial, out=out)
-        return out
 
     def convert(self, polynomial: RnsPolynomial) -> tuple[RnsPolynomial, ...]:
         """Convert a coefficient-domain polynomial; one target-basis element per digit."""
@@ -271,9 +251,12 @@ class StackedBasisConversion:
         )
 
 
-@lru_cache(maxsize=None)
 def stacked_conversion_for(
     source: RnsBasis, target: RnsBasis, partitions: tuple[tuple[int, int], ...]
 ) -> StackedBasisConversion:
-    """Cached :class:`StackedBasisConversion` per (source, target, partition)."""
-    return StackedBasisConversion(source=source, target=target, partitions=partitions)
+    """The :class:`StackedBasisConversion` per (source, target, partition).
+
+    Memoised on the chain, like :func:`conversion_for`.
+    """
+    build = partial(StackedBasisConversion, source, target, partitions)
+    return chain_constant(("stacked_bconv", partitions), (source, target), build)

@@ -171,8 +171,7 @@ def _record(name: str) -> None:
 
 
 # ---------------------------------------------------------------- numpy impls
-# Each numpy implementation replays the eager expression it replaced (for
-# ModDown, `numtheory.crt.subtract_and_divide`) op for op.
+# Each numpy implementation replays the eager expression it replaced op for op.
 def _np_moddown_sub_div(residues, subtrahend, moduli, inverses):
     diff = residues + (moduli - subtrahend)
     diff = np.where(diff >= moduli, diff - moduli, diff)
@@ -261,11 +260,10 @@ def implementations(name: str) -> dict[str, object]:
 
 # ------------------------------------------------------------ public kernels
 def moddown_sub_div(residues, subtrahend, moduli, inverses):
-    """Fused ModDown correction: ``(residues - subtrahend) * inverses mod q``.
+    """Fused RNS division: ``(residues - subtrahend) * inverses mod q``.
 
-    Bit-identical to `repro.numtheory.crt.subtract_and_divide`'s eager pass
-    sequence; ``moduli``/``inverses`` broadcast the same way (per-limb
-    columns against ``(..., L, N)`` residues).
+    The ModDown correction and the rescale: ``moduli``/``inverses`` are
+    per-limb columns broadcast against ``(..., L, N)`` residues.
     """
     _record("moddown_sub_div")
     return _IMPLS[active_mode()]["moddown_sub_div"](

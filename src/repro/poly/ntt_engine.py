@@ -11,16 +11,17 @@ and a limb subset of a stack (``limbs=slice``) runs on views of the stack's
 own tables.  Stacks also accept *stacked operands*: any leading batch axes
 before the ``(L, N)`` tail (e.g. the ``(dnum, L', N)`` all-digit tensor the
 fused key switch builds) ride through the same cascade, so converting every
-key-switch digit still counts as a single transform pass.  Stacks are
-memoised process-wide via :func:`plan_stack_for`; moduli no backend covers
-exactly are not planned, and callers fall back to the big-int-safe
+key-switch digit still counts as a single transform pass.  Moduli no backend
+covers exactly are not planned, and callers fall back to the big-int-safe
 reference path.
 
-Tables are per limb, so there is one table set per modulus *chain*: CKKS
-parameters register their ``Q_L·P`` chain (:func:`register_chain`), and the
-stack of every basis drawn from it -- each level ``Q_l``, each extended
-basis ``Q_l·P`` -- is a view of the chain's tables, one or two row ranges of
-them.
+Tables are per limb, so there is one table set per modulus *chain*, owned
+by the chain: CKKS parameters hold their ``Q_L·P`` chain, interned by its
+exact key (:func:`register_chain`), and every basis they hand out names it
+and runs on the chain's view of its moduli (:meth:`NttPlanStack.view`) --
+one or two row ranges of its tables.  Constants derived from the chain are
+memo entries on it (:meth:`NttPlanStack.constant`), so they die with it.  A
+bare moduli tuple gets a chain-less stack from :func:`plan_stack_for`.
 
 Backends
 --------
@@ -1087,12 +1088,12 @@ class NttPlanStack:
     whichever backend executes the call.  A single-modulus ring is the
     ``L = 1`` stack.
 
-    Tables belong to the ``chain`` stack.  A basis drawn from a registered
-    chain (:func:`register_chain`) owns none: its limbs are row ``ranges``
-    of the chain (``Q_l`` is rows ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows
-    ``[:l]`` and ``[L:L+alpha]``), and every rung runs on views of the
-    chain's tables.  Any other stack is its own one-chain set.  Table
-    builds, the rung verdicts and the butterfly scratch are per chain.
+    Tables belong to the ``chain`` stack.  A :meth:`view` of a chain owns
+    none: its limbs are row ``ranges`` of the chain (``Q_l`` is rows
+    ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows ``[:l]`` and ``[L:L+alpha]``), and
+    every rung runs on views of the chain's tables.  Any other stack is its
+    own one-chain set.  Table builds, the rung verdicts, the butterfly
+    scratch, the views and the derived constants are per chain.
 
     ``backend`` pins the execution backend (a member of :data:`BACKENDS`);
     the default ``None`` defers to :func:`resolve_backend` on every call, so
@@ -1148,6 +1149,8 @@ class NttPlanStack:
         self._butterfly: _Butterfly | None = None
         #: Per fast rung: ``(generation, passed)`` of its last vet.
         self._verdicts: dict[str, tuple[int, bool]] = {}
+        self._views: dict[tuple[int, ...], tuple] = {}
+        self._constants: dict = {}
         # Guards the table builds and the verdicts; re-entrant because a
         # vet builds the tables it probes.
         self._lock = threading.RLock()
@@ -1156,6 +1159,30 @@ class NttPlanStack:
     def limb_count(self) -> int:
         """Number of stacked limbs L."""
         return len(self.moduli)
+
+    # ---------------------------------------------------------- chain owner
+    def view(self, moduli: tuple[int, ...]) -> tuple["NttPlanStack", tuple]:
+        """The stack the basis ``moduli`` runs on and its chain row ranges, memoised.
+
+        A view of the chain's tables, but a chain whose four-step split is
+        exact for only some limbs shares none: its bases keep their own rung.
+        """
+        entry = self._views.get(moduli)
+        if entry is None:
+            stack = self
+            if moduli != self.moduli:
+                exact = {four_step_supported(self.degree, (q,)) for q in self.moduli}
+                shared = self if len(exact) == 1 else None
+                stack = NttPlanStack(moduli, self.degree, chain=shared)
+            rows = _ranges([self.moduli.index(q) for q in moduli])
+            entry = (stack, tuple((part.start, part.stop) for _, part in rows))
+            entry = self._views.setdefault(moduli, entry)
+        return entry
+
+    def constant(self, key, build):
+        """``build()``, memoised on the chain under ``key`` (first build wins)."""
+        value = self._constants.get(key)
+        return value if value is not None else self._constants.setdefault(key, build())
 
     # ---------------------------------------------------------------- tables
     def _built(self, name: str, build):
@@ -1455,54 +1482,36 @@ class NttPlanStack:
 
 
 # ---------------------------------------------------------------- plan cache
+#: Chain-less stacks of bare moduli tuples (tests, paper benches, `PolyRing`).
 _STACK_CACHE = register_cache(
     BoundedLruCache(name="ntt.plan_stacks", capacity=128)
 )
-#: Registered chains by ``(moduli, degree)``, alive while their parameters
-#: or a view of them hold them.
+#: Interned chains by ``(moduli, degree)``, alive while something holds them.
 _CHAINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _CHAINS_LOCK = threading.Lock()
 
 
 def plan_stack_for(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
-    """Return the cached :class:`NttPlanStack` for an RNS basis' moduli.
+    """Return the cached chain-less :class:`NttPlanStack` for bare ``moduli``.
 
-    A basis whose every modulus is a limb of a registered chain is a view of
-    that chain's tables; any other basis is its own one-chain set.  A
-    single-modulus ring is ``plan_stack_for((q,), N)``.
+    A single-modulus ring is ``plan_stack_for((q,), N)``.
     """
     key = (tuple(int(q) for q in moduli), degree)
-    return _STACK_CACHE.get_or_create(
-        key, lambda: NttPlanStack(*key, chain=_chain_for(*key))
-    )
-
-
-def _chain_for(moduli: tuple[int, ...], degree: int) -> NttPlanStack | None:
-    """The first live registered chain holding every one of ``moduli``."""
-    wanted = set(moduli)
-    with _CHAINS_LOCK:
-        chains = list(_CHAINS.values())
-    for chain in chains:
-        if chain.degree == degree and wanted <= set(chain.moduli):
-            return chain
-    return None
+    return _STACK_CACHE.get_or_create(key, lambda: NttPlanStack(*key))
 
 
 def register_chain(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
-    """Serve every basis drawn from the chain ``moduli`` from its table set.
+    """The interned table set of the chain ``moduli`` at ``degree``.
 
-    CKKS parameters register their ``Q_L·P`` chain when built and hold the
-    returned stack, which keeps the chain registered however the plan cache
-    evicts.  A chain is shared only when the four-step split (at the widest
-    limb's shift) is exact for all of its limbs or for none, so every view
-    runs on the rung its own moduli resolve to.
+    Equal keys return the same live stack, so equal parameter sets share one
+    table set; a key nobody holds any more is built afresh.
     """
-    stack = plan_stack_for(moduli, degree)
-    if stack.chain is stack:
-        if len({four_step_supported(degree, (q,)) for q in stack.moduli}) == 1:
-            with _CHAINS_LOCK:
-                _CHAINS[stack.moduli, degree] = stack
-    return stack
+    key = (tuple(moduli), degree)
+    with _CHAINS_LOCK:
+        chain = _CHAINS.get(key)
+        if chain is None:
+            chain = _CHAINS[key] = NttPlanStack(*key)
+    return chain
 
 
 def verify_plan(stack: NttPlanStack) -> bool:

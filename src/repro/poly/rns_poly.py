@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.diagnostics import BoundedLruCache, register_cache
 from repro.numtheory.crt import RnsBasis
-from repro.poly.ntt_engine import plan_stack_for, supports
+from repro.poly.ntt_engine import NttPlanStack, plan_stack_for, register_chain, supports
 from repro.poly.ring import PolyRing, automorphism_tables
 
-_RING_CACHE: dict[tuple[int, int], PolyRing] = {}
+_RING_CACHE = register_cache(BoundedLruCache(name="rns.rings", capacity=128))
 
 COEFF_DOMAIN = "coeff"
 EVAL_DOMAIN = "eval"
@@ -28,12 +29,30 @@ def ring_for(degree: int, modulus: int) -> PolyRing:
     Root-of-unity discovery is not free, and CKKS touches the same handful of
     limb moduli millions of times, so rings are memoised process-wide.
     """
-    key = (degree, modulus)
-    ring = _RING_CACHE.get(key)
-    if ring is None:
-        ring = PolyRing(degree=degree, modulus=modulus)
-        _RING_CACHE[key] = ring
-    return ring
+    return _RING_CACHE.get_or_create(
+        (degree, modulus), lambda: PolyRing(degree=degree, modulus=modulus)
+    )
+
+
+def basis_plan(basis: RnsBasis) -> NttPlanStack | None:
+    """The stack ``basis`` transforms on: its chain's view, or a chain-less one.
+
+    ``None`` for moduli no backend covers (the reference ring path).
+    """
+    if basis.chain is not None:
+        return register_chain(basis.chain, basis.degree).view(basis.moduli)[0]
+    if supports(basis.moduli, basis.degree):
+        return plan_stack_for(basis.moduli, basis.degree)
+    return None
+
+
+def chain_constant(key, bases: tuple[RnsBasis, ...], build):
+    """``build()``, memoised on the chain all ``bases`` name (else built afresh)."""
+    chain = bases[0].chain
+    if chain is None or any(basis.chain != chain for basis in bases[1:]):
+        return build()
+    owner = register_chain(chain, bases[0].degree)
+    return owner.constant((key, *(owner.view(b.moduli)[1] for b in bases)), build)
 
 
 def _stacked_transform(
@@ -48,8 +67,8 @@ def _stacked_transform(
     riding along as batch dimensions; oversized moduli fall back to the exact
     per-limb ring transforms (row by row, since the reference path only
     guarantees 1-D inputs).  With ``limbs`` (a slice of the limb axis) the
-    tensor holds only those limbs of the basis.  Either way the pass runs on
-    the tables of the basis' chain (see `repro.poly.ntt_engine`).
+    tensor holds only those limbs of the basis.  The pass runs on the tables
+    of the basis' chain (:func:`basis_plan`).
     """
     stacked = np.asarray(stacked, dtype=np.uint64)
     moduli = basis.moduli if limbs is None else basis.moduli[limbs]
@@ -58,8 +77,8 @@ def _stacked_transform(
             f"stacked tensor has shape {stacked.shape}, expected "
             f"(..., {len(moduli)}, {basis.degree})"
         )
-    if supports(basis.moduli, basis.degree):
-        stack = plan_stack_for(basis.moduli, basis.degree)
+    stack = basis_plan(basis)
+    if stack is not None:
         transform = stack.forward if forward else stack.inverse
         return transform(stacked, limbs)
     out = np.empty_like(stacked)
@@ -311,7 +330,5 @@ class RnsPolynomial:
         """Truncate to the first ``count`` limbs (no value correction)."""
         if not 1 <= count <= self.limb_count:
             raise ValueError("invalid limb count")
-        new_basis = RnsBasis(moduli=self.basis.moduli[:count], degree=self.degree)
-        return RnsPolynomial(
-            new_basis, self.residues[..., :count, :].copy(), self.domain
-        )
+        basis = self.basis.sub_basis(0, count)
+        return RnsPolynomial(basis, self.residues[..., :count, :].copy(), self.domain)

@@ -40,6 +40,7 @@ from repro.diagnostics import BoundedLruCache, WeakCacheGroup
 from repro.errors import BackendExactnessError, DeadlineExceeded
 from repro.numtheory.crt import RnsBasis
 from repro.poly import gemm_mod, ntt_engine
+from repro.poly.rns_poly import basis_plan
 from repro.serving import InferenceRequest, InferenceServer, TenantRegistry
 from repro.testing.chaos import build_tenants
 from repro.testing.faults import corrupted_four_step_tables
@@ -871,7 +872,7 @@ class TestIntraRequestParallelism:
         with parallel.core_budget_scope(2):
             expected = transform.apply(evaluator, ciphertext)
             extended = env["params"].extended_basis(ciphertext.level)
-            stack = ntt_engine.plan_stack_for(extended.moduli, extended.degree)
+            stack = basis_plan(extended)
             monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
             previous = gemm_mod.set_strict(True)
             try:

@@ -27,6 +27,7 @@ from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.gemm_mod import set_strict
+from repro.poly.rns_poly import basis_plan, stacked_ntt_forward
 from repro.poly.ntt_engine import (
     BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
@@ -460,20 +461,17 @@ class TestQuarantineRecovery:
         quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
         cooldown = QUARANTINE_COOLDOWN_S
         for level in (params.limbs, 1):
-            # Views of this chain (other suites' chains may hold these moduli).
-            extended, basis = (
-                NttPlanStack(b.moduli, DEGREE, chain=chain)
-                for b in (params.extended_basis(level), params.basis_at_level(level))
-            )
+            # The parameters' own bases dispatch on views of their own chain.
+            extended, basis = params.extended_basis(level), params.basis_at_level(level)
             matrix = np.stack(
                 [np.arange(DEGREE, dtype=np.uint64) % np.uint64(q) for q in basis.moduli]
             )
             truth = NttPlanStack(basis.moduli, DEGREE, backend="reference").forward(
                 matrix
             )
-            with _offset_rows(_four_step_matrix(extended), special):
+            with _offset_rows(_four_step_matrix(basis_plan(extended)), special):
                 engine_clock.advance(cooldown)
-                assert np.array_equal(basis.forward(matrix.copy()), truth)
+                assert np.array_equal(stacked_ntt_forward(basis, matrix.copy()), truth)
                 assert BACKEND_FOUR_STEP in quarantined_backends()
             cooldown *= 2
             assert diagnostics.events("backend_quarantined")[-1]["cooldown_s"] == (

@@ -272,6 +272,7 @@ class TestBlasStaging:
         from repro.numtheory.crt import RnsBasis
         from repro.poly.basis_conversion import conversion_for
         from repro.poly.ntt_engine import plan_stack_for, set_default_backend
+        from repro.poly.rns_poly import basis_plan
 
         def residues(moduli, degree, lead=()):
             return np.stack(
@@ -291,7 +292,7 @@ class TestBlasStaging:
             conv.convert_residues(residues(basis.moduli, 64))
             plan_stack_for(basis.moduli, 64).forward(residues(basis.moduli, 64))
             for split in splits:
-                stack = plan_stack_for(split.moduli, split.degree)
+                stack = basis_plan(split)
                 assert len(stack.ranges) == 2
                 out = stack.forward(residues(split.moduli, split.degree, (2,)))
                 # The output feeds split GEMMs (BConv, key products) as is.

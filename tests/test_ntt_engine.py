@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.params import CkksParameters
 from repro.core.config import PARAMETER_SETS
 from repro.numtheory.bitrev import bit_reverse_indices
 from repro.numtheory.crt import RnsBasis, crt_compose
@@ -144,8 +145,15 @@ class TestCaching:
         assert not bit_reverse_indices(256).flags.writeable
 
     def test_conversion_cache_returns_same_object(self, rns_basis):
-        source = RnsBasis(moduli=rns_basis.moduli[:2], degree=rns_basis.degree)
-        target = RnsBasis(moduli=rns_basis.moduli[2:], degree=rns_basis.degree)
+        """BConv tables are memoised on the chain both bases are drawn from."""
+        params = CkksParameters(
+            degree=rns_basis.degree,
+            modulus_basis=rns_basis.sub_basis(0, 2),
+            special_basis=rns_basis.sub_basis(2, rns_basis.size),
+            scale=2.0**20,
+            dnum=2,
+        )
+        source, target = params.modulus_basis, params.special_basis
         assert conversion_for(source, target) is conversion_for(source, target)
 
     def test_polyring_delegates_to_cached_plan(self, ring):

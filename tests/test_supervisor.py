@@ -9,6 +9,7 @@ is quarantined as :class:`~repro.errors.PoisonRequest` without a third
 crash.
 """
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -514,6 +515,51 @@ class TestShardQuarantine:
         for kind in ("backend_quarantined", "backend_quarantine_lifted"):
             (event,) = diagnostics.events(kind)
             assert event["shard"] == "shard-0"
+
+
+@dataclass
+class ChainProbe:
+    """Serve ``inner``; in a shard, append to ``log`` the live chains and the
+    plan cache's size before and after the request."""
+
+    log: str
+    inner: LinearSquareCircuit
+
+    def __call__(self, session, payload):
+        cached = len(ntt_engine._STACK_CACHE)
+        result = self.inner(session, payload)
+        gc.collect()
+        if in_worker():
+            with open(self.log, "a") as out:
+                chains = len(ntt_engine._CHAINS)
+                out.write(f"{chains} {cached} {len(ntt_engine._STACK_CACHE)}\n")
+        return result
+
+
+class TestShardChains:
+    def test_a_shard_serves_on_its_tenant_chain_alone(self, tmp_path):
+        """Requests re-bind their pickled bases to the shard's one interned
+        chain: after several requests the shard holds one live chain and its
+        plan cache has gained no entries (no second table set is built or
+        vetted per request)."""
+        registry = TenantRegistry()
+        client = build_tenants(registry, ("alice",))[0]
+        work = prepare_work([client], requests=4, rng=np.random.default_rng(5))
+        log = tmp_path / "chains"
+        circuit = ChainProbe(str(log), client.circuit)
+        with InferenceServer(
+            registry, workers=1, workers_mode="process", default_timeout_s=60.0
+        ) as server:
+            for _, _, features, ciphertext in work:
+                ticket = server.submit(
+                    InferenceRequest("alice", circuit, payload=ciphertext)
+                )
+                decoded = client.decode(ticket.result(timeout=60.0))
+                assert np.abs(decoded - client.expected(features)).max() < 1e-3
+        rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len(rows) == len(work)
+        assert [chains for chains, _, _ in rows] == [1] * len(work)
+        assert rows[-1][2] == rows[0][1]
 
 
 # ---------------------------------------------------------------------------
