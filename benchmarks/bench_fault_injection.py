@@ -5,16 +5,17 @@ Run directly (no pytest needed)::
     PYTHONPATH=src python benchmarks/bench_fault_injection.py [--quick] [--json PATH]
 
 Drives the `repro.testing` fault-injection harness through one drill per
-fault class -- ciphertext payload bit flips, corrupted butterfly twist
-tables, corrupted four-step GEMM constants, a miscomputing GEMM cascade,
-and dispatch fed false exactness facts -- and classifies each outcome:
+fault class -- ciphertext payload bit flips, corrupted four-step GEMM
+constants (before and after the chain's vet), a miscomputing GEMM cascade,
+and tables built on a false exactness fact -- and classifies each outcome:
 
 * **detected** -- the fault surfaced as a typed :class:`repro.errors.ReproError`
   at the operator or kernel boundary;
-* **healed** -- the faulty backend was quarantined, dispatch fell down the
-  degradation ladder (``four_step -> butterfly -> reference``), the observed
-  results stayed bit-exact, and the reroute was recorded in
-  `repro.diagnostics`;
+* **healed** -- the observed results stayed bit-exact and the reaction was
+  the one the fault calls for, recorded in `repro.diagnostics`: corrupted
+  tables are rebuilt (at once, or when the quarantine ``verify_plan``
+  tripped lapses), and a fault a rebuild cannot fix quarantines
+  ``four_step`` so dispatch falls back to ``reference``;
 * **silent** -- anything else: the fault neither raised nor healed, or a
   "healed" result was not bit-exact.  **The gate requires silent == 0.**
 
@@ -42,8 +43,9 @@ from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
-    BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
+    BACKEND_REFERENCE,
+    QUARANTINE_COOLDOWN_S,
     NttPlanStack,
     clear_quarantine,
     plan_stack_for,
@@ -53,7 +55,6 @@ from repro.poly.ntt_engine import (
 )
 from repro.testing import (
     calibration_lie,
-    corrupted_butterfly_tables,
     corrupted_four_step_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
@@ -97,15 +98,23 @@ def drill_ciphertext_bit_flip() -> str:
         set_strict(previous)
 
 
+def _events(kind: str) -> int:
+    return len(diagnostics.events(kind))
+
+
 def drill_four_step_tables() -> str:
-    """The build sentinel must quarantine corrupted GEMM constants."""
+    """The vet must catch corrupted GEMM constants and heal by rebuilding."""
     _, plan, probe, truth = _ring()
     reset_sentinels()
     with corrupted_four_step_tables(plan):
         if plan.resolve_backend() != BACKEND_FOUR_STEP:
-            return "silent"  # drill did not reach the faulty backend
+            return "silent"  # drill did not reach the faulty rung
         out = plan.forward(probe.copy())
-        if np.array_equal(out, truth) and BACKEND_FOUR_STEP in quarantined_backends():
+        if (
+            np.array_equal(out, truth)
+            and _events("backend_tables_rebuilt") == 1
+            and not quarantined_backends()
+        ):
             return "healed"
     return "silent"
 
@@ -130,46 +139,59 @@ def drill_four_step_spot_check() -> str:
         set_strict(previous)
 
 
-def drill_butterfly_tables() -> str:
-    """verify_plan must quarantine corrupted twist tables, dispatch must heal."""
-    q, _, probe, truth = _ring()
-    plan = NttPlanStack((q,), DEGREE, backend=BACKEND_BUTTERFLY)
-    with corrupted_butterfly_tables(plan):
-        if verify_plan(plan):
+def drill_vetted_tables() -> str:
+    """Corruption after the vet: verify_plan quarantines, the lapse rebuilds."""
+    _, plan, probe, truth = _ring()
+    plan.forward(probe.copy())  # vet the healthy tables first
+    with corrupted_four_step_tables(plan):
+        if verify_plan(plan) or BACKEND_FOUR_STEP not in quarantined_backends():
             return "silent"
+        if not np.array_equal(plan.forward(probe.copy()), truth):
+            return "silent"  # the reference rung must serve meanwhile
+        time.sleep(QUARANTINE_COOLDOWN_S)
         out = plan.forward(probe.copy())
-        if np.array_equal(out, truth) and BACKEND_BUTTERFLY in quarantined_backends():
+        if (
+            np.array_equal(out, truth)
+            and _events("backend_quarantine_lifted") == 1
+            and _events("backend_tables_rebuilt") == 1
+            and not quarantined_backends()
+            and plan.resolve_backend() == BACKEND_FOUR_STEP
+        ):
             return "healed"
     return "silent"
 
 
 def drill_gemm_outputs() -> str:
-    """A miscomputing GEMM cascade must fail the known-answer sentinel."""
+    """A miscomputing GEMM cascade survives the rebuild: quarantine, reference."""
     _, plan, probe, truth = _ring()
     reset_sentinels()
     with perturbed_gemm_outputs():
         if plan.resolve_backend() != BACKEND_FOUR_STEP:
             return "silent"
         out = plan.forward(probe.copy())
-        if np.array_equal(out, truth) and BACKEND_FOUR_STEP in quarantined_backends():
+        if (
+            np.array_equal(out, truth)
+            and _events("backend_tables_rebuilt") == 1
+            and BACKEND_FOUR_STEP in quarantined_backends()
+        ):
             return "healed"
     return "silent"
 
 
 def drill_calibration_lie() -> str:
-    """Lied exactness facts must be refused by the vetted-table check."""
+    """Tables split one chunk short must fail the vet and its rebuild."""
     q = generate_ntt_prime(30, 8192)
     plan = plan_stack_for((q,), 8192)
-    if ntt_engine.four_step_supported(8192, (q,)):
-        return "silent"  # ring unexpectedly exact; the lie has no bite
     probe = (np.arange(8192, dtype=np.uint64) * np.uint64(97)) % np.uint64(q)
     probe = probe[None, :]
-    truth = plan.forward(probe.copy())
-    with calibration_lie():
-        if plan.resolve_backend() != BACKEND_FOUR_STEP:
-            return "silent"
+    truth = NttPlanStack((q,), 8192, backend=BACKEND_REFERENCE).forward(probe)
+    with calibration_lie(plan):
         out = plan.forward(probe.copy())
-        if np.array_equal(out, truth) and diagnostics.events("backend_fallback"):
+        if (
+            np.array_equal(out, truth)
+            and _events("backend_tables_rebuilt") == 1
+            and BACKEND_FOUR_STEP in quarantined_backends()
+        ):
             return "healed"
     return "silent"
 
@@ -178,7 +200,7 @@ DRILLS = [
     ("ciphertext_bit_flip", drill_ciphertext_bit_flip),
     ("four_step_table_corruption", drill_four_step_tables),
     ("four_step_strict_spot_check", drill_four_step_spot_check),
-    ("butterfly_table_corruption", drill_butterfly_tables),
+    ("vetted_table_corruption", drill_vetted_tables),
     ("gemm_output_perturbation", drill_gemm_outputs),
     ("calibration_lie", drill_calibration_lie),
 ]

@@ -160,9 +160,8 @@ class BackendExactnessError(ReproError, ArithmeticError):
 
     Raised when a known-answer probe or strict-mode spot check catches a
     backend producing wrong residues (hardware fault, corrupted tables,
-    miscalibration).  The dispatch layer quarantines the backend and degrades
-    four_step -> butterfly -> reference instead of corrupting
-    ciphertexts.
+    miscalibration).  The dispatch layer quarantines the backend and falls
+    back four_step -> reference instead of corrupting ciphertexts.
     """
 
 

@@ -9,7 +9,7 @@ container that the polynomial and CKKS layers build on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class RnsBasis:
             raise ValueError("RNS moduli must be distinct")
         if not self.moduli:
             raise ValueError("RNS basis needs at least one modulus")
-        object.__setattr__(self, "_hat_inverses", tuple(self._compute_hat_inverses()))
         # Cached read-only moduli vector: the hot limb-wise paths broadcast it
         # on every operation, so it must not be rebuilt per property access.
         # (Stored outside the dataclass fields to keep eq/hash tuple-based.)
@@ -119,10 +118,15 @@ class RnsBasis:
         """Moduli as a shared read-only uint64 NumPy array (one per limb)."""
         return self._moduli_array
 
-    def _compute_hat_inverses(self) -> list[int]:
-        """Per-limb ``(Q / q_i)^{-1} mod q_i`` -- the BConv step-1 constants."""
-        big_q = reduce(lambda a, b: a * b, self.moduli, 1)
-        return [mod_inv((big_q // q) % q, q) for q in self.moduli]
+    @cached_property
+    def _hat_inverses(self) -> tuple[int, ...]:
+        """Per-limb ``(Q / q_i)^{-1} mod q_i`` -- the BConv step-1 constants.
+
+        Built on first use: a big-int product and one inverse per limb that
+        level drops and limb slices (:meth:`sub_basis`) never need.
+        """
+        big_q = self.modulus_product
+        return tuple(mod_inv((big_q // q) % q, q) for q in self.moduli)
 
     # ------------------------------------------------------------- operations
     def hat_inverse(self, index: int) -> int:

@@ -8,8 +8,8 @@ The CKKS scheme computes in ``R_Q = Z_Q[x]/(x^N + 1)``.  This package provides
   NTT formulation in the library,
 * ``ntt_engine`` -- the production path: cached ``NttPlanStack`` objects
   transforming whole ``(L, N)`` residue matrices (a single-modulus ring is
-  the ``L = 1`` stack) on the four-step GEMM, butterfly or reference
-  backend, each backend's stacked tables built on its first use,
+  the ``L = 1`` stack) on the four-step GEMM rung, its stacked tables
+  built on first use, with the reference oracle as the one fallback,
 * ``ntt_fourstep`` -- the GPU-style 4-step NTT with its explicit transpose and
   output reordering (the decomposing-layer baseline of paper section III-D),
 * ``ring`` -- a ``PolyRing`` bundling modulus, roots of unity and NTT plans,
@@ -23,7 +23,6 @@ The CKKS scheme computes in ``R_Q = Z_Q[x]/(x^N + 1)``.  This package provides
 from repro.poly.basis_conversion import BasisConversion, conversion_for
 from repro.poly.gemm_mod import as_blas_operand, modular_matmul
 from repro.poly.ntt_engine import (
-    BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
     NttPlanStack,
@@ -53,7 +52,6 @@ from repro.poly.ring import PolyRing
 from repro.poly.rns_poly import RnsPolynomial
 
 __all__ = [
-    "BACKEND_BUTTERFLY",
     "BACKEND_FOUR_STEP",
     "BACKEND_REFERENCE",
     "BasisConversion",

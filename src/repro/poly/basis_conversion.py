@@ -55,15 +55,7 @@ class BasisConversion:
     def __post_init__(self) -> None:
         if self.source.degree != self.target.degree:
             raise ValueError("source and target bases must share the ring degree")
-        self.hat_inverses = np.array(
-            [self.source.hat_inverse(i) for i in range(self.source.size)],
-            dtype=np.uint64,
-        )
-        # conversion_matrix[j, i] = (Q / q_i) mod p_j  (pre-known, compiled offline)
-        matrix = np.empty((self.target.size, self.source.size), dtype=np.uint64)
-        for j, p_j in enumerate(self.target.moduli):
-            for i in range(self.source.size):
-                matrix[j, i] = self.source.hat_modulo(i, p_j)
+        self.hat_inverses, matrix = _conversion_constants(self.source, self.target)
         self.conversion_matrix = matrix
         self._split_shift, self._matrix_hi, self._matrix_lo = _split_matrix(
             matrix, self.source.moduli, self.target.moduli
@@ -123,6 +115,23 @@ class BasisConversion:
         return RnsPolynomial(self.target, residues, COEFF_DOMAIN)
 
 
+def _conversion_constants(
+    source: RnsBasis, target: RnsBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """``source``'s hat inverses ``(L,)`` and the ``(L', L)`` conversion matrix.
+
+    ``matrix[j, i] = (Q / q_i) mod p_j`` (pre-known, compiled offline).
+    """
+    hat = np.array(
+        [source.hat_inverse(i) for i in range(source.size)], dtype=np.uint64
+    )
+    matrix = np.empty((target.size, source.size), dtype=np.uint64)
+    for j, p_j in enumerate(target.moduli):
+        for i in range(source.size):
+            matrix[j, i] = source.hat_modulo(i, p_j)
+    return hat, matrix
+
+
 def _chunked_matmul(
     matrix: np.ndarray, scaled: np.ndarray, source: RnsBasis, target: RnsBasis
 ) -> np.ndarray:
@@ -159,9 +168,10 @@ def conversion_for(source: RnsBasis, target: RnsBasis) -> BasisConversion:
 class StackedBasisConversion:
     """All-digit BConv: every key-switch digit converted in one batched matmul.
 
-    The per-digit :class:`BasisConversion` tables are stacked into one block
+    Each digit's conversion constants are written straight into one block
     conversion matrix of shape ``(D, L', L)`` (zero outside each digit's
-    column range) and one fused ``(L,)`` hat-inverse vector, so converting all
+    column range) and one fused ``(L,)`` hat-inverse vector -- no per-digit
+    :class:`BasisConversion` is built -- so converting all
     ``D = dnum`` digits of an ``(L, N)`` residue matrix becomes a single
     elementwise scale followed by one ``(D, L', L) x (L, N)`` modular einsum
     -- the dense Decomposing-layer matmul the paper's compiler hands to the
@@ -206,9 +216,9 @@ class StackedBasisConversion:
             (digit_count, self.target.size, self.source.size), dtype=np.uint64
         )
         for d, (start, stop) in enumerate(self.partitions):
-            digit = conversion_for(self.source.sub_basis(start, stop), self.target)
-            hat[start:stop] = digit.hat_inverses
-            block[d, :, start:stop] = digit.conversion_matrix
+            hat[start:stop], block[d, :, start:stop] = _conversion_constants(
+                self.source.sub_basis(start, stop), self.target
+            )
         self.hat_inverses = hat
         self.block_matrix = block
         self._split_shift, self._block_hi, self._block_lo = _split_matrix(

@@ -2,14 +2,16 @@
 
 The paper's core mapping trick is that HE's word-sized modular matrix
 multiplications run at matrix-engine speed once the constant operand is split
-into two narrow halves.  A modular product ``matrix @ operand (mod p)`` with
-``matrix = hi * 2**shift + lo`` becomes two *float64* GEMMs
+into narrow chunks (BAT splits into bytes).  A modular product
+``matrix @ operand (mod p)`` with ``matrix = hi * 2**shift + lo`` becomes two
+*float64* GEMMs
 
     result = (((hi @ operand) mod p) << shift  +  (lo @ operand)) mod p
 
 and is **bit-exact** whenever every dot product stays below ``2**53``
-(float64's exact-integer range).  Both the RNS basis conversion
-(`repro.poly.basis_conversion`) and the four-step NTT backend
+(float64's exact-integer range).  Where two chunks are too wide for that, a
+``K``-chunk split recombines by Horner's rule -- reduce, scale, add, reduce.
+Both the RNS basis conversion (`repro.poly.basis_conversion`) and the four-step NTT backend
 (`repro.poly.ntt_engine`) execute their constant-matrix contractions through
 this one kernel, so the exactness analysis, the operand staging and the
 BLAS-dispatch hygiene live in a single place.
@@ -17,14 +19,15 @@ BLAS-dispatch hygiene live in a single place.
 Exactness bound
 ---------------
 For a matrix with entries below ``2**matrix_bits``, operands below
-``2**operand_bits`` and an inner (contraction) length ``K``, the split at
-``shift`` is exact iff::
+``2**operand_bits`` and an inner (contraction) length ``n``, a split into
+chunks of ``shift`` bits is exact iff::
 
-    operand_bits + max(shift, matrix_bits - shift) + ceil(log2(K)) <= 53
+    operand_bits + shift + ceil(log2(n)) <= 52
 
-:func:`split_shift` picks the balanced ``shift = ceil(matrix_bits / 2)`` and
-returns ``None`` when no exact split exists, in which case callers keep their
-chunked-integer fallbacks (`modular_matmul` automates that choice).
+:func:`split_shift` picks the balanced ``shift = ceil(matrix_bits / chunks)``
+and returns ``None`` when that split is not exact, in which case callers take
+more chunks or keep their chunked-integer fallbacks (`modular_matmul`
+automates that choice).
 
 Contiguity
 ----------
@@ -96,37 +99,46 @@ def as_blas_operand(
 
 
 def split_shift(
-    operand_bits: int, matrix_bits: int, inner_length: int
+    operand_bits: int, matrix_bits: int, inner_length: int, chunks: int = 2
 ) -> int | None:
-    """The balanced hi/lo split shift, or ``None`` when no exact split exists.
+    """The chunk width of a balanced ``chunks``-way split, or ``None`` if inexact.
 
-    Two bounds must hold: every GEMM dot product stays below ``2**52``
-    (float64-exact with a spare bit for the reciprocal reduction), and the
-    recombination ``hi_reduced * 2**shift + lo`` — where ``hi_reduced`` lies
-    lazily in ``(-q, 2q)`` with ``q < 2**matrix_bits`` — stays below
-    ``2**53`` as well, i.e. ``matrix_bits + 1 + shift <= 52``.  The second
-    bound only binds when the matrix (target) modulus is much wider than the
-    operands; callers fall back to their integer paths in that case.
+    The width is ``ceil(matrix_bits / chunks)``.  Two bounds must hold: every
+    GEMM dot product stays below ``2**52`` (float64-exact with a spare bit
+    for the reciprocal reduction), and each Horner step
+    ``acc_reduced * 2**shift + chunk`` — where ``acc_reduced`` lies lazily in
+    ``(-q, 2q)`` with ``q < 2**matrix_bits`` — stays below ``2**53`` as well,
+    i.e. ``matrix_bits + 1 + shift <= 52``.  The second bound only binds when
+    the matrix (target) modulus is much wider than the operands; callers fall
+    back to their integer paths in that case.
     """
     if inner_length < 1:
         raise ParameterError("inner (contraction) length must be positive")
-    shift = (matrix_bits + 1) // 2
+    shift = -(-matrix_bits // chunks)
     length_bits = max(1, inner_length - 1).bit_length()
-    if operand_bits + max(shift, matrix_bits - shift) + length_bits > FLOAT64_EXACT_BITS:
+    if operand_bits + shift + length_bits > FLOAT64_EXACT_BITS:
         return None
     if matrix_bits + 1 + shift > FLOAT64_EXACT_BITS:
         return None
     return shift
 
 
-def split_halves(matrix: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """C-contiguous float64 ``(hi, lo)`` halves of a uint64 constant matrix."""
+def split_halves(
+    matrix: np.ndarray, shift: int, chunks: int = 2
+) -> tuple[np.ndarray, ...]:
+    """C-contiguous float64 ``shift``-bit chunks of a uint64 constant matrix.
+
+    Most significant first, so ``matrix == sum(c_k << shift * (chunks-1-k))``
+    for entries below ``2**(shift * chunks)``; two chunks are ``(hi, lo)``.
+    """
     matrix = np.asarray(matrix, dtype=np.uint64)
-    hi = np.ascontiguousarray((matrix >> np.uint64(shift)).astype(np.float64))
-    lo = np.ascontiguousarray(
-        (matrix & np.uint64((1 << shift) - 1)).astype(np.float64)
+    mask = np.uint64((1 << shift) - 1)
+    return tuple(
+        np.ascontiguousarray(
+            ((matrix >> np.uint64(shift * k)) & mask).astype(np.float64)
+        )
+        for k in reversed(range(chunks))
     )
-    return hi, lo
 
 
 def split_matrix(

@@ -1,4 +1,4 @@
-"""Limb-stacked negacyclic NTT engine: one plan type, three bit-exact backends.
+"""Limb-stacked negacyclic NTT engine: one plan type, two bit-exact rungs.
 
 The reference transform (`repro.poly.ntt_reference`) is bit-exact but rebuilds
 its twiddle, twist, and bit-reversal tables inside Python loops on every call.
@@ -11,9 +11,9 @@ and a limb subset of a stack (``limbs=slice``) runs on views of the stack's
 own tables.  Stacks also accept *stacked operands*: any leading batch axes
 before the ``(L, N)`` tail (e.g. the ``(dnum, L', N)`` all-digit tensor the
 fused key switch builds) ride through the same cascade, so converting every
-key-switch digit still counts as a single transform pass.  Moduli no backend
-covers exactly are not planned, and callers fall back to the big-int-safe
-reference path.
+key-switch digit still counts as a single transform pass.  Moduli the engine
+cannot plan exactly (``q >= 2**32``, or ``N > 2**16``) are not planned, and
+callers fall back to the big-int-safe reference path.
 
 Tables are per limb, so there is one table set per modulus *chain*, owned
 by the chain: CKKS parameters hold their ``Q_L·P`` chain, interned by its
@@ -23,55 +23,50 @@ one or two row ranges of its tables.  Constants derived from the chain are
 memo entries on it (:meth:`NttPlanStack.constant`), so they die with it.  A
 bare moduli tuple gets a chain-less stack from :func:`plan_stack_for`.
 
-Backends
---------
-Every stack fronts three interchangeable, bit-exact backends (the paper's
-thesis is that the NTT *is* a block matmul, so it should run on the matrix
-engine):
+Rungs
+-----
+Every stack fronts two interchangeable, bit-exact rungs (the paper's thesis
+is that the NTT *is* a block matmul, so it should run on the matrix engine):
 
 * ``four_step`` -- the transform factored as ``N = n1 * n2``: column NTTs as
   a precomputed ``(n1, n1)`` twiddle-matrix matmul, a cached mod-``q`` twist,
-  and row NTTs as an ``(n2, n2)`` matmul, both matmuls executed by the exact
-  hi/lo split-float64 BLAS GEMM kernel shared with BConv
-  (`repro.poly.gemm_mod`);
-* ``butterfly`` -- a radix-2 cascade over the bit-reversal permutation,
-  per-stage twiddle tables, and twist / untwist vectors (``N^{-1}`` folded
-  in).  Multiplication by a precomputed constant uses Shoup's method (two
-  word multiplies), and the butterflies are *lazy* in Harvey's sense:
-  intermediates live in ``[0, 4q)``, each stage performs a single
-  conditional subtraction of ``2q``, and values are reduced to ``[0, q)``
-  once at the end.  Exact for any ``q < 2**30``; and
+  and row NTTs as an ``(n2, n2)`` matmul, both matmuls executed as exact
+  split-float64 BLAS GEMMs (`repro.poly.gemm_mod`).  Each constant matrix is
+  split into ``K`` chunks, in the spirit of the paper's BAT byte split: two
+  where that is exact at the chain's widest limb, else three, which keeps
+  every ``q < 2**32`` exact up to ``N = 2**16``; and
 * ``reference`` -- the per-call table-building oracle
   (`repro.poly.ntt_reference`).
 
-Each rung's tables are built once per chain, stacked, on the first dispatch
-to that rung (or by :meth:`NttPlanStack.warm`), so a chain that never
-leaves ``four_step`` holds no butterfly tables.
-Every table entry is a power of the limb's primitive ``2N``-th root ``psi``
-(the root `PolyRing` uses), gathered from one per-limb power table.
+The four-step tables are built once per chain, stacked, on the first
+dispatch (or by :meth:`NttPlanStack.warm`).  Every table entry is a power of
+the limb's primitive ``2N``-th root ``psi`` (the root `PolyRing` uses),
+gathered from one per-limb power table.
 
-``NttPlanStack.backend`` pins a backend explicitly; the default (``None``)
+``NttPlanStack.backend`` pins a rung explicitly; the default (``None``)
 defers to :func:`resolve_backend`: the ``REPRO_NTT_BACKEND`` environment
 override or :func:`set_default_backend`, where ``auto`` means ``four_step``
-when its split is exact and it is not quarantined, else ``butterfly``, else
-``reference``.  Dispatch never selects a backend that would be inexact for
-the ring's modulus width.
+unless it is quarantined, else ``reference``.
 
-Quarantine and recovery
------------------------
-A chain runs a fast rung only after a known-answer vet of that rung's
-tables over every row of the chain (:meth:`NttPlanStack._vetted`); the
-verdict holds for the rung's current *generation*.  A failed vet, a
-strict-mode spot check or :func:`verify_plan` quarantines the rung
-process-wide, which bumps its generation, and dispatch walks down the
-ladder.  A quarantine lapses by itself after its cooldown
+Vet, rebuild, quarantine and recovery
+-------------------------------------
+A chain runs ``four_step`` only after a known-answer vet of its tables over
+every row of the chain (:meth:`NttPlanStack._vetted`); the verdict holds for
+the rung's current *generation*.  Tables are a deterministic function of the
+chain, so a failed vet first rebuilds them and probes the rebuild (one
+``backend_tables_rebuilt`` event): corrupted tables heal there.  Only a
+rebuild that fails too -- which points at BLAS or dispatch, not memory --
+quarantines the rung process-wide, which bumps its generation, and dispatch
+falls back to ``reference``.  A strict-mode spot check or :func:`verify_plan`
+quarantines directly.  A quarantine lapses by itself after its cooldown
 (:data:`QUARANTINE_COOLDOWN_S`, doubled by each quarantine up to
 :data:`QUARANTINE_COOLDOWN_MAX_S`, reset by a passing vet); the lapse is
 noticed by the next dispatch in whichever process runs the transform, and
-each chain then re-vets the rung before using it again.  So a transient
-fault costs the fast rung for a cooldown, corrupted tables stay out with the
-cooldown doubling, and no table set ever runs unvetted.  While no quarantine
-is in force, dispatch reads no clock and takes no lock.
+each chain then re-vets (and if need be rebuilds) its tables before using
+them again.  So corrupted tables heal at the first lapse, a persistent
+kernel fault keeps the rung out with the cooldown doubling, and no table
+set ever runs unvetted.  While no quarantine is in force, dispatch reads no
+clock and takes no lock.
 
 Every ``forward``/``inverse`` entry point counts one *pass* plus the number
 of length-``N`` limb rows it transformed (:func:`transform_counts` /
@@ -87,35 +82,39 @@ import os
 import threading
 import time
 import weakref
-from typing import NamedTuple
 
 import numpy as np
 
 from repro import diagnostics
 from repro.diagnostics import BoundedLruCache, register_cache
 from repro.errors import BackendExactnessError, ParameterError
-from repro.numtheory.bitrev import bit_reverse_indices, is_power_of_two
+from repro.numtheory.bitrev import is_power_of_two
 from repro.numtheory.modular import mod_inv, primitive_nth_root_of_unity
 from repro.poly.gemm_mod import split_halves, split_shift
 from repro.poly.gemm_mod import is_strict as _gemm_is_strict
 from repro.poly.ntt_reference import ntt_forward_negacyclic, ntt_inverse_negacyclic
 
-#: Lazy (Harvey-style) butterflies need ``4q < 2**32`` so every intermediate
-#: fits the 32-bit Shoup precision and uint64 products never overflow.
-MAX_PLAN_MODULUS = 1 << 30
+#: Every planned modulus is below ``2**32``: the twist and the table builds
+#: do single-product mod arithmetic in uint64, so ``q**2`` must fit the word.
+MAX_PLAN_MODULUS = 1 << 32
+#: Below this bound the four-step twist runs as an integer lazy Shoup
+#: multiply (``2q * 2**32`` fits uint64); wider moduli split it in float.
+_SHOUP_TWIST_BOUND = 1 << 30
+#: The most chunks a four-step constant matrix is split into: three keep
+#: every ``q < MAX_PLAN_MODULUS`` exact up to ``N = 2**16``.
+_MAX_CHUNKS = 3
 
 _SHIFT32 = np.uint64(32)
 
 #: Backend identifiers (``NttPlanStack.backend`` / ``REPRO_NTT_BACKEND`` values).
-BACKEND_BUTTERFLY = "butterfly"
 BACKEND_FOUR_STEP = "four_step"
 BACKEND_REFERENCE = "reference"
 BACKEND_AUTO = "auto"
-BACKENDS = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP, BACKEND_REFERENCE)
-#: Backends the quarantine ladder may remove from dispatch (the reference
-#: oracle is the floor of the ladder and can never be quarantined).  The
-#: degradation order is ``four_step -> butterfly -> reference``.
-BACKENDS_QUARANTINABLE = (BACKEND_BUTTERFLY, BACKEND_FOUR_STEP)
+BACKENDS = (BACKEND_FOUR_STEP, BACKEND_REFERENCE)
+#: Backends a quarantine may remove from dispatch (the reference oracle is
+#: the floor of the ladder ``four_step -> reference`` and is never
+#: quarantined).
+BACKENDS_QUARANTINABLE = (BACKEND_FOUR_STEP,)
 
 _BACKEND_ENV = "REPRO_NTT_BACKEND"
 #: Strict-mode runtime spot checks re-verify one transformed row against the
@@ -172,7 +171,7 @@ def _count_pass(direction: str, limb_rows: int) -> None:
 def _psi_powers(moduli: tuple[int, ...], psis: tuple[int, ...], degree: int) -> np.ndarray:
     """``P[l, e] = psi_l**e mod q_l`` for ``e < 2N``, every limb at once.
 
-    Every table either fast backend uses is a gather from this one: its
+    Every four-step table is a gather from this one: its
     entries are powers of the limb's primitive ``2N``-th root, so exponents
     reduce modulo ``2N`` (``psi**-e == psi**(2N - e)``).  Built by vectorized
     doubling; ``q < 2**32`` keeps every product inside uint64.
@@ -208,183 +207,20 @@ def _n_inverse(degree: int, moduli: tuple[int, ...]) -> np.ndarray:
     return np.array([mod_inv(degree, q) for q in moduli], dtype=np.uint64)
 
 
-def _reduce_once(x: np.ndarray, q, scratch: np.ndarray) -> None:
-    """In-place conditional subtract of ``q`` for values in ``[0, 2q)``.
-
-    Uses the wrap-around trick: ``x - q`` underflows past ``x`` whenever
-    ``x < q``, so ``minimum`` selects the reduced representative.
-    """
-    np.subtract(x, q, out=scratch)
-    np.minimum(x, scratch, out=x)
-
-
-def _twist_in_place(data: np.ndarray, w: np.ndarray, w_shoup: np.ndarray, q, hi: np.ndarray) -> None:
-    """Lazy Shoup multiply of ``data`` by a same-shape table, allocation-free.
-
-    ``hi`` is a full-size scratch buffer; ``data`` ends up in ``[0, 2q)``.
-    """
-    np.multiply(data, w_shoup, out=hi)
-    hi >>= _SHIFT32
-    hi *= q
-    data *= w
-    data -= hi
-
-
 def _limb_view(constant, limbs: slice | None):
     """``constant`` restricted to the ``limbs`` slice of its leading limb axis.
 
-    Walks tuples (named ones keep their type) and slices every array: a basic
-    slice of a limb-stacked table is a view, so a limb subset runs on the
-    stack's own tables and no table set is built per subset.  Scalars and
-    markers pass through.
+    Walks tuples and slices every array: a basic slice of a limb-stacked
+    table is a view, so a limb subset runs on the stack's own tables and no
+    table set is built per subset.  Scalars and markers pass through.
     """
     if limbs is None:
         return constant
     if isinstance(constant, np.ndarray):
         return constant[limbs]
     if isinstance(constant, tuple):
-        items = [_limb_view(item, limbs) for item in constant]
-        return constant._make(items) if hasattr(constant, "_make") else tuple(items)
+        return tuple(_limb_view(item, limbs) for item in constant)
     return constant
-
-
-# ------------------------------------------------------------------ butterfly
-#: Stages with at most this many twiddles run on transposed views: the block
-#: axis becomes the inner loop, avoiding per-chunk ufunc overhead on the
-#: tiny contiguous runs of the early stages.
-_TRANSPOSE_MAX_HALF = 8
-
-
-class _Stage(NamedTuple):
-    """One butterfly stage: twiddles and Shoup companions, both orientations.
-
-    ``twiddles``/``shoup`` are ``(L, 1, half)`` and broadcast along the half
-    axis (block-major views); the ``_t`` variants are ``(L, half, 1)`` and
-    broadcast along the block axis instead (transposed views for small-
-    ``half`` stages).  ``identity`` marks the all-ones first stage, whose
-    multiplication (and, with reduced inputs, whose reductions) are skipped.
-    """
-
-    twiddles: np.ndarray
-    shoup: np.ndarray
-    twiddles_t: np.ndarray
-    shoup_t: np.ndarray
-    identity: bool
-
-
-class _Butterfly(NamedTuple):
-    """A stack's butterfly tables, every array with a leading limb axis."""
-
-    fwd_stages: tuple[_Stage, ...]
-    inv_stages: tuple[_Stage, ...]
-    twist_br: np.ndarray
-    twist_br_shoup: np.ndarray
-    untwist: np.ndarray
-    untwist_shoup: np.ndarray
-    q_col: np.ndarray
-    two_q_col: np.ndarray
-
-
-def _butterfly_tables(moduli: tuple[int, ...], psis: tuple[int, ...], degree: int) -> _Butterfly:
-    """Stacked twiddle, twist and untwist tables for the lazy cascade.
-
-    Stage ``s`` (half-length ``h = 2**s``) of the decimation-in-time cyclic
-    NTT multiplies by ``omega**(N/(2h) * j) = psi**(N/h * j)``; the inverse
-    uses the negated exponents.  The twist is applied after the bit-reversal
-    gather, so it is stored bit-reversed; the untwist folds in ``N^{-1}``.
-    """
-    powers = _psi_powers(moduli, psis, degree)
-    q_col = np.array(moduli, dtype=np.uint64)[:, None]
-
-    def stages(sign: int) -> tuple[_Stage, ...]:
-        out = []
-        half = 1
-        while half < degree:
-            twiddles = _gather(powers, sign * (degree // half) * np.arange(half))
-            shoup = _shoup_quotients(twiddles, q_col)
-            out.append(
-                _Stage(
-                    twiddles=twiddles[:, None, :],
-                    shoup=shoup[:, None, :],
-                    twiddles_t=twiddles[:, :, None],
-                    shoup_t=shoup[:, :, None],
-                    identity=bool(np.all(twiddles == 1)),
-                )
-            )
-            half *= 2
-        return tuple(out)
-
-    bitrev = bit_reverse_indices(degree)
-    twist = powers[:, bitrev]
-    n_inv = _n_inverse(degree, moduli)[:, None]
-    untwist = _gather(powers, -np.arange(degree)) * n_inv % q_col
-    return _Butterfly(
-        fwd_stages=stages(1),
-        inv_stages=stages(-1),
-        twist_br=twist,
-        twist_br_shoup=_shoup_quotients(twist, q_col),
-        untwist=untwist,
-        untwist_shoup=_shoup_quotients(untwist, q_col),
-        q_col=q_col,
-        two_q_col=q_col * np.uint64(2),
-    )
-
-
-def _lazy_butterflies(data, stages: tuple[_Stage, ...], q, two_q, scratch) -> None:
-    """In-place lazy DIT butterfly cascade over the last axis of ``(L, N)``.
-
-    Input values must be below ``2q`` (bit-reversed order); outputs are below
-    ``4q``.  The stage tables carry a broadcast limb axis and ``q``/``two_q``
-    are ``(L, 1, 1)`` columns.
-
-    Every stage writes through two reusable half-size scratch buffers
-    (allocated once per thread): the hot loop performs zero allocations,
-    which matters because fresh buffers of NTT size fall through to mmap and
-    pay a page-fault per stage otherwise.
-    """
-    n = data.shape[-1]
-    if n < 2:
-        return
-    lead = data.shape[:-1]
-    for index, stage in enumerate(stages):
-        half = stage.twiddles.shape[-1]
-        length = 2 * half
-        blocks = data.reshape(*lead, n // length, length)
-        if index == 0 and stage.identity:
-            # First stage: twiddle is 1 and inputs are < 2q, so the butterfly
-            # needs no multiplication and no reduction (outputs < 4q).
-            upper = blocks[..., :half]
-            lower = blocks[..., half:]
-            tmp = scratch[0].reshape(*lead, n // length, half)
-            np.add(upper, two_q, out=tmp)
-            tmp -= lower
-            np.add(upper, lower, out=upper)
-            lower[...] = tmp
-            continue
-        if half <= _TRANSPOSE_MAX_HALF and n // length > half:
-            # Small-half stage: make the (large) block axis the inner loop.
-            upper = blocks[..., :half].swapaxes(-1, -2)
-            lower = blocks[..., half:].swapaxes(-1, -2)
-            twiddle_w, twiddle_s = stage.twiddles_t, stage.shoup_t
-            shape = (*lead, half, n // length)
-        else:
-            upper = blocks[..., :half]
-            lower = blocks[..., half:]
-            twiddle_w, twiddle_s = stage.twiddles, stage.shoup
-            shape = (*lead, n // length, half)
-        tmp = scratch[0].reshape(shape)
-        twisted = scratch[1].reshape(shape)
-        # Shoup multiply by the stage twiddles, lazily (result < 2q).
-        np.multiply(lower, twiddle_s, out=tmp)
-        tmp >>= _SHIFT32
-        tmp *= q
-        np.multiply(lower, twiddle_w, out=twisted)
-        twisted -= tmp
-        np.subtract(upper, two_q, out=tmp)
-        np.minimum(upper, tmp, out=tmp)
-        np.add(tmp, twisted, out=upper)
-        tmp += two_q
-        np.subtract(tmp, twisted, out=lower)
 
 
 # ------------------------------------------------------------------ four-step
@@ -437,38 +273,45 @@ def four_step_matrices(
     )
 
 
-def _split_shifts(degree: int, moduli: tuple[int, ...]) -> tuple[int, int] | None:
-    """The column and row GEMM split shifts at the widest limb, or ``None``.
+def _split_shifts(
+    degree: int, moduli: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """``(shift, chunks)`` of the column and of the row GEMM, or ``None``.
 
-    The split bound depends on the modulus width and the ``(n1, n2)``
-    factorisation (inner GEMM length); the second GEMM of either direction
-    consumes lazily reduced operands in ``[0, 2q)``, hence the one-bit
-    operand allowance.  Independently of the float64 bound, the twist stage
-    and table construction do single-product mod arithmetic in uint64, so
-    ``q < 2**32`` is required (``q**2`` must fit the word).
+    Each GEMM takes the fewest chunks (two, else three) whose split is exact
+    at the widest limb: the bound depends on the modulus width and the
+    ``(n1, n2)`` factorisation (inner GEMM length), and the second GEMM of
+    either direction consumes lazily reduced operands in ``[0, 2q)``, hence
+    the one-bit operand allowance.  ``None`` where no split is exact:
+    ``q >= MAX_PLAN_MODULUS`` or ``N > 2**16``.
     """
     if not is_power_of_two(degree) or degree < 4:
         return None
-    if any(not 1 < int(q) < (1 << 32) for q in moduli):
+    if any(not 1 < int(q) < MAX_PLAN_MODULUS for q in moduli):
         return None
-    rows, cols = four_step_split(degree)
     bits = max((int(q) - 1).bit_length() for q in moduli)
-    shift1 = split_shift(bits + 1, bits, rows)
-    shift4 = split_shift(bits + 1, bits, cols)
-    if shift1 is None or shift4 is None:
-        return None
-    return shift1, shift4
+    splits = []
+    for inner in four_step_split(degree):
+        for chunks in range(2, _MAX_CHUNKS + 1):
+            shift = split_shift(bits + 1, bits, inner, chunks)
+            if shift is not None:
+                splits.append((shift, chunks))
+                break
+        else:
+            return None
+    return tuple(splits)
 
 
-def _cat_split(matrix: np.ndarray, shift: int) -> np.ndarray:
-    """Float ``[hi; lo]`` halves of a constant matrix, concatenated row-wise.
+def _cat_split(matrix: np.ndarray, shift: int, chunks: int) -> np.ndarray:
+    """Float chunks of a constant matrix, concatenated row-wise (high first).
 
-    Both halves of the split GEMM then run as a single doubled-height BLAS
-    call, halving kernel dispatches on the small tiles the four-step
+    Every chunk of the split GEMM then runs in a single ``chunks``-times-high
+    BLAS call, cutting kernel dispatches on the small tiles the four-step
     factorisation produces.
     """
-    hi, lo = split_halves(matrix, shift)
-    return np.ascontiguousarray(np.concatenate([hi, lo], axis=-2))
+    return np.ascontiguousarray(
+        np.concatenate(split_halves(matrix, shift, chunks), axis=-2)
+    )
 
 
 #: Marker for the two element-wise twist implementations (see _FourStepStack).
@@ -479,12 +322,12 @@ _TWIST_SPLIT = "split"
 def _twist_pack(twist: np.ndarray, moduli, shift_tw: int, q_col) -> tuple:
     """Compile an element-wise twist table into its fastest exact form.
 
-    Lazy-reduced inputs are in ``[0, 2q)``; when every modulus is below the
-    32-bit Shoup precision bound the twist runs as an integer lazy Shoup
+    Lazy-reduced inputs are in ``[0, 2q)``; when every modulus is below
+    :data:`_SHOUP_TWIST_BOUND` the twist runs as an integer lazy Shoup
     multiply (5 passes, no reduction needed after).  Wider moduli use the
     float hi/lo split (f32 tables -- entries < 2**17 are f32-exact).
     """
-    if all(int(q) < MAX_PLAN_MODULUS for q in moduli):
+    if all(int(q) < _SHOUP_TWIST_BOUND for q in moduli):
         # twist < 2**30, so the << 32 stays inside uint64 (build-time only).
         # Tables are stored uint32 (both fit) to halve their cache footprint;
         # uint64-operand multiplies promote back to uint64 losslessly.
@@ -528,31 +371,52 @@ def _under_inverse(q_f: np.ndarray) -> np.ndarray:
 
 #: Per-thread four-step scratch: ONE flat float64 buffer, grown to the
 #: largest cascade this thread has run, plus the views carved out of it per
-#: ``(lead, a, b)`` shape (dropped whenever the buffer grows).
+#: ``(lead, a, b, first, second)`` shape (dropped whenever the buffer grows).
 _SCRATCH = threading.local()
 
 
-def _scratch_pool(lead: tuple[int, ...], a: int, b: int) -> dict:
-    """This thread's cascade buffers for a ``(*lead, a, b)`` tile, as views."""
+def _scratch_pool(lead: tuple[int, ...], a: int, b: int, first: int, second: int) -> dict:
+    """This thread's buffers for a ``(*lead, a, b)`` tile, as views.
+
+    ``first``/``second`` are the chunk counts of the cascade's two GEMMs,
+    whose outputs share one region of the buffer.
+    """
     size = math.prod(lead) * a * b
+    end = (1 + max(first, second)) * size
     buffer = getattr(_SCRATCH, "buffer", None)
-    if buffer is None or buffer.size < 5 * size:
-        _SCRATCH.buffer = buffer = np.empty(5 * size)
+    if buffer is None or buffer.size < end + 2 * size:
+        _SCRATCH.buffer = buffer = np.empty(end + 2 * size)
         _SCRATCH.views = {}
-    pool = _SCRATCH.views.get((lead, a, b))
+    key = (lead, a, b, first, second)
+    pool = _SCRATCH.views.get(key)
     if pool is None:
         tile = buffer[:size].reshape(*lead, a, b)
-        gemm = buffer[size : 3 * size].reshape(*lead, 2 * a, b)
         pool = {
             "tile": tile,
             "tile_t": tile.reshape(*lead, b, a),
-            "gemm": gemm,
-            "gemm_t": gemm.reshape(*lead, 2 * b, a),
-            "scratch_t": buffer[3 * size : 4 * size].reshape(*lead, b, a),
-            "twist": buffer[4 * size : 5 * size].reshape(*lead, b, a),
+            "gemm": buffer[size : (1 + first) * size].reshape(*lead, first * a, b),
+            "gemm_t": buffer[size : (1 + second) * size].reshape(*lead, second * b, a),
+            "scratch_t": buffer[end : end + size].reshape(*lead, b, a),
+            "twist": buffer[end + size : end + 2 * size].reshape(*lead, b, a),
         }
-        _SCRATCH.views[(lead, a, b)] = pool
+        _SCRATCH.views[key] = pool
     return pool
+
+
+def _recombine(gemm: np.ndarray, rows: int, scale, q_f, inv_q, scratch) -> np.ndarray:
+    """Horner-recombine a split GEMM's row blocks into its first, lazily reduced.
+
+    ``gemm`` stacks one ``rows``-high block per chunk, most significant
+    first: reduce, scale by ``2**shift``, add the next block, and reduce
+    once more at the end, so values land in ``[0, 2q)``.
+    """
+    acc = gemm[..., :rows, :]
+    for start in range(rows, gemm.shape[-2], rows):
+        _lazy_reduce_into(acc, q_f, inv_q, scratch)
+        np.multiply(acc, scale, out=acc)
+        np.add(acc, gemm[..., start : start + rows, :], out=acc)
+    _lazy_reduce_into(acc, q_f, inv_q, scratch)
+    return acc
 
 
 class _FourStepStack:
@@ -566,10 +430,11 @@ class _FourStepStack:
     ``k1 + n1 * k2`` -- the same algebra `repro.poly.ntt_fourstep` keeps with
     an explicit transpose step).  The inverse runs the mirrored cascade.
 
-    Each limb's matrices are split into ``[hi; lo]`` float halves at the
-    *widest* limb's shift and stacked into ``(L, 2n, n)`` tensors, so a whole
-    ``(L, N)`` operand rides two *batched* doubled-height BLAS GEMMs.  A ring
-    whose split is inexact refuses at construction (``ParameterError``).
+    Each limb's matrices are split into ``K`` float chunks at the *widest*
+    limb's split (:func:`_split_shifts`) and stacked into ``(L, K n, n)``
+    tensors, so a whole ``(L, N)`` operand rides two *batched* ``K``-times
+    high BLAS GEMMs.  A ring with no exact split refuses at construction
+    (``ParameterError``).
 
     The cascade runs through the calling thread's scratch buffer
     (:func:`_scratch_pool`), so the hot loop performs **zero** element-wise
@@ -592,12 +457,12 @@ class _FourStepStack:
             raise ParameterError(
                 "four-step split is not exact for this stack's modulus widths"
             )
-        # The split shifts are the *widest* limb's: a stack may mix modulus
-        # widths, and splitting every limb's matrices at the stack-wide shift
-        # keeps each limb's GEMM halves inside the float64 budget (a narrow
-        # limb's shift applied to a wide limb's matrices would not -- see
+        # The splits are the *widest* limb's: a stack may mix modulus
+        # widths, and splitting every limb's matrices at the stack-wide split
+        # keeps each limb's GEMM chunks inside the float64 budget (a narrow
+        # limb's split applied to a wide limb's matrices would not -- see
         # test_mixed_width_stack_bit_exact).
-        shift1, shift4 = shifts
+        split1, split4 = shifts
         bits = max((int(q) - 1).bit_length() for q in moduli)
         shift_tw = (bits + 1) // 2
         self.rows, self.cols = rows, cols = four_step_split(degree)
@@ -608,22 +473,22 @@ class _FourStepStack:
             moduli, psis, degree, rows, cols
         )
 
-        def pack(first, twist, second, sh_first, sh_second, a, b):
+        def pack(first, twist, second, split_first, split_second, a, b):
             return (
-                _cat_split(first, sh_first),
-                np.float64(1 << sh_first),
+                _cat_split(first, *split_first),
+                np.float64(1 << split_first[0]),
                 _twist_pack(twist, moduli, shift_tw, self._q_u),
-                _cat_split(second, sh_second),
-                np.float64(1 << sh_second),
+                _cat_split(second, *split_second),
+                np.float64(1 << split_second[0]),
                 a,
                 b,
             )
 
-        self._fwd_pack = pack(m1, tw_fwd, m4, shift1, shift4, rows, cols)
+        self._fwd_pack = pack(m1, tw_fwd, m4, split1, split4, rows, cols)
         # The inverse's element-wise stage runs after its transpose, so its
         # twist is packed transposed to (n1, n2).
         self._inv_pack = pack(
-            m4_inv, tw_inv.swapaxes(-1, -2), m1_inv, shift4, shift1, cols, rows
+            m4_inv, tw_inv.swapaxes(-1, -2), m1_inv, split4, split1, cols, rows
         )
         #: ``(forward, limb range)`` -> the packs' views over that range:
         #: every basis of a chain reads the same few ranges on every call.
@@ -686,18 +551,16 @@ class _FourStepStack:
             first_cat, scale_first, twist, second_cat, scale_second, a, b,
             q_f, q_u, inv_q,
         ) = views
-        pool = _scratch_pool(data.shape[:-1], a, b)
+        pool = _scratch_pool(
+            data.shape[:-1], a, b, first_cat.shape[-2] // a, second_cat.shape[-2] // b
+        )
         tile, gemm = pool["tile"], pool["gemm"]
         scratch = pool["scratch_t"].reshape(tile.shape)
 
-        # First GEMM: both split halves in one doubled-height BLAS call.
+        # First GEMM: every split chunk in one BLAS call.
         np.copyto(tile, data.reshape(tile.shape), casting="unsafe")
         np.matmul(first_cat, tile, out=gemm)
-        hi, lo = gemm[..., :a, :], gemm[..., a:, :]
-        _lazy_reduce_into(hi, q_f, inv_q, scratch)
-        np.multiply(hi, scale_first, out=hi)
-        np.add(hi, lo, out=hi)
-        _lazy_reduce_into(hi, q_f, inv_q, scratch)
+        hi = _recombine(gemm, a, scale_first, q_f, inv_q, scratch)
 
         # Fused runtime transpose + twist: the ufuncs walk the transposed view
         # and write C-contiguous tiles, so the second GEMM always gets a
@@ -736,11 +599,7 @@ class _FourStepStack:
         # coefficient axis splits into the ``(b, a)`` tile as a view.
         gemm_t = pool["gemm_t"]
         np.matmul(second_cat, twisted, out=gemm_t)
-        hi2, lo2 = gemm_t[..., :b, :], gemm_t[..., b:, :]
-        _lazy_reduce_into(hi2, q_f, inv_q, scratch_t)
-        np.multiply(hi2, scale_second, out=hi2)
-        np.add(hi2, lo2, out=hi2)
-        _lazy_reduce_into(hi2, q_f, inv_q, scratch_t)
+        hi2 = _recombine(gemm_t, b, scale_second, q_f, inv_q, scratch_t)
         result = out.reshape(hi2.shape)
         np.copyto(result, hi2, casting="unsafe")
         s_u = scratch_t.view(np.uint64)
@@ -752,15 +611,14 @@ class _FourStepStack:
 # ------------------------------------------------------------------ dispatch
 _DEFAULT_BACKEND = BACKEND_AUTO
 #: Bumped whenever a dispatch input outside the per-call cache key changes
-#: (quarantine changes, injected dispatch faults); stacks memoise their
-#: resolved backend against it.
+#: (the quarantine set); stacks memoise their resolved backend against it.
 _DISPATCH_EPOCH = 0
 
 #: A quarantine lasts :data:`QUARANTINE_COOLDOWN_S`; each quarantine doubles
 #: the rung's next one, up to :data:`QUARANTINE_COOLDOWN_MAX_S`, and a
 #: passing known-answer vet of the rung resets it.  So a re-vet that fails
-#: when a quarantine lapses doubles the cooldown, and one that passes ends
-#: the backoff.
+#: even on rebuilt tables when a quarantine lapses doubles the cooldown, and
+#: one that passes (at once or after its rebuild) ends the backoff.
 QUARANTINE_COOLDOWN_S = 0.5
 QUARANTINE_COOLDOWN_FACTOR = 2.0
 QUARANTINE_COOLDOWN_MAX_S = 30.0
@@ -768,11 +626,11 @@ QUARANTINE_COOLDOWN_MAX_S = 30.0
 #: force or run it out without sleeping.
 _clock = time.monotonic
 
-#: Backends quarantined by a failed known-answer vet, spot check or
-#: :func:`verify_plan`, and still in force.  :func:`resolve_backend` walks
-#: the degradation ladder ``four_step -> butterfly -> reference`` past them,
-#: recording the fallback in `repro.diagnostics`.  The reference oracle is
-#: the ground truth and cannot be quarantined.
+#: Backends quarantined by a failed known-answer vet (after its rebuild),
+#: spot check or :func:`verify_plan`, and still in force.
+#: :func:`resolve_backend` falls back to ``reference`` past them, recording
+#: the fallback in `repro.diagnostics`.  The reference oracle is the ground
+#: truth and cannot be quarantined.
 _QUARANTINE: frozenset[str] = frozenset()
 #: When each quarantine in force lapses (engine clock), and the earliest.
 _LAPSE_AT: dict[str, float] = {}
@@ -879,13 +737,6 @@ def clear_quarantine() -> None:
         _COOLDOWN.update(dict.fromkeys(_COOLDOWN, QUARANTINE_COOLDOWN_S))
 
 
-def bump_dispatch_epoch() -> None:
-    """Make every stack re-resolve its backend (dispatch facts changed)."""
-    global _DISPATCH_EPOCH
-    with _GUARD_LOCK:
-        _DISPATCH_EPOCH += 1
-
-
 def reset_sentinels() -> None:
     """Forget every chain's verdicts so its next dispatch re-vets each rung.
 
@@ -921,59 +772,30 @@ def requested_backend() -> str:
     return value or _DEFAULT_BACKEND
 
 
-def four_step_supported(degree: int, moduli: tuple[int, ...]) -> bool:
-    """True when the four-step GEMM split is exact for every modulus.
-
-    Dispatch uses this to guarantee an inexact backend is never selected
-    (see :func:`_split_shifts` for the bounds).  Note this admits moduli
-    *above* the butterfly's ``2**30`` lazy-reduction bound at small degrees
-    -- the GEMM backend is the only planned path there.
-    """
-    return _split_shifts(degree, tuple(moduli)) is not None
-
-
 def resolve_backend(
     degree: int, moduli: tuple[int, ...], *, requested: str | None = None
 ) -> str:
-    """Pick the executable backend for a ring, never an inexact one.
+    """Pick the executable rung for a ring, never an inexact one.
 
-    ``requested`` defaults to :func:`requested_backend`.  ``auto`` means
-    ``four_step`` when its split is exact and it is not quarantined, else
-    ``butterfly``; an explicit request is honoured only when exact for the
-    ring.  Either way the choice then walks the degradation ladder
-    ``four_step -> butterfly -> reference`` past inexact and quarantined
-    rungs; a quarantine-driven demotion records a ``backend_fallback``
-    diagnostics event, so the degradation ladder is observable, never silent.
+    ``requested`` defaults to :func:`requested_backend`.  ``auto`` and
+    ``four_step`` both mean ``four_step`` when the engine plans the ring
+    (:func:`supports`) and the rung is not quarantined, else ``reference``.
+    A quarantine-driven demotion records a ``backend_fallback`` diagnostics
+    event, so the fallback is observable, never silent.
     """
     choice = requested if requested is not None else requested_backend()
-    quarantined = quarantined_backends()
-    butterfly_exact = all(1 < int(q) < MAX_PLAN_MODULUS for q in moduli)
-    four_step_exact = four_step_supported(degree, moduli)
-    butterfly_ok = butterfly_exact and BACKEND_BUTTERFLY not in quarantined
-    four_step_ok = four_step_exact and BACKEND_FOUR_STEP not in quarantined
-    if choice == BACKEND_AUTO:
-        choice = BACKEND_FOUR_STEP if four_step_ok else BACKEND_BUTTERFLY
-    if choice == BACKEND_FOUR_STEP and not four_step_ok:
-        if four_step_exact:
-            diagnostics.record_event(
-                "backend_fallback",
-                backend=BACKEND_FOUR_STEP,
-                fallback=BACKEND_BUTTERFLY,
-                reason="quarantined",
-                degree=degree,
-            )
-        choice = BACKEND_BUTTERFLY
-    if choice == BACKEND_BUTTERFLY and not butterfly_ok:
-        if butterfly_exact:
-            diagnostics.record_event(
-                "backend_fallback",
-                backend=BACKEND_BUTTERFLY,
-                fallback=BACKEND_REFERENCE,
-                reason="quarantined",
-                degree=degree,
-            )
-        choice = BACKEND_REFERENCE
-    return choice
+    if choice == BACKEND_REFERENCE or not supports(moduli, degree):
+        return BACKEND_REFERENCE
+    if BACKEND_FOUR_STEP in quarantined_backends():
+        diagnostics.record_event(
+            "backend_fallback",
+            backend=BACKEND_FOUR_STEP,
+            fallback=BACKEND_REFERENCE,
+            reason="quarantined",
+            degree=degree,
+        )
+        return BACKEND_REFERENCE
+    return BACKEND_FOUR_STEP
 
 
 # ------------------------------------------------------- exactness sentinels
@@ -999,11 +821,11 @@ def _sentinel_passes(forward, inverse, probe, modulus: int, psi: int) -> bool:
         return False
 
 
-def _backend_passes(stack: "NttPlanStack", backend: str) -> bool:
-    """Known-answer probe of ``backend`` over ``stack``'s rows of its chain."""
+def _four_step_passes(stack: "NttPlanStack") -> bool:
+    """Known-answer probe of ``four_step`` over ``stack``'s rows of its chain."""
     return _sentinel_passes(
-        lambda m: stack._run(m, True, None, backend),
-        lambda m: stack._run(m, False, None, backend),
+        lambda m: stack._run(m, True, None, BACKEND_FOUR_STEP),
+        lambda m: stack._run(m, False, None, BACKEND_FOUR_STEP),
         *stack._sentinel_probe(),
     )
 
@@ -1035,8 +857,8 @@ def _spot_check_row(
 ) -> None:
     """Verify one transformed row against the reference oracle (strict mode).
 
-    A mismatch quarantines the offending backend (subsequent calls heal down
-    the degradation ladder) and raises :class:`BackendExactnessError` so the
+    A mismatch quarantines the offending rung (subsequent calls fall back to
+    ``reference``) and raises :class:`BackendExactnessError` so the
     corrupted result never propagates silently.
     """
     oracle = (
@@ -1054,7 +876,7 @@ def _spot_check_row(
     raise BackendExactnessError(
         f"{backend} NTT backend produced an inexact {direction} transform "
         f"(degree={degree}, q={modulus}); the backend is quarantined and "
-        "subsequent calls fall back down the degradation ladder"
+        "subsequent calls fall back to the reference rung"
     )
 
 
@@ -1085,23 +907,21 @@ class NttPlanStack:
     residues (row ``l`` modulo ``moduli[l]``) and transform every row in one
     vectorized pass; outputs are in ``[0, q)`` and bit-exact with the
     `repro.poly.ntt_reference` functions for the limb's root ``psis[l]``,
-    whichever backend executes the call.  A single-modulus ring is the
+    whichever rung executes the call.  A single-modulus ring is the
     ``L = 1`` stack.
 
     Tables belong to the ``chain`` stack.  A :meth:`view` of a chain owns
     none: its limbs are row ``ranges`` of the chain (``Q_l`` is rows
     ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows ``[:l]`` and ``[L:L+alpha]``), and
-    every rung runs on views of the chain's tables.  Any other stack is its
-    own one-chain set.  Table builds, the rung verdicts, the butterfly
-    scratch, the views and the derived constants are per chain.
+    the four-step rung runs on views of the chain's tables.  Any other stack
+    is its own one-chain set.  The table build, the verdict, the views and
+    the derived constants are per chain.
 
-    ``backend`` pins the execution backend (a member of :data:`BACKENDS`);
-    the default ``None`` defers to :func:`resolve_backend` on every call, so
+    ``backend`` pins the execution rung (a member of :data:`BACKENDS`); the
+    default ``None`` defers to :func:`resolve_backend` on every call, so
     cached stacks honour environment/default overrides without rebuilding.
-    Moduli must fit *some* planned backend: ``q < 2**30`` (butterfly
-    lazy-reduction bound) or a ring whose four-step GEMM split is exact
-    (which admits ``q`` up to ``2**32`` at small degrees); anything wider
-    stays on the caller-side reference fallback.
+    Moduli must be ones the engine plans exactly (:func:`supports`); anything
+    else stays on the caller-side reference fallback.
     """
 
     def __init__(
@@ -1119,11 +939,10 @@ class NttPlanStack:
             raise ParameterError("NTT length must be a power of two")
         if backend is not None and backend not in BACKENDS:
             raise ParameterError(f"unknown NTT backend {backend!r}")
-        self.butterfly_ok = all(1 < q < MAX_PLAN_MODULUS for q in moduli)
-        if not (self.butterfly_ok or four_step_supported(degree, moduli)):
+        if not supports(moduli, degree):
             raise ParameterError(
-                "NttPlanStack requires q < 2**30 (lazy-reduction bound) or an "
-                "exact four-step GEMM split for (degree, moduli)"
+                "NttPlanStack requires 1 < q < 2**32 and 4 <= N <= 2**16, "
+                "where the four-step GEMM split is exact"
             )
         self.moduli = moduli
         self.degree = degree
@@ -1139,20 +958,14 @@ class NttPlanStack:
             self.psis = tuple(chain.psis[row] for row in rows)
             return
         self.psis = tuple(primitive_nth_root_of_unity(2 * degree, q) for q in moduli)
-        self.bitrev = bit_reverse_indices(degree)
-        # Reusable butterfly scratch keeps that hot loop allocation-free;
-        # stacks are cached process-wide, so buffers are per-thread to stay
-        # reentrant (NumPy releases the GIL inside ufunc loops).
-        self._thread_local = threading.local()
-        # Each rung's tables, built on its first dispatch (`_built`).
+        # The four-step tables, built on the first dispatch (`four_step_stack`).
         self._four_step: _FourStepStack | None = None
-        self._butterfly: _Butterfly | None = None
-        #: Per fast rung: ``(generation, passed)`` of its last vet.
-        self._verdicts: dict[str, tuple[int, bool]] = {}
+        #: ``(generation, passed)`` of the last four-step vet.
+        self._verdict: tuple[int, bool] | None = None
         self._views: dict[tuple[int, ...], tuple] = {}
         self._constants: dict = {}
-        # Guards the table builds and the verdicts; re-entrant because a
-        # vet builds the tables it probes.
+        # Guards the table build and the verdict; re-entrant because a vet
+        # builds the tables it probes.
         self._lock = threading.RLock()
 
     @property
@@ -1162,18 +975,12 @@ class NttPlanStack:
 
     # ---------------------------------------------------------- chain owner
     def view(self, moduli: tuple[int, ...]) -> tuple["NttPlanStack", tuple]:
-        """The stack the basis ``moduli`` runs on and its chain row ranges, memoised.
-
-        A view of the chain's tables, but a chain whose four-step split is
-        exact for only some limbs shares none: its bases keep their own rung.
-        """
+        """The stack the basis ``moduli`` runs on and its chain row ranges, memoised."""
         entry = self._views.get(moduli)
         if entry is None:
             stack = self
             if moduli != self.moduli:
-                exact = {four_step_supported(self.degree, (q,)) for q in self.moduli}
-                shared = self if len(exact) == 1 else None
-                stack = NttPlanStack(moduli, self.degree, chain=shared)
+                stack = NttPlanStack(moduli, self.degree, chain=self)
             rows = _ranges([self.moduli.index(q) for q in moduli])
             entry = (stack, tuple((part.start, part.stop) for _, part in rows))
             entry = self._views.setdefault(moduli, entry)
@@ -1185,56 +992,32 @@ class NttPlanStack:
         return value if value is not None else self._constants.setdefault(key, build())
 
     # ---------------------------------------------------------------- tables
-    def _built(self, name: str, build):
-        """The chain's rung tables in attribute ``name``, built once.
+    def four_step_stack(self) -> _FourStepStack:
+        """The chain's four-step GEMM tables, built once.
 
-        Double-checked under the chain's lock: concurrent first callers wait
-        for the one build instead of each building (and holding) a copy.
+        They cover every row of the chain; ``ranges`` maps this stack's
+        limbs onto them.  Double-checked under the chain's lock: concurrent
+        first callers wait for the one build instead of each building (and
+        holding) a copy.
         """
         chain = self.chain
-        tables = getattr(chain, name)
+        tables = chain._four_step
         if tables is None:
             with chain._lock:
-                tables = getattr(chain, name)
+                tables = chain._four_step
                 if tables is None:
-                    tables = build(chain.moduli, chain.psis, chain.degree)
-                    setattr(chain, name, tables)
+                    tables = chain._four_step = _FourStepStack(
+                        chain.moduli, chain.psis, chain.degree
+                    )
         return tables
-
-    def four_step_stack(self) -> _FourStepStack:
-        """The chain's four-step GEMM tables (``ParameterError`` when inexact).
-
-        Like :meth:`butterfly_tables` these cover every row of the chain;
-        ``ranges`` maps this stack's limbs onto them.
-        """
-        return self._built("_four_step", _FourStepStack)
-
-    def butterfly_tables(self) -> _Butterfly:
-        """The chain's stacked butterfly stage, twist and untwist tables."""
-        return self._built("_butterfly", _butterfly_tables)
-
-    def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """This thread's (butterfly scratch pair, full-size scratch)."""
-        local = self._thread_local
-        if not hasattr(local, "scratch"):
-            shape = (self.limb_count, max(self.degree // 2, 1))
-            local.scratch = (
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint64),
-            )
-            local.scratch_full = np.empty((self.limb_count, self.degree), dtype=np.uint64)
-        return local.scratch, local.scratch_full
 
     # -------------------------------------------------------------- dispatch
     def resolve_backend(self) -> str:
-        """The backend a call dispatched right now would execute (memoised).
+        """The rung a call dispatched right now would execute (memoised).
 
-        The hot path would otherwise re-derive ``four_step_supported`` (a
-        per-modulus loop) on every transform of rings that are memoised
-        exactly because they are hit millions of times.  The cache key
-        carries the requested backend (env override included) plus the
-        dispatch epoch, which quarantine changes (and lapses) bump.  The
-        rung still needs the chain's verdict before a call runs on it.
+        The cache key carries the requested backend (env override included)
+        plus the dispatch epoch, which quarantine changes (and lapses) bump.
+        The rung still needs the chain's verdict before a call runs on it.
         """
         if _QUARANTINE:
             _lapse_quarantines()
@@ -1252,69 +1035,60 @@ class NttPlanStack:
         matrix = np.stack([_sentinel_vector(self.degree, q) for q in self.moduli])
         return matrix, self.moduli[0], self.psis[0]
 
-    def _vetted(self, backend: str) -> bool:
-        """Whether the chain's ``backend`` tables hold a passing verdict.
+    def _vetted(self) -> bool:
+        """Whether the chain's four-step tables hold a passing verdict.
 
         A verdict counts only for the rung's current generation, which moves
         when the rung is quarantined (and on :func:`reset_sentinels`), so
-        each chain re-vets a rung on its first dispatch after a lapse.  The
-        vet (:meth:`_vet`) runs under the chain's lock, so a thread arriving
+        each chain re-vets on its first dispatch after a lapse.  The vet
+        (:meth:`_vet`) runs under the chain's lock, so a thread arriving
         mid-probe waits for the verdict.
         """
         chain = self.chain
-        verdict = chain._verdicts.get(backend)
-        if verdict is None or verdict[0] != _GENERATION[backend]:
+        verdict = chain._verdict
+        if verdict is None or verdict[0] != _GENERATION[BACKEND_FOUR_STEP]:
             with chain._lock:
-                if backend in _QUARANTINE:
+                if BACKEND_FOUR_STEP in _QUARANTINE:
                     return False  # a vet this thread waited for refused it
-                generation = _GENERATION[backend]
-                verdict = chain._verdicts.get(backend)
+                generation = _GENERATION[BACKEND_FOUR_STEP]
+                verdict = chain._verdict
                 if verdict is None or verdict[0] != generation:
-                    verdict = (generation, chain._vet(backend))
-                    chain._verdicts[backend] = verdict
+                    verdict = chain._verdict = (generation, chain._vet())
         return verdict[1]
 
-    def _vet(self, backend: str) -> bool:
-        """Build this chain's ``backend`` tables and known-answer probe them.
+    def _vet(self) -> bool:
+        """Known-answer probe this chain's four-step tables, rebuilding once.
 
-        Tables that fail to build are refused (a ``backend_fallback``
-        event).  The deterministic probe covers every row of the chain,
-        special limbs included: limb 0 against the reference oracle plus an
-        exact roundtrip of every limb.  A mismatch quarantines the rung
-        process-wide and the caller heals down the degradation ladder; a
-        pass resets the rung's cooldown.
+        The deterministic probe covers every row of the chain, special limbs
+        included: limb 0 against the reference oracle plus an exact roundtrip
+        of every limb.  On a mismatch the tables are dropped, rebuilt from
+        the chain's roots (a ``backend_tables_rebuilt`` event) and probed
+        again; only a rebuild that fails too quarantines the rung
+        process-wide, and the caller falls back to ``reference``.  A pass
+        resets the rung's cooldown.
         """
         where = {"degree": self.degree, "limbs": self.limb_count}
-        try:
-            if backend == BACKEND_FOUR_STEP:
-                self.four_step_stack()
-            else:
-                self.butterfly_tables()
-        except (ParameterError, ArithmeticError) as exc:
+        passed = _four_step_passes(self)
+        if not passed:
+            self._four_step = None  # the probe's dispatch rebuilds them
             diagnostics.record_event(
-                "backend_fallback",
-                backend=backend,
-                fallback=BACKEND_BUTTERFLY
-                if backend == BACKEND_FOUR_STEP and self.butterfly_ok
-                else BACKEND_REFERENCE,
-                reason=f"table build failed: {exc}",
-                **where,
+                "backend_tables_rebuilt", backend=BACKEND_FOUR_STEP, **where
             )
-            return False
-        if _backend_passes(self, backend):
+            passed = _four_step_passes(self)
+        if passed:
             with _GUARD_LOCK:
-                _COOLDOWN[backend] = QUARANTINE_COOLDOWN_S
+                _COOLDOWN[BACKEND_FOUR_STEP] = QUARANTINE_COOLDOWN_S
             return True
-        quarantine_backend(backend, reason="known-answer vet mismatch", **where)
+        quarantine_backend(
+            BACKEND_FOUR_STEP, reason="known-answer vet mismatch", **where
+        )
         return False
 
     def _executing_backend(self) -> str:
         """The resolved rung, demoted while the chain holds no verdict for it."""
         backend = self.resolve_backend()
-        if backend == BACKEND_FOUR_STEP and not self._vetted(BACKEND_FOUR_STEP):
-            backend = BACKEND_BUTTERFLY if self.butterfly_ok else BACKEND_REFERENCE
-        if backend == BACKEND_BUTTERFLY and not self._vetted(BACKEND_BUTTERFLY):
-            backend = BACKEND_REFERENCE
+        if backend == BACKEND_FOUR_STEP and not self._vetted():
+            return BACKEND_REFERENCE
         return backend
 
     def warm(self) -> str:
@@ -1331,15 +1105,11 @@ class NttPlanStack:
     ) -> np.ndarray:
         """One counted pass over a ``(..., L, N)`` matrix.
 
-        On the butterfly backend, stacked operands (leading batch axes, e.g.
-        the fused key switch's ``(dnum, L', N)`` digit tensor) are tiled
-        internally one ``(L, N)`` slice at a time: a slice's working set
-        stays cache-resident where the monolithic broadcast walk would stream
-        every stage through memory.  The four-step GEMM backend instead feeds
-        the whole stacked tensor to batched BLAS in one cascade (bigger GEMMs
-        amortise better than cache-tiled butterflies).  Either way it is a
-        single batched pass from the caller's point of view; the counters
-        additionally book one limb pass per length-``N`` row transformed.
+        Stacked operands (leading batch axes, e.g. the fused key switch's
+        ``(dnum, L', N)`` digit tensor) ride the four-step cascade as batched
+        BLAS GEMMs.  It is a single batched pass from the caller's point of
+        view; the counters additionally book one limb pass per length-``N``
+        row transformed.
 
         ``limbs`` (a slice of the limb axis) transforms an operand holding
         only those limbs of the stack, on views of the chain's tables: how
@@ -1432,40 +1202,10 @@ class NttPlanStack:
         if backend == BACKEND_FOUR_STEP:
             tables = self._four_step or self.four_step_stack()
             return tables.transform(matrix, forward, rows, out)
-        if backend == BACKEND_BUTTERFLY:
-            tables = _limb_view(self.butterfly_tables(), rows)
-            if matrix.ndim == 2:
-                self._butterfly_2d(matrix, forward, tables, out)
-                return out
-            flat, flat_out = matrix.reshape(-1, *matrix.shape[-2:]), out.reshape(
-                -1, *matrix.shape[-2:]
-            )
-            for index in range(flat.shape[0]):
-                self._butterfly_2d(flat[index], forward, tables, flat_out[index])
-            return out
         oracle = ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
         for i, (q, psi) in enumerate(zip(self.moduli[rows], self.psis[rows])):
             out[..., i, :] = oracle(matrix[..., i, :], q, psi)
         return out
-
-    def _butterfly_2d(
-        self, matrix: np.ndarray, forward: bool, tables: _Butterfly, out: np.ndarray
-    ) -> None:
-        """The cascade over one ``(rows, N)`` slice, in place in ``out``."""
-        rows = matrix.shape[0]
-        (scratch_a, scratch_b), scratch_full = self._buffers()
-        scratch, scratch_full = (scratch_a[:rows], scratch_b[:rows]), scratch_full[:rows]
-        q_col, two_q_col = tables.q_col, tables.two_q_col
-        q_cube, two_q_cube = q_col[:, :, None], two_q_col[:, :, None]
-        data = np.take(matrix, self.bitrev, axis=-1, out=out, mode="clip")
-        if forward:
-            _twist_in_place(data, tables.twist_br, tables.twist_br_shoup, q_col, scratch_full)
-            _lazy_butterflies(data, tables.fwd_stages, q_cube, two_q_cube, scratch)
-            _reduce_once(data, two_q_col, scratch_full)
-        else:
-            _lazy_butterflies(data, tables.inv_stages, q_cube, two_q_cube, scratch)
-            _twist_in_place(data, tables.untwist, tables.untwist_shoup, q_col, scratch_full)
-        _reduce_once(data, q_col, scratch_full)
 
     def forward(self, matrix: np.ndarray, limbs: slice | None = None) -> np.ndarray:
         """Forward NTT of all limbs of a reduced ``(..., L, N)`` matrix.
@@ -1515,20 +1255,21 @@ def register_chain(moduli: tuple[int, ...], degree: int) -> NttPlanStack:
 
 
 def verify_plan(stack: NttPlanStack) -> bool:
-    """Re-run the known-answer probe against the backend ``stack`` resolves now.
+    """Re-run the known-answer probe against the rung ``stack`` resolves now.
 
     A chain's verdict is taken once per rung generation, so table corruption
     *after* the vet (bit flips, a bad accelerator) would go unnoticed outside
     strict mode.  This is the operator/fault-drill entry point: it probes
-    the currently resolved backend over ``stack``'s rows of its chain,
-    quarantines it on a mismatch (recording the event, which also makes
-    every chain re-vet it once the quarantine lapses), and returns whether
-    the backend verified.  The reference oracle trivially verifies.
+    the currently resolved rung over ``stack``'s rows of its chain,
+    quarantines it on a mismatch (recording the event; once the quarantine
+    lapses every chain re-vets, and a chain whose tables still fail rebuilds
+    them), and returns whether the rung verified.  The reference oracle
+    trivially verifies.
     """
     backend = stack.resolve_backend()
     if backend == BACKEND_REFERENCE:
         return True
-    ok = _backend_passes(stack, backend)
+    ok = _four_step_passes(stack)
     if not ok:
         quarantine_backend(
             backend,
@@ -1538,14 +1279,11 @@ def verify_plan(stack: NttPlanStack) -> bool:
     return ok
 
 
-def supports(moduli: tuple[int, ...], degree: int | None = None) -> bool:
-    """True when the engine can plan every modulus exactly.
+def supports(moduli: tuple[int, ...], degree: int) -> bool:
+    """True when the engine plans every modulus exactly at ``degree``.
 
-    Butterfly covers any ``q`` below the lazy-reduction word bound; with the
-    ring ``degree`` supplied, the four-step GEMM backend additionally covers
-    wider moduli whose split stays exact at that degree's factorisation.
-    Moduli beyond both stay on the caller-side big-int reference path.
+    That is where the four-step GEMM split is exact (:func:`_split_shifts`):
+    every ``1 < q < 2**32`` at ``4 <= N <= 2**16``.  Anything else stays on
+    the caller-side big-int reference path.
     """
-    if all(1 < int(q) < MAX_PLAN_MODULUS for q in moduli):
-        return True
-    return degree is not None and four_step_supported(degree, tuple(moduli))
+    return _split_shifts(degree, tuple(moduli)) is not None

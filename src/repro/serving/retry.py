@@ -6,8 +6,8 @@ classification a type check instead of message matching:
 * **retryable** -- :class:`~repro.errors.BackendExactnessError`: a kernel
   backend failed an exactness check.  The check has already quarantined the
   backend in the process that ran the transform, so the retry re-dispatches
-  down the degradation ladder ``four_step -> butterfly -> reference`` and
-  succeeds on a healthy rung.  This is the *transient* class: the fault is
+  down the ladder ``four_step -> reference`` and succeeds on the reference
+  rung.  This is the *transient* class: the fault is
   in the compute substrate, not the request.
 
 * **retryable** -- :class:`~repro.errors.WorkerCrashed` /

@@ -3,7 +3,6 @@
 from repro.testing.faults import (
     FaultHandle,
     calibration_lie,
-    corrupted_butterfly_tables,
     corrupted_four_step_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
@@ -13,7 +12,6 @@ __all__ = [
     "FaultHandle",
     "calibration_lie",
     "chaos",
-    "corrupted_butterfly_tables",
     "corrupted_four_step_tables",
     "flipped_ciphertext_bit",
     "perturbed_gemm_outputs",

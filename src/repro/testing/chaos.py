@@ -30,7 +30,7 @@ import random
 import signal
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +53,6 @@ from repro.serving import (
 from repro.serving import shard as shard_module
 from repro.testing.faults import (
     calibration_lie,
-    corrupted_butterfly_tables,
     corrupted_four_step_tables,
     perturbed_gemm_outputs,
 )
@@ -485,25 +484,29 @@ def run_chaos(
     def drill_four_step():
         return corrupted_four_step_tables(stack), None
 
-    def drill_butterfly():
-        # Force the ladder onto butterfly first, then corrupt it: dispatch
-        # must fall through to the reference oracle.
-        ntt_engine.quarantine_backend(
-            ntt_engine.BACKEND_FOUR_STEP, reason="chaos drill setup"
-        )
-        return corrupted_butterfly_tables(stack), None
+    @contextmanager
+    def corrupted_after_vet():
+        # Tables the chain already vetted, corrupted: verify_plan quarantines
+        # four_step, reference serves, and the lapse's re-vet rebuilds.
+        stack.warm()
+        with corrupted_four_step_tables(stack):
+            ntt_engine.verify_plan(stack)
+            yield
+
+    def drill_vetted():
+        return corrupted_after_vet(), None
 
     def drill_gemm():
         return perturbed_gemm_outputs(), None
 
     def drill_calibration():
-        return calibration_lie(), None
+        return calibration_lie(stack), None
 
     all_drills = [
         ("baseline_no_fault", drill_none),
         ("ciphertext_bit_flip", drill_bit_flip),
         ("four_step_table_corruption", drill_four_step),
-        ("butterfly_table_corruption", drill_butterfly),
+        ("vetted_table_corruption", drill_vetted),
         ("gemm_output_perturbation", drill_gemm),
         ("calibration_lie", drill_calibration),
     ]

@@ -2,22 +2,24 @@
 
 Each context manager injects one concrete, reversible fault into the live
 stack -- a payload bit flip, a corrupted transform table, a lying GEMM
-kernel, a dispatch layer fed false exactness facts -- and restores every
+kernel, table builds fed a false exactness fact -- and restores every
 mutated table, attribute, and guardrail memo on exit.  The drills exist to
 prove the guardrail contract end to end: an injected fault must either be
 **detected** (a typed :class:`~repro.errors.ReproError` at the operator or
-kernel boundary) or **healed** (the backend is quarantined, dispatch falls
-down the degradation ladder ``four_step -> butterfly -> reference``, results
-stay bit-exact, and the event is recorded in `repro.diagnostics`) -- never
-silently wrong.
+kernel boundary) or **healed** -- corrupted tables are rebuilt by the vet
+that catches them, and a fault a rebuild cannot fix quarantines
+``four_step`` so dispatch falls back to ``reference`` -- with results
+bit-exact and the event recorded in `repro.diagnostics`; never silently
+wrong.
 
 The managers snapshot the quarantine set and, on exit, restore it and make
-every chain re-vet each rung's (now healthy) tables, so a drill leaves no
-residue in the process-wide dispatch state: guardrail reactions *inside*
-the ``with`` block are observable, and the exit restores the pre-fault
-world.  A quarantine a drill trips also lapses on its own after the
-engine's cooldown; each chain then re-vets the rung before running it, so
-tables still corrupted stay out of dispatch with the cooldown doubling.
+every chain re-vet its (now healthy) tables, so a drill leaves no residue in
+the process-wide dispatch state: guardrail reactions *inside* the ``with``
+block are observable, and the exit restores the pre-fault world.  A
+quarantine a drill trips also lapses on its own after the engine's
+cooldown; each chain then re-vets before running four_step, rebuilding
+tables that still fail, so only a fault outside the tables keeps the rung
+out with the cooldown doubling.
 """
 
 from __future__ import annotations
@@ -75,43 +77,19 @@ def flipped_ciphertext_bit(
 
 
 @contextmanager
-def corrupted_butterfly_tables(stack, *, delta: int = 1) -> Iterator[FaultHandle]:
-    """Corrupt the butterfly backend's negacyclic twist tables, reversibly.
-
-    ``stack`` is an :class:`~repro.poly.ntt_engine.NttPlanStack`; the tables
-    are its chain's, so every basis viewing that chain sees the fault (they
-    are built first if the chain has not used that rung yet).  The
-    forward twist table the hot path multiplies by is offset by ``delta``, so
-    every forward transform on the butterfly backend is wrong while the fault
-    is live.  Detection: the known-answer vet (chains not yet vetted on the
-    butterfly rung, or re-vetting after a lapse) or
-    :func:`~repro.poly.ntt_engine.verify_plan` (quarantine + ladder
-    fallback), or a strict-mode spot check (typed
-    :class:`BackendExactnessError`).
-    """
-    table = stack.butterfly_tables().twist_br
-    snapshot = ntt_engine.quarantined_backends()
-    original = table.copy()
-    table += np.uint64(delta)
-    try:
-        yield FaultHandle("butterfly_table_corruption", {"delta": delta})
-    finally:
-        table[...] = original
-        _restore_guardrails(snapshot)
-
-
-@contextmanager
 def corrupted_four_step_tables(stack, *, delta: float = 1.0) -> Iterator[FaultHandle]:
-    """Corrupt the four-step GEMM backend's split constant matrix, reversibly.
+    """Corrupt the four-step rung's split constant matrix, reversibly.
 
-    Offsets the forward cascade ``[hi; lo]`` column matrix of ``stack``'s
-    chain by ``delta`` (building the four-step tables first if need be) so every
+    Offsets the forward cascade's chunked column matrix of ``stack``'s chain
+    by ``delta`` (building the four-step tables first if need be) so every
     four-step forward transform is wrong while the fault is live.  The
-    known-answer vet (stacks not yet vetted, or re-vetting after a lapse),
-    :func:`verify_plan` (already-vetted stacks), or a strict-mode spot check
-    catches it; healing means dispatch
-    quarantines ``four_step`` and the butterfly backend serves bit-exact
-    results.
+    known-answer vet (chains not yet vetted, or re-vetting after a lapse)
+    catches it and heals by rebuilding the tables -- one
+    ``backend_tables_rebuilt`` event, no quarantine.  On already-vetted
+    tables :func:`~repro.poly.ntt_engine.verify_plan` or a strict-mode spot
+    check catches it and quarantines ``four_step``; the re-vet when that
+    quarantine lapses rebuilds.  Exit restores the original matrix, which a
+    rebuild has already retired.
     """
     matrix = stack.four_step_stack()._fwd_pack[0]
     snapshot = ntt_engine.quarantined_backends()
@@ -130,7 +108,10 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
 
     Models a miscomputing matrix engine: the cascade's canonical uint64
     output has ``delta`` XORed into element 0 of every row.  Detection runs
-    through the same sentinel / spot-check machinery as table corruption.
+    through the same sentinel / spot-check machinery as table corruption,
+    but a rebuild cannot fix it: the vet's rebuilt tables fail too, so
+    ``four_step`` is quarantined and ``reference`` serves bit-exact results,
+    with the cooldown doubling at each failed re-vet while the fault lasts.
     """
     snapshot = ntt_engine.quarantined_backends()
     original = ntt_engine._FourStepStack._cascade
@@ -149,25 +130,39 @@ def perturbed_gemm_outputs(*, delta: int = 1) -> Iterator[FaultHandle]:
 
 
 @contextmanager
-def calibration_lie() -> Iterator[FaultHandle]:
-    """Dispatch fed false exactness facts: the four-step split is "exact" everywhere.
+def calibration_lie(stack) -> Iterator[FaultHandle]:
+    """Four-step tables built on a false exactness fact: one chunk too few.
 
-    Patches :func:`~repro.poly.ntt_engine.four_step_supported` to return
-    ``True`` unconditionally and bumps the dispatch epoch so every stack
-    re-resolves, so ``auto`` dispatch happily selects the GEMM backend on
-    rings whose float64 split is *not* exact.  The guardrail answer is
-    healing: building the inexact tables refuses with a typed
-    :class:`~repro.errors.ParameterError`, the vetted-table check records a
-    ``backend_fallback`` event, and the butterfly/reference rungs serve
-    bit-exact results.
+    Patches ``ntt_engine._split_shifts`` to report, for each GEMM, the
+    balanced split with one chunk fewer than exactness needs -- 2-way shifts
+    where 3 are needed (30-bit limbs at ``N = 2**13``), an unsplit matrix
+    where 2 are -- and drops ``stack``'s chain tables and verdict so its next
+    dispatch builds them on the lie.  The guardrail answer is healing: the
+    known-answer vet refuses the inexact tables, the rebuild fails the same
+    way, and ``four_step`` is quarantined, so ``reference`` serves bit-exact
+    results.  Exit drops the lie's tables again.
     """
     snapshot = ntt_engine.quarantined_backends()
-    original = ntt_engine.four_step_supported
-    ntt_engine.four_step_supported = lambda degree, moduli: True
-    ntt_engine.bump_dispatch_epoch()
+    honest = ntt_engine._split_shifts
+    chain = stack.chain
+
+    def lying_shifts(degree, moduli):
+        splits = honest(degree, moduli)
+        bits = max((int(q) - 1).bit_length() for q in moduli)
+        return splits and tuple(
+            (-(-bits // (chunks - 1)), chunks - 1) for _, chunks in splits
+        )
+
+    def drop_tables():
+        with chain._lock:
+            chain._four_step = None
+        ntt_engine.reset_sentinels()
+
+    ntt_engine._split_shifts = lying_shifts
+    drop_tables()
     try:
         yield FaultHandle("calibration_lie", {})
     finally:
-        ntt_engine.four_step_supported = original
-        ntt_engine.bump_dispatch_epoch()
+        ntt_engine._split_shifts = honest
+        drop_tables()
         _restore_guardrails(snapshot)

@@ -330,8 +330,8 @@ class TestSentinelFirstCall:
     def _race(self, monkeypatch, kind, verdict):
         """Thread A holds the first sentinel probe of a fresh ``kind`` owner
         until thread B has had time to transform; that probe then answers
-        ``verdict`` (``None``: the real check).  Later probes -- the
-        butterfly vet a refused four_step leads to -- run the real check.
+        ``verdict`` (``None``: the real check), and so does the probe of the
+        rebuild a refused vet leads to; any later probe runs the real check.
         Returns the owner, the outputs and which threads ran the four-step
         tables."""
         owner, data, expected = _fresh_owner(kind)
@@ -340,12 +340,16 @@ class TestSentinelFirstCall:
         transform = ntt_engine._FourStepStack.transform
         four_step_threads = set()
 
+        held = []
+
         def held_probe(*args):
-            if probing.is_set():
+            held.append(1)
+            if len(held) == 1:
+                probing.set()
+                release.wait(timeout=10.0)
+            if verdict is None or len(held) > 2:
                 return sentinel_passes(*args)
-            probing.set()
-            release.wait(timeout=10.0)
-            return sentinel_passes(*args) if verdict is None else verdict
+            return verdict
 
         def spy(self, *args, **kwargs):
             four_step_threads.add(threading.get_ident())
@@ -378,7 +382,7 @@ class TestSentinelFirstCall:
     def test_second_caller_waits_for_the_verdict(self, monkeypatch, kind):
         """Thread B reaches a fresh plan or stack while thread A is inside its
         four-step sentinel probe: B waits for A's verdict and runs four_step,
-        instead of reading a provisional verdict and running butterfly with
+        instead of reading a provisional verdict and running reference with
         no fallback recorded."""
         outputs, four_step_threads = self._race(monkeypatch, kind, None)
         assert outputs["b"][0] in four_step_threads
@@ -386,8 +390,9 @@ class TestSentinelFirstCall:
 
     @pytest.mark.parametrize("kind", ["plan", "stack"])
     def test_failed_verdict_heals_both_callers(self, monkeypatch, kind):
-        """A mismatching probe quarantines four_step once, and the caller that
-        waited for it heals exactly instead of running the rejected tables."""
+        """A probe that mismatches before and after the rebuild quarantines
+        four_step once, and the caller that waited for it heals exactly
+        instead of running the rejected tables."""
         diagnostics.clear_events()
         outputs, four_step_threads = self._race(monkeypatch, kind, False)
         assert not four_step_threads & {tid for tid, _ in outputs.values()}

@@ -57,6 +57,21 @@ class TestRnsBasis:
             hat = big_q // q
             assert (hat * rns_basis.hat_inverse(i)) % q == 1
 
+    def test_keep_limbs_and_drop_last_build_no_hat_inverses(self, rns_basis):
+        """Level drops and limb slices pay no big-int hat-inverse build; the
+        constants appear on first use and match a fresh basis'."""
+        from repro.poly.rns_poly import RnsPolynomial
+
+        kept = RnsPolynomial.zero(rns_basis).keep_limbs(3).basis
+        dropped = rns_basis.drop_last()
+        for basis in (kept, dropped, rns_basis.sub_basis(1, 3)):
+            assert "_hat_inverses" not in vars(basis)
+        fresh = RnsBasis(moduli=dropped.moduli, degree=dropped.degree)
+        assert [dropped.hat_inverse(i) for i in range(dropped.size)] == [
+            fresh.hat_inverse(i) for i in range(fresh.size)
+        ]
+        assert "_hat_inverses" in vars(dropped)
+
     def test_hat_modulo(self, rns_basis):
         big_q = rns_basis.modulus_product
         for i, q in enumerate(rns_basis.moduli):

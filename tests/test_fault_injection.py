@@ -2,10 +2,10 @@
 
 The guardrail contract under test: a corrupted payload, table, kernel, or
 exactness fact must end in a typed :class:`repro.errors.ReproError` (the
-fault is *detected*) or in a quarantine + degradation-ladder fallback whose
-results stay bit-exact and whose event is recorded in `repro.diagnostics`
-(the fault is *healed*).  No drill may produce a silently wrong transform or
-decode.
+fault is *detected*) or be *healed* with bit-exact results and an event in
+`repro.diagnostics`: corrupted tables are rebuilt, and a fault a rebuild
+cannot fix quarantines ``four_step`` so dispatch falls back to
+``reference``.  No drill may produce a silently wrong transform or decode.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.poly import ntt_engine
 from repro.poly.gemm_mod import set_strict
 from repro.poly.rns_poly import basis_plan, stacked_ntt_forward
 from repro.poly.ntt_engine import (
-    BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
+    BACKEND_REFERENCE,
     QUARANTINE_COOLDOWN_MAX_S,
     QUARANTINE_COOLDOWN_S,
     NttPlanStack,
@@ -43,7 +43,6 @@ from repro.poly.ntt_engine import (
 )
 from repro.testing import (
     calibration_lie,
-    corrupted_butterfly_tables,
     corrupted_four_step_tables,
     flipped_ciphertext_bit,
     perturbed_gemm_outputs,
@@ -80,8 +79,8 @@ def ring():
     return {"q": q, "plan": plan, "probe": probe, "truth": plan.forward(probe.copy())}
 
 
-def _butterfly_plan(ring) -> NttPlanStack:
-    return NttPlanStack((ring["q"],), DEGREE, backend=BACKEND_BUTTERFLY)
+def _rebuilds() -> int:
+    return len(diagnostics.events("backend_tables_rebuilt"))
 
 
 def _stack():
@@ -128,15 +127,18 @@ class TestCiphertextBitFlip:
 
 class TestFourStepTableCorruption:
     def test_sentinel_heals_fresh_plan(self, ring):
-        """A fresh (un-vetted) plan's build sentinel catches the corruption."""
+        """A fresh (un-vetted) plan's vet catches the corruption and heals it
+        by rebuilding the tables: no quarantine."""
         reset_sentinels()
         plan = ring["plan"]
         with corrupted_four_step_tables(plan):
             assert plan.resolve_backend() == BACKEND_FOUR_STEP
             out = plan.forward(ring["probe"].copy())
             assert np.array_equal(out, ring["truth"]), "healed result must be exact"
-            assert BACKEND_FOUR_STEP in quarantined_backends()
-            assert diagnostics.events("backend_quarantined")
+            assert _rebuilds() == 1
+            assert not quarantined_backends()
+            assert not diagnostics.events("backend_quarantined")
+            assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
         assert not quarantined_backends()
         assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
 
@@ -174,9 +176,9 @@ class TestFourStepTableCorruption:
         with corrupted_four_step_tables(stack):
             out = stack.forward(matrix.copy())
             assert np.array_equal(out, truth)
-            assert BACKEND_FOUR_STEP in quarantined_backends()
+            assert _rebuilds() == 1
+            assert not quarantined_backends()
         assert np.array_equal(stack.forward(matrix.copy()), truth)
-
 
     def test_verify_plan_quarantines_vetted_stack(self):
         """A stack vetted before the fault needs the re-probe to catch it."""
@@ -202,62 +204,42 @@ class TestFourStepTableCorruption:
         finally:
             set_strict(previous)
 
-    def test_butterfly_tables_unaffected_by_four_step_fault(self, ring):
-        """The fault stays in the four-step tables: a butterfly-pinned plan
-        of the same ring keeps computing exactly and quarantines nothing."""
-        butterfly = _butterfly_plan(ring)
-        with corrupted_four_step_tables(ring["plan"]):
-            assert np.array_equal(
-                butterfly.forward(ring["probe"].copy()), ring["truth"]
-            )
-            assert verify_plan(butterfly)
+    def test_other_chain_unaffected_by_four_step_fault(self, ring):
+        """The fault stays in one chain's tables: a stack of the same ring
+        with tables of its own keeps computing exactly and quarantines
+        nothing."""
+        other = NttPlanStack((ring["q"],), DEGREE)
+        plan = ring["plan"]
+        plan.forward(ring["probe"].copy())  # vet the tables pre-fault
+        with corrupted_four_step_tables(plan):
+            assert np.array_equal(other.forward(ring["probe"].copy()), ring["truth"])
+            assert verify_plan(other)
             assert not quarantined_backends()
 
-    def test_pinned_four_step_heals_to_butterfly(self, ring, monkeypatch):
-        """An explicit ``REPRO_NTT_BACKEND=four_step`` pin still follows the
-        ladder once the rung is quarantined."""
+    def test_pinned_four_step_heals_to_reference(self, ring, monkeypatch):
+        """An explicit ``REPRO_NTT_BACKEND=four_step`` pin still falls back
+        once the rung is quarantined."""
         monkeypatch.setenv("REPRO_NTT_BACKEND", BACKEND_FOUR_STEP)
         plan = ring["plan"]
         assert plan.resolve_backend() == BACKEND_FOUR_STEP
         quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
-        assert plan.resolve_backend() == BACKEND_BUTTERFLY
+        assert plan.resolve_backend() == BACKEND_REFERENCE
         assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
 
 
-class TestButterflyTableCorruption:
-    def test_verify_plan_quarantines_butterfly(self, ring):
-        plan = _butterfly_plan(ring)
-        with corrupted_butterfly_tables(plan):
-            assert not verify_plan(plan)
-            assert BACKEND_BUTTERFLY in quarantined_backends()
-            # The ladder's butterfly rung is gone: dispatch heals elsewhere.
-            out = plan.forward(ring["probe"].copy())
-            assert np.array_equal(out, ring["truth"])
-        assert verify_plan(plan)
-
-    def test_strict_spot_check_detects_butterfly(self, ring, monkeypatch):
-        monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
-        plan = _butterfly_plan(ring)
-        plan.forward(ring["probe"].copy())  # vet pre-fault: sentinel passes
-        previous = set_strict(True)
-        try:
-            with corrupted_butterfly_tables(plan):
-                with pytest.raises(BackendExactnessError):
-                    plan.forward(ring["probe"].copy())
-        finally:
-            set_strict(previous)
-
-
 class TestGemmPerturbation:
+    """A miscomputing cascade is a fault a rebuild cannot fix: the vet's
+    rebuilt tables fail too, and four_step is quarantined."""
+
     def test_sentinel_heals_perturbed_cascade(self, ring):
         reset_sentinels()
         plan = ring["plan"]
         with perturbed_gemm_outputs():
             out = plan.forward(ring["probe"].copy())
             assert np.array_equal(out, ring["truth"])
+            assert _rebuilds() == 1
             assert BACKEND_FOUR_STEP in quarantined_backends()
         assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
-
 
     def test_sentinel_heals_perturbed_stack_cascade(self):
         stack, matrix = _stack()
@@ -270,27 +252,43 @@ class TestGemmPerturbation:
 
 
 class TestCalibrationLie:
-    def test_lie_heals_with_recorded_fallback(self):
+    def test_lie_heals_with_recorded_quarantine(self):
+        """Tables split two ways where three are needed fail the vet, the
+        rebuild fails the same way, and reference serves bit-exactly."""
         wide_q = generate_ntt_prime(30, 8192)
         plan = plan_stack_for((wide_q,), 8192)
-        assert not ntt_engine.four_step_supported(8192, (wide_q,))
+        assert [chunks for _, chunks in ntt_engine._split_shifts(8192, (wide_q,))] == [
+            3,
+            2,
+        ]
         probe = (np.arange(8192, dtype=np.uint64) * np.uint64(97)) % np.uint64(
             wide_q
         )
         probe = probe[None, :]
         truth = plan.forward(probe.copy())
-        with calibration_lie():
+        with calibration_lie(plan):
             assert plan.resolve_backend() == BACKEND_FOUR_STEP
             out = plan.forward(probe.copy())
-            assert np.array_equal(out, truth), "lied dispatch must heal bit-exactly"
-            assert diagnostics.events("backend_fallback")
-        assert plan.resolve_backend() != BACKEND_FOUR_STEP
+            assert np.array_equal(out, truth), "lied tables must heal bit-exactly"
+            assert _rebuilds() == 1
+            (event,) = diagnostics.events("backend_quarantined")
+            assert event["reason"] == "known-answer vet mismatch"
+            assert plan.resolve_backend() == BACKEND_REFERENCE
+        assert not quarantined_backends()
+        assert np.array_equal(plan.forward(probe.copy()), truth)
+        assert plan.resolve_backend() == BACKEND_FOUR_STEP
+
+    def test_lie_bites_on_two_chunk_chains(self, ring):
+        """On a 28-bit chain the lie reports an unsplit matrix: refused too."""
+        plan = ring["plan"]
+        with calibration_lie(plan):
+            assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
+            assert BACKEND_FOUR_STEP in quarantined_backends()
 
     def test_direct_use_of_inexact_tables_is_typed(self):
-        wide_q = generate_ntt_prime(30, 8192)
-        with calibration_lie():
-            with pytest.raises(ParameterError):
-                plan_stack_for((wide_q,), 8192).four_step_stack()
+        """Four-step tables for a ring with no exact split refuse, typed."""
+        with pytest.raises(ParameterError):
+            ntt_engine._FourStepStack((ntt_engine.MAX_PLAN_MODULUS - 5,), (1,), 2**17)
 
 
 class TestQuarantineApi:
@@ -310,9 +308,7 @@ class TestQuarantineApi:
         plan = ring["plan"]
         assert plan.resolve_backend() == BACKEND_FOUR_STEP
         quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
-        assert plan.resolve_backend() == BACKEND_BUTTERFLY
-        quarantine_backend(BACKEND_BUTTERFLY, reason="drill")
-        assert plan.resolve_backend() == "reference"
+        assert plan.resolve_backend() == BACKEND_REFERENCE
         out = plan.forward(ring["probe"].copy())
         assert np.array_equal(out, ring["truth"])
         clear_quarantine()
@@ -340,7 +336,8 @@ def _four_step_matrix(stack: NttPlanStack) -> np.ndarray:
 
 
 class TestQuarantineRecovery:
-    """Quarantines lapse after their cooldown; each chain re-vets first.
+    """Quarantines lapse after their cooldown; each chain re-vets first,
+    rebuilding tables that fail.
 
     The engine clock is the test's frozen ``engine_clock``: a quarantine
     holds or lapses exactly when the test advances it.
@@ -361,10 +358,7 @@ class TestQuarantineRecovery:
 
     def _quarantine(self, source, plan, probe, monkeypatch):
         """Trip a four_step quarantine on ``plan`` through ``source``."""
-        if source == "sentinel":
-            reset_sentinels()
-            plan.forward(probe.copy())
-        elif source == "spot_check":
+        if source == "spot_check":
             monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
             previous = set_strict(True)
             try:
@@ -375,7 +369,7 @@ class TestQuarantineRecovery:
         else:
             assert not verify_plan(plan)
 
-    @pytest.mark.parametrize("source", ["sentinel", "spot_check", "verify_plan"])
+    @pytest.mark.parametrize("source", ["spot_check", "verify_plan"])
     def test_lapse_revets_and_readmits_healthy_tables(
         self, ring, engine_clock, probes, monkeypatch, source
     ):
@@ -391,7 +385,7 @@ class TestQuarantineRecovery:
         # Healthy again, but the quarantine holds until its cooldown is up.
         engine_clock.advance(QUARANTINE_COOLDOWN_S / 2)
         assert quarantined_backends() == frozenset({BACKEND_FOUR_STEP})
-        assert plan.resolve_backend() == BACKEND_BUTTERFLY
+        assert plan.resolve_backend() == BACKEND_REFERENCE
         assert np.array_equal(plan.forward(probe.copy()), truth)
 
         engine_clock.advance(QUARANTINE_COOLDOWN_S / 2)
@@ -412,13 +406,39 @@ class TestQuarantineRecovery:
             QUARANTINE_COOLDOWN_S
         )
 
+    def test_corrupted_tables_heal_at_the_first_lapse(
+        self, ring, engine_clock, probes
+    ):
+        """Tables corrupted after their vet: verify_plan quarantines, and the
+        re-vet at the lapse rebuilds them -- one lift, one rebuild, four_step
+        back, and the cooldown reset."""
+        plan, probe, truth = ring["plan"], ring["probe"], ring["truth"]
+        plan.forward(probe.copy())  # vetted before the fault
+        with corrupted_four_step_tables(plan):
+            assert not verify_plan(plan)
+            assert plan.resolve_backend() == BACKEND_REFERENCE
+            engine_clock.advance(QUARANTINE_COOLDOWN_S)
+            del probes[:]
+            assert np.array_equal(plan.forward(probe.copy()), truth)
+            assert len(diagnostics.events("backend_quarantine_lifted")) == 1
+            assert _rebuilds() == 1
+            assert len(probes) == 2  # the failed re-vet and the rebuild's
+            assert not quarantined_backends()
+            assert plan.resolve_backend() == BACKEND_FOUR_STEP
+            assert np.array_equal(plan.forward(probe.copy()), truth)
+        quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
+        cooldowns = [e["cooldown_s"] for e in diagnostics.events("backend_quarantined")]
+        assert cooldowns == [QUARANTINE_COOLDOWN_S, QUARANTINE_COOLDOWN_S]
+
     def test_failed_revet_doubles_the_cooldown_up_to_the_cap(
         self, ring, engine_clock
     ):
+        """A fault a rebuild cannot fix keeps four_step out: each lapse's
+        re-vet rebuilds, fails again and doubles the cooldown."""
         plan, probe, truth = ring["plan"], ring["probe"], ring["truth"]
         reset_sentinels()
         cooldowns = []
-        with corrupted_four_step_tables(plan):
+        with perturbed_gemm_outputs():
             for _ in range(9):
                 assert np.array_equal(plan.forward(probe.copy()), truth)
                 assert BACKEND_FOUR_STEP in quarantined_backends()
@@ -431,36 +451,24 @@ class TestQuarantineRecovery:
         assert cooldowns == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
         assert QUARANTINE_COOLDOWN_MAX_S == 30.0
         assert len(diagnostics.events("backend_quarantine_lifted")) == 8
-
-    def test_corrupted_butterfly_tables_refused_after_lapse(
-        self, ring, engine_clock
-    ):
-        plan, probe, truth = _butterfly_plan(ring), ring["probe"], ring["truth"]
-        plan.forward(probe.copy())  # vetted before the fault
-        with corrupted_butterfly_tables(plan):
-            assert not verify_plan(plan)
-            engine_clock.advance(QUARANTINE_COOLDOWN_S)
-            assert np.array_equal(plan.forward(probe.copy()), truth)
-            assert BACKEND_BUTTERFLY in quarantined_backends()
-            assert plan.resolve_backend() == "reference"
-            first, second = diagnostics.events("backend_quarantined")
-        assert (first["cooldown_s"], second["cooldown_s"]) == (0.5, 1.0)
-        assert second["reason"] == "known-answer vet mismatch"
+        assert _rebuilds() == 9
 
     def test_revet_covers_the_special_limbs(self, engine_clock, monkeypatch):
         """A chain's re-vet probes every row, the special limbs included:
-        corrupted ``P`` rows of the four-step tables keep four_step out of
-        dispatch for a level basis that never touches them, and double the
-        cooldown -- at the top level and at level 1."""
+        corrupted ``P`` rows of the four-step tables are caught by the re-vet
+        a level basis that never touches them runs, and rebuilt -- at the
+        top level and at level 1 -- with the cooldown reset each time."""
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
         params = CkksParameters.create(
             degree=DEGREE, limbs=4, log_q=28, dnum=2, scale_bits=26
         )
         chain = params.plan_stack()
         special = [chain.moduli.index(p) for p in params.special_basis.moduli]
-        quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
-        cooldown = QUARANTINE_COOLDOWN_S
-        for level in (params.limbs, 1):
+        for rebuilds, level in enumerate((params.limbs, 1), start=1):
+            quarantine_backend(BACKEND_FOUR_STEP, reason="drill")
+            assert diagnostics.events("backend_quarantined")[-1]["cooldown_s"] == (
+                QUARANTINE_COOLDOWN_S
+            )
             # The parameters' own bases dispatch on views of their own chain.
             extended, basis = params.extended_basis(level), params.basis_at_level(level)
             matrix = np.stack(
@@ -470,10 +478,7 @@ class TestQuarantineRecovery:
                 matrix
             )
             with _offset_rows(_four_step_matrix(basis_plan(extended)), special):
-                engine_clock.advance(cooldown)
+                engine_clock.advance(QUARANTINE_COOLDOWN_S)
                 assert np.array_equal(stacked_ntt_forward(basis, matrix.copy()), truth)
-                assert BACKEND_FOUR_STEP in quarantined_backends()
-            cooldown *= 2
-            assert diagnostics.events("backend_quarantined")[-1]["cooldown_s"] == (
-                cooldown
-            )
+                assert not quarantined_backends()
+                assert _rebuilds() == rebuilds

@@ -58,17 +58,30 @@ class TestSplitShift:
         operand_bits=st.integers(1, 40),
         matrix_bits=st.integers(1, 40),
         inner=st.integers(1, 4096),
+        chunks=st.integers(2, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_shift_implies_exactness_bound(self, operand_bits, matrix_bits, inner):
-        shift = split_shift(operand_bits, matrix_bits, inner)
+    def test_shift_implies_exactness_bound(self, operand_bits, matrix_bits, inner, chunks):
+        shift = split_shift(operand_bits, matrix_bits, inner, chunks)
         if shift is None:
             return
+        assert shift * chunks >= matrix_bits  # every chunk is at most shift bits
         length_bits = max(1, inner - 1).bit_length()
-        assert (
-            operand_bits + max(shift, matrix_bits - shift) + length_bits
-            <= FLOAT64_EXACT_BITS
+        assert operand_bits + shift + length_bits <= FLOAT64_EXACT_BITS
+
+    @pytest.mark.parametrize("chunks", [2, 3])
+    def test_chunks_recombine_to_the_matrix(self, rng, chunks):
+        matrix = rng.integers(0, (1 << 32) - 5, (4, 6), dtype=np.uint64)
+        shift = split_shift(33, 32, 128, chunks)
+        assert (shift is None) == (chunks == 2)  # two 16-bit chunks overflow
+        shift = shift or 16
+        parts = split_halves(matrix, shift, chunks)
+        assert len(parts) == chunks
+        total = sum(
+            part.astype(np.uint64) << np.uint64(shift * (chunks - 1 - k))
+            for k, part in enumerate(parts)
         )
+        assert np.array_equal(total, matrix)
 
 
 class TestSplitMatmulExactness:

@@ -106,6 +106,27 @@ class TestStackedBConv:
             assert digit.basis.moduli == extended.moduli
             assert np.array_equal(digit.residues, stacked[d])
 
+    def test_chain_holds_no_per_digit_conversions(self):
+        """The stacked block is built straight from each digit's constants:
+        after three HE-Mult + rescale rounds the chain memoises only the
+        ModDown conversions (source: the special limbs), no per-digit one."""
+        params = CkksParameters.create(
+            degree=4096, limbs=8, log_q=28, dnum=3, scale_bits=26
+        )
+        keygen = KeyGenerator(params, rng=np.random.default_rng(5))
+        encoder = CkksEncoder(params)
+        encryptor = Encryptor(params, keygen.public_key(), keygen)
+        evaluator = CkksEvaluator(params, relin_key=keygen.relinearization_key())
+        ct = encryptor.encrypt(encoder.encode(np.full(params.slot_count, 0.5)))
+        for _ in range(3):
+            ct = evaluator.rescale(evaluator.multiply(ct, ct))
+        chain = params.plan_stack()
+        special = ((params.limbs, chain.limb_count),)
+        sources = [
+            key[1] for key in chain._constants if isinstance(key, tuple) and key[0] == "bconv"
+        ]
+        assert sources == [special] * 3
+
     def test_partitions_must_tile_the_source(self, ckks_setup):
         params = ckks_setup["params"]
         level_basis = params.basis_at_level(3)

@@ -1,17 +1,16 @@
 """Backend-dispatch and four-step GEMM tests for the NTT engine.
 
-The engine fronts three bit-exact backends (butterfly, four_step, reference)
-behind one dispatch layer.  This suite pins down
+The engine fronts two bit-exact rungs (four_step, reference) behind one
+dispatch layer.  This suite pins down
 
 * cross-backend bit-exactness against the `ntt_reference` oracle over random
   rings across the full supported degree sweep (including hypothesis
   round-trips),
-* the wide-modulus story: ``q >= 2**30`` rides four_step where its split is
-  exact and falls back to reference where it is not -- dispatch never
-  selects an inexact backend,
+* the wide-modulus story: every ``q < 2**32`` rides four_step, on a
+  three-chunk split where two chunks are not exact, and anything wider falls
+  back to reference -- dispatch never selects an inexact backend,
 * the env/default override surface,
-* lazily built rung tables: a stack holds only the tables of the rungs it
-  has dispatched to, each built once, and
+* lazily built tables: concurrent first calls build them once, and
 * the normalized transform accounting (passes *and* limb passes), which is
   what makes the fused key switch's "1 fwd + 1 inv" claim assertable.
 """
@@ -32,14 +31,12 @@ from repro.poly import ntt_engine
 from repro.poly.fused_kernels import MODE_ENV
 from repro.poly.ntt_engine import (
     BACKEND_AUTO,
-    BACKEND_BUTTERFLY,
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
     BACKENDS,
     MAX_PLAN_MODULUS,
     NttPlanStack,
     four_step_split,
-    four_step_supported,
     plan_stack_for,
     quarantine_backend,
     requested_backend,
@@ -91,6 +88,33 @@ class TestCrossBackendBitExactness:
         assert np.array_equal(plan.inverse(x)[0], ntt_inverse_negacyclic(x[0], q, psi))
         assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
+    @pytest.mark.parametrize(
+        "bits, degree",
+        [
+            (bits, degree)
+            for bits in (28, 29, 30, 31, 32)
+            for degree in (64, 1024, 4096, 2**13, 2**14)
+        ]
+        + [(29, 2**15)],
+    )
+    def test_exactness_grid(self, rng, bits, degree):
+        """Every limb width up to 32 bits at every degree: four_step is what
+        ``warm()`` settles on, bit-exact forward and inverse on a stacked
+        operand (two chunks or three, whichever the cell needs)."""
+        q = generate_ntt_prime(bits, degree)
+        stack = NttPlanStack((q,), degree, backend=BACKEND_FOUR_STEP)
+        assert stack.warm() == BACKEND_FOUR_STEP
+        x = _random_matrix(rng, (q,), degree, (2,))
+        x[1, 0] = q - 1  # the all-max row drives every dot product to its edge
+        fwd, inv = stack.forward(x), stack.inverse(x)
+        for row in range(2):
+            assert np.array_equal(
+                fwd[row, 0], ntt_forward_negacyclic(x[row, 0], q, stack.psis[0])
+            )
+            assert np.array_equal(
+                inv[row, 0], ntt_inverse_negacyclic(x[row, 0], q, stack.psis[0])
+            )
+
     @pytest.mark.parametrize("degree", [2**4, 2**6, 2**8, 2**12])
     def test_stacked_ring_cross_backend(self, degree, rng):
         basis = RnsBasis.generate(3, 28, degree)
@@ -101,12 +125,11 @@ class TestCrossBackendBitExactness:
             assert stack.resolve_backend() == backend
             outputs[backend] = stack.forward(matrix)
             assert np.array_equal(stack.inverse(outputs[backend]), matrix)
-        assert np.array_equal(outputs[BACKEND_BUTTERFLY], outputs[BACKEND_FOUR_STEP])
-        assert np.array_equal(outputs[BACKEND_BUTTERFLY], outputs[BACKEND_REFERENCE])
+        assert np.array_equal(outputs[BACKEND_FOUR_STEP], outputs[BACKEND_REFERENCE])
 
     @given(
         log_degree=st.integers(4, 13),
-        bits=st.integers(14, 29),
+        bits=st.integers(14, 32),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=25, deadline=None)
@@ -118,11 +141,8 @@ class TestCrossBackendBitExactness:
             q = generate_ntt_prime(bits, degree)
         except ValueError:
             return  # no NTT-friendly prime at this (bits, degree) cell
+        assert supports((q,), degree)
         stack = NttPlanStack((q,), degree)
-        if not four_step_supported(degree, (q,)):
-            with pytest.raises(ParameterError):
-                stack.four_step_stack()
-            return
         tables = stack.four_step_stack()
         x = _random_matrix(rng, (q,), degree)
         fwd = tables.transform(x, True)
@@ -137,7 +157,7 @@ class TestCrossBackendBitExactness:
         narrow = generate_ntt_prime(17, degree)
         wide = generate_ntt_prime(30, degree)
         stack = NttPlanStack((narrow, wide), degree, backend=BACKEND_FOUR_STEP)
-        assert four_step_supported(degree, (narrow, wide))
+        assert supports((narrow, wide), degree)
         matrix = _random_matrix(rng, (narrow, wide), degree)
         got = stack.forward(matrix)
         for i, q in enumerate((narrow, wide)):
@@ -146,17 +166,31 @@ class TestCrossBackendBitExactness:
             ), q
         assert np.array_equal(stack.inverse(got), matrix)
 
-    def test_unsupported_stack_refuses_four_step_tables(self):
-        degree = 2**13
-        prime = generate_ntt_prime(30, degree)
-        assert not four_step_supported(degree, (prime,))
-        stack = NttPlanStack((prime,), degree)
+    @pytest.mark.parametrize("degree", [2**13, 2**14])
+    def test_mixed_width_three_chunk_stack_bit_exact(self, rng, degree):
+        """A chain whose widest limb needs three chunks splits its narrow
+        limbs into three as well, bit-exact on every row."""
+        moduli = (generate_ntt_prime(28, degree), generate_ntt_prime(32, degree))
+        stack = NttPlanStack(moduli, degree, backend=BACKEND_FOUR_STEP)
+        assert stack.warm() == BACKEND_FOUR_STEP
+        matrix = _random_matrix(rng, moduli, degree, (2,))
+        expected = NttPlanStack(moduli, degree, backend=BACKEND_REFERENCE)
+        assert np.array_equal(stack.forward(matrix), expected.forward(matrix))
+        assert np.array_equal(stack.inverse(matrix), expected.inverse(matrix))
+
+    def test_unsupported_ring_refuses(self):
+        """Beyond ``N = 2**16`` no split of a 32-bit limb is exact: the stack
+        and the four-step tables both refuse, typed."""
+        modulus = (1 << 32) - 5
+        assert not supports((modulus,), 2**17)
         with pytest.raises(ParameterError):
-            stack.four_step_stack()
+            NttPlanStack((modulus,), 2**17)
+        with pytest.raises(ParameterError):
+            ntt_engine._FourStepStack((modulus,), (1,), 2**17)
 
     @given(
         log_degree=st.integers(4, 12),
-        bits=st.integers(14, 29),
+        bits=st.integers(14, 32),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
@@ -167,8 +201,6 @@ class TestCrossBackendBitExactness:
         try:
             basis = RnsBasis.generate(2, bits, degree)
         except ValueError:
-            return
-        if not four_step_supported(degree, basis.moduli):
             return
         stack = NttPlanStack(basis.moduli, degree)
         tables = stack.four_step_stack()
@@ -217,41 +249,33 @@ class TestCrossBackendBitExactness:
                 ), (limbs, q)
 
 
-class TestLazyRungTables:
-    def test_four_step_stack_builds_no_butterfly_tables(self, rng, monkeypatch):
-        """A stack resolved to four_step never builds the butterfly tables;
-        pinned to butterfly, eight concurrent first calls build them once
-        and every output is bit-exact."""
+class TestLazyTables:
+    def test_concurrent_first_calls_build_the_tables_once(self, rng, monkeypatch):
+        """Eight concurrent first calls on a fresh stack build its four-step
+        tables once, and every output is bit-exact."""
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
         basis = RnsBasis.generate(3, 28, 256)
         matrix = _random_matrix(rng, basis.moduli, 256, (2,))
         expected = NttPlanStack(
             basis.moduli, 256, backend=BACKEND_REFERENCE
         ).forward(matrix)
-
-        auto = NttPlanStack(basis.moduli, 256)
-        assert auto.resolve_backend() == BACKEND_FOUR_STEP
-        assert np.array_equal(auto.forward(matrix), expected)
-        assert np.array_equal(auto.inverse(expected), matrix)
-        assert auto._four_step is not None
-        assert auto._butterfly is None
-
-        pinned = NttPlanStack(basis.moduli, 256, backend=BACKEND_BUTTERFLY)
-        original = ntt_engine._butterfly_tables
+        stack = NttPlanStack(basis.moduli, 256)
+        assert stack._four_step is None
+        original = ntt_engine._FourStepStack
         built = []
 
         def counted_build(*args):
             built.append(1)
             return original(*args)
 
-        monkeypatch.setattr(ntt_engine, "_butterfly_tables", counted_build)
+        monkeypatch.setattr(ntt_engine, "_FourStepStack", counted_build)
         barrier = threading.Barrier(8)
         outputs, errors = [], []
 
         def worker():
             try:
                 barrier.wait(timeout=10.0)
-                outputs.append(pinned.forward(matrix))
+                outputs.append(stack.forward(matrix))
             except BaseException as exc:  # noqa: BLE001 - surfaced to the test
                 errors.append(exc)
 
@@ -265,67 +289,70 @@ class TestLazyRungTables:
         assert len(built) == 1
         assert len(outputs) == 8
         assert all(np.array_equal(got, expected) for got in outputs)
-        assert pinned._four_step is None
+        assert np.array_equal(stack.inverse(expected), matrix)
 
 
 class TestWideModulusDispatch:
     def test_wide_modulus_small_degree_uses_four_step(self, rng):
         prime = generate_ntt_prime(31, 64)
-        assert prime >= MAX_PLAN_MODULUS
-        assert four_step_supported(64, (prime,))
+        assert prime >= 1 << 30
+        assert supports((prime,), 64)
         assert resolve_backend(64, (prime,), requested=BACKEND_AUTO) == BACKEND_FOUR_STEP
         plan = plan_stack_for((prime,), 64)
-        assert not plan.butterfly_ok
         x = _random_matrix(rng, (prime,), 64)
         assert np.array_equal(
             plan.forward(x)[0], ntt_forward_negacyclic(x[0], prime, plan.psis[0])
         )
         assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
-    def test_wide_modulus_large_degree_falls_back_to_reference(self):
-        prime = generate_ntt_prime(31, 1 << 13)
-        assert not four_step_supported(1 << 13, (prime,))
-        assert not supports((prime,), 1 << 13)
+    @pytest.mark.parametrize(
+        "bits, degree, chunks",
+        [(29, 2**15, [3, 2]), (30, 2**13, [3, 2]), (31, 2**9, [3, 2]), (32, 2**7, [3, 2])],
+    )
+    def test_three_chunks_where_two_are_inexact(self, bits, degree, chunks):
+        """The first ``(bits, N)`` cell where a 2-way split is inexact takes
+        three chunks (column GEMM first, row GEMM second); the cell below
+        keeps two."""
+        modulus = (1 << bits) - 1
+        splits = ntt_engine._split_shifts(degree, (modulus,))
+        assert [count for _, count in splits] == chunks
+        below = ntt_engine._split_shifts(degree // 2, (modulus,))
+        assert [count for _, count in below] == [2, 2]
+
+    def test_twenty_eight_bit_chains_keep_two_chunks(self):
+        for degree in SWEEP_DEGREES + [2**14, 2**16]:
+            splits = ntt_engine._split_shifts(degree, ((1 << 28) - 57,))
+            assert [chunks for _, chunks in splits] == [2, 2], degree
+
+    def test_modulus_past_the_word_falls_back_to_reference(self):
+        wide = MAX_PLAN_MODULUS + 15
+        assert not supports((wide,), 64)
         # An explicit four_step request must not produce an inexact backend.
-        assert (
-            resolve_backend(1 << 13, (prime,), requested=BACKEND_FOUR_STEP)
-            == BACKEND_REFERENCE
+        assert resolve_backend(64, (wide,), requested=BACKEND_FOUR_STEP) == (
+            BACKEND_REFERENCE
         )
 
-    def test_explicit_butterfly_on_wide_modulus_degrades_safely(self):
-        prime = generate_ntt_prime(31, 64)
-        choice = resolve_backend(64, (prime,), requested=BACKEND_BUTTERFLY)
-        assert choice == BACKEND_REFERENCE
-
     @pytest.mark.parametrize("log_degree", range(2, 14))
-    @pytest.mark.parametrize("bits", [20, 28, 30, 31, 32])
+    @pytest.mark.parametrize("bits", [20, 28, 30, 31, 32, 33])
     def test_dispatch_never_selects_inexact_backend(self, log_degree, bits):
         """For every (degree, width) cell the resolved backend is exact."""
         degree = 1 << log_degree
         modulus = (1 << bits) - 1  # width witness; exactness is width-based
         for requested in (BACKEND_AUTO,) + BACKENDS:
             choice = resolve_backend(degree, (modulus,), requested=requested)
-            if choice == BACKEND_BUTTERFLY:
-                assert modulus < MAX_PLAN_MODULUS
-            elif choice == BACKEND_FOUR_STEP:
-                assert four_step_supported(degree, (modulus,))
+            if choice == BACKEND_FOUR_STEP:
+                assert supports((modulus,), degree)
             else:
                 assert choice == BACKEND_REFERENCE
-
-    def test_inexact_tables_refuse(self):
-        """No backend is exact for a 31-bit prime at N=2^13: typed refusal."""
-        prime = generate_ntt_prime(31, 1 << 13)
-        with pytest.raises(ParameterError):
-            NttPlanStack((prime,), 1 << 13)
 
 
 class TestDispatchOverrides:
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NTT_BACKEND", "butterfly")
-        assert requested_backend() == BACKEND_BUTTERFLY
-        assert resolve_backend(64, (7681,)) == BACKEND_BUTTERFLY
+        monkeypatch.setenv("REPRO_NTT_BACKEND", "reference")
+        assert requested_backend() == BACKEND_REFERENCE
+        assert resolve_backend(64, (7681,)) == BACKEND_REFERENCE
 
-    @pytest.mark.parametrize("value", ["warp-drive", "fused"])
+    @pytest.mark.parametrize("value", ["warp-drive", "fused", "butterfly"])
     def test_env_override_invalid_rejected(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_NTT_BACKEND", value)
         with pytest.raises(ParameterError):
@@ -334,13 +361,13 @@ class TestDispatchOverrides:
     def test_set_default_backend_roundtrip(self, monkeypatch):
         # The env pin outranks the process default; clear any matrix-leg pin.
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        previous = set_default_backend(BACKEND_BUTTERFLY)
+        previous = set_default_backend(BACKEND_REFERENCE)
         try:
-            assert requested_backend() == BACKEND_BUTTERFLY
+            assert requested_backend() == BACKEND_REFERENCE
         finally:
             set_default_backend(previous)
 
-    @pytest.mark.parametrize("name", ["nonsense", "fused"])
+    @pytest.mark.parametrize("name", ["nonsense", "fused", "butterfly"])
     def test_set_default_backend_validates(self, name):
         with pytest.raises(ParameterError):
             set_default_backend(name)
@@ -350,11 +377,11 @@ class TestDispatchOverrides:
         with pytest.raises(ParameterError):
             quarantine_backend(name, reason="drill")
 
-    @pytest.mark.parametrize("bogus", ["bogus", "fused"])
+    @pytest.mark.parametrize("bogus", ["bogus", "fused", "butterfly"])
     def test_plan_backend_attribute_pins(self, rng, bogus):
         basis = RnsBasis.generate(1, 24, 64)
-        plan = NttPlanStack(basis.moduli, 64, backend=BACKEND_BUTTERFLY)
-        assert plan.resolve_backend() == BACKEND_BUTTERFLY
+        plan = NttPlanStack(basis.moduli, 64, backend=BACKEND_REFERENCE)
+        assert plan.resolve_backend() == BACKEND_REFERENCE
         with pytest.raises(ParameterError):
             NttPlanStack(basis.moduli, 64, backend=bogus)
 

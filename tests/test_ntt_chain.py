@@ -16,8 +16,8 @@ pins the contract:
   overlapping set was built first, and a pickled basis re-binds to it;
 * a dropped parameter set frees its chain, tables and constants;
 * a mixed-width chain serves each view on the rung the view's own moduli
-  resolve to, and a chain whose four-step split is exact for only some
-  limbs keeps one table set per basis.
+  resolve to, and a chain whose widest limbs need a three-chunk split
+  still keeps one table set, which every basis views.
 """
 
 from __future__ import annotations
@@ -129,12 +129,11 @@ class TestOneTableSetPerChain:
                 assert basis_plan(basis) is basis_plan(basis)
         assert params.plan_stack() is basis_plan(params.extended_basis(params.limbs))
 
-    @pytest.mark.parametrize("backend", ["four_step", "butterfly"])
-    def test_every_level_views_the_chain_tables(self, backend, monkeypatch):
-        """Transforms at every level build each rung's tables once, on the
+    def test_every_level_views_the_chain_tables(self, monkeypatch):
+        """Transforms at every level build the four-step tables once, on the
         chain, and every view's rows of them are views of the same memory;
         the plan cache gains nothing."""
-        set_default_backend(backend)
+        set_default_backend("four_step")
         builds = []
         psi_powers = ntt_engine._psi_powers
 
@@ -154,10 +153,7 @@ class TestOneTableSetPerChain:
                 stacked_ntt_forward(basis, _random(rng, basis.moduli, 4096))
         assert builds == [chain.limb_count]
         assert len(ntt_engine._STACK_CACHE) == cached
-        if backend == "four_step":
-            table = chain.four_step_stack()._fwd_pack[0]
-        else:
-            table = chain.butterfly_tables().twist_br
+        table = chain.four_step_stack()._fwd_pack[0]
         for stack in stacks:
             assert stack.chain is chain
             for _, rows in stack.ranges:
@@ -341,10 +337,10 @@ class TestMixedWidthChains:
     def test_views_keep_their_own_rung_and_stay_exact(
         self, degree, special_bits, backend
     ):
-        """Special primes wider than ``Q``: at N = 64, 31 bits are four-step
-        exact but past the butterfly bound; at N = 4096 the 30-bit limbs set
-        the split shift every view of the chain runs at.  Each view
-        dispatches the rung a stack of its own would, bit for bit."""
+        """Special primes wider than ``Q``: at N = 64 the 31-bit limbs take
+        the float twist; at N = 4096 the 30-bit limbs set the split shift
+        every view of the chain runs at.  Each view dispatches the rung a
+        stack of its own would, bit for bit."""
         set_default_backend(backend)
         params = self._chain(degree, special_bits)
         chain = params.plan_stack()
@@ -359,14 +355,19 @@ class TestMixedWidthChains:
                 assert np.array_equal(view.forward(x), own.forward(x))
                 assert np.array_equal(view.inverse(x), own.inverse(x))
 
-    def test_partly_four_step_exact_chain_is_not_shared(self):
-        """30-bit special primes at N = 8192 are butterfly-exact but not
-        four-step exact: one split shift cannot serve the chain, so each
-        basis keeps its own table set and its own rung."""
+    def test_three_chunk_chain_is_shared(self):
+        """30-bit special primes at N = 8192 need a three-chunk column split:
+        the whole chain, its 25-bit levels included, keeps one table set at
+        that split, every basis views it, and each view is bit-exact."""
         params = self._chain(8192, 30)
-        level = basis_plan(params.basis_at_level(3))
-        assert level.chain is level
-        assert basis_plan(params.basis_at_level(3)) is level
-        assert params.plan_stack().chain is params.plan_stack()
-        assert level.resolve_backend() == "four_step"
-        assert params.plan_stack().resolve_backend() == "butterfly"
+        chain = params.plan_stack()
+        assert chain.warm() == "four_step"
+        assert [k for _, k in ntt_engine._split_shifts(8192, chain.moduli)] == [3, 2]
+        rng = np.random.default_rng(7)
+        for basis in (params.basis_at_level(3), params.extended_basis(1)):
+            view = basis_plan(basis)
+            assert view.chain is chain
+            x = _random(rng, basis.moduli, 8192)
+            expected = NttPlanStack(basis.moduli, 8192, backend="reference")
+            assert np.array_equal(view.forward(x), expected.forward(x))
+            assert np.array_equal(view.inverse(x), expected.inverse(x))

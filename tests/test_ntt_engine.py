@@ -163,20 +163,19 @@ class TestCaching:
 
 class TestFallbacks:
     def test_plan_rejects_modulus_too_wide_for_any_backend(self):
-        # 31-bit at N=2^13: beyond the butterfly's lazy bound AND the
-        # four-step split budget at that degree's factorisation.
+        # Past the 64-bit word's q**2 bound: no split serves it.
         wide = MAX_PLAN_MODULUS + 3
         assert not supports((wide,), 1 << 13)
         with pytest.raises(ParameterError):
             NttPlanStack((wide,), 1 << 13)
 
     def test_supports_bound(self, rns_basis):
-        assert supports(rns_basis.moduli)
-        assert not supports((MAX_PLAN_MODULUS + 1,))
+        assert supports(rns_basis.moduli, rns_basis.degree)
+        assert not supports((MAX_PLAN_MODULUS + 1,), rns_basis.degree)
 
     def test_wide_modulus_small_degree_plans_four_step(self, rng, monkeypatch):
-        """A 31-bit prime exceeds the lazy bound but the GEMM split is exact
-        at N=64, so PolyRing now plans it (four-step) and stays bit-exact."""
+        """A 31-bit prime takes the float twist and PolyRing plans it
+        (four-step), bit-exact."""
         from repro.numtheory.primes import generate_ntt_prime
         from repro.poly.ntt_engine import BACKEND_FOUR_STEP
 
@@ -184,11 +183,10 @@ class TestFallbacks:
         monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
 
         prime = generate_ntt_prime(31, 64)
-        assert prime >= MAX_PLAN_MODULUS
+        assert prime >= 1 << 30
         assert supports((prime,), 64)
         ring = PolyRing(degree=64, modulus=prime)
         assert ring.plan is not None
-        assert not ring.plan.butterfly_ok
         assert ring.plan.resolve_backend() == BACKEND_FOUR_STEP
         x = ring.random_uniform(rng)
         assert np.array_equal(ring.ntt(x), ntt_forward_negacyclic(x, prime, ring.psi))

@@ -357,7 +357,7 @@ class TestTenantRegistry:
         assert session is registry.session(clients[0].tenant_id)
         assert session.warmed
 
-    @pytest.mark.parametrize("backend", ["four_step", "butterfly"])
+    @pytest.mark.parametrize("backend", ["four_step", "reference"])
     def test_first_request_after_warm_builds_no_tables(self, backend, monkeypatch):
         """Registration warms the tenant's chain: its first request, which
         runs at two levels, builds no NTT table and runs no sentinel."""
@@ -852,7 +852,7 @@ class TestDynamicBatching:
         assert flip.correct == flip.requests - 1
         for drill in (
             "four_step_table_corruption",
-            "butterfly_table_corruption",
+            "vetted_table_corruption",
             "gemm_output_perturbation",
         ):
             outcome = by_drill[drill]
@@ -881,7 +881,7 @@ class TestChaos:
         # ...and table corruption healed by reroute, not by luck
         for drill in (
             "four_step_table_corruption",
-            "butterfly_table_corruption",
+            "vetted_table_corruption",
             "gemm_output_perturbation",
         ):
             outcome = by_drill[drill]

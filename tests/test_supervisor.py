@@ -499,7 +499,7 @@ class TestShardQuarantine:
             backend, health = serve(0)
             assert backend == ntt_engine.BACKEND_FOUR_STEP
             backend, health = serve(1)
-            assert backend == ntt_engine.BACKEND_BUTTERFLY
+            assert backend == ntt_engine.BACKEND_REFERENCE
             assert health["status"] == "degraded"
             assert health["quarantined_backends"] == [ntt_engine.BACKEND_FOUR_STEP]
             assert health["shards"]["shards"]["shard-0"]["quarantined"] == [
