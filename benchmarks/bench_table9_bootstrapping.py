@@ -4,7 +4,7 @@ import pytest
 
 from benchmarks.conftest import print_report
 from repro.analysis import format_breakdown, format_table
-from repro.ckks.bootstrapping import estimate_bootstrapping
+from repro.core.compiler import estimate_bootstrapping
 from repro.perf import BOOTSTRAPPING_BREAKDOWN_V6E8, BOOTSTRAPPING_LATENCY_MS
 from repro.tpu import TensorCoreDevice
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.core.compiler import CompilerOptions, CrossCompiler
 from repro.core.config import PARAMETER_SETS
-from repro.core.ntt3step import ThreeStepNttPlan
+from repro.core.ntt3step import FourStepNttPlan, ThreeStepNttPlan
 from repro.perf import batch_throughput_curve, optimal_batch
-from repro.poly.ntt_fourstep import FourStepNttPlan
 from repro.poly.ring import PolyRing
 from repro.numtheory.primes import generate_ntt_prime
 from repro.tpu import TensorCoreDevice

@@ -10,14 +10,12 @@ switching) and a packed-bootstrapping schedule model.  It serves two roles:
 """
 
 from repro.ckks.bootstrapping import (
-    BootstrappingEstimate,
     BootstrappingSchedule,
     BootstrappingTransforms,
     CkksBootstrapper,
     build_bootstrapping_transforms,
     coeff_to_slot,
     coeff_to_slot_split,
-    estimate_bootstrapping,
     mod_raise,
     slot_to_coeff,
     slot_to_coeff_merge,
@@ -66,7 +64,6 @@ from repro.ckks.poly_eval import (
 )
 
 __all__ = [
-    "BootstrappingEstimate",
     "BootstrappingSchedule",
     "BootstrappingTransforms",
     "ChebyshevPowerBasis",
@@ -95,7 +92,6 @@ __all__ = [
     "coeff_to_slot",
     "coeff_to_slot_split",
     "decompose_and_extend",
-    "estimate_bootstrapping",
     "eval_mod",
     "evaluate_chebyshev",
     "evaluate_chebyshev_horner",

@@ -30,8 +30,9 @@ restore a *fresh* ciphertext with multiplicative budget again.
 **Schedule model.**  The paper estimates bootstrapping latency as (number of
 HE-kernel invocations) x (profiled per-kernel latency); we reproduce that
 with ``BootstrappingSchedule`` counting the operators of the four phases
-(ModRaise, CoeffToSlot, EvalMod, SlotToCoeff) and ``estimate_bootstrapping``
-pricing the counts on the simulated device (paper Table IX).  The analytic
+(ModRaise, CoeffToSlot, EvalMod, SlotToCoeff), and
+:func:`repro.core.compiler.estimate_bootstrapping` pricing the counts on the
+simulated device (paper Table IX).  The analytic
 BSGS rotation counts are now per phase (CoeffToSlot and SlotToCoeff may use
 different depths) and :meth:`BootstrappingSchedule.from_transforms` grounds
 the model in the *measured* rotation counts of the real transform ladders.
@@ -39,7 +40,7 @@ the model in the *measured* rotation counts of the real transform ladders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2, pi, sqrt
 
 import numpy as np
@@ -57,11 +58,7 @@ from repro.ckks.linear_transform import (
     required_rotation_steps,
 )
 from repro.ckks.poly_eval import EvalModPoly, eval_mod, ps_operation_counts
-from repro.core.compiler import CrossCompiler
-from repro.core.kernel_ir import KernelGraph
 from repro.poly.rns_poly import RnsPolynomial
-from repro.tpu.device import TensorCoreDevice
-from repro.tpu.trace import ExecutionTrace
 from repro.errors import ParameterError
 
 # --------------------------------------------------------------------------
@@ -695,54 +692,3 @@ class BootstrappingSchedule:
             s2c_rotations=transforms.s2c_rotation_count(),
             plain_multiplications=transforms.plain_multiplication_count(),
         )
-
-
-@dataclass
-class BootstrappingEstimate:
-    """Latency estimate plus per-category breakdown for one bootstrap."""
-
-    latency_s: float
-    operator_latencies: dict[str, float]
-    breakdown: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def latency_ms(self) -> float:
-        """Total latency in milliseconds."""
-        return self.latency_s * 1e3
-
-
-def estimate_bootstrapping(
-    compiler: CrossCompiler,
-    device: TensorCoreDevice,
-    schedule: BootstrappingSchedule | None = None,
-    tensor_cores: int = 1,
-) -> BootstrappingEstimate:
-    """Price a packed bootstrapping schedule on a simulated device.
-
-    The per-operator latency is profiled once (exactly as the paper profiles
-    each kernel and multiplies by invocation counts) and the breakdown is the
-    category-aggregated view of the composed trace.
-    """
-    schedule = schedule or BootstrappingSchedule(degree=compiler.degree)
-    counts = schedule.operator_counts()
-    operator_latencies: dict[str, float] = {}
-    traces: list[tuple[ExecutionTrace, int]] = []
-    for operator, count in counts.items():
-        graph: KernelGraph = compiler.operator(operator)
-        trace = device.run(graph)
-        operator_latencies[operator] = trace.total_latency
-        traces.append((trace, count))
-
-    total = sum(trace.total_latency * count for trace, count in traces)
-    breakdown: dict[str, float] = {}
-    for trace, count in traces:
-        for category, latency in trace.latency_by_category().items():
-            breakdown[category.value] = breakdown.get(category.value, 0.0) + latency * count
-    total_breakdown = sum(breakdown.values())
-    if total_breakdown > 0:
-        breakdown = {k: v / total_breakdown for k, v in breakdown.items()}
-    return BootstrappingEstimate(
-        latency_s=total / tensor_cores,
-        operator_latencies=operator_latencies,
-        breakdown=breakdown,
-    )

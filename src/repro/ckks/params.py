@@ -11,13 +11,16 @@ versions produced by ``SecurityParams.scaled``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import SecurityParams
 from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly.ntt_engine import NttPlanStack, register_chain, supports
+
+if TYPE_CHECKING:
+    from repro.core.config import SecurityParams
 
 
 @dataclass

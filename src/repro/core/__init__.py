@@ -7,7 +7,8 @@
 * :mod:`repro.core.mat` -- Memory-Aligned Transformation: offline permutation
   embedding (paper section IV-B).
 * :mod:`repro.core.ntt3step` -- the layout-invariant 3-step negacyclic NTT
-  that combines both (paper Fig. 10).
+  that combines both, beside the explicit-transpose 4-step baseline it
+  replaces (paper Fig. 10).
 * :mod:`repro.core.lazy_reduction` -- BAT lazy modular reduction (Appendix J).
 * :mod:`repro.core.fallback_conv` -- the 1-D-convolution fallback for
   operands unknown at compile time (Appendix H).
@@ -54,12 +55,13 @@ from repro.core.mat import (
     permute_vector,
     transpose_stride_permutation,
 )
-from repro.core.ntt3step import ThreeStepNttPlan, default_tile_shape
+from repro.core.ntt3step import FourStepNttPlan, ThreeStepNttPlan, default_tile_shape
 
 __all__ = [
     "BatMatmulPlan",
     "CompiledScalar",
     "DEFAULT_SET",
+    "FourStepNttPlan",
     "LazyReductionPlan",
     "MXU_PRECISION_BITS",
     "PARAMETER_SETS",

@@ -13,7 +13,7 @@ and operator the evaluation measures:
 * automorphism (slot permutation),
 * hybrid key switching, and the composed HE operators HE-Add, HE-Mult,
   Rescale and Rotate,
-* the packed bootstrapping schedule.
+* the packed bootstrapping schedule, priced by :func:`estimate_bootstrapping`.
 
 The emitted graphs are costed by :class:`repro.tpu.device.TensorCoreDevice`;
 the *same* compiler with ``CompilerOptions.gpu_baseline()`` reproduces the
@@ -24,7 +24,9 @@ Table V/VI/VIII speedups come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
+from repro.ckks.bootstrapping import BootstrappingSchedule
 from repro.core.config import SecurityParams, chunks_per_word
 from repro.core.kernel_ir import (
     Category,
@@ -35,6 +37,9 @@ from repro.core.kernel_ir import (
     TypeConvertOp,
     VectorOp,
 )
+
+if TYPE_CHECKING:
+    from repro.tpu.device import TensorCoreDevice
 
 #: VPU instruction count of one modular multiply for each reduction algorithm.
 #: Montgomery (paper Alg. 1) is the cheapest on a 32-bit datapath; Shoup needs
@@ -679,3 +684,53 @@ class CrossCompiler:
                 direction="read",
             )
         )
+
+
+@dataclass
+class BootstrappingEstimate:
+    """Latency estimate plus per-category breakdown for one bootstrap."""
+
+    latency_s: float
+    operator_latencies: dict[str, float]
+    breakdown: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def latency_ms(self) -> float:
+        """Total latency in milliseconds."""
+        return self.latency_s * 1e3
+
+
+def estimate_bootstrapping(
+    compiler: CrossCompiler,
+    device: TensorCoreDevice,
+    schedule: BootstrappingSchedule | None = None,
+    tensor_cores: int = 1,
+) -> BootstrappingEstimate:
+    """Price a packed bootstrapping schedule on a simulated device.
+
+    The per-operator latency is profiled once (exactly as the paper profiles
+    each kernel and multiplies by invocation counts) and the breakdown is the
+    category-aggregated view of the composed trace.
+    """
+    schedule = schedule or BootstrappingSchedule(degree=compiler.degree)
+    counts = schedule.operator_counts()
+    operator_latencies: dict[str, float] = {}
+    traces = []
+    for operator, count in counts.items():
+        trace = device.run(compiler.operator(operator))
+        operator_latencies[operator] = trace.total_latency
+        traces.append((trace, count))
+
+    total = sum(trace.total_latency * count for trace, count in traces)
+    breakdown: dict[str, float] = {}
+    for trace, count in traces:
+        for category, latency in trace.latency_by_category().items():
+            breakdown[category.value] = breakdown.get(category.value, 0.0) + latency * count
+    total_breakdown = sum(breakdown.values())
+    if total_breakdown > 0:
+        breakdown = {k: v / total_breakdown for k, v in breakdown.items()}
+    return BootstrappingEstimate(
+        latency_s=total / tensor_cores,
+        operator_latencies=operator_latencies,
+        breakdown=breakdown,
+    )

@@ -10,8 +10,6 @@ The CKKS scheme computes in ``R_Q = Z_Q[x]/(x^N + 1)``.  This package provides
   transforming whole ``(L, N)`` residue matrices (a single-modulus ring is
   the ``L = 1`` stack) on the four-step GEMM rung, its stacked tables
   built on first use, with the reference oracle as the one fallback,
-* ``ntt_fourstep`` -- the GPU-style 4-step NTT with its explicit transpose and
-  output reordering (the decomposing-layer baseline of paper section III-D),
 * ``ring`` -- a ``PolyRing`` bundling modulus, roots of unity and NTT plans,
 * ``rns_poly`` -- limb-parallel RNS polynomials over an ``RnsBasis``,
 * ``basis_conversion`` -- the fast basis conversion (BConv) kernel whose
@@ -31,8 +29,6 @@ from repro.poly.ntt_engine import (
     quarantine_backend,
     quarantined_backends,
     reset_sentinels,
-    resolve_backend,
-    set_default_backend,
     verify_plan,
 )
 from repro.poly.negacyclic import (
@@ -42,7 +38,6 @@ from repro.poly.negacyclic import (
     poly_scalar_mul,
     poly_sub,
 )
-from repro.poly.ntt_fourstep import FourStepNttPlan
 from repro.poly.ntt_reference import (
     negacyclic_evaluate_direct,
     ntt_inverse_negacyclic,
@@ -55,7 +50,6 @@ __all__ = [
     "BACKEND_FOUR_STEP",
     "BACKEND_REFERENCE",
     "BasisConversion",
-    "FourStepNttPlan",
     "NttPlanStack",
     "PolyRing",
     "RnsPolynomial",
@@ -67,8 +61,6 @@ __all__ = [
     "quarantine_backend",
     "quarantined_backends",
     "reset_sentinels",
-    "resolve_backend",
-    "set_default_backend",
     "verify_plan",
     "negacyclic_convolve",
     "negacyclic_evaluate_direct",

@@ -44,9 +44,10 @@ the limb's primitive ``2N``-th root ``psi`` (the root `PolyRing` uses),
 gathered from one per-limb power table.
 
 ``NttPlanStack.backend`` pins a rung explicitly; the default (``None``)
-defers to :func:`resolve_backend`: the ``REPRO_NTT_BACKEND`` environment
-override or :func:`set_default_backend`, where ``auto`` means ``four_step``
-unless it is quarantined, else ``reference``.
+defers to the ``REPRO_NTT_BACKEND`` pin (``four_step`` or ``reference``),
+else ``four_step`` (:meth:`NttPlanStack.resolve_backend`).  A stack is only
+built where four_step is exact, so dispatch needs no exactness check, and
+while four_step is quarantined every call runs ``reference``.
 
 Vet, rebuild, quarantine and recovery
 -------------------------------------
@@ -58,7 +59,9 @@ chain, so a failed vet first rebuilds them and probes the rebuild (one
 rebuild that fails too -- which points at BLAS or dispatch, not memory --
 quarantines the rung process-wide, which bumps its generation, and dispatch
 falls back to ``reference``.  A strict-mode spot check or :func:`verify_plan`
-quarantines directly.  A quarantine lapses by itself after its cooldown
+quarantines directly.  The guard is one rung's scalar state: when the
+quarantine in force lapses, the next quarantine's cooldown and the verdict
+generation.  A quarantine lapses by itself after its cooldown
 (:data:`QUARANTINE_COOLDOWN_S`, doubled by each quarantine up to
 :data:`QUARANTINE_COOLDOWN_MAX_S`, reset by a passing vet); the lapse is
 noticed by the next dispatch in whichever process runs the transform, and
@@ -109,12 +112,7 @@ _SHIFT32 = np.uint64(32)
 #: Backend identifiers (``NttPlanStack.backend`` / ``REPRO_NTT_BACKEND`` values).
 BACKEND_FOUR_STEP = "four_step"
 BACKEND_REFERENCE = "reference"
-BACKEND_AUTO = "auto"
 BACKENDS = (BACKEND_FOUR_STEP, BACKEND_REFERENCE)
-#: Backends a quarantine may remove from dispatch (the reference oracle is
-#: the floor of the ladder ``four_step -> reference`` and is never
-#: quarantined).
-BACKENDS_QUARANTINABLE = (BACKEND_FOUR_STEP,)
 
 _BACKEND_ENV = "REPRO_NTT_BACKEND"
 #: Strict-mode runtime spot checks re-verify one transformed row against the
@@ -427,8 +425,9 @@ class _FourStepStack:
     fused with the cached element-wise twist, and a row matmul, after which
     the ``(n2, n1)`` tile flattened row-major is the NTT in natural
     evaluation order (position ``k2 * n1 + k1`` holds evaluation
-    ``k1 + n1 * k2`` -- the same algebra `repro.poly.ntt_fourstep` keeps with
-    an explicit transpose step).  The inverse runs the mirrored cascade.
+    ``k1 + n1 * k2`` -- the same algebra
+    `repro.core.ntt3step.FourStepNttPlan` keeps with an explicit transpose
+    step).  The inverse runs the mirrored cascade.
 
     Each limb's matrices are split into ``K`` float chunks at the *widest*
     limb's split (:func:`_split_shifts`) and stacked into ``(L, K n, n)``
@@ -609,16 +608,11 @@ class _FourStepStack:
 
 
 # ------------------------------------------------------------------ dispatch
-_DEFAULT_BACKEND = BACKEND_AUTO
-#: Bumped whenever a dispatch input outside the per-call cache key changes
-#: (the quarantine set); stacks memoise their resolved backend against it.
-_DISPATCH_EPOCH = 0
-
 #: A quarantine lasts :data:`QUARANTINE_COOLDOWN_S`; each quarantine doubles
-#: the rung's next one, up to :data:`QUARANTINE_COOLDOWN_MAX_S`, and a
-#: passing known-answer vet of the rung resets it.  So a re-vet that fails
-#: even on rebuilt tables when a quarantine lapses doubles the cooldown, and
-#: one that passes (at once or after its rebuild) ends the backoff.
+#: the next one, up to :data:`QUARANTINE_COOLDOWN_MAX_S`, and a passing
+#: known-answer vet resets it.  So a re-vet that fails even on rebuilt
+#: tables when a quarantine lapses doubles the cooldown, and one that passes
+#: (at once or after its rebuild) ends the backoff.
 QUARANTINE_COOLDOWN_S = 0.5
 QUARANTINE_COOLDOWN_FACTOR = 2.0
 QUARANTINE_COOLDOWN_MAX_S = 30.0
@@ -626,74 +620,54 @@ QUARANTINE_COOLDOWN_MAX_S = 30.0
 #: force or run it out without sleeping.
 _clock = time.monotonic
 
-#: Backends quarantined by a failed known-answer vet (after its rebuild),
-#: spot check or :func:`verify_plan`, and still in force.
-#: :func:`resolve_backend` falls back to ``reference`` past them, recording
-#: the fallback in `repro.diagnostics`.  The reference oracle is the ground
-#: truth and cannot be quarantined.
-_QUARANTINE: frozenset[str] = frozenset()
-#: When each quarantine in force lapses (engine clock), and the earliest.
-_LAPSE_AT: dict[str, float] = {}
-_NEXT_LAPSE = math.inf
-#: Each fast rung's next quarantine length.
-_COOLDOWN = dict.fromkeys(BACKENDS_QUARANTINABLE, QUARANTINE_COOLDOWN_S)
-#: Each fast rung's verdict generation, bumped when the rung is quarantined
-#: and by :func:`reset_sentinels`: a chain runs a rung only on a verdict of
-#: its current generation, so a lapsed quarantine is re-vetted per chain.
-_GENERATION = dict.fromkeys(BACKENDS_QUARANTINABLE, 0)
-#: Serialises every change of the quarantine state, the dispatch epoch and
-#: the generations (vets and spot checks quarantine from worker and fan-out
-#: threads).  Readers take no lock: the set is immutable and replaced whole,
-#: before the epoch bump that announces it.
+#: The four-step rung's guard.  A failed known-answer vet (after its
+#: rebuild), spot check or :func:`verify_plan` quarantines the rung and
+#: dispatch falls back to ``reference``, the oracle, which is never
+#: quarantined.  ``_QUARANTINED_UNTIL`` is when the quarantine in force
+#: lapses (engine clock), ``None`` while none is; ``_COOLDOWN`` is the next
+#: quarantine's length; ``_GENERATION`` is the verdict generation, bumped by
+#: each quarantine and by :func:`reset_sentinels` -- a chain runs four_step
+#: only on a verdict of the current generation, so a lapsed quarantine is
+#: re-vetted per chain.
+_QUARANTINED_UNTIL: float | None = None
+_COOLDOWN = QUARANTINE_COOLDOWN_S
+_GENERATION = 0
+#: Serialises every change of the guard (vets and spot checks quarantine
+#: from worker and fan-out threads).  Dispatch reads it without the lock.
 _GUARD_LOCK = threading.Lock()
 
 
-def _update_quarantine(update) -> tuple[dict[str, float], frozenset]:
-    """Replace the quarantine set by ``update(set)`` atomically.
+def _open_quarantine() -> float:
+    """Quarantine four_step now (caller holds the lock); returns its length."""
+    global _QUARANTINED_UNTIL, _COOLDOWN, _GENERATION
+    cooldown = _COOLDOWN
+    _COOLDOWN = min(cooldown * QUARANTINE_COOLDOWN_FACTOR, QUARANTINE_COOLDOWN_MAX_S)
+    _GENERATION += 1
+    _QUARANTINED_UNTIL = _clock() + cooldown
+    return cooldown
 
-    Returns ``({added rung: its cooldown}, removed rungs)``.  An added rung's
-    verdicts go stale and its quarantine runs for its cooldown, which
-    doubles for the next one; any change bumps the dispatch epoch so every
-    memoised stack re-resolves on its next call.
+
+def _quarantined() -> bool:
+    """Whether four_step is quarantined, lifting a quarantine that ran out.
+
+    The lift records one ``backend_quarantine_lifted`` event; the rung's
+    verdicts are already stale, so each chain re-vets it on its first
+    dispatch before running it.  With none in force this is one ``None``
+    check: no clock read, no lock.
     """
-    global _DISPATCH_EPOCH, _QUARANTINE, _NEXT_LAPSE
+    global _QUARANTINED_UNTIL
+    until = _QUARANTINED_UNTIL
+    if until is None:
+        return False
+    if _clock() < until:
+        return True
     with _GUARD_LOCK:
-        new = frozenset(update(_QUARANTINE))
-        if new == _QUARANTINE:
-            return {}, frozenset()
-        added = {}
-        for name in new - _QUARANTINE:
-            added[name] = cooldown = _COOLDOWN[name]
-            _COOLDOWN[name] = min(
-                cooldown * QUARANTINE_COOLDOWN_FACTOR, QUARANTINE_COOLDOWN_MAX_S
-            )
-            _GENERATION[name] += 1
-            _LAPSE_AT[name] = _clock() + cooldown
-        removed = frozenset(_QUARANTINE - new)
-        for name in removed:
-            _LAPSE_AT.pop(name, None)
-        _NEXT_LAPSE = min(_LAPSE_AT.values(), default=math.inf)
-        _QUARANTINE = new
-        _DISPATCH_EPOCH += 1
-        return added, removed
-
-
-def _lapse_quarantines() -> None:
-    """Lift every quarantine whose cooldown has run out.
-
-    Each lapse records one ``backend_quarantine_lifted`` event; the lifted
-    rung's verdicts are already stale, so each chain re-vets it on its first
-    dispatch before running it.
-    """
-    if _clock() < _NEXT_LAPSE:
-        return
-
-    def unexpired(current):
-        now = _clock()
-        return {name for name in current if _LAPSE_AT.get(name, math.inf) > now}
-
-    for name in sorted(_update_quarantine(unexpired)[1]):
-        diagnostics.record_event("backend_quarantine_lifted", backend=name)
+        lifted = _QUARANTINED_UNTIL is not None and _clock() >= _QUARANTINED_UNTIL
+        if lifted:
+            _QUARANTINED_UNTIL = None
+    if lifted:
+        diagnostics.record_event("backend_quarantine_lifted", backend=BACKEND_FOUR_STEP)
+    return _QUARANTINED_UNTIL is not None
 
 
 def quarantine_backend(name: str, **details) -> None:
@@ -703,99 +677,59 @@ def quarantine_backend(name: str, **details) -> None:
     ``backend_quarantined`` event, carrying the quarantine's ``cooldown_s``;
     a call while the quarantine is in force changes nothing.
     """
-    if name not in BACKENDS_QUARANTINABLE:
+    if name != BACKEND_FOUR_STEP:
         raise ParameterError(
             f"backend {name!r} cannot be quarantined (reference is the oracle)"
         )
-    added, _ = _update_quarantine(lambda current: current | {name})
-    if added:
-        diagnostics.record_event(
-            "backend_quarantined", backend=name, cooldown_s=added[name], **details
-        )
+    with _GUARD_LOCK:
+        if _QUARANTINED_UNTIL is not None:
+            return
+        cooldown = _open_quarantine()
+    diagnostics.record_event(
+        "backend_quarantined", backend=name, cooldown_s=cooldown, **details
+    )
 
 
 def quarantined_backends() -> frozenset:
-    """The backend names whose quarantine is still in force.
-
-    With none in force this is one truthiness check: dispatch reads no clock
-    and takes no lock.
-    """
-    if _QUARANTINE:
-        _lapse_quarantines()
-    return _QUARANTINE
+    """The backend names whose quarantine is still in force."""
+    return frozenset({BACKEND_FOUR_STEP}) if _quarantined() else frozenset()
 
 
 def set_quarantine(names) -> None:
     """Make ``names`` the quarantine set, recording no event (drill restore)."""
-    _update_quarantine(lambda current: names)
+    global _QUARANTINED_UNTIL
+    with _GUARD_LOCK:
+        if BACKEND_FOUR_STEP not in names:
+            _QUARANTINED_UNTIL = None
+        elif _QUARANTINED_UNTIL is None:
+            _open_quarantine()
 
 
 def clear_quarantine() -> None:
-    """Lift all quarantines and reset their cooldowns (tests / operators)."""
-    set_quarantine(())
+    """Lift the quarantine and reset its cooldown (tests / operators)."""
+    global _QUARANTINED_UNTIL, _COOLDOWN
     with _GUARD_LOCK:
-        _COOLDOWN.update(dict.fromkeys(_COOLDOWN, QUARANTINE_COOLDOWN_S))
+        _QUARANTINED_UNTIL = None
+        _COOLDOWN = QUARANTINE_COOLDOWN_S
 
 
 def reset_sentinels() -> None:
-    """Forget every chain's verdicts so its next dispatch re-vets each rung.
+    """Forget every chain's verdicts so its next dispatch re-vets four_step.
 
     Used after reverting an injected table corruption: the cached "failed"
     verdicts would otherwise outlive the fault they diagnosed.
     """
+    global _GENERATION
     with _GUARD_LOCK:
-        for name in _GENERATION:
-            _GENERATION[name] += 1
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process default backend (``auto`` or a member of ``BACKENDS``).
-
-    Returns the previous default.  The ``REPRO_NTT_BACKEND`` environment
-    variable, when set, takes precedence over this value.
-    """
-    global _DEFAULT_BACKEND
-    if name not in BACKENDS + (BACKEND_AUTO,):
-        raise ParameterError(f"unknown NTT backend {name!r}")
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return previous
+        _GENERATION += 1
 
 
 def requested_backend() -> str:
-    """The configured backend request: env override, else the process default."""
+    """The ``REPRO_NTT_BACKEND`` pin, else ``four_step``."""
     value = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if value and value not in BACKENDS + (BACKEND_AUTO,):
-        raise ParameterError(
-            f"{_BACKEND_ENV}={value!r} is not one of {BACKENDS + (BACKEND_AUTO,)}"
-        )
-    return value or _DEFAULT_BACKEND
-
-
-def resolve_backend(
-    degree: int, moduli: tuple[int, ...], *, requested: str | None = None
-) -> str:
-    """Pick the executable rung for a ring, never an inexact one.
-
-    ``requested`` defaults to :func:`requested_backend`.  ``auto`` and
-    ``four_step`` both mean ``four_step`` when the engine plans the ring
-    (:func:`supports`) and the rung is not quarantined, else ``reference``.
-    A quarantine-driven demotion records a ``backend_fallback`` diagnostics
-    event, so the fallback is observable, never silent.
-    """
-    choice = requested if requested is not None else requested_backend()
-    if choice == BACKEND_REFERENCE or not supports(moduli, degree):
-        return BACKEND_REFERENCE
-    if BACKEND_FOUR_STEP in quarantined_backends():
-        diagnostics.record_event(
-            "backend_fallback",
-            backend=BACKEND_FOUR_STEP,
-            fallback=BACKEND_REFERENCE,
-            reason="quarantined",
-            degree=degree,
-        )
-        return BACKEND_REFERENCE
-    return BACKEND_FOUR_STEP
+    if value and value not in BACKENDS:
+        raise ParameterError(f"{_BACKEND_ENV}={value!r} is not one of {BACKENDS}")
+    return value or BACKEND_FOUR_STEP
 
 
 # ------------------------------------------------------- exactness sentinels
@@ -918,8 +852,8 @@ class NttPlanStack:
     the derived constants are per chain.
 
     ``backend`` pins the execution rung (a member of :data:`BACKENDS`); the
-    default ``None`` defers to :func:`resolve_backend` on every call, so
-    cached stacks honour environment/default overrides without rebuilding.
+    default ``None`` defers to the ``REPRO_NTT_BACKEND`` pin on every call
+    (:meth:`resolve_backend`), so cached stacks honour it without rebuilding.
     Moduli must be ones the engine plans exactly (:func:`supports`); anything
     else stays on the caller-side reference fallback.
     """
@@ -947,7 +881,6 @@ class NttPlanStack:
         self.moduli = moduli
         self.degree = degree
         self.backend = backend
-        self._dispatch_cache: dict = {}
         self.chain = chain or self
         rows = [self.chain.moduli.index(q) for q in moduli]
         self.ranges = _ranges(rows)
@@ -1013,23 +946,17 @@ class NttPlanStack:
 
     # -------------------------------------------------------------- dispatch
     def resolve_backend(self) -> str:
-        """The rung a call dispatched right now would execute (memoised).
+        """The rung a call dispatched right now would execute.
 
-        The cache key carries the requested backend (env override included)
-        plus the dispatch epoch, which quarantine changes (and lapses) bump.
-        The rung still needs the chain's verdict before a call runs on it.
+        The stack's ``backend`` pin, else :func:`requested_backend`, with
+        ``four_step`` demoted to ``reference`` while it is quarantined.  No
+        exactness check is needed: a stack is only built where four_step is
+        exact (:func:`supports`).  The rung still needs the chain's verdict
+        before a call runs on it.
         """
-        if _QUARANTINE:
-            _lapse_quarantines()
-        key = (self.backend or requested_backend(), _DISPATCH_EPOCH)
-        cache = self._dispatch_cache
-        choice = cache.get(key)
-        if choice is None:
-            if len(cache) > 16:  # stale epochs accumulate across quarantine flips
-                cache.clear()
-            choice = resolve_backend(self.degree, self.moduli, requested=key[0])
-            cache[key] = choice
-        return choice
+        quarantined = _quarantined()
+        choice = self.backend or requested_backend()
+        return BACKEND_REFERENCE if quarantined else choice
 
     def _sentinel_probe(self) -> tuple[np.ndarray, int, int]:
         matrix = np.stack([_sentinel_vector(self.degree, q) for q in self.moduli])
@@ -1046,11 +973,11 @@ class NttPlanStack:
         """
         chain = self.chain
         verdict = chain._verdict
-        if verdict is None or verdict[0] != _GENERATION[BACKEND_FOUR_STEP]:
+        if verdict is None or verdict[0] != _GENERATION:
             with chain._lock:
-                if BACKEND_FOUR_STEP in _QUARANTINE:
+                if _QUARANTINED_UNTIL is not None:
                     return False  # a vet this thread waited for refused it
-                generation = _GENERATION[BACKEND_FOUR_STEP]
+                generation = _GENERATION
                 verdict = chain._verdict
                 if verdict is None or verdict[0] != generation:
                     verdict = chain._verdict = (generation, chain._vet())
@@ -1067,6 +994,7 @@ class NttPlanStack:
         process-wide, and the caller falls back to ``reference``.  A pass
         resets the rung's cooldown.
         """
+        global _COOLDOWN
         where = {"degree": self.degree, "limbs": self.limb_count}
         passed = _four_step_passes(self)
         if not passed:
@@ -1077,7 +1005,7 @@ class NttPlanStack:
             passed = _four_step_passes(self)
         if passed:
             with _GUARD_LOCK:
-                _COOLDOWN[BACKEND_FOUR_STEP] = QUARANTINE_COOLDOWN_S
+                _COOLDOWN = QUARANTINE_COOLDOWN_S
             return True
         quarantine_backend(
             BACKEND_FOUR_STEP, reason="known-answer vet mismatch", **where

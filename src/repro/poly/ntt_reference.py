@@ -12,10 +12,9 @@ corresponds to negacyclic convolution of the coefficient vectors, which is the
 property the CKKS evaluator relies on and the tests verify against the
 schoolbook oracle.
 
-These functions are the semantic reference: the 4-step baseline
-(`repro.poly.ntt_fourstep`) and CROSS's layout-invariant 3-step NTT
-(`repro.core.ntt3step`) are both validated to produce permutations of exactly
-this output.
+These functions are the semantic reference: the 4-step baseline and CROSS's
+layout-invariant 3-step NTT (both in `repro.core.ntt3step`) are validated to
+produce permutations of exactly this output.
 """
 
 from __future__ import annotations

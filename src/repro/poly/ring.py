@@ -1,9 +1,9 @@
 """Negacyclic polynomial ring ``Z_q[x]/(x^N + 1)`` with cached NTT machinery.
 
 ``PolyRing`` is the single-limb workhorse used by the RNS polynomial layer and
-the CKKS scheme: it owns the modulus, the primitive roots of unity, and the
-reduction contexts, and exposes coefficient-domain and evaluation-domain
-arithmetic with exact semantics.
+the CKKS scheme: it owns the modulus and the primitive roots of unity, and
+exposes coefficient-domain and evaluation-domain arithmetic with exact
+semantics.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.numtheory.barrett import BarrettContext
 from repro.numtheory.bitrev import is_power_of_two
 from repro.numtheory.modular import mod_inv, primitive_nth_root_of_unity
-from repro.numtheory.montgomery import MontgomeryContext
 from repro.numtheory.primes import is_prime
 from repro.poly.negacyclic import poly_add, poly_negate, poly_sub
 from repro.poly.ntt_engine import NttPlanStack, plan_stack_for
@@ -80,8 +78,6 @@ class PolyRing:
     modulus: int
     psi: int = field(init=False)
     omega: int = field(init=False)
-    barrett: BarrettContext = field(init=False, repr=False)
-    montgomery: MontgomeryContext = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.degree):
@@ -92,8 +88,6 @@ class PolyRing:
             raise ValueError("modulus must be congruent to 1 modulo 2N")
         self.psi = primitive_nth_root_of_unity(2 * self.degree, self.modulus)
         self.omega = pow(self.psi, 2, self.modulus)
-        self.barrett = BarrettContext.create(self.modulus)
-        self.montgomery = MontgomeryContext.create(self.modulus)
         # The cached-plan engine covers every lazy-reduction-sized modulus
         # plus wider moduli whose four-step GEMM split stays exact at this
         # degree; anything beyond keeps the big-int-safe reference path.

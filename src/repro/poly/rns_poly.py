@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.diagnostics import BoundedLruCache, register_cache
+from repro.errors import ParameterError
 from repro.numtheory.crt import RnsBasis
-from repro.poly.ntt_engine import NttPlanStack, plan_stack_for, register_chain, supports
+from repro.poly.ntt_engine import NttPlanStack, plan_stack_for, register_chain
 from repro.poly.ring import PolyRing, automorphism_tables
 
 _RING_CACHE = register_cache(BoundedLruCache(name="rns.rings", capacity=128))
@@ -37,13 +38,16 @@ def ring_for(degree: int, modulus: int) -> PolyRing:
 def basis_plan(basis: RnsBasis) -> NttPlanStack | None:
     """The stack ``basis`` transforms on: its chain's view, or a chain-less one.
 
-    ``None`` for moduli no backend covers (the reference ring path).
+    ``None`` for moduli no backend covers (the reference ring path).  A
+    cached stack is returned as is; only a cache miss builds one, whose
+    constructor refuses moduli the engine cannot plan exactly.
     """
     if basis.chain is not None:
         return register_chain(basis.chain, basis.degree).view(basis.moduli)[0]
-    if supports(basis.moduli, basis.degree):
+    try:
         return plan_stack_for(basis.moduli, basis.degree)
-    return None
+    except ParameterError:
+        return None
 
 
 def chain_constant(key, bases: tuple[RnsBasis, ...], build):

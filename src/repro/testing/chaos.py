@@ -4,8 +4,8 @@ PR 6's :mod:`repro.testing.faults` drills prove the guardrail contract for a
 single-threaded caller.  This module replays each drill against a live
 :class:`~repro.serving.runtime.InferenceServer` with many requests in
 flight, which is where resilience claims usually die: a fault now lands
-while other threads share the plan caches, the quarantine set and the
-dispatch epoch.  The drilled property is the serving contract:
+while other threads share the plan caches, the quarantine and the verdict
+generation.  The drilled property is the serving contract:
 
     every admitted, well-formed request either **completes with a
     decode-checked correct result** (possibly after retry/reroute) or
@@ -460,7 +460,9 @@ def run_chaos(
     ``workers`` is the in-flight concurrency (the acceptance bar is >= 8).
     Each drill gets a fresh server (shared warm plan caches) and starts with
     no quarantine, so no drill inherits another's; inside a drill
-    quarantines lapse and re-vet on the engine's own cooldown.  Strict mode
+    quarantines lapse and re-vet on the engine's own cooldown; each
+    outcome's ``details`` count the drill's ``backend_tables_rebuilt`` and
+    ``backend_quarantined`` events.  Strict mode
     + per-pass spot checks are forced for the whole run.  ``max_batch_size > 1`` turns on
     dynamic batching and tags every request with a shared batch key, so the
     drills land their faults mid-batch: the serving contract (zero silent,
@@ -481,8 +483,16 @@ def run_chaos(
         # The flip itself lands in prepare_work on the victim request.
         return nullcontext(), rand.randrange(requests_per_drill)
 
+    @contextmanager
+    def corrupted_before_vet():
+        # build_tenants has vetted the chain already: forgetting the verdict
+        # makes the next dispatch re-vet, catch the corruption and rebuild.
+        with corrupted_four_step_tables(stack):
+            ntt_engine.reset_sentinels()
+            yield
+
     def drill_four_step():
-        return corrupted_four_step_tables(stack), None
+        return corrupted_before_vet(), None
 
     @contextmanager
     def corrupted_after_vet():
@@ -555,6 +565,8 @@ def run_chaos(
                         outcome,
                         batch_key="chaos" if max_batch_size > 1 else None,
                     )
+            for kind in ("backend_tables_rebuilt", "backend_quarantined"):
+                outcome.details[kind] = len(diagnostics.events(kind))
             ntt_engine.clear_quarantine()
             ntt_engine.reset_sentinels()
             _classify_results(completed, outcome)

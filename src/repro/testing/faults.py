@@ -12,7 +12,7 @@ that catches them, and a fault a rebuild cannot fix quarantines
 bit-exact and the event recorded in `repro.diagnostics`; never silently
 wrong.
 
-The managers snapshot the quarantine set and, on exit, restore it and make
+The managers snapshot the quarantine state and, on exit, restore it and make
 every chain re-vet its (now healthy) tables, so a drill leaves no residue in
 the process-wide dispatch state: guardrail reactions *inside* the ``with``
 block are observable, and the exit restores the pre-fault world.  A
@@ -42,7 +42,7 @@ class FaultHandle:
 
 
 def _restore_guardrails(quarantined: frozenset) -> None:
-    """Put the quarantine set back and forget the verdicts the drill tripped."""
+    """Put the quarantine state back and forget the verdicts the drill tripped."""
     ntt_engine.set_quarantine(quarantined)
     ntt_engine.reset_sentinels()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.linear_transform import DiagonalLinearTransform, cached_transform
-from repro.core.compiler import CrossCompiler
-from repro.tpu.device import TensorCoreDevice
 from repro.workloads.mnist import WorkloadEstimate
+
+if TYPE_CHECKING:
+    from repro.core.compiler import CrossCompiler
+    from repro.tpu.device import TensorCoreDevice
 
 
 def hoisted_rotation_sum(

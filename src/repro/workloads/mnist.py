@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.linear_transform import DiagonalLinearTransform, cached_transform
-from repro.core.compiler import CrossCompiler
-from repro.tpu.device import TensorCoreDevice
+
+if TYPE_CHECKING:
+    from repro.core.compiler import CrossCompiler
+    from repro.tpu.device import TensorCoreDevice
 
 
 @dataclass(frozen=True)

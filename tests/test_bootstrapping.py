@@ -28,7 +28,6 @@ from repro.ckks.bootstrapping import (
     coeff_to_slot_split,
     collapsed_fft_factors,
     composed_matrix,
-    estimate_bootstrapping,
     mod_raise,
     slot_permutation,
     slot_to_coeff,
@@ -37,7 +36,7 @@ from repro.ckks.bootstrapping import (
     special_fft_stage_diagonals,
 )
 from repro.ckks.poly_eval import ps_operation_counts
-from repro.core.compiler import CompilerOptions, CrossCompiler
+from repro.core.compiler import CompilerOptions, CrossCompiler, estimate_bootstrapping
 from repro.core.config import PARAMETER_SETS
 from repro.numtheory.bitrev import bit_reverse_indices, permutation_matrix
 from repro.tpu import TensorCoreDevice

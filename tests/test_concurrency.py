@@ -435,21 +435,19 @@ class TestSentinelFirstCall:
 
 
 class TestQuarantineUnderContention:
-    def test_concurrent_quarantines_record_one_event(self, monkeypatch):
-        """N threads quarantining one backend at once (sentinels and spot
+    def test_concurrent_quarantines_record_one_event(self, monkeypatch, engine_clock):
+        """N threads quarantining four_step at once (sentinels and spot
         checks on worker and fan-out threads) record exactly one event and
-        bump the dispatch epoch once.  Membership answers are held back until
-        they are stale, so a check-then-add outside one lock lets every
-        thread through."""
+        bump the verdict generation once.  The clock read that opens the
+        quarantine is held back, so a check outside the lock goes stale and
+        lets every thread through."""
 
-        class SlowSet(set):
-            def __contains__(self, item):
-                found = super().__contains__(item)
-                time.sleep(0.01)  # answer goes stale before the caller acts
-                return found
+        def slow_clock():
+            time.sleep(0.01)  # the check's answer goes stale meanwhile
+            return engine_clock()
 
-        monkeypatch.setattr(ntt_engine, "_QUARANTINE", SlowSet())
-        epoch = ntt_engine._DISPATCH_EPOCH
+        monkeypatch.setattr(ntt_engine, "_clock", slow_clock)
+        generation = ntt_engine._GENERATION
         diagnostics.clear_events()
         barrier = threading.Barrier(THREADS)
 
@@ -465,7 +463,7 @@ class TestQuarantineUnderContention:
                 thread.join(timeout=30.0)
             assert not any(thread.is_alive() for thread in threads)
             assert len(diagnostics.events("backend_quarantined")) == 1
-            assert ntt_engine._DISPATCH_EPOCH == epoch + 1
+            assert ntt_engine._GENERATION == generation + 1
         finally:
             ntt_engine.clear_quarantine()
 
@@ -810,12 +808,11 @@ class TestIntraRequestParallelism:
     @pytest.fixture(autouse=True)
     def _restore_dispatch(self):
         yield
-        ntt_engine.set_default_backend(ntt_engine.BACKEND_AUTO)
         ntt_engine.clear_quarantine()
 
     @pytest.mark.parametrize("backend", ntt_engine.BACKENDS)
-    def test_two_cores_bit_identical_to_one(self, n4096_setup, backend):
-        ntt_engine.set_default_backend(backend)
+    def test_two_cores_bit_identical_to_one(self, n4096_setup, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
         serial, serial_counts = _run_at_budget(n4096_setup, 1)
         parallel_run, parallel_counts = _run_at_budget(n4096_setup, 2)
         assert _helper_threads() >= 1  # the helpers really ran
@@ -872,8 +869,7 @@ class TestIntraRequestParallelism:
         evaluator, transform, ciphertext = (
             env["evaluator"], env["giants_only"], env["cts"][0]
         )
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)  # outranks the default
-        ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", ntt_engine.BACKEND_FOUR_STEP)
         with parallel.core_budget_scope(2):
             expected = transform.apply(evaluator, ciphertext)
             extended = env["params"].extended_basis(ciphertext.level)
@@ -912,8 +908,7 @@ class TestIntraRequestParallelism:
         scratch is one buffer of the largest cascade: five float64 tiles of
         the widest limb stack it transformed."""
         env = n4096_setup
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)  # outranks the default
-        ntt_engine.set_default_backend(ntt_engine.BACKEND_FOUR_STEP)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", ntt_engine.BACKEND_FOUR_STEP)
         held = {}
 
         def run():

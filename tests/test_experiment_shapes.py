@@ -9,8 +9,7 @@ DESIGN.md.
 import pytest
 
 from repro.baselines.gpu_flow import bat_matmul_graph, sparse_matmul_graph
-from repro.ckks.bootstrapping import estimate_bootstrapping
-from repro.core.compiler import CompilerOptions, CrossCompiler
+from repro.core.compiler import CompilerOptions, CrossCompiler, estimate_bootstrapping
 from repro.core.config import PARAMETER_SETS
 from repro.core.kernel_ir import Category
 from repro.perf import TABLE5_BAT_MATMUL, TABLE6_BCONV

@@ -55,10 +55,10 @@ DEGREE = 64
 def clean_guardrails(monkeypatch):
     """Every drill starts and ends with no quarantine and a clean event log.
 
-    The drills steer dispatch themselves (auto resolution or an explicit
-    in-test pin), so an externally pinned ``REPRO_NTT_BACKEND`` -- the CI
-    cross-backend matrix -- is cleared: it would re-route the drill away
-    from the backend whose guardrail is under test.
+    The drills steer dispatch themselves (the unpinned default or an
+    explicit in-test pin), so an externally pinned ``REPRO_NTT_BACKEND`` --
+    the CI cross-backend matrix -- is cleared: it would re-route the drill
+    away from the backend whose guardrail is under test.
     """
     monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
     clear_quarantine()
@@ -313,6 +313,29 @@ class TestQuarantineApi:
         assert np.array_equal(out, ring["truth"])
         clear_quarantine()
         assert plan.resolve_backend() == BACKEND_FOUR_STEP
+
+    def test_unquarantined_dispatch_reads_no_clock_and_takes_no_lock(
+        self, ring, monkeypatch
+    ):
+        """With no quarantine in force, dispatch and the quarantine query
+        read no clock and take no guard lock."""
+        plan = ring["plan"]
+        plan.forward(ring["probe"].copy())  # vet outside the count
+        touched = []
+
+        class CountingLock:
+            def __enter__(self):
+                touched.append("lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(ntt_engine, "_clock", lambda: touched.append("clock") or 0.0)
+        monkeypatch.setattr(ntt_engine, "_GUARD_LOCK", CountingLock())
+        assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
+        assert plan.resolve_backend() == BACKEND_FOUR_STEP
+        assert quarantined_backends() == frozenset()
+        assert touched == []
 
 
 @contextmanager

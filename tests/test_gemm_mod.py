@@ -276,7 +276,7 @@ class TestBlasStaging:
         ints = rng.integers(0, 100, (4, 4), dtype=np.uint64)
         assert as_blas_operand(ints, dtype=None) is ints
 
-    def test_hot_paths_are_layout_clean(self, rng):
+    def test_hot_paths_are_layout_clean(self, rng, monkeypatch):
         """BConv and the four-step backend never trigger a layout copy, on
         a whole basis or on a split ``Q_l·P`` viewing two row ranges of its
         chain's tables (one spanning cascade at N = 64, one per range at
@@ -284,7 +284,7 @@ class TestBlasStaging:
         from repro.ckks.params import CkksParameters
         from repro.numtheory.crt import RnsBasis
         from repro.poly.basis_conversion import conversion_for
-        from repro.poly.ntt_engine import plan_stack_for, set_default_backend
+        from repro.poly.ntt_engine import plan_stack_for
         from repro.poly.rns_poly import basis_plan
 
         def residues(moduli, degree, lead=()):
@@ -297,7 +297,8 @@ class TestBlasStaging:
             CkksParameters.create(degree=degree, limbs=3, dnum=3).extended_basis(1)
             for degree in (64, 4096)
         ]
-        previous, backend = set_strict(True), set_default_backend("four_step")
+        monkeypatch.setenv("REPRO_NTT_BACKEND", "four_step")
+        previous = set_strict(True)
         try:
             basis = RnsBasis.generate(3, 28, 64)
             target = RnsBasis.generate(2, 28, 64)
@@ -313,4 +314,3 @@ class TestBlasStaging:
                 assert stack.inverse(out).flags.c_contiguous
         finally:
             set_strict(previous)
-            set_default_backend(backend)

@@ -1,9 +1,11 @@
-"""Tests for the layout-invariant 3-step NTT (MAT + BAT), the paper's Fig. 10."""
+"""Tests for the paper's Fig. 10 NTT plans: the explicit-transpose 4-step
+baseline and the layout-invariant 3-step NTT (MAT + BAT)."""
 
 import numpy as np
 import pytest
 
-from repro.core.ntt3step import ThreeStepNttPlan, default_tile_shape
+from repro.core.ntt3step import FourStepNttPlan, ThreeStepNttPlan, default_tile_shape
+from repro.poly.gemm_mod import modular_matmul
 from repro.poly.negacyclic import negacyclic_convolve
 
 
@@ -11,6 +13,44 @@ def make_plan(ring, rows=8, cols=8, **kwargs):
     return ThreeStepNttPlan(
         degree=ring.degree, modulus=ring.modulus, psi=ring.psi, rows=rows, cols=cols, **kwargs
     )
+
+
+@pytest.fixture(scope="module", params=[(8, 8), (4, 16), (16, 4)])
+def four_step(request, ring):
+    rows, cols = request.param
+    return FourStepNttPlan(
+        degree=ring.degree, modulus=ring.modulus, psi=ring.psi, rows=rows, cols=cols
+    )
+
+
+class TestFourStep:
+    def test_matches_reference(self, four_step, ring, rng):
+        a = ring.random_uniform(rng)
+        assert np.array_equal(four_step.forward(a), ring.ntt(a))
+
+    def test_inverse_roundtrip(self, four_step, ring, rng):
+        a = ring.random_uniform(rng)
+        assert np.array_equal(four_step.inverse(four_step.forward(a)), a)
+
+    def test_zero_and_constant(self, four_step, ring):
+        zero = ring.zeros()
+        assert np.all(four_step.forward(zero) == 0)
+        const = ring.zeros()
+        const[0] = 5
+        assert np.all(four_step.forward(const) == 5)
+
+    def test_shape_validation(self, ring):
+        with pytest.raises(ValueError):
+            FourStepNttPlan(
+                degree=ring.degree, modulus=ring.modulus, psi=ring.psi, rows=8, cols=16
+            )
+
+    def test_linearity(self, four_step, ring, rng):
+        a = ring.random_uniform(rng)
+        b = ring.random_uniform(rng)
+        lhs = four_step.forward(ring.add(a, b))
+        rhs = ring.add(four_step.forward(a), four_step.forward(b))
+        assert np.array_equal(lhs, rhs)
 
 
 class TestTileShape:
@@ -35,6 +75,21 @@ class TestPlanConstruction:
     def test_bad_output_order(self, ring):
         with pytest.raises(ValueError):
             make_plan(ring, output_order="weird")
+
+    @pytest.mark.parametrize("output_order", ["cross", "bitrev"])
+    def test_inverse_parameters_invert_the_forward_ones(self, ring, output_order):
+        """The analytic inverses, permutations embedded, are exact inverses."""
+        plan = make_plan(ring, rows=4, cols=16, output_order=output_order)
+        q = ring.modulus
+        assert np.array_equal(
+            modular_matmul(plan.inv_step1_matrix, plan.step1_matrix, q),
+            np.eye(4, dtype=np.uint64),
+        )
+        assert np.array_equal(
+            modular_matmul(plan.step3_matrix, plan.inv_step3_matrix, q),
+            np.eye(16, dtype=np.uint64),
+        )
+        assert np.all(plan.step2_twiddle * plan.inv_step2_twiddle % np.uint64(q) == 1)
 
     def test_evaluation_permutation_is_permutation(self, ring):
         plan = make_plan(ring)

@@ -9,7 +9,7 @@ dispatch layer.  This suite pins down
 * the wide-modulus story: every ``q < 2**32`` rides four_step, on a
   three-chunk split where two chunks are not exact, and anything wider falls
   back to reference -- dispatch never selects an inexact backend,
-* the env/default override surface,
+* the env override surface,
 * lazily built tables: concurrent first calls build them once, and
 * the normalized transform accounting (passes *and* limb passes), which is
   what makes the fused key switch's "1 fwd + 1 inv" claim assertable.
@@ -30,7 +30,6 @@ from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.fused_kernels import MODE_ENV
 from repro.poly.ntt_engine import (
-    BACKEND_AUTO,
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
     BACKENDS,
@@ -41,8 +40,6 @@ from repro.poly.ntt_engine import (
     quarantine_backend,
     requested_backend,
     reset_transform_counts,
-    resolve_backend,
-    set_default_backend,
     supports,
     transform_counts,
 )
@@ -51,6 +48,7 @@ from repro.poly.ntt_reference import (
     ntt_inverse_negacyclic,
 )
 from repro.poly.ring import PolyRing
+from repro.poly.rns_poly import basis_plan
 
 SWEEP_DEGREES = [2**4, 2**5, 2**6, 2**7, 2**8, 2**10, 2**12, 2**13]
 
@@ -293,12 +291,13 @@ class TestLazyTables:
 
 
 class TestWideModulusDispatch:
-    def test_wide_modulus_small_degree_uses_four_step(self, rng):
+    def test_wide_modulus_small_degree_uses_four_step(self, rng, monkeypatch):
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
         prime = generate_ntt_prime(31, 64)
         assert prime >= 1 << 30
         assert supports((prime,), 64)
-        assert resolve_backend(64, (prime,), requested=BACKEND_AUTO) == BACKEND_FOUR_STEP
         plan = plan_stack_for((prime,), 64)
+        assert plan.resolve_backend() == BACKEND_FOUR_STEP
         x = _random_matrix(rng, (prime,), 64)
         assert np.array_equal(
             plan.forward(x)[0], ntt_forward_negacyclic(x[0], prime, plan.psis[0])
@@ -325,59 +324,53 @@ class TestWideModulusDispatch:
             assert [chunks for _, chunks in splits] == [2, 2], degree
 
     def test_modulus_past_the_word_falls_back_to_reference(self):
+        """A modulus past the word gets no stack, even pinned to four_step:
+        its basis runs the caller-side reference path."""
         wide = MAX_PLAN_MODULUS + 15
         assert not supports((wide,), 64)
-        # An explicit four_step request must not produce an inexact backend.
-        assert resolve_backend(64, (wide,), requested=BACKEND_FOUR_STEP) == (
-            BACKEND_REFERENCE
-        )
+        with pytest.raises(ParameterError):
+            NttPlanStack((wide,), 64, backend=BACKEND_FOUR_STEP)
+        assert basis_plan(RnsBasis(moduli=(wide,), degree=64)) is None
 
     @pytest.mark.parametrize("log_degree", range(2, 14))
     @pytest.mark.parametrize("bits", [20, 28, 30, 31, 32, 33])
     def test_dispatch_never_selects_inexact_backend(self, log_degree, bits):
-        """For every (degree, width) cell the resolved backend is exact."""
+        """Every (degree, width) cell where four_step is inexact refuses a
+        stack on any pin, so dispatch never meets an inexact rung."""
         degree = 1 << log_degree
         modulus = (1 << bits) - 1  # width witness; exactness is width-based
-        for requested in (BACKEND_AUTO,) + BACKENDS:
-            choice = resolve_backend(degree, (modulus,), requested=requested)
-            if choice == BACKEND_FOUR_STEP:
-                assert supports((modulus,), degree)
-            else:
-                assert choice == BACKEND_REFERENCE
+        if supports((modulus,), degree):
+            return  # stacks here are four_step-exact (test_exactness_grid)
+        for backend in (None,) + BACKENDS:
+            with pytest.raises(ParameterError):
+                NttPlanStack((modulus,), degree, backend=backend)
 
 
 class TestDispatchOverrides:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_NTT_BACKEND", "reference")
         assert requested_backend() == BACKEND_REFERENCE
-        assert resolve_backend(64, (7681,)) == BACKEND_REFERENCE
+        assert plan_stack_for((7681,), 64).resolve_backend() == BACKEND_REFERENCE
 
-    @pytest.mark.parametrize("value", ["warp-drive", "fused", "butterfly"])
+    def test_unpinned_means_four_step(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
+        assert requested_backend() == BACKEND_FOUR_STEP
+        assert plan_stack_for((7681,), 64).resolve_backend() == BACKEND_FOUR_STEP
+
+    @pytest.mark.parametrize("value", ["warp-drive", "fused", "butterfly", "auto"])
     def test_env_override_invalid_rejected(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_NTT_BACKEND", value)
         with pytest.raises(ParameterError):
             requested_backend()
-
-    def test_set_default_backend_roundtrip(self, monkeypatch):
-        # The env pin outranks the process default; clear any matrix-leg pin.
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        previous = set_default_backend(BACKEND_REFERENCE)
-        try:
-            assert requested_backend() == BACKEND_REFERENCE
-        finally:
-            set_default_backend(previous)
-
-    @pytest.mark.parametrize("name", ["nonsense", "fused", "butterfly"])
-    def test_set_default_backend_validates(self, name):
         with pytest.raises(ParameterError):
-            set_default_backend(name)
+            plan_stack_for((7681,), 64).resolve_backend()
 
     @pytest.mark.parametrize("name", ["nonsense", "fused"])
     def test_quarantine_rejects_unknown_backend(self, name):
         with pytest.raises(ParameterError):
             quarantine_backend(name, reason="drill")
 
-    @pytest.mark.parametrize("bogus", ["bogus", "fused", "butterfly"])
+    @pytest.mark.parametrize("bogus", ["bogus", "fused", "butterfly", "auto"])
     def test_plan_backend_attribute_pins(self, rng, bogus):
         basis = RnsBasis.generate(1, 24, 64)
         plan = NttPlanStack(basis.moduli, 64, backend=BACKEND_REFERENCE)

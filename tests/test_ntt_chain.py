@@ -36,13 +36,7 @@ from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.basis_conversion import conversion_for
-from repro.poly.ntt_engine import (
-    BACKEND_AUTO,
-    BACKENDS,
-    NttPlanStack,
-    plan_stack_for,
-    set_default_backend,
-)
+from repro.poly.ntt_engine import BACKENDS, NttPlanStack, plan_stack_for
 from repro.poly.ntt_reference import ntt_forward_negacyclic, ntt_inverse_negacyclic
 from repro.poly.rns_poly import basis_plan, stacked_ntt_forward, stacked_ntt_inverse
 
@@ -50,10 +44,8 @@ from repro.poly.rns_poly import basis_plan, stacked_ntt_forward, stacked_ntt_inv
 @pytest.fixture(autouse=True)
 def clean_dispatch(monkeypatch):
     monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-    previous = set_default_backend(BACKEND_AUTO)
     ntt_engine.clear_quarantine()
     yield
-    set_default_backend(previous)
     ntt_engine.clear_quarantine()
 
 
@@ -84,11 +76,11 @@ def _params(degree, limbs, special_limbs):
 class TestViewsAreBitExact:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("degree", [64, 4096])
-    def test_split_extended_basis_below_the_top(self, backend, degree):
+    def test_split_extended_basis_below_the_top(self, backend, degree, monkeypatch):
         """Level 2 of 4: ``Q_2`` is one row range of the chain, ``Q_2·P``
         two.  Whole bases, stacked operands and limb subsets crossing the
         split all match the oracle, forward and inverse."""
-        set_default_backend(backend)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
         rng = np.random.default_rng(degree)
         params = _params(degree, limbs=4, special_limbs=2)
         lead = (2,) if degree == 64 else ()
@@ -133,7 +125,7 @@ class TestOneTableSetPerChain:
         """Transforms at every level build the four-step tables once, on the
         chain, and every view's rows of them are views of the same memory;
         the plan cache gains nothing."""
-        set_default_backend("four_step")
+        monkeypatch.setenv("REPRO_NTT_BACKEND", "four_step")
         builds = []
         psi_powers = ntt_engine._psi_powers
 
@@ -332,16 +324,19 @@ class TestMixedWidthChains:
             dnum=2,
         )
 
-    @pytest.mark.parametrize("backend", (BACKEND_AUTO,) + BACKENDS)
+    @pytest.mark.parametrize(
+        "backend", [pytest.param(None, id="unpinned"), *BACKENDS]
+    )
     @pytest.mark.parametrize("degree, special_bits", [(64, 31), (4096, 30)])
     def test_views_keep_their_own_rung_and_stay_exact(
-        self, degree, special_bits, backend
+        self, degree, special_bits, backend, monkeypatch
     ):
         """Special primes wider than ``Q``: at N = 64 the 31-bit limbs take
         the float twist; at N = 4096 the 30-bit limbs set the split shift
         every view of the chain runs at.  Each view dispatches the rung a
         stack of its own would, bit for bit."""
-        set_default_backend(backend)
+        if backend is not None:
+            monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
         params = self._chain(degree, special_bits)
         chain = params.plan_stack()
         rng = np.random.default_rng(5)

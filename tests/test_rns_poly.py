@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.numtheory.crt import RnsBasis
+from repro.poly import ntt_engine
 from repro.poly.negacyclic import negacyclic_convolve
-from repro.poly.rns_poly import COEFF_DOMAIN, EVAL_DOMAIN, RnsPolynomial, ring_for
+from repro.poly.rns_poly import (
+    COEFF_DOMAIN,
+    EVAL_DOMAIN,
+    RnsPolynomial,
+    basis_plan,
+    ring_for,
+    stacked_ntt_forward,
+)
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +224,24 @@ class TestLimbOperations:
         for index in range(a.limb_count):
             expected = a.ring(index).automorphism(a.residues[index], 5)
             assert np.array_equal(rotated.residues[index], expected)
+
+
+class TestBasisPlan:
+    def test_cached_basis_skips_the_exactness_check(self, rns_basis, rng, monkeypatch):
+        """A chain-less basis' second transform reads the plan cache: the
+        exactness check (``_split_shifts``) runs on a cache miss only."""
+        residues = np.stack(
+            [rng.integers(0, q, rns_basis.degree, dtype=np.uint64) for q in rns_basis.moduli]
+        )
+        first = stacked_ntt_forward(rns_basis, residues)
+        calls = []
+        honest = ntt_engine._split_shifts
+
+        def spy(*args):
+            calls.append(args)
+            return honest(*args)
+
+        monkeypatch.setattr(ntt_engine, "_split_shifts", spy)
+        assert np.array_equal(stacked_ntt_forward(rns_basis, residues), first)
+        assert basis_plan(rns_basis) is not None
+        assert calls == []

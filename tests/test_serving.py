@@ -361,8 +361,7 @@ class TestTenantRegistry:
     def test_first_request_after_warm_builds_no_tables(self, backend, monkeypatch):
         """Registration warms the tenant's chain: its first request, which
         runs at two levels, builds no NTT table and runs no sentinel."""
-        monkeypatch.delenv("REPRO_NTT_BACKEND", raising=False)
-        monkeypatch.setattr(ntt_engine, "_DEFAULT_BACKEND", backend)
+        monkeypatch.setenv("REPRO_NTT_BACKEND", backend)
         spec = TenantSpec("warm", degree=64, limbs=3, dnum=2, key_seed=1, galois_steps=(1,))
         params = spec.build_params()
         relin, galois = spec.build_keys(params)
@@ -857,6 +856,10 @@ class TestDynamicBatching:
         ):
             outcome = by_drill[drill]
             assert outcome.correct == outcome.requests, outcome.errors
+        # corrupted tables the re-vet catches heal by one rebuild, in place
+        details = by_drill["four_step_table_corruption"].details
+        assert details["backend_tables_rebuilt"] == 1, details
+        assert details["backend_quarantined"] == 0, details
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +889,11 @@ class TestChaos:
         ):
             outcome = by_drill[drill]
             assert outcome.correct == outcome.requests, outcome.errors
+        # ...corrupted tables the re-vet catches heal by one rebuild, with
+        # no quarantine
+        details = by_drill["four_step_table_corruption"].details
+        assert details["backend_tables_rebuilt"] == 1, details
+        assert details["backend_quarantined"] == 0, details
 
     def test_prepare_work_flips_victim_payload(self):
         registry = TenantRegistry()
