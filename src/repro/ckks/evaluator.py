@@ -329,7 +329,10 @@ class CkksEvaluator:
         return product
 
     def multiply_plain(self, ciphertext: Ciphertext, plaintext: Plaintext) -> Ciphertext:
-        """Multiply a ciphertext by an encoded plaintext (one plaintext NTT).
+        """Multiply a ciphertext by an encoded plaintext.
+
+        Three transform calls: the plaintext's forward, then one forward and
+        one inverse of the stacked ``(c0, c1)`` pair (:func:`_pair`).
 
         The product scale must stay inside the remaining modulus budget --
         a product whose scale exceeds ``Q_level`` can never be rescaled back
@@ -347,10 +350,13 @@ class CkksEvaluator:
             noise = self.noise.multiply_plain_bits(
                 ciphertext.noise_bits, ciphertext.scale, plaintext.scale
             )
+        # The plaintext gets a unit pair axis to broadcast over (c0, c1).
+        poly = RnsPolynomial(poly.basis, poly.residues[..., None, :, :], EVAL_DOMAIN)
+        c0, c1 = _halves(_pair(ciphertext).multiply(poly).to_coeff())
         return self._stamp(
             Ciphertext(
-                c0=ciphertext.c0.multiply(poly).to_coeff(),
-                c1=ciphertext.c1.multiply(poly).to_coeff(),
+                c0=c0,
+                c1=c1,
                 scale=ciphertext.scale * plaintext.scale,
                 level=ciphertext.level,
             ),
@@ -364,12 +370,12 @@ class CkksEvaluator:
         (``c0*c0``, ``c0*c1``, ``c1*c0``, ``c1*c1``) and re-transforms each
         operand per product; squaring needs only three -- the cross term is
         ``d1 = 2 * c0 * c1``, a doubling add -- over operands transformed
-        once.  Bit-identical to ``multiply(ct, ct)``.
+        once, in one stacked forward call.  Bit-identical to
+        ``multiply(ct, ct)``.
         """
         self.validate(ciphertext, name="ciphertext")
         self._count("he_mult", self._batch_weight(ciphertext))
-        c0_eval = ciphertext.c0.to_eval()
-        c1_eval = ciphertext.c1.to_eval()
+        c0_eval, c1_eval = _halves(_pair(ciphertext).to_eval())
         # All three stay in the evaluation domain for relinearize().
         d0 = c0_eval.multiply(c0_eval)
         cross = c0_eval.multiply(c1_eval)
@@ -882,6 +888,28 @@ class CkksEvaluator:
         if lhs.noise_bits is None or rhs.noise_bits is None:
             return None
         return self.noise.add_bits(lhs.noise_bits, rhs.noise_bits)
+
+
+def _pair(ciphertext: Ciphertext) -> RnsPolynomial:
+    """``(c0, c1)`` stacked as one ``(..., 2, L, N)`` element.
+
+    One transform call then serves both halves: on small rings a call's
+    fixed cost, not its rows, is what a transform costs.  Halves in mixed
+    domains are both moved to the evaluation domain first.
+    """
+    c0, c1 = ciphertext.c0, ciphertext.c1
+    if c0.domain != c1.domain:
+        c0, c1 = c0.to_eval(), c1.to_eval()
+    residues = np.stack((c0.residues, c1.residues), axis=-3)
+    return RnsPolynomial(c0.basis, residues, c0.domain)
+
+
+def _halves(pair: RnsPolynomial) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """The two halves of a :func:`_pair`, as views."""
+    return tuple(
+        RnsPolynomial(pair.basis, pair.residues[..., half, :, :], pair.domain)
+        for half in (0, 1)
+    )
 
 
 def _match_level(poly: RnsPolynomial, level: int) -> RnsPolynomial:

@@ -71,8 +71,9 @@ class CkksParameters:
             self.special_basis = replace(self.special_basis, chain=chain)
 
     def __getstate__(self) -> dict:
-        # The plan holds locks; an unpickled copy re-binds the interned chain.
-        return {**self.__dict__, "_plan": None}
+        # The plan and the views in the memo hold locks; an unpickled copy
+        # re-binds the interned chain and rebuilds the memo.
+        return {**self.__dict__, "_plan": None, "_bases": {}}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -155,7 +156,9 @@ class CkksParameters:
         if basis is None:
             if not 1 <= level <= self.limbs:
                 raise ValueError(f"level must be in [1, {self.limbs}]")
-            basis = self._bases[level] = self.modulus_basis.sub_basis(0, level)
+            basis = self._bases[level] = self._held(
+                self.modulus_basis.sub_basis(0, level)
+            )
         return basis
 
     def digit_partition(self, level: int) -> tuple[tuple[int, int], ...]:
@@ -182,10 +185,20 @@ class CkksParameters:
         """Basis ``{q_0..q_{level-1}} + {p_0..p_{alpha-1}}`` used inside keyswitch."""
         extended = self._bases.get(("extended", level))
         if extended is None:
-            extended = self._bases[("extended", level)] = self.basis_at_level(
-                level
-            ).extend(self.special_basis)
+            extended = self._bases[("extended", level)] = self._held(
+                self.basis_at_level(level).extend(self.special_basis)
+            )
         return extended
+
+    def _held(self, basis: RnsBasis) -> RnsBasis:
+        """``basis``, with its view of the chain held in the memo.
+
+        A chain holds its views only weakly (so dropped parameters free it
+        by refcounting); the parameters that hand a basis out keep its view.
+        """
+        if self._plan is not None:
+            self._bases[("view", basis.moduli)] = self._plan.view(basis.moduli)
+        return basis
 
     def plan_stack(self) -> NttPlanStack | None:
         """The NTT plan of the whole chain ``Q_L·P`` (``None`` if unplannable).

@@ -34,7 +34,8 @@ is that the NTT *is* a block matmul, so it should run on the matrix engine):
   split-float64 BLAS GEMMs (`repro.poly.gemm_mod`).  Each constant matrix is
   split into ``K`` chunks, in the spirit of the paper's BAT byte split: two
   where that is exact at the chain's widest limb, else three, which keeps
-  every ``q < 2**32`` exact up to ``N = 2**16``; and
+  every ``q < 2**32`` exact up to ``N = 2**16``.  Small rings
+  (:data:`DENSE_MAX_DEGREE`) take the ``(N, 1)`` tile, a single dense GEMM; and
 * ``reference`` -- the per-call table-building oracle
   (`repro.poly.ntt_reference`).
 
@@ -236,6 +237,27 @@ def four_step_split(degree: int) -> tuple[int, int]:
     return rows, degree // rows
 
 
+#: Rings up to this degree run the dense ``(N, 1)`` tile: the whole
+#: negacyclic NTT is one ``(N, N)`` split GEMM.  A small ring's cascade
+#: costs its fixed per-pass NumPy overhead, not its GEMM flops, and the
+#: dense tile runs ~15 passes where the near-square tile runs ~33.  Measured
+#: on a 2-vCPU x86 host (6 limbs of 28 bits, forward + inverse of one
+#: ``(L, N)`` operand): dense takes 0.45-0.6x the four-step time at N = 32
+#: and 0.7-0.8x at 64, but 1.4-1.75x at 128 and 3.4-4x at 256, where the
+#: ``N**2`` GEMM outgrows the passes it saves.
+DENSE_MAX_DEGREE = 64
+
+
+def _tile(degree: int) -> tuple[int, int]:
+    """The ``(n1, n2)`` tile the GEMM rung runs at ``degree``.
+
+    ``(N, 1)`` up to :data:`DENSE_MAX_DEGREE`, else :func:`four_step_split`.
+    """
+    if degree <= DENSE_MAX_DEGREE:
+        return degree, 1
+    return four_step_split(degree)
+
+
 def four_step_matrices(
     moduli: tuple[int, ...], psis: tuple[int, ...], degree: int, rows: int, cols: int
 ) -> tuple[np.ndarray, ...]:
@@ -278,7 +300,7 @@ def _split_shifts(
 
     Each GEMM takes the fewest chunks (two, else three) whose split is exact
     at the widest limb: the bound depends on the modulus width and the
-    ``(n1, n2)`` factorisation (inner GEMM length), and the second GEMM of
+    ``(n1, n2)`` tile (:func:`_tile`; inner GEMM length), and the second GEMM of
     either direction consumes lazily reduced operands in ``[0, 2q)``, hence
     the one-bit operand allowance.  ``None`` where no split is exact:
     ``q >= MAX_PLAN_MODULUS`` or ``N > 2**16``.
@@ -289,7 +311,7 @@ def _split_shifts(
         return None
     bits = max((int(q) - 1).bit_length() for q in moduli)
     splits = []
-    for inner in four_step_split(degree):
+    for inner in _tile(degree):
         for chunks in range(2, _MAX_CHUNKS + 1):
             shift = split_shift(bits + 1, bits, inner, chunks)
             if shift is not None:
@@ -417,6 +439,34 @@ def _recombine(gemm: np.ndarray, rows: int, scale, q_f, inv_q, scratch) -> np.nd
     return acc
 
 
+def _dense_gemm(data, cat, scale, q_f, q_u, inv_q, out) -> np.ndarray:
+    """The dense tile's whole transform: one split ``(N, N)`` GEMM per limb.
+
+    ``data`` is ``(..., L, N)``; its leading axes become the GEMM's columns,
+    so a stacked operand is ``L`` GEMMs ``(K N, N) @ (N, B)``, not ``B L``
+    matrix-vector products.  Recombined, canonicalised into ``out``.
+    """
+    *lead, limbs, degree = data.shape
+    columns = data.size // (limbs * degree)
+    pool = _scratch_pool((limbs,), degree, columns, cat.shape[-2] // degree, 1)
+    tile, scratch = pool["tile"], pool["scratch_t"].reshape(pool["tile"].shape)
+    # (..., L, N) -> (L, N, ...): the limb and coefficient axes lead.
+    axes = (len(lead), len(lead) + 1, *range(len(lead)))
+    np.copyto(
+        tile.reshape(limbs, degree, *lead), data.transpose(axes), casting="unsafe"
+    )
+    gemm = pool["gemm"]
+    np.matmul(cat, tile, out=gemm)
+    acc = _recombine(gemm, degree, scale, q_f, inv_q, scratch)
+    result = out.transpose(axes)
+    np.copyto(result, acc.reshape(result.shape), casting="unsafe")
+    q_u = q_u.reshape(limbs, 1, *(1,) * len(lead))
+    s_u = scratch.view(np.uint64).reshape(result.shape)
+    np.subtract(result, q_u, out=s_u)
+    np.minimum(result, s_u, out=result)
+    return out
+
+
 class _FourStepStack:
     """Limb-stacked four-step GEMM tables and the cascade that runs them.
 
@@ -429,11 +479,19 @@ class _FourStepStack:
     `repro.core.ntt3step.FourStepNttPlan` keeps with an explicit transpose
     step).  The inverse runs the mirrored cascade.
 
+    Small rings (``N <=`` :data:`DENSE_MAX_DEGREE`) run the dense ``(N, 1)``
+    tile (:func:`_tile`): ``M1`` is then the whole negacyclic NTT matrix,
+    the twist is 1 and ``M4 = [1]`` (``M1_inv`` carries ``N^{-1}``), so the
+    cascade skips the identity stages and a transform is one split GEMM,
+    one recombine and one canonicalisation (:func:`_dense_gemm`), with any
+    stacked operands riding as the GEMM's columns.  On such rings a call's
+    fixed per-pass cost, not the GEMM, is what a transform costs.
+
     Each limb's matrices are split into ``K`` float chunks at the *widest*
     limb's split (:func:`_split_shifts`) and stacked into ``(L, K n, n)``
     tensors, so a whole ``(L, N)`` operand rides two *batched* ``K``-times
-    high BLAS GEMMs.  A ring with no exact split refuses at construction
-    (``ParameterError``).
+    high BLAS GEMMs (one on the dense tile).  A ring with no exact split
+    refuses at construction (``ParameterError``).
 
     The cascade runs through the calling thread's scratch buffer
     (:func:`_scratch_pool`), so the hot loop performs **zero** element-wise
@@ -445,9 +503,11 @@ class _FourStepStack:
 
     #: Rings at or below this degree fold extra leading axes into ONE
     #: cascade: small tiles are dominated by per-call fixed costs, and the
-    #: bigger GEMMs amortise them across the whole stack.  Larger rings
-    #: iterate per slice instead -- their tiles already saturate BLAS, and
-    #: folding would only grow the working set past cache for no gain.
+    #: bigger GEMMs amortise them across the whole stack (on the dense tile
+    #: the folded axes become the GEMM's columns).  Larger rings iterate per
+    #: slice instead -- their tiles already saturate BLAS, and folding would
+    #: only grow the working set past cache for no gain -- so a stacked call
+    #: there costs what its slices would.
     _FOLD_DEGREE_CAP = 2048
 
     def __init__(self, moduli: tuple[int, ...], psis: tuple[int, ...], degree: int):
@@ -464,7 +524,7 @@ class _FourStepStack:
         split1, split4 = shifts
         bits = max((int(q) - 1).bit_length() for q in moduli)
         shift_tw = (bits + 1) // 2
-        self.rows, self.cols = rows, cols = four_step_split(degree)
+        self.rows, self.cols = rows, cols = _tile(degree)
         self._q_u = np.array(moduli, dtype=np.uint64)[:, None, None]
         self._q_f = self._q_u.astype(np.float64)
         self._under_inv = _under_inverse(self._q_f)
@@ -550,6 +610,10 @@ class _FourStepStack:
             first_cat, scale_first, twist, second_cat, scale_second, a, b,
             q_f, q_u, inv_q,
         ) = views
+        if b == 1:  # dense forward: the twist and the second GEMM are 1
+            return _dense_gemm(data, first_cat, scale_first, q_f, q_u, inv_q, out)
+        if a == 1:  # dense inverse: the first GEMM and the twist are 1
+            return _dense_gemm(data, second_cat, scale_second, q_f, q_u, inv_q, out)
         pool = _scratch_pool(
             data.shape[:-1], a, b, first_cat.shape[-2] // a, second_cat.shape[-2] // b
         )
@@ -849,7 +913,11 @@ class NttPlanStack:
     ``[:l]`` of ``Q_L·P``, ``Q_l·P`` rows ``[:l]`` and ``[L:L+alpha]``), and
     the four-step rung runs on views of the chain's tables.  Any other stack
     is its own one-chain set.  The table build, the verdict, the views and
-    the derived constants are per chain.
+    the derived constants are per chain.  References run one way, so
+    refcounting frees a dropped chain: a view holds its chain, a chain holds
+    its views weakly (whoever hands out the basis holds its view, as
+    `repro.ckks.params.CkksParameters` does), and a chain holds no
+    reference to itself.
 
     ``backend`` pins the execution rung (a member of :data:`BACKENDS`); the
     default ``None`` defers to the ``REPRO_NTT_BACKEND`` pin on every call
@@ -881,7 +949,7 @@ class NttPlanStack:
         self.moduli = moduli
         self.degree = degree
         self.backend = backend
-        self.chain = chain or self
+        self._chain = chain
         rows = [self.chain.moduli.index(q) for q in moduli]
         self.ranges = _ranges(rows)
         self._rows = rows
@@ -895,7 +963,9 @@ class NttPlanStack:
         self._four_step: _FourStepStack | None = None
         #: ``(generation, passed)`` of the last four-step vet.
         self._verdict: tuple[int, bool] | None = None
-        self._views: dict[tuple[int, ...], tuple] = {}
+        self._views: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        #: ``moduli`` -> the ``(start, stop)`` runs of chain rows they occupy.
+        self._chain_rows: dict[tuple[int, ...], tuple] = {}
         self._constants: dict = {}
         # Guards the table build and the verdict; re-entrant because a vet
         # builds the tables it probes.
@@ -906,18 +976,35 @@ class NttPlanStack:
         """Number of stacked limbs L."""
         return len(self.moduli)
 
+    @property
+    def chain(self) -> "NttPlanStack":
+        """The stack owning the tables: the chain of a view, else ``self``."""
+        return self._chain or self
+
     # ---------------------------------------------------------- chain owner
-    def view(self, moduli: tuple[int, ...]) -> tuple["NttPlanStack", tuple]:
-        """The stack the basis ``moduli`` runs on and its chain row ranges, memoised."""
-        entry = self._views.get(moduli)
-        if entry is None:
-            stack = self
-            if moduli != self.moduli:
-                stack = NttPlanStack(moduli, self.degree, chain=self)
-            rows = _ranges([self.moduli.index(q) for q in moduli])
-            entry = (stack, tuple((part.start, part.stop) for _, part in rows))
-            entry = self._views.setdefault(moduli, entry)
-        return entry
+    def view(self, moduli: tuple[int, ...]) -> "NttPlanStack":
+        """The stack the basis ``moduli`` runs on: ``self`` or a view of it.
+
+        Memoised weakly: a view lives while someone holds it.
+        """
+        if moduli == self.moduli:
+            return self
+        stack = self._views.get(moduli)
+        if stack is None:
+            stack = self._views.setdefault(
+                moduli, NttPlanStack(moduli, self.degree, chain=self)
+            )
+        return stack
+
+    def chain_rows(self, moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """The ``(start, stop)`` runs of this chain's rows ``moduli`` occupy."""
+        rows = self._chain_rows.get(moduli)
+        if rows is None:
+            runs = _ranges([self.moduli.index(q) for q in moduli])
+            rows = self._chain_rows.setdefault(
+                moduli, tuple((run.start, run.stop) for _, run in runs)
+            )
+        return rows
 
     def constant(self, key, build):
         """``build()``, memoised on the chain under ``key`` (first build wins)."""
@@ -1210,8 +1297,11 @@ def verify_plan(stack: NttPlanStack) -> bool:
 def supports(moduli: tuple[int, ...], degree: int) -> bool:
     """True when the engine plans every modulus exactly at ``degree``.
 
-    That is where the four-step GEMM split is exact (:func:`_split_shifts`):
-    every ``1 < q < 2**32`` at ``4 <= N <= 2**16``.  Anything else stays on
-    the caller-side big-int reference path.
+    That is where the GEMM split of the ring's tile is exact
+    (:func:`_split_shifts`; the dense ``(N, 1)`` tile up to
+    :data:`DENSE_MAX_DEGREE`, where a call's fixed cost outweighs its GEMM,
+    else the near-square one): every ``1 < q < 2**32`` at
+    ``4 <= N <= 2**16``.  Anything else stays on the caller-side big-int
+    reference path.
     """
     return _split_shifts(degree, tuple(moduli)) is not None

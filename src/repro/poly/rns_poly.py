@@ -43,7 +43,7 @@ def basis_plan(basis: RnsBasis) -> NttPlanStack | None:
     constructor refuses moduli the engine cannot plan exactly.
     """
     if basis.chain is not None:
-        return register_chain(basis.chain, basis.degree).view(basis.moduli)[0]
+        return register_chain(basis.chain, basis.degree).view(basis.moduli)
     try:
         return plan_stack_for(basis.moduli, basis.degree)
     except ParameterError:
@@ -56,7 +56,7 @@ def chain_constant(key, bases: tuple[RnsBasis, ...], build):
     if chain is None or any(basis.chain != chain for basis in bases[1:]):
         return build()
     owner = register_chain(chain, bases[0].degree)
-    return owner.constant((key, *(owner.view(b.moduli)[1] for b in bases)), build)
+    return owner.constant((key, *(owner.chain_rows(b.moduli) for b in bases)), build)
 
 
 def _stacked_transform(

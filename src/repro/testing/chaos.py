@@ -506,8 +506,16 @@ def run_chaos(
     def drill_vetted():
         return corrupted_after_vet(), None
 
+    @contextmanager
+    def perturbed_before_vet():
+        # Forgetting the verdict makes the next dispatch re-vet: the rebuilt
+        # tables fail too, so four_step is quarantined under load.
+        with perturbed_gemm_outputs():
+            ntt_engine.reset_sentinels()
+            yield
+
     def drill_gemm():
-        return perturbed_gemm_outputs(), None
+        return perturbed_before_vet(), None
 
     def drill_calibration():
         return calibration_lie(stack), None

@@ -154,3 +154,56 @@ class TestComposedCircuits:
         second = ev.multiply(first, ct1_lowered)
         expected = env["z1"] ** 2 * env["z2"]
         assert np.abs(decrypt_decode(env, second) - expected).max() < 0.2
+
+
+class TestPairTransforms:
+    """``multiply_plain`` and ``square`` transform ``(c0, c1)`` as one stacked
+    call: the pair shares calls, not rows, and the results are the per-half
+    ones bit for bit."""
+
+    def test_multiply_plain_is_the_per_half_product(self, env):
+        from repro.poly.ntt_engine import reset_transform_counts, transform_counts
+
+        ciphertext, level = env["ct1"], env["ct1"].level
+        plain = env["encoder"].encode(env["z2"])
+        reset_transform_counts()
+        product = env["evaluator"].multiply_plain(ciphertext, plain)
+        counts = transform_counts()
+        assert (counts["forward"], counts["inverse"]) == (2, 1)
+        assert (counts["forward_limbs"], counts["inverse_limbs"]) == (3 * level, 2 * level)
+        poly = plain.poly.to_eval()
+        for half, expected in ((product.c0, ciphertext.c0), (product.c1, ciphertext.c1)):
+            per_half = expected.multiply(poly).to_coeff()
+            assert half.domain == per_half.domain
+            assert np.array_equal(half.residues, per_half.residues)
+
+    def test_n64_linear_square_request_pays_nine_calls(self, rng):
+        """The serving ring's ``(w * x + b)^2`` request: 12 calls with one
+        per half, 9 with one per pair; its limb rows do not move."""
+        from types import SimpleNamespace
+
+        from repro.ckks import CkksEncoder, CkksEvaluator, Encryptor, KeyGenerator
+        from repro.ckks.params import CkksParameters
+        from repro.poly.ntt_engine import reset_transform_counts, transform_counts
+        from repro.testing.chaos import LinearSquareCircuit
+
+        params = CkksParameters.create(degree=64, limbs=4, log_q=28, dnum=2, scale_bits=26)
+        keygen = KeyGenerator(params, rng=np.random.default_rng(1))
+        encoder = CkksEncoder(params)
+        session = SimpleNamespace(
+            evaluator=CkksEvaluator(params, relin_key=keygen.relinearization_key()),
+            encoder=encoder,
+        )
+        slots = params.slot_count
+        payload = Encryptor(params, keygen.public_key(), keygen).encrypt(
+            encoder.encode(rng.uniform(-1.0, 1.0, slots))
+        )
+        circuit = LinearSquareCircuit(
+            weights=rng.uniform(-1.0, 1.0, slots), bias=rng.uniform(-0.2, 0.2, slots)
+        )
+        circuit(session, payload)
+        reset_transform_counts()
+        circuit(session, payload)
+        counts = transform_counts()
+        assert counts["forward"] + counts["inverse"] == 9
+        assert (counts["forward_limbs"], counts["inverse_limbs"]) == (25, 21)

@@ -285,6 +285,25 @@ class TestCalibrationLie:
             assert np.array_equal(plan.forward(ring["probe"].copy()), ring["truth"])
             assert BACKEND_FOUR_STEP in quarantined_backends()
 
+    def test_lie_bites_on_the_dense_n64_chain(self):
+        """The serving ring's chain runs the dense tile: one split GEMM a
+        chunk short is refused, rebuilt on the same lie, and quarantined."""
+        params = CkksParameters.create(
+            degree=64, limbs=4, log_q=28, dnum=2, scale_bits=26
+        )
+        stack = params.plan_stack()
+        assert ntt_engine._tile(64) == (64, 1)
+        probe = np.stack(
+            [ntt_engine._sentinel_vector(64, q)[::-1].copy() for q in stack.moduli]
+        )
+        truth = stack.forward(probe)
+        with calibration_lie(stack):
+            assert np.array_equal(stack.forward(probe), truth)
+            assert _rebuilds() == 1
+            assert BACKEND_FOUR_STEP in quarantined_backends()
+        assert np.array_equal(stack.forward(probe), truth)
+        assert stack.resolve_backend() == BACKEND_FOUR_STEP
+
     def test_direct_use_of_inexact_tables_is_typed(self):
         """Four-step tables for a ring with no exact split refuse, typed."""
         with pytest.raises(ParameterError):

@@ -29,6 +29,7 @@ from repro.numtheory.crt import RnsBasis
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.fused_kernels import MODE_ENV
+from repro.poly.gemm_mod import set_strict
 from repro.poly.ntt_engine import (
     BACKEND_FOUR_STEP,
     BACKEND_REFERENCE,
@@ -70,6 +71,88 @@ class TestFourStepSplit:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             four_step_split(48)
+
+
+#: Every dense-tile degree and the near-square ones up to twice the cap.
+DENSE_DEGREES = [
+    1 << k for k in range(2, (2 * ntt_engine.DENSE_MAX_DEGREE).bit_length())
+]
+
+
+def _chain_of(bits, degree, count):
+    """``count`` distinct ``bits``-bit NTT primes for ``degree``."""
+    moduli, below = [], None
+    for _ in range(count):
+        below = generate_ntt_prime(bits, degree, below=below)
+        moduli.append(below)
+    return tuple(moduli)
+
+
+def _oracle(matrix, moduli, psis, forward):
+    """The reference transform of every ``(..., L, N)`` row."""
+    transform = ntt_forward_negacyclic if forward else ntt_inverse_negacyclic
+    out = np.empty_like(matrix)
+    for index in np.ndindex(*matrix.shape[:-2]):
+        for limb, (q, psi) in enumerate(zip(moduli, psis)):
+            out[(*index, limb)] = transform(matrix[(*index, limb)], q, psi)
+    return out
+
+
+def _assert_matches_oracle(stack, matrix):
+    forward = stack.forward(matrix)
+    assert np.array_equal(forward, _oracle(matrix, stack.moduli, stack.psis, True))
+    inverse = stack.inverse(matrix)
+    assert np.array_equal(inverse, _oracle(matrix, stack.moduli, stack.psis, False))
+    assert np.array_equal(stack.inverse(forward), matrix)
+
+
+class TestDenseTile:
+    """Up to ``DENSE_MAX_DEGREE`` the GEMM rung runs the ``(N, 1)`` tile, one
+    split ``(N, N)`` GEMM; above it the near-square tile.  Both sides of the
+    cap agree with the reference oracle on every path an operand takes.
+    The stacks pin ``four_step``, so a ``reference``-pinned run tests it too."""
+
+    def test_tile_switches_at_the_cap(self):
+        for degree in DENSE_DEGREES:
+            dense = degree <= ntt_engine.DENSE_MAX_DEGREE
+            expected = (degree, 1) if dense else four_step_split(degree)
+            assert ntt_engine._tile(degree) == expected
+
+    @pytest.mark.parametrize("bits", [28, 30, 31, 32])
+    @pytest.mark.parametrize("degree", DENSE_DEGREES)
+    def test_folded_stacked_operands(self, rng, degree, bits):
+        moduli = _chain_of(bits, degree, 3)
+        stack = NttPlanStack(moduli, degree, BACKEND_FOUR_STEP)
+        assert stack.resolve_backend() == BACKEND_FOUR_STEP
+        _assert_matches_oracle(stack, _random_matrix(rng, moduli, degree, (2, 3)))
+
+    @pytest.mark.parametrize("bits", [28, 30, 31, 32])
+    @pytest.mark.parametrize("degree", DENSE_DEGREES)
+    def test_limb_subset_with_a_gap(self, rng, degree, bits):
+        """Chain rows 0, 1 and 3: one cascade spans the gap row."""
+        moduli = _chain_of(bits, degree, 4)
+        chain = NttPlanStack(moduli, degree)
+        view = NttPlanStack(
+            moduli[:2] + moduli[3:], degree, BACKEND_FOUR_STEP, chain=chain
+        )
+        assert len(view.ranges) == 2
+        assert degree <= ntt_engine._SPAN_GAP_COEFFS
+        _assert_matches_oracle(view, _random_matrix(rng, view.moduli, degree, (2,)))
+
+    @pytest.mark.parametrize("bits", [28, 30, 31, 32])
+    @pytest.mark.parametrize("degree", DENSE_DEGREES)
+    def test_strict_mode(self, rng, degree, bits, monkeypatch):
+        """Strict GEMM operands and a spot check on every pass."""
+        monkeypatch.setenv("REPRO_NTT_SPOT_STRIDE", "1")
+        moduli = _chain_of(bits, degree, 2)
+        stack = NttPlanStack(moduli, degree, BACKEND_FOUR_STEP)
+        previous = set_strict(True)
+        try:
+            _assert_matches_oracle(stack, _random_matrix(rng, moduli, degree, (3,)))
+            _assert_matches_oracle(stack, _random_matrix(rng, moduli, degree))
+        finally:
+            set_strict(previous)
+        assert not ntt_engine.quarantined_backends()
 
 
 class TestCrossBackendBitExactness:
@@ -305,18 +388,25 @@ class TestWideModulusDispatch:
         assert np.array_equal(plan.inverse(plan.forward(x)), x)
 
     @pytest.mark.parametrize(
-        "bits, degree, chunks",
-        [(29, 2**15, [3, 2]), (30, 2**13, [3, 2]), (31, 2**9, [3, 2]), (32, 2**7, [3, 2])],
+        "bits, degree, below",
+        [
+            (29, 2**15, [2, 2]),
+            (30, 2**13, [2, 2]),
+            (31, 2**9, [2, 2]),
+            # N = 64 runs the dense (64, 1) tile: a 64-long GEMM at 32 bits
+            # needs three chunks, its unit second GEMM two.
+            (32, 2**7, [3, 2]),
+        ],
     )
-    def test_three_chunks_where_two_are_inexact(self, bits, degree, chunks):
-        """The first ``(bits, N)`` cell where a 2-way split is inexact takes
-        three chunks (column GEMM first, row GEMM second); the cell below
-        keeps two."""
+    def test_three_chunks_where_two_are_inexact(self, bits, degree, below):
+        """The first near-square ``(bits, N)`` cell where a 2-way split is
+        inexact takes three chunks (column GEMM first, row GEMM second); the
+        cell below keeps two unless its tile's GEMM is longer."""
         modulus = (1 << bits) - 1
         splits = ntt_engine._split_shifts(degree, (modulus,))
-        assert [count for _, count in splits] == chunks
-        below = ntt_engine._split_shifts(degree // 2, (modulus,))
-        assert [count for _, count in below] == [2, 2]
+        assert [count for _, count in splits] == [3, 2]
+        below_splits = ntt_engine._split_shifts(degree // 2, (modulus,))
+        assert [count for _, count in below_splits] == below
 
     def test_twenty_eight_bit_chains_keep_two_chunks(self):
         for degree in SWEEP_DEGREES + [2**14, 2**16]:

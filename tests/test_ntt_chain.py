@@ -309,6 +309,22 @@ class TestChurn:
         assert leaked == []
 
 
+    def test_refcounting_frees_a_dropped_chain(self):
+        """No reference cycle holds a chain (a chain holds no reference to
+        itself and its views weakly): with the cyclic collector off, a used
+        parameter set's chain dies at its ``del``."""
+        gc.collect()
+        gc.disable()
+        try:
+            params = CkksParameters.create(degree=64, limbs=3, log_q=23, dnum=2)
+            _use(params)
+            chain = weakref.ref(params.plan_stack())
+            del params
+            assert chain() is None
+        finally:
+            gc.enable()
+
+
 class TestMixedWidthChains:
     @staticmethod
     def _chain(degree, special_bits):

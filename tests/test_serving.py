@@ -833,12 +833,14 @@ class TestDynamicBatching:
         ]
         assert events and events[-1]["reason"] == "ParameterError"
 
-    def test_chaos_with_dynamic_batching(self):
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_chaos_with_dynamic_batching(self, seed):
         """Every fault drill with coalescing on: quarantine reroute must
         still heal mid-batch, with zero silent corruption and zero hangs."""
         report = run_chaos(
             requests_per_drill=8,
             workers=4,
+            seed=seed,
             max_batch_size=4,
             max_batch_wait_s=0.01,
         )
@@ -860,6 +862,7 @@ class TestDynamicBatching:
         details = by_drill["four_step_table_corruption"].details
         assert details["backend_tables_rebuilt"] == 1, details
         assert details["backend_quarantined"] == 0, details
+        _assert_rebuild_then_quarantine(by_drill)
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +870,20 @@ class TestDynamicBatching:
 # ---------------------------------------------------------------------------
 
 
+def _assert_rebuild_then_quarantine(by_drill) -> None:
+    """A miscomputing engine is re-vetted under load: its rebuilt tables
+    fail too, so four_step is quarantined; a lying split is refused the
+    same way on the chaos tenants' dense n64 tile."""
+    for drill in ("gemm_output_perturbation", "calibration_lie"):
+        details = by_drill[drill].details
+        assert details["backend_tables_rebuilt"] >= 1, (drill, details)
+        assert details["backend_quarantined"] >= 1, (drill, details)
+
+
 class TestChaos:
-    def test_all_drills_under_concurrent_load(self):
-        report = run_chaos(requests_per_drill=8, workers=8)
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_all_drills_under_concurrent_load(self, seed):
+        report = run_chaos(requests_per_drill=8, workers=8, seed=seed)
         assert report.silent == 0, report.summary()
         assert report.hung == 0, report.summary()
         assert report.ok
@@ -894,6 +908,7 @@ class TestChaos:
         details = by_drill["four_step_table_corruption"].details
         assert details["backend_tables_rebuilt"] == 1, details
         assert details["backend_quarantined"] == 0, details
+        _assert_rebuild_then_quarantine(by_drill)
 
     def test_prepare_work_flips_victim_payload(self):
         registry = TenantRegistry()
