@@ -4,11 +4,6 @@ Benchmarks and examples call into :mod:`repro.analysis.tables` to print the
 same rows/series the paper reports, side by side with the published numbers.
 """
 
-from repro.analysis.tables import (
-    format_breakdown,
-    format_table,
-    ratio_string,
-    side_by_side,
-)
+from repro.analysis.tables import format_breakdown, format_table
 
-__all__ = ["format_breakdown", "format_table", "ratio_string", "side_by_side"]
+__all__ = ["format_breakdown", "format_table"]

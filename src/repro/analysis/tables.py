@@ -41,23 +41,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def ratio_string(measured: float, reference: float) -> str:
-    """Human-readable ratio "measured / reference" (e.g. "1.43x")."""
-    if reference == 0:
-        return "n/a"
-    return f"{measured / reference:.2f}x"
-
-
-def side_by_side(
-    label: str, paper_value: float, simulated_value: float, unit: str = ""
-) -> str:
-    """One comparison line: paper value vs simulated value plus the ratio."""
-    return (
-        f"{label:32s} paper={paper_value:12.3f}{unit}  "
-        f"simulated={simulated_value:12.3f}{unit}  ratio={ratio_string(simulated_value, paper_value)}"
-    )
-
-
 def format_breakdown(breakdown: dict[str, float], title: str | None = None) -> str:
     """Render a latency breakdown (category -> fraction) sorted by share."""
     lines = [title] if title else []

@@ -1,31 +1,11 @@
 """Baseline algorithms the paper compares against.
 
-* :mod:`repro.baselines.sparse_toeplitz` -- the SoTA GPU high-precision
-  multiplication flow (paper Fig. 7 left): sparse Toeplitz chunk matrix,
-  seven partial sums, long carry-add chain.
-* :mod:`repro.baselines.gpu_flow` -- convenience constructors for the "port
-  the GPU algorithm to the TPU" compiler configurations used as the TPU
-  baseline throughout the evaluation.
+* :mod:`repro.baselines.gpu_flow` -- kernel graphs of the SoTA GPU
+  high-precision multiplication flow (paper Fig. 7 left: sparse Toeplitz
+  chunk matrix, seven partial sums, long carry-add chain) beside BAT's, as
+  Table V prices them.
 """
 
-from repro.baselines.gpu_flow import (
-    gpu_baseline_compiler,
-    radix2_baseline_compiler,
-    sparse_matmul_graph,
-)
-from repro.baselines.sparse_toeplitz import (
-    SparseCompiledScalar,
-    sparse_matvec_modmul,
-    sparse_toeplitz_matrix,
-    toeplitz_zero_fraction,
-)
+from repro.baselines.gpu_flow import bat_matmul_graph, sparse_matmul_graph
 
-__all__ = [
-    "SparseCompiledScalar",
-    "gpu_baseline_compiler",
-    "radix2_baseline_compiler",
-    "sparse_matmul_graph",
-    "sparse_matvec_modmul",
-    "sparse_toeplitz_matrix",
-    "toeplitz_zero_fraction",
-]
+__all__ = ["bat_matmul_graph", "sparse_matmul_graph"]

@@ -1,33 +1,15 @@
-"""Compiler configurations for the paper's TPU baselines.
+"""Kernel graphs of the paper's high-precision ModMatMul baseline (Table V).
 
-The paper's "baseline" for TPU experiments is the SoTA GPU decomposing and
-binding algorithm ported verbatim: the sparse Toeplitz int8 expansion of
-Fig. 7 plus the 4-step NTT with its explicit transpose and bit-reverse
-shuffle (section V-A, Baselines).  ``gpu_baseline_compiler`` builds exactly
-that configuration; ``radix2_baseline_compiler`` builds the pure-32-bit
-radix-2 Cooley-Tukey variant used in Table X.
+The SoTA GPU flow expands a 32-bit modular multiplication into a sparse
+Toeplitz int8 matrix-vector product with ``2K-1`` partial sums and a long
+carry-add chain (paper Fig. 7 left); BAT folds it into a dense ``K x K``
+operand.  The compiler configurations of the TPU baselines are
+``CompilerOptions.gpu_baseline()`` and ``CompilerOptions.vpu_only_baseline()``.
 """
 
 from __future__ import annotations
 
-from repro.core.compiler import CompilerOptions, CrossCompiler
-from repro.core.config import SecurityParams
 from repro.core.kernel_ir import Category, KernelGraph, MatMulOp, TypeConvertOp, VectorOp
-
-
-def gpu_baseline_compiler(params: SecurityParams) -> CrossCompiler:
-    """The SoTA-GPU-algorithm-on-TPU baseline (sparse int8 + 4-step NTT)."""
-    return CrossCompiler(params, CompilerOptions.gpu_baseline())
-
-
-def radix2_baseline_compiler(params: SecurityParams) -> CrossCompiler:
-    """The radix-2 Cooley-Tukey baseline (pure VPU, per-stage shuffles)."""
-    return CrossCompiler(
-        params,
-        CompilerOptions(
-            use_bat=False, use_mat=False, ntt_algorithm="radix2", sparse_fallback=False
-        ),
-    )
 
 
 def sparse_matmul_graph(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from repro.errors import DeadlineExceeded, RequestCancelled
 
-__all__ = ["CancelScope", "cancel_scope", "checkpoint", "current_scope"]
+__all__ = ["CancelScope", "checkpoint"]
 
 _SCOPE: "contextvars.ContextVar[Optional[CancelScope]]" = contextvars.ContextVar(
     "repro_cancel_scope", default=None
@@ -125,22 +125,6 @@ class CancelScope:
             _SCOPE.reset(self._token)
             self._token = None
         self._parent = None
-
-
-def cancel_scope(
-    timeout: float | None = None,
-    *,
-    deadline: float | None = None,
-    clock: Callable[[], float] = time.monotonic,
-    label: str = "",
-) -> CancelScope:
-    """Create a :class:`CancelScope` (use with ``with`` to install it)."""
-    return CancelScope(timeout=timeout, deadline=deadline, clock=clock, label=label)
-
-
-def current_scope() -> CancelScope | None:
-    """The scope installed for the current thread/context, if any."""
-    return _SCOPE.get()
 
 
 def checkpoint() -> None:

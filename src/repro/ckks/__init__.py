@@ -26,7 +26,6 @@ from repro.ckks.encoding import (
     matrix_diagonals,
     matrix_from_diagonals,
     rotate_slots,
-    slot_bit_reversal,
 )
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import CkksEvaluator, HoistedCiphertext
@@ -103,7 +102,6 @@ __all__ = [
     "ps_operation_counts",
     "required_rotation_steps",
     "rotate_slots",
-    "slot_bit_reversal",
     "slot_to_coeff",
     "slot_to_coeff_merge",
     "switch_extended_eval",

@@ -51,7 +51,6 @@ from repro.ckks.encoding import (
     CkksEncoder,
     matrix_diagonals,
     matrix_from_diagonals,
-    slot_bit_reversal,
 )
 from repro.ckks.linear_transform import (
     DiagonalLinearTransform,
@@ -359,11 +358,6 @@ def slot_to_coeff_merge(
     lo = evaluator.rescale(evaluator.multiply_plain(ct_lo, one))
     hi = evaluator.rescale(evaluator.multiply_plain(ct_hi, i_vector))
     return slot_to_coeff(evaluator, transforms, evaluator.add(lo, hi))
-
-
-def slot_permutation(transforms: BootstrappingTransforms) -> np.ndarray:
-    """The slot permutation CoeffToSlot leaves its output in (bit-reversal)."""
-    return slot_bit_reversal(transforms.encoder.params.slot_count)
 
 
 # --------------------------------------------------------------------------

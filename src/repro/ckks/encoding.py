@@ -38,7 +38,6 @@ from repro.ckks.ciphertext import Plaintext
 from repro.ckks.params import CkksParameters
 from repro.diagnostics import BoundedLruCache, register_cache_group
 from repro.errors import ParameterError
-from repro.numtheory.bitrev import bit_reverse_indices
 from repro.numtheory.crt import RnsBasis
 from repro.poly.rns_poly import RnsPolynomial
 
@@ -116,16 +115,6 @@ def constant_coefficients(value: complex, scale: float, degree: int) -> np.ndarr
     coefficients[0] = int(round(value.real * scale))
     coefficients[degree // 2] = int(round(value.imag * scale))
     return coefficients
-
-
-def slot_bit_reversal(slots: int) -> np.ndarray:
-    """The bit-reversal permutation of the slot indices (read-only).
-
-    The radix-2 special-FFT factorisation of the canonical embedding consumes
-    its input in bit-reversed order; CoeffToSlot therefore delivers the
-    polynomial coefficients into slots permuted by this index array.
-    """
-    return bit_reverse_indices(slots)
 
 
 def slot_exponents(degree: int) -> np.ndarray:

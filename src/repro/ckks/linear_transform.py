@@ -508,20 +508,3 @@ class DiagonalLinearTransform:
         if len(ciphertexts) == 1:
             return [self.apply(evaluator, ciphertexts[0])]
         return unstack_ciphertext(self.apply(evaluator, stack_ciphertexts(ciphertexts)))
-
-
-def bsgs_rotation_counts(diagonal_indices, slots: int, n1: int | None = None):
-    """``(n1, baby count, giant count)`` for a diagonal index set.
-
-    The analytic mirror of :meth:`DiagonalLinearTransform.rotation_count`,
-    usable by cost models without building plaintexts: for a dense index set
-    this reproduces the classic ``~2*sqrt(n)`` BSGS rotation count.
-    """
-    indices = sorted({int(k) % slots for k in diagonal_indices})
-    if not indices:
-        raise ParameterError("need at least one diagonal index")
-    if n1 is None:
-        n1 = _default_baby_count(indices, slots)
-    babies = {k % n1 for k in indices} - {0}
-    giants = {(k // n1) * n1 for k in indices} - {0}
-    return int(n1), len(babies), len(giants)

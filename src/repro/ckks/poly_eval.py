@@ -102,42 +102,6 @@ def clenshaw(coefficients: Sequence, t):
     return coefficients[0] + t * b_curr - b_next
 
 
-def horner(coefficients: Sequence, x):
-    """Power-basis Horner evaluation (lowest coefficient first); exact."""
-    result = coefficients[-1]
-    for c in reversed(list(coefficients)[:-1]):
-        result = result * x + c
-    return result
-
-
-def chebyshev_to_power(coefficients: Sequence) -> list:
-    """Convert Chebyshev coefficients to power-basis coefficients, exactly.
-
-    Uses ``T_{k+1} = 2 x T_k - T_{k-1}`` over the input's own scalar ring, so
-    feeding ``fractions.Fraction`` coefficients keeps the conversion exact
-    (the float conversion is badly conditioned at high degree -- that is the
-    reason the engine stays in the Chebyshev basis).
-    """
-    coefficients = list(coefficients)
-    zero = coefficients[0] * 0
-    t_prev = [zero + 1]  # T_0
-    result = [coefficients[0] * t_prev[0]]
-    if len(coefficients) == 1:
-        return result
-    t_curr = [zero, zero + 1]  # T_1
-    for k, c in enumerate(coefficients[1:], start=1):
-        while len(result) < len(t_curr):
-            result.append(zero)
-        for i, tc in enumerate(t_curr):
-            result[i] = result[i] + c * tc
-        if k + 1 < len(coefficients):
-            t_next = [zero] + [2 * tc for tc in t_curr]
-            for i, tp in enumerate(t_prev):
-                t_next[i] = t_next[i] - tp
-            t_prev, t_curr = t_curr, t_next
-    return result
-
-
 def _ps_giant_degree(degree: int, baby_count: int) -> int:
     """The largest giant ``T_g`` (``g = m * 2^i <= degree``) the split uses."""
     g = baby_count
@@ -208,40 +172,6 @@ def ps_operation_counts(degree: int, baby_count: int | None = None) -> dict:
         (plan_cost(m) for m in candidates),
         key=lambda plan: (plan["he_mult"], plan["baby_count"]),
     )
-
-
-def ps_evaluate_plain(coefficients: Sequence, t, baby_count: int = 4):
-    """The Paterson-Stockmeyer recursion over plain scalars.
-
-    Runs the *same* split/divide/recombine structure as the homomorphic
-    evaluator but on ordinary numbers, so it is exact over
-    ``fractions.Fraction`` -- the bit-exactness oracle showing the
-    restructuring is algebraically lossless vs :func:`clenshaw`/Horner.
-    """
-    coefficients = list(coefficients)
-    m = int(baby_count)
-    powers = {0: t * 0 + 1, 1: t}
-
-    def power(k: int):
-        if k not in powers:
-            a, b = (k + 1) // 2, k // 2
-            powers[k] = 2 * power(a) * power(b) - power(a - b)
-        return powers[k]
-
-    def recurse(coeffs: list):
-        d = len(coeffs) - 1
-        if d < m:
-            result = coeffs[0]
-            for k in range(1, d + 1):
-                result = result + coeffs[k] * power(k)
-            return result
-        g = _ps_giant_degree(d, m)
-        quotient, remainder = chebyshev_divmod(coeffs, g)
-        return recurse(quotient) * power(g) + recurse(remainder)
-
-    while len(coefficients) > 1 and coefficients[-1] == 0:
-        coefficients.pop()
-    return recurse(coefficients)
 
 
 # --------------------------------------------------------------------------

@@ -270,24 +270,3 @@ def bat_modmatmul_right_known(
     expanded = expand_runtime_left(data, plan)
     chunk_sums = _low_precision_matmul(expanded, plan.compiled)
     return _merge_and_reduce(chunk_sums.astype(np.uint64), plan, "cols")
-
-
-def bat_modmatmul(
-    left: np.ndarray,
-    right: np.ndarray,
-    modulus: int,
-    *,
-    known: Literal["left", "right"] = "left",
-    chunk_bits: int = DEFAULT_CHUNK_BITS,
-    reduction: Reduction = "barrett",
-) -> np.ndarray:
-    """One-shot convenience wrapper: compile the pre-known side, then multiply."""
-    if known == "left":
-        plan = compile_left_operand(
-            left, modulus, chunk_bits=chunk_bits, reduction=reduction
-        )
-        return bat_modmatmul_left_known(plan, right)
-    plan = compile_right_operand(
-        right, modulus, chunk_bits=chunk_bits, reduction=reduction
-    )
-    return bat_modmatmul_right_known(left, plan)

@@ -44,20 +44,3 @@ def chunk_decompose(
     for k in range(num_chunks):
         chunks[..., k] = (array >> np.uint64(k * chunk_bits)) & mask
     return chunks
-
-
-def chunk_merge(
-    chunks: np.ndarray, chunk_bits: int = DEFAULT_CHUNK_BITS
-) -> np.ndarray:
-    """Inverse of :func:`chunk_decompose`: recombine the trailing chunk axis.
-
-    Chunk values may exceed ``2**chunk_bits`` (e.g. un-carried matmul partial
-    sums); the merge is a plain shift-and-add so the result is exact as long
-    as it fits in 64 bits.
-    """
-    chunks = np.asarray(chunks, dtype=np.uint64)
-    num_chunks = chunks.shape[-1]
-    result = np.zeros(chunks.shape[:-1], dtype=np.uint64)
-    for k in range(num_chunks):
-        result = result + (chunks[..., k] << np.uint64(k * chunk_bits))
-    return result

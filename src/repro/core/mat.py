@@ -7,31 +7,13 @@ pre-known parameter matrices *offline*.  At runtime the kernel then produces
 its output directly in the desired layout -- "layout invariance" -- with zero
 explicit memory-movement cost.
 
-This module provides the permutation-algebra helpers; the flagship user is
-the layout-invariant 3-step NTT in :mod:`repro.core.ntt3step`, and the CKKS
-evaluator uses the same helpers to pre-permute rotation keys.
+This module provides the two embedding helpers; their user is the
+layout-invariant 3-step NTT in :mod:`repro.core.ntt3step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.numtheory.bitrev import (
-    bit_reverse_indices,
-    invert_permutation,
-    permutation_matrix,
-)
-
-
-def permute_vector(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Reference runtime permutation ``out[i] = values[indices[i]]``.
-
-    This is the operation MAT eliminates; it exists so tests can state the
-    equivalence "runtime permute == offline-embedded permute" explicitly.
-    """
-    values = np.asarray(values)
-    return values[np.asarray(indices, dtype=np.int64)]
-
 
 def embed_permutation_into_rows(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Fold an *output* permutation into a pre-known left matrix.
@@ -56,51 +38,3 @@ def embed_permutation_into_cols(matrix: np.ndarray, indices: np.ndarray) -> np.n
     # Column fancy-indexing yields an F-contiguous result; materialise it
     # C-contiguous here (offline) so runtime GEMMs never restride per call.
     return np.ascontiguousarray(matrix[:, np.asarray(indices, dtype=np.int64)])
-
-
-def fold_elementwise_permutation(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Permute a pre-known element-wise parameter vector/matrix row-wise.
-
-    Element-wise (Hadamard) stages commute with permutations as long as the
-    constants are permuted identically to the data; this helper is what keeps
-    the step-2 twiddle factors of the 3-step NTT aligned with the permuted
-    step-1 output.
-    """
-    return permute_vector(values, indices)
-
-
-def fuse_permutations(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Compose two permutations: applying the result equals applying ``first``
-    then ``second``."""
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
-    return first[second]
-
-
-def transpose_stride_permutation(rows: int, cols: int) -> np.ndarray:
-    """The flat permutation realised by a (rows, cols) matrix transpose.
-
-    ``flatten(X.T)[i] == flatten(X)[perm[i]]`` -- the explicit data movement
-    of the 4-step NTT's middle step, and the thing MAT folds away.
-    """
-    return (
-        np.arange(rows * cols, dtype=np.int64).reshape(rows, cols).T.reshape(-1)
-    )
-
-
-def bit_reverse_rows_and_cols(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column bit-reversal index pairs for an (rows, cols) NTT tile."""
-    return bit_reverse_indices(rows), bit_reverse_indices(cols)
-
-
-__all__ = [
-    "bit_reverse_rows_and_cols",
-    "embed_permutation_into_cols",
-    "embed_permutation_into_rows",
-    "fold_elementwise_permutation",
-    "fuse_permutations",
-    "invert_permutation",
-    "permutation_matrix",
-    "permute_vector",
-    "transpose_stride_permutation",
-]

@@ -62,28 +62,12 @@ from repro.core.bat import (
     compile_right_operand,
 )
 from repro.core.mat import embed_permutation_into_cols, embed_permutation_into_rows
-from repro.numtheory.bitrev import bit_reverse_indices, is_power_of_two
+from repro.numtheory.bitrev import bit_reverse_indices
 from repro.numtheory.modular import mod_inv
 from repro.poly.gemm_mod import modular_matmul
 from repro.poly.ntt_engine import MAX_PLAN_MODULUS, four_step_matrices
 
 OutputOrder = Literal["cross", "bitrev"]
-
-
-def default_tile_shape(degree: int, lane_count: int = 128) -> tuple[int, int]:
-    """The (R, C) factorisation CROSS picks for a standalone NTT.
-
-    The paper fixes ``R = 128`` (the TPU lane count) so that even small
-    transforms fill a whole vector register, and lets ``C = N / R``; for
-    degrees too small to support that, the squarest power-of-two split is
-    used instead.
-    """
-    if not is_power_of_two(degree):
-        raise ValueError("NTT degree must be a power of two")
-    if degree >= lane_count * 2 and degree % lane_count == 0:
-        return lane_count, degree // lane_count
-    rows = 1 << ((degree.bit_length() - 1) // 2)
-    return rows, degree // rows
 
 
 def _engine_matrices(

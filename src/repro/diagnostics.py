@@ -10,9 +10,8 @@ Two concerns the serving layer needs in one place:
 
 * **Caches** -- every process-wide memoisation cache registers a
   :class:`BoundedLruCache` here.  ``cache_stats()`` exposes size / capacity /
-  hit / miss / eviction counters for all of them and ``clear_caches()`` empties
-  them -- the "explicit caches with bounds, no hidden globals" contract from
-  the ROADMAP.
+  hit / miss / eviction counters for all of them -- the "explicit caches with
+  bounds, no hidden globals" contract from the ROADMAP.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "unregister_stats_provider",
     "provider_stats",
     "cache_stats",
-    "clear_caches",
 ]
 
 _MAX_EVENTS = 1024
@@ -312,14 +310,6 @@ def cache_stats() -> dict[str, dict[str, int]]:
     with _registry_lock:
         registered = sorted(_caches.items())
     return {name: cache.stats() for name, cache in registered}
-
-
-def clear_caches() -> None:
-    """Empty every registered cache (bench isolation, fault-drill cleanup)."""
-    with _registry_lock:
-        registered = list(_caches.values())
-    for cache in registered:
-        cache.clear()
 
 
 # ----------------------------------------------------------- stats providers

@@ -4,13 +4,12 @@ This package provides the exact integer arithmetic that every other layer of
 the library is verified against:
 
 * primality testing and NTT-friendly prime generation (``primes``),
-* modular exponentiation, inverses and primitive roots of unity (``modular``),
-* the three modular-reduction algorithms the paper ablates -- Barrett
-  (paper Alg. 4), the optimized Montgomery reduction (paper Alg. 1) and
-  Shoup's precomputed multiplication (``barrett``, ``montgomery``, ``shoup``),
+* modular inverses and primitive roots of unity (``modular``),
+* Barrett (paper Alg. 4) and the optimized Montgomery reduction (paper
+  Alg. 1) (``barrett``, ``montgomery``); the Fig. 13 ablation prices them
+  beside Shoup's method in the simulator,
 * Chinese-Remainder-Theorem / RNS basis utilities (``crt``),
-* bit-reversal and stride permutations used by the NTT algorithms
-  (``bitrev``).
+* bit-reversal permutations used by the NTT algorithms (``bitrev``).
 
 Scalar reference functions operate on Python integers (arbitrary precision,
 always exact); the vectorized variants operate on NumPy ``uint64`` arrays and
@@ -20,77 +19,48 @@ mirroring how the paper's kernels run on the TPU's VPU.
 
 from repro.numtheory.barrett import (
     BarrettContext,
-    barrett_reduce,
     barrett_reduce_vector,
-    mulmod_barrett,
-    mulmod_barrett_vector,
 )
 from repro.numtheory.bitrev import (
     bit_reverse_indices,
-    bit_reverse_permute,
     bit_reverse_value,
     is_power_of_two,
-    permutation_matrix,
-    stride_permutation_indices,
 )
-from repro.numtheory.crt import RnsBasis, crt_compose, crt_decompose, garner_compose
+from repro.numtheory.crt import RnsBasis, crt_compose, crt_decompose
 from repro.numtheory.modular import (
-    mod_exp,
-    mod_inv,
-    primitive_nth_root_of_unity,
     find_generator,
     is_primitive_nth_root,
-    centered_mod,
+    mod_inv,
+    primitive_nth_root_of_unity,
 )
 from repro.numtheory.montgomery import (
     MontgomeryContext,
     montgomery_reduce,
     montgomery_reduce_vector,
-    mulmod_montgomery,
-    mulmod_montgomery_vector,
 )
 from repro.numtheory.primes import (
     generate_ntt_prime,
     generate_rns_primes,
     is_prime,
-    next_prime,
-    previous_prime,
 )
-from repro.numtheory.shoup import ShoupContext, mulmod_shoup, mulmod_shoup_vector
 
 __all__ = [
     "BarrettContext",
     "MontgomeryContext",
     "RnsBasis",
-    "ShoupContext",
-    "barrett_reduce",
     "barrett_reduce_vector",
     "bit_reverse_indices",
-    "bit_reverse_permute",
     "bit_reverse_value",
-    "centered_mod",
     "crt_compose",
     "crt_decompose",
     "find_generator",
-    "garner_compose",
     "generate_ntt_prime",
     "generate_rns_primes",
     "is_power_of_two",
     "is_prime",
     "is_primitive_nth_root",
-    "mod_exp",
     "mod_inv",
     "montgomery_reduce",
     "montgomery_reduce_vector",
-    "mulmod_barrett",
-    "mulmod_barrett_vector",
-    "mulmod_montgomery",
-    "mulmod_montgomery_vector",
-    "mulmod_shoup",
-    "mulmod_shoup_vector",
-    "next_prime",
-    "permutation_matrix",
-    "previous_prime",
     "primitive_nth_root_of_unity",
-    "stride_permutation_indices",
 ]

@@ -6,13 +6,9 @@ shift.  The paper uses it as the *final* reduction of CROSS's lazily reduced
 results (Appendix G) and as one of the three algorithms in the Fig. 13
 modular-reduction ablation.
 
-Two layers are provided:
-
-* ``barrett_reduce`` / ``mulmod_barrett`` -- exact scalar reference on Python
-  integers, following Alg. 4 literally.
-* ``barrett_reduce_vector`` / ``mulmod_barrett_vector`` -- vectorized NumPy
-  kernels restricted to 64-bit words, building the needed 128-bit product from
-  32x32-bit multiplies exactly like a 32-bit device datapath.
+``barrett_reduce_vector`` is a vectorized NumPy kernel restricted to 64-bit
+words, building the needed 128-bit product from 32x32-bit multiplies exactly
+like a 32-bit device datapath; BAT's final reduction uses it.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numtheory.wordops import mul_hi_u64, mul_lo_u64
+from repro.numtheory.wordops import mul_hi_u64
 
 
 @dataclass(frozen=True)
@@ -52,23 +48,6 @@ class BarrettContext:
         return cls(modulus=modulus, shift=shift, factor=factor)
 
 
-def barrett_reduce(value: int, context: BarrettContext) -> int:
-    """Reduce a value in ``[0, 2**64)`` modulo ``q`` using Barrett's method."""
-    if value < 0:
-        raise ValueError("Barrett reduction expects a non-negative input")
-    quotient = (value * context.factor) >> context.shift
-    remainder = value - quotient * context.modulus
-    # The approximate quotient undershoots by at most 2.
-    while remainder >= context.modulus:
-        remainder -= context.modulus
-    return remainder
-
-
-def mulmod_barrett(a: int, b: int, context: BarrettContext) -> int:
-    """Compute ``(a * b) mod q`` with Barrett reduction (paper Alg. 4)."""
-    return barrett_reduce((a % context.modulus) * (b % context.modulus), context)
-
-
 def barrett_reduce_vector(values: np.ndarray, context: BarrettContext) -> np.ndarray:
     """Vectorized Barrett reduction of uint64 values modulo ``q``.
 
@@ -85,17 +64,3 @@ def barrett_reduce_vector(values: np.ndarray, context: BarrettContext) -> np.nda
     remainder = np.where(remainder >= modulus, remainder - modulus, remainder)
     remainder = np.where(remainder >= modulus, remainder - modulus, remainder)
     return remainder
-
-
-def mulmod_barrett_vector(
-    a: np.ndarray, b: np.ndarray, context: BarrettContext
-) -> np.ndarray:
-    """Vectorized ``(a * b) mod q`` for operands already reduced below ``q``.
-
-    Operand products of two sub-32-bit values fit in 64 bits, so the low half
-    of the product is exact and a single Barrett reduction finishes the job.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    product = mul_lo_u64(a, b)
-    return barrett_reduce_vector(product, context)

@@ -1,9 +1,8 @@
-"""Bit-reversal and stride permutations.
+"""Bit-reversal permutations.
 
 The radix-2 Cooley-Tukey NTT produces (or consumes) data in bit-reversed
-order, and the 4-step NTT needs a transpose-shaped "stride" permutation of its
-output.  MAT (paper section IV-B) eliminates both at runtime by folding the
-permutation matrices built here into the offline twiddle-factor matrices.
+order.  MAT (paper section IV-B) eliminates such reorderings at runtime by
+folding the permutation into the offline twiddle-factor matrices.
 """
 
 from __future__ import annotations
@@ -46,47 +45,3 @@ def bit_reverse_indices(n: int) -> np.ndarray:
     if not is_power_of_two(n):
         raise ValueError("bit reversal is defined for power-of-two lengths")
     return _bit_reverse_array(n)
-
-
-def bit_reverse_permute(values: np.ndarray) -> np.ndarray:
-    """Permute the last axis of ``values`` into bit-reversed order."""
-    values = np.asarray(values)
-    indices = bit_reverse_indices(values.shape[-1])
-    return values[..., indices]
-
-
-def stride_permutation_indices(rows: int, cols: int) -> np.ndarray:
-    """Indices of the (rows, cols) transpose read as a flat permutation.
-
-    Applying this permutation to a row-major flattened ``rows x cols`` matrix
-    yields the row-major flattening of its transpose.  The 4-step NTT's output
-    reordering is exactly this permutation (paper Fig. 10, "Transpose RxC").
-    """
-    return (
-        np.arange(rows * cols, dtype=np.int64)
-        .reshape(rows, cols)
-        .T.reshape(-1)
-    )
-
-
-def permutation_matrix(indices: np.ndarray, *, dtype=np.int64) -> np.ndarray:
-    """Build the permutation matrix ``P`` with ``P @ x == x[indices]``.
-
-    MAT represents every data reordering as such a matrix and multiplies it
-    into the pre-known parameter matrices offline (paper Fig. 9).
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    size = indices.shape[0]
-    if sorted(indices.tolist()) != list(range(size)):
-        raise ValueError("indices must be a permutation of 0..n-1")
-    matrix = np.zeros((size, size), dtype=dtype)
-    matrix[np.arange(size), indices] = 1
-    return matrix
-
-
-def invert_permutation(indices: np.ndarray) -> np.ndarray:
-    """Return the inverse permutation of ``indices``."""
-    indices = np.asarray(indices, dtype=np.int64)
-    inverse = np.empty_like(indices)
-    inverse[indices] = np.arange(indices.shape[0], dtype=np.int64)
-    return inverse

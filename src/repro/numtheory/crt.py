@@ -46,24 +46,6 @@ def crt_compose(residues: list[int], moduli: list[int]) -> int:
     return value % total_modulus
 
 
-def garner_compose(residues: list[int], moduli: list[int]) -> int:
-    """CRT reconstruction via Garner's mixed-radix algorithm.
-
-    Numerically identical to ``crt_compose`` but works incrementally, which is
-    how basis-extension algorithms reason about the reconstruction; kept as an
-    independently tested second implementation.
-    """
-    if len(residues) != len(moduli):
-        raise ValueError("residue and modulus lists must have equal length")
-    value = 0
-    partial_product = 1
-    for residue, modulus in zip(residues, moduli):
-        correction = ((residue - value) * mod_inv(partial_product, modulus)) % modulus
-        value += correction * partial_product
-        partial_product *= modulus
-    return value
-
-
 @dataclass(frozen=True)
 class RnsBasis:
     """An ordered set of pairwise-coprime NTT-friendly primes (paper's ``B``).

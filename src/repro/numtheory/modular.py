@@ -2,20 +2,13 @@
 
 Everything in this module is an *oracle*: it uses arbitrary-precision Python
 integers, so it is always correct, and every device-faithful kernel (Barrett,
-Montgomery, Shoup, BAT matrix multiplication, the NTT variants) is tested
+Montgomery, BAT matrix multiplication, the NTT variants) is tested
 against it.
 """
 
 from __future__ import annotations
 
 from repro.numtheory.primes import is_prime
-
-
-def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """Return ``base**exponent mod modulus`` (thin wrapper over ``pow``)."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    return pow(base, exponent, modulus)
 
 
 def mod_inv(value: int, modulus: int) -> int:
@@ -30,18 +23,6 @@ def mod_inv(value: int, modulus: int) -> int:
         return pow(value, -1, modulus)
     except ValueError as exc:  # pragma: no cover - message normalisation
         raise ValueError(f"{value} has no inverse modulo {modulus}") from exc
-
-
-def centered_mod(value: int, modulus: int) -> int:
-    """Reduce ``value`` into the centered interval ``(-q/2, q/2]``.
-
-    CKKS decoding interprets RNS residues as signed integers; this helper is
-    the canonical signed representative.
-    """
-    reduced = value % modulus
-    if reduced > modulus // 2:
-        reduced -= modulus
-    return reduced
 
 
 def _factorize(n: int) -> list[int]:

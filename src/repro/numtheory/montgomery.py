@@ -103,17 +103,6 @@ def montgomery_reduce_lazy(value: int, context: MontgomeryContext) -> int:
     return z_hi + t_final + carry
 
 
-def mulmod_montgomery(a: int, b: int, context: MontgomeryContext) -> int:
-    """Compute ``(a * b) mod q`` via Montgomery arithmetic.
-
-    ``a`` is converted to Montgomery form (in real kernels this conversion is
-    folded into the precomputed twiddle/key constants, so it costs nothing at
-    runtime), multiplied by the plain ``b``, then reduced.
-    """
-    a_mont = context.to_montgomery(a)
-    return montgomery_reduce(a_mont * (b % context.modulus), context)
-
-
 def montgomery_reduce_vector(
     values: np.ndarray, context: MontgomeryContext, *, lazy: bool = False
 ) -> np.ndarray:
@@ -155,20 +144,3 @@ def montgomery_reduce_vector(
     if not lazy:
         result = np.where(result >= q, result - q, result)
     return result
-
-
-def mulmod_montgomery_vector(
-    a_mont: np.ndarray, b: np.ndarray, context: MontgomeryContext
-) -> np.ndarray:
-    """Vectorized ``(a * b) mod q`` where ``a_mont`` is already in Montgomery form.
-
-    This mirrors how runtime kernels use Montgomery reduction: the pre-known
-    operand (twiddle factor, key element, BConv constant) is stored in
-    Montgomery form offline, so the runtime cost is one multiply plus one
-    reduction.
-    """
-    a_mont = np.asarray(a_mont, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        product = a_mont * b
-    return montgomery_reduce_vector(product, context)

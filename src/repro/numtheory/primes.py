@@ -49,37 +49,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Return the smallest prime strictly greater than ``n``."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_prime(candidate):
-        candidate += 2
-    return candidate
-
-
-def previous_prime(n: int) -> int:
-    """Return the largest prime strictly smaller than ``n``.
-
-    Raises ``ValueError`` if no prime exists below ``n`` (i.e. ``n <= 2``).
-    """
-    if n <= 2:
-        raise ValueError(f"no prime below {n}")
-    candidate = n - 1
-    if candidate == 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate -= 1
-    while candidate >= 2 and not is_prime(candidate):
-        candidate -= 2
-    if candidate < 2:
-        raise ValueError(f"no prime below {n}")
-    return candidate
-
-
 def generate_ntt_prime(bits: int, degree: int, *, below: int | None = None) -> int:
     """Generate a prime ``q`` with ``bits`` bits and ``q = 1 (mod 2*degree)``.
 

@@ -1,7 +1,7 @@
 """Fixed-width word arithmetic helpers for device-faithful NumPy kernels.
 
 NumPy has no 128-bit integer type, but the device-faithful reduction kernels
-(Barrett, Shoup) need the high 64 bits of a 64x64-bit product.  These helpers
+(Barrett) need the high 64 bits of a 64x64-bit product.  These helpers
 build that product out of 32x32->64-bit multiplies, exactly the way a 32-bit
 datapath (the TPU VPU, or a GPU CUDA core) would.
 """
@@ -48,11 +48,3 @@ def mul_hi_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product of uint64 operands."""
     high, _ = mul_wide_u64(a, b)
     return high
-
-
-def mul_lo_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Low 64 bits of the product (NumPy wrap-around multiplication)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return a * b

@@ -18,7 +18,6 @@ from repro.perf.energy import (
     compare_efficiency,
     cores_to_match_power,
     power_matched_vm,
-    throughput_per_watt,
 )
 from repro.perf.published import (
     BOOTSTRAPPING_BREAKDOWN_V6E8,
@@ -63,5 +62,4 @@ __all__ = [
     "optimal_batch",
     "parameter_bytes",
     "power_matched_vm",
-    "throughput_per_watt",
 ]

@@ -84,10 +84,3 @@ def compare_efficiency(
         cross_power_watts=vm.total_power_watts,
         tensor_cores=vm.tensor_cores,
     )
-
-
-def throughput_per_watt(latency_s: float, power_watts: float, batch: int = 1) -> float:
-    """Kernels per second per watt for a measured latency at a given power."""
-    if latency_s <= 0 or power_watts <= 0:
-        raise ValueError("latency and power must be positive")
-    return batch / latency_s / power_watts

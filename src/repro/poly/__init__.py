@@ -35,7 +35,6 @@ from repro.poly.negacyclic import (
     negacyclic_convolve,
     poly_add,
     poly_negate,
-    poly_scalar_mul,
     poly_sub,
 )
 from repro.poly.ntt_reference import (
@@ -68,6 +67,5 @@ __all__ = [
     "ntt_inverse_negacyclic",
     "poly_add",
     "poly_negate",
-    "poly_scalar_mul",
     "poly_sub",
 ]

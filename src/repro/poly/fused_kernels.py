@@ -23,9 +23,9 @@ Exactness contract: every implementation computes the same integer residues
 as the eager path, so outputs are bit-identical across modes.  The hypothesis
 sweeps in ``tests/test_fused_kernels.py`` enforce this kernel by kernel.
 
-Instrumentation: every kernel call is counted (:func:`kernel_counts`) and,
-inside a :func:`trace` context, appended to the trace buffer -- which is how
-tests pin "this stage executed as that kernel".
+Instrumentation: inside a :func:`trace` context every kernel call is appended
+to the trace buffer -- which is how tests pin "this stage executed as that
+kernel".
 """
 
 from __future__ import annotations
@@ -109,42 +109,11 @@ def active_mode() -> str:
     return mode
 
 
-def accelerated() -> bool:
-    """True when an accelerated (numexpr/numba) implementation is active."""
-    return active_mode() != MODE_NUMPY
-
-
-def available_modes() -> tuple[str, ...]:
-    """The implementations importable in this process (always includes numpy)."""
-    modes = [
-        mode
-        for mode in (MODE_NUMEXPR, MODE_NUMBA)
-        if _optional_module(mode) is not None
-    ]
-    return tuple(modes) + (MODE_NUMPY,)
-
-
 # -------------------------------------------------------------- bookkeeping
-KERNEL_NAMES = ("moddown_sub_div",)
-
-_COUNTS = {name: 0 for name in KERNEL_NAMES}
 _TRACES: list[list[str]] = []
-#: Kernels run on several threads at once (server workers, fan-out helpers);
-#: ``+=`` on a dict entry is a read-modify-write, so counting holds this lock.
-_COUNTS_LOCK = threading.Lock()
-
-
-def kernel_counts() -> dict[str, int]:
-    """Snapshot of the per-kernel invocation counters."""
-    with _COUNTS_LOCK:
-        return dict(_COUNTS)
-
-
-def reset_kernel_counts() -> None:
-    """Zero the invocation counters (test instrumentation)."""
-    with _COUNTS_LOCK:
-        for name in _COUNTS:
-            _COUNTS[name] = 0
+#: Kernels run on several threads at once (server workers, fan-out helpers),
+#: so the trace buffers are guarded by this lock.
+_TRACES_LOCK = threading.Lock()
 
 
 @contextlib.contextmanager
@@ -154,18 +123,17 @@ def trace():
     Yields the (live) list; nested traces each capture independently.
     """
     buffer: list[str] = []
-    with _COUNTS_LOCK:
+    with _TRACES_LOCK:
         _TRACES.append(buffer)
     try:
         yield buffer
     finally:
-        with _COUNTS_LOCK:
+        with _TRACES_LOCK:
             _TRACES.remove(buffer)
 
 
 def _record(name: str) -> None:
-    with _COUNTS_LOCK:
-        _COUNTS[name] += 1
+    with _TRACES_LOCK:
         for buffer in _TRACES:
             buffer.append(name)
 
@@ -247,15 +215,6 @@ _IMPLS = {
     MODE_NUMEXPR: {"moddown_sub_div": _ne_moddown_sub_div},
     MODE_NUMBA: {"moddown_sub_div": _nb_moddown_sub_div},
 }
-
-
-def implementations(name: str) -> dict[str, object]:
-    """Every *importable* implementation of one kernel, keyed by mode (tests)."""
-    return {
-        mode: impls[name]
-        for mode, impls in _IMPLS.items()
-        if mode == MODE_NUMPY or _optional_module(mode) is not None
-    }
 
 
 # ------------------------------------------------------------ public kernels

@@ -46,9 +46,3 @@ def modmatmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
         partial = a[:, start:stop] @ b[start:stop, :]
         accumulator = (accumulator + partial % q) % q
     return accumulator
-
-
-def modmatvec(matrix: np.ndarray, vector: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact ``(matrix @ vector) mod q`` returning a 1-D array."""
-    result = modmatmul(matrix, np.asarray(vector).reshape(-1, 1), modulus)
-    return result.reshape(-1)

@@ -37,17 +37,6 @@ def poly_negate(a: np.ndarray, modulus: int) -> np.ndarray:
     return (q - a % q) % q
 
 
-def poly_scalar_mul(a: np.ndarray, scalar: int, modulus: int) -> np.ndarray:
-    """Multiply every coefficient by a scalar modulo ``modulus``.
-
-    Exact for any operand sizes (object arithmetic internally).
-    """
-    coeffs = _as_int_array(a)
-    return np.array(
-        [(c * int(scalar)) % modulus for c in coeffs], dtype=np.uint64
-    )
-
-
 def negacyclic_convolve(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Schoolbook product of two polynomials in ``Z_q[x]/(x^N + 1)``.
 

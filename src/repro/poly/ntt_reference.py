@@ -119,14 +119,3 @@ def ntt_pointwise_multiply(
     a_eval = np.asarray(a_eval, dtype=np.uint64)
     b_eval = np.asarray(b_eval, dtype=np.uint64)
     return (a_eval * b_eval) % np.uint64(modulus)
-
-
-def ntt_multiply(
-    a_coeffs: np.ndarray, b_coeffs: np.ndarray, modulus: int, psi: int
-) -> np.ndarray:
-    """Negacyclic polynomial product computed through the NTT (fast path)."""
-    a_eval = ntt_forward_negacyclic(a_coeffs, modulus, psi)
-    b_eval = ntt_forward_negacyclic(b_coeffs, modulus, psi)
-    return ntt_inverse_negacyclic(
-        ntt_pointwise_multiply(a_eval, b_eval, modulus), modulus, psi
-    )

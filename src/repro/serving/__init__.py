@@ -25,7 +25,7 @@ request either completes correctly (after retry/reroute) or fails with a
 typed :class:`~repro.errors.ReproError` -- never silently wrong, never hung.
 """
 
-from repro.cancellation import CancelScope, cancel_scope, checkpoint, current_scope
+from repro.cancellation import CancelScope, checkpoint
 from repro.errors import PoisonRequest, WorkerCrashed, WorkerUnresponsive
 from repro.serving.queue import BoundedRequestQueue
 from repro.serving.retry import RetryPolicy, is_retryable
@@ -49,8 +49,6 @@ __all__ = [
     "TenantSpec",
     "WorkerCrashed",
     "WorkerUnresponsive",
-    "cancel_scope",
     "checkpoint",
-    "current_scope",
     "is_retryable",
 ]

@@ -70,11 +70,6 @@ def in_worker() -> bool:
     return _WORKER_SHARD is not None
 
 
-def worker_shard() -> str | None:
-    """The name of the shard this process runs as (``None`` in the parent)."""
-    return _WORKER_SHARD
-
-
 def suppress_heartbeats(suppress: bool = True) -> None:
     """Chaos hook: silence (or restore) this worker's heartbeat thread."""
     if suppress:

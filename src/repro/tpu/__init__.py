@@ -20,7 +20,6 @@ from repro.tpu.specs import (
     TPU_VM_TENSOR_CORES,
     ComparisonDeviceSpec,
     TensorCoreSpec,
-    comparison_device,
     tensor_core,
 )
 from repro.tpu.trace import ExecutionTrace, TraceEvent
@@ -46,6 +45,5 @@ __all__ = [
     "VectorUnit",
     "VpuStatistics",
     "XluStatistics",
-    "comparison_device",
     "tensor_core",
 ]

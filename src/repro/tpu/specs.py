@@ -199,13 +199,3 @@ def tensor_core(name: str) -> TensorCoreSpec:
         raise KeyError(
             f"unknown TPU generation {name!r}; choose from {sorted(TPU_TENSOR_CORES)}"
         ) from exc
-
-
-def comparison_device(name: str) -> ComparisonDeviceSpec:
-    """Look up a comparison platform by name."""
-    try:
-        return COMPARISON_DEVICES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown comparison device {name!r}; choose from {sorted(COMPARISON_DEVICES)}"
-        ) from exc

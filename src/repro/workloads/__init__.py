@@ -5,31 +5,24 @@
   expressed both as a kernel schedule for latency estimation and as a small
   functional encrypted-inference demo.
 * :mod:`repro.workloads.logistic_regression` -- the HELR encrypted
-  logistic-regression training iteration.
+  logistic-regression training iteration, as a kernel schedule for latency
+  estimation.
 """
 
 from repro.workloads.logistic_regression import (
     HelrIterationSchedule,
-    encrypted_matvec,
     estimate_helr_iteration,
-    hoisted_rotation_sum,
 )
 from repro.workloads.mnist import (
     MnistCnnSchedule,
-    conv_taps_transform,
     estimate_mnist_inference,
-    run_encrypted_conv_taps,
     run_encrypted_linear_layer,
 )
 
 __all__ = [
     "HelrIterationSchedule",
     "MnistCnnSchedule",
-    "conv_taps_transform",
-    "encrypted_matvec",
     "estimate_helr_iteration",
     "estimate_mnist_inference",
-    "hoisted_rotation_sum",
-    "run_encrypted_conv_taps",
     "run_encrypted_linear_layer",
 ]

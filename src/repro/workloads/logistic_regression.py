@@ -14,61 +14,11 @@ from dataclasses import dataclass
 from math import ceil, log2
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.ckks.ciphertext import Ciphertext
-from repro.ckks.encoding import CkksEncoder
-from repro.ckks.evaluator import CkksEvaluator
-from repro.ckks.linear_transform import DiagonalLinearTransform, cached_transform
 from repro.workloads.mnist import WorkloadEstimate
 
 if TYPE_CHECKING:
     from repro.core.compiler import CrossCompiler
     from repro.tpu.device import TensorCoreDevice
-
-
-def hoisted_rotation_sum(
-    evaluator: CkksEvaluator, ciphertext: Ciphertext, offsets: list[int]
-) -> Ciphertext:
-    """``sum_s rot(x, s)`` over a batch of offsets with one hoisted decomposition.
-
-    The HELR gradient aggregation (and any baby-step batch of a BSGS
-    matrix-vector product) rotates one ciphertext by many offsets before
-    summing; the grouped-hoisting primitive (:meth:`CkksEvaluator.rotate_many`)
-    pays the digit decomposition + BConv + forward NTT of ``c1`` once and
-    reuses it for every offset.  Offset 0 contributes the input itself.
-    """
-    accumulator: Ciphertext | None = None
-    for term in evaluator.rotate_many(ciphertext, offsets):
-        accumulator = term if accumulator is None else evaluator.add(accumulator, term)
-    return accumulator
-
-
-def encrypted_matvec(
-    evaluator: CkksEvaluator,
-    encoder: CkksEncoder,
-    ciphertext: Ciphertext,
-    matrix: np.ndarray,
-    *,
-    n1: int | None = None,
-) -> Ciphertext:
-    """Homomorphic ``matrix @ x`` on packed slots via the shared BSGS engine.
-
-    The HELR inner products (and the MNIST fully-connected layers) are
-    slot-space matrix-vector products; encoding the matrix as its generalized
-    diagonals and evaluating with baby-step/giant-step hoisted rotations
-    costs ``~2*sqrt(d)`` key switches for ``d`` non-zero diagonals instead of
-    one per diagonal.  The built transform is memoised per encoder and
-    matrix, so a training loop reapplying fixed weights reuses the cached
-    eval-domain diagonal tensors.  Returns the rescaled product.
-    """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    transform = cached_transform(
-        encoder,
-        ("matvec", matrix.tobytes(), n1),
-        lambda: DiagonalLinearTransform.from_matrix(encoder, matrix, n1=n1),
-    )
-    return evaluator.matvec(ciphertext, transform, rescale=True)
 
 
 @dataclass(frozen=True)

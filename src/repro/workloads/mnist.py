@@ -25,7 +25,6 @@ import numpy as np
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
-from repro.ckks.linear_transform import DiagonalLinearTransform, cached_transform
 
 if TYPE_CHECKING:
     from repro.core.compiler import CrossCompiler
@@ -157,80 +156,6 @@ def estimate_mnist_inference(
     return WorkloadEstimate(
         latency_s=amortized, operator_counts=counts, operator_latencies_us=latencies
     )
-
-
-
-
-def conv_taps_transform(
-    encoder: CkksEncoder, taps: list[tuple[int, np.ndarray]]
-) -> DiagonalLinearTransform:
-    """A convolution tap batch as a diagonal-encoded linear transform.
-
-    ``sum_s rot(x, s) * w_s`` is exactly a generalized-diagonal matrix with
-    diagonal ``s`` equal to ``w_s``.  The split is forced baby-only
-    (``n1 = slots``): a tap batch rotates one ciphertext by a handful of
-    small offsets, so every rotation rides the single hoisted decomposition
-    and no giant step (with its extra key switch and noise term) is paid.
-    The engine ModDowns the weighted sum once where the hand-rolled
-    rotate-multiply-add loop it replaces ModDowns every rotation, so the two
-    decode to the same slots without being bit-identical.  Taps sharing a
-    slot offset (mod the slot count) sum their weights *before* encoding --
-    numerically equivalent to the loop's separate products up to one unit of
-    encoding rounding.  Transforms are memoised per encoder and tap batch so
-    repeated applications reuse the cached eval-domain plaintext tensors.
-    """
-    if not taps:
-        raise ValueError("a convolution needs at least one tap")
-    slots = encoder.params.slot_count
-    diagonals: dict[int, np.ndarray] = {}
-    for steps, weights in taps:
-        index = int(steps) % slots
-        weights = np.asarray(weights, dtype=np.float64)
-        if index in diagonals:
-            diagonals[index] = diagonals[index] + weights
-        else:
-            diagonals[index] = weights
-    cache_key = (
-        "conv",
-        tuple((index, diagonals[index].tobytes()) for index in sorted(diagonals)),
-    )
-
-    def build() -> DiagonalLinearTransform:
-        if any(np.any(weights) for weights in diagonals.values()):
-            return DiagonalLinearTransform.from_diagonals(
-                encoder, diagonals, n1=slots
-            )
-        # An all-zero tap batch is a valid (if pointless) convolution; keep
-        # the single zero diagonal so the result is an encryption of zero.
-        return DiagonalLinearTransform(
-            encoder=encoder,
-            diagonals={0: np.zeros(slots, dtype=np.complex128)},
-            n1=slots,
-        )
-
-    return cached_transform(encoder, cache_key, build)
-
-
-def run_encrypted_conv_taps(
-    evaluator: CkksEvaluator,
-    encoder: CkksEncoder,
-    ciphertext: Ciphertext,
-    taps: list[tuple[int, np.ndarray]],
-) -> Ciphertext:
-    """Apply one convolution tap batch: ``sum_s rot(x, s) * w_s``, hoisted.
-
-    A packed convolution rotates the *same* input ciphertext once per kernel
-    tap before the weighted accumulation -- a (baby-only) instance of the
-    shared :class:`DiagonalLinearTransform` engine: one hoisted key-switch
-    decomposition feeds every tap rotation and the weighted accumulation
-    stays in the extended evaluation basis until a single inverse transform
-    and ModDown.  ``taps`` maps rotation offsets to per-slot weight vectors;
-    offset 0 uses the input directly.  Decode-equivalent to the pre-engine
-    per-tap rotate/multiply/add loop (see :func:`conv_taps_transform`, also
-    for the duplicate-offset caveat).
-    """
-    transform = conv_taps_transform(encoder, taps)
-    return evaluator.matvec(ciphertext, transform, rescale=True)
 
 
 def run_encrypted_linear_layer(

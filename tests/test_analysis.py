@@ -1,6 +1,6 @@
 """Tests for the table/figure formatting helpers."""
 
-from repro.analysis import format_breakdown, format_table, ratio_string, side_by_side
+from repro.analysis import format_breakdown, format_table
 
 
 class TestFormatTable:
@@ -15,16 +15,6 @@ class TestFormatTable:
         text = format_table(["col"], [["short"], ["much longer cell"]])
         lines = text.splitlines()
         assert len(lines[1]) == len("much longer cell")
-
-
-class TestRatioAndSideBySide:
-    def test_ratio(self):
-        assert ratio_string(2.0, 1.0) == "2.00x"
-        assert ratio_string(1.0, 0.0) == "n/a"
-
-    def test_side_by_side_contains_values(self):
-        line = side_by_side("HE-Mult", 100.0, 150.0, unit="us")
-        assert "HE-Mult" in line and "1.50x" in line
 
 
 class TestFormatBreakdown:

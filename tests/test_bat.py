@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bat import (
-    bat_modmatmul,
     bat_modmatmul_left_known,
     bat_modmatmul_right_known,
     compile_left_operand,
@@ -99,7 +98,12 @@ class TestBatMatmulEquivalence:
         a = rng.integers(0, Q, size=(6, 9), dtype=np.uint64)
         b = rng.integers(0, Q, size=(9, 7), dtype=np.uint64)
         expected = modmatmul(a, b, Q)
-        result = bat_modmatmul(a, b, Q, known=known, reduction=reduction)
+        if known == "left":
+            plan = compile_left_operand(a, Q, reduction=reduction)
+            result = bat_modmatmul_left_known(plan, b)
+        else:
+            plan = compile_right_operand(b, Q, reduction=reduction)
+            result = bat_modmatmul_right_known(a, plan)
         assert np.array_equal(result, expected)
 
     def test_reusing_a_compiled_plan(self, rng):
@@ -123,12 +127,13 @@ class TestBatMatmulEquivalence:
     def test_identity_matrix(self, rng):
         identity = np.eye(5, dtype=np.uint64)
         b = rng.integers(0, Q, size=(5, 5), dtype=np.uint64)
-        assert np.array_equal(bat_modmatmul(identity, b, Q, known="left"), b)
+        plan = compile_left_operand(identity, Q)
+        assert np.array_equal(bat_modmatmul_left_known(plan, b), b)
 
     def test_matvec_shape(self, rng):
         a = rng.integers(0, Q, size=(4, 4), dtype=np.uint64)
         b = rng.integers(0, Q, size=(4, 1), dtype=np.uint64)
-        assert bat_modmatmul(a, b, Q).shape == (4, 1)
+        assert bat_modmatmul_left_known(compile_left_operand(a, Q), b).shape == (4, 1)
 
     @given(
         h=st.integers(min_value=1, max_value=5),
@@ -141,7 +146,8 @@ class TestBatMatmulEquivalence:
         local_rng = np.random.default_rng(seed)
         a = local_rng.integers(0, Q, size=(h, v), dtype=np.uint64)
         b = local_rng.integers(0, Q, size=(v, w), dtype=np.uint64)
-        assert np.array_equal(bat_modmatmul(a, b, Q, known="left"), modmatmul(a, b, Q))
+        plan = compile_left_operand(a, Q)
+        assert np.array_equal(bat_modmatmul_left_known(plan, b), modmatmul(a, b, Q))
 
     def test_unknown_reduction_rejected(self, rng):
         a = rng.integers(0, Q, size=(2, 2), dtype=np.uint64)

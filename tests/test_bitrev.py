@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from repro.numtheory.bitrev import (
     bit_reverse_indices,
-    bit_reverse_permute,
     bit_reverse_value,
-    invert_permutation,
     is_power_of_two,
-    permutation_matrix,
-    stride_permutation_indices,
 )
 
 
@@ -42,39 +38,8 @@ class TestBitReverse:
         with pytest.raises(ValueError):
             bit_reverse_indices(12)
 
-    def test_permute_roundtrip(self, rng):
-        values = rng.integers(0, 100, size=128)
-        assert np.array_equal(bit_reverse_permute(bit_reverse_permute(values)), values)
-
     @given(bits=st.integers(min_value=1, max_value=12), value=st.integers(min_value=0))
     @settings(max_examples=100, deadline=None)
     def test_property_double_reverse(self, bits, value):
         value = value % (1 << bits)
         assert bit_reverse_value(bit_reverse_value(value, bits), bits) == value
-
-
-class TestPermutationMatrix:
-    def test_matrix_applies_permutation(self, rng):
-        indices = rng.permutation(16)
-        matrix = permutation_matrix(indices)
-        x = rng.integers(0, 100, size=16)
-        assert np.array_equal(matrix @ x, x[indices])
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permutation_matrix(np.array([0, 0, 1]))
-
-    def test_invert_permutation(self, rng):
-        indices = rng.permutation(33)
-        inverse = invert_permutation(indices)
-        assert np.array_equal(indices[inverse], np.arange(33))
-        assert np.array_equal(inverse[indices], np.arange(33))
-
-
-class TestStridePermutation:
-    @pytest.mark.parametrize("rows,cols", [(4, 8), (8, 4), (16, 16), (2, 32)])
-    def test_matches_transpose(self, rows, cols, rng):
-        values = rng.integers(0, 1000, size=rows * cols)
-        perm = stride_permutation_indices(rows, cols)
-        expected = values.reshape(rows, cols).T.reshape(-1)
-        assert np.array_equal(values[perm], expected)

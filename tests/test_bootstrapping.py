@@ -29,7 +29,6 @@ from repro.ckks.bootstrapping import (
     collapsed_fft_factors,
     composed_matrix,
     mod_raise,
-    slot_permutation,
     slot_to_coeff,
     slot_to_coeff_merge,
     special_fft_matrix,
@@ -38,7 +37,7 @@ from repro.ckks.bootstrapping import (
 from repro.ckks.poly_eval import ps_operation_counts
 from repro.core.compiler import CompilerOptions, CrossCompiler, estimate_bootstrapping
 from repro.core.config import PARAMETER_SETS
-from repro.numtheory.bitrev import bit_reverse_indices, permutation_matrix
+from repro.numtheory.bitrev import bit_reverse_indices
 from repro.tpu import TensorCoreDevice
 
 #: Acceptance bar for the homomorphic round trip at the functional set.
@@ -217,7 +216,7 @@ class TestSpecialFftFactorisation:
         product = np.eye(slots, dtype=complex)
         for stage in stages:
             product = stage @ product
-        bitrev = permutation_matrix(bit_reverse_indices(slots)).astype(float)
+        bitrev = np.eye(slots)[bit_reverse_indices(slots)]
         assert np.allclose(product @ bitrev, special_fft_matrix(slots))
 
     @pytest.mark.parametrize("slots", [8, 32])
@@ -300,7 +299,7 @@ class TestHomomorphicTransforms:
         )
         packed = coefficients[:slots] + 1j * coefficients[slots:]
         expected = env["transforms"].coefficient_scaling * packed[
-            slot_permutation(env["transforms"])
+            bit_reverse_indices(slots)
         ]
         result = coeff_to_slot(env["evaluator"], env["transforms"], env["ct"])
         assert np.abs(decode(env, result) - expected).max() < 1e-4

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import diagnostics, parallel
-from repro.cancellation import CancelScope, current_scope
+from repro.cancellation import CancelScope, checkpoint
 from repro.ckks import (
     CkksEncoder,
     CkksEvaluator,
@@ -647,13 +647,15 @@ class TestFanOut:
 
         def item(index):
             barrier.wait(timeout=10.0)
-            return index, current_scope(), parallel.core_budget(), threading.get_ident()
+            checkpoint()  # polls the caller's scope only if it is installed
+            return index, parallel.core_budget(), threading.get_ident()
 
         with parallel.core_budget_scope(2), CancelScope(label="outer") as scope:
             results = parallel.fan_out(item, range(2))
         assert [r[0] for r in results] == [0, 1]
-        assert all(r[1] is scope and r[2] == 2 for r in results)
-        assert len({r[3] for r in results}) == 2
+        assert scope.checkpoints == 2
+        assert all(r[1] == 2 for r in results)
+        assert len({r[2] for r in results}) == 2
         assert _pool_is_idle()
 
     def test_helper_error_keeps_its_type_and_frees_the_slot(self):

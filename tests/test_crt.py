@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numtheory.crt import RnsBasis, crt_compose, crt_decompose, garner_compose
+from repro.numtheory.crt import RnsBasis, crt_compose, crt_decompose
 
 MODULI = [97, 101, 103, 107]
 PRODUCT = 97 * 101 * 103 * 107
@@ -17,26 +17,14 @@ class TestCrtFunctions:
         residues = crt_decompose(value, MODULI)
         assert crt_compose(residues, MODULI) == value % PRODUCT
 
-    def test_garner_matches_crt(self):
-        value = 987654321
-        residues = crt_decompose(value, MODULI)
-        assert garner_compose(residues, MODULI) == crt_compose(residues, MODULI)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             crt_compose([1, 2], MODULI)
-        with pytest.raises(ValueError):
-            garner_compose([1, 2], MODULI)
 
     @given(value=st.integers(min_value=0, max_value=PRODUCT - 1))
     @settings(max_examples=200, deadline=None)
     def test_property_roundtrip(self, value):
         assert crt_compose(crt_decompose(value, MODULI), MODULI) == value
-
-    @given(value=st.integers(min_value=0, max_value=PRODUCT - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_property_garner_roundtrip(self, value):
-        assert garner_compose(crt_decompose(value, MODULI), MODULI) == value
 
 
 class TestRnsBasis:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import CkksEncoder
-from repro.ckks.encryptor import Decryptor, Encryptor
+from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import CkksEvaluator, _rotation_exponent
 from repro.ckks.keys import KeyGenerator
+from repro.ckks.linear_transform import DiagonalLinearTransform
 from repro.ckks.keyswitch import (
     mod_down,
     mod_down_stacked,
@@ -35,8 +35,6 @@ from repro.poly import ntt_engine
 from repro.poly.ntt_engine import reset_transform_counts, transform_counts
 from repro.poly.ring import automorphism_eval_indices
 from repro.poly.rns_poly import RnsBasis, RnsPolynomial
-from repro.workloads.logistic_regression import hoisted_rotation_sum
-from repro.workloads.mnist import run_encrypted_conv_taps
 
 
 @pytest.fixture(scope="module")
@@ -350,24 +348,24 @@ class TestRotationExponentMemoised:
 
 
 class TestWorkloadRotationBatches:
-    def test_hoisted_rotation_sum(self, env):
-        result = hoisted_rotation_sum(env["evaluator"], env["ct1"], [0, 1, 2])
+    def test_rotate_many_sum(self, env):
+        evaluator = env["evaluator"]
+        terms = evaluator.rotate_many(env["ct1"], [0, 1, 2])
+        result = evaluator.add(evaluator.add(terms[0], terms[1]), terms[2])
         expected = env["z1"] + np.roll(env["z1"], -1) + np.roll(env["z1"], -2)
         assert np.abs(decrypt_decode(env, result) - expected).max() < 5e-2
 
-    def test_hoisted_rotation_sum_rejects_empty(self, env):
+    def test_rotate_many_rejects_empty(self, env):
         with pytest.raises(ValueError):
-            hoisted_rotation_sum(env["evaluator"], env["ct1"], [])
+            env["evaluator"].rotate_many(env["ct1"], [])
 
-    def test_run_encrypted_conv_taps(self, env, rng):
+    def test_conv_taps_matvec(self, env, rng):
         params = env["params"]
         w0 = rng.uniform(-1, 1, params.slot_count)
         w1 = rng.uniform(-1, 1, params.slot_count)
-        result = run_encrypted_conv_taps(
-            env["evaluator"],
-            env["encoder"],
-            env["ct1"],
-            [(0, w0), (1, w1)],
+        transform = DiagonalLinearTransform.from_diagonals(
+            env["encoder"], {0: w0, 1: w1}, n1=params.slot_count
         )
+        result = env["evaluator"].matvec(env["ct1"], transform, rescale=True)
         expected = w0 * env["z1"] + w1 * np.roll(env["z1"], -1)
         assert np.abs(decrypt_decode(env, result) - expected).max() < 5e-2

@@ -18,20 +18,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoding import (
     CkksEncoder,
     matrix_diagonals,
     matrix_from_diagonals,
     rotate_slots,
-    slot_bit_reversal,
 )
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear_transform import (
     DiagonalLinearTransform,
-    bsgs_rotation_counts,
+    cached_transform,
     required_rotation_steps,
 )
 from repro.ckks.params import CkksParameters
@@ -114,11 +112,6 @@ class TestSlotUtilities:
         with pytest.raises(ValueError):
             matrix_diagonals(np.zeros((4, 8)))
 
-    def test_slot_bit_reversal_is_permutation(self):
-        perm = slot_bit_reversal(32)
-        assert sorted(perm.tolist()) == list(range(32))
-        assert perm[1] == 16
-
 
 class TestConstruction:
     def test_from_matrix_reconstructs_matrix(self, env):
@@ -166,18 +159,11 @@ class TestConstruction:
 
     def test_dense_split_near_square_root(self, env):
         slots = env["params"].slot_count
-        n1, babies, giants = bsgs_rotation_counts(range(slots), slots)
-        assert babies + giants <= 2 * int(np.ceil(np.sqrt(slots)))
-        assert n1 * (slots // n1) <= slots
-
-    def test_bsgs_rotation_counts_match_transform(self, env):
-        slots = env["params"].slot_count
-        matrix = random_matrix(env["rng"], slots, density=0.2)
-        transform = DiagonalLinearTransform.from_matrix(env["encoder"], matrix)
-        _, babies, giants = bsgs_rotation_counts(
-            transform.diagonals, slots, transform.n1
+        transform = DiagonalLinearTransform.from_matrix(
+            env["encoder"], random_matrix(env["rng"], slots)
         )
-        assert transform.rotation_count() == babies + giants
+        assert transform.rotation_count() <= 2 * int(np.ceil(np.sqrt(slots)))
+        assert transform.n1 * (slots // transform.n1) <= slots
 
 
 class TestApply:
@@ -438,18 +424,16 @@ class TestEncoderFastPaths:
 
 class TestWorkloadsOnEngine:
     def test_conv_taps_bit_exact_vs_naive_replay(self, env):
-        from repro.workloads import conv_taps_transform, run_encrypted_conv_taps
-
         slots = env["params"].slot_count
         rng = env["rng"]
         taps = [(s, rng.uniform(-1, 1, slots)) for s in (0, 1, 7)]
-        engine = run_encrypted_conv_taps(
-            env["evaluator"], env["encoder"], env["ct"], taps
+        # A tap batch is a baby-only transform: every rotation is hoisted.
+        transform = DiagonalLinearTransform.from_diagonals(
+            env["encoder"], dict(taps), n1=slots
         )
+        engine = env["evaluator"].matvec(env["ct"], transform, rescale=True)
         replay = env["evaluator"].rescale(
-            reference_apply(
-                env["evaluator"], conv_taps_transform(env["encoder"], taps), env["ct"]
-            )
+            reference_apply(env["evaluator"], transform, env["ct"])
         )
         assert np.array_equal(engine.c0.residues, replay.c0.residues)
         assert np.array_equal(engine.c1.residues, replay.c1.residues)
@@ -460,54 +444,26 @@ class TestWorkloadsOnEngine:
         expected = sum(w * rotate_slots(env["z"], s) for s, w in taps)
         assert np.abs(decode(env, engine) - expected).max() < 5e-2
 
-    def test_conv_taps_transform_exposes_steps(self, env):
-        from repro.workloads import conv_taps_transform
-
+    def test_baby_only_split_exposes_steps(self, env):
         slots = env["params"].slot_count
-        transform = conv_taps_transform(
-            env["encoder"], [(0, np.ones(slots)), (2, np.ones(slots))]
+        transform = DiagonalLinearTransform.from_diagonals(
+            env["encoder"], {0: np.ones(slots), 2: np.ones(slots)}, n1=slots
         )
         assert transform.giant_steps == []
         assert transform.rotation_steps() == [2]
 
-    def test_conv_taps_duplicate_offsets_sum(self, env):
-        """Taps sharing an offset accumulate, as the legacy loop did."""
-        from repro.workloads import conv_taps_transform
-
+    def test_cached_transform_memoised(self, env):
+        encoder = env["encoder"]
         slots = env["params"].slot_count
-        rng = env["rng"]
-        w1, w2 = rng.uniform(-1, 1, slots), rng.uniform(-1, 1, slots)
-        transform = conv_taps_transform(env["encoder"], [(1, w1), (1, w2)])
-        assert np.allclose(transform.diagonals[1], w1 + w2)
-        # Offsets congruent mod the slot count are the same rotation.
-        wrapped = conv_taps_transform(env["encoder"], [(-1, w1), (slots - 1, w2)])
-        assert set(wrapped.diagonals) == {slots - 1}
-        assert np.allclose(wrapped.diagonals[slots - 1], w1 + w2)
 
-    def test_conv_taps_all_zero_weights(self, env):
-        """An all-zero tap batch still evaluates (to an encrypted zero)."""
-        from repro.workloads import run_encrypted_conv_taps
+        def build():
+            return DiagonalLinearTransform.from_diagonals(encoder, {0: np.ones(slots)})
 
-        slots = env["params"].slot_count
-        result = run_encrypted_conv_taps(
-            env["evaluator"], env["encoder"], env["ct"], [(1, np.zeros(slots))]
-        )
-        assert np.abs(decode(env, result)).max() < 1e-2
+        first = cached_transform(encoder, ("memo", 1), build)
+        assert cached_transform(encoder, ("memo", 1), build) is first
+        assert cached_transform(encoder, ("memo", 2), build) is not first
 
-    def test_conv_taps_transform_memoised(self, env):
-        from repro.workloads import conv_taps_transform
-
-        slots = env["params"].slot_count
-        taps = [(0, np.ones(slots)), (3, np.full(slots, 0.5))]
-        first = conv_taps_transform(env["encoder"], taps)
-        second = conv_taps_transform(env["encoder"], list(taps))
-        assert second is first  # same kernel -> cached transform (and NTTs)
-        other = conv_taps_transform(env["encoder"], [(0, np.ones(slots))])
-        assert other is not first
-
-    def test_hoisted_rotation_sum_bit_exact_vs_legacy(self, env):
-        from repro.workloads import hoisted_rotation_sum
-
+    def test_rotate_many_sum_bit_exact_vs_legacy(self, env):
         evaluator, ct = env["evaluator"], env["ct"]
         offsets = [0, 1, 5]
         hoisted = evaluator.hoist(ct)
@@ -515,20 +471,17 @@ class TestWorkloadsOnEngine:
         for steps in offsets:
             term = ct if steps == 0 else evaluator.rotate_hoisted(hoisted, steps)
             legacy = term if legacy is None else evaluator.add(legacy, term)
-        engine = hoisted_rotation_sum(evaluator, ct, offsets)
+        terms = evaluator.rotate_many(ct, offsets)
+        engine = evaluator.add(evaluator.add(terms[0], terms[1]), terms[2])
         assert np.array_equal(engine.c0.residues, legacy.c0.residues)
         assert np.array_equal(engine.c1.residues, legacy.c1.residues)
 
-    def test_encrypted_matvec(self, env):
-        from repro.workloads import encrypted_matvec
-
+    def test_dense_band_matvec(self, env):
         slots = env["params"].slot_count
         matrix = random_matrix(env["rng"], slots, density=0.4)
-        result = encrypted_matvec(
-            env["evaluator"], env["encoder"], env["ct"], matrix
-        )
-        assert np.abs(decode(env, result) - matrix @ env["z"]).max() < 5e-2
         transform = DiagonalLinearTransform.from_matrix(env["encoder"], matrix)
+        result = env["evaluator"].matvec(env["ct"], transform, rescale=True)
+        assert np.abs(decode(env, result) - matrix @ env["z"]).max() < 5e-2
         assert transform.giant_steps and transform.baby_steps != [0]
         replay = env["evaluator"].rescale(
             reference_apply(env["evaluator"], transform, env["ct"])

@@ -1,17 +1,8 @@
 """Tests for Memory-Aligned Transformation permutation embedding."""
 
 import numpy as np
-import pytest
 
-from repro.core.mat import (
-    embed_permutation_into_cols,
-    embed_permutation_into_rows,
-    fold_elementwise_permutation,
-    fuse_permutations,
-    permute_vector,
-    transpose_stride_permutation,
-)
-from repro.numtheory.bitrev import bit_reverse_indices, permutation_matrix
+from repro.core.mat import embed_permutation_into_cols, embed_permutation_into_rows
 from repro.poly.modmat import modmatmul
 
 Q = 65537
@@ -23,7 +14,7 @@ class TestPermutationEmbedding:
         matrix = rng.integers(0, Q, size=(16, 16), dtype=np.uint64)
         x = rng.integers(0, Q, size=(16, 1), dtype=np.uint64)
         perm = rng.permutation(16)
-        runtime = permute_vector(modmatmul(matrix, x, Q).reshape(-1), perm)
+        runtime = modmatmul(matrix, x, Q).reshape(-1)[perm]
         embedded = modmatmul(embed_permutation_into_rows(matrix, perm), x, Q).reshape(-1)
         assert np.array_equal(runtime, embedded)
 
@@ -39,38 +30,3 @@ class TestPermutationEmbedding:
             embed_permutation_into_cols(matrix, perm), x_perm.reshape(-1, 1), Q
         ).reshape(-1)
         assert np.array_equal(natural, embedded)
-
-    def test_permutation_matrix_equivalence(self, rng):
-        perm = rng.permutation(10)
-        matrix = permutation_matrix(perm)
-        x = rng.integers(0, 100, size=10)
-        assert np.array_equal(matrix @ x, permute_vector(x, perm))
-
-    def test_elementwise_fold(self, rng):
-        values = rng.integers(0, Q, size=20, dtype=np.uint64)
-        constants = rng.integers(0, Q, size=20, dtype=np.uint64)
-        perm = rng.permutation(20)
-        runtime = permute_vector((values * constants) % Q, perm)
-        folded = (
-            permute_vector(values, perm) * fold_elementwise_permutation(constants, perm)
-        ) % Q
-        assert np.array_equal(runtime, folded)
-
-
-class TestPermutationAlgebra:
-    def test_fuse(self, rng):
-        first = rng.permutation(32)
-        second = rng.permutation(32)
-        x = rng.integers(0, 100, size=32)
-        sequential = permute_vector(permute_vector(x, first), second)
-        fused = permute_vector(x, fuse_permutations(first, second))
-        assert np.array_equal(sequential, fused)
-
-    def test_transpose_stride(self, rng):
-        values = rng.integers(0, 100, size=24)
-        perm = transpose_stride_permutation(4, 6)
-        assert np.array_equal(values[perm], values.reshape(4, 6).T.reshape(-1))
-
-    def test_bit_reverse_fusion_is_involution(self):
-        br = bit_reverse_indices(64)
-        assert np.array_equal(fuse_permutations(br, br), np.arange(64))

@@ -3,24 +3,15 @@
 import pytest
 
 from repro.numtheory.modular import (
-    centered_mod,
     find_generator,
     is_primitive_nth_root,
-    mod_exp,
     mod_inv,
     primitive_nth_root_of_unity,
 )
 from repro.numtheory.primes import generate_ntt_prime
 
 
-class TestModExpInv:
-    def test_mod_exp_matches_pow(self):
-        assert mod_exp(7, 128, 1000003) == pow(7, 128, 1000003)
-
-    def test_mod_exp_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            mod_exp(2, 3, 0)
-
+class TestModInv:
     def test_mod_inv_roundtrip(self):
         q = 268369921
         for value in (2, 17, 123456, q - 1):
@@ -34,21 +25,6 @@ class TestModExpInv:
     def test_mod_inv_negative_modulus(self):
         with pytest.raises(ValueError):
             mod_inv(3, -5)
-
-
-class TestCenteredMod:
-    def test_positive_half(self):
-        assert centered_mod(3, 11) == 3
-
-    def test_negative_half(self):
-        assert centered_mod(8, 11) == -3
-
-    def test_boundary(self):
-        assert centered_mod(5, 10) == 5
-        assert centered_mod(6, 10) == -4
-
-    def test_negative_input(self):
-        assert centered_mod(-3, 11) == -3
 
 
 class TestRootsOfUnity:

@@ -7,7 +7,6 @@ from repro.poly.negacyclic import (
     negacyclic_convolve,
     poly_add,
     poly_negate,
-    poly_scalar_mul,
     poly_sub,
 )
 
@@ -26,19 +25,6 @@ class TestElementwise:
     def test_negate_zero(self, ring):
         zero = ring.zeros()
         assert np.all(poly_negate(zero, ring.modulus) == 0)
-
-    def test_scalar_mul(self, ring, rng):
-        a = ring.random_uniform(rng)
-        doubled = poly_scalar_mul(a, 2, ring.modulus)
-        assert np.array_equal(doubled, poly_add(a, a, ring.modulus))
-
-    def test_scalar_mul_large_scalar(self, ring):
-        a = np.array([1] * ring.degree, dtype=np.uint64)
-        scalar = ring.modulus * 3 + 5
-        assert np.array_equal(
-            poly_scalar_mul(a, scalar, ring.modulus),
-            np.full(ring.degree, 5, dtype=np.uint64),
-        )
 
 
 class TestNegacyclicConvolve:

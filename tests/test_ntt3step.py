@@ -4,7 +4,7 @@ baseline and the layout-invariant 3-step NTT (MAT + BAT)."""
 import numpy as np
 import pytest
 
-from repro.core.ntt3step import FourStepNttPlan, ThreeStepNttPlan, default_tile_shape
+from repro.core.ntt3step import FourStepNttPlan, ThreeStepNttPlan
 from repro.poly.gemm_mod import modular_matmul
 from repro.poly.negacyclic import negacyclic_convolve
 
@@ -51,20 +51,6 @@ class TestFourStep:
         lhs = four_step.forward(ring.add(a, b))
         rhs = ring.add(four_step.forward(a), four_step.forward(b))
         assert np.array_equal(lhs, rhs)
-
-
-class TestTileShape:
-    def test_large_degree_pins_lanes(self):
-        assert default_tile_shape(2**16) == (128, 512)
-        assert default_tile_shape(2**12) == (128, 32)
-
-    def test_small_degree_squarish(self):
-        assert default_tile_shape(64) == (8, 8)
-        assert default_tile_shape(128) == (8, 16)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            default_tile_shape(100)
 
 
 class TestPlanConstruction:

@@ -15,7 +15,6 @@ from repro.perf import (
     cores_to_match_power,
     optimal_batch,
     power_matched_vm,
-    throughput_per_watt,
 )
 from repro.tpu import TensorCoreDevice, tensor_core
 
@@ -34,11 +33,6 @@ class TestPowerMatching:
     def test_power_matched_vm(self):
         vm = power_matched_vm("TPUv6e", 450)
         assert vm.total_power_watts == pytest.approx(450, rel=0.5)
-
-    def test_throughput_per_watt_helper(self):
-        assert throughput_per_watt(1e-3, 100) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            throughput_per_watt(0, 100)
 
 
 class TestEfficiencyComparison:

@@ -1,7 +1,7 @@
 """Tests for homomorphic polynomial evaluation (Chebyshev + PS + EvalMod).
 
-Three layers: exact algebra (the Paterson-Stockmeyer restructuring is
-bit-exact vs Clenshaw/Horner over ``fractions.Fraction``), series fitting
+Three layers: exact algebra (Chebyshev division checked against Clenshaw
+over ``fractions.Fraction``), series fitting
 (NumPy ``chebval`` is the reference everywhere), and the homomorphic
 evaluators on the real CKKS stack -- including the operation-counter
 consistency the schedule model relies on.
@@ -28,13 +28,10 @@ from repro.ckks.poly_eval import (
     ChebyshevSeries,
     EvalModPoly,
     chebyshev_divmod,
-    chebyshev_to_power,
     clenshaw,
     eval_mod,
     evaluate_chebyshev,
     evaluate_chebyshev_horner,
-    horner,
-    ps_evaluate_plain,
     ps_operation_counts,
 )
 
@@ -61,27 +58,6 @@ class TestChebyshevAlgebra:
         lhs = clenshaw(coefficients, t)
         rhs = clenshaw(quotient, t) * t_n + clenshaw(remainder, t)
         assert lhs == rhs
-
-    @given(
-        coefficients=rational_coefficients,
-        baby_count=st.sampled_from([2, 4, 8]),
-        numerator=st.integers(-37, 37),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_ps_bit_exact_vs_clenshaw(self, coefficients, baby_count, numerator):
-        """The PS restructuring is algebraically lossless: `==`, not approx."""
-        t = Fraction(numerator, 41)
-        assert ps_evaluate_plain(coefficients, t, baby_count=baby_count) == clenshaw(
-            coefficients, t
-        )
-
-    @given(coefficients=rational_coefficients, numerator=st.integers(-29, 29))
-    @settings(max_examples=40, deadline=None)
-    def test_power_basis_horner_bit_exact(self, coefficients, numerator):
-        """Chebyshev -> power conversion + Horner agrees exactly too."""
-        t = Fraction(numerator, 31)
-        power = chebyshev_to_power(coefficients)
-        assert horner(power, t) == clenshaw(coefficients, t)
 
     def test_divmod_short_dividend(self):
         quotient, remainder = chebyshev_divmod([1.0, 2.0], 4)

@@ -6,8 +6,6 @@ from repro.numtheory.primes import (
     generate_ntt_prime,
     generate_rns_primes,
     is_prime,
-    next_prime,
-    previous_prime,
 )
 
 
@@ -31,25 +29,6 @@ class TestIsPrime:
 
     def test_square_of_prime(self):
         assert not is_prime(10007 * 10007)
-
-
-class TestNextPreviousPrime:
-    def test_next_prime_basic(self):
-        assert next_prime(10) == 11
-        assert next_prime(11) == 13
-        assert next_prime(1) == 2
-
-    def test_previous_prime_basic(self):
-        assert previous_prime(10) == 7
-        assert previous_prime(3) == 2
-
-    def test_previous_prime_error(self):
-        with pytest.raises(ValueError):
-            previous_prime(2)
-
-    def test_roundtrip(self):
-        p = next_prime(1_000_000)
-        assert previous_prime(p + 1) == p
 
 
 class TestNttPrimes:

@@ -1,4 +1,4 @@
-"""Tests for Barrett, Montgomery and Shoup modular reduction (paper Alg. 1/4)."""
+"""Tests for Barrett and Montgomery modular reduction (paper Alg. 4/1)."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,15 @@ from hypothesis import strategies as st
 
 from repro.numtheory.barrett import (
     BarrettContext,
-    barrett_reduce,
     barrett_reduce_vector,
-    mulmod_barrett,
-    mulmod_barrett_vector,
 )
 from repro.numtheory.montgomery import (
     MontgomeryContext,
     montgomery_reduce,
     montgomery_reduce_lazy,
     montgomery_reduce_vector,
-    mulmod_montgomery,
-    mulmod_montgomery_vector,
 )
 from repro.numtheory.primes import generate_ntt_prime
-from repro.numtheory.shoup import ShoupContext, mulmod_shoup, mulmod_shoup_vector
 
 Q28 = generate_ntt_prime(28, 4096)
 Q30 = generate_ntt_prime(30, 1024)
@@ -30,17 +24,6 @@ MODULI = [Q28, Q30, 65537, 12289]
 
 # ---------------------------------------------------------------------- Barrett
 class TestBarrett:
-    @pytest.mark.parametrize("q", MODULI)
-    def test_scalar_reduce(self, q):
-        context = BarrettContext.create(q)
-        for value in (0, 1, q - 1, q, q + 1, q * q, (1 << 64) - 1):
-            assert barrett_reduce(value, context) == value % q
-
-    def test_rejects_negative(self):
-        context = BarrettContext.create(Q28)
-        with pytest.raises(ValueError):
-            barrett_reduce(-1, context)
-
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             BarrettContext.create(1)
@@ -53,25 +36,6 @@ class TestBarrett:
         values = rng.integers(0, 1 << 63, size=512, dtype=np.uint64) * 2 + 1
         expected = np.array([int(v) % q for v in values], dtype=np.uint64)
         assert np.array_equal(barrett_reduce_vector(values, context), expected)
-
-    def test_mulmod_scalar(self):
-        context = BarrettContext.create(Q28)
-        assert mulmod_barrett(Q28 - 1, Q28 - 1, context) == ((Q28 - 1) ** 2) % Q28
-
-    def test_mulmod_vector(self, rng):
-        context = BarrettContext.create(Q28)
-        a = rng.integers(0, Q28, size=256, dtype=np.uint64)
-        b = rng.integers(0, Q28, size=256, dtype=np.uint64)
-        expected = (a.astype(object) * b.astype(object)) % Q28
-        assert np.array_equal(
-            mulmod_barrett_vector(a, b, context), expected.astype(np.uint64)
-        )
-
-    @given(value=st.integers(min_value=0, max_value=(1 << 64) - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_property_reduce_any_64bit(self, value):
-        context = BarrettContext.create(Q28)
-        assert barrett_reduce(value, context) == value % Q28
 
 
 # ------------------------------------------------------------------- Montgomery
@@ -104,10 +68,6 @@ class TestMontgomery:
         for value in (0, 1, 17, Q28 - 1):
             assert context.from_montgomery(context.to_montgomery(value)) == value
 
-    def test_mulmod_scalar(self):
-        context = MontgomeryContext.create(Q28)
-        assert mulmod_montgomery(123456, 654321, context) == (123456 * 654321) % Q28
-
     @pytest.mark.parametrize("q", MODULI)
     def test_vector_reduce_matches_scalar(self, q, rng):
         context = MontgomeryContext.create(q)
@@ -124,68 +84,8 @@ class TestMontgomery:
         lazy = montgomery_reduce_vector(values, context, lazy=True)
         assert int(lazy.max()) < 2 * Q28
 
-    def test_mulmod_vector_with_precomputed_form(self, rng):
-        context = MontgomeryContext.create(Q28)
-        a = rng.integers(0, Q28, size=128, dtype=np.uint64)
-        b = rng.integers(0, Q28, size=128, dtype=np.uint64)
-        a_mont = np.array([context.to_montgomery(int(x)) for x in a], dtype=np.uint64)
-        expected = (a.astype(object) * b.astype(object)) % Q28
-        assert np.array_equal(
-            mulmod_montgomery_vector(a_mont, b, context), expected.astype(np.uint64)
-        )
-
     @given(value=st.integers(min_value=0, max_value=Q28 * (1 << 32) - 1))
     @settings(max_examples=200, deadline=None)
     def test_property_reduce(self, value):
         context = MontgomeryContext.create(Q28)
         assert montgomery_reduce(value, context) == (value * pow(1 << 32, -1, Q28)) % Q28
-
-
-# ------------------------------------------------------------------------ Shoup
-class TestShoup:
-    def test_scalar(self):
-        context = ShoupContext.create(123456789 % Q28, Q28)
-        for x in (0, 1, Q28 - 1, 424242):
-            assert mulmod_shoup(x, context) == (x * context.multiplier) % Q28
-
-    def test_rejects_unreduced_operand(self):
-        context = ShoupContext.create(5, Q28)
-        with pytest.raises(ValueError):
-            mulmod_shoup(Q28, context)
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            ShoupContext.create(3, 1)
-
-    @pytest.mark.parametrize("q", MODULI)
-    def test_vector_matches_scalar(self, q, rng):
-        w = int(rng.integers(1, q))
-        context = ShoupContext.create(w, q)
-        xs = rng.integers(0, q, size=512, dtype=np.uint64)
-        expected = (xs.astype(object) * w) % q
-        assert np.array_equal(
-            mulmod_shoup_vector(xs, context), expected.astype(np.uint64)
-        )
-
-    @given(x=st.integers(min_value=0, max_value=Q28 - 1), w=st.integers(min_value=0, max_value=Q28 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_property_shoup(self, x, w):
-        context = ShoupContext.create(w, Q28)
-        assert mulmod_shoup(x, context) == (x * w) % Q28
-
-
-# ------------------------------------------------------ cross-algorithm agreement
-class TestReductionAgreement:
-    def test_all_three_agree(self, rng):
-        """Barrett, Montgomery and Shoup must all compute the same product."""
-        q = Q28
-        barrett = BarrettContext.create(q)
-        montgomery = MontgomeryContext.create(q)
-        for _ in range(50):
-            a = int(rng.integers(0, q))
-            b = int(rng.integers(0, q))
-            shoup = ShoupContext.create(a, q)
-            expected = (a * b) % q
-            assert mulmod_barrett(a, b, barrett) == expected
-            assert mulmod_montgomery(a, b, montgomery) == expected
-            assert mulmod_shoup(b, shoup) == expected

@@ -26,7 +26,6 @@ from repro.tpu import (
     TensorCoreDevice,
     TpuVirtualMachine,
     VectorUnit,
-    comparison_device,
     tensor_core,
 )
 
@@ -56,10 +55,8 @@ class TestSpecs:
             tensor_core("TPUv99")
 
     def test_comparison_devices(self):
-        assert comparison_device("NVIDIA A100").tdp_watts == 400
-        assert comparison_device("AMD Alveo U280").category == "FPGA"
-        with pytest.raises(KeyError):
-            comparison_device("Abacus")
+        assert COMPARISON_DEVICES["NVIDIA A100"].tdp_watts == 400
+        assert COMPARISON_DEVICES["AMD Alveo U280"].category == "FPGA"
 
     def test_fig5_ai_asics_most_efficient(self):
         """Fig. 5 claim: AI ASICs sit on the best TOPs/W frontier of their node."""
