@@ -45,6 +45,29 @@ class TestDirectScalarBat:
             merged = sum(int(partial[i]) << (8 * i) for i in range(4))
             assert merged % Q == (a * b) % Q
 
+    def test_zero_value(self):
+        assert np.all(direct_scalar_bat(0, Q) == 0)
+
+    @given(
+        a=st.integers(min_value=0, max_value=Q - 1),
+        b=st.integers(min_value=0, max_value=Q - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_bat_exact(self, a, b):
+        partial = direct_scalar_bat(a, Q).astype(object) @ chunk_decompose(b, 4).astype(object)
+        merged = sum(int(partial[i]) << (8 * i) for i in range(4))
+        assert merged % Q == (a * b) % Q
+
+    def test_compiled_sizes_match_paper_claim(self, rng):
+        """Fig. 7: the K x K block is dense; the Toeplitz form is (2K-1) x K,
+        12 of its 28 entries structurally zero."""
+        k = 4
+        blocks = [direct_scalar_bat(int(rng.integers(1, Q)), Q) for _ in range(50)]
+        assert all(block.shape == (k, k) for block in blocks)
+        zeros = sum(int(np.count_nonzero(block == 0)) for block in blocks)
+        assert zeros / (50 * k * k) < 0.05
+        assert (k * k) / ((2 * k - 1) * k) == pytest.approx(4 / 7)
+
 
 class TestCompiledOperands:
     def test_left_plan_shape_and_dtype_range(self, rng):

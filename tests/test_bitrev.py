@@ -38,6 +38,11 @@ class TestBitReverse:
         with pytest.raises(ValueError):
             bit_reverse_indices(12)
 
+    def test_permute_roundtrip(self, rng):
+        values = rng.integers(0, 100, size=128)
+        indices = bit_reverse_indices(128)
+        assert np.array_equal(values[indices][indices], values)
+
     @given(bits=st.integers(min_value=1, max_value=12), value=st.integers(min_value=0))
     @settings(max_examples=100, deadline=None)
     def test_property_double_reverse(self, bits, value):

@@ -8,10 +8,12 @@ import pytest
 from repro.ckks import CkksEncoder, CkksParameters
 from repro.ckks.encoding import (
     DENSE_EMBEDDING_MAX_DEGREE,
+    constant_coefficients,
     embedding_matrix,
     embedding_tables,
     fft_embedding,
     fft_inverse_embedding,
+    slot_exponents,
 )
 
 
@@ -86,6 +88,28 @@ POWER_OF_TWO_DEGREES = [1 << k for k in range(2, 12)]  # 4 ... 2048
 
 def relative_gap(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("degree", [8, 64, 1024])
+    def test_slot_exponents_are_every_odd_residue(self, degree):
+        exponents = slot_exponents(degree)
+        slots = degree // 2
+        assert sorted(exponents.tolist()) == list(range(1, 2 * degree, 2))
+        assert exponents[1] == 5 % (2 * degree)
+        assert np.all(exponents[:slots] + exponents[slots:] == 2 * degree)
+
+    def test_constant_coefficients_touch_two_coefficients(self):
+        coefficients = constant_coefficients(1.5 - 0.25j, 2.0**10, 16)
+        assert coefficients[0] == 1536 and coefficients[8] == -256
+        assert np.count_nonzero(coefficients) == 2
+
+    def test_constant_coefficients_decode_to_the_constant(self):
+        degree, scale, value = 16, 2.0**20, 0.75 + 0.5j
+        slots = embedding_matrix(degree) @ constant_coefficients(value, scale, degree)
+        half = degree // 2
+        assert np.allclose(slots[:half] / scale, value, atol=1e-6)
+        assert np.allclose(slots[half:] / scale, np.conj(value), atol=1e-6)
 
 
 class TestFftEmbeddingAgainstDenseOracle:

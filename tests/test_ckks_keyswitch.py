@@ -20,6 +20,24 @@ class TestModDown:
         reduced = mod_down(poly, params, level)
         assert reduced.to_int_coefficients() == small
 
+    def test_special_product_column_lifts_to_the_extended_basis(self, ckks_setup, rng):
+        """``x * [P]_{q_i}`` on the level limbs is ``P * x`` over the extended basis."""
+        params = ckks_setup["params"]
+        level = params.limbs
+        column = params.special_product_column(level)
+        moduli = params.basis_at_level(level).moduli
+        assert column.shape == (level, 1) and not column.flags.writeable
+        assert column[:, 0].tolist() == [params.special_product % q for q in moduli]
+        assert params.special_product_column(level) is column
+        small = [int(v) for v in rng.integers(0, 1000, size=params.degree)]
+        poly = RnsPolynomial.from_int_coefficients(small, params.basis_at_level(level))
+        lifted = (poly.residues * column) % params.basis_at_level(level).moduli_array[:, None]
+        scaled = RnsPolynomial.from_int_coefficients(
+            [c * params.special_product for c in small], params.extended_basis(level)
+        )
+        assert np.array_equal(lifted, scaled.residues[:level])
+        assert not scaled.residues[level:].any()
+
     def test_rounding_error_is_small(self, ckks_setup, rng):
         params = ckks_setup["params"]
         level = params.limbs

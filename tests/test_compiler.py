@@ -52,6 +52,23 @@ class TestPrimitives:
         assert cross.ntt_tile_shape() == (128, 512)
         assert cross.ntt_tile_shape(2**12) == (128, 32)
 
+    def test_small_degree_tile_is_squarish(self, cross):
+        """Below two lane widths the tile stops pinning R to the lane count."""
+        assert cross.ntt_tile_shape(64) == (8, 8)
+        assert cross.ntt_tile_shape(128) == (8, 16)
+        assert cross.ntt_tile_shape(256) == (128, 2)
+
+    def test_modred_ops_follow_the_option(self):
+        for name, cost in MODRED_VPU_OPS.items():
+            compiler = CrossCompiler(SET_D, CompilerOptions.cross_default().with_modred(name))
+            assert compiler.modred_ops == cost
+
+    def test_vec_mod_sub_prices_like_add(self, cross):
+        sub = cross.vec_mod_sub(limbs=2, batch=3)
+        add = cross.vec_mod_add(limbs=2, batch=3)
+        assert sub.name == "vecmodsub"
+        assert sub.total_vector_ops == add.total_vector_ops > 0
+
     def test_vecmodmul_elements(self, cross):
         graph = cross.vec_mod_mul(limbs=3, batch=2)
         ops = [op for op in graph.ops if isinstance(op, VectorOp)]

@@ -17,6 +17,13 @@ class TestCrtFunctions:
         residues = crt_decompose(value, MODULI)
         assert crt_compose(residues, MODULI) == value % PRODUCT
 
+    def test_garner_matches_crt(self):
+        """A two-limb basis composes through the vectorized Garner step."""
+        basis = RnsBasis(moduli=tuple(MODULI[:2]), degree=8)
+        value = 9876
+        residues = np.array([[r] for r in crt_decompose(value, MODULI[:2])], dtype=np.uint64)
+        assert basis.compose_array(residues) == [crt_compose(crt_decompose(value, MODULI[:2]), MODULI[:2])]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             crt_compose([1, 2], MODULI)
@@ -25,6 +32,46 @@ class TestCrtFunctions:
     @settings(max_examples=200, deadline=None)
     def test_property_roundtrip(self, value):
         assert crt_compose(crt_decompose(value, MODULI), MODULI) == value
+
+    @given(value=st.integers(min_value=0, max_value=MODULI[0] * MODULI[1] - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_property_garner_roundtrip(self, value):
+        basis = RnsBasis(moduli=tuple(MODULI[:2]), degree=8)
+        residues = np.array([[value % q] for q in MODULI[:2]], dtype=np.uint64)
+        assert basis.compose_array(residues) == [value]
+
+
+class TestCenteredLift:
+    """``compose_signed_small``: the centred lift of values the first two limbs hold."""
+
+    @staticmethod
+    def lift(values, basis):
+        residues = np.array(
+            [[v % q for v in values] for q in basis.moduli], dtype=np.uint64
+        )
+        return basis.compose_signed_small(residues)
+
+    def test_positive_half(self, rns_basis):
+        assert self.lift([3, 0, 12345], rns_basis).tolist() == [3, 0, 12345]
+
+    def test_negative_half(self, rns_basis):
+        assert self.lift([-3, -1, -12345], rns_basis).tolist() == [-3, -1, -12345]
+
+    def test_boundary(self, rns_basis):
+        """Values at the edge of the two-limb window still lift exactly."""
+        half = rns_basis.moduli[0] * rns_basis.moduli[1] // 2
+        assert self.lift([half, -half + 1], rns_basis).tolist() == [half, -half + 1]
+
+    def test_value_beyond_two_limbs_declines(self, rns_basis):
+        """A value that needs a third limb is declined, not wrapped."""
+        wide = rns_basis.moduli[0] * rns_basis.moduli[1]
+        assert self.lift([5, wide], rns_basis) is None
+        assert self.lift([5, -wide], rns_basis) is None
+
+    def test_short_basis_declines(self):
+        basis = RnsBasis(moduli=tuple(MODULI[:2]), degree=8)
+        residues = np.zeros((2, 3), dtype=np.uint64)
+        assert basis.compose_signed_small(residues) is None
 
 
 class TestRnsBasis:

@@ -11,6 +11,9 @@ caches registered in `repro.diagnostics`.
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -24,17 +27,20 @@ from repro.ckks import (
     KeyGenerator,
 )
 from repro.ckks.bootstrapping import CkksBootstrapper
-from repro.ckks.noise import NoiseModel, NoisePolicy
+from repro.cancellation import CancelScope
+from repro.ckks.noise import NoiseModel, NoisePolicy, policy_override
 from repro.ckks.poly_eval import ChebyshevSeries, evaluate_chebyshev
 from repro.diagnostics import BoundedLruCache
 from repro.errors import (
     BackendExactnessError,
+    DeadlineExceeded,
     IncompatibleOperands,
     LevelExhausted,
     MissingKeyError,
     NoiseBudgetExhausted,
     ParameterError,
     ReproError,
+    RequestCancelled,
     ScaleOverflow,
     operand_signature,
 )
@@ -392,6 +398,17 @@ class TestEncoderCacheSatellite:
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
 
+    def test_clear_encode_cache_forgets_entries(self, ckks_setup, rng):
+        encoder = ckks_setup["encoder"]
+        z = rng.uniform(-1, 1, ckks_setup["params"].slot_count)
+        encoder.encode(z, cache=True)
+        assert encoder.encode_cache_stats()["size"] >= 1
+        encoder.clear_encode_cache()
+        assert encoder.encode_cache_stats()["size"] == 0
+        misses = encoder.encode_cache_stats()["misses"]
+        encoder.encode(z, cache=True)
+        assert encoder.encode_cache_stats()["misses"] == misses + 1
+
     def test_uncached_encode_leaves_counters(self, ckks_setup, rng):
         env = ckks_setup
         before = env["encoder"].encode_cache_stats()
@@ -424,3 +441,157 @@ class TestDiagnosticsRegistry:
         assert diagnostics.events("absent") == []
         diagnostics.clear_events()
         assert diagnostics.events() == []
+
+    def test_stats_providers_register_poll_and_unregister(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_providers", {})
+        first = diagnostics.register_stats_provider("shard", lambda: {"ready": 1})
+        second = diagnostics.register_stats_provider("shard", lambda: {"ready": 2})
+        assert first == "shard" and second != first
+        assert diagnostics.provider_stats() == {first: {"ready": 1}, second: {"ready": 2}}
+        diagnostics.unregister_stats_provider(first)
+        diagnostics.unregister_stats_provider("never-registered")
+        assert list(diagnostics.provider_stats()) == [second]
+
+    def test_failing_provider_reports_its_error(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_providers", {})
+
+        def broken():
+            raise RuntimeError("boom")
+
+        key = diagnostics.register_stats_provider("dead", broken)
+        assert diagnostics.provider_stats() == {key: {"error": "RuntimeError: boom"}}
+
+    def test_as_dict_is_json_safe(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_providers", {})
+        diagnostics.clear_events()
+        diagnostics.record_event(
+            "exotic", count=np.int64(3), shape=(2, 4), tags={"a"}, where=object()
+        )
+        try:
+            snapshot = json.loads(json.dumps(diagnostics.as_dict()))
+        finally:
+            diagnostics.clear_events()
+        (event,) = snapshot["events"]
+        assert event["count"] == 3 and event["shape"] == [2, 4] and event["tags"] == ["a"]
+        assert isinstance(event["where"], str)
+        assert snapshot["events_by_kind"] == {"exotic": 1}
+
+    def test_registered_caches_report_under_their_name(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_caches", {})
+        cache = diagnostics.register_cache(BoundedLruCache("probe", 2))
+        cache.put("k", 1)
+        group = diagnostics.register_cache_group("probe-group")
+        assert diagnostics.register_cache_group("probe-group") is group
+        stats = diagnostics.cache_stats()
+        assert list(stats) == ["probe", "probe-group"]
+        assert stats["probe"]["size"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Noise-model propagation rules
+# ---------------------------------------------------------------------------
+
+
+class TestNoiseModelRules:
+    """The per-operation bound updates the evaluator stamps on ciphertexts."""
+
+    @pytest.fixture
+    def model(self, ckks_setup):
+        return NoiseModel(ckks_setup["params"])
+
+    def test_add_bits_adds_bounds(self, model):
+        assert model.add_bits(10.0, 10.0) == pytest.approx(11.0)
+        assert model.add_bits(30.0, 0.0) == pytest.approx(math.log2(2**30 + 1))
+
+    def test_add_plain_adds_one_rounding_term(self, model):
+        rounding = model.plaintext_bits()
+        assert model.add_plain_bits(rounding) == pytest.approx(rounding + 1.0)
+
+    def test_fresh_bound_exceeds_encoding_rounding(self, model):
+        assert model.fresh_bits() > model.plaintext_bits() > 0.0
+
+    def test_scalar_bits_scale_by_magnitude(self, model):
+        assert model.scalar_bits(10.0, 8) == pytest.approx(13.0)
+        assert model.scalar_bits(10.0, -8) == pytest.approx(13.0)
+        assert model.scalar_bits(10.0, 0.5) == pytest.approx(10.0)
+
+    def test_multiply_bits_cross_terms(self, model):
+        """``B1*M2 + B2*M1 + B1*B2`` with ``M = scale`` at message bound 1."""
+        got = model.multiply_bits(5.0, 2.0**20, 6.0, 2.0**21)
+        expected = math.log2(2**5 * 2**21 + 2**6 * 2**20 + 2**11)
+        assert got == pytest.approx(expected)
+
+    def test_multiply_plain_bits(self, model):
+        got = model.multiply_plain_bits(5.0, 2.0**20, 2.0**10)
+        expected = math.log2(2**5 * 2**10 + 2**20 * 2 ** model.plaintext_bits())
+        assert got == pytest.approx(expected)
+
+    def test_rescale_divides_and_adds_rounding(self, model):
+        rounding = model.plaintext_bits()
+        assert model.rescale_bits(40.0, 2.0**20) == pytest.approx(
+            math.log2(2**20 + 2**rounding)
+        )
+
+    def test_keyswitch_adds_a_fixed_term(self, model):
+        small = model.keyswitch_bits(-60.0)
+        assert model.keyswitch_bits(50.0) == pytest.approx(50.0, abs=1e-3)
+        assert model.keyswitch_bits(small) == pytest.approx(small + 1.0, abs=1e-6)
+
+    def test_level_modulus_bits_and_budget(self, model, ckks_setup):
+        moduli = ckks_setup["params"].modulus_basis.moduli
+        assert model.level_modulus_bits(0) == 0.0
+        total = sum(math.log2(q) for q in moduli)
+        top = len(moduli)
+        assert model.level_modulus_bits(top) == pytest.approx(total)
+        assert model.budget_bits(top, 10.0) == pytest.approx(total - 11.0)
+
+    def test_policy_override_restores_on_exit(self, model):
+        with policy_override(model, raise_margin_bits=-16.0) as inside:
+            assert inside.policy.raise_margin_bits == -16.0
+        assert model.policy.raise_margin_bits == NoisePolicy().raise_margin_bits
+        with pytest.raises(AttributeError):
+            with policy_override(model, no_such_field=1):
+                pass
+
+
+# ---------------------------------------------------------------------------
+# Cancel scopes
+# ---------------------------------------------------------------------------
+
+
+class FakeClock:
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class TestCancelScope:
+    def test_remaining_counts_down_and_floors_at_zero(self):
+        clock = FakeClock(100.0)
+        scope = CancelScope(timeout=5.0, clock=clock)
+        assert scope.remaining() == pytest.approx(5.0)
+        clock.now = 103.0
+        assert scope.remaining() == pytest.approx(2.0)
+        clock.now = 200.0
+        assert scope.remaining() == 0.0
+        assert CancelScope(clock=clock).remaining() is None
+
+    def test_expired_follows_the_clock(self):
+        clock = FakeClock()
+        scope = CancelScope(deadline=1.0, clock=clock, label="r1")
+        assert not scope.expired()
+        clock.now = 1.0
+        assert scope.expired()
+        with pytest.raises(DeadlineExceeded, match="r1"):
+            scope.check()
+        assert not CancelScope(clock=clock).expired()
+
+    def test_inner_scope_sees_outer_cancel(self):
+        with CancelScope(label="outer") as outer, CancelScope(label="inner") as inner:
+            inner.check()
+            outer.cancel("client went away")
+            with pytest.raises(RequestCancelled, match="client went away"):
+                inner.check()
+        assert not inner.cancelled and outer.cancelled

@@ -40,3 +40,11 @@ class TestModMatMul:
         b = rng.integers(0, q, size=(300, 4), dtype=np.uint64)
         expected = (a.astype(object) @ b.astype(object)) % q
         assert np.array_equal(modmatmul(a, b, q), expected.astype(np.uint64))
+
+    def test_matvec(self, prime, rng):
+        matrix = rng.integers(0, prime, size=(5, 9), dtype=np.uint64)
+        vector = rng.integers(0, prime, size=9, dtype=np.uint64)
+        expected = (matrix.astype(object) @ vector.astype(object)) % prime
+        result = modmatmul(matrix, vector[:, None], prime)
+        assert result.shape == (5, 1)
+        assert np.array_equal(result.reshape(-1), expected.astype(np.uint64))

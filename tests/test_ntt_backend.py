@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.numtheory.crt import RnsBasis
+from repro.numtheory.modular import primitive_nth_root_of_unity
 from repro.numtheory.primes import generate_ntt_prime
 from repro.poly import ntt_engine
 from repro.poly.fused_kernels import MODE_ENV
@@ -44,7 +45,9 @@ from repro.poly.ntt_engine import (
     supports,
     transform_counts,
 )
+from repro.poly.modmat import modmatmul
 from repro.poly.ntt_reference import (
+    negacyclic_evaluate_direct,
     ntt_forward_negacyclic,
     ntt_inverse_negacyclic,
 )
@@ -71,6 +74,52 @@ class TestFourStepSplit:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             four_step_split(48)
+
+    def test_large_degree_shapes(self):
+        assert four_step_split(2**16) == (256, 256)
+        assert four_step_split(2**13) == (128, 64)
+        assert four_step_split(2**12) == (64, 64)
+
+    def test_small_degree_shapes(self):
+        assert four_step_split(64) == (8, 8)
+        assert four_step_split(128) == (16, 8)
+
+
+#: (n1, n2) tiles, square and skewed both ways; ``four_step_matrices`` takes
+#: any factorisation of ``N``, not only the one ``four_step_split`` picks.
+FOUR_STEP_TILES = [(4, 8), (8, 4), (16, 16), (2, 32)]
+
+
+def _four_step_setup(rows, cols):
+    degree = rows * cols
+    q = generate_ntt_prime(28, degree)
+    psi = primitive_nth_root_of_unity(2 * degree, q)
+    mats = ntt_engine.four_step_matrices((q,), (psi,), degree, rows, cols)
+    return q, psi, [m[0] for m in mats]
+
+
+class TestFourStepMatrices:
+    """The six matrices, run as column GEMM -> transpose -> twist -> row GEMM
+    with plain modular products, are the negacyclic NTT and its inverse."""
+
+    @pytest.mark.parametrize("rows,cols", FOUR_STEP_TILES)
+    def test_transpose_factorisation_matches_direct(self, rows, cols, rng):
+        q, psi, (m1, tw, m4, _, _, _) = _four_step_setup(rows, cols)
+        a = rng.integers(0, q, size=rows * cols, dtype=np.uint64)
+        columns = modmatmul(m1, a.reshape(rows, cols), q)
+        twisted = (columns.T * tw) % np.uint64(q)
+        out = modmatmul(m4, twisted, q).reshape(-1)
+        assert np.array_equal(out, negacyclic_evaluate_direct(a, q, psi))
+
+    @pytest.mark.parametrize("rows,cols", FOUR_STEP_TILES)
+    def test_inverse_matrices_undo_forward(self, rows, cols, rng):
+        q, psi, (_, _, _, m4_inv, tw_inv, m1_inv) = _four_step_setup(rows, cols)
+        a = rng.integers(0, q, size=rows * cols, dtype=np.uint64)
+        evaluations = negacyclic_evaluate_direct(a, q, psi).reshape(cols, rows)
+        rows_back = modmatmul(m4_inv, evaluations, q)
+        untwisted = (rows_back * tw_inv) % np.uint64(q)
+        back = modmatmul(m1_inv, untwisted.T, q).reshape(-1)
+        assert np.array_equal(back, a)
 
 
 #: Every dense-tile degree and the near-square ones up to twice the cap.

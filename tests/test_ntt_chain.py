@@ -186,6 +186,24 @@ def _runs_on(basis, monkeypatch) -> list:
     return owners
 
 
+class TestChainRegistry:
+    def test_register_chain_interns_live_stacks(self):
+        moduli = tuple(RnsBasis.generate(3, 28, 128).moduli)
+        chain = ntt_engine.register_chain(moduli, 64)
+        assert ntt_engine.register_chain(moduli, 64) is chain
+        assert ntt_engine.register_chain(moduli, 128) is not chain
+        assert ntt_engine.register_chain(moduli[:2], 64) is not chain
+
+    def test_chain_rows_are_contiguous_runs(self):
+        moduli = tuple(RnsBasis.generate(5, 28, 64).moduli)
+        chain = NttPlanStack(moduli, 64)
+        subset = (moduli[0], moduli[1], moduli[3])
+        rows = chain.chain_rows(subset)
+        assert rows == ((0, 2), (3, 4))
+        assert chain.chain_rows(subset) is rows
+        assert chain.chain_rows(moduli) == ((0, 5),)
+
+
 class TestOwnership:
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_every_set_runs_on_its_own_chain(self, order, monkeypatch):

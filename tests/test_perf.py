@@ -10,12 +10,14 @@ from repro.perf import (
     TABLE5_BAT_MATMUL,
     TABLE6_BCONV,
     TABLE8_BASELINES,
+    EfficiencyResult,
     batch_throughput_curve,
     compare_efficiency,
     cores_to_match_power,
     optimal_batch,
     power_matched_vm,
 )
+from repro.perf.batching import ntt_working_set_bytes, parameter_bytes
 from repro.tpu import TensorCoreDevice, tensor_core
 
 
@@ -33,6 +35,38 @@ class TestPowerMatching:
     def test_power_matched_vm(self):
         vm = power_matched_vm("TPUv6e", 450)
         assert vm.total_power_watts == pytest.approx(450, rel=0.5)
+
+
+class TestWorkingSet:
+    def test_working_set_grows_by_one_element_per_batch(self):
+        degree = 2**16
+        per_element = degree * 4 * 2 + degree * 4
+        assert ntt_working_set_bytes(degree, 0) == parameter_bytes(degree)
+        step = ntt_working_set_bytes(degree, 9) - ntt_working_set_bytes(degree, 8)
+        assert step == per_element
+
+    def test_parameter_bytes_tile_shapes(self):
+        """Shared twiddles: a 128-row tile from N = 256 on, square-ish below."""
+        assert parameter_bytes(2**16) == (128**2 + 512**2) * 16
+        assert parameter_bytes(2**16, chunk_count=2) == (128**2 + 512**2) * 4
+        assert parameter_bytes(64) == (8**2 + 8**2) * 16
+
+
+class TestEfficiencyResult:
+    def test_throughput_per_watt_helper(self):
+        result = EfficiencyResult(
+            baseline_name="cpu",
+            kernel="ntt",
+            baseline_latency_us=1000.0,
+            baseline_power_watts=100.0,
+            cross_latency_us=10.0,
+            cross_power_watts=50.0,
+            tensor_cores=1,
+        )
+        assert result.baseline_throughput_per_watt == pytest.approx(10.0)
+        assert result.cross_throughput_per_watt == pytest.approx(2000.0)
+        assert result.efficiency_gain == pytest.approx(200.0)
+        assert result.latency_speedup == pytest.approx(100.0)
 
 
 class TestEfficiencyComparison:

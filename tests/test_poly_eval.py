@@ -367,6 +367,14 @@ class TestEvalMod:
         x = np.linspace(-0.02, 0.02, 101)
         assert np.abs(folded.reference(x) - flat.reference(x)).max() < 1e-6
 
+    def test_output_scaling_and_addition_plan(self):
+        """Each double-angle step costs one squaring and two additions."""
+        evalmod = self.make()
+        assert evalmod.output_scaling == pytest.approx(self.PERIOD / (2 * np.pi))
+        flat = self.make(double_angle=0)
+        assert evalmod.addition_count() == flat.addition_count() + 2
+        assert evalmod.multiplication_count() == flat.multiplication_count() + 1
+
     def test_create_validations(self):
         with pytest.raises(ValueError):
             EvalModPoly.create(-1.0, k_bound=3, degree=15)

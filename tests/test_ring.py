@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.poly.negacyclic import negacyclic_convolve
-from repro.poly.ring import PolyRing
+from repro.poly.ring import PolyRing, automorphism_tables
 
 
 class TestConstruction:
@@ -68,11 +68,27 @@ class TestArithmetic:
         a = ring.random_uniform(rng)
         assert np.array_equal(ring.intt(ring.ntt(a)), a)
 
+    def test_pointwise_mul_is_the_slotwise_product(self, ring, rng):
+        a_eval = ring.ntt(ring.random_uniform(rng))
+        b_eval = ring.ntt(ring.random_uniform(rng))
+        expected = (a_eval.astype(object) * b_eval.astype(object)) % ring.modulus
+        assert np.array_equal(ring.pointwise_mul(a_eval, b_eval), expected.astype(np.uint64))
+
     def test_inverse_of(self, ring):
         assert (ring.inverse_of(7) * 7) % ring.modulus == 1
 
 
 class TestAutomorphism:
+    def test_tables_send_monomials_to_signed_monomials(self):
+        degree, exponent = 16, 5
+        target, wrap = automorphism_tables(degree, exponent)
+        for k in range(degree):
+            image = k * exponent % (2 * degree)
+            assert target[k] == image % degree
+            assert wrap[k] == (image >= degree)
+        assert not target.flags.writeable and not wrap.flags.writeable
+        assert automorphism_tables(degree, exponent)[0] is target
+
     def test_identity_exponent(self, ring, rng):
         a = ring.random_uniform(rng)
         assert np.array_equal(ring.automorphism(a, 1), a)

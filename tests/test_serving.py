@@ -141,6 +141,19 @@ class TestBoundedQueue:
     def test_get_timeout_returns_none(self):
         assert BoundedRequestQueue(1).get(timeout=0.01) is None
 
+    def test_close_drains_then_wakes_consumers(self):
+        queue = BoundedRequestQueue(2)
+        queue.put("a")
+        assert not queue.closed
+        queue.close()
+        assert queue.closed
+        with pytest.raises(ServiceUnavailable):
+            queue.put("b")
+        assert queue.get(timeout=0.01) == "a"
+        started = time.monotonic()
+        assert queue.get(timeout=5.0) is None  # closed and empty: no wait
+        assert time.monotonic() - started < 1.0
+
     def test_drain_matching_takes_matches_keeps_order(self):
         queue = BoundedRequestQueue(8)
         for item in ("a1", "b1", "a2", "b2", "a3"):

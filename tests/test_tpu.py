@@ -28,6 +28,7 @@ from repro.tpu import (
     VectorUnit,
     tensor_core,
 )
+from repro.tpu.trace import ExecutionTrace, TraceEvent
 
 
 class TestSpecs:
@@ -125,6 +126,10 @@ class TestVectorUnit:
         with pytest.raises(ValueError):
             VectorUnit().elementwise_modmul(np.array([1]), np.array([1]), 1 << 40)
 
+    def test_elements_per_vreg(self):
+        assert VectorUnit().elements_per_vreg == 8 * 128
+        assert VectorUnit().tile_stats(1025).vreg_tiles == 2
+
     def test_tile_utilization(self):
         vpu = VectorUnit()
         stats = vpu.tile_stats(512)
@@ -156,6 +161,14 @@ class TestCrossLaneUnit:
         reduced, _ = xlu.reduce(values, axis=0)
         assert np.array_equal(reduced, values.sum(axis=0))
 
+    def test_tile_moves_round_up(self, rng):
+        xlu = CrossLaneUnit()
+        assert xlu.elements_per_tile == 8 * 128
+        _, stats = xlu.transpose(rng.integers(0, 9, size=(33, 32)))
+        assert stats.tile_moves == 2
+        _, stats = xlu.transpose(np.zeros((0, 4)))
+        assert stats.tile_moves == 0
+
 
 class TestMemoryHierarchy:
     def test_vmem_vs_hbm_bandwidth(self):
@@ -174,6 +187,76 @@ class TestMemoryHierarchy:
         memory = MemoryHierarchy(tensor_core("TPUv4"))
         assert memory.transfer_time(1 << 20) > 0
         assert memory.hbm_time(1 << 20) >= memory.transfer_time(1 << 20)
+
+    def test_vmem_capacity_is_the_residency_fraction(self):
+        spec = tensor_core("TPUv5e")
+        assert MemoryHierarchy(spec, 0.5).vmem_capacity == spec.vmem_capacity_bytes / 2
+        assert MemoryHierarchy(spec).vmem_capacity == 0.75 * spec.vmem_capacity_bytes
+
+    def test_write_bandwidth_spills_to_hbm(self):
+        spec = tensor_core("TPUv6e")
+        memory = MemoryHierarchy(spec)
+        assert memory.effective_write_bandwidth(1 << 20) == spec.vmem_write_bandwidth
+        assert memory.effective_write_bandwidth(1 << 30) == spec.hbm_bandwidth
+
+    def test_transfer_time_prices_the_working_set(self):
+        """Moving few bytes out of a spilled working set pays HBM bandwidth."""
+        memory = MemoryHierarchy(tensor_core("TPUv4"))
+        resident = memory.transfer_time(1 << 20)
+        spilled = memory.transfer_time(1 << 20, working_set_bytes=1 << 30)
+        assert spilled == pytest.approx(memory.hbm_time(1 << 20))
+        assert spilled > resident
+
+
+def _event(name, engine, category, latency, nbytes=0.0):
+    return TraceEvent(
+        name=name,
+        engine=engine,
+        category=category,
+        latency_s=latency,
+        compute_s=latency,
+        memory_s=0.0,
+        bytes_moved=nbytes,
+    )
+
+
+class TestExecutionTrace:
+    @pytest.fixture
+    def trace(self):
+        trace = ExecutionTrace(kernel="ntt")
+        trace.add(_event("m1", Engine.MXU, Category.NTT_MATMUL, 3.0, 100.0))
+        trace.add(_event("tw", Engine.VPU, Category.VEC_MOD_OPS, 1.0, 40.0))
+        trace.add(_event("m4", Engine.MXU, Category.NTT_MATMUL, 2.0, 60.0))
+        trace.add(_event("t", Engine.XLU, Category.PERMUTATION, 2.0))
+        return trace
+
+    def test_totals(self, trace):
+        assert trace.total_latency == 8.0
+        assert trace.total_bytes == 200.0
+
+    def test_latency_by_engine(self, trace):
+        assert trace.latency_by_engine() == {Engine.MXU: 5.0, Engine.VPU: 1.0, Engine.XLU: 2.0}
+
+    def test_latency_by_category_and_fractions(self, trace):
+        assert trace.latency_by_category() == {
+            Category.NTT_MATMUL: 5.0,
+            Category.VEC_MOD_OPS: 1.0,
+            Category.PERMUTATION: 2.0,
+        }
+        fractions = trace.category_fractions()
+        assert fractions[Category.NTT_MATMUL] == pytest.approx(5 / 8)
+        assert sum(fractions.values()) == pytest.approx(1.0)
+        assert ExecutionTrace(kernel="empty").category_fractions() == {}
+
+    def test_merged_with_concatenates_in_order(self, trace):
+        other = ExecutionTrace(kernel="intt")
+        other.add(_event("i1", Engine.MXU, Category.INTT_MATMUL, 4.0))
+        merged = trace.merged_with(other)
+        assert merged.kernel == "ntt+intt"
+        assert [e.name for e in merged.events] == ["m1", "tw", "m4", "t", "i1"]
+        assert merged.total_latency == 12.0
+        assert len(trace.events) == 4
+        assert trace.merged_with(other, name="ntt-pair").kernel == "ntt-pair"
 
 
 class TestDeviceModel:

@@ -37,6 +37,29 @@ class TestMnistSchedule:
         layer = MnistCnnSchedule().conv_layers[0]
         assert layer.output_size == 30
 
+    def test_convolution_counts_by_hand(self):
+        """Conv 1: 27 taps over 2 slot blocks; conv 2: 72 taps over 1 block;
+        each block adds a 2-rotation pooling tree and one square activation."""
+        counts = MnistCnnSchedule().convolution_counts()
+        assert counts == {
+            "rotate": 27 * 2 + 2 * 2 + 72 + 2,
+            "multiply_plain": 27 * 2 + 72,
+            "he_mult": 3,
+            "rescale": (27 * 2 + 72) // 4 + 3,
+        }
+
+    def test_fully_connected_counts_by_hand(self):
+        """BSGS over 576 and 64 diagonals: giant steps of 24 and 8."""
+        counts = MnistCnnSchedule().fully_connected_counts()
+        assert counts == {
+            "rotate": 2 * 24 + 2 * 8,
+            "multiply_plain": 576 + 64,
+            "he_mult": 1,
+            "rescale": 3,
+        }
+        total = MnistCnnSchedule().operator_counts()
+        assert total["he_add"] == total["rotate"] == 132 + 64
+
     def test_estimate(self, mnist_compiler, device):
         estimate = estimate_mnist_inference(mnist_compiler, device, tensor_cores=8)
         assert estimate.latency_ms > 1
