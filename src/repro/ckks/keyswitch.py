@@ -345,9 +345,9 @@ def mod_down_stacked(
     Standard ModDown algebra -- basis-convert the special-prime residues to
     the ciphertext basis, subtract, multiply by ``P^{-1}`` limb-wise -- but
     run once over every stacked operand: the BConv correction for all leading
-    operands is one batched matmul (the generalized
-    :meth:`BasisConversion.convert_residues`) and the subtract+divide is one
-    broadcast of the fused ``moddown_sub_div`` kernel
+    operands is one one-digit conversion of the special limbs (the leading
+    axes ride through the split GEMM's broadcasting) and the subtract+divide
+    is one broadcast of the fused ``moddown_sub_div`` kernel
     (`repro.poly.fused_kernels`): the subtract and the ``P^{-1}`` scale
     executed as one pass.
     Takes and returns coefficient-domain residues: ``(..., level, N)``.

@@ -1,20 +1,40 @@
-"""Exact modular GEMMs on the float64 matrix engine (shared hi/lo split kernel).
+"""The one exact modular GEMM: a constant matrix split into float64 chunks.
 
 The paper's core mapping trick is that HE's word-sized modular matrix
 multiplications run at matrix-engine speed once the constant operand is split
 into narrow chunks (BAT splits into bytes).  A modular product
-``matrix @ operand (mod p)`` with ``matrix = hi * 2**shift + lo`` becomes two
-*float64* GEMMs
+``matrix @ operand (mod q)`` with ``matrix = sum_k c_k * 2**(shift*(K-1-k))``
+becomes ``K`` *float64* GEMMs recombined by Horner's rule
 
-    result = (((hi @ operand) mod p) << shift  +  (lo @ operand)) mod p
+    acc = c_0 @ operand;  acc = (acc mod q) * 2**shift + c_k @ operand;  ...
 
-and is **bit-exact** whenever every dot product stays below ``2**53``
-(float64's exact-integer range).  Where two chunks are too wide for that, a
-``K``-chunk split recombines by Horner's rule -- reduce, scale, add, reduce.
-Both the RNS basis conversion (`repro.poly.basis_conversion`) and the four-step NTT backend
-(`repro.poly.ntt_engine`) execute their constant-matrix contractions through
-this one kernel, so the exactness analysis, the operand staging and the
-BLAS-dispatch hygiene live in a single place.
+and is **bit-exact** whenever every dot product and every Horner step stays
+below ``2**53`` (float64's exact-integer range).  Both constant-matrix
+contractions of the library run on this kernel: the four-step NTT's column and
+row GEMMs (`repro.poly.ntt_engine`) and the RNS basis conversion's step 2
+(`repro.poly.basis_conversion`, every digit of a key switch and ModDown's
+correction), as does the one-off :func:`modular_matmul`.
+
+The kernel has four parts:
+
+* the exactness choice -- :func:`split_plan` takes the fewest chunks (two,
+  else three) whose :func:`split_shift` split is exact for the operand width,
+  the modulus width and the contraction length, or ``None``, where callers
+  keep an integer path;
+* the constant split -- :func:`split_halves` cuts the matrix into ``K``
+  float chunks, stacked so that every chunk rides one matmul call:
+  row-concatenated per limb tile for the NTT (:func:`cat_split`), one slice
+  per chunk and row block for :class:`SplitGemm`;
+* the reduction -- :func:`recombine` folds the ``K`` row blocks by Horner's
+  rule with a division-free reciprocal reduction (:func:`lazy_reduce_into`)
+  whose reciprocal *underestimates* ``1/q`` (:func:`under_inverse`), so every
+  intermediate lies in ``[0, 2q)``;
+* the canonicalisation -- one conditional subtract (:func:`subtract_once`)
+  lands in ``[0, q)``.
+
+:class:`SplitGemm` packages the four for a constant matrix with one modulus
+per output row; the NTT's cascade calls the parts directly, through its
+per-thread scratch buffers.
 
 Exactness bound
 ---------------
@@ -22,12 +42,11 @@ For a matrix with entries below ``2**matrix_bits``, operands below
 ``2**operand_bits`` and an inner (contraction) length ``n``, a split into
 chunks of ``shift`` bits is exact iff::
 
-    operand_bits + shift + ceil(log2(n)) <= 52
+    operand_bits + shift + ceil(log2(n)) <= 52   and
+    matrix_bits + 1 + shift <= 52
 
-:func:`split_shift` picks the balanced ``shift = ceil(matrix_bits / chunks)``
-and returns ``None`` when that split is not exact, in which case callers take
-more chunks or keep their chunked-integer fallbacks (`modular_matmul`
-automates that choice).
+(the first bounds the dot products, the second the Horner step on a lazily
+reduced accumulator below ``2q``).
 
 Contiguity
 ----------
@@ -41,18 +60,23 @@ regressions in the hot paths fail tests instead of quietly eating the win.
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.poly.modmat import modmatmul
 
 #: GEMM dot products must stay below ``2**52``: float64 integers are exact up
 #: to ``2**53``, and the division-free reduction (multiply by a precomputed
 #: reciprocal, floor, subtract ``k*q``) needs one spare bit so ``k*q`` -- which
 #: can exceed the value being reduced by up to ``q`` -- is itself exact.
 FLOAT64_EXACT_BITS = 52
+
+#: The most chunks a constant matrix is split into: three keep every
+#: ``q < 2**32`` exact for the NTT up to ``N = 2**16``.
+MAX_CHUNKS = 3
 
 _STRICT_ENV = "REPRO_GEMM_STRICT"
 _STRICT = bool(int(os.environ.get(_STRICT_ENV, "0") or "0"))
@@ -98,6 +122,7 @@ def as_blas_operand(
     return np.ascontiguousarray(array, dtype=dtype)
 
 
+# ------------------------------------------------------------ exactness choice
 def split_shift(
     operand_bits: int, matrix_bits: int, inner_length: int, chunks: int = 2
 ) -> int | None:
@@ -106,11 +131,10 @@ def split_shift(
     The width is ``ceil(matrix_bits / chunks)``.  Two bounds must hold: every
     GEMM dot product stays below ``2**52`` (float64-exact with a spare bit
     for the reciprocal reduction), and each Horner step
-    ``acc_reduced * 2**shift + chunk`` — where ``acc_reduced`` lies lazily in
-    ``(-q, 2q)`` with ``q < 2**matrix_bits`` — stays below ``2**53`` as well,
+    ``acc_reduced * 2**shift + chunk`` -- where ``acc_reduced`` lies lazily in
+    ``[0, 2q)`` with ``q < 2**matrix_bits`` -- stays below ``2**53`` as well,
     i.e. ``matrix_bits + 1 + shift <= 52``.  The second bound only binds when
-    the matrix (target) modulus is much wider than the operands; callers fall
-    back to their integer paths in that case.
+    the matrix (target) modulus is much wider than the operands.
     """
     if inner_length < 1:
         raise ParameterError("inner (contraction) length must be positive")
@@ -123,6 +147,23 @@ def split_shift(
     return shift
 
 
+def split_plan(
+    operand_bits: int, matrix_bits: int, inner_length: int
+) -> tuple[int, int] | None:
+    """``(shift, chunks)`` of the exact split with the fewest chunks, or ``None``.
+
+    Two chunks where :func:`split_shift` finds them exact, else three (up to
+    :data:`MAX_CHUNKS`); ``None`` where no float split is exact, and the
+    caller takes its integer path.
+    """
+    for chunks in range(2, MAX_CHUNKS + 1):
+        shift = split_shift(operand_bits, matrix_bits, inner_length, chunks)
+        if shift is not None:
+            return shift, chunks
+    return None
+
+
+# ------------------------------------------------------------- constant split
 def split_halves(
     matrix: np.ndarray, shift: int, chunks: int = 2
 ) -> tuple[np.ndarray, ...]:
@@ -141,107 +182,191 @@ def split_halves(
     )
 
 
-def split_matrix(
-    matrix: np.ndarray,
-    source_moduli: tuple[int, ...],
-    target_moduli: tuple[int, ...],
-) -> tuple[int | None, np.ndarray | None, np.ndarray | None]:
-    """Hi/lo float64 halves of a BConv-style constant matrix.
+def cat_split(matrix: np.ndarray, shift: int, chunks: int) -> np.ndarray:
+    """Float chunks of a constant matrix, concatenated row-wise (high first).
 
-    Operand entries are residues of the *source* moduli, matrix entries are
-    residues of the *target* moduli, and the contraction runs over the source
-    limbs; returns ``(None, None, None)`` when the moduli are too wide, in
-    which case callers keep their chunked integer paths.
+    Every chunk of the split GEMM then runs in a single ``chunks``-times-high
+    BLAS call, cutting kernel dispatches on small tiles.
     """
-    source_bits = max((int(q) - 1).bit_length() for q in source_moduli)
-    target_bits = max((int(p) - 1).bit_length() for p in target_moduli)
-    shift = split_shift(source_bits, target_bits, len(source_moduli))
-    if shift is None:
-        return None, None, None
-    hi, lo = split_halves(matrix, shift)
-    return shift, hi, lo
+    return np.ascontiguousarray(
+        np.concatenate(split_halves(matrix, shift, chunks), axis=-2)
+    )
 
 
-def lazy_mod_reduce(values: np.ndarray, q_f: np.ndarray, inv_q: np.ndarray) -> None:
-    """In-place division-free reduction of exact-integer floats, *lazily*.
+# ------------------------------------------------------------------ reduction
+def under_inverse(q_f: np.ndarray) -> np.ndarray:
+    """A reciprocal of ``q`` guaranteed to *underestimate* ``1/q``.
 
-    ``values`` holds integers with ``|v| < 2**52`` (exactly represented);
-    afterwards each entry is congruent mod ``q`` and lies in ``(-q, 2q)``.
-    The quotient ``k = floor(v * (1/q))`` can be off by one in either
-    direction (reciprocal rounding), which is exactly the ``(-q, 2q)`` slack;
-    ``k*q <= |v| + q < 2**53`` keeps every product exact.  Four multiply-class
-    passes, no integer division -- the whole point of running reductions on
-    the vector units next to the matrix engine.
+    With ``p = fl(v * inv)`` for non-negative integer ``v`` (``v < 2**53``),
+    ``floor(p)`` is then ``floor(v/q)`` or one less, never more, so the lazy
+    reductions land in ``[0, 2q)`` -- non-negative, which the NTT's integer
+    twist and the single-subtract canonicalisation rely on.
     """
-    k = values * inv_q
-    np.floor(k, out=k)
-    k *= q_f
-    values -= k
+    exact = np.float64(1.0) / np.asarray(q_f, dtype=np.float64)
+    return np.nextafter(np.nextafter(exact, 0.0), 0.0)
 
 
-def canonical_from_lazy(
-    values: np.ndarray, q_f: np.ndarray, q_u: np.ndarray, inv_q: np.ndarray
-) -> np.ndarray:
-    """Final reduction of exact-integer floats to canonical uint64 ``[0, q)``.
+def lazy_reduce_into(values: np.ndarray, q_f, inv_q, scratch: np.ndarray) -> None:
+    """In-place division-free reduction of non-negative exact-integer floats.
 
-    One more reciprocal reduction puts values in ``(-q, 2q)``; adding ``q``
-    makes them positive for the uint64 cast, and two conditional subtracts
-    (the wrap-around ``minimum`` trick) land in ``[0, q)``.
+    ``k = floor(v * inv_q)`` with the underestimating reciprocal
+    (:func:`under_inverse`) is ``floor(v/q)`` or one less, so ``v - k*q``
+    lands in ``[0, 2q)``; ``k*q <= v < 2**53`` keeps every product exact.
+    Four multiply-class passes through ``scratch``, no integer division and
+    no allocation.
     """
-    lazy_mod_reduce(values, q_f, inv_q)
-    values += q_f
-    out = values.astype(np.uint64)
-    np.minimum(out, out - q_u, out=out)
-    np.minimum(out, out - q_u, out=out)
-    return out
+    np.multiply(values, inv_q, out=scratch)
+    np.floor(scratch, out=scratch)
+    np.multiply(scratch, q_f, out=scratch)
+    np.subtract(values, scratch, out=values)
 
 
-def split_matmul(
-    shift: int,
-    matrix_hi: np.ndarray,
-    matrix_lo: np.ndarray,
-    operand: np.ndarray,
-    modulus_col: np.ndarray,
-) -> np.ndarray:
-    """Exact modular matmul via the two float64 GEMMs of a split matrix.
+def recombine(gemm: np.ndarray, rows: int, scale, q_f, inv_q, scratch) -> np.ndarray:
+    """Horner-recombine a split GEMM's row blocks into its first, lazily reduced.
 
-    Both GEMM results are < 2**52 integers (guaranteed by the
-    :func:`split_shift` bound the caller checked at compile time), so the
-    hi half reduces lazily in float (:func:`lazy_mod_reduce`), the
-    recombination ``hi_reduced * 2**shift + lo`` stays exact (magnitude below
-    ``2q * 2**shift + 2**52 < 2**53``), and one canonicalising reduction
-    finishes -- no integer division anywhere.  ``modulus_col`` must broadcast
-    against the GEMM result (e.g. an ``(L', 1)`` column or ``(L, 1, 1)`` cube
-    of per-row moduli); leading batch axes on ``operand`` ride through
-    ``np.matmul`` broadcasting.
+    ``gemm`` stacks one ``rows``-high block per chunk, most significant
+    first: reduce, scale by ``2**shift``, add the next block, and reduce
+    once more at the end, so values land in ``[0, 2q)``.
     """
-    operand_f = as_blas_operand(operand, name="split-GEMM operand")
-    q_u = np.asarray(modulus_col, dtype=np.uint64)
-    q_f = q_u.astype(np.float64)
-    inv_q = 1.0 / q_f
-    hi = matrix_hi @ operand_f
-    lo = matrix_lo @ operand_f
-    lazy_mod_reduce(hi, q_f, inv_q)
-    hi *= np.float64(1 << shift)
-    hi += lo
-    return canonical_from_lazy(hi, q_f, q_u, inv_q)
+    acc = gemm[..., :rows, :]
+    for start in range(rows, gemm.shape[-2], rows):
+        lazy_reduce_into(acc, q_f, inv_q, scratch)
+        np.multiply(acc, scale, out=acc)
+        np.add(acc, gemm[..., start : start + rows, :], out=acc)
+    lazy_reduce_into(acc, q_f, inv_q, scratch)
+    return acc
+
+
+def subtract_once(values: np.ndarray, q_u, scratch: np.ndarray) -> None:
+    """Canonicalise uint64 ``values`` from ``[0, 2q)`` to ``[0, q)`` in place.
+
+    ``values - q`` wraps above every residue exactly when ``values < q``, so
+    the minimum picks the reduced value; ``scratch`` takes the difference.
+    """
+    np.subtract(values, q_u, out=scratch)
+    np.minimum(values, scratch, out=values)
+
+
+# --------------------------------------------------------------------- kernel
+class SplitGemm:
+    """A constant matrix compiled for exact ``(matrix @ operand) mod q``.
+
+    Built by :func:`split_gemm`.  The ``(..., R', n)`` matrix -- ``B`` row
+    blocks of ``R'`` rows, ``R = B R'`` rows in all -- is held as its float
+    chunks next to the moduli of its ``R`` output rows (an ``(R, 1)``
+    column, or one modulus for every row) and their underestimating
+    reciprocals, so a product is one batched matmul call, one Horner
+    :func:`recombine` and one conditional subtract.
+
+    The chunks are stacked as ``K B`` slices of ``R'`` rows, chunk-major,
+    not row-concatenated into one ``K R``-high GEMM as the NTT's per-limb
+    tiles are: BLAS sizes its thread count per slice (OpenBLAS threads a
+    GEMM from ``M N K >= 2**20``), and one slice per block keeps a BConv's
+    GEMMs on the calling thread, whose core `repro.parallel` and the
+    serving shards already budget.  At n4096 the one ``66``-row GEMM of a
+    stacked conversion woke a BLAS thread that starved the shards' own
+    work (``serve_process_n4096`` p50 20 -> 50 ms).
+    """
+
+    __slots__ = ("cat", "rows", "scale", "q_u", "q_f", "inv_q")
+
+    def __init__(self, matrix: np.ndarray, moduli, shift: int, chunks: int) -> None:
+        blocks = matrix.reshape(-1, *matrix.shape[-2:])
+        # Slice ``k B + b`` is chunk ``k`` of row block ``b``.
+        chunked = np.stack(split_halves(blocks, shift, chunks))
+        self.cat = chunked.reshape(-1, *blocks.shape[1:])
+        self.rows = blocks.shape[0] * blocks.shape[1]
+        self.scale = np.float64(1 << shift)
+        self.q_u = np.asarray(moduli, dtype=np.uint64)
+        self.q_f = self.q_u.astype(np.float64)
+        self.inv_q = under_inverse(self.q_f)
+
+    def __call__(self, operand: np.ndarray) -> np.ndarray:
+        """Canonical uint64 ``(matrix @ operand) mod q``, ``(..., R, c)``.
+
+        ``operand`` is ``(..., n, c)``: leading batch axes ride through
+        ``np.matmul`` broadcasting, and its entries must be below the
+        ``2**operand_bits`` the matrix was compiled for.  The GEMM output and
+        the reduction scratch are views of the calling thread's buffer
+        (:func:`_scratch`); only the result is allocated.
+        """
+        operand_f = as_blas_operand(operand, name="split-GEMM operand")
+        lead, columns = operand_f.shape[:-2], operand_f.shape[-1]
+        gemm_shape = (*lead, *self.cat.shape[:-1], columns)
+        reduced_shape = (*lead, self.rows, columns)
+        gemm_size = math.prod(gemm_shape)
+        buffer = _scratch(gemm_size + math.prod(reduced_shape))
+        gemm = buffer[:gemm_size].reshape(gemm_shape)
+        np.matmul(self.cat, operand_f[..., None, :, :], out=gemm)
+        # Chunk-major slices: the (..., K R, c) view holds chunk k in rows
+        # k R .. (k+1) R, the row blocks recombine expects.
+        scratch = buffer[gemm_size:].reshape(reduced_shape)
+        acc = recombine(
+            gemm.reshape(*lead, -1, columns),
+            self.rows,
+            self.scale,
+            self.q_f,
+            self.inv_q,
+            scratch,
+        )
+        out = acc.astype(np.uint64)
+        subtract_once(out, self.q_u, scratch.view(np.uint64))
+        return out
+
+
+#: Per-thread :class:`SplitGemm` scratch: one flat float64 buffer, grown to
+#: the largest product this thread has run (the NTT cascade keeps its own).
+#: Fresh multi-megabyte temporaries on every call cost more in page faults
+#: than the reduction passes that fill them.
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """The first ``size`` floats of this thread's scratch buffer."""
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < size:
+        _SCRATCH.buffer = buffer = np.empty(size)
+    return buffer[:size]
+
+
+def split_gemm(matrix: np.ndarray, moduli, operand_bits: int) -> SplitGemm | None:
+    """Compile a constant matrix for operands below ``2**operand_bits``.
+
+    ``matrix`` is ``(R, n)`` uint64, or ``(B, R', n)`` row blocks with
+    ``R = B R'``, every row reduced by its modulus in ``moduli`` (an
+    ``(R, 1)`` column, or one modulus for all rows).  Returns
+    ``None`` where no split is exact (:func:`split_plan`), and the caller
+    keeps its integer path.
+    """
+    matrix = np.asarray(matrix, dtype=np.uint64)
+    modulus_bits = (int(np.max(moduli)) - 1).bit_length()
+    plan = split_plan(operand_bits, modulus_bits, matrix.shape[-1])
+    return None if plan is None else SplitGemm(matrix, moduli, *plan)
+
+
+def bigint_matmul(matrix: np.ndarray, operand: np.ndarray, moduli) -> np.ndarray:
+    """Exact ``(matrix @ operand) mod q`` in Python ints, one modulus per row.
+
+    The integer path where no float split is exact (:func:`split_gemm`
+    returns ``None``): moduli of 39 bits or more, or wide operands over a
+    long contraction.  At those widths a single product of two residues can
+    overflow uint64, so the products run on Python ints.
+    """
+    product = np.matmul(np.asarray(matrix).astype(object), np.asarray(operand).astype(object))
+    return (product % np.asarray(moduli, dtype=np.uint64).astype(object)).astype(np.uint64)
 
 
 def modular_matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact ``(a @ b) mod q``: split-GEMM when exact, chunked integers otherwise.
+    """Exact ``(a @ b) mod q``: the split GEMM when exact, Python ints otherwise.
 
     The convenience entry point for one-off modular matrix products (3-step /
     4-step NTT baselines, tests): the left operand is treated as the constant
-    matrix and split per call.  Hot paths that reuse a constant matrix should
-    precompute :func:`split_halves` once and call :func:`split_matmul`.
+    matrix and split per call.  Hot paths that reuse a constant matrix
+    compile it once with :func:`split_gemm`.
     """
     a = np.atleast_2d(np.asarray(a)).astype(np.uint64) % np.uint64(modulus)
     b = np.atleast_2d(np.asarray(b)).astype(np.uint64) % np.uint64(modulus)
     if a.shape[-1] != b.shape[-2]:
         raise ParameterError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
-    bits = (int(modulus) - 1).bit_length()
-    shift = split_shift(bits, bits, a.shape[-1])
-    if shift is not None:
-        hi, lo = split_halves(a, shift)
-        return split_matmul(shift, hi, lo, b, np.uint64(modulus))
-    return modmatmul(a, b, modulus)
+    gemm = split_gemm(a, modulus, (int(modulus) - 1).bit_length())
+    return bigint_matmul(a, b, modulus) if gemm is None else gemm(b)

@@ -1,7 +1,7 @@
 """Exact modular matrix products over word-sized moduli.
 
-A shared helper for every reference-path modular matrix multiplication in the
-library (4-step NTT baseline, BConv step 2, MAT plan construction, tests).
+The chunked-uint64 reference the modular-matmul, MAT and BAT tests compare
+against (the library's own products run on `repro.poly.gemm_mod`).
 Products of two residues below ``2**28`` fit in 56 bits, so partial sums of up
 to 128 terms stay below 2**63; the implementation therefore accumulates in
 uint64 and reduces modulo ``q`` between chunks of the inner dimension, which

@@ -94,7 +94,15 @@ from repro.diagnostics import BoundedLruCache, register_cache
 from repro.errors import BackendExactnessError, ParameterError
 from repro.numtheory.bitrev import is_power_of_two
 from repro.numtheory.modular import mod_inv, primitive_nth_root_of_unity
-from repro.poly.gemm_mod import split_halves, split_shift
+from repro.poly.gemm_mod import (
+    cat_split,
+    lazy_reduce_into,
+    recombine,
+    split_halves,
+    split_plan,
+    subtract_once,
+    under_inverse,
+)
 from repro.poly.gemm_mod import is_strict as _gemm_is_strict
 from repro.poly.ntt_reference import ntt_forward_negacyclic, ntt_inverse_negacyclic
 
@@ -104,10 +112,6 @@ MAX_PLAN_MODULUS = 1 << 32
 #: Below this bound the four-step twist runs as an integer lazy Shoup
 #: multiply (``2q * 2**32`` fits uint64); wider moduli split it in float.
 _SHOUP_TWIST_BOUND = 1 << 30
-#: The most chunks a four-step constant matrix is split into: three keep
-#: every ``q < MAX_PLAN_MODULUS`` exact up to ``N = 2**16``.
-_MAX_CHUNKS = 3
-
 _SHIFT32 = np.uint64(32)
 
 #: Backend identifiers (``NttPlanStack.backend`` / ``REPRO_NTT_BACKEND`` values).
@@ -298,40 +302,20 @@ def _split_shifts(
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """``(shift, chunks)`` of the column and of the row GEMM, or ``None``.
 
-    Each GEMM takes the fewest chunks (two, else three) whose split is exact
-    at the widest limb: the bound depends on the modulus width and the
-    ``(n1, n2)`` tile (:func:`_tile`; inner GEMM length), and the second GEMM of
-    either direction consumes lazily reduced operands in ``[0, 2q)``, hence
-    the one-bit operand allowance.  ``None`` where no split is exact:
-    ``q >= MAX_PLAN_MODULUS`` or ``N > 2**16``.
+    Each GEMM of the ``(n1, n2)`` tile (:func:`_tile`; inner GEMM length)
+    takes the shared kernel's fewest-chunks split (`gemm_mod.split_plan`) at
+    the widest limb; the second GEMM of either direction consumes lazily
+    reduced operands in ``[0, 2q)``, hence the one-bit operand allowance.
+    ``None`` where no split is exact: ``q >= MAX_PLAN_MODULUS`` or
+    ``N > 2**16``.
     """
     if not is_power_of_two(degree) or degree < 4:
         return None
     if any(not 1 < int(q) < MAX_PLAN_MODULUS for q in moduli):
         return None
     bits = max((int(q) - 1).bit_length() for q in moduli)
-    splits = []
-    for inner in _tile(degree):
-        for chunks in range(2, _MAX_CHUNKS + 1):
-            shift = split_shift(bits + 1, bits, inner, chunks)
-            if shift is not None:
-                splits.append((shift, chunks))
-                break
-        else:
-            return None
-    return tuple(splits)
-
-
-def _cat_split(matrix: np.ndarray, shift: int, chunks: int) -> np.ndarray:
-    """Float chunks of a constant matrix, concatenated row-wise (high first).
-
-    Every chunk of the split GEMM then runs in a single ``chunks``-times-high
-    BLAS call, cutting kernel dispatches on the small tiles the four-step
-    factorisation produces.
-    """
-    return np.ascontiguousarray(
-        np.concatenate(split_halves(matrix, shift, chunks), axis=-2)
-    )
+    splits = tuple(split_plan(bits + 1, bits, inner) for inner in _tile(degree))
+    return None if None in splits else splits
 
 
 #: Marker for the two element-wise twist implementations (see _FourStepStack).
@@ -363,30 +347,6 @@ def _twist_pack(twist: np.ndarray, moduli, shift_tw: int, q_col) -> tuple:
         np.ascontiguousarray(lo.astype(np.float32)),
         np.float64(1 << shift_tw),
     )
-
-
-def _lazy_reduce_into(values: np.ndarray, q_f, inv_q, scratch: np.ndarray) -> None:
-    """`gemm_mod.lazy_mod_reduce` with an explicit scratch (allocation-free).
-
-    ``inv_q`` is the underestimating reciprocal (:func:`_under_inverse`), so
-    non-negative inputs land in ``[0, 2q)``.
-    """
-    np.multiply(values, inv_q, out=scratch)
-    np.floor(scratch, out=scratch)
-    np.multiply(scratch, q_f, out=scratch)
-    np.subtract(values, scratch, out=values)
-
-
-def _under_inverse(q_f: np.ndarray) -> np.ndarray:
-    """A reciprocal of ``q`` guaranteed to *underestimate* ``1/q``.
-
-    With ``p = fl(v * inv)`` for non-negative integer ``v`` (``v < 2**52``),
-    ``floor(p)`` is then ``floor(v/q)`` or one less, never more, so the lazy
-    reductions land in ``[0, 2q)`` -- non-negative, which the integer twist
-    and the single-subtract canonicalisation rely on.
-    """
-    exact = np.float64(1.0) / np.asarray(q_f, dtype=np.float64)
-    return np.nextafter(np.nextafter(exact, 0.0), 0.0)
 
 
 #: Per-thread four-step scratch: ONE flat float64 buffer, grown to the
@@ -423,22 +383,6 @@ def _scratch_pool(lead: tuple[int, ...], a: int, b: int, first: int, second: int
     return pool
 
 
-def _recombine(gemm: np.ndarray, rows: int, scale, q_f, inv_q, scratch) -> np.ndarray:
-    """Horner-recombine a split GEMM's row blocks into its first, lazily reduced.
-
-    ``gemm`` stacks one ``rows``-high block per chunk, most significant
-    first: reduce, scale by ``2**shift``, add the next block, and reduce
-    once more at the end, so values land in ``[0, 2q)``.
-    """
-    acc = gemm[..., :rows, :]
-    for start in range(rows, gemm.shape[-2], rows):
-        _lazy_reduce_into(acc, q_f, inv_q, scratch)
-        np.multiply(acc, scale, out=acc)
-        np.add(acc, gemm[..., start : start + rows, :], out=acc)
-    _lazy_reduce_into(acc, q_f, inv_q, scratch)
-    return acc
-
-
 def _dense_gemm(data, cat, scale, q_f, q_u, inv_q, out) -> np.ndarray:
     """The dense tile's whole transform: one split ``(N, N)`` GEMM per limb.
 
@@ -457,13 +401,11 @@ def _dense_gemm(data, cat, scale, q_f, q_u, inv_q, out) -> np.ndarray:
     )
     gemm = pool["gemm"]
     np.matmul(cat, tile, out=gemm)
-    acc = _recombine(gemm, degree, scale, q_f, inv_q, scratch)
+    acc = recombine(gemm, degree, scale, q_f, inv_q, scratch)
     result = out.transpose(axes)
     np.copyto(result, acc.reshape(result.shape), casting="unsafe")
     q_u = q_u.reshape(limbs, 1, *(1,) * len(lead))
-    s_u = scratch.view(np.uint64).reshape(result.shape)
-    np.subtract(result, q_u, out=s_u)
-    np.minimum(result, s_u, out=result)
+    subtract_once(result, q_u, scratch.view(np.uint64).reshape(result.shape))
     return out
 
 
@@ -527,17 +469,17 @@ class _FourStepStack:
         self.rows, self.cols = rows, cols = _tile(degree)
         self._q_u = np.array(moduli, dtype=np.uint64)[:, None, None]
         self._q_f = self._q_u.astype(np.float64)
-        self._under_inv = _under_inverse(self._q_f)
+        self._under_inv = under_inverse(self._q_f)
         m1, tw_fwd, m4, m4_inv, tw_inv, m1_inv = four_step_matrices(
             moduli, psis, degree, rows, cols
         )
 
         def pack(first, twist, second, split_first, split_second, a, b):
             return (
-                _cat_split(first, *split_first),
+                cat_split(first, *split_first),
                 np.float64(1 << split_first[0]),
                 _twist_pack(twist, moduli, shift_tw, self._q_u),
-                _cat_split(second, *split_second),
+                cat_split(second, *split_second),
                 np.float64(1 << split_second[0]),
                 a,
                 b,
@@ -623,7 +565,7 @@ class _FourStepStack:
         # First GEMM: every split chunk in one BLAS call.
         np.copyto(tile, data.reshape(tile.shape), casting="unsafe")
         np.matmul(first_cat, tile, out=gemm)
-        hi = _recombine(gemm, a, scale_first, q_f, inv_q, scratch)
+        hi = recombine(gemm, a, scale_first, q_f, inv_q, scratch)
 
         # Fused runtime transpose + twist: the ufuncs walk the transposed view
         # and write C-contiguous tiles, so the second GEMM always gets a
@@ -651,23 +593,21 @@ class _FourStepStack:
             _, tw_hi, tw_lo, scale_tw = twist
             tile_t = pool["tile_t"]
             np.multiply(transposed, tw_hi, out=operand)
-            _lazy_reduce_into(operand, q_f, inv_q, scratch_t)
+            lazy_reduce_into(operand, q_f, inv_q, scratch_t)
             np.multiply(operand, scale_tw, out=operand)
             np.multiply(transposed, tw_lo, out=tile_t)
             np.add(operand, tile_t, out=operand)
-            _lazy_reduce_into(operand, q_f, inv_q, scratch_t)
+            lazy_reduce_into(operand, q_f, inv_q, scratch_t)
             twisted = operand
 
         # Second GEMM + canonicalisation into the caller's ``out``: its
         # coefficient axis splits into the ``(b, a)`` tile as a view.
         gemm_t = pool["gemm_t"]
         np.matmul(second_cat, twisted, out=gemm_t)
-        hi2 = _recombine(gemm_t, b, scale_second, q_f, inv_q, scratch_t)
+        hi2 = recombine(gemm_t, b, scale_second, q_f, inv_q, scratch_t)
         result = out.reshape(hi2.shape)
         np.copyto(result, hi2, casting="unsafe")
-        s_u = scratch_t.view(np.uint64)
-        np.subtract(result, q_u, out=s_u)
-        np.minimum(result, s_u, out=result)
+        subtract_once(result, q_u, scratch_t.view(np.uint64))
         return out
 
 

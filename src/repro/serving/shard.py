@@ -31,8 +31,7 @@ import os
 import pickle
 import struct
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

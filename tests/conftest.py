@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -48,10 +50,15 @@ def engine_clock(monkeypatch) -> EngineClock:
     return clock
 
 
-@pytest.fixture(scope="session")
-def rng() -> np.random.Generator:
-    """Deterministic random generator shared by the whole suite."""
-    return np.random.default_rng(12345)
+@pytest.fixture
+def rng(request) -> np.random.Generator:
+    """A deterministic generator of the test's own, seeded from its node id.
+
+    Each test draws from its own stream, so adding, removing or reordering
+    tests moves no other test's draws.  Module-scoped fixtures seed their own
+    generators.
+    """
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 @pytest.fixture(scope="session")

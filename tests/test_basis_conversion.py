@@ -15,7 +15,8 @@ def conversion(rns_basis):
 
 
 @pytest.fixture(scope="module")
-def sample_poly(rns_basis, rng):
+def sample_poly(rns_basis):
+    rng = np.random.default_rng(2101)
     coeffs = [
         int(v) % rns_basis.modulus_product
         for v in rng.integers(0, 2**62, size=rns_basis.degree)
@@ -99,3 +100,44 @@ class TestConversion:
         converted = conversion.convert(sample_poly)
         assert converted.domain == "coeff"
         assert converted.basis.moduli == conversion.target.moduli
+
+
+class TestWideModuli:
+    """Step 2 at moduli of 33 bits and more: the shared split GEMM while a
+    three-way split is exact, the Python-int path beyond it."""
+
+    @staticmethod
+    def _row_reference(conversion, scaled):
+        """Each output row's ``sum_i M[j, i] * s_i mod p_j`` in Python ints."""
+        moduli = conversion._target_col[:, 0].tolist()
+        matrix = conversion.conversion_matrix.astype(object)
+        return np.array(
+            [(row @ scaled.astype(object)) % p for row, p in zip(matrix, moduli)],
+            dtype=np.uint64,
+        )
+
+    @pytest.mark.parametrize(
+        "bits,partitions,on_gemm",
+        [
+            (33, (), True),
+            (36, ((0, 1), (1, 3)), True),
+            (40, (), False),
+            (40, ((0, 2), (2, 3)), False),
+            (50, (), False),
+        ],
+    )
+    def test_step2_matches_per_row_reference(self, rng, bits, partitions, on_gemm):
+        primes = RnsBasis.generate(5, bits, 64).moduli
+        source = RnsBasis(moduli=primes[:3], degree=64)
+        target = RnsBasis(moduli=primes[3:], degree=64)
+        conversion = BasisConversion(source, target, partitions)
+        assert (conversion._gemm is not None) == on_gemm
+        scaled = np.stack([rng.integers(0, q, 64, dtype=np.uint64) for q in primes[:3]])
+        got = conversion.step2(scaled)
+        assert got.shape == (len(conversion.partitions) * target.size, 64)
+        assert np.array_equal(got, self._row_reference(conversion, scaled))
+        batched = conversion.step2(np.stack([scaled, scaled[:, ::-1].copy()]))
+        assert np.array_equal(batched[0], got)
+        assert np.array_equal(
+            batched[1], self._row_reference(conversion, scaled[:, ::-1])
+        )

@@ -42,6 +42,12 @@ ALLOWLIST = {
         "oracle: O(N^2) evaluation at the odd powers of psi, the definition the "
         "reference NTT is checked against (tests/test_ntt_reference.py)"
     ),
+    "repro.poly.modmat": (
+        "oracle: the chunked-uint64 modular matmul the kernel, MAT, BAT and "
+        "NTT-plan tests check against (tests/test_modmat.py, test_gemm_mod.py, "
+        "test_mat.py, test_bat.py, test_ntt_backend.py, "
+        "test_integration_cross_pipeline.py)"
+    ),
     "repro.ckks.bootstrapping.special_fft_matrix": (
         "oracle: the dense special-FFT matrix the factored CoeffToSlot and "
         "SlotToCoeff stages must reproduce (tests/test_bootstrapping.py)"
@@ -297,15 +303,121 @@ FIRST_CENSUS = [
 ]
 
 
-def test_scanner_reports_the_first_census_on_its_tree(tmp_path):
+def _extract(commit: str, dest: Path) -> Path:
+    """The caller directories at ``commit``, through ``git archive`` (or skip)."""
     git = shutil.which("git")
     if git is None:
         pytest.skip("git is not installed")
     archive = subprocess.run(
-        [git, "archive", FIRST_CENSUS_COMMIT, *CALLER_DIRS], cwd=ROOT, capture_output=True
+        [git, "archive", commit, *CALLER_DIRS], cwd=ROOT, capture_output=True
     )
     if archive.returncode:
-        pytest.skip(f"commit {FIRST_CENSUS_COMMIT[:7]} is not in this checkout")
+        pytest.skip(f"commit {commit[:7]} is not in this checkout")
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(tmp_path, filter="data")
-    assert census(tmp_path) == FIRST_CENSUS
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def test_scanner_reports_the_first_census_on_its_tree(tmp_path):
+    assert census(_extract(FIRST_CENSUS_COMMIT, tmp_path)) == FIRST_CENSUS
+
+
+# ------------------------------------------------------------ unused imports
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Identifiers an annotation names, quoted (string) annotations included."""
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                found |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return found
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads in code or in an annotation."""
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations = [arg.annotation for arg in every if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            if annotation is not None:
+                found |= _annotation_names(annotation)
+    return found
+
+
+def unused_imports(root: Path) -> list[str]:
+    """``module: name`` for every unused import binding under ``root/src/repro``.
+
+    Package ``__init__`` modules (re-exports), ``from __future__`` and lines
+    marked ``# noqa: F401`` (a deliberate re-export) are skipped.
+    """
+    unused = []
+    src = root / "src"
+    for path in sorted((src / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        referenced = _referenced(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in referenced:
+                    unused.append(f"{_module_name(path, src)}: {bound}")
+    return unused
+
+
+def test_src_has_no_unused_imports():
+    assert unused_imports(ROOT) == []
+
+
+def test_import_scan_flags_planted_imports_and_honours_exemptions(tmp_path):
+    """Quoted annotations count as uses; ``__future__``, ``noqa`` lines and
+    package ``__init__`` re-exports are exempt."""
+    _write(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "import json\n",
+            "src/repro/mod.py": (
+                "from __future__ import annotations\n"
+                "import os.path\n"
+                "import time\n"
+                "from typing import Optional, Sequence\n"
+                "from dataclasses import dataclass, field\n"
+                "from repro import helper  # noqa: F401\n"
+                "import numpy as np\n\n"
+                "@dataclass\n"
+                "class Box:\n"
+                "    size: 'Sequence[int]'\n\n"
+                "def f(x: 'Optional[int]') -> int:\n"
+                "    return os.path.sep and np.zeros(1)\n"
+            ),
+        },
+    )
+    assert unused_imports(tmp_path) == ["repro.mod: time", "repro.mod: field"]
+
+
+# The parent of the import scan's first commit imported two names it never used.
+IMPORT_SCAN_PARENT = "79466ef2b1dce69780726818e5aedd7245c0eafd"
+
+
+def test_import_scan_reports_the_unused_imports_it_found(tmp_path):
+    unused = unused_imports(_extract(IMPORT_SCAN_PARENT, tmp_path))
+    assert unused == ["repro.serving.shard: time", "repro.serving.shard: field"]

@@ -5,7 +5,8 @@ import pytest
 
 
 @pytest.fixture(scope="module")
-def env(ckks_setup, rng):
+def env(ckks_setup):
+    rng = np.random.default_rng(2103)
     params = ckks_setup["params"]
     slots = params.slot_count
     z1 = rng.uniform(-1, 1, slots) + 1j * rng.uniform(-1, 1, slots)

@@ -27,7 +27,7 @@ from repro.ckks.keyswitch import (
 )
 from repro.ckks.params import CkksParameters
 from repro.poly.basis_conversion import (
-    StackedBasisConversion,
+    BasisConversion,
     conversion_for,
     stacked_conversion_for,
 )
@@ -38,7 +38,8 @@ from repro.poly.rns_poly import RnsBasis, RnsPolynomial
 
 
 @pytest.fixture(scope="module")
-def env(ckks_setup, rng):
+def env(ckks_setup):
+    rng = np.random.default_rng(2104)
     z1 = rng.uniform(-1, 1, ckks_setup["params"].slot_count) + 1j * rng.uniform(
         -1, 1, ckks_setup["params"].slot_count
     )
@@ -89,20 +90,29 @@ class TestStackedBConv:
             expected = conversion_for(digit_basis, extended).convert(digit_poly)
             assert np.array_equal(stacked[d], expected.residues)
 
-    def test_convert_returns_per_digit_polynomials(self, ckks_setup, rng):
+    def test_one_digit_stack_is_the_plain_conversion(self, ckks_setup, rng):
+        """A conversion is the stacked one with one digit: ``convert_stacked``
+        of a one-digit partition is ``(1, L', N)`` and equals ``convert``;
+        a multi-digit conversion has no single-polynomial ``convert``."""
         params = ckks_setup["params"]
         level = params.limbs
         level_basis = params.basis_at_level(level)
         extended = params.extended_basis(level)
-        partitions = params.digit_partition(level)
-        conversion = stacked_conversion_for(level_basis, extended, partitions)
         poly = random_poly(params, level, rng)
-        digits = conversion.convert(poly)
-        assert len(digits) == len(partitions)
-        stacked = conversion.convert_stacked(poly.residues)
-        for d, digit in enumerate(digits):
-            assert digit.basis.moduli == extended.moduli
-            assert np.array_equal(digit.residues, stacked[d])
+        one_digit = stacked_conversion_for(level_basis, extended, ((0, level),))
+        stacked = one_digit.convert_stacked(poly.residues)
+        assert stacked.shape == (1, extended.size, params.degree)
+        plain = conversion_for(level_basis, extended).convert(poly)
+        assert np.array_equal(stacked[0], plain.residues)
+        assert np.array_equal(
+            one_digit.conversion_matrix,
+            conversion_for(level_basis, extended).conversion_matrix,
+        )
+        all_digits = stacked_conversion_for(
+            level_basis, extended, params.digit_partition(level)
+        )
+        with pytest.raises(ValueError):
+            all_digits.convert(poly)
 
     def test_chain_holds_no_per_digit_conversions(self):
         """The stacked block is built straight from each digit's constants:
@@ -131,9 +141,7 @@ class TestStackedBConv:
         extended = params.extended_basis(3)
         for bad in [((0, 1), (2, 3)), ((0, 2),), ((0, 1), (1, 2), (2, 4))]:
             with pytest.raises(ValueError):
-                StackedBasisConversion(
-                    source=level_basis, target=extended, partitions=bad
-                )
+                BasisConversion(source=level_basis, target=extended, partitions=bad)
 
 
 class TestFusedSwitchKey:
